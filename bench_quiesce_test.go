@@ -5,8 +5,8 @@ package dcl1_test
 // (WithLegacyTick) and reports ns/sim-cycle — wall-clock nanoseconds per
 // simulated core cycle. The drain benchmark is the idle-heavy case the bulk
 // fast-forward exists for: a finite trace whose programs end long before the
-// measurement window closes. BENCH_baseline.json records the committed
-// numbers.
+// measurement window closes. The ratio on the paper's machine is
+// sim.legacy_tick_ratio of `bash bench/run.sh -trace 1`.
 
 import (
 	"testing"

@@ -1,7 +1,6 @@
 // Command dcl1shardbench measures the sharded tick executor against serial
 // execution on the saturated benchmark workload (C-BFS, always busy, on the
-// clustered Sh8+C2 design — the same simulation as BenchmarkShardedSaturated)
-// and writes a JSON record in the BENCH_sharded.json shape. Every variant
+// clustered Sh8+C2 design) and writes a JSON record. Every variant
 // runs the identical simulation; results are bit-identical (the equivalence
 // tests prove it), so the record is purely about wall-clock.
 //
@@ -14,7 +13,7 @@
 //
 // Usage:
 //
-//	dcl1shardbench -out BENCH_sharded.json
+//	dcl1shardbench -out bench-sharded.json
 //	dcl1shardbench -iters 8 -assert-speedup 1.3
 package main
 
@@ -96,7 +95,7 @@ func main() {
 
 	record := map[string]any{
 		"description": "Sharded tick executor vs serial on the saturated workload (C-BFS synthetic, always busy, Sh8+C2), ns of wall-clock per simulated core cycle, locality-aware placement unless prefixed strided_. Results are bit-identical across every variant (TestShardEquivalence, TestShardEquivalenceStridedPlacement); only speed differs. On a single-CPU host the sharded numbers are the executor-overhead bound — no parallel speedup is physically possible there; read the speedup off a multi-core record (the CI bench-sharded artifact).",
-		"command":     "go run ./cmd/dcl1shardbench -out BENCH_sharded.json",
+		"command":     "go run ./cmd/dcl1shardbench -out bench-sharded.json",
 		"goos":        runtime.GOOS,
 		"goarch":      runtime.GOARCH,
 		"cpus":        runtime.NumCPU(),

@@ -20,6 +20,10 @@ type Array struct {
 	ways int
 	tick int64
 	meta []way // sets*ways entries, set-major
+	// gen advances whenever the set of resident lines may have changed
+	// (Install, Invalidate): a "line absent" verdict taken at one gen holds
+	// for as long as gen does.
+	gen uint64
 }
 
 type way struct {
@@ -90,6 +94,7 @@ func (a *Array) Contains(line uint64) bool { return a.Lookup(line, false) }
 func (a *Array) Install(line uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
 	set := a.index(line)
 	a.tick++
+	a.gen++
 	var lru *way
 	for w := 0; w < a.ways; w++ {
 		s := a.slot(set, w)
@@ -144,6 +149,7 @@ func (a *Array) Invalidate(line uint64) (present, dirty bool) {
 		s := a.slot(set, w)
 		if s.valid && s.line == line {
 			s.valid = false
+			a.gen++
 			return true, s.dirty
 		}
 	}

@@ -130,8 +130,20 @@ type Ctrl struct {
 	pipe    *sim.DelayQueue[*mem.Access] // hit replies / acks in flight
 	mshr    *mshrTable
 
+	absent absentMemo
+
 	lastTick sim.Cycle // most recent Tick cycle, for invariant age checks
 	ageBound sim.Cycle // MSHR age bound override (0 = DefaultMSHRAgeBound)
+}
+
+// absentMemo memoises the verdict a stalled load re-derived every cycle: its
+// line is neither in the array nor in the MSHR file. The verdict stands while
+// both generation counters do, so a load stalled for an MSHR or for MissOut
+// space pays only the stall check on the cycles in between.
+type absentMemo struct {
+	ok              bool
+	line            uint64
+	arrGen, mshrGen uint64
 }
 
 type mshrEntry struct {
@@ -334,28 +346,39 @@ func (c *Ctrl) processRequests(now sim.Cycle) {
 	}
 }
 
+// knownAbsent reports whether the memo still proves line is in neither the
+// array nor the MSHR file.
+func (c *Ctrl) knownAbsent(line uint64) bool {
+	m := &c.absent
+	return m.ok && m.line == line && m.arrGen == c.Arr.gen && m.mshrGen == c.mshr.gen
+}
+
 func (c *Ctrl) serveLoad(a *mem.Access, now sim.Cycle) bool {
-	if c.P.Perfect || c.Arr.Lookup(a.Line, true) {
+	absent := c.knownAbsent(a.Line)
+	if c.P.Perfect || (!absent && c.Arr.Lookup(a.Line, true)) {
 		c.Stat.Loads++
 		c.Stat.LoadHits++
 		c.pipe.Push(a.Reply(), now+c.P.HitLatency)
 		return true
 	}
 	// Miss path: merge into an existing MSHR or allocate a new one.
-	if e := c.mshr.get(a.Line); e != nil {
-		if len(e.waiters) >= c.P.MaxMerge {
-			c.Stat.MSHRStalls++
-			return false
+	if !absent {
+		if e := c.mshr.get(a.Line); e != nil {
+			if len(e.waiters) >= c.P.MaxMerge {
+				c.Stat.MSHRStalls++
+				return false
+			}
+			e.waiters = append(e.waiters, a)
+			c.Stat.Loads++
+			c.Stat.LoadMisses++
+			c.Stat.MSHRMerges++
+			c.noteReplication(a)
+			return true
 		}
-		e.waiters = append(e.waiters, a)
-		c.Stat.Loads++
-		c.Stat.LoadMisses++
-		c.Stat.MSHRMerges++
-		c.noteReplication(a)
-		return true
 	}
 	if c.mshr.len() >= c.P.MSHRs || c.MissOut.Full() || c.Chaos.MSHRPinched(now) {
 		c.Stat.MSHRStalls++
+		c.absent = absentMemo{ok: true, line: a.Line, arrGen: c.Arr.gen, mshrGen: c.mshr.gen}
 		return false
 	}
 	e := c.mshr.insert(a.Line, now)

@@ -26,10 +26,19 @@ func (c *Ctrl) mshrAgeBound() sim.Cycle {
 
 // CheckInvariants implements health.Checker: MSHR occupancy within capacity,
 // merge counts within MaxMerge, no entry pending longer than the age bound,
-// and push/pop conservation on the four controller queues.
+// push/pop conservation on the four controller queues, and — while the
+// stalled-load memo is live — that its line really is in neither the array
+// nor the MSHR file.
 func (c *Ctrl) CheckInvariants() []health.Violation {
 	var out []health.Violation
 	name := c.P.Name
+	if m := &c.absent; c.knownAbsent(m.line) && (c.Arr.Contains(m.line) || c.mshr.get(m.line) != nil) {
+		out = append(out, health.Violation{
+			Component: name, Rule: "stale-miss-memo",
+			Detail: fmt.Sprintf("line %#x memoised absent but resident %t, MSHR entry %t",
+				m.line, c.Arr.Contains(m.line), c.mshr.get(m.line) != nil),
+		})
+	}
 	if c.mshr.len() > c.P.MSHRs {
 		out = append(out, health.Violation{
 			Component: name, Rule: "mshr-occupancy",

@@ -26,6 +26,9 @@ type mshrTable struct {
 	n        int
 	mergeCap int // waiter-slice capacity hint (MaxMerge)
 	spare    [][]*mem.Access
+	// gen advances on every insert and remove: a "no entry for this line"
+	// verdict taken at one gen holds for as long as gen does.
+	gen uint64
 }
 
 type mshrSlot struct {
@@ -86,6 +89,7 @@ func (t *mshrTable) insert(line uint64, now sim.Cycle) *mshrEntry {
 	s.e.allocAt = now
 	s.e.waiters = t.takeWaiters()
 	t.n++
+	t.gen++
 	return &s.e
 }
 
@@ -122,6 +126,7 @@ func (t *mshrTable) remove(line uint64) {
 	}
 	t.spare = append(t.spare, w[:0])
 	t.n--
+	t.gen++
 	j := i
 	for {
 		t.slots[i] = mshrSlot{}

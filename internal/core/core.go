@@ -164,6 +164,12 @@ type wave struct {
 	pendBlocking bool
 }
 
+// stalled reports whether a flag — as opposed to the clock (readyAt) — keeps
+// the wavefront from issuing.
+func (w *wave) stalled() bool {
+	return w.done || w.blocked || w.pendActive || w.atBarrier
+}
+
 // Core is one compute unit.
 type Core struct {
 	P    Params
@@ -188,8 +194,19 @@ type Core struct {
 	// drain) clears it. Avoids scanning all wavefronts on idle cycles.
 	sleepUntil sim.Cycle
 	// pendCount tracks wavefronts with an active pending memory op so the
-	// expansion pass can skip the scan entirely when none exist.
+	// expansion pass can skip the scan entirely when none exist. pendZero
+	// counts those among them whose op has no lines at all: the only pending
+	// ops that complete without LSQ space, so expansion may stop at a full
+	// LSQ only while it is zero.
 	pendCount int
+	pendZero  int
+
+	// Derived scheduling sets, updated where a wavefront flag changes and
+	// never recomputed by a scan (CheckInvariants audits both against the
+	// flags): pending = {w : w.pendActive}, walked by expandPending;
+	// issuable = {w : !w.stalled()}, walked by issue.
+	pending  waveSet
+	issuable waveSet
 
 	// throttle is the power governor's duty-cycle gate: level L withholds
 	// issue on L of every 8 cycles (retire, expansion, and LSQ drain still
@@ -211,7 +228,21 @@ func New(p Params) *Core {
 
 // AddWave attaches a wavefront executing prog.
 func (c *Core) AddWave(prog Program) {
-	c.waves = append(c.waves, &wave{id: len(c.waves), prog: prog})
+	w := &wave{id: len(c.waves), prog: prog}
+	c.waves = append(c.waves, w)
+	c.pending.grow(len(c.waves))
+	c.issuable.grow(len(c.waves))
+	c.issuable.set(w.id)
+}
+
+// markIssuable re-derives w's membership of the issuable set; called after
+// every change to one of the flags stalled reads.
+func (c *Core) markIssuable(w *wave) {
+	if w.stalled() {
+		c.issuable.clear(w.id)
+	} else {
+		c.issuable.set(w.id)
+	}
 }
 
 // SetThrottle sets the governor duty-cycle level: 0 runs free, level L in
@@ -293,15 +324,19 @@ func (c *Core) SkipIdle(now sim.Cycle, n sim.Cycle) {
 }
 
 // expandPending moves transactions of already-issued memory instructions
-// into the LSQ as space allows.
+// into the LSQ as space allows, visiting pending wavefronts in id order. Once
+// the LSQ is full no remaining op can push a line, and an op with lines left
+// cannot complete, so the pass stops there — unless a zero-line op is pending,
+// which completes without LSQ space wherever it sits in the order.
 func (c *Core) expandPending(now sim.Cycle) {
 	if c.pendCount == 0 {
 		return
 	}
-	for _, w := range c.waves {
-		if !w.pendActive {
-			continue
+	for i := c.pending.next(0); i >= 0; i = c.pending.next(i + 1) {
+		if c.lsq.Full() && c.pendZero == 0 {
+			return
 		}
+		w := c.waves[i]
 		for w.pendNext < len(w.pendLines) && !c.lsq.Full() {
 			line := w.pendLines[w.pendNext]
 			w.pendNext++
@@ -319,7 +354,11 @@ func (c *Core) expandPending(now sim.Cycle) {
 		}
 		if w.pendNext >= len(w.pendLines) {
 			w.pendActive = false
+			c.pending.clear(w.id)
 			c.pendCount--
+			if len(w.pendLines) == 0 {
+				c.pendZero--
+			}
 			switch {
 			case w.pendBlocking && w.outstanding > 0:
 				w.blocked = true
@@ -330,6 +369,7 @@ func (c *Core) expandPending(now sim.Cycle) {
 				c.sleepUntil = 0
 			}
 			w.pendBlocking = false
+			c.markIssuable(w)
 		}
 	}
 }
@@ -351,10 +391,12 @@ func (c *Core) retire(now sim.Cycle) {
 					if w.outstanding == 0 {
 						w.blocked = false
 						w.fence = false
+						c.markIssuable(w)
 						c.sleepUntil = 0
 					}
 				} else if w.outstanding < c.P.MaxOutstanding {
 					w.blocked = false
+					c.markIssuable(w)
 					c.sleepUntil = 0
 				}
 			}
@@ -382,7 +424,12 @@ func (c *Core) injectLSQ() {
 	}
 }
 
-// issue picks ready wavefronts round-robin and issues their next ops.
+// issue picks ready wavefronts and issues their next ops: round-robin from
+// the rotating start, or (GTO) the last issuer first and then oldest-first.
+// Either order is walked over the issuable set, so wavefronts stalled on a
+// flag cost nothing; the walk reads the live set, so a barrier opened by one
+// wavefront's op releases its CTA-mates to the positions still ahead, as a
+// scan over every wavefront would.
 func (c *Core) issue(now sim.Cycle) {
 	if len(c.waves) == 0 {
 		return
@@ -406,60 +453,21 @@ func (c *Core) issue(now sim.Cycle) {
 		return
 	}
 	issued := 0
-	scanned := 0
-	limit := len(c.waves)
+	width := c.P.IssueWidth
 	if c.P.GTO {
-		limit++ // slot 0 retries the greedy wave, then oldest-first
-	}
-	for issued < c.P.IssueWidth && scanned < limit {
-		var w *wave
-		switch {
-		case c.P.GTO && scanned == 0:
-			w = c.waves[c.greedy] // greedy: stick with the last issuer
-		case c.P.GTO:
-			w = c.waves[scanned-1] // then oldest (lowest id) first
-		default:
-			w = c.waves[(c.rr+scanned)%len(c.waves)]
+		// Greedy: stick with the last issuer, then oldest (lowest id) first.
+		if c.issuable.has(c.greedy) {
+			issued += c.issueWave(c.waves[c.greedy], now)
 		}
-		scanned++
-		if w.done || w.blocked || w.pendActive || w.atBarrier || w.readyAt > now {
-			continue
+		for i := c.issuable.next(0); i >= 0 && issued < width; i = c.issuable.next(i + 1) {
+			issued += c.issueWave(c.waves[i], now)
 		}
-		c.greedy = w.id
-		op := w.prog.Next()
-		switch op.Kind {
-		case OpEnd:
-			w.done = true
-			c.releaseBarrier(w) // a finished wave must not hold its CTA hostage
-			continue
-		case OpBarrier:
-			w.atBarrier = true
-			c.Stat.Issued++
-			c.releaseBarrier(w)
-			issued++
-		case OpCompute:
-			lat := op.Latency
-			if lat < 1 {
-				lat = 1
-			}
-			w.readyAt = now + lat
-			c.Stat.Issued++
-			c.Stat.ComputeIssued++
-			issued++
-		case OpLoad, OpStore, OpNonL1, OpAtomic:
-			// Hand the coalesced transactions to the LSU; they drain into
-			// the LSQ over the following cycles (expandPending).
-			w.pendActive = true
-			c.pendCount++
-			w.pendLines = append(w.pendLines[:0], op.Lines...)
-			w.pendNext = 0
-			w.pendKind = kindOf(op.Kind)
-			w.pendBytes = op.Bytes
-			w.pendBlocking = op.Blocking
-			w.readyAt = now + 1
-			c.Stat.Issued++
-			c.Stat.MemIssued++
-			issued++
+	} else {
+		for i := c.issuable.next(c.rr); i >= 0 && issued < width; i = c.issuable.next(i + 1) {
+			issued += c.issueWave(c.waves[i], now)
+		}
+		for i := c.issuable.next(0); i >= 0 && i < c.rr && issued < width; i = c.issuable.next(i + 1) {
+			issued += c.issueWave(c.waves[i], now)
 		}
 	}
 	c.rr = (c.rr + 1) % len(c.waves)
@@ -468,16 +476,65 @@ func (c *Core) issue(now sim.Cycle) {
 		// Nothing issuable now: sleep until the earliest compute-latency
 		// wake-up; unblocking events reset the hint.
 		next := sim.Cycle(1) << 60
-		for _, w := range c.waves {
-			if w.done || w.blocked || w.pendActive || w.atBarrier {
-				continue
-			}
-			if w.readyAt < next {
-				next = w.readyAt
+		for i := c.issuable.next(0); i >= 0; i = c.issuable.next(i + 1) {
+			if r := c.waves[i].readyAt; r < next {
+				next = r
 			}
 		}
 		c.sleepUntil = next
 	}
+}
+
+// issueWave issues the next op of an issuable wavefront if its pipeline
+// latency has elapsed, returning how many issue slots that used (a finished
+// program uses none).
+func (c *Core) issueWave(w *wave, now sim.Cycle) int {
+	if w.readyAt > now {
+		return 0
+	}
+	c.greedy = w.id
+	op := w.prog.Next()
+	switch op.Kind {
+	case OpEnd:
+		w.done = true
+		c.issuable.clear(w.id)
+		c.releaseBarrier(w) // a finished wave must not hold its CTA hostage
+	case OpBarrier:
+		w.atBarrier = true
+		c.issuable.clear(w.id)
+		c.Stat.Issued++
+		c.releaseBarrier(w)
+		return 1
+	case OpCompute:
+		lat := op.Latency
+		if lat < 1 {
+			lat = 1
+		}
+		w.readyAt = now + lat
+		c.Stat.Issued++
+		c.Stat.ComputeIssued++
+		return 1
+	case OpLoad, OpStore, OpNonL1, OpAtomic:
+		// Hand the coalesced transactions to the LSU; they drain into
+		// the LSQ over the following cycles (expandPending).
+		w.pendActive = true
+		c.issuable.clear(w.id)
+		c.pending.set(w.id)
+		c.pendCount++
+		if len(op.Lines) == 0 {
+			c.pendZero++
+		}
+		w.pendLines = append(w.pendLines[:0], op.Lines...)
+		w.pendNext = 0
+		w.pendKind = kindOf(op.Kind)
+		w.pendBytes = op.Bytes
+		w.pendBlocking = op.Blocking
+		w.readyAt = now + 1
+		c.Stat.Issued++
+		c.Stat.MemIssued++
+		return 1
+	}
+	return 0
 }
 
 // ctaRange returns the wavefront-id span [lo, hi) of w's CTA.
@@ -506,6 +563,7 @@ func (c *Core) releaseBarrier(w *wave) {
 	}
 	for i := lo; i < hi; i++ {
 		c.waves[i].atBarrier = false
+		c.markIssuable(c.waves[i])
 	}
 	c.sleepUntil = 0
 }

@@ -11,11 +11,28 @@ import (
 // have a reason to be blocked (a fence with outstanding transactions, or the
 // outstanding cap reached), outstanding counts must be non-negative, and the
 // core queues must conserve accesses. A violation here means replies were
-// lost or double-counted somewhere below the core.
+// lost or double-counted somewhere below the core. The derived scheduling
+// state (pending and issuable sets, pendCount, pendZero) must agree with the
+// wavefront flags it summarises: a stale member would silently change which
+// wavefronts expand or issue.
 func (c *Core) CheckInvariants() []health.Violation {
 	var out []health.Violation
 	name := fmt.Sprintf("core-%d", c.P.ID)
+	pend, zero := 0, 0
 	for _, w := range c.waves {
+		if w.pendActive {
+			pend++
+			if len(w.pendLines) == 0 {
+				zero++
+			}
+		}
+		if c.pending.has(w.id) != w.pendActive || c.issuable.has(w.id) == w.stalled() {
+			out = append(out, health.Violation{
+				Component: name, Rule: "stale-wave-set",
+				Detail: fmt.Sprintf("wave %d: pending bit %t (pendActive %t), issuable bit %t (stalled %t)",
+					w.id, c.pending.has(w.id), w.pendActive, c.issuable.has(w.id), w.stalled()),
+			})
+		}
 		switch {
 		case w.outstanding < 0:
 			out = append(out, health.Violation{
@@ -34,6 +51,13 @@ func (c *Core) CheckInvariants() []health.Violation {
 					w.id, w.outstanding, c.P.MaxOutstanding),
 			})
 		}
+	}
+	if pend != c.pendCount || zero != c.pendZero {
+		out = append(out, health.Violation{
+			Component: name, Rule: "pending-count",
+			Detail: fmt.Sprintf("pendCount %d (zero-line %d), wavefronts expanding %d (zero-line %d)",
+				c.pendCount, c.pendZero, pend, zero),
+		})
 	}
 	out = append(out, sim.CheckQueue(name, "Out", c.Out)...)
 	out = append(out, sim.CheckQueue(name, "In", c.In)...)

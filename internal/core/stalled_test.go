@@ -1,0 +1,243 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"dcl1sim/internal/mem"
+	"dcl1sim/internal/sim"
+)
+
+// scriptProgram issues whatever the test hands it next.
+type scriptProgram struct{ next func() Op }
+
+func (p *scriptProgram) Next() Op { return p.next() }
+
+// A memory op with no lines completes without LSQ space. The expansion pass
+// stops at a full LSQ, so it must not stop while such an op is pending behind
+// a wavefront that still has lines to push: the zero-line op has to complete
+// on the cycle after it issued, exactly as the scan over every wavefront did.
+func TestZeroLineOpCompletesWhileLSQFull(t *testing.T) {
+	c := New(Params{LSQCap: 2, OutCap: 1, MaxOutstanding: 64})
+	wide := Op{Kind: OpLoad, Lines: []uint64{1, 2, 3, 4, 5, 6, 7, 8}, Bytes: 32}
+	armed, fired := false, false
+	c.AddWave(&listProgram{ops: []Op{wide}})
+	c.AddWave(&scriptProgram{next: func() Op {
+		if armed && !fired {
+			fired = true
+			return Op{Kind: OpLoad, Bytes: 32} // no lines at all
+		}
+		return Op{Kind: OpCompute, Latency: 1}
+	}})
+	// Nobody drains Out: one line lands there, two fill the LSQ, and wave 0
+	// stays mid-expansion with lines left.
+	now := tick(c, 0, 8)
+	if !c.lsq.Full() || !c.waves[0].pendActive {
+		t.Fatalf("setup: LSQ full %t, wave 0 expanding %t", c.lsq.Full(), c.waves[0].pendActive)
+	}
+	armed = true
+	for !fired {
+		now = tick(c, now, 1)
+	}
+	if !c.waves[1].pendActive || c.pendZero != 1 {
+		t.Fatalf("zero-line op not pending after issue: pendActive %t pendZero %d", c.waves[1].pendActive, c.pendZero)
+	}
+	issued := c.Stat.Issued
+	tick(c, now, 1)
+	if c.waves[1].pendActive || c.pendZero != 0 {
+		t.Fatalf("zero-line op still pending one cycle after issue (pendZero %d)", c.pendZero)
+	}
+	if c.Stat.Issued != issued+1 {
+		t.Fatalf("wave 1 did not issue on the cycle its zero-line op completed: issued %d -> %d", issued, c.Stat.Issued)
+	}
+	if !c.lsq.Full() || !c.waves[0].pendActive {
+		t.Fatal("wave 0 should still be stalled on the full LSQ")
+	}
+	if v := c.CheckInvariants(); len(v) != 0 {
+		t.Fatalf("invariants: %v", v)
+	}
+}
+
+// referenceTick is Tick with the issue stage written as the scan it replaced:
+// every wavefront visited in policy order, its flags tested at the visit.
+func referenceTick(c *Core, now sim.Cycle) {
+	c.Stat.Cycles++
+	c.retire(now)
+	c.expandPending(now)
+	c.injectLSQ()
+	if now < c.sleepUntil {
+		c.Stat.StallNoReady++
+		return
+	}
+	issued, scanned := 0, 0
+	limit := len(c.waves)
+	if c.P.GTO {
+		limit++
+	}
+	for issued < c.P.IssueWidth && scanned < limit {
+		var w *wave
+		switch {
+		case c.P.GTO && scanned == 0:
+			w = c.waves[c.greedy]
+		case c.P.GTO:
+			w = c.waves[scanned-1]
+		default:
+			w = c.waves[(c.rr+scanned)%len(c.waves)]
+		}
+		scanned++
+		if w.done || w.blocked || w.pendActive || w.atBarrier {
+			continue
+		}
+		issued += c.issueWave(w, now)
+	}
+	c.rr = (c.rr + 1) % len(c.waves)
+	if issued == 0 {
+		c.Stat.StallNoReady++
+		next := sim.Cycle(1) << 60
+		for _, w := range c.waves {
+			if w.done || w.blocked || w.pendActive || w.atBarrier {
+				continue
+			}
+			if w.readyAt < next {
+				next = w.readyAt
+			}
+		}
+		c.sleepUntil = next
+	}
+}
+
+// mixedCore builds a core whose wavefronts run a seeded mix of compute ops,
+// blocking and non-blocking loads (some with no lines), stores, CTA barriers
+// and early exits, logging every op handed to the issue stage.
+func mixedCore(gto bool, waves int, log *[]string) *Core {
+	c := New(Params{
+		IssueWidth: 3, GTO: gto, WavesPerCTA: 5,
+		MaxOutstanding: 3, LSQCap: 4, OutCap: 2, InCap: 2,
+	})
+	for w := 0; w < waves; w++ {
+		w := w
+		rng := sim.NewRNG(uint64(1000 + w))
+		n := 0
+		c.AddWave(&scriptProgram{next: func() Op {
+			n++
+			var op Op
+			switch r := rng.Intn(20); {
+			case n > 40+w:
+				op = Op{Kind: OpEnd}
+			case r < 7:
+				op = Op{Kind: OpCompute, Latency: sim.Cycle(1 + rng.Intn(6))}
+			case r < 13:
+				lines := make([]uint64, rng.Intn(4)) // 0..3 lines
+				for i := range lines {
+					lines[i] = uint64(w*1000 + n*4 + i)
+				}
+				op = Op{Kind: OpLoad, Lines: lines, Bytes: 32, Blocking: r < 10}
+			case r < 16:
+				op = Op{Kind: OpStore, Lines: []uint64{uint64(w*1000 + n)}, Bytes: 32}
+			case r < 18:
+				op = Op{Kind: OpBarrier}
+			default:
+				op = Op{Kind: OpCompute, Latency: 1}
+			}
+			*log = append(*log, fmt.Sprintf("w%d:%d/%d", w, op.Kind, len(op.Lines)))
+			return op
+		}})
+	}
+	return c
+}
+
+// The issue stage walks the issuable set with bit scans. Over a machine whose
+// wavefronts are a shifting mix of finished, fence-blocked, cap-blocked,
+// mid-expansion, at-barrier, latency-waiting and ready — 70 of them, so the
+// set spans two words — it must hand out the same ops to the same wavefronts
+// on the same cycles as the scan over every wavefront, under both policies,
+// including the cycles where an op opens a barrier for wavefronts the walk has
+// yet to reach.
+func TestIssueOrderMatchesReferenceScan(t *testing.T) {
+	for _, gto := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gto=%t", gto), func(t *testing.T) {
+			var gotLog, wantLog []string
+			got, want := mixedCore(gto, 70, &gotLog), mixedCore(gto, 70, &wantLog)
+			gotMem, wantMem := sim.NewDelayQueue[*mem.Access](), sim.NewDelayQueue[*mem.Access]()
+			sawMixed := false
+			for now := sim.Cycle(0); now < 20000 && !(got.Done() && want.Done()); now++ {
+				mark := len(gotLog)
+				got.Tick(now)
+				referenceTick(want, now)
+				for i := mark; i < len(gotLog); i++ {
+					gotLog[i] = fmt.Sprintf("%d %s", now, gotLog[i])
+				}
+				for i := mark; i < len(wantLog); i++ {
+					wantLog[i] = fmt.Sprintf("%d %s", now, wantLog[i])
+				}
+				echo(got, now, 17, gotMem)
+				echo(want, now, 17, wantMem)
+				if v := got.CheckInvariants(); len(v) != 0 {
+					t.Fatalf("cycle %d: invariants: %v", now, v)
+				}
+				var blocked, barrier, ready int
+				for _, w := range got.waves {
+					switch {
+					case w.blocked:
+						blocked++
+					case w.atBarrier:
+						barrier++
+					case !w.stalled():
+						ready++
+					}
+				}
+				if blocked > 0 && barrier > 0 && ready > 0 {
+					sawMixed = true
+				}
+			}
+			if !sawMixed {
+				t.Fatal("the run never had blocked, at-barrier and ready wavefronts at once")
+			}
+			if !got.Done() {
+				t.Fatal("programs did not finish: the comparison covers only part of them")
+			}
+			if !reflect.DeepEqual(gotLog, wantLog) {
+				for i := range gotLog {
+					if i >= len(wantLog) || gotLog[i] != wantLog[i] {
+						t.Fatalf("issue %d diverges: bit walk %q, reference scan %q", i, gotLog[i], wantLog[i:])
+					}
+				}
+				t.Fatalf("bit walk issued %d ops, reference scan %d", len(gotLog), len(wantLog))
+			}
+			if !reflect.DeepEqual(got.Stat, want.Stat) {
+				t.Fatalf("stats diverge:\nbit walk  %+v\nreference %+v", got.Stat, want.Stat)
+			}
+		})
+	}
+}
+
+// The audit catches derived scheduling state that drifted from the flags.
+func TestStaleWaveSetsAreInvariantViolations(t *testing.T) {
+	rules := func(c *Core) []string {
+		var r []string
+		for _, v := range c.CheckInvariants() {
+			r = append(r, v.Rule)
+		}
+		return r
+	}
+	c := newCore(3, []Op{{Kind: OpCompute, Latency: 1}})
+	tick(c, 0, 1)
+	if r := rules(c); len(r) != 0 {
+		t.Fatalf("healthy core: %v", r)
+	}
+	c.issuable.clear(1) // a ready wavefront the issue stage would never visit
+	if r := rules(c); !reflect.DeepEqual(r, []string{"stale-wave-set"}) {
+		t.Fatalf("cleared issuable bit: %v", r)
+	}
+	c.issuable.set(1)
+	c.pending.set(2) // an expansion walk over a wavefront with nothing pending
+	if r := rules(c); !reflect.DeepEqual(r, []string{"stale-wave-set"}) {
+		t.Fatalf("forged pending bit: %v", r)
+	}
+	c.pending.clear(2)
+	c.pendZero++ // would keep expandPending scanning past a full LSQ forever
+	if r := rules(c); !reflect.DeepEqual(r, []string{"pending-count"}) {
+		t.Fatalf("forged pendZero: %v", r)
+	}
+}

@@ -6,6 +6,8 @@
 package dram
 
 import (
+	"math/bits"
+
 	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/sim"
@@ -125,18 +127,48 @@ type Channel struct {
 	// over the requested banks. Recomputed lazily after any readyAt change.
 	minReady      sim.Cycle
 	minReadyDirty bool
+
+	// Shift/mask form of the line → (bank, row) map, valid when pow2: with
+	// Map.RowLines, Map.Banks and Banks all powers of two (Table II's 16/16
+	// are), line/RowLines%Map.Banks%Banks and line/RowLines/Map.Banks need
+	// no division. The FR-FCFS scan locates every queued request every
+	// cycle, so three run-time divisions per request were its whole cost.
+	pow2      bool
+	rowShift  uint   // log2(Map.RowLines)
+	bankShift uint   // log2(Map.Banks)
+	bankMask  uint64 // (Map.Banks-1) & (Banks-1)
 }
 
 // New builds a channel.
 func New(p Params) *Channel {
 	p = p.withDefaults()
-	return &Channel{
+	c := &Channel{
 		P:        p,
 		In:       sim.NewPort[*mem.Access](p.QueueCap),
 		Out:      sim.NewPort[*mem.Access](p.QueueCap),
 		banks:    make([]bank, p.Banks),
 		inflight: sim.NewDelayQueue[*mem.Access](),
 	}
+	if isPow2(p.Map.RowLines) && isPow2(p.Map.Banks) && isPow2(p.Banks) {
+		c.pow2 = true
+		c.rowShift = uint(bits.TrailingZeros(uint(p.Map.RowLines)))
+		c.bankShift = uint(bits.TrailingZeros(uint(p.Map.Banks)))
+		c.bankMask = uint64(p.Map.Banks-1) & uint64(p.Banks-1)
+	}
+	return c
+}
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// locate returns the bank (index into c.banks) and the row of a line:
+// Map.Bank(line) % Banks and Map.Row(line), by shift and mask when the
+// geometry allows and by division otherwise.
+func (c *Channel) locate(line uint64) (bank int, row uint64) {
+	if c.pow2 {
+		r := line >> c.rowShift
+		return int(r & c.bankMask), r >> c.bankShift
+	}
+	return c.P.Map.Bank(line) % c.P.Banks, c.P.Map.Row(line)
 }
 
 // Tick advances the channel one memory-clock cycle.
@@ -178,8 +210,8 @@ func (c *Channel) Tick(now sim.Cycle) {
 		return
 	}
 	a := c.In.RemoveAt(idx)
-	b := &c.banks[c.bankOf(a.Line)]
-	row := c.P.Map.Row(a.Line)
+	bi, row := c.locate(a.Line)
+	b := &c.banks[bi]
 	t := c.P.Timing
 	var dataAt sim.Cycle
 	if b.rowOpen && b.row == row {
@@ -259,8 +291,8 @@ func (c *Channel) pickRequest(now sim.Cycle) int {
 	}
 	oldest := -1
 	for i := 0; i < c.In.Len(); i++ {
-		a := c.In.At(i)
-		b := &c.banks[c.bankOf(a.Line)]
+		bi, row := c.locate(c.In.At(i).Line)
+		b := &c.banks[bi]
 		if b.readyAt > now {
 			continue
 		}
@@ -270,15 +302,11 @@ func (c *Channel) pickRequest(now sim.Cycle) int {
 				return oldest
 			}
 		}
-		if b.rowOpen && b.row == c.P.Map.Row(a.Line) {
+		if b.rowOpen && b.row == row {
 			return i // oldest row hit
 		}
 	}
 	return oldest
-}
-
-func (c *Channel) bankOf(line uint64) int {
-	return c.P.Map.Bank(line) % c.P.Banks
 }
 
 // maybeRefresh blocks the whole channel for TRFC every TREFI cycles and

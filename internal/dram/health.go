@@ -13,9 +13,21 @@ const DefaultStuckAccessAge sim.Cycle = 10_000
 
 // CheckInvariants implements health.Checker: a finished access that cannot
 // leave (Out full for a long time) is stuck, and the request/reply queues
-// must conserve accesses.
+// must conserve accesses. The shift/mask bank map must agree with the
+// address map's division form on every queued request.
 func (c *Channel) CheckInvariants() []health.Violation {
 	var out []health.Violation
+	for i := 0; i < c.In.Len(); i++ {
+		line := c.In.At(i).Line
+		bank, row := c.locate(line)
+		if wb, wr := c.P.Map.Bank(line)%c.P.Banks, c.P.Map.Row(line); bank != wb || row != wr {
+			out = append(out, health.Violation{
+				Component: c.P.Name, Rule: "bank-map",
+				Detail: fmt.Sprintf("line %#x located at bank %d row %d, address map says bank %d row %d",
+					line, bank, row, wb, wr),
+			})
+		}
+	}
 	if at, ok := c.inflight.NextReadyAt(); ok {
 		if age := c.lastTick - at; age > DefaultStuckAccessAge {
 			out = append(out, health.Violation{

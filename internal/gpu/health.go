@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"context"
+	"errors"
 	"runtime/debug"
 	"time"
 
@@ -66,14 +67,26 @@ type HealthOptions struct {
 	PowerCap *power.CapSpec
 }
 
+// ErrNilApp is returned by the checked constructors for a job with no
+// workload source — what the zero Job beside a sweep-expansion error holds.
+var ErrNilApp = errors.New("gpu: nil workload source")
+
+// validateJob is the up-front check of the checked constructors.
+func validateJob(cfg Config, d Design, app workload.Source) error {
+	if app == nil {
+		return ErrNilApp
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return d.Validate(cfg)
+}
+
 // NewSystemChecked is NewSystem returning validation errors instead of
 // panicking: configuration and topology problems come back as plain errors,
 // and any residual construction panic is wrapped in a *health.SimError.
 func NewSystemChecked(cfg Config, d Design, app workload.Source, opts ...BuildOption) (s *System, err error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := d.Validate(cfg); err != nil {
+	if err := validateJob(cfg, d, app); err != nil {
 		return nil, err
 	}
 	defer func() {
@@ -81,7 +94,7 @@ func NewSystemChecked(cfg Config, d Design, app workload.Source, opts ...BuildOp
 			s = nil
 			err = &health.SimError{
 				Design: d.withDefaults(cfg.WithDefaults()).Name(),
-				App:    app.Label(),
+				App:    safeLabel(app),
 				Cause:  r,
 				Stack:  string(debug.Stack()),
 			}

@@ -132,10 +132,7 @@ func NewMachine(cfg Config, d Design, app workload.Source, opts ...BuildOption) 
 // NewMachineChecked is NewMachine returning validation errors instead of
 // panicking, mirroring NewSystemChecked.
 func NewMachineChecked(cfg Config, d Design, app workload.Source, opts ...BuildOption) (m *Machine, err error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := d.Validate(cfg); err != nil {
+	if err := validateJob(cfg, d, app); err != nil {
 		return nil, err
 	}
 	defer func() {
@@ -143,7 +140,7 @@ func NewMachineChecked(cfg Config, d Design, app workload.Source, opts ...BuildO
 			m = nil
 			err = &health.SimError{
 				Design: d.withDefaults(cfg.WithDefaults()).Name(),
-				App:    app.Label(),
+				App:    safeLabel(app),
 				Cause:  r,
 				Stack:  string(debug.Stack()),
 			}

@@ -118,7 +118,7 @@ type Clock struct {
 	// tick on this clock: their staged pushes commit at the end of every
 	// processed edge. barriers run after the port commits, serially and in
 	// registration order (e.g. deferred replication-tracker updates).
-	ports    []portCommitter
+	ports    []*portHeader
 	barriers []func()
 }
 
@@ -191,7 +191,7 @@ func (c *Clock) OnBarrier(f func()) {
 // during an all-idle stretch, so no port can change.
 func (c *Clock) commitSerial() {
 	for _, p := range c.ports {
-		p.commitEdge()
+		p.commit()
 	}
 }
 

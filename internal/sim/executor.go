@@ -231,7 +231,7 @@ func (ex *executor) exec(shard int) {
 	}
 	ex.phaseBarrier()
 	for _, i := range plan.ports[shard] {
-		c.ports[i].commitEdge()
+		c.ports[i].commit()
 	}
 }
 

@@ -27,9 +27,37 @@ package sim
 type Port[T any] struct {
 	Queue[T]
 
+	hdr      portHeader
 	staged   []T
-	snap     int // committed occupancy snapshot from the last barrier
 	twoPhase bool
+}
+
+// portHeader is the part of an attached Port its clock's edge barrier reads:
+// plain integers and a pointer, no element type. The barrier commits every
+// port on every processed edge and nearly all of them are clean (nothing
+// staged; at most the consumer popped), so the clock scans headers directly —
+// a clean port costs the loads and one store of commit below, and only a
+// port with staged values pays the call into the generic flush.
+type portHeader struct {
+	nStaged int  // len(staged)
+	snap    int  // committed occupancy snapshot from the last barrier
+	size    *int // the committed queue's occupancy (Queue.size)
+	owner   stagedFlusher
+}
+
+// stagedFlusher is the generic half of a commit, reached through the header.
+type stagedFlusher interface {
+	flushStaged()
+}
+
+// commit publishes staged values into the committed queue and refreshes the
+// occupancy snapshot. Runs at the owning clock's edge barrier, never
+// concurrently with any producer or consumer access to this port.
+func (h *portHeader) commit() {
+	if h.nStaged != 0 {
+		h.owner.flushStaged()
+	}
+	h.snap = *h.size
 }
 
 // NewPort returns a port holding at most capacity items (0 = unbounded), in
@@ -38,11 +66,6 @@ func NewPort[T any](capacity int) *Port[T] {
 	p := &Port[T]{}
 	p.Queue = *NewQueue[T](capacity)
 	return p
-}
-
-// portCommitter is the clock-facing face of a Port (commit at edge barrier).
-type portCommitter interface {
-	commitEdge()
 }
 
 // Attach switches the port to two-phase mode and registers its commit at c's
@@ -60,8 +83,8 @@ func (p *Port[T]) AttachGrouped(c *Clock, group int) {
 		panic("sim: Port attached twice")
 	}
 	p.twoPhase = true
-	p.snap = p.size
-	c.ports = append(c.ports, p)
+	p.hdr = portHeader{snap: p.size, size: &p.size, owner: p}
+	c.ports = append(c.ports, &p.hdr)
 	c.portGroups = append(c.portGroups, group)
 	c.plan = nil
 }
@@ -71,7 +94,7 @@ func (p *Port[T]) Attached() bool { return p.twoPhase }
 
 // StagedLen returns the number of values staged but not yet committed
 // (always 0 outside a two-phase edge; for tests and diagnostics).
-func (p *Port[T]) StagedLen() int { return len(p.staged) }
+func (p *Port[T]) StagedLen() int { return p.hdr.nStaged }
 
 // Push appends v and reports whether it was accepted. In immediate mode this
 // is Queue.Push. In two-phase mode the value is staged against the committed
@@ -82,10 +105,11 @@ func (p *Port[T]) Push(v T) bool {
 	if !p.twoPhase {
 		return p.Queue.Push(v)
 	}
-	if p.cap > 0 && p.snap+len(p.staged) >= p.cap {
+	if p.cap > 0 && p.hdr.snap+p.hdr.nStaged >= p.cap {
 		return false
 	}
 	p.staged = append(p.staged, v)
+	p.hdr.nStaged++
 	return true
 }
 
@@ -95,7 +119,7 @@ func (p *Port[T]) Full() bool {
 	if !p.twoPhase {
 		return p.Queue.Full()
 	}
-	return p.cap > 0 && p.snap+len(p.staged) >= p.cap
+	return p.cap > 0 && p.hdr.snap+p.hdr.nStaged >= p.cap
 }
 
 // Space returns how many more items the producer can push this edge.
@@ -106,28 +130,25 @@ func (p *Port[T]) Space() int {
 	if p.cap <= 0 {
 		return int(^uint(0) >> 1)
 	}
-	s := p.cap - p.snap - len(p.staged)
+	s := p.cap - p.hdr.snap - p.hdr.nStaged
 	if s < 0 {
 		s = 0
 	}
 	return s
 }
 
-// commitEdge publishes staged values into the committed queue and refreshes
-// the occupancy snapshot. Runs at the owning clock's edge barrier, never
-// concurrently with any producer or consumer access to this port.
-func (p *Port[T]) commitEdge() {
-	if len(p.staged) > 0 {
-		var zero T
-		for i, v := range p.staged {
-			if !p.Queue.Push(v) {
-				// Push checked snap+staged against cap and the committed queue
-				// only drains between barriers, so this cannot happen.
-				panic("sim: port commit overflow")
-			}
-			p.staged[i] = zero
+// flushStaged moves the staged values into the committed queue (the generic
+// half of portHeader.commit).
+func (p *Port[T]) flushStaged() {
+	var zero T
+	for i, v := range p.staged {
+		if !p.Queue.Push(v) {
+			// Push checked snap+staged against cap and the committed queue
+			// only drains between barriers, so this cannot happen.
+			panic("sim: port commit overflow")
 		}
-		p.staged = p.staged[:0]
+		p.staged[i] = zero
 	}
-	p.snap = p.size
+	p.staged = p.staged[:0]
+	p.hdr.nStaged = 0
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -183,5 +184,72 @@ func TestShardedMultiClockMatchesSerial(t *testing.T) {
 		if got := run(shards); got != want {
 			t.Errorf("shards=%d event log diverged from serial", shards)
 		}
+	}
+}
+
+// A port whose producer has gone quiet is clean at every barrier — nothing
+// staged — yet its consumer, on another clock, may have popped since the last
+// one. The barrier's header scan must still refresh the producer-side
+// snapshot of such a port, on the same edge serial and sharded: the producer
+// sees the freed slot at its first edge after the first barrier that follows
+// the pop, not earlier and not never.
+func TestPortCleanCommitRefreshesSnapshot(t *testing.T) {
+	run := func(shards int) []int {
+		e := NewEngine()
+		e.SetShards(shards)
+		prod := e.NewClock("prod", 500)  // edge k at 2k ns; wins ties (created first)
+		cons := e.NewClock("cons", 1000) // edge j at j ns
+		p := NewPort[int](2)
+		p.Attach(prod)
+		var space []int
+		for i := 0; i < 8; i++ { // 8 components, so 2 and 4 shards dispatch
+			i := i
+			prod.Register(TickFunc(func(cy Cycle) {
+				if i != 5 {
+					return
+				}
+				space = append(space, p.Space())
+				if cy < 2 {
+					p.Push(int(cy)) // fill the port, then never push again
+				}
+			}))
+			cons.Register(TickFunc(func(cy Cycle) {
+				if i == 2 && (cy == 7 || cy == 12) {
+					p.Pop()
+				}
+			}))
+		}
+		e.RunUntil(prod, 10)
+		if h, n := p.stagedCounts(); h != 0 || n != 0 {
+			t.Fatalf("shards=%d: %d/%d values left staged", shards, h, n)
+		}
+		return space
+	}
+	// Pops at 7 ns and 12 ns. The barrier ending prod edge 3 (6 ns) precedes
+	// the first pop and the one ending edge 4 (8 ns) follows it, so edge 5 is
+	// the first to see a free slot. At 12 ns prod edge 6 and its barrier win
+	// the tie and run before the pop; edge 7's barrier publishes it to edge 8.
+	want := []int{2, 1, 0, 0, 0, 1, 1, 1, 2, 2}
+	for _, shards := range []int{1, 2, 4} {
+		if got := run(shards); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: producer saw Space() = %v per edge, want %v", shards, got, want)
+		}
+	}
+}
+
+// CheckQueue audits the commit header the barrier scans against the staged
+// values it stands for.
+func TestPortHeaderAudit(t *testing.T) {
+	e := NewEngine()
+	p := NewPort[int](4)
+	p.Attach(e.NewClock("c", 1000))
+	p.Push(1)
+	if v := CheckQueue("comp", "Out", p); len(v) != 0 {
+		t.Fatalf("healthy port: %v", v)
+	}
+	p.hdr.nStaged = 0 // the barrier would now never publish the staged value
+	v := CheckQueue("comp", "Out", p)
+	if len(v) != 1 || v[0].Rule != "port-header" {
+		t.Fatalf("violations = %v, want one port-header", v)
 	}
 }
