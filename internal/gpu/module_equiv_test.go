@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/metrics"
-	"dcl1sim/internal/workload"
 )
 
 // The single-module golden files pin the refactor's central promise: a
@@ -30,6 +30,7 @@ type goldenVariant struct {
 func goldenVariants() []goldenVariant {
 	return []goldenVariant{
 		{key: "serial", shards: 1},
+		{key: "shards2", shards: 2},
 		{key: "shards4", shards: 4},
 		{key: "shards8", shards: 8},
 		{key: "serial-legacy", shards: 1, legacy: true},
@@ -37,38 +38,41 @@ func goldenVariants() []goldenVariant {
 	}
 }
 
+// goldenCase is one pinned simulation: a design on the small test machine,
+// optionally under fault injection. Its name is the golden file stem.
+type goldenCase struct {
+	name  string
+	d     Design
+	chaos *chaos.Spec
+}
+
 // goldenDesigns covers all seven design kinds on the small test machine.
-func goldenDesigns() []struct {
-	name string
-	d    Design
-} {
-	return []struct {
-		name string
-		d    Design
-	}{
-		{"baseline", Design{Kind: Baseline}},
-		{"pr4", Design{Kind: Private, DCL1s: 4}},
-		{"sh4", Design{Kind: Shared, DCL1s: 4}},
-		{"sh4c2", Design{Kind: Clustered, DCL1s: 4, Clusters: 2}},
-		{"cdxbar", Design{Kind: CDXBar, CDXGroups: 4, CDXMid: 2}},
-		{"single-l1", Design{Kind: SingleL1}},
-		{"mesh", Design{Kind: MeshBase}},
+func goldenDesigns() []goldenCase {
+	return []goldenCase{
+		{name: "baseline", d: Design{Kind: Baseline}},
+		{name: "pr4", d: Design{Kind: Private, DCL1s: 4}},
+		{name: "sh4", d: Design{Kind: Shared, DCL1s: 4}},
+		{name: "sh4c2", d: Design{Kind: Clustered, DCL1s: 4, Clusters: 2}},
+		{name: "cdxbar", d: Design{Kind: CDXBar, CDXGroups: 4, CDXMid: 2}},
+		{name: "single-l1", d: Design{Kind: SingleL1}},
+		{name: "mesh", d: Design{Kind: MeshBase}},
 	}
 }
 
 // runGolden executes one variant and returns (Results JSON, metrics NDJSON).
-func runGolden(t *testing.T, d Design, v goldenVariant) ([]byte, []byte) {
+func runGolden(t *testing.T, c goldenCase, v goldenVariant) ([]byte, []byte) {
 	t.Helper()
 	cfg := testCfg()
 	var stream bytes.Buffer
 	opts := HealthOptions{
 		Shards:     v.shards,
 		LegacyTick: v.legacy,
+		Chaos:      c.chaos,
 		Metrics:    &metrics.Options{Every: 2048, Sink: metrics.NewNDJSONSink(&stream)},
 	}
-	r, err := RunChecked(cfg, d, sharingApp(), opts)
+	r, err := RunChecked(cfg, c.d, sharingApp(), opts)
 	if err != nil {
-		t.Fatalf("%s/%s: %v", d.Name(), v.key, err)
+		t.Fatalf("%s/%s: %v", c.name, v.key, err)
 	}
 	rj, err := json.MarshalIndent(r, "", " ")
 	if err != nil {
@@ -78,66 +82,62 @@ func runGolden(t *testing.T, d Design, v goldenVariant) ([]byte, []byte) {
 	return rj, stream.Bytes()
 }
 
-// TestSingleModuleGolden proves every single-module run — at every shard
-// count and in both tick modes — produces Results and a metrics stream
-// byte-identical to the pre-refactor simulator, across all seven design
-// kinds. This is the Modules=1 equivalence gate of the multi-GPU refactor.
-func TestSingleModuleGolden(t *testing.T) {
+// checkGolden runs every case in every execution mode and compares each
+// run's Results JSON and metrics stream with the case's files under
+// testdata/<dir>. With DCL1_UPDATE_GOLDEN set, a serial run writes the files
+// first.
+func checkGolden(t *testing.T, dir string, cases []goldenCase) {
 	update := os.Getenv(updateGoldenEnv) != ""
-	dir := filepath.Join("testdata", "golden_single")
+	dir = filepath.Join("testdata", dir)
 	if update {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, gd := range goldenDesigns() {
-		gd := gd
-		t.Run(gd.name, func(t *testing.T) {
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			resPath := filepath.Join(dir, gd.name+".json")
-			ndPath := filepath.Join(dir, gd.name+".ndjson")
-			var wantRes, wantStream []byte
-			for i, v := range goldenVariants() {
-				res, stream := runGolden(t, gd.d, v)
-				if i == 0 {
-					wantRes, wantStream = res, stream
-					if update {
-						if err := os.WriteFile(resPath, res, 0o644); err != nil {
-							t.Fatal(err)
-						}
-						if err := os.WriteFile(ndPath, stream, 0o644); err != nil {
-							t.Fatal(err)
-						}
-						continue
-					}
-					golden, err := os.ReadFile(resPath)
-					if err != nil {
-						t.Fatalf("missing golden (generate with %s=1): %v", updateGoldenEnv, err)
-					}
-					if !bytes.Equal(res, golden) {
-						t.Errorf("Results JSON drifted from pre-refactor golden %s:\n got: %s\nwant: %s",
-							resPath, res, golden)
-					}
-					goldenStream, err := os.ReadFile(ndPath)
-					if err != nil {
-						t.Fatalf("missing golden stream: %v", err)
-					}
-					if !bytes.Equal(stream, goldenStream) {
-						t.Errorf("metrics stream drifted from pre-refactor golden %s (%d vs %d bytes)",
-							ndPath, len(stream), len(goldenStream))
-					}
-					continue
+			resPath := filepath.Join(dir, c.name+".json")
+			ndPath := filepath.Join(dir, c.name+".ndjson")
+			if update {
+				res, stream := runGolden(t, c, goldenVariants()[0])
+				if err := os.WriteFile(resPath, res, 0o644); err != nil {
+					t.Fatal(err)
 				}
+				if err := os.WriteFile(ndPath, stream, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantRes, err := os.ReadFile(resPath)
+			if err != nil {
+				t.Fatalf("missing golden (generate with %s=1): %v", updateGoldenEnv, err)
+			}
+			wantStream, err := os.ReadFile(ndPath)
+			if err != nil {
+				t.Fatalf("missing golden stream: %v", err)
+			}
+			for _, v := range goldenVariants() {
+				res, stream := runGolden(t, c, v)
 				if !bytes.Equal(res, wantRes) {
-					t.Errorf("%s: Results diverged from serial:\n got: %s\nwant: %s", v.key, res, wantRes)
+					t.Errorf("%s: Results JSON drifted from golden %s:\n got: %s\nwant: %s",
+						v.key, resPath, res, wantRes)
 				}
 				if !bytes.Equal(stream, wantStream) {
-					t.Errorf("%s: metrics stream diverged from serial (%d vs %d bytes)",
-						v.key, len(stream), len(wantStream))
+					t.Errorf("%s: metrics stream drifted from golden %s (%d vs %d bytes)",
+						v.key, ndPath, len(stream), len(wantStream))
 				}
 			}
 		})
 	}
+}
+
+// TestSingleModuleGolden proves every single-module run — at every shard
+// count and in both tick modes — produces Results and a metrics stream
+// byte-identical to the pre-refactor simulator, across all seven design
+// kinds. This is the Modules=1 equivalence gate of the multi-GPU refactor.
+func TestSingleModuleGolden(t *testing.T) {
+	checkGolden(t, "golden_single", goldenDesigns())
 }
 
 // TestModulesOneMatchesSingle pins the dispatch contract: an explicit
@@ -150,10 +150,9 @@ func TestModulesOneMatchesSingle(t *testing.T) {
 		gd := gd
 		t.Run(gd.name, func(t *testing.T) {
 			t.Parallel()
-			res0, stream0 := runGolden(t, gd.d, goldenVariant{key: "m0", shards: 1})
-			d1 := gd.d
-			d1.Modules = 1
-			res1, stream1 := runGolden(t, d1, goldenVariant{key: "m1", shards: 1})
+			res0, stream0 := runGolden(t, gd, goldenVariant{key: "m0", shards: 1})
+			gd.d.Modules = 1
+			res1, stream1 := runGolden(t, gd, goldenVariant{key: "m1", shards: 1})
 			if !bytes.Equal(res0, res1) {
 				t.Errorf("Modules=1 Results differ from unset:\n got: %s\nwant: %s", res1, res0)
 			}
@@ -167,5 +166,3 @@ func TestModulesOneMatchesSingle(t *testing.T) {
 		})
 	}
 }
-
-var _ = workload.Spec{} // keep the import stable across golden regeneration

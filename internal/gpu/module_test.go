@@ -5,52 +5,36 @@ import (
 	"encoding/json"
 	"testing"
 
+	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/workload"
 )
 
-// multiDesigns are the multi-GPU assemblies exercised by the module tests.
-func multiDesigns() []struct {
-	name string
-	d    Design
-} {
-	return []struct {
-		name string
-		d    Design
-	}{
-		{"sh4-m2", Design{Kind: Shared, DCL1s: 4, Modules: 2}},
-		{"sh4-m4", Design{Kind: Shared, DCL1s: 4, Modules: 4}},
-		{"baseline-m2", Design{Kind: Baseline, Modules: 2}},
-		{"pr4-m2-priv", Design{Kind: Private, DCL1s: 4, Modules: 2, PrivateAS: true}},
+// multiCases are the multi-GPU runs pinned under testdata/golden_multi: all
+// seven design kinds as 2-module machines, a 4-module machine, the private
+// address space, and one run under fault injection (which pins the
+// module-global injector indices and the chaos-link series).
+func multiCases() []goldenCase {
+	var cases []goldenCase
+	for _, c := range goldenDesigns() {
+		c.name += "-m2"
+		c.d.Modules = 2
+		cases = append(cases, c)
 	}
+	return append(cases,
+		goldenCase{name: "sh4-m4", d: Design{Kind: Shared, DCL1s: 4, Modules: 4}},
+		goldenCase{name: "pr4-m2-priv", d: Design{Kind: Private, DCL1s: 4, Modules: 2, PrivateAS: true}},
+		goldenCase{name: "sh4-m2-chaos", d: Design{Kind: Shared, DCL1s: 4, Modules: 2}, chaos: chaos.Light(3)},
+	)
 }
 
-// TestModuleDeterminismMatrix proves multi-GPU machines keep the simulator's
-// determinism contract: Results and the live metrics stream are byte-equal
-// across every shard count and both tick modes, for 2- and 4-module machines.
+// TestModuleDeterminismMatrix pins multi-GPU machines to their golden files:
+// Results and the live metrics stream are byte-equal to the recorded run at
+// every shard count and in both tick modes. The files under
+// testdata/golden_multi were generated from the tree BEFORE gpu.Machine was
+// folded into gpu.System and are never regenerated.
 func TestModuleDeterminismMatrix(t *testing.T) {
-	for _, md := range multiDesigns() {
-		md := md
-		t.Run(md.name, func(t *testing.T) {
-			t.Parallel()
-			var wantRes, wantStream []byte
-			for i, v := range goldenVariants() {
-				res, stream := runGolden(t, md.d, v)
-				if i == 0 {
-					wantRes, wantStream = res, stream
-					continue
-				}
-				if !bytes.Equal(res, wantRes) {
-					t.Errorf("%s: Results diverge from serial run:\n got: %s\nwant: %s",
-						v.key, res, wantRes)
-				}
-				if !bytes.Equal(stream, wantStream) {
-					t.Errorf("%s: metrics stream diverges from serial run (%d vs %d bytes)",
-						v.key, len(stream), len(wantStream))
-				}
-			}
-		})
-	}
+	checkGolden(t, "golden_multi", multiCases())
 }
 
 // TestMultiModuleMakesProgress is the basic multi-GPU smoke test: every
