@@ -31,7 +31,15 @@ const (
 	LinkClkMHz = 1000
 )
 
-// System is one fully wired machine executing one application.
+// System is one fully wired machine executing one application: one or more
+// GPU modules on a shared engine, joined by an inter-module link when there
+// is more than one (DESIGN.md §16). The paper's GPU is the machine of one
+// module.
+//
+// The machine owns what every module shares — the engine and its clock
+// domains, the recycling pool, the metric registry, the link — and every
+// run-level operation (shards, chaos, telemetry, monitor, run, collect). A
+// Module owns the hardware of one GPU.
 type System struct {
 	Cfg Config
 	D   Design
@@ -42,6 +50,44 @@ type System struct {
 	Noc1Clk *sim.Clock
 	Noc2Clk *sim.Clock
 	MemClk  *sim.Clock
+	// LinkClk is the inter-module link's clock domain; nil in a machine of one
+	// module, which builds no link at all.
+	LinkClk *sim.Clock
+
+	// Mods are the GPU modules in index order; there is always at least one.
+	Mods []*Module
+
+	// LinkReq and LinkRep are the inter-module crossbars (requests toward
+	// home DRAM, fills back toward the origin); nil with one module.
+	LinkReq *noc.Crossbar
+	LinkRep *noc.Crossbar
+
+	// Pool recycles Access and Packet values across the whole machine; nil
+	// disables pooling (WithoutPool). See DESIGN.md §10 for the ownership
+	// contract that makes both modes bit-identical.
+	Pool   *mem.Pool
+	noPool bool
+
+	// Reg holds every module's series plus the link's. Registration is
+	// closures over counters the components already maintain, so an
+	// unobserved registry costs nothing per cycle.
+	Reg *metrics.Registry
+
+	// chaosSpec is the normalized fault-injection spec (InstallChaos);
+	// linkInjectors perturb the link crossbars, each module holds its own.
+	chaosSpec     *chaos.Spec
+	linkInjectors []*chaos.Injector
+	// collector exists only after InstallTelemetry.
+	collector *metrics.Collector
+}
+
+// Module is one GPU of the machine: cores, (DC-)L1 nodes, NoCs, L2 and DRAM,
+// wired per the design, ticking on the machine's clocks.
+type Module struct {
+	sys *System
+	// App programs this module's cores: the machine's source, or in a
+	// multi-module machine this module's tenant of a workload.ModuleSource.
+	App workload.Source
 
 	Cores   []*core.Core
 	Nodes   []*dcl1.Node // private L1 nodes (Baseline/CDXBar) or DC-L1 nodes
@@ -64,42 +110,28 @@ type System struct {
 	stages []*cache.PresenceStage
 	Map    dcl1.Mapping
 	AMap   mem.AddressMap
-	trim   bool
 
-	// Pool recycles Access and Packet values across the whole machine; nil
-	// disables pooling (WithoutPool). See DESIGN.md §10 for the ownership
-	// contract that makes both modes bit-identical.
-	Pool   *mem.Pool
-	noPool bool
-
-	// Fault injection (InstallChaos): the normalized spec and the per-
-	// component injectors, in installation order.
-	chaosSpec *chaos.Spec
+	// injectors are this module's fault injectors, in installation order.
 	injectors []*chaos.Injector
 
-	// Telemetry. Reg and meter are built unconditionally at the end of
-	// NewSystem (registration is closures over existing counters, so an
-	// unobserved registry is free); collector and gov exist only after
-	// InstallTelemetry.
-	Reg       *metrics.Registry
-	meter     *power.Meter
-	collector *metrics.Collector
-	gov       *governor
+	// meter integrates this module's power zones; gov exists only after
+	// InstallTelemetry with a cap (one governor per module, each regulating
+	// its own cores, as independent GPUs would).
+	meter *power.Meter
+	gov   *governor
 
-	// Multi-GPU module placement (zero for a single-module machine, the
-	// default): this module's index, the machine's module count, the
-	// component-name prefix ("m<i>."), and the per-clock locality-group bases
-	// that keep two modules' group ids disjoint on the shared clocks.
-	module  int
-	modules int
-	prefix  string
-	gbCore  int
-	gbNoc1  int
-	gbNoc2  int
-	gbMem   int
+	// Placement in the machine (the module's index is AMap.Module): its
+	// component-name prefix ("m<i>.", empty in a machine of one module) and
+	// the per-clock locality-group bases that keep two modules' group ids
+	// disjoint on the shared clocks (all zero for module 0).
+	prefix string
+	gbCore int
+	gbNoc1 int
+	gbNoc2 int
+	gbMem  int
 
-	// Inter-module link ports, one per DRAM channel (built only when modules
-	// >= 2; see wireMemSide). linkMissOut carries remote-homed L2 misses
+	// Inter-module link ports, one per DRAM channel (built only in a linked
+	// machine; see wireMemSide). linkMissOut carries remote-homed L2 misses
 	// toward the link; linkReqIn receives remote modules' requests for local
 	// DRAM; linkRepOut carries local DRAM fills bound for a remote module;
 	// linkFillIn receives fills coming back from remote DRAM.
@@ -109,41 +141,9 @@ type System struct {
 	linkFillIn  []*sim.Port[*mem.Access]
 }
 
-// fabric places a System inside a multi-GPU Machine: the shared engine,
-// clocks, pool, and metric registry, plus the module's coordinates and
-// locality-group bases. Only NewMachine constructs one.
-type fabric struct {
-	eng     *sim.Engine
-	coreClk *sim.Clock
-	noc1Clk *sim.Clock
-	noc2Clk *sim.Clock
-	memClk  *sim.Clock
-	pool    *mem.Pool
-	reg     *metrics.Registry
-	module  int
-	modules int
-	gbCore  int
-	gbNoc1  int
-	gbNoc2  int
-	gbMem   int
-}
-
-// withFabric builds the System as module f.module of a multi-GPU machine.
-func withFabric(f *fabric) BuildOption {
-	return func(s *System) {
-		s.Eng = f.eng
-		s.CoreClk, s.Noc1Clk, s.Noc2Clk, s.MemClk = f.coreClk, f.noc1Clk, f.noc2Clk, f.memClk
-		s.Pool = f.pool
-		s.Reg = f.reg
-		s.module, s.modules = f.module, f.modules
-		s.gbCore, s.gbNoc1, s.gbNoc2, s.gbMem = f.gbCore, f.gbNoc1, f.gbNoc2, f.gbMem
-		s.prefix = fmt.Sprintf("m%d.", f.module)
-	}
-}
-
 // cname prefixes a component name with the module namespace ("m0.", "m1.",
-// ...) in a multi-GPU machine; single-module names are unchanged.
-func (s *System) cname(name string) string { return s.prefix + name }
+// ...) in a multi-module machine; single-module names are unchanged.
+func (mod *Module) cname(name string) string { return mod.prefix + name }
 
 // BuildOption adjusts how NewSystem assembles a machine.
 type BuildOption func(*System)
@@ -154,8 +154,7 @@ type BuildOption func(*System)
 func WithoutPool() BuildOption { return func(s *System) { s.noPool = true } }
 
 // nocClockMHz derives the two NoC clock frequencies of a design (the boost
-// variants double one or both). Shared by NewSystem and NewMachine so every
-// module of a multi-GPU machine agrees with the single-module build.
+// variants double one or both).
 func nocClockMHz(cfg Config, d Design) (noc1MHz, noc2MHz int64) {
 	noc1MHz = cfg.NoCMHz
 	if d.Boost1 || d.CDXBoostS1 || d.CDXBoostAll || (d.Kind == Baseline && d.NoCBoost) {
@@ -168,84 +167,107 @@ func nocClockMHz(cfg Config, d Design) (noc1MHz, noc2MHz int64) {
 	return noc1MHz, noc2MHz
 }
 
-// NewSystem builds the machine for design d running app. Multi-GPU designs
-// (Modules >= 2) must go through NewMachine, which builds one System per
-// module on a shared engine and wires the inter-module link between them.
+// NewSystem builds the machine for design d running app: max(1, d.Modules)
+// modules on one engine. A machine of one module builds no link clock, link
+// ports or link crossbars, carries no "m0." name prefix and leaves its
+// AddressMap unpartitioned. In a machine of several, sources implementing
+// workload.ModuleSource place one tenant per module; any other Source runs
+// the same program image on every module.
 func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *System {
 	cfg = cfg.WithDefaults()
 	d = d.withDefaults(cfg)
 	validate(cfg, d)
 
-	s := &System{
-		Cfg:     cfg,
-		D:       d,
-		App:     app,
-		AMap:    cfg.AddressMap(),
-		Tracker: cache.NewPresence(),
-		trim:    *d.TrimReplies,
-	}
+	s := &System{Cfg: cfg, D: d, App: app, Eng: sim.NewEngine(), Reg: metrics.NewRegistry()}
 	for _, o := range opts {
 		o(s)
 	}
-	if d.Modules >= 2 && s.modules == 0 {
-		panic("gpu: designs with Modules >= 2 must be built with NewMachine")
-	}
-	if s.Eng == nil {
-		s.Eng = sim.NewEngine()
-	}
-	if !s.noPool && s.Pool == nil {
+	if !s.noPool {
 		s.Pool = mem.NewPool()
 	}
-	if s.modules >= 2 {
-		s.AMap.Modules = s.modules
-		s.AMap.Module = s.module
-		s.AMap.Private = d.PrivateAS
+
+	noc1MHz, noc2MHz := nocClockMHz(cfg, d)
+	s.CoreClk = s.Eng.NewClock("core", cfg.CoreMHz)
+	s.Noc1Clk = s.Eng.NewClock("noc1", noc1MHz)
+	s.Noc2Clk = s.Eng.NewClock("noc2", noc2MHz)
+	s.MemClk = s.Eng.NewClock("mem", cfg.MemMHz)
+	n := max(1, d.Modules)
+	if n > 1 {
+		s.LinkClk = s.Eng.NewClock("link", LinkClkMHz)
+	}
+	for i := 0; i < n; i++ {
+		s.Mods = append(s.Mods, s.newModule(i, n))
+	}
+	if n > 1 {
+		s.wireLink()
+	}
+	return s
+}
+
+// newModule builds module i of n and wires it per the design.
+func (s *System) newModule(i, n int) *Module {
+	cfg, d := s.Cfg, s.D
+	// Per-clock group spans: generous upper bounds on the ids one module's
+	// wiring allocates in each clock namespace. Collisions would only hurt
+	// placement quality, never results, but disjoint spans keep each module
+	// one coherent neighborhood for the locality-aware partitioner.
+	nodes := nodeCount(cfg, d)
+	mod := &Module{
+		sys:     s,
+		App:     s.App,
+		AMap:    cfg.AddressMap(),
+		Tracker: cache.NewPresence(),
+		gbCore:  i * (cfg.Cores + nodes + 8),
+		gbNoc1:  i * (2*cfg.Cores + 2*nodes + 64),
+		gbNoc2:  i * (cfg.L2Slices + cfg.Channels + 2*cfg.Cores + 2*nodes + 64),
+		gbMem:   i * (cfg.Channels + 8),
+	}
+	if n > 1 {
+		mod.prefix = fmt.Sprintf("m%d.", i)
+		mod.AMap.Modules = n
+		mod.AMap.Module = i
+		mod.AMap.Private = d.PrivateAS
+		if ms, ok := s.App.(workload.ModuleSource); ok {
+			mod.App = ms.ForModule(i, n)
+		}
 	}
 
-	if s.CoreClk == nil {
-		noc1MHz, noc2MHz := nocClockMHz(cfg, d)
-		s.CoreClk = s.Eng.NewClock("core", cfg.CoreMHz)
-		s.Noc1Clk = s.Eng.NewClock("noc1", noc1MHz)
-		s.Noc2Clk = s.Eng.NewClock("noc2", noc2MHz)
-		s.MemClk = s.Eng.NewClock("mem", cfg.MemMHz)
-	}
-
-	s.buildCores()
-	s.buildNodes()
-	s.buildL2AndDram()
+	mod.buildCores()
+	mod.buildNodes()
+	mod.buildL2AndDram()
 
 	switch d.Kind {
 	case Baseline, CDXBar:
-		s.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: cfg.Cores}
-		s.wireLocalL1()
+		mod.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: cfg.Cores}
+		mod.wireLocalL1()
 		if d.Kind == Baseline {
-			s.wireBaselineNoC()
+			mod.wireBaselineNoC()
 		} else {
-			s.wireCDXBarNoC()
+			mod.wireCDXBarNoC()
 		}
 	case Private:
-		s.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: d.DCL1s}
-		s.wireNoC1()
-		s.wireNoC2Flat()
+		mod.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: d.DCL1s}
+		mod.wireNoC1()
+		mod.wireNoC2Flat()
 	case Shared:
-		s.Map = dcl1.SharedMap{NodeCount: d.DCL1s}
-		s.wireNoC1()
-		s.wireNoC2Flat()
+		mod.Map = dcl1.SharedMap{NodeCount: d.DCL1s}
+		mod.wireNoC1()
+		mod.wireNoC2Flat()
 	case Clustered:
-		s.Map = dcl1.ClusteredMap{Cores: cfg.Cores, NodeCount: d.DCL1s, Clusters: d.Clusters}
-		s.wireNoC1()
-		s.wireNoC2Clustered()
+		mod.Map = dcl1.ClusteredMap{Cores: cfg.Cores, NodeCount: d.DCL1s, Clusters: d.Clusters}
+		mod.wireNoC1()
+		mod.wireNoC2Clustered()
 	case SingleL1:
-		s.Map = dcl1.SharedMap{NodeCount: 1}
-		s.wireSingleL1()
+		mod.Map = dcl1.SharedMap{NodeCount: 1}
+		mod.wireSingleL1()
 	case MeshBase:
-		s.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: cfg.Cores}
-		s.wireLocalL1()
-		s.wireMeshNoC()
+		mod.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: cfg.Cores}
+		mod.wireLocalL1()
+		mod.wireMeshNoC()
 	}
-	s.wireMemSide()
-	s.registerMetrics()
-	return s
+	mod.wireMemSide()
+	mod.registerMetrics()
+	return mod
 }
 
 // Locality-group namespaces for shard placement (sim.RegisterGrouped /
@@ -268,41 +290,43 @@ func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *
 // core with its private node, Private with its fixed DC-L1 node; in the
 // home-sliced designs (Shared, Clustered, SingleL1) a core talks to every
 // node, so it keeps its own group.
-func (s *System) coreClkGroup(c int) int {
-	switch s.D.Kind {
+func (mod *Module) coreClkGroup(c int) int {
+	switch mod.sys.D.Kind {
 	case Baseline, CDXBar, MeshBase:
-		return s.gbCore + c
+		return mod.gbCore + c
 	case Private:
-		return s.gbCore + c/(s.Cfg.Cores/s.D.DCL1s)
+		return mod.gbCore + c/(mod.sys.Cfg.Cores/mod.sys.D.DCL1s)
 	default:
-		return s.gbCore + c
+		return mod.gbCore + c
 	}
 }
 
 // nodeClkGroup is the CoreClk group of L1/DC-L1 node i.
-func (s *System) nodeClkGroup(i int) int {
-	switch s.D.Kind {
+func (mod *Module) nodeClkGroup(i int) int {
+	switch mod.sys.D.Kind {
 	case Baseline, CDXBar, MeshBase, Private:
-		return s.gbCore + i // shares the namespace coreClkGroup maps cores into
+		return mod.gbCore + i // shares the namespace coreClkGroup maps cores into
 	default:
-		return s.gbCore + s.Cfg.Cores + i
+		return mod.gbCore + mod.sys.Cfg.Cores + i
 	}
 }
 
 // noc1Group is the Noc1Clk namespace: the design wiring allocates ids from
 // zero, the base keeps modules disjoint.
-func (s *System) noc1Group(k int) int { return s.gbNoc1 + k }
+func (mod *Module) noc1Group(k int) int { return mod.gbNoc1 + k }
 
 // memGroup is the MemClk namespace: channel ch and everything serving it.
-func (s *System) memGroup(ch int) int { return s.gbMem + ch }
+func (mod *Module) memGroup(ch int) int { return mod.gbMem + ch }
 
 // Noc2Clk namespace: [0, L2Slices) per-slice neighborhoods (the L2 ctrl, its
 // l2in→In pump, its Out→reply pump), [L2Slices, +Channels) the DRAM fan-in
 // pumps, and noc2Group(k) for everything the design wiring adds on top
 // (crossbars, meshes, node-side pumps; k allocated per wire function).
-func (s *System) sliceGroup(i int) int { return s.gbNoc2 + i }
-func (s *System) chanGroup(ch int) int { return s.gbNoc2 + s.Cfg.L2Slices + ch }
-func (s *System) noc2Group(k int) int  { return s.gbNoc2 + s.Cfg.L2Slices + s.Cfg.Channels + k }
+func (mod *Module) sliceGroup(i int) int { return mod.gbNoc2 + i }
+func (mod *Module) chanGroup(ch int) int { return mod.gbNoc2 + mod.sys.Cfg.L2Slices + ch }
+func (mod *Module) noc2Group(k int) int {
+	return mod.gbNoc2 + mod.sys.Cfg.L2Slices + mod.sys.Cfg.Channels + k
+}
 
 func validate(cfg Config, d Design) {
 	if err := d.Validate(cfg); err != nil {
@@ -355,12 +379,9 @@ func (d Design) Validate(cfg Config) error {
 	return nil
 }
 
-// nodeCount returns the number of L1/DC-L1 nodes in the design.
-func (s *System) nodeCount() int { return nodeCountOf(s.Cfg, s.D) }
-
-// nodeCountOf is nodeCount without a built System (NewMachine sizes the
-// per-module group namespaces before any module exists).
-func nodeCountOf(cfg Config, d Design) int {
+// nodeCount returns the number of L1/DC-L1 nodes one module of the design
+// holds.
+func nodeCount(cfg Config, d Design) int {
 	switch d.Kind {
 	case Baseline, CDXBar, MeshBase:
 		return cfg.Cores
@@ -371,8 +392,8 @@ func nodeCountOf(cfg Config, d Design) int {
 	}
 }
 
-func (s *System) buildCores() {
-	cfg := s.Cfg
+func (mod *Module) buildCores() {
+	cfg := mod.sys.Cfg
 	for c := 0; c < cfg.Cores; c++ {
 		co := core.New(core.Params{
 			ID:             c,
@@ -381,26 +402,26 @@ func (s *System) buildCores() {
 			InCap:          16,
 			WavesPerCTA:    cfg.WavesPerCTA,
 			GTO:            cfg.GTO,
-			Pool:           s.Pool,
+			Pool:           mod.sys.Pool,
 		})
-		waves := s.App.WavesFor(c)
+		waves := mod.App.WavesFor(c)
 		for w := 0; w < waves; w++ {
-			co.AddWave(s.App.Program(cfg.Cores, c, w, cfg.Sched, cfg.Seed))
+			co.AddWave(mod.App.Program(cfg.Cores, c, w, cfg.Sched, cfg.Seed))
 		}
-		s.Cores = append(s.Cores, co)
-		g := s.coreClkGroup(c)
-		s.CoreClk.RegisterGrouped(co, g)
+		mod.Cores = append(mod.Cores, co)
+		g := mod.coreClkGroup(c)
+		mod.sys.CoreClk.RegisterGrouped(co, g)
 		// The core is the single producer of its Out port and ticks on the
 		// core clock. (In is attached by the design-specific wiring — its
 		// producer differs per topology.)
-		co.Out.AttachGrouped(s.CoreClk, g)
+		co.Out.AttachGrouped(mod.sys.CoreClk, g)
 	}
 }
 
 // l1NodeParams derives the cache geometry of one L1/DC-L1 node.
-func (s *System) l1NodeParams(id int) dcl1.Params {
-	cfg, d := s.Cfg, s.D
-	nodes := s.nodeCount()
+func (mod *Module) l1NodeParams(id int) dcl1.Params {
+	cfg, d := mod.sys.Cfg, mod.sys.D
+	nodes := nodeCount(cfg, d)
 	totalLines := cfg.Cores * cfg.L1KB * 1024 / mem.LineBytes * d.L1CapacityScale
 	perNodeLines := totalLines
 	if d.Kind == Baseline || d.Kind == CDXBar || d.Kind == MeshBase {
@@ -445,7 +466,7 @@ func (s *System) l1NodeParams(id int) dcl1.Params {
 	return dcl1.Params{
 		ID: id,
 		Cache: cache.Params{
-			Name:           s.cname(fmt.Sprintf("l1-%d", id)),
+			Name:           mod.cname(fmt.Sprintf("l1-%d", id)),
 			Sets:           sets,
 			Ways:           cfg.L1Ways,
 			HitLatency:     lat,
@@ -460,46 +481,46 @@ func (s *System) l1NodeParams(id int) dcl1.Params {
 			OutCap:         ctrlCap,
 			MissCap:        ctrlCap,
 			FillCap:        ctrlCap,
-			Pool:           s.Pool,
+			Pool:           mod.sys.Pool,
 		},
 		QueueCap:     qcap,
 		PumpPerCycle: pump,
 	}
 }
 
-func (s *System) buildNodes() {
-	n := s.nodeCount()
+func (mod *Module) buildNodes() {
+	n := nodeCount(mod.sys.Cfg, mod.sys.D)
 	for i := 0; i < n; i++ {
-		st := cache.NewPresenceStage(s.Tracker)
-		s.stages = append(s.stages, st)
-		nd := dcl1.New(s.l1NodeParams(i), st)
-		s.Nodes = append(s.Nodes, nd)
-		g := s.nodeClkGroup(i)
-		s.CoreClk.RegisterGrouped(nd, g)
+		st := cache.NewPresenceStage(mod.Tracker)
+		mod.stages = append(mod.stages, st)
+		nd := dcl1.New(mod.l1NodeParams(i), st)
+		mod.Nodes = append(mod.Nodes, nd)
+		g := mod.nodeClkGroup(i)
+		mod.sys.CoreClk.RegisterGrouped(nd, g)
 		// The node produces Q2 (replies toward cores) and Q3 (misses toward
 		// NoC#2) on the core clock. Q1/Q4 are attached by the wiring that
 		// creates their producers. The node's internal Ctrl queues stay in
 		// immediate mode: a single component owns both ends.
-		nd.Q2.AttachGrouped(s.CoreClk, g)
-		nd.Q3.AttachGrouped(s.CoreClk, g)
+		nd.Q2.AttachGrouped(mod.sys.CoreClk, g)
+		nd.Q3.AttachGrouped(mod.sys.CoreClk, g)
 	}
 	// Apply every node's staged replication-tracker ops at the core clock's
 	// edge barrier, in node order — the one piece of cross-node state that
 	// cannot be partitioned across shards.
-	s.CoreClk.OnBarrier(func() {
-		for _, st := range s.stages {
+	mod.sys.CoreClk.OnBarrier(func() {
+		for _, st := range mod.stages {
 			st.Apply()
 		}
 	})
 }
 
-func (s *System) buildL2AndDram() {
-	cfg := s.Cfg
+func (mod *Module) buildL2AndDram() {
+	cfg := mod.sys.Cfg
 	lines := cfg.L2KB * 1024 / mem.LineBytes
 	sets := lines / cfg.L2Ways
 	for i := 0; i < cfg.L2Slices; i++ {
 		l2 := cache.New(cache.Params{
-			Name:       s.cname(fmt.Sprintf("l2-%d", i)),
+			Name:       mod.cname(fmt.Sprintf("l2-%d", i)),
 			Sets:       sets,
 			Ways:       cfg.L2Ways,
 			HitLatency: cfg.L2Lat,
@@ -511,36 +532,36 @@ func (s *System) buildL2AndDram() {
 			OutCap:     8,
 			MissCap:    8,
 			FillCap:    8,
-			Pool:       s.Pool,
+			Pool:       mod.sys.Pool,
 		}, 1000+i, nil)
-		s.L2 = append(s.L2, l2)
+		mod.L2 = append(mod.L2, l2)
 		in := sim.NewPort[*mem.Access](8)
-		s.l2in = append(s.l2in, in)
-		s.Noc2Clk.RegisterGrouped(l2, s.sliceGroup(i))
+		mod.l2in = append(mod.l2in, in)
+		mod.sys.Noc2Clk.RegisterGrouped(l2, mod.sliceGroup(i))
 		// Port producers, identical across designs: the L2 controller emits
 		// Out/MissOut on the NoC#2 clock; l2in is fed by the request network
 		// (or the SingleL1 miss pump), always on the NoC#2 clock; L2.In by
 		// the l2in pump (NoC#2 clock); FillIn by the DRAM reply pump (memory
 		// clock). l2in groups with its consumer-side slice neighborhood;
 		// FillIn with its producer channel's MemClk group.
-		l2.Out.AttachGrouped(s.Noc2Clk, s.sliceGroup(i))
-		l2.MissOut.AttachGrouped(s.Noc2Clk, s.sliceGroup(i))
-		l2.In.AttachGrouped(s.Noc2Clk, s.sliceGroup(i))
-		l2.FillIn.AttachGrouped(s.MemClk, s.memGroup(s.AMap.Channel(i)))
-		in.AttachGrouped(s.Noc2Clk, s.sliceGroup(i))
+		l2.Out.AttachGrouped(mod.sys.Noc2Clk, mod.sliceGroup(i))
+		l2.MissOut.AttachGrouped(mod.sys.Noc2Clk, mod.sliceGroup(i))
+		l2.In.AttachGrouped(mod.sys.Noc2Clk, mod.sliceGroup(i))
+		l2.FillIn.AttachGrouped(mod.sys.MemClk, mod.memGroup(mod.AMap.Channel(i)))
+		in.AttachGrouped(mod.sys.Noc2Clk, mod.sliceGroup(i))
 	}
 	for ch := 0; ch < cfg.Channels; ch++ {
 		dc := dram.New(dram.Params{
-			Name:  s.cname(fmt.Sprintf("mc-%d", ch)),
+			Name:  mod.cname(fmt.Sprintf("mc-%d", ch)),
 			Banks: cfg.DramBanks,
-			Map:   s.AMap,
+			Map:   mod.AMap,
 		})
-		s.Drams = append(s.Drams, dc)
+		mod.Drams = append(mod.Drams, dc)
 		// MemClk namespace: channel ch and everything serving it (the reply
 		// pump, the slices' FillIn ports) share group ch; LPT spreads the
 		// channels round-robin.
-		s.MemClk.RegisterGrouped(dc, s.memGroup(ch))
-		dc.Out.AttachGrouped(s.MemClk, s.memGroup(ch))
+		mod.sys.MemClk.RegisterGrouped(dc, mod.memGroup(ch))
+		dc.Out.AttachGrouped(mod.sys.MemClk, mod.memGroup(ch))
 	}
 }
 
@@ -655,65 +676,65 @@ func (s *System) inject(x packetNet, a *mem.Access, src, dst, flits int) bool {
 	return true
 }
 
-func (s *System) xbar(name string, ins, outs int) *noc.Crossbar {
+func (mod *Module) xbar(name string, ins, outs int) *noc.Crossbar {
 	return noc.New(noc.Params{
-		Name: s.cname(name), Ins: ins, Outs: outs,
-		LinkBytes: s.D.FlitBytes, RouterLat: 2,
+		Name: mod.cname(name), Ins: ins, Outs: outs,
+		LinkBytes: mod.sys.D.FlitBytes, RouterLat: 2,
 	})
 }
 
 // wireLocalL1 connects each core to its colocated private L1 node
 // (Baseline and CDXBar): core↔node queues move at core clock.
-func (s *System) wireLocalL1() {
-	for c := 0; c < s.Cfg.Cores; c++ {
-		co, nd := s.Cores[c], s.Nodes[c]
-		g := s.coreClkGroup(c)
-		s.CoreClk.RegisterGrouped(pump(co.Out, pumpRate, nd.Q1.Push), g)
-		s.CoreClk.RegisterGrouped(pump(nd.Q2, pumpRate, co.In.Push), g)
-		nd.Q1.AttachGrouped(s.CoreClk, g)
-		co.In.AttachGrouped(s.CoreClk, g)
+func (mod *Module) wireLocalL1() {
+	for c := 0; c < mod.sys.Cfg.Cores; c++ {
+		co, nd := mod.Cores[c], mod.Nodes[c]
+		g := mod.coreClkGroup(c)
+		mod.sys.CoreClk.RegisterGrouped(pump(co.Out, pumpRate, nd.Q1.Push), g)
+		mod.sys.CoreClk.RegisterGrouped(pump(nd.Q2, pumpRate, co.In.Push), g)
+		nd.Q1.AttachGrouped(mod.sys.CoreClk, g)
+		co.In.AttachGrouped(mod.sys.CoreClk, g)
 	}
 }
 
 // wireBaselineNoC builds the 80×32 request and 32×80 reply crossbars between
 // the L1 nodes and the L2 slices.
-func (s *System) wireBaselineNoC() {
-	cfg := s.Cfg
-	req := s.xbar("noc-req", cfg.Cores, cfg.L2Slices)
-	rep := s.xbar("noc-rep", cfg.L2Slices, cfg.Cores)
-	s.Noc2Req = []*noc.Crossbar{req}
-	s.Noc2Rep = []*noc.Crossbar{rep}
-	gReq, gRep := s.noc2Group(0), s.noc2Group(1)
-	gPump := func(c int) int { return s.noc2Group(2 + c) }
-	s.Noc2Clk.RegisterGrouped(req, gReq)
-	s.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(s.Noc2Clk, gPump)
-	rep.AttachPortsGrouped(s.Noc2Clk, s.sliceGroup)
+func (mod *Module) wireBaselineNoC() {
+	cfg := mod.sys.Cfg
+	req := mod.xbar("noc-req", cfg.Cores, cfg.L2Slices)
+	rep := mod.xbar("noc-rep", cfg.L2Slices, cfg.Cores)
+	mod.Noc2Req = []*noc.Crossbar{req}
+	mod.Noc2Rep = []*noc.Crossbar{rep}
+	gReq, gRep := mod.noc2Group(0), mod.noc2Group(1)
+	gPump := func(c int) int { return mod.noc2Group(2 + c) }
+	mod.sys.Noc2Clk.RegisterGrouped(req, gReq)
+	mod.sys.Noc2Clk.RegisterGrouped(rep, gRep)
+	req.AttachPortsGrouped(mod.sys.Noc2Clk, gPump)
+	rep.AttachPortsGrouped(mod.sys.Noc2Clk, mod.sliceGroup)
 	for c := 0; c < cfg.Cores; c++ {
 		c := c
-		nd := s.Nodes[c]
-		s.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
-			return s.inject(req, a, c, s.AMap.L2Slice(a.Line), reqFlits(a, s.D.FlitBytes, true))
+		nd := mod.Nodes[c]
+		mod.sys.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+			return mod.sys.inject(req, a, c, mod.AMap.L2Slice(a.Line), reqFlits(a, mod.sys.D.FlitBytes, true))
 		}), gPump(c))
-		rep.SetEndpoint(c, s.sink(nd.Q4))
-		nd.Q4.AttachGrouped(s.Noc2Clk, gRep)
+		rep.SetEndpoint(c, mod.sys.sink(nd.Q4))
+		nd.Q4.AttachGrouped(mod.sys.Noc2Clk, gRep)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
-		req.SetEndpoint(i, s.sink(s.l2in[i]))
+		req.SetEndpoint(i, mod.sys.sink(mod.l2in[i]))
 	}
-	s.wireL2Replies(func(a *mem.Access, slice int) bool {
+	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
 		dst := a.Core
 		if a.Core == cache.PrefetchCore {
 			dst = a.Node
 		}
-		return s.inject(rep, a, slice, dst, replyFlits(a, s.D.FlitBytes, false, false))
+		return mod.sys.inject(rep, a, slice, dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
 	})
 }
 
 // wireNoC1 builds NoC#1 between lite cores and DC-L1 nodes for the Private,
 // Shared, and Clustered designs.
-func (s *System) wireNoC1() {
-	cfg, d := s.Cfg, s.D
+func (mod *Module) wireNoC1() {
+	cfg, d := mod.sys.Cfg, mod.sys.D
 	switch d.Kind {
 	case Private:
 		// Noc1Clk namespace: one group per DC-L1 node, holding the node's
@@ -722,62 +743,62 @@ func (s *System) wireNoC1() {
 		per := cfg.Cores / d.DCL1s
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
-			req := s.xbar(fmt.Sprintf("noc1-req-%d", n), per, 1)
-			rep := s.xbar(fmt.Sprintf("noc1-rep-%d", n), 1, per)
-			s.Noc1Req = append(s.Noc1Req, req)
-			s.Noc1Rep = append(s.Noc1Rep, rep)
-			s.Noc1Clk.RegisterGrouped(req, s.noc1Group(n))
-			s.Noc1Clk.RegisterGrouped(rep, s.noc1Group(n))
-			req.AttachPortsGrouped(s.Noc1Clk, func(int) int { return s.noc1Group(n) })
-			rep.AttachPortsGrouped(s.Noc1Clk, func(int) int { return s.noc1Group(n) })
-			req.SetEndpoint(0, s.sink(s.Nodes[n].Q1))
-			s.Nodes[n].Q1.AttachGrouped(s.Noc1Clk, s.noc1Group(n))
+			req := mod.xbar(fmt.Sprintf("noc1-req-%d", n), per, 1)
+			rep := mod.xbar(fmt.Sprintf("noc1-rep-%d", n), 1, per)
+			mod.Noc1Req = append(mod.Noc1Req, req)
+			mod.Noc1Rep = append(mod.Noc1Rep, rep)
+			mod.sys.Noc1Clk.RegisterGrouped(req, mod.noc1Group(n))
+			mod.sys.Noc1Clk.RegisterGrouped(rep, mod.noc1Group(n))
+			req.AttachPortsGrouped(mod.sys.Noc1Clk, func(int) int { return mod.noc1Group(n) })
+			rep.AttachPortsGrouped(mod.sys.Noc1Clk, func(int) int { return mod.noc1Group(n) })
+			req.SetEndpoint(0, mod.sys.sink(mod.Nodes[n].Q1))
+			mod.Nodes[n].Q1.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(n))
 		}
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
 			n := c / per
-			req := s.Noc1Req[n]
+			req := mod.Noc1Req[n]
 			src := c % per
-			s.Noc1Clk.RegisterGrouped(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
-				return s.inject(req, a, src, 0, reqFlits(a, d.FlitBytes, false))
-			}), s.noc1Group(n))
-			s.Noc1Rep[n].SetEndpoint(src, s.sink(s.Cores[c].In))
-			s.Cores[c].In.AttachGrouped(s.Noc1Clk, s.noc1Group(n))
+			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+				return mod.sys.inject(req, a, src, 0, reqFlits(a, d.FlitBytes, false))
+			}), mod.noc1Group(n))
+			mod.Noc1Rep[n].SetEndpoint(src, mod.sys.sink(mod.Cores[c].In))
+			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(n))
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
-			rep := s.Noc1Rep[n]
-			s.Noc1Clk.RegisterGrouped(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
-				return s.inject(rep, a, 0, a.Core%per, replyFlits(a, d.FlitBytes, true, s.trim))
-			}), s.noc1Group(n))
+			rep := mod.Noc1Rep[n]
+			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+				return mod.sys.inject(rep, a, 0, a.Core%per, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
+			}), mod.noc1Group(n))
 		}
 	case Shared:
 		// Noc1Clk namespace: the two crossbar hubs get groups 0/1, each
 		// core-side pump 2+c, each node-side pump 2+Cores+n; ports follow
 		// their producers (inj ports the pumps, sink-fed queues the hub).
-		req := s.xbar("noc1-req", cfg.Cores, d.DCL1s)
-		rep := s.xbar("noc1-rep", d.DCL1s, cfg.Cores)
-		s.Noc1Req = []*noc.Crossbar{req}
-		s.Noc1Rep = []*noc.Crossbar{rep}
-		s.Noc1Clk.RegisterGrouped(req, s.noc1Group(0))
-		s.Noc1Clk.RegisterGrouped(rep, s.noc1Group(1))
-		req.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(2 + in) })
-		rep.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(2 + cfg.Cores + in) })
+		req := mod.xbar("noc1-req", cfg.Cores, d.DCL1s)
+		rep := mod.xbar("noc1-rep", d.DCL1s, cfg.Cores)
+		mod.Noc1Req = []*noc.Crossbar{req}
+		mod.Noc1Rep = []*noc.Crossbar{rep}
+		mod.sys.Noc1Clk.RegisterGrouped(req, mod.noc1Group(0))
+		mod.sys.Noc1Clk.RegisterGrouped(rep, mod.noc1Group(1))
+		req.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(2 + in) })
+		rep.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(2 + cfg.Cores + in) })
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
-			s.Noc1Clk.RegisterGrouped(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
-				return s.inject(req, a, c, s.Map.Home(c, a.Line), reqFlits(a, d.FlitBytes, false))
-			}), s.noc1Group(2+c))
-			rep.SetEndpoint(c, s.sink(s.Cores[c].In))
-			s.Cores[c].In.AttachGrouped(s.Noc1Clk, s.noc1Group(1))
+			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+				return mod.sys.inject(req, a, c, mod.Map.Home(c, a.Line), reqFlits(a, d.FlitBytes, false))
+			}), mod.noc1Group(2+c))
+			rep.SetEndpoint(c, mod.sys.sink(mod.Cores[c].In))
+			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(1))
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
-			req.SetEndpoint(n, s.sink(s.Nodes[n].Q1))
-			s.Nodes[n].Q1.AttachGrouped(s.Noc1Clk, s.noc1Group(0))
-			s.Noc1Clk.RegisterGrouped(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
-				return s.inject(rep, a, n, a.Core, replyFlits(a, d.FlitBytes, true, s.trim))
-			}), s.noc1Group(2+cfg.Cores+n))
+			req.SetEndpoint(n, mod.sys.sink(mod.Nodes[n].Q1))
+			mod.Nodes[n].Q1.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(0))
+			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+				return mod.sys.inject(rep, a, n, a.Core, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
+			}), mod.noc1Group(2+cfg.Cores+n))
 		}
 	case Clustered:
 		// Noc1Clk namespace: crossbar pair of cluster cl → 2cl/2cl+1, then
@@ -789,37 +810,37 @@ func (s *System) wireNoC1() {
 		base := 2 * z
 		for cl := 0; cl < z; cl++ {
 			cl := cl
-			req := s.xbar(fmt.Sprintf("noc1-req-%d", cl), coresPer, m)
-			rep := s.xbar(fmt.Sprintf("noc1-rep-%d", cl), m, coresPer)
-			s.Noc1Req = append(s.Noc1Req, req)
-			s.Noc1Rep = append(s.Noc1Rep, rep)
-			s.Noc1Clk.RegisterGrouped(req, s.noc1Group(2*cl))
-			s.Noc1Clk.RegisterGrouped(rep, s.noc1Group(2*cl+1))
-			req.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(base + cl*coresPer + in) })
-			rep.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(base + cfg.Cores + cl*m + in) })
+			req := mod.xbar(fmt.Sprintf("noc1-req-%d", cl), coresPer, m)
+			rep := mod.xbar(fmt.Sprintf("noc1-rep-%d", cl), m, coresPer)
+			mod.Noc1Req = append(mod.Noc1Req, req)
+			mod.Noc1Rep = append(mod.Noc1Rep, rep)
+			mod.sys.Noc1Clk.RegisterGrouped(req, mod.noc1Group(2*cl))
+			mod.sys.Noc1Clk.RegisterGrouped(rep, mod.noc1Group(2*cl+1))
+			req.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(base + cl*coresPer + in) })
+			rep.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(base + cfg.Cores + cl*m + in) })
 			for j := 0; j < m; j++ {
-				req.SetEndpoint(j, s.sink(s.Nodes[cl*m+j].Q1))
-				s.Nodes[cl*m+j].Q1.AttachGrouped(s.Noc1Clk, s.noc1Group(2*cl))
+				req.SetEndpoint(j, mod.sys.sink(mod.Nodes[cl*m+j].Q1))
+				mod.Nodes[cl*m+j].Q1.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*cl))
 			}
 		}
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
 			cl := c / coresPer
-			req := s.Noc1Req[cl]
-			s.Noc1Clk.RegisterGrouped(pump(s.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
-				local := s.Map.Home(c, a.Line) - cl*m
-				return s.inject(req, a, c%coresPer, local, reqFlits(a, d.FlitBytes, false))
-			}), s.noc1Group(base+c))
-			s.Noc1Rep[cl].SetEndpoint(c%coresPer, s.sink(s.Cores[c].In))
-			s.Cores[c].In.AttachGrouped(s.Noc1Clk, s.noc1Group(2*cl+1))
+			req := mod.Noc1Req[cl]
+			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+				local := mod.Map.Home(c, a.Line) - cl*m
+				return mod.sys.inject(req, a, c%coresPer, local, reqFlits(a, d.FlitBytes, false))
+			}), mod.noc1Group(base+c))
+			mod.Noc1Rep[cl].SetEndpoint(c%coresPer, mod.sys.sink(mod.Cores[c].In))
+			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*cl+1))
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
 			cl := n / m
-			rep := s.Noc1Rep[cl]
-			s.Noc1Clk.RegisterGrouped(pump(s.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
-				return s.inject(rep, a, n%m, a.Core%coresPer, replyFlits(a, d.FlitBytes, true, s.trim))
-			}), s.noc1Group(base+cfg.Cores+n))
+			rep := mod.Noc1Rep[cl]
+			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+				return mod.sys.inject(rep, a, n%m, a.Core%coresPer, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
+			}), mod.noc1Group(base+cfg.Cores+n))
 		}
 	}
 }
@@ -828,135 +849,135 @@ func (s *System) wireNoC1() {
 // node directly to the L2 slices (Section II-C hypothetical: total L1
 // capacity AND bandwidth preserved, no NoC contention modeled — the study
 // isolates the capacity effect of eliminating replication).
-func (s *System) wireSingleL1() {
-	nd := s.Nodes[0]
-	gNode := s.nodeClkGroup(0)
+func (mod *Module) wireSingleL1() {
+	nd := mod.Nodes[0]
+	gNode := mod.nodeClkGroup(0)
 	// Every core's Out feeds the one node's Q1, so the fan-in must be a
 	// single composite pump: an attached port has exactly one producer. The
 	// fan-in/fan-out pumps and their ports group with the node hub.
-	outs := make([]*sim.Port[*mem.Access], s.Cfg.Cores)
-	for c, co := range s.Cores {
+	outs := make([]*sim.Port[*mem.Access], mod.sys.Cfg.Cores)
+	for c, co := range mod.Cores {
 		outs[c] = co.Out
 	}
-	s.CoreClk.RegisterGrouped(&multiPump{srcs: outs, rate: pumpRate, try: nd.Q1.Push}, gNode)
-	nd.Q1.AttachGrouped(s.CoreClk, gNode)
+	mod.sys.CoreClk.RegisterGrouped(&multiPump{srcs: outs, rate: pumpRate, try: nd.Q1.Push}, gNode)
+	nd.Q1.AttachGrouped(mod.sys.CoreClk, gNode)
 	// Replies demultiplex back to cores by Access.Core.
-	s.CoreClk.RegisterGrouped(pump(nd.Q2, 2*s.Cfg.Cores, func(a *mem.Access) bool {
-		return s.Cores[a.Core].In.Push(a)
+	mod.sys.CoreClk.RegisterGrouped(pump(nd.Q2, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
+		return mod.Cores[a.Core].In.Push(a)
 	}), gNode)
-	for _, co := range s.Cores {
-		co.In.AttachGrouped(s.CoreClk, gNode)
+	for _, co := range mod.Cores {
+		co.In.AttachGrouped(mod.sys.CoreClk, gNode)
 	}
 	// Miss path: ideal full-width connection to the L2 slices.
-	s.Noc2Clk.RegisterGrouped(pump(nd.Q3, 2*s.Cfg.Cores, func(a *mem.Access) bool {
-		return s.l2in[s.AMap.L2Slice(a.Line)].Push(a)
-	}), s.noc2Group(0))
+	mod.sys.Noc2Clk.RegisterGrouped(pump(nd.Q3, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
+		return mod.l2in[mod.AMap.L2Slice(a.Line)].Push(a)
+	}), mod.noc2Group(0))
 	// L2 side: per-slice l2in→L2.In pumps, plus one composite pump over all
 	// L2 outputs into the node's Q4 (again a single producer), consuming
 	// orphan writeback ACKs as wireL2Replies does for the NoC designs.
-	l2outs := make([]*sim.Port[*mem.Access], len(s.L2))
-	for i := range s.L2 {
-		s.Noc2Clk.RegisterGrouped(pump(s.l2in[i], pumpRate, s.L2[i].In.Push), s.sliceGroup(i))
-		l2outs[i] = s.L2[i].Out
+	l2outs := make([]*sim.Port[*mem.Access], len(mod.L2))
+	for i := range mod.L2 {
+		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push), mod.sliceGroup(i))
+		l2outs[i] = mod.L2[i].Out
 	}
-	s.Noc2Clk.RegisterGrouped(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
+	mod.sys.Noc2Clk.RegisterGrouped(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
 		if a.Kind == mem.Store && a.Core == -1 {
-			s.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
+			mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 			return true
 		}
 		return nd.Q4.Push(a)
-	}}, s.noc2Group(1))
-	nd.Q4.AttachGrouped(s.Noc2Clk, s.noc2Group(1))
+	}}, mod.noc2Group(1))
+	nd.Q4.AttachGrouped(mod.sys.Noc2Clk, mod.noc2Group(1))
 }
 
 // wireNoC2Flat builds the single Y×L2 request / L2×Y reply crossbars used by
 // Private, Shared, and SingleL1 designs.
-func (s *System) wireNoC2Flat() {
-	cfg := s.Cfg
-	y := s.nodeCount()
-	req := s.xbar("noc2-req", y, cfg.L2Slices)
-	rep := s.xbar("noc2-rep", cfg.L2Slices, y)
-	s.Noc2Req = []*noc.Crossbar{req}
-	s.Noc2Rep = []*noc.Crossbar{rep}
-	gReq, gRep := s.noc2Group(0), s.noc2Group(1)
-	gPump := func(n int) int { return s.noc2Group(2 + n) }
-	s.Noc2Clk.RegisterGrouped(req, gReq)
-	s.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(s.Noc2Clk, gPump)
-	rep.AttachPortsGrouped(s.Noc2Clk, s.sliceGroup)
+func (mod *Module) wireNoC2Flat() {
+	cfg := mod.sys.Cfg
+	y := nodeCount(cfg, mod.sys.D)
+	req := mod.xbar("noc2-req", y, cfg.L2Slices)
+	rep := mod.xbar("noc2-rep", cfg.L2Slices, y)
+	mod.Noc2Req = []*noc.Crossbar{req}
+	mod.Noc2Rep = []*noc.Crossbar{rep}
+	gReq, gRep := mod.noc2Group(0), mod.noc2Group(1)
+	gPump := func(n int) int { return mod.noc2Group(2 + n) }
+	mod.sys.Noc2Clk.RegisterGrouped(req, gReq)
+	mod.sys.Noc2Clk.RegisterGrouped(rep, gRep)
+	req.AttachPortsGrouped(mod.sys.Noc2Clk, gPump)
+	rep.AttachPortsGrouped(mod.sys.Noc2Clk, mod.sliceGroup)
 	for n := 0; n < y; n++ {
 		n := n
-		s.Noc2Clk.RegisterGrouped(pump(s.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
-			return s.inject(req, a, n, s.AMap.L2Slice(a.Line), reqFlits(a, s.D.FlitBytes, true))
+		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
+			return mod.sys.inject(req, a, n, mod.AMap.L2Slice(a.Line), reqFlits(a, mod.sys.D.FlitBytes, true))
 		}), gPump(n))
-		rep.SetEndpoint(n, s.sink(s.Nodes[n].Q4))
-		s.Nodes[n].Q4.AttachGrouped(s.Noc2Clk, gRep)
+		rep.SetEndpoint(n, mod.sys.sink(mod.Nodes[n].Q4))
+		mod.Nodes[n].Q4.AttachGrouped(mod.sys.Noc2Clk, gRep)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
-		req.SetEndpoint(i, s.sink(s.l2in[i]))
+		req.SetEndpoint(i, mod.sys.sink(mod.l2in[i]))
 	}
-	s.wireL2Replies(func(a *mem.Access, slice int) bool {
-		dst := s.Map.Home(a.Core, a.Line)
+	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
+		dst := mod.Map.Home(a.Core, a.Line)
 		if a.Core == cache.PrefetchCore {
 			dst = a.Node
 		}
-		return s.inject(rep, a, slice, dst, replyFlits(a, s.D.FlitBytes, false, false))
+		return mod.sys.inject(rep, a, slice, dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
 	})
 }
 
 // wireNoC2Clustered builds the M crossbars of Z×(L2/M) in NoC#2 (Fig 10).
-func (s *System) wireNoC2Clustered() {
-	cfg, d := s.Cfg, s.D
+func (mod *Module) wireNoC2Clustered() {
+	cfg, d := mod.sys.Cfg, mod.sys.D
 	z := d.Clusters
 	m := d.DCL1s / z
 	o := cfg.L2Slices / m
 	// Noc2Clk extras: crossbar pair j → noc2Group(2j)/noc2Group(2j+1), node
 	// pump n → noc2Group(2m+n); inj ports follow the pumps, sink-fed ports
 	// the crossbar (Q4) or slice neighborhood (l2in, grouped at build).
-	gPump := func(n int) int { return s.noc2Group(2*m + n) }
+	gPump := func(n int) int { return mod.noc2Group(2*m + n) }
 	for j := 0; j < m; j++ {
 		j := j
-		req := s.xbar(fmt.Sprintf("noc2-req-%d", j), z, o)
-		rep := s.xbar(fmt.Sprintf("noc2-rep-%d", j), o, z)
-		s.Noc2Req = append(s.Noc2Req, req)
-		s.Noc2Rep = append(s.Noc2Rep, rep)
-		s.Noc2Clk.RegisterGrouped(req, s.noc2Group(2*j))
-		s.Noc2Clk.RegisterGrouped(rep, s.noc2Group(2*j+1))
-		req.AttachPortsGrouped(s.Noc2Clk, func(cl int) int { return gPump(cl*m + j) })
-		rep.AttachPortsGrouped(s.Noc2Clk, func(k int) int { return s.sliceGroup(k*m + j) })
+		req := mod.xbar(fmt.Sprintf("noc2-req-%d", j), z, o)
+		rep := mod.xbar(fmt.Sprintf("noc2-rep-%d", j), o, z)
+		mod.Noc2Req = append(mod.Noc2Req, req)
+		mod.Noc2Rep = append(mod.Noc2Rep, rep)
+		mod.sys.Noc2Clk.RegisterGrouped(req, mod.noc2Group(2*j))
+		mod.sys.Noc2Clk.RegisterGrouped(rep, mod.noc2Group(2*j+1))
+		req.AttachPortsGrouped(mod.sys.Noc2Clk, func(cl int) int { return gPump(cl*m + j) })
+		rep.AttachPortsGrouped(mod.sys.Noc2Clk, func(k int) int { return mod.sliceGroup(k*m + j) })
 		// Output ports: L2 slices with slice%m == j, indexed by slice/m.
 		for k := 0; k < o; k++ {
-			req.SetEndpoint(k, s.sink(s.l2in[k*m+j]))
+			req.SetEndpoint(k, mod.sys.sink(mod.l2in[k*m+j]))
 		}
 	}
 	for n := 0; n < d.DCL1s; n++ {
 		n := n
 		cl := n / m
 		j := n % m
-		req := s.Noc2Req[j]
-		s.Noc2Clk.RegisterGrouped(pump(s.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
-			slice := s.AMap.L2Slice(a.Line)
-			return s.inject(req, a, cl, slice/m, reqFlits(a, d.FlitBytes, true))
+		req := mod.Noc2Req[j]
+		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
+			slice := mod.AMap.L2Slice(a.Line)
+			return mod.sys.inject(req, a, cl, slice/m, reqFlits(a, d.FlitBytes, true))
 		}), gPump(n))
-		s.Noc2Rep[j].SetEndpoint(cl, s.sink(s.Nodes[n].Q4))
-		s.Nodes[n].Q4.AttachGrouped(s.Noc2Clk, s.noc2Group(2*j+1))
+		mod.Noc2Rep[j].SetEndpoint(cl, mod.sys.sink(mod.Nodes[n].Q4))
+		mod.Nodes[n].Q4.AttachGrouped(mod.sys.Noc2Clk, mod.noc2Group(2*j+1))
 	}
-	cmap := s.Map.(dcl1.ClusteredMap)
-	s.wireL2Replies(func(a *mem.Access, slice int) bool {
+	cmap := mod.Map.(dcl1.ClusteredMap)
+	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
 		j := slice % m
 		dst := cmap.Cluster(a.Core)
 		if a.Core == cache.PrefetchCore {
 			dst = a.Node / m
 		}
-		return s.inject(s.Noc2Rep[j], a, slice/m, dst, replyFlits(a, d.FlitBytes, false, false))
+		return mod.sys.inject(mod.Noc2Rep[j], a, slice/m, dst, replyFlits(a, d.FlitBytes, false, false))
 	})
 }
 
 // wireCDXBarNoC builds the hierarchical two-stage crossbar (Fig 19a study):
 // stage 1 concentrates groups of cores onto mid links, stage 2 crosses to
 // the L2 slices. Private L1s remain in the cores.
-func (s *System) wireCDXBarNoC() {
-	cfg, d := s.Cfg, s.D
+func (mod *Module) wireCDXBarNoC() {
+	cfg, d := mod.sys.Cfg, mod.sys.D
 	g := d.CDXGroups
 	mid := d.CDXMid
 	per := cfg.Cores / g
@@ -981,86 +1002,86 @@ func (s *System) wireCDXBarNoC() {
 	var s1req, s1rep []*noc.Crossbar
 	for gi := 0; gi < g; gi++ {
 		gi := gi
-		req := s.xbar(fmt.Sprintf("cdx-s1-req-%d", gi), per, mid)
-		rep := s.xbar(fmt.Sprintf("cdx-s1-rep-%d", gi), mid, per)
+		req := mod.xbar(fmt.Sprintf("cdx-s1-req-%d", gi), per, mid)
+		rep := mod.xbar(fmt.Sprintf("cdx-s1-rep-%d", gi), mid, per)
 		s1req = append(s1req, req)
 		s1rep = append(s1rep, rep)
-		s.Noc1Clk.RegisterGrouped(req, s.noc1Group(2*gi))
-		s.Noc1Clk.RegisterGrouped(rep, s.noc1Group(2*gi+1))
-		req.AttachPortsGrouped(s.Noc1Clk, func(in int) int { return s.noc1Group(base1 + gi*per + in) })
-		rep.AttachPortsGrouped(s.Noc1Clk, func(j int) int { return s.noc1Group(base1 + cfg.Cores + gi*mid + j) })
+		mod.sys.Noc1Clk.RegisterGrouped(req, mod.noc1Group(2*gi))
+		mod.sys.Noc1Clk.RegisterGrouped(rep, mod.noc1Group(2*gi+1))
+		req.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(base1 + gi*per + in) })
+		rep.AttachPortsGrouped(mod.sys.Noc1Clk, func(j int) int { return mod.noc1Group(base1 + cfg.Cores + gi*mid + j) })
 		for j := 0; j < mid; j++ {
-			req.SetEndpoint(j, s.sink(midReq[gi][j]))
-			midReq[gi][j].AttachGrouped(s.Noc1Clk, s.noc1Group(2*gi))
+			req.SetEndpoint(j, mod.sys.sink(midReq[gi][j]))
+			midReq[gi][j].AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*gi))
 		}
 	}
-	s.Noc1Req = s1req
-	s.Noc1Rep = s1rep
+	mod.Noc1Req = s1req
+	mod.Noc1Rep = s1rep
 	// Stage 2: mid crossbars of g×o request, o×g reply, on Noc2Clk.
 	var s2req, s2rep []*noc.Crossbar
 	for j := 0; j < mid; j++ {
 		j := j
-		req := s.xbar(fmt.Sprintf("cdx-s2-req-%d", j), g, o)
-		rep := s.xbar(fmt.Sprintf("cdx-s2-rep-%d", j), o, g)
+		req := mod.xbar(fmt.Sprintf("cdx-s2-req-%d", j), g, o)
+		rep := mod.xbar(fmt.Sprintf("cdx-s2-rep-%d", j), o, g)
 		s2req = append(s2req, req)
 		s2rep = append(s2rep, rep)
-		s.Noc2Clk.RegisterGrouped(req, s.noc2Group(2*j))
-		s.Noc2Clk.RegisterGrouped(rep, s.noc2Group(2*j+1))
-		req.AttachPortsGrouped(s.Noc2Clk, func(gi int) int { return s.noc2Group(2*mid + gi*mid + j) })
-		rep.AttachPortsGrouped(s.Noc2Clk, func(k int) int { return s.sliceGroup(k*mid + j) })
+		mod.sys.Noc2Clk.RegisterGrouped(req, mod.noc2Group(2*j))
+		mod.sys.Noc2Clk.RegisterGrouped(rep, mod.noc2Group(2*j+1))
+		req.AttachPortsGrouped(mod.sys.Noc2Clk, func(gi int) int { return mod.noc2Group(2*mid + gi*mid + j) })
+		rep.AttachPortsGrouped(mod.sys.Noc2Clk, func(k int) int { return mod.sliceGroup(k*mid + j) })
 		for k := 0; k < o; k++ {
-			req.SetEndpoint(k, s.sink(s.l2in[k*mid+j]))
+			req.SetEndpoint(k, mod.sys.sink(mod.l2in[k*mid+j]))
 		}
 	}
-	s.Noc2Req = s2req
-	s.Noc2Rep = s2rep
+	mod.Noc2Req = s2req
+	mod.Noc2Rep = s2rep
 	// Core L1 nodes inject into stage 1; mid queues pump into stage 2.
 	for c := 0; c < cfg.Cores; c++ {
 		c := c
 		gi := c / per
-		nd := s.Nodes[c]
+		nd := mod.Nodes[c]
 		req := s1req[gi]
-		s.Noc1Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
-			slice := s.AMap.L2Slice(a.Line)
-			return s.inject(req, a, c%per, slice%mid, reqFlits(a, d.FlitBytes, true))
-		}), s.noc1Group(base1+c))
-		s1rep[gi].SetEndpoint(c%per, s.sink(nd.Q4))
-		nd.Q4.AttachGrouped(s.Noc1Clk, s.noc1Group(2*gi+1))
+		mod.sys.Noc1Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+			slice := mod.AMap.L2Slice(a.Line)
+			return mod.sys.inject(req, a, c%per, slice%mid, reqFlits(a, d.FlitBytes, true))
+		}), mod.noc1Group(base1+c))
+		s1rep[gi].SetEndpoint(c%per, mod.sys.sink(nd.Q4))
+		nd.Q4.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*gi+1))
 	}
 	for gi := 0; gi < g; gi++ {
 		gi := gi
 		for j := 0; j < mid; j++ {
 			j := j
 			req2 := s2req[j]
-			s.Noc2Clk.RegisterGrouped(pump(midReq[gi][j], pumpRate, func(a *mem.Access) bool {
-				slice := s.AMap.L2Slice(a.Line)
-				return s.inject(req2, a, gi, slice/mid, reqFlits(a, d.FlitBytes, true))
-			}), s.noc2Group(2*mid+gi*mid+j))
+			mod.sys.Noc2Clk.RegisterGrouped(pump(midReq[gi][j], pumpRate, func(a *mem.Access) bool {
+				slice := mod.AMap.L2Slice(a.Line)
+				return mod.sys.inject(req2, a, gi, slice/mid, reqFlits(a, d.FlitBytes, true))
+			}), mod.noc2Group(2*mid+gi*mid+j))
 			rep1 := s1rep[gi]
-			s.Noc1Clk.RegisterGrouped(pump(midRep[gi][j], pumpRate, func(a *mem.Access) bool {
+			mod.sys.Noc1Clk.RegisterGrouped(pump(midRep[gi][j], pumpRate, func(a *mem.Access) bool {
 				who := a.Core
 				if a.Core == cache.PrefetchCore {
 					who = a.Node
 				}
-				return s.inject(rep1, a, j, who%per, replyFlits(a, d.FlitBytes, false, false))
-			}), s.noc1Group(base1+cfg.Cores+gi*mid+j))
+				return mod.sys.inject(rep1, a, j, who%per, replyFlits(a, d.FlitBytes, false, false))
+			}), mod.noc1Group(base1+cfg.Cores+gi*mid+j))
 		}
 	}
 	for j := 0; j < mid; j++ {
 		j := j
 		for gi := 0; gi < g; gi++ {
-			s2rep[j].SetEndpoint(gi, s.sink(midRep[gi][j]))
-			midRep[gi][j].AttachGrouped(s.Noc2Clk, s.noc2Group(2*j+1))
+			s2rep[j].SetEndpoint(gi, mod.sys.sink(midRep[gi][j]))
+			midRep[gi][j].AttachGrouped(mod.sys.Noc2Clk, mod.noc2Group(2*j+1))
 		}
 	}
-	s.wireL2Replies(func(a *mem.Access, slice int) bool {
+	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
 		j := slice % mid
 		who := a.Core
 		if a.Core == cache.PrefetchCore {
 			who = a.Node
 		}
 		gi := who / per
-		return s.inject(s2rep[j], a, slice/mid, gi, replyFlits(a, d.FlitBytes, false, false))
+		return mod.sys.inject(s2rep[j], a, slice/mid, gi, replyFlits(a, d.FlitBytes, false, false))
 	})
 }
 
@@ -1068,48 +1089,48 @@ func (s *System) wireCDXBarNoC() {
 // L2.Out→reply-network pump using the supplied injector. ACKs for L1
 // writebacks (Core == -1, produced when the write-back L1 ablation evicts
 // dirty lines) have no requester and are consumed here.
-func (s *System) wireL2Replies(inject func(a *mem.Access, slice int) bool) {
-	for i := range s.L2 {
+func (mod *Module) wireL2Replies(inject func(a *mem.Access, slice int) bool) {
+	for i := range mod.L2 {
 		i := i
-		s.Noc2Clk.RegisterGrouped(pump(s.l2in[i], pumpRate, s.L2[i].In.Push), s.sliceGroup(i))
-		s.Noc2Clk.RegisterGrouped(pump(s.L2[i].Out, pumpRate, func(a *mem.Access) bool {
+		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push), mod.sliceGroup(i))
+		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.L2[i].Out, pumpRate, func(a *mem.Access) bool {
 			if a.Kind == mem.Store && a.Core == -1 {
-				s.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
+				mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 				return true
 			}
 			return inject(a, i)
-		}), s.sliceGroup(i))
+		}), mod.sliceGroup(i))
 	}
 }
 
 // wireMemSide connects L2 miss queues to the DRAM channels and routes DRAM
-// replies back to the owning slice. In a multi-GPU machine it also builds the
+// replies back to the owning slice. In a linked machine it also builds the
 // per-channel link ports and splits both directions by home module: misses
 // for remote-homed lines divert to linkMissOut instead of local DRAM, remote
 // modules' requests arrive through linkReqIn, local DRAM fills bound for a
 // remote origin divert to linkRepOut, and remote fills come home through
 // linkFillIn. The single-module paths are untouched.
-func (s *System) wireMemSide() {
-	multi := s.modules >= 2
+func (mod *Module) wireMemSide() {
+	multi := mod.sys.LinkClk != nil
 	if multi {
-		for range s.Drams {
-			s.linkMissOut = append(s.linkMissOut, sim.NewPort[*mem.Access](8))
-			s.linkReqIn = append(s.linkReqIn, sim.NewPort[*mem.Access](8))
-			s.linkRepOut = append(s.linkRepOut, sim.NewPort[*mem.Access](8))
-			s.linkFillIn = append(s.linkFillIn, sim.NewPort[*mem.Access](8))
+		for range mod.Drams {
+			mod.linkMissOut = append(mod.linkMissOut, sim.NewPort[*mem.Access](8))
+			mod.linkReqIn = append(mod.linkReqIn, sim.NewPort[*mem.Access](8))
+			mod.linkRepOut = append(mod.linkRepOut, sim.NewPort[*mem.Access](8))
+			mod.linkFillIn = append(mod.linkFillIn, sim.NewPort[*mem.Access](8))
 		}
 	}
 	// Group each channel's slices so the channel's In port has one composite
 	// producer draining the mapped MissOuts in slice order.
-	missByCh := make([][]*sim.Port[*mem.Access], len(s.Drams))
-	for i := range s.L2 {
-		ch := s.AMap.Channel(i)
-		missByCh[ch] = append(missByCh[ch], s.L2[i].MissOut)
+	missByCh := make([][]*sim.Port[*mem.Access], len(mod.Drams))
+	for i := range mod.L2 {
+		ch := mod.AMap.Channel(i)
+		missByCh[ch] = append(missByCh[ch], mod.L2[i].MissOut)
 	}
-	for ch, dc := range s.Drams {
+	for ch, dc := range mod.Drams {
 		if !multi {
-			s.Noc2Clk.RegisterGrouped(&multiPump{srcs: missByCh[ch], rate: pumpRate, try: dc.In.Push}, s.chanGroup(ch))
-			dc.In.AttachGrouped(s.Noc2Clk, s.chanGroup(ch))
+			mod.sys.Noc2Clk.RegisterGrouped(&multiPump{srcs: missByCh[ch], rate: pumpRate, try: dc.In.Push}, mod.chanGroup(ch))
+			dc.In.AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
 			continue
 		}
 		ch, dc := ch, dc
@@ -1117,55 +1138,55 @@ func (s *System) wireMemSide() {
 		// then the link ingress; every locally originated miss is stamped with
 		// the module so its fill can find the way home.
 		nLocal := len(missByCh[ch])
-		srcs := append(append([]*sim.Port[*mem.Access]{}, missByCh[ch]...), s.linkReqIn[ch])
-		s.Noc2Clk.RegisterGrouped(&multiPump{
+		srcs := append(append([]*sim.Port[*mem.Access]{}, missByCh[ch]...), mod.linkReqIn[ch])
+		mod.sys.Noc2Clk.RegisterGrouped(&multiPump{
 			srcs: srcs,
 			rate: pumpRate,
 			prep: func(si int, a *mem.Access) {
 				if si < nLocal {
-					a.Module = s.module
+					a.Module = mod.AMap.Module
 				}
 			},
 			try: func(a *mem.Access) bool {
-				if s.AMap.Local(a.Line) {
+				if mod.AMap.Local(a.Line) {
 					return dc.In.Push(a)
 				}
-				return s.linkMissOut[ch].Push(a)
+				return mod.linkMissOut[ch].Push(a)
 			},
-		}, s.chanGroup(ch))
-		dc.In.AttachGrouped(s.Noc2Clk, s.chanGroup(ch))
-		s.linkMissOut[ch].AttachGrouped(s.Noc2Clk, s.chanGroup(ch))
+		}, mod.chanGroup(ch))
+		dc.In.AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
+		mod.linkMissOut[ch].AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
 	}
-	for ch, dc := range s.Drams {
+	for ch, dc := range mod.Drams {
 		dc := dc
 		if !multi {
-			s.MemClk.RegisterGrouped(pump(dc.Out, pumpRate, func(a *mem.Access) bool {
+			mod.sys.MemClk.RegisterGrouped(pump(dc.Out, pumpRate, func(a *mem.Access) bool {
 				if a.Kind == mem.Store && a.Core == -1 {
-					s.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
+					mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 					return true
 				}
-				return s.L2[s.AMap.L2Slice(a.Line)].FillIn.Push(a)
-			}), s.memGroup(ch))
+				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
+			}), mod.memGroup(ch))
 			continue
 		}
 		ch := ch
 		// DRAM output first, then fills arriving over the link; orphan
 		// writeback ACKs retire at the home module (nothing waits for them),
 		// remote-origin fills divert to the link egress.
-		s.MemClk.RegisterGrouped(&multiPump{
-			srcs: []*sim.Port[*mem.Access]{dc.Out, s.linkFillIn[ch]},
+		mod.sys.MemClk.RegisterGrouped(&multiPump{
+			srcs: []*sim.Port[*mem.Access]{dc.Out, mod.linkFillIn[ch]},
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
 				if a.Kind == mem.Store && a.Core == -1 {
-					s.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
+					mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 					return true
 				}
-				if a.Module != s.module {
-					return s.linkRepOut[ch].Push(a)
+				if a.Module != mod.AMap.Module {
+					return mod.linkRepOut[ch].Push(a)
 				}
-				return s.L2[s.AMap.L2Slice(a.Line)].FillIn.Push(a)
+				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
 			},
-		}, s.memGroup(ch))
-		s.linkRepOut[ch].AttachGrouped(s.MemClk, s.memGroup(ch))
+		}, mod.memGroup(ch))
+		mod.linkRepOut[ch].AttachGrouped(mod.sys.MemClk, mod.memGroup(ch))
 	}
 }

@@ -6,13 +6,16 @@ import (
 	"dcl1sim/internal/chaos"
 )
 
-// InstallChaos arms deterministic fault injection on every component of the
-// built system. Each component receives its own injector stream keyed by
-// (spec.Seed, subsystem kind, component index), so the fault schedule is a
-// pure function of the spec and independent of shard count, tick mode, and
-// wall-clock — see the chaos package doc. Must be called before the first
-// cycle runs; calling it twice or with an invalid spec returns an error.
-// A nil spec is a no-op.
+// InstallChaos arms deterministic fault injection on every component of
+// every module, plus the link crossbars of a linked machine. Each component
+// receives its own injector stream keyed by (spec.Seed, subsystem kind,
+// component index), so the fault schedule is a pure function of the spec and
+// the machine shape, independent of shard count, tick mode, and wall-clock —
+// see the chaos package doc. Component indices are machine-global: one
+// counter per subsystem kind, walked in module order, link last (module 1's
+// first core is KindCore index Cores, not 0). Must be called before the first
+// cycle runs; calling it twice or with an invalid spec returns an error. A
+// nil spec is a no-op.
 //
 // The MeshBase mesh is not perturbed (its routers don't share the crossbar's
 // grant/jam surface); mesh designs still get core, cache, and DRAM faults.
@@ -31,40 +34,53 @@ func (s *System) InstallChaos(spec *chaos.Spec) error {
 		return err
 	}
 	s.chaosSpec = norm
-	s.armChaos(norm, nil)
+	next := make(map[chaos.Kind]int)
+	for _, mod := range s.Mods {
+		mod.armChaos(norm, next)
+	}
+	for _, x := range s.linkXbars() {
+		in := chaos.New(norm, chaos.KindNoC, next[chaos.KindNoC], x.P.Name)
+		next[chaos.KindNoC]++
+		s.linkInjectors = append(s.linkInjectors, in)
+		x.Chaos = in
+	}
 	return nil
 }
 
-// armChaos installs the per-component injectors. The next map carries the
-// per-kind component index across calls: a multi-GPU machine passes one map
-// through every module so indices are module-global (module 1's first core is
-// KindCore index Cores, not 0) and the fault schedule stays a pure function
-// of the machine. A nil map starts every kind at zero.
-func (s *System) armChaos(norm *chaos.Spec, next map[chaos.Kind]int) {
-	if next == nil {
-		next = make(map[chaos.Kind]int)
-	}
+// armChaos installs this module's per-component injectors, drawing each
+// kind's component index from next and advancing it.
+func (mod *Module) armChaos(norm *chaos.Spec, next map[chaos.Kind]int) {
 	add := func(kind chaos.Kind, name string) *chaos.Injector {
 		in := chaos.New(norm, kind, next[kind], name)
 		next[kind]++
-		s.injectors = append(s.injectors, in)
+		mod.injectors = append(mod.injectors, in)
 		return in
 	}
-	for i, c := range s.Cores {
-		c.Chaos = add(chaos.KindCore, s.cname(fmt.Sprintf("core-%d", i)))
+	for i, c := range mod.Cores {
+		c.Chaos = add(chaos.KindCore, mod.cname(fmt.Sprintf("core-%d", i)))
 	}
-	for _, n := range s.Nodes {
+	for _, n := range mod.Nodes {
 		n.Ctrl.Chaos = add(chaos.KindL1, n.Ctrl.P.Name)
 	}
-	for _, l2 := range s.L2 {
+	for _, l2 := range mod.L2 {
 		l2.Chaos = add(chaos.KindL2, l2.P.Name)
 	}
-	for _, x := range s.crossbars() {
+	for _, x := range mod.crossbars() {
 		x.Chaos = add(chaos.KindNoC, x.P.Name)
 	}
-	for _, dc := range s.Drams {
+	for _, dc := range mod.Drams {
 		dc.Chaos = add(chaos.KindDram, dc.P.Name)
 	}
+}
+
+// allInjectors returns every injector of the machine, modules in order, then
+// the link's.
+func (s *System) allInjectors() []*chaos.Injector {
+	var out []*chaos.Injector
+	for _, mod := range s.Mods {
+		out = append(out, mod.injectors...)
+	}
+	return append(out, s.linkInjectors...)
 }
 
 // ChaosEvents returns the merged recorded fault schedule across all injectors
@@ -72,7 +88,7 @@ func (s *System) armChaos(norm *chaos.Spec, next map[chaos.Kind]int) {
 // clock; the canonical rendering is chaos.FormatEvents.
 func (s *System) ChaosEvents() []chaos.Event {
 	var out []chaos.Event
-	for _, in := range s.injectors {
+	for _, in := range s.allInjectors() {
 		out = append(out, in.Events()...)
 	}
 	chaos.SortEvents(out)
@@ -83,8 +99,13 @@ func (s *System) ChaosEvents() []chaos.Event {
 // cumulative since construction (warmup included — the schedule is a property
 // of the whole run, not the measurement window).
 func (s *System) FaultsInjected() int64 {
+	return fired(s.allInjectors())
+}
+
+// fired sums the fault occurrences of a set of injectors.
+func fired(ins []*chaos.Injector) int64 {
 	var n int64
-	for _, in := range s.injectors {
+	for _, in := range ins {
 		n += in.Fired()
 	}
 	return n

@@ -179,26 +179,51 @@ func TestChaosCorruptionTripsAudit(t *testing.T) {
 	}
 }
 
-// TestInstallChaosErrors: double installation and late installation are build
-// mistakes, not silently tolerated states.
+// bothShapes is a design as a machine of one module and of two: every
+// run-level operation is one method looping over modules, so its error
+// contract must not depend on the shape.
+func bothShapes(d Design) []Design {
+	linked := d
+	linked.Modules = 2
+	return []Design{d, linked}
+}
+
+// TestInstallChaosErrors: double installation, late installation and an
+// invalid spec are build mistakes, not silently tolerated states — with the
+// same errors on a machine of one module and of two.
 func TestInstallChaosErrors(t *testing.T) {
 	app, _ := workload.ByName("T-AlexNet")
-	s := NewSystem(quiesceCfg(), Design{Kind: Baseline}, app)
-	if err := s.InstallChaos(nil); err != nil {
-		t.Errorf("nil spec errored: %v", err)
+	var msgs [][]string
+	for _, d := range bothShapes(Design{Kind: Baseline}) {
+		s := NewSystem(quiesceCfg(), d, app)
+		if err := s.InstallChaos(nil); err != nil {
+			t.Errorf("%s: nil spec errored: %v", d.Name(), err)
+		}
+		if err := s.InstallChaos(chaos.Light(1)); err != nil {
+			t.Fatalf("%s: first install: %v", d.Name(), err)
+		}
+		late := NewSystem(quiesceCfg(), d, app)
+		late.Eng.RunUntil(late.CoreClk, 10)
+		_, runErr := RunChecked(quiesceCfg(), d, app, HealthOptions{Chaos: &chaos.Spec{OutJamProb: -1}})
+		var got []string
+		for _, c := range []struct {
+			name string
+			err  error
+		}{
+			{"second install", s.InstallChaos(chaos.Light(2))},
+			{"install at cycle 10", late.InstallChaos(chaos.Light(1))},
+			{"invalid spec", NewSystem(quiesceCfg(), d, app).InstallChaos(&chaos.Spec{FlitDelayProb: 2})},
+			{"RunChecked with invalid spec", runErr},
+		} {
+			if c.err == nil {
+				t.Errorf("%s: %s did not error", d.Name(), c.name)
+				continue
+			}
+			got = append(got, c.name+": "+c.err.Error())
+		}
+		msgs = append(msgs, got)
 	}
-	if err := s.InstallChaos(chaos.Light(1)); err != nil {
-		t.Fatalf("first install: %v", err)
-	}
-	if err := s.InstallChaos(chaos.Light(2)); err == nil {
-		t.Error("second install did not error")
-	}
-	if err := NewSystem(quiesceCfg(), Design{Kind: Baseline}, app).
-		InstallChaos(&chaos.Spec{FlitDelayProb: 2}); err == nil {
-		t.Error("invalid spec installed")
-	}
-	if _, err := RunChecked(quiesceCfg(), Design{Kind: Baseline}, app,
-		HealthOptions{Chaos: &chaos.Spec{OutJamProb: -1}}); err == nil {
-		t.Error("RunChecked accepted an invalid chaos spec")
+	if !reflect.DeepEqual(msgs[0], msgs[1]) {
+		t.Errorf("errors differ between shapes:\none module:  %q\ntwo modules: %q", msgs[0], msgs[1])
 	}
 }

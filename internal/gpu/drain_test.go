@@ -32,7 +32,7 @@ func TestSystemDrainsCompletely(t *testing.T) {
 			for s.CoreClk.Now() < deadline {
 				s.Eng.RunUntil(s.CoreClk, s.CoreClk.Now()+2000)
 				done := true
-				for _, c := range s.Cores {
+				for _, c := range s.Mods[0].Cores {
 					if !c.Done() || c.OutstandingTotal() != 0 {
 						done = false
 						break
@@ -42,7 +42,7 @@ func TestSystemDrainsCompletely(t *testing.T) {
 					break
 				}
 			}
-			for i, c := range s.Cores {
+			for i, c := range s.Mods[0].Cores {
 				if !c.Done() {
 					t.Fatalf("core %d never finished its trace", i)
 				}
@@ -51,7 +51,7 @@ func TestSystemDrainsCompletely(t *testing.T) {
 				}
 			}
 			// All node queues must be empty after the drain.
-			for i, n := range s.Nodes {
+			for i, n := range s.Mods[0].Nodes {
 				if n.Q1.Len()+n.Q2.Len()+n.Q3.Len()+n.Q4.Len() != 0 {
 					t.Fatalf("node %d queues not drained", i)
 				}
@@ -59,7 +59,7 @@ func TestSystemDrainsCompletely(t *testing.T) {
 					t.Fatalf("node %d leaked %d MSHRs", i, n.Ctrl.MSHRInUse())
 				}
 			}
-			for i, dc := range s.Drams {
+			for i, dc := range s.Mods[0].Drams {
 				if dc.Pending() != 0 {
 					t.Fatalf("dram %d still has pending requests", i)
 				}
@@ -83,13 +83,13 @@ func TestSystemDrainsWithPrefetch(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		s.Eng.RunUntil(s.CoreClk, s.CoreClk.Now()+2000)
 		allDone := true
-		for _, c := range s.Cores {
+		for _, c := range s.Mods[0].Cores {
 			if !c.Done() || c.OutstandingTotal() != 0 {
 				allDone = false
 			}
 		}
 		var mshr int
-		for _, n := range s.Nodes {
+		for _, n := range s.Mods[0].Nodes {
 			mshr += n.Ctrl.MSHRInUse()
 		}
 		if allDone && mshr == 0 {
@@ -97,7 +97,7 @@ func TestSystemDrainsWithPrefetch(t *testing.T) {
 		}
 	}
 	var mshr int
-	for _, n := range s.Nodes {
+	for _, n := range s.Mods[0].Nodes {
 		mshr += n.Ctrl.MSHRInUse()
 	}
 	t.Fatalf("machine with prefetching never drained (mshr=%d)", mshr)

@@ -35,10 +35,6 @@ type HealthOptions struct {
 	// bit-identical either way; the knob exists for validation and
 	// before/after benchmarking.
 	LegacyTick bool
-	// NoPool disables Access/Packet recycling, allocating every value fresh
-	// as the original engine did. Results are bit-identical either way; the
-	// knob exists for the equivalence tests and before/after benchmarking.
-	NoPool bool
 	// Shards spreads each clock edge's component ticks across this many
 	// worker shards (<= 1 means serial, the default; ShardsAuto sizes the
 	// worker set to the machine). The two-phase port contract makes results
@@ -90,45 +86,66 @@ func NewSystemChecked(cfg Config, d Design, app workload.Source, opts ...BuildOp
 		return nil, err
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			s = nil
-			err = &health.SimError{
-				Design: d.withDefaults(cfg.WithDefaults()).Name(),
-				App:    safeLabel(app),
-				Cause:  r,
-				Stack:  string(debug.Stack()),
-			}
+		if p := recover(); p != nil {
+			s, err = nil, simError(d.withDefaults(cfg.WithDefaults()), app, 0, p)
 		}
 	}()
 	return NewSystem(cfg, d, app, opts...), nil
 }
 
-// NewMonitor builds the health monitor for this system: one aggregate
-// progress probe per subsystem (cores, L1/DC-L1 nodes, L2, NoC, DRAM), every
+// simError wraps a recovered panic as the typed error of a checked build or
+// run. Call it from the deferred function that recovered, so the stack still
+// holds the panicking frames. The label is read through safeLabel: the panic
+// may have come from the workload source itself.
+func simError(d Design, app workload.Source, cycle sim.Cycle, cause any) *health.SimError {
+	return &health.SimError{
+		Design: d.Name(),
+		App:    safeLabel(app),
+		Cycle:  cycle,
+		Cause:  cause,
+		Stack:  string(debug.Stack()),
+	}
+}
+
+// NewMonitor builds the health monitor for this machine: per module, one
+// aggregate progress probe per subsystem (cores, L1/DC-L1 nodes, L2, NoC,
+// DRAM; named "m<i>.cores" and so on in a multi-module machine), every
 // component's invariant checker and dump contributor, and head-age watchers
-// on the DC-L1 bridge queues and L2 ingress queues.
+// on the DC-L1 bridge queues and L2 ingress queues; plus the link's own
+// probe, checkers and watchers when there is one.
 func (s *System) NewMonitor() *health.Monitor {
 	m := health.NewMonitor()
-	s.contributeMonitor(m)
+	for _, mod := range s.Mods {
+		mod.contributeMonitor(m)
+	}
+	if s.LinkClk != nil {
+		s.monitorLink(m)
+	}
 	return m
 }
 
-// contributeMonitor adds this system's probes, checkers, watchers, and dump
-// contributors to an existing monitor. NewMonitor wraps it for a standalone
-// system; a multi-GPU Machine folds every module into one monitor (probe
-// names carry the module prefix, so the subsystems stay distinguishable).
-func (s *System) contributeMonitor(m *health.Monitor) {
+// watchQueue adds a head-age watcher on q to the monitor.
+func watchQueue(m *health.Monitor, component, label string, q sim.QueueState) {
+	w := sim.NewQueueWatcher(component, label, q)
+	m.AddObserver(w.Observe)
+	m.AddChecker(w)
+}
+
+// contributeMonitor adds this module's probes, checkers, watchers, and dump
+// contributors to the machine's monitor (probe names carry the module prefix,
+// so the subsystems stay distinguishable).
+func (mod *Module) contributeMonitor(m *health.Monitor) {
 	m.AddProbe(health.Probe{
-		Name: s.cname("cores"),
+		Name: mod.cname("cores"),
 		Sample: func() int64 {
 			var v int64
-			for _, c := range s.Cores {
+			for _, c := range mod.Cores {
 				v += c.Stat.Issued + c.Stat.Transactions
 			}
 			return v
 		},
 		Busy: func() bool {
-			for _, c := range s.Cores {
+			for _, c := range mod.Cores {
 				if !c.Done() {
 					return true
 				}
@@ -137,16 +154,16 @@ func (s *System) contributeMonitor(m *health.Monitor) {
 		},
 	})
 	m.AddProbe(health.Probe{
-		Name: s.cname("l1-nodes"),
+		Name: mod.cname("l1-nodes"),
 		Sample: func() int64 {
 			var v int64
-			for _, n := range s.Nodes {
+			for _, n := range mod.Nodes {
 				v += n.Ctrl.Stat.Accesses + n.Stat.BypassRequests + n.Stat.BypassReplies
 			}
 			return v
 		},
 		Busy: func() bool {
-			for _, n := range s.Nodes {
+			for _, n := range mod.Nodes {
 				if n.Pending() > 0 {
 					return true
 				}
@@ -155,17 +172,17 @@ func (s *System) contributeMonitor(m *health.Monitor) {
 		},
 	})
 	m.AddProbe(health.Probe{
-		Name: s.cname("l2"),
+		Name: mod.cname("l2"),
 		Sample: func() int64 {
 			var v int64
-			for _, l2 := range s.L2 {
+			for _, l2 := range mod.L2 {
 				v += l2.Stat.Accesses
 			}
 			return v
 		},
 		Busy: func() bool {
-			for i, l2 := range s.L2 {
-				if l2.Pending() > 0 || s.l2in[i].Len() > 0 {
+			for i, l2 := range mod.L2 {
+				if l2.Pending() > 0 || mod.l2in[i].Len() > 0 {
 					return true
 				}
 			}
@@ -173,40 +190,40 @@ func (s *System) contributeMonitor(m *health.Monitor) {
 		},
 	})
 	m.AddProbe(health.Probe{
-		Name: s.cname("noc"),
+		Name: mod.cname("noc"),
 		Sample: func() int64 {
 			var v int64
-			for _, x := range s.crossbars() {
+			for _, x := range mod.crossbars() {
 				v += x.Stat.FlitsMoved
 			}
-			if s.MeshReq != nil {
-				v += s.MeshReq.Stat.FlitHops + s.MeshRep.Stat.FlitHops
+			if mod.MeshReq != nil {
+				v += mod.MeshReq.Stat.FlitHops + mod.MeshRep.Stat.FlitHops
 			}
 			return v
 		},
 		Busy: func() bool {
-			for _, x := range s.crossbars() {
+			for _, x := range mod.crossbars() {
 				if x.Pending() > 0 {
 					return true
 				}
 			}
-			if s.MeshReq != nil && (s.MeshReq.Pending() > 0 || s.MeshRep.Pending() > 0) {
+			if mod.MeshReq != nil && (mod.MeshReq.Pending() > 0 || mod.MeshRep.Pending() > 0) {
 				return true
 			}
 			return false
 		},
 	})
 	m.AddProbe(health.Probe{
-		Name: s.cname("dram"),
+		Name: mod.cname("dram"),
 		Sample: func() int64 {
 			var v int64
-			for _, dc := range s.Drams {
+			for _, dc := range mod.Drams {
 				v += dc.Stat.Reads + dc.Stat.Writes
 			}
 			return v
 		},
 		Busy: func() bool {
-			for _, dc := range s.Drams {
+			for _, dc := range mod.Drams {
 				if dc.Pending() > 0 || dc.Out.Len() > 0 {
 					return true
 				}
@@ -215,55 +232,50 @@ func (s *System) contributeMonitor(m *health.Monitor) {
 		},
 	})
 
-	watch := func(component, label string, q sim.QueueState) {
-		w := sim.NewQueueWatcher(component, label, q)
-		m.AddObserver(w.Observe)
-		m.AddChecker(w)
-	}
-	for _, c := range s.Cores {
+	for _, c := range mod.Cores {
 		m.AddChecker(c)
 		m.AddDumper(c.DumpHealth)
 	}
-	for _, n := range s.Nodes {
+	for _, n := range mod.Nodes {
 		m.AddChecker(n)
 		m.AddDumper(n.DumpHealth)
 		name := n.Ctrl.P.Name
-		watch(name, "Q1", n.Q1)
-		watch(name, "Q2", n.Q2)
-		watch(name, "Q3", n.Q3)
-		watch(name, "Q4", n.Q4)
+		watchQueue(m, name, "Q1", n.Q1)
+		watchQueue(m, name, "Q2", n.Q2)
+		watchQueue(m, name, "Q3", n.Q3)
+		watchQueue(m, name, "Q4", n.Q4)
 	}
-	for i, l2 := range s.L2 {
+	for i, l2 := range mod.L2 {
 		m.AddChecker(l2)
 		m.AddDumper(l2.DumpHealth)
-		watch(l2.P.Name, "in", s.l2in[i])
+		watchQueue(m, l2.P.Name, "in", mod.l2in[i])
 	}
-	for _, dc := range s.Drams {
+	for _, dc := range mod.Drams {
 		m.AddChecker(dc)
 		m.AddDumper(dc.DumpHealth)
 	}
-	for _, x := range s.crossbars() {
+	for _, x := range mod.crossbars() {
 		m.AddChecker(x)
 		m.AddDumper(x.DumpHealth)
 	}
-	if s.MeshReq != nil {
-		m.AddChecker(s.MeshReq)
-		m.AddDumper(s.MeshReq.DumpHealth)
-		m.AddChecker(s.MeshRep)
-		m.AddDumper(s.MeshRep.DumpHealth)
+	if mod.MeshReq != nil {
+		m.AddChecker(mod.MeshReq)
+		m.AddDumper(mod.MeshReq.DumpHealth)
+		m.AddChecker(mod.MeshRep)
+		m.AddDumper(mod.MeshRep.DumpHealth)
 	}
 }
 
-// crossbars returns every crossbar of the design, NoC#1 then NoC#2.
-func (s *System) crossbars() []*noc.Crossbar {
+// crossbars returns every crossbar of the module, NoC#1 then NoC#2.
+func (mod *Module) crossbars() []*noc.Crossbar {
 	var out []*noc.Crossbar
-	for _, group := range [][]*noc.Crossbar{s.Noc1Req, s.Noc1Rep, s.Noc2Req, s.Noc2Rep} {
+	for _, group := range [][]*noc.Crossbar{mod.Noc1Req, mod.Noc1Rep, mod.Noc2Req, mod.Noc2Rep} {
 		out = append(out, group...)
 	}
 	return out
 }
 
-// RunChecked executes this system's warmup and measurement windows under the
+// RunChecked executes this machine's warmup and measurement windows under the
 // health layer: a progress watchdog aborting wedged runs with a
 // *health.DeadlockError, a wall-clock deadline, a final invariant audit, and
 // panic recovery into *health.SimError. A healthy run produces Results
@@ -272,14 +284,7 @@ func (s *System) crossbars() []*noc.Crossbar {
 func (s *System) RunChecked(opts HealthOptions) (r Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			r = Results{}
-			err = &health.SimError{
-				Design: s.D.Name(),
-				App:    s.App.Label(),
-				Cycle:  s.CoreClk.Now(),
-				Cause:  p,
-				Stack:  string(debug.Stack()),
-			}
+			r, err = Results{}, simError(s.D, s.App, s.CoreClk.Now(), p)
 		}
 	}()
 	if opts.LegacyTick {
@@ -322,19 +327,13 @@ func (s *System) RunChecked(opts HealthOptions) (r Results, err error) {
 		}
 		return time.Nanosecond // already expired: trip at the next check
 	}
-	cfg := s.Cfg
-	ro.Deadline = remaining()
-	if err := s.Eng.RunUntilChecked(s.CoreClk, cfg.WarmupCycles, ro); err != nil {
+	cycles, err := s.measure(func(until sim.Cycle) error {
+		ro.Deadline = remaining()
+		return s.Eng.RunUntilChecked(s.CoreClk, until, ro)
+	})
+	if err != nil {
 		return Results{}, err
 	}
-	s.resetStats()
-	measureStart := s.CoreClk.Now()
-	ro.Deadline = remaining()
-	if err := s.Eng.RunUntilChecked(s.CoreClk, cfg.WarmupCycles+cfg.MeasureCycles, ro); err != nil {
-		return Results{}, err
-	}
-	cycles := s.CoreClk.Now() - measureStart
-	s.flushTelemetry()
 	// Post-run audit. Age-heuristic findings (Warn) diagnose congestion and
 	// belong in dumps, but a saturated-yet-progressing run — e.g. the
 	// paper's pathological apps on the thrashing baseline — is a result,
@@ -355,24 +354,11 @@ func (s *System) healthClocks() []health.ClockState {
 	return out
 }
 
-// RunChecked builds the system and executes it under the health layer,
+// RunChecked builds the machine and executes it under the health layer,
 // returning typed errors (validation, deadlock, deadline, invariant audit,
-// recovered panic) instead of hanging or crashing. Designs with Modules >= 2
-// build a multi-GPU Machine; everything else builds the classic single-module
-// System.
+// recovered panic) instead of hanging or crashing.
 func RunChecked(cfg Config, d Design, app workload.Source, opts HealthOptions) (Results, error) {
-	var bo []BuildOption
-	if opts.NoPool {
-		bo = append(bo, WithoutPool())
-	}
-	if d.Modules >= 2 {
-		m, err := NewMachineChecked(cfg, d, app, bo...)
-		if err != nil {
-			return Results{}, err
-		}
-		return m.RunChecked(opts)
-	}
-	s, err := NewSystemChecked(cfg, d, app, bo...)
+	s, err := NewSystemChecked(cfg, d, app)
 	if err != nil {
 		return Results{}, err
 	}

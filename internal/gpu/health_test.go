@@ -48,7 +48,7 @@ func TestRunCheckedDetectsWedgedSystem(t *testing.T) {
 			// and mesh clocks, and each drain runs after that clock's
 			// producers, so no reply ever survives to a core retire.
 			drain := sim.TickFunc(func(sim.Cycle) {
-				for _, co := range s.Cores {
+				for _, co := range s.Mods[0].Cores {
 					for {
 						if _, ok := co.In.Pop(); !ok {
 							break

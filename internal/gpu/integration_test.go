@@ -29,7 +29,7 @@ func TestMixedTrafficAllDesigns(t *testing.T) {
 			// Atomics/non-L1 must never enter a DC-L1/L1 data cache; the
 			// node bypass counters prove the path was exercised.
 			var bypass int64
-			for _, n := range s.Nodes {
+			for _, n := range s.Mods[0].Nodes {
 				bypass += n.Stat.BypassRequests
 			}
 			if bypass == 0 {
@@ -38,11 +38,11 @@ func TestMixedTrafficAllDesigns(t *testing.T) {
 			// Stores must be acknowledged (no monotonic outstanding build-up):
 			// outstanding at end should be small relative to issued traffic.
 			var out int
-			for _, c := range s.Cores {
+			for _, c := range s.Mods[0].Cores {
 				out += c.OutstandingTotal()
 			}
 			var trans int64
-			for _, c := range s.Cores {
+			for _, c := range s.Mods[0].Cores {
 				trans += c.Stat.Transactions
 			}
 			if int64(out) > trans/2 {
@@ -60,7 +60,7 @@ func TestClusterIsolation(t *testing.T) {
 	cfg := testCfg()
 	s := NewSystem(cfg, Design{Kind: Clustered, DCL1s: 4, Clusters: 2}, sharingApp())
 	s.Run()
-	for i, n := range s.Nodes {
+	for i, n := range s.Mods[0].Nodes {
 		if n.Ctrl.Stat.Loads == 0 {
 			t.Errorf("node %d received no traffic; home mapping broken", i)
 		}
@@ -73,7 +73,7 @@ func TestClusteredNoC2Alignment(t *testing.T) {
 	cfg := testCfg()
 	s := NewSystem(cfg, Design{Kind: Clustered, DCL1s: 4, Clusters: 2}, sharingApp())
 	s.Run()
-	for i, l2 := range s.L2 {
+	for i, l2 := range s.Mods[0].L2 {
 		if l2.Stat.Loads == 0 {
 			t.Errorf("L2 slice %d starved; clustered NoC#2 misrouted", i)
 		}
@@ -89,10 +89,10 @@ func TestCDXBarTwoStageDelivers(t *testing.T) {
 	}
 	// Both stages must carry traffic.
 	var s1, s2 int64
-	for _, x := range s.Noc1Req {
+	for _, x := range s.Mods[0].Noc1Req {
 		s1 += x.Stat.FlitsMoved
 	}
-	for _, x := range s.Noc2Req {
+	for _, x := range s.Mods[0].Noc2Req {
 		s2 += x.Stat.FlitsMoved
 	}
 	if s1 == 0 || s2 == 0 {

@@ -21,41 +21,35 @@ func meshShape(nodes int) (w, h int) {
 	return w, h
 }
 
-// MeshReq and MeshRep are exposed for tests via the System fields below.
-type meshNets struct {
-	req *noc.Mesh
-	rep *noc.Mesh
-}
-
-func (s *System) wireMeshNoC() {
-	cfg := s.Cfg
+func (mod *Module) wireMeshNoC() {
+	cfg := mod.sys.Cfg
 	total := cfg.Cores + cfg.L2Slices
 	w, h := meshShape(total)
 	mk := func(name string) *noc.Mesh {
 		return noc.NewMesh(noc.MeshParams{
-			Name: s.cname(name), W: w, H: h, LinkBytes: s.D.FlitBytes,
+			Name: mod.cname(name), W: w, H: h, LinkBytes: mod.sys.D.FlitBytes,
 		})
 	}
 	req := mk("mesh-req")
 	rep := mk("mesh-rep")
-	s.MeshReq, s.MeshRep = req, rep
+	mod.MeshReq, mod.MeshRep = req, rep
 	// Noc2Clk extras: the two mesh hubs → noc2Group(0)/noc2Group(1), core
 	// pump c → noc2Group(2+c). Injection ports follow their producers: core
 	// nodes inject requests (pump groups), L2 nodes inject replies (slice
 	// groups); the unused direction of each port stays ungrouped.
-	gReq, gRep := s.noc2Group(0), s.noc2Group(1)
-	gPump := func(c int) int { return s.noc2Group(2 + c) }
-	s.Noc2Clk.RegisterGrouped(req, gReq)
-	s.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(s.Noc2Clk, func(n int) int {
+	gReq, gRep := mod.noc2Group(0), mod.noc2Group(1)
+	gPump := func(c int) int { return mod.noc2Group(2 + c) }
+	mod.sys.Noc2Clk.RegisterGrouped(req, gReq)
+	mod.sys.Noc2Clk.RegisterGrouped(rep, gRep)
+	req.AttachPortsGrouped(mod.sys.Noc2Clk, func(n int) int {
 		if n < cfg.Cores {
 			return gPump(n)
 		}
 		return -1
 	})
-	rep.AttachPortsGrouped(s.Noc2Clk, func(n int) int {
+	rep.AttachPortsGrouped(mod.sys.Noc2Clk, func(n int) int {
 		if n >= cfg.Cores && n < cfg.Cores+cfg.L2Slices {
-			return s.sliceGroup(n - cfg.Cores)
+			return mod.sliceGroup(n - cfg.Cores)
 		}
 		return -1
 	})
@@ -64,21 +58,21 @@ func (s *System) wireMeshNoC() {
 
 	for c := 0; c < cfg.Cores; c++ {
 		c := c
-		nd := s.Nodes[c]
-		s.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
-			return s.inject(req, a, c, l2Node(s.AMap.L2Slice(a.Line)), reqFlits(a, s.D.FlitBytes, true))
+		nd := mod.Nodes[c]
+		mod.sys.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+			return mod.sys.inject(req, a, c, l2Node(mod.AMap.L2Slice(a.Line)), reqFlits(a, mod.sys.D.FlitBytes, true))
 		}), gPump(c))
-		rep.SetEndpoint(c, s.sink(nd.Q4))
-		nd.Q4.AttachGrouped(s.Noc2Clk, gRep)
+		rep.SetEndpoint(c, mod.sys.sink(nd.Q4))
+		nd.Q4.AttachGrouped(mod.sys.Noc2Clk, gRep)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
-		req.SetEndpoint(l2Node(i), s.sink(s.l2in[i]))
+		req.SetEndpoint(l2Node(i), mod.sys.sink(mod.l2in[i]))
 	}
-	s.wireL2Replies(func(a *mem.Access, slice int) bool {
+	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
 		dst := a.Core
 		if a.Core == cache.PrefetchCore {
 			dst = a.Node
 		}
-		return s.inject(rep, a, l2Node(slice), dst, replyFlits(a, s.D.FlitBytes, false, false))
+		return mod.sys.inject(rep, a, l2Node(slice), dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
 	})
 }

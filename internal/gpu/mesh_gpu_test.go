@@ -33,13 +33,13 @@ func TestMeshBaseDrains(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.Eng.RunUntil(s.CoreClk, s.CoreClk.Now()+2000)
 		done := true
-		for _, c := range s.Cores {
+		for _, c := range s.Mods[0].Cores {
 			if !c.Done() || c.OutstandingTotal() != 0 {
 				done = false
 			}
 		}
 		if done {
-			if s.MeshReq.Pending() != 0 || s.MeshRep.Pending() != 0 {
+			if s.Mods[0].MeshReq.Pending() != 0 || s.Mods[0].MeshRep.Pending() != 0 {
 				t.Fatal("mesh retained packets after drain")
 			}
 			return

@@ -10,89 +10,73 @@ import (
 	"dcl1sim/internal/power"
 )
 
-// registerMetrics wires every component's series into the system's registry
-// and builds the power-zone meter over them. It runs unconditionally at the
-// end of NewSystem: registration is closures over counters the components
-// already maintain, so an unobserved registry costs nothing per cycle, and
-// building it always keeps the series set — and therefore Results, which is
-// a view over the registry — identical whether or not telemetry is attached.
-func (s *System) registerMetrics() {
-	// A multi-GPU machine shares one registry across modules (injected via
-	// fabric before build); component names carry the "m<i>." prefix, so the
-	// series sets stay disjoint.
-	r := s.Reg
-	if r == nil {
-		r = metrics.NewRegistry()
-		s.Reg = r
-	}
+// registerMetrics wires every component's series into the machine's registry
+// and builds the module's power-zone meter over them. It runs unconditionally
+// at the end of newModule: registration is closures over counters the
+// components already maintain, so an unobserved registry costs nothing per
+// cycle, and building it always keeps the series set — and therefore Results,
+// which is a view over the registry — identical whether or not telemetry is
+// attached. Modules share the one registry; component names carry the
+// "m<i>." prefix in a multi-module machine, so the series sets stay disjoint.
+func (mod *Module) registerMetrics() {
+	r := mod.sys.Reg
 
-	for i, co := range s.Cores {
-		co.RegisterMetrics(r, s.cname(fmt.Sprintf("core-%d", i)))
+	for i, co := range mod.Cores {
+		co.RegisterMetrics(r, mod.cname(fmt.Sprintf("core-%d", i)))
 	}
-	for _, nd := range s.Nodes {
+	for _, nd := range mod.Nodes {
 		nd.RegisterMetrics(r, "core")
 	}
-	for _, l2 := range s.L2 {
+	for _, l2 := range mod.L2 {
 		l2.RegisterMetrics(r, "noc2", "l2")
 	}
-	for _, dc := range s.Drams {
+	for _, dc := range mod.Drams {
 		dc.RegisterMetrics(r, dc.P.Name, "mem")
 	}
-	for _, x := range s.Noc1Req {
+	for _, x := range mod.Noc1Req {
 		x.RegisterMetrics(r, "noc1", "noc1", false)
 	}
-	for _, x := range s.Noc1Rep {
+	for _, x := range mod.Noc1Rep {
 		x.RegisterMetrics(r, "noc1", "noc1", true)
 	}
-	for _, x := range s.Noc2Req {
+	for _, x := range mod.Noc2Req {
 		x.RegisterMetrics(r, "noc2", "noc2", false)
 	}
-	for _, x := range s.Noc2Rep {
+	for _, x := range mod.Noc2Rep {
 		x.RegisterMetrics(r, "noc2", "noc2", true)
 	}
-	if s.MeshReq != nil {
-		s.MeshReq.RegisterMetrics(r, s.cname("mesh-req"), "noc2", "noc2")
-		s.MeshRep.RegisterMetrics(r, s.cname("mesh-rep"), "noc2", "noc2")
+	if mod.MeshReq != nil {
+		mod.MeshReq.RegisterMetrics(r, mod.cname("mesh-req"), "noc2", "noc2")
+		mod.MeshRep.RegisterMetrics(r, mod.cname("mesh-rep"), "noc2", "noc2")
 	}
 
-	r.Gauge(s.cname("tracker"), "core", "l1_replicas_mean",
+	r.Gauge(mod.cname("tracker"), "core", "l1_replicas_mean",
 		"mean copies per cached line, sampled at line install",
-		func() float64 { return s.Tracker.MeanReplicas() })
-	r.Counter(s.cname("chaos"), "core", "chaos_faults_total",
+		func() float64 { return mod.Tracker.MeanReplicas() })
+	r.Counter(mod.cname("chaos"), "core", "chaos_faults_total",
 		"fault occurrences across all chaos injectors",
-		func() int64 { return s.FaultsInjected() })
+		func() int64 { return fired(mod.injectors) })
 
-	s.meter = power.NewMeter(s.buildZones())
-	for _, name := range s.meter.Zones() {
+	mod.meter = power.NewMeter(mod.buildZones())
+	for _, name := range mod.meter.Zones() {
 		zone := name
-		r.Gauge(s.cname("zone-"+zone), "core", "power_zone_watts",
+		r.Gauge(mod.cname("zone-"+zone), "core", "power_zone_watts",
 			"metered zone power over the last sample window",
-			func() float64 { return s.meter.Watts(zone) })
+			func() float64 { return mod.meter.Watts(zone) })
 	}
-	r.Gauge(s.cname("governor"), "core", "power_throttle_level",
+	r.Gauge(mod.cname("governor"), "core", "power_throttle_level",
 		"governor duty-cycle level (eighths of issue slots withheld)",
-		func() float64 {
-			if s.gov == nil {
-				return 0
-			}
-			return float64(s.gov.level)
-		})
-	r.Gauge(s.cname("governor"), "core", "power_effective_core_mhz",
+		func() float64 { return float64(mod.ThrottleLevel()) })
+	r.Gauge(mod.cname("governor"), "core", "power_effective_core_mhz",
 		"core frequency equivalent of the current duty cycle",
-		func() float64 {
-			level := 0
-			if s.gov != nil {
-				level = s.gov.level
-			}
-			return float64(s.Cfg.CoreMHz) * float64(8-level) / 8
-		})
-	r.Gauge(s.cname("governor"), "core", "power_cap_budget_watts",
+		func() float64 { return float64(mod.sys.Cfg.CoreMHz) * float64(8-mod.ThrottleLevel()) / 8 })
+	r.Gauge(mod.cname("governor"), "core", "power_cap_budget_watts",
 		"armed power budget (0 when uncapped)",
 		func() float64 {
-			if s.gov == nil {
+			if mod.gov == nil {
 				return 0
 			}
-			return s.gov.cap.BudgetWatts
+			return mod.gov.cap.BudgetWatts
 		})
 }
 
@@ -101,52 +85,52 @@ func (s *System) registerMetrics() {
 // NoC#2, with the mesh standing in for NoC#2 on MeshBase), and the whole
 // module. Term closures capture stats-field addresses, which survive the
 // warmup reset (it zeroes structs in place).
-func (s *System) buildZones() []power.Zone {
+func (mod *Module) buildZones() []power.Zone {
 	var gpuTerms, memTerms []power.ZoneTerm
-	for _, c := range s.Cores {
+	for _, c := range mod.Cores {
 		st := &c.Stat
 		gpuTerms = append(gpuTerms, power.ZoneTerm{
 			Energy: power.EnergyPerInstruction, Count: func() int64 { return st.Issued }})
 	}
-	for _, n := range s.Nodes {
+	for _, n := range mod.Nodes {
 		st := &n.Ctrl.Stat
 		gpuTerms = append(gpuTerms, power.ZoneTerm{
 			Energy: power.EnergyPerL1Access, Count: func() int64 { return st.Accesses }})
 	}
-	noc1 := append(append([]*noc.Crossbar{}, s.Noc1Req...), s.Noc1Rep...)
+	noc1 := append(append([]*noc.Crossbar{}, mod.Noc1Req...), mod.Noc1Rep...)
 	for _, x := range noc1 {
 		st := &x.Stat
 		gpuTerms = append(gpuTerms, power.ZoneTerm{
 			Energy: power.EnergyPerNoc1Flit, Count: func() int64 { return st.FlitsMoved }})
 	}
 
-	for _, l2 := range s.L2 {
+	for _, l2 := range mod.L2 {
 		st := &l2.Stat
 		memTerms = append(memTerms, power.ZoneTerm{
 			Energy: power.EnergyPerL2Access, Count: func() int64 { return st.Accesses }})
 	}
-	for _, dc := range s.Drams {
+	for _, dc := range mod.Drams {
 		st := &dc.Stat
 		memTerms = append(memTerms,
 			power.ZoneTerm{Energy: power.EnergyPerDramAccess, Count: func() int64 { return st.Reads + st.Writes }},
 			power.ZoneTerm{Energy: power.EnergyPerDramRefresh, Count: func() int64 { return st.Refreshes }})
 	}
-	noc2 := append(append([]*noc.Crossbar{}, s.Noc2Req...), s.Noc2Rep...)
+	noc2 := append(append([]*noc.Crossbar{}, mod.Noc2Req...), mod.Noc2Rep...)
 	for _, x := range noc2 {
 		st := &x.Stat
 		memTerms = append(memTerms, power.ZoneTerm{
 			Energy: power.EnergyPerNoc2Flit, Count: func() int64 { return st.FlitsMoved }})
 	}
-	if s.MeshReq != nil {
-		req, rep := &s.MeshReq.Stat, &s.MeshRep.Stat
+	if mod.MeshReq != nil {
+		req, rep := &mod.MeshReq.Stat, &mod.MeshRep.Stat
 		memTerms = append(memTerms, power.ZoneTerm{
 			Energy: power.EnergyPerNoc2Flit, Count: func() int64 { return req.FlitHops + rep.FlitHops }})
 	}
 
-	gpuStatic := float64(len(s.Cores))*power.StaticCoreWatts +
-		float64(len(s.Nodes))*power.StaticL1Watts
-	memStatic := float64(len(s.L2))*power.StaticL2Watts +
-		float64(len(s.Drams))*power.StaticChannelWatts
+	gpuStatic := float64(len(mod.Cores))*power.StaticCoreWatts +
+		float64(len(mod.Nodes))*power.StaticL1Watts
+	memStatic := float64(len(mod.L2))*power.StaticL2Watts +
+		float64(len(mod.Drams))*power.StaticChannelWatts
 	moduleTerms := append(append([]power.ZoneTerm{}, gpuTerms...), memTerms...)
 	return []power.Zone{
 		{Name: power.ZoneGPU, Static: gpuStatic, Terms: gpuTerms},
@@ -187,8 +171,9 @@ func (g *governor) step() {
 	}
 }
 
-// InstallTelemetry attaches live metrics collection (and optionally the
-// power-capping governor) to this system. It must be called after NewSystem
+// InstallTelemetry attaches live metrics collection (and optionally one
+// power-capping governor per module, each regulating its own cores against
+// its own metered zones) to this machine. It must be called after NewSystem
 // and before the run starts. The collector registers on the core clock as a
 // sleeper whose next-work cycle is the next sample point, so the sample grid
 // — exact multiples of opts.Every — is identical in fast-path, legacy-tick,
@@ -206,7 +191,9 @@ func (s *System) InstallTelemetry(opts metrics.Options, cap *power.CapSpec) erro
 		if err := spec.Validate(); err != nil {
 			return err
 		}
-		s.gov = &governor{meter: s.meter, cap: spec, cores: s.Cores}
+		for _, mod := range s.Mods {
+			mod.gov = &governor{meter: mod.meter, cap: spec, cores: mod.Cores}
+		}
 	}
 	col := metrics.NewCollector(s.Reg, s.D.Name(), s.App.Label(), opts.Every, opts.Sink)
 	mhz := s.CoreClk.FreqMHz()
@@ -214,11 +201,18 @@ func (s *System) InstallTelemetry(opts metrics.Options, cap *power.CapSpec) erro
 	var lastPs int64
 	col.OnSample(func(cycle int64) {
 		ps := cycle * 1_000_000 / mhz
-		s.meter.Advance(float64(ps-lastPs) * 1e-12)
+		dt := float64(ps-lastPs) * 1e-12
 		lastPs = ps
+		for _, mod := range s.Mods {
+			mod.meter.Advance(dt)
+		}
 	})
-	if s.gov != nil {
-		col.OnSample(func(int64) { s.gov.step() })
+	if cap != nil {
+		col.OnSample(func(int64) {
+			for _, mod := range s.Mods {
+				mod.gov.step()
+			}
+		})
 	}
 	// The snapshot walk fans out across the engine's shard workers when the
 	// run is sharded (each worker fills a disjoint stride of the batch) and
@@ -237,15 +231,11 @@ func (s *System) flushTelemetry() {
 	}
 }
 
-// ThrottleLevel reports the governor's current duty-cycle level (0 when
-// uncapped or never throttled).
-func (s *System) ThrottleLevel() int {
-	if s.gov == nil {
+// ThrottleLevel reports the module governor's current duty-cycle level (0
+// when uncapped or never throttled).
+func (mod *Module) ThrottleLevel() int {
+	if mod.gov == nil {
 		return 0
 	}
-	return s.gov.level
+	return mod.gov.level
 }
-
-// ZoneWatts reports the metered power of the named zone over the last closed
-// sample window (static-only before the first window closes).
-func (s *System) ZoneWatts(zone string) float64 { return s.meter.Watts(zone) }

@@ -114,7 +114,7 @@ func TestPowerCapThrottles(t *testing.T) {
 	if throttled := s.Reg.Total("core_throttled_total"); throttled == 0 {
 		t.Error("capped run never withheld an issue slot")
 	}
-	if s.ThrottleLevel() == 0 {
+	if s.Mods[0].ThrottleLevel() == 0 {
 		t.Error("governor level is 0 at end of a hopelessly over-budget run")
 	}
 	if capped.IPC >= 0.8*free.IPC {
@@ -192,12 +192,20 @@ func TestPowerCapShardInvariance(t *testing.T) {
 
 func TestInstallTelemetryTwiceErrors(t *testing.T) {
 	app, _ := workload.ByName("C-NN")
-	s := NewSystem(quiesceCfg(), Design{Kind: Baseline}, app)
-	if err := s.InstallTelemetry(metrics.Options{}, nil); err != nil {
-		t.Fatalf("first install: %v", err)
+	var msgs []string
+	for _, d := range bothShapes(Design{Kind: Baseline}) {
+		s := NewSystem(quiesceCfg(), d, app)
+		if err := s.InstallTelemetry(metrics.Options{}, nil); err != nil {
+			t.Fatalf("%s: first install: %v", d.Name(), err)
+		}
+		err := s.InstallTelemetry(metrics.Options{}, nil)
+		if err == nil {
+			t.Fatalf("%s: second install did not error", d.Name())
+		}
+		msgs = append(msgs, err.Error())
 	}
-	if err := s.InstallTelemetry(metrics.Options{}, nil); err == nil {
-		t.Fatal("second install did not error")
+	if msgs[0] != msgs[1] {
+		t.Errorf("errors differ between shapes: %q vs %q", msgs[0], msgs[1])
 	}
 }
 

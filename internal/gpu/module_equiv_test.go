@@ -3,8 +3,11 @@ package gpu
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dcl1sim/internal/chaos"
@@ -164,5 +167,59 @@ func TestModulesOneMatchesSingle(t *testing.T) {
 				t.Errorf("single-module stream carries a module component prefix")
 			}
 		})
+	}
+}
+
+// machineShape summarizes a built machine's object graph: module count,
+// clocks with their component counts, every series id, every probe name.
+type machineShape struct {
+	Mods   int
+	Clocks []string
+	Series []string
+	Probes []string
+}
+
+func shapeOf(s *System) machineShape {
+	sh := machineShape{Mods: len(s.Mods)}
+	for _, c := range s.Eng.Clocks() {
+		sh.Clocks = append(sh.Clocks, fmt.Sprintf("%s@%d:%d", c.Name(), c.FreqMHz(), c.Components()))
+	}
+	for _, ser := range s.Reg.Series() {
+		sh.Series = append(sh.Series, ser.Comp+"/"+ser.Domain+"/"+ser.Name)
+	}
+	for _, p := range s.NewMonitor().BuildDump("test", "core", 0, nil).Probes {
+		sh.Probes = append(sh.Probes, p.Name)
+	}
+	return sh
+}
+
+// TestOneModuleBuildsNoLink pins the merged build path's N = 1 case: Modules
+// 0 and 1 build the same object graph — one module, four clocks, no link
+// clock, crossbars or ports, an unpartitioned AddressMap, and no module
+// prefix on any series id or probe name — for every design kind.
+func TestOneModuleBuildsNoLink(t *testing.T) {
+	for _, gd := range goldenDesigns() {
+		d0, d1 := gd.d, gd.d
+		d1.Modules = 1
+		s0 := NewSystem(testCfg(), d0, sharingApp())
+		s1 := NewSystem(testCfg(), d1, sharingApp())
+		sh0, sh1 := shapeOf(s0), shapeOf(s1)
+		if !reflect.DeepEqual(sh0, sh1) {
+			t.Errorf("%s: Modules=1 graph differs from Modules=0:\n got: %+v\nwant: %+v", gd.name, sh1, sh0)
+		}
+		if sh1.Mods != 1 || len(sh1.Clocks) != 4 {
+			t.Errorf("%s: %d modules on %d clocks, want 1 on 4", gd.name, sh1.Mods, len(sh1.Clocks))
+		}
+		if s1.LinkClk != nil || s1.LinkReq != nil || s1.LinkRep != nil || s1.Mods[0].linkMissOut != nil {
+			t.Errorf("%s: one-module machine built link parts", gd.name)
+		}
+		if s1.Mods[0].AMap != testCfg().WithDefaults().AddressMap() {
+			t.Errorf("%s: one-module AddressMap was touched: %+v", gd.name, s1.Mods[0].AMap)
+		}
+		for _, id := range append(sh1.Series, sh1.Probes...) {
+			if strings.HasPrefix(id, "m0.") {
+				t.Errorf("%s: one-module machine names %q with a module prefix", gd.name, id)
+			}
+		}
 	}
 }

@@ -31,8 +31,9 @@ func TestPoolEquivalence(t *testing.T) {
 	}
 }
 
-// TestPoolEquivalenceChecked covers the option plumbing: NoPool through
-// RunChecked, alone and combined with LegacyTick, against the default run.
+// TestPoolEquivalenceChecked covers the checked path: a machine built
+// WithoutPool and run through RunChecked, alone and combined with LegacyTick,
+// against the default run.
 func TestPoolEquivalenceChecked(t *testing.T) {
 	app, _ := workload.ByName("C-BFS")
 	cfg := quiesceCfg()
@@ -42,15 +43,22 @@ func TestPoolEquivalenceChecked(t *testing.T) {
 		t.Fatalf("default run: %v", err)
 	}
 	for _, opts := range []HealthOptions{
-		{NoPool: true},
-		{NoPool: true, LegacyTick: true},
+		{},
+		{LegacyTick: true},
 	} {
-		r, err := RunChecked(cfg, d, app, opts)
+		s, err := NewSystemChecked(cfg, d, app, WithoutPool())
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		if s.Pool != nil {
+			t.Fatal("WithoutPool built a pooled machine")
+		}
+		r, err := s.RunChecked(opts)
 		if err != nil {
 			t.Fatalf("run %+v: %v", opts, err)
 		}
 		if !reflect.DeepEqual(base, r) {
-			t.Errorf("options %+v diverged:\nbase: %+v\ngot:  %+v", opts, base, r)
+			t.Errorf("unpooled, options %+v diverged:\nbase: %+v\ngot:  %+v", opts, base, r)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func TestPrefetchCounterAdvances(t *testing.T) {
 	s := NewSystem(cfg, d, streamingSequential())
 	s.Run()
 	var pf int64
-	for _, n := range s.Nodes {
+	for _, n := range s.Mods[0].Nodes {
 		pf += n.Ctrl.Stat.Prefetches
 	}
 	if pf == 0 {
@@ -56,7 +56,7 @@ func TestPrefetchCounterAdvances(t *testing.T) {
 func TestPrefetchOffByDefault(t *testing.T) {
 	s := NewSystem(testCfg(), Design{Kind: Baseline}, streamingSequential())
 	s.Run()
-	for _, n := range s.Nodes {
+	for _, n := range s.Mods[0].Nodes {
 		if n.Ctrl.Stat.Prefetches != 0 {
 			t.Fatal("prefetches issued without the knob")
 		}

@@ -53,15 +53,9 @@ type Results struct {
 	MaxLinkUtil float64   `json:",omitempty"` // max link reply-direction output utilization
 }
 
-// Run executes the app on the design and returns measurements. Designs with
-// Modules >= 2 build a multi-GPU Machine; everything else builds the classic
-// single-module System.
+// Run executes the app on the design and returns measurements.
 func Run(cfg Config, d Design, app workload.Source) Results {
-	if d.Modules >= 2 {
-		return NewMachine(cfg, d, app).Run()
-	}
-	s := NewSystem(cfg, d, app)
-	return s.Run()
+	return NewSystem(cfg, d, app).Run()
 }
 
 // SetFastPath toggles the engine's quiescence fast path for this system.
@@ -104,58 +98,90 @@ func (s *System) SetStridedPlacement(on bool) { s.Eng.SetStridedPlacement(on) }
 // Shards reports the configured shard count (1 = serial).
 func (s *System) Shards() int { return s.Eng.Shards() }
 
-// Run executes this system's warmup and measurement windows.
+// Run executes this machine's warmup and measurement windows.
 func (s *System) Run() Results {
-	cfg := s.Cfg
-	s.Eng.RunUntil(s.CoreClk, cfg.WarmupCycles)
-	s.resetStats()
-	start := s.CoreClk.Now()
-	s.Eng.RunUntil(s.CoreClk, cfg.WarmupCycles+cfg.MeasureCycles)
-	cycles := s.CoreClk.Now() - start
-	s.flushTelemetry()
+	cycles, _ := s.measure(func(until sim.Cycle) error {
+		s.Eng.RunUntil(s.CoreClk, until)
+		return nil
+	})
 	return s.collect(cycles)
 }
 
+// measure is the one run body: advance through the warmup window, zero the
+// statistics, advance through the measurement window, flush telemetry. It
+// returns the core cycles measured. advance runs the engine until the core
+// clock reaches its argument — plainly for Run, under the watchdog for
+// RunChecked — and its first error aborts the run.
+func (s *System) measure(advance func(until sim.Cycle) error) (sim.Cycle, error) {
+	cfg := s.Cfg
+	if err := advance(cfg.WarmupCycles); err != nil {
+		return 0, err
+	}
+	s.resetStats()
+	start := s.CoreClk.Now()
+	if err := advance(cfg.WarmupCycles + cfg.MeasureCycles); err != nil {
+		return 0, err
+	}
+	s.flushTelemetry()
+	return s.CoreClk.Now() - start, nil
+}
+
+// resetStats zeroes every module's statistics and the link crossbars' at the
+// warmup boundary.
 func (s *System) resetStats() {
-	for _, c := range s.Cores {
+	for _, mod := range s.Mods {
+		mod.resetStats()
+	}
+	for _, x := range s.linkXbars() {
+		resetXbarStats(x)
+	}
+}
+
+// resetXbarStats zeroes a crossbar's counters, keeping its per-port slices
+// at their sizes.
+func resetXbarStats(x *noc.Crossbar) {
+	x.Stat = noc.Stats{
+		InFlits:  make([]int64, x.P.Ins),
+		OutFlits: make([]int64, x.P.Outs),
+	}
+}
+
+// resetStats zeroes the statistics of every component of the module.
+func (mod *Module) resetStats() {
+	for _, c := range mod.Cores {
 		c.Stat = core.Stats{}
 	}
-	for _, n := range s.Nodes {
+	for _, n := range mod.Nodes {
 		n.Ctrl.Stat = cache.Stats{}
 		n.Stat.BypassReplies = 0
 		n.Stat.BypassRequests = 0
 	}
-	for _, l2 := range s.L2 {
+	for _, l2 := range mod.L2 {
 		l2.Stat = cache.Stats{}
 	}
-	for _, dc := range s.Drams {
+	for _, dc := range mod.Drams {
 		dc.Stat = dram.Stats{}
 	}
-	if s.MeshReq != nil {
-		s.MeshReq.Stat = noc.MeshStats{}
-		s.MeshRep.Stat = noc.MeshStats{}
+	if mod.MeshReq != nil {
+		mod.MeshReq.Stat = noc.MeshStats{}
+		mod.MeshRep.Stat = noc.MeshStats{}
 	}
-	for _, group := range [][]*noc.Crossbar{s.Noc1Req, s.Noc1Rep, s.Noc2Req, s.Noc2Rep} {
-		for _, x := range group {
-			st := noc.Stats{
-				InFlits:  make([]int64, x.P.Ins),
-				OutFlits: make([]int64, x.P.Outs),
-			}
-			x.Stat = st
-		}
+	for _, x := range mod.crossbars() {
+		resetXbarStats(x)
 	}
-	s.Tracker.SampledReplicaSum = 0
-	s.Tracker.SampledReplicaCount = 0
+	mod.Tracker.SampledReplicaSum = 0
+	mod.Tracker.SampledReplicaCount = 0
 	// Re-baseline the power meter: the counters its zone terms read were just
 	// zeroed, and a window spanning the reset would see negative deltas.
-	s.meter.Rebase()
+	mod.meter.Rebase()
 }
 
-// collect builds Results as a view over the metric registry: every figure is
-// derived from registered series, so the end-of-run summary and the live
-// stream can never disagree. Registration order matches the old direct
-// component walks (cores, then nodes, then L2/DRAM/NoC), keeping every value
-// bit-identical to the pre-registry collector.
+// collect builds Results as a view over the metric registry, which every
+// module shares: every figure is derived from registered series, so the
+// end-of-run summary and the live stream can never disagree. Registration
+// order matches the old direct component walks (cores, then nodes, then
+// L2/DRAM/NoC), keeping every value bit-identical to the pre-registry
+// collector.
 func (s *System) collect(cycles sim.Cycle) Results {
 	r := Results{
 		Design:         s.D.Name(),
@@ -187,7 +213,14 @@ func (s *System) collect(cycles sim.Cycle) Results {
 	if misses > 0 {
 		r.ReplicationRatio = float64(reg.Total("l1_replicated_misses_total")) / float64(misses)
 	}
-	r.MeanReplicas = s.Tracker.MeanReplicas()
+	var repSum, repCount int64
+	for _, mod := range s.Mods {
+		repSum += mod.Tracker.SampledReplicaSum
+		repCount += mod.Tracker.SampledReplicaCount
+	}
+	if repCount > 0 {
+		r.MeanReplicas = float64(repSum) / float64(repCount)
+	}
 
 	if l2loads := reg.Total("l2_loads_total"); l2loads > 0 {
 		r.L2MissRate = float64(reg.Total("l2_load_misses_total")) / float64(l2loads)
@@ -207,46 +240,29 @@ func (s *System) collect(cycles sim.Cycle) Results {
 		r.MaxReplyLinkUtil = reg.GaugeMax("noc1_reply_link_util_max")
 	}
 	r.FaultsInjected = reg.Total("chaos_faults_total")
+
+	if len(s.Mods) > 1 {
+		r.Modules = len(s.Mods)
+		for _, mod := range s.Mods {
+			var issued int64
+			for _, c := range mod.Cores {
+				issued += c.Stat.Issued
+			}
+			r.ModuleIPC = append(r.ModuleIPC, float64(issued)/float64(cycles))
+		}
+		r.LinkFlits = reg.Total("link_flits_total")
+		r.MaxLinkUtil = reg.GaugeMax("link_reply_link_util_max")
+	}
 	return r
 }
 
-// NoCSpec returns the power-model description of this design's NoC (one
+// DesignNoCSpec returns the power-model description of the design's NoC (one
 // physical subnetwork; request/reply duplication cancels in normalization).
-func (s *System) NoCSpec() power.NoCSpec {
-	cfg, d := s.Cfg, s.D
-	noc1 := float64(s.Noc1Clk.FreqMHz())
-	noc2 := float64(s.Noc2Clk.FreqMHz())
-	switch d.Kind {
-	case Baseline:
-		return power.BaselineNoC(cfg.Cores, cfg.L2Slices, d.FlitBytes, noc2)
-	case Private:
-		return power.PrivateNoC(cfg.Cores, d.DCL1s, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case Shared:
-		return power.SharedNoC(cfg.Cores, d.DCL1s, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case Clustered:
-		return power.ClusteredNoC(cfg.Cores, d.DCL1s, d.Clusters, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case CDXBar:
-		return power.CDXBarNoC(cfg.Cores, d.CDXGroups, d.CDXMid, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case SingleL1:
-		return power.SharedNoC(cfg.Cores, 1, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case MeshBase:
-		return power.MeshNoC(cfg.Cores+cfg.L2Slices, d.FlitBytes, noc2)
-	}
-	return power.NoCSpec{}
-}
-
-// DesignNoCSpec builds the NoCSpec without constructing a full system.
 func DesignNoCSpec(cfg Config, d Design) power.NoCSpec {
 	cfg = cfg.WithDefaults()
 	d = d.withDefaults(cfg)
-	noc1 := float64(cfg.NoCMHz)
-	if d.Boost1 || d.CDXBoostS1 || d.CDXBoostAll || (d.Kind == Baseline && d.NoCBoost) {
-		noc1 *= 2
-	}
-	noc2 := float64(cfg.NoCMHz)
-	if d.CDXBoostAll || (d.Kind == Baseline && d.NoCBoost) {
-		noc2 *= 2
-	}
+	noc1MHz, noc2MHz := nocClockMHz(cfg, d)
+	noc1, noc2 := float64(noc1MHz), float64(noc2MHz)
 	switch d.Kind {
 	case Baseline:
 		return power.BaselineNoC(cfg.Cores, cfg.L2Slices, d.FlitBytes, noc2)

@@ -3,10 +3,8 @@ package gpu
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 
-	"dcl1sim/internal/health"
 	"dcl1sim/internal/workload"
 )
 
@@ -17,46 +15,15 @@ type Job struct {
 	App workload.Source
 }
 
-// RunMany executes a batch of independent simulations across worker
-// goroutines (one per CPU by default) and returns results in job order.
-// Each simulation is itself single-threaded and deterministic, so the batch
-// output is independent of scheduling.
-func RunMany(jobs []Job, workers int) []Results {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	out := make([]Results, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = Run(jobs[i].Cfg, jobs[i].D, jobs[i].App)
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
-// RunManyChecked is RunMany under the health layer: every job runs with the
-// progress watchdog, deadline, and invariant audit of opts, and errs[i]
-// carries job i's typed health error (nil on success). A wedged or crashing
-// job degrades into its error slot instead of hanging or killing the sweep.
-// A canceled opts.Ctx aborts running jobs at their next watchdog slice and
-// fails not-yet-started jobs immediately, so sweeps wind down cleanly.
+// RunManyChecked executes a batch of independent simulations across worker
+// goroutines (one per CPU by default) and returns results in job order; each
+// simulation is deterministic, so the batch output is independent of
+// scheduling. Every job runs with the progress watchdog, deadline, and
+// invariant audit of opts, and errs[i] carries job i's typed health error
+// (nil on success). A wedged or crashing job degrades into its error slot
+// instead of hanging or killing the sweep. A canceled opts.Ctx aborts running
+// jobs at their next watchdog slice and fails not-yet-started jobs
+// immediately, so sweeps wind down cleanly.
 //
 // Partial results are a hard guarantee, not best effort: out and errs always
 // have len(jobs) entries, every job is attempted regardless of earlier
@@ -120,13 +87,7 @@ func RunManyChecked(jobs []Job, workers int, opts HealthOptions) (out []Results,
 func runJobChecked(j Job, opts HealthOptions) (r Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			r = Results{}
-			err = &health.SimError{
-				Design: j.D.Name(),
-				App:    safeLabel(j.App),
-				Cause:  p,
-				Stack:  string(debug.Stack()),
-			}
+			r, err = Results{}, simError(j.D, j.App, 0, p)
 		}
 	}()
 	return RunChecked(j.Cfg, j.D, j.App, opts)

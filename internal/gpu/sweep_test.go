@@ -17,8 +17,11 @@ func TestRunManyMatchesSerial(t *testing.T) {
 		{Cfg: cfg, D: Design{Kind: Shared, DCL1s: 4}, App: sharingApp()},
 		{Cfg: cfg, D: Design{Kind: Private, DCL1s: 4}, App: streamApp()},
 	}
-	par := RunMany(jobs, 3)
+	par, errs := RunManyChecked(jobs, 3, HealthOptions{})
 	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
+		}
 		serial := Run(j.Cfg, j.D, j.App)
 		if par[i].IPC != serial.IPC || par[i].L1MissRate != serial.L1MissRate {
 			t.Fatalf("job %d diverged: parallel %+v vs serial %+v", i, par[i].IPC, serial.IPC)
@@ -81,12 +84,36 @@ func TestRunManyCheckedPartialResults(t *testing.T) {
 }
 
 func TestRunManyEmptyAndDefaults(t *testing.T) {
-	if out := RunMany(nil, 0); len(out) != 0 {
+	if out, errs := RunManyChecked(nil, 0, HealthOptions{}); len(out) != 0 || len(errs) != 0 {
 		t.Fatal("empty batch must return empty results")
 	}
 	cfg := testCfg()
-	out := RunMany([]Job{{Cfg: cfg, D: Design{Kind: Baseline}, App: sharingApp()}}, 0)
-	if len(out) != 1 || out[0].IPC <= 0 {
-		t.Fatal("single-job batch failed")
+	out, errs := RunManyChecked([]Job{{Cfg: cfg, D: Design{Kind: Baseline}, App: sharingApp()}}, 0, HealthOptions{})
+	if len(out) != 1 || errs[0] != nil || out[0].IPC <= 0 {
+		t.Fatalf("single-job batch failed: %v", errs)
+	}
+}
+
+// labelPanicApp builds and runs like its Spec but panics when asked for its
+// label — which the run reads to stamp its results.
+type labelPanicApp struct{ workload.Spec }
+
+func (labelPanicApp) Label() string { panic("injected label panic") }
+
+// TestRunCheckedSurvivesPanickingLabel pins the run's one recover handler: a
+// panic raised by Source.Label inside (*System).RunChecked comes back as a
+// *health.SimError (the handler must not call Label again to describe it),
+// on a machine of one module and of two.
+func TestRunCheckedSurvivesPanickingLabel(t *testing.T) {
+	for _, d := range bothShapes(Design{Kind: Shared, DCL1s: 4}) {
+		s := NewSystem(testCfg(), d, labelPanicApp{sharingApp()})
+		_, err := s.RunChecked(HealthOptions{})
+		var se *health.SimError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: want *health.SimError, got %v", d.Name(), err)
+		}
+		if se.App != "<unlabeled>" || se.Design != d.Name() || se.Stack == "" {
+			t.Errorf("%s: SimError = {Design %q App %q stack %d bytes}", d.Name(), se.Design, se.App, len(se.Stack))
+		}
 	}
 }

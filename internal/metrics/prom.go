@@ -75,7 +75,7 @@ func promLabels(design, app, comp, domain string) string {
 }
 
 // splitModuleComp recognizes the "m<N>." component prefix multi-GPU machines
-// stamp on every per-module component (see gpu.Machine) and splits it into
+// stamp on every per-module component (see gpu.Module) and splits it into
 // the module label and the bare component name. Components without the
 // prefix — single-module runs and machine-level parts like the inter-module
 // link — carry no module label.

@@ -21,7 +21,6 @@ type runConfig struct {
 	ctx      context.Context
 	legacy   bool
 	strided  bool
-	noPool   bool
 	workers  int
 	shards   int
 	chaos    *chaos.Spec
@@ -84,14 +83,6 @@ func WithStridedPlacement() RunOption {
 	return func(rc *runConfig) { rc.strided = true }
 }
 
-// WithNoPooling disables the Access/Packet recycling pool, allocating every
-// value fresh as the original engine did. Results are bit-identical either
-// way; the knob exists for the equivalence tests and before/after
-// benchmarking (see DESIGN.md §10).
-func WithNoPooling() RunOption {
-	return func(rc *runConfig) { rc.noPool = true }
-}
-
 // healthOptions folds the option set into the gpu-level health options.
 func (rc *runConfig) healthOptions() HealthOptions {
 	h := rc.health
@@ -103,9 +94,6 @@ func (rc *runConfig) healthOptions() HealthOptions {
 	}
 	if rc.strided {
 		h.StridedPlacement = true
-	}
-	if rc.noPool {
-		h.NoPool = true
 	}
 	if rc.shards != 0 {
 		h.Shards = rc.shards
