@@ -30,7 +30,7 @@ type Popularity struct {
 	N []float64 // lines represented by each group
 }
 
-// zipfCDF mirrors sim.RNG.Zipf's continuous inverse-CDF form.
+// zipfCDF mirrors sim.Zipf's continuous inverse-CDF form.
 func zipfCDF(x float64, n int, s float64) float64 {
 	if n <= 0 {
 		return 1

@@ -201,7 +201,7 @@ func TestArrayEvictionConsistencyProperty(t *testing.T) {
 }
 
 func TestPresenceTracker(t *testing.T) {
-	p := NewPresence()
+	p := NewPresence(0)
 	p.OnInstall(0, 100)
 	if p.PresentElsewhere(0, 100) {
 		t.Fatal("own copy counted as replica")
@@ -227,7 +227,7 @@ func TestPresenceTracker(t *testing.T) {
 }
 
 func TestPresenceIdempotentInstall(t *testing.T) {
-	p := NewPresence()
+	p := NewPresence(0)
 	p.OnInstall(3, 8)
 	p.OnInstall(3, 8)
 	if p.Replicas(8) != 1 {
@@ -241,7 +241,7 @@ func TestPresenceIdempotentInstall(t *testing.T) {
 }
 
 func TestPresenceHighCacheIDs(t *testing.T) {
-	p := NewPresence()
+	p := NewPresence(0)
 	// 120-core study uses cache ids above 63 (second bitmap word).
 	p.OnInstall(100, 55)
 	p.OnInstall(10, 55)
@@ -258,7 +258,7 @@ func TestPresenceHighCacheIDs(t *testing.T) {
 }
 
 func TestPresenceMeanReplicas(t *testing.T) {
-	p := NewPresence()
+	p := NewPresence(0)
 	p.OnInstall(0, 1) // 1 copy at install
 	p.OnInstall(1, 1) // 2 copies
 	p.OnInstall(2, 1) // 3 copies
@@ -270,7 +270,7 @@ func TestPresenceMeanReplicas(t *testing.T) {
 	if (&empty).SampledReplicaCount != 0 {
 		t.Fatal("zero value not empty")
 	}
-	if NewPresence().MeanReplicas() != 0 {
+	if NewPresence(0).MeanReplicas() != 0 {
 		t.Fatal("empty tracker mean must be 0")
 	}
 }
@@ -279,7 +279,7 @@ func TestPresenceMeanReplicas(t *testing.T) {
 // line and have not evicted it.
 func TestPresenceCountProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		p := NewPresence()
+		p := NewPresence(0)
 		ref := map[int]bool{}
 		const line = 77
 		for _, op := range ops {

@@ -211,6 +211,10 @@ func (c *Ctrl) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return wake
 }
 
+// WakeSources implements sim.WakeSourcer: a sleeping controller is woken by
+// a request or a fill; the latency pipe and the corruption drill are timers.
+func (c *Ctrl) WakeSources() []sim.PortRef { return []sim.PortRef{c.In.Ref(), c.FillIn.Ref()} }
+
 // SkipIdle implements sim.IdleSkipper, keeping the lastTick watermark (used
 // by the invariant age audits) identical to what ticking would have left.
 func (c *Ctrl) SkipIdle(now sim.Cycle, n sim.Cycle) { c.lastTick = now }

@@ -344,7 +344,7 @@ func TestCtrlPortLimit(t *testing.T) {
 }
 
 func TestCtrlReplicationStats(t *testing.T) {
-	tr := NewPresence()
+	tr := NewPresence(0)
 	c0 := New(l1Params(), 0, tr)
 	c1 := New(l1Params(), 1, tr)
 	// Cache 0 installs line 50.

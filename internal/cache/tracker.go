@@ -51,9 +51,11 @@ type presenceEntry struct {
 	n    int16
 }
 
-// NewPresence returns an empty tracker.
-func NewPresence() *Presence {
-	return &Presence{byLine: make(map[uint64]presenceEntry, 1<<16)}
+// NewPresence returns an empty tracker sized for caches holding lines lines
+// in all (the most entries the map can ever carry at once). The hint is
+// capped: an 80-core machine's L1s hold more lines than a run keeps distinct.
+func NewPresence(lines int) *Presence {
+	return &Presence{byLine: make(map[uint64]presenceEntry, min(lines, 1<<16))}
 }
 
 // OnInstall implements Tracker.

@@ -87,14 +87,20 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 }
 
 // RegisterShards installs only -shards, for single-simulation commands
-// (dcl1sim, dcl1trace replay) where a worker pool has nothing to divide.
+// (dcl1sim, dcl1trace replay) where a worker pool has nothing to divide. The
+// default is serial: on the hosts this has been measured on, sharding one
+// run loses to not sharding it (bench sim.shards2_ratio), so auto-sizing is
+// for whoever asks with -shards 0.
 func (e *Engine) RegisterShards(fs *flag.FlagSet) {
+	if e.Shards == 0 {
+		e.Shards = 1
+	}
 	fs.IntVar(&e.Shards, "shards", e.Shards,
-		"tick-execution shards inside each simulation (0 = auto-size to the machine, 1 = serial; capped at GOMAXPROCS/workers; results are identical for any value)")
+		"tick-execution shards inside each simulation (1 = serial, the default; 0 = auto-size to the machine; capped at GOMAXPROCS/workers; results are identical for any value)")
 }
 
-// Apply folds the group into o. A zero -shards means auto: the run picks
-// min(GOMAXPROCS, widest clock), serial on a single-CPU host.
+// Apply folds the group into o. An explicit -shards 0 means auto: the run
+// picks min(GOMAXPROCS, widest clock), serial on a single-CPU host.
 func (e *Engine) Apply(o *dcl1.HealthOptions) { o.Shards = e.ShardCount() }
 
 // ShardCount returns the -shards value with 0 resolved to dcl1.ShardsAuto,

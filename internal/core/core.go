@@ -313,6 +313,11 @@ func (c *Core) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return c.sleepUntil
 }
 
+// WakeSources implements sim.WakeSourcer: asleep, the core's own state is
+// frozen, so only a reply committed into In can give it work before
+// sleepUntil.
+func (c *Core) WakeSources() []sim.PortRef { return []sim.PortRef{c.In.Ref()} }
+
 // SkipIdle implements sim.IdleSkipper: n skipped idle ticks each count one
 // cycle and (when the core has wavefronts to stall) one no-ready stall,
 // exactly as the skipped Ticks would have.

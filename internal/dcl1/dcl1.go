@@ -174,6 +174,12 @@ func (n *Node) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return n.Ctrl.NextWorkCycle(now)
 }
 
+// WakeSources implements sim.WakeSourcer: the two inbound bridge queues are
+// the only ports another component fills. The cache controller's own four
+// are filled and drained by the node itself, so they are frozen while it
+// sleeps.
+func (n *Node) WakeSources() []sim.PortRef { return []sim.PortRef{n.Q1.Ref(), n.Q4.Ref()} }
+
 // SkipIdle implements sim.IdleSkipper by forwarding to the cache controller
 // (the node itself keeps no per-cycle counters).
 func (n *Node) SkipIdle(now sim.Cycle, nc sim.Cycle) { n.Ctrl.SkipIdle(now, nc) }

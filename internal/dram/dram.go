@@ -276,6 +276,10 @@ func (c *Channel) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return wake
 }
 
+// WakeSources implements sim.WakeSourcer: in-flight accesses and refresh are
+// timers; only a request committed into In arrives from outside.
+func (c *Channel) WakeSources() []sim.PortRef { return []sim.PortRef{c.In.Ref()} }
+
 // SkipIdle implements sim.IdleSkipper.
 func (c *Channel) SkipIdle(now sim.Cycle, n sim.Cycle) {
 	c.Stat.Cycles += n

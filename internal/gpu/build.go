@@ -213,14 +213,13 @@ func (s *System) newModule(i, n int) *Module {
 	// one coherent neighborhood for the locality-aware partitioner.
 	nodes := nodeCount(cfg, d)
 	mod := &Module{
-		sys:     s,
-		App:     s.App,
-		AMap:    cfg.AddressMap(),
-		Tracker: cache.NewPresence(),
-		gbCore:  i * (cfg.Cores + nodes + 8),
-		gbNoc1:  i * (2*cfg.Cores + 2*nodes + 64),
-		gbNoc2:  i * (cfg.L2Slices + cfg.Channels + 2*cfg.Cores + 2*nodes + 64),
-		gbMem:   i * (cfg.Channels + 8),
+		sys:    s,
+		App:    s.App,
+		AMap:   cfg.AddressMap(),
+		gbCore: i * (cfg.Cores + nodes + 8),
+		gbNoc1: i * (2*cfg.Cores + 2*nodes + 64),
+		gbNoc2: i * (cfg.L2Slices + cfg.Channels + 2*cfg.Cores + 2*nodes + 64),
+		gbMem:  i * (cfg.Channels + 8),
 	}
 	if n > 1 {
 		mod.prefix = fmt.Sprintf("m%d.", i)
@@ -232,6 +231,8 @@ func (s *System) newModule(i, n int) *Module {
 		}
 	}
 
+	l1 := mod.l1NodeParams(0).Cache
+	mod.Tracker = cache.NewPresence(nodes * l1.Sets * l1.Ways)
 	mod.buildCores()
 	mod.buildNodes()
 	mod.buildL2AndDram()
@@ -596,6 +597,9 @@ func (p *queuePump) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return now
 }
 
+// WakeSources implements sim.WakeSourcer.
+func (p *queuePump) WakeSources() []sim.PortRef { return []sim.PortRef{p.q.Ref()} }
+
 // pump returns a Ticker moving accesses from q through try, up to rate/cycle.
 func pump(q *sim.Port[*mem.Access], rate int, try func(a *mem.Access) bool) sim.Ticker {
 	return &queuePump{q: q, rate: rate, try: try}
@@ -643,6 +647,15 @@ func (p *multiPump) NextWorkCycle(now sim.Cycle) sim.Cycle {
 		}
 	}
 	return sim.WakeNever
+}
+
+// WakeSources implements sim.WakeSourcer.
+func (p *multiPump) WakeSources() []sim.PortRef {
+	refs := make([]sim.PortRef, len(p.srcs))
+	for i, q := range p.srcs {
+		refs[i] = q.Ref()
+	}
+	return refs
 }
 
 // sink delivers a packet's access into q and retires the packet shell. Every

@@ -198,6 +198,10 @@ func (s *System) InstallTelemetry(opts metrics.Options, cap *power.CapSpec) erro
 	col := metrics.NewCollector(s.Reg, s.D.Name(), s.App.Label(), opts.Every, opts.Sink)
 	mhz := s.CoreClk.FreqMHz()
 	col.SetTimeFunc(func(cyc int64) int64 { return cyc * 1_000_000 / mhz })
+	// A sample reads counters the engine compensates lazily for sleeping
+	// components (cycle totals behind utilizations, stall counts): bring
+	// them up to date first.
+	col.OnSample(func(int64) { s.Eng.Settle() })
 	var lastPs int64
 	col.OnSample(func(cycle int64) {
 		ps := cycle * 1_000_000 / mhz

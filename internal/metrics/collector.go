@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+
+	"dcl1sim/internal/sim"
 )
 
 // DefaultEvery is the default sampling period in core cycles.
@@ -110,6 +112,10 @@ func (c *Collector) Tick(now int64) {
 // NextWorkCycle returns the next sample cycle, bounding idle fast-forward so
 // the engine never skips over a sample point.
 func (c *Collector) NextWorkCycle(now int64) int64 { return c.next }
+
+// WakeSources implements sim.WakeSourcer: the collector consumes no port, so
+// only its own timer — the next sample cycle — ever wakes it.
+func (c *Collector) WakeSources() []sim.PortRef { return nil }
 
 // Fold takes the pending snapshot, if any, stamped with the cycle the sample
 // was marked on. It must be called from a barrier task of the collector's

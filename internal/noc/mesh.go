@@ -274,6 +274,9 @@ func (m *Mesh) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return sim.WakeNever
 }
 
+// WakeSources implements sim.WakeSourcer.
+func (m *Mesh) WakeSources() []sim.PortRef { return portRefs(m.inj) }
+
 // SkipIdle implements sim.IdleSkipper.
 func (m *Mesh) SkipIdle(now sim.Cycle, n sim.Cycle) {
 	m.Stat.Cycles += n

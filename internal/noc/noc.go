@@ -323,6 +323,18 @@ func (x *Crossbar) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return sim.WakeNever
 }
 
+// WakeSources implements sim.WakeSourcer: the injection ports are the only
+// way a packet enters an empty switch.
+func (x *Crossbar) WakeSources() []sim.PortRef { return portRefs(x.inj) }
+
+func portRefs(ports []*sim.Port[*mem.Packet]) []sim.PortRef {
+	refs := make([]sim.PortRef, len(ports))
+	for i, p := range ports {
+		refs[i] = p.Ref()
+	}
+	return refs
+}
+
 // SkipIdle implements sim.IdleSkipper. Stat.Cycles feeds OutUtilization, so
 // the compensation must be exact for results to stay bit-identical.
 func (x *Crossbar) SkipIdle(now sim.Cycle, n sim.Cycle) {

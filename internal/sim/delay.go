@@ -5,103 +5,86 @@ package sim
 // traversal). Items that become ready on the same cycle are released in
 // insertion order, keeping the simulation deterministic.
 //
-// The heap is hand-rolled rather than built on container/heap: the interface
-// methods box every delayItem through an interface{} on Push/Pop, which is a
-// heap allocation per call — on a saturated run that is one of the hottest
-// allocation sites in the whole simulator. The manual siftUp/siftDown keep
-// the identical (readyAt, seq) ordering.
+// The items sit in a power-of-two ring sorted by release cycle, and a push
+// inserts from the tail: every fixed-latency pipe produces monotone release
+// cycles, so the new item lands behind the last one in O(1), and a variable
+// latency only shifts the few younger items it overtakes. Stopping at the
+// first item that is not later than the new one keeps equal release cycles
+// in insertion order — the (readyAt, insertion) order a heap with a sequence
+// number gives, without the sequence number or the sifts.
 type DelayQueue[T any] struct {
-	h   []delayItem[T]
-	seq int64
+	buf  []delayItem[T]
+	head int
+	size int
 }
 
 type delayItem[T any] struct {
 	readyAt Cycle
-	seq     int64
 	v       T
-}
-
-// less orders by release cycle, then insertion order.
-func (d *DelayQueue[T]) less(i, j int) bool {
-	if d.h[i].readyAt != d.h[j].readyAt {
-		return d.h[i].readyAt < d.h[j].readyAt
-	}
-	return d.h[i].seq < d.h[j].seq
-}
-
-func (d *DelayQueue[T]) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !d.less(i, parent) {
-			return
-		}
-		d.h[i], d.h[parent] = d.h[parent], d.h[i]
-		i = parent
-	}
-}
-
-func (d *DelayQueue[T]) siftDown(i int) {
-	n := len(d.h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		min := l
-		if r := l + 1; r < n && d.less(r, l) {
-			min = r
-		}
-		if !d.less(min, i) {
-			return
-		}
-		d.h[i], d.h[min] = d.h[min], d.h[i]
-		i = min
-	}
 }
 
 // NewDelayQueue returns an empty delay queue.
 func NewDelayQueue[T any]() *DelayQueue[T] { return &DelayQueue[T]{} }
 
 // Len returns the number of in-flight items.
-func (d *DelayQueue[T]) Len() int { return len(d.h) }
+func (d *DelayQueue[T]) Len() int { return d.size }
 
 // Push schedules v to become ready at cycle readyAt.
 func (d *DelayQueue[T]) Push(v T, readyAt Cycle) {
-	d.h = append(d.h, delayItem[T]{readyAt: readyAt, seq: d.seq, v: v})
-	d.seq++
-	d.siftUp(len(d.h) - 1)
+	if d.size == len(d.buf) {
+		d.grow()
+	}
+	mask := len(d.buf) - 1
+	i := d.size
+	for ; i > 0; i-- {
+		prev := &d.buf[(d.head+i-1)&mask]
+		if prev.readyAt <= readyAt {
+			break
+		}
+		d.buf[(d.head+i)&mask] = *prev
+	}
+	d.buf[(d.head+i)&mask] = delayItem[T]{readyAt: readyAt, v: v}
+	d.size++
+}
+
+func (d *DelayQueue[T]) grow() {
+	n := 2 * len(d.buf)
+	if n == 0 {
+		n = 8
+	}
+	nb := make([]delayItem[T], n)
+	for i := 0; i < d.size; i++ {
+		nb[i] = d.buf[(d.head+i)&(len(d.buf)-1)]
+	}
+	d.buf = nb
+	d.head = 0
 }
 
 // PeekReady reports whether an item is ready at cycle now, without removing it.
 func (d *DelayQueue[T]) PeekReady(now Cycle) (v T, ok bool) {
-	if len(d.h) == 0 || d.h[0].readyAt > now {
+	if d.size == 0 || d.buf[d.head].readyAt > now {
 		return v, false
 	}
-	return d.h[0].v, true
+	return d.buf[d.head].v, true
 }
 
 // PopReady removes and returns the next item whose release cycle is <= now.
 func (d *DelayQueue[T]) PopReady(now Cycle) (v T, ok bool) {
-	if len(d.h) == 0 || d.h[0].readyAt > now {
+	if d.size == 0 || d.buf[d.head].readyAt > now {
 		return v, false
 	}
-	v = d.h[0].v
-	n := len(d.h) - 1
-	d.h[0] = d.h[n]
-	var zero delayItem[T]
-	d.h[n] = zero // release the value for GC; the slot is reused by append
-	d.h = d.h[:n]
-	if n > 0 {
-		d.siftDown(0)
-	}
+	v = d.buf[d.head].v
+	d.buf[d.head] = delayItem[T]{} // release the value for GC
+	d.head = (d.head + 1) & (len(d.buf) - 1)
+	d.size--
 	return v, true
 }
 
 // NextReadyAt returns the release cycle of the earliest item, or ok=false if
 // the queue is empty.
 func (d *DelayQueue[T]) NextReadyAt() (c Cycle, ok bool) {
-	if len(d.h) == 0 {
+	if d.size == 0 {
 		return 0, false
 	}
-	return d.h[0].readyAt, true
+	return d.buf[d.head].readyAt, true
 }

@@ -58,9 +58,11 @@ const wakeHorizon Cycle = 1 << 42
 //   - WakeNever promises idleness until external input arrives.
 //
 // The promise only needs to hold under the engine's re-evaluation rule:
-// NextWorkCycle is re-queried at every edge the component is considered on,
-// after all earlier work of that edge, so a push into the component's queues
-// is observed before the component would be skipped.
+// NextWorkCycle is re-queried at every edge the component is considered on —
+// every edge for a plain Sleeper; for one that also declares WakeSources (see
+// wake.go), the edges after its timer comes due or a producer's barrier
+// publishes into one of those ports. It must be a pure function of the
+// component's state.
 type Sleeper interface {
 	NextWorkCycle(now Cycle) Cycle
 }
@@ -69,8 +71,10 @@ type Sleeper interface {
 // Tick still advances counters (cycle totals, stall counters, last-tick
 // watermarks). SkipIdle(now, n) must reproduce exactly the counter effects of
 // the n skipped idle Ticks ending at cycle now, keeping skipped runs
-// bit-identical to ticked ones. Components whose idle Tick changes nothing
-// need not implement it.
+// bit-identical to ticked ones. The engine pays the debt lazily and in bulk:
+// one call when the component next ticks, or when the engine settles (see
+// Engine.Settle). Components whose idle Tick changes nothing need not
+// implement it.
 type IdleSkipper interface {
 	SkipIdle(now Cycle, n Cycle)
 }
@@ -85,9 +89,12 @@ type Clock struct {
 	cycle Cycle
 	comps []Ticker
 
+	// eng is the owning engine (nil only for a bare Clock built in a test).
+	eng *Engine
+
 	// Locality groups, parallel to comps/ports (-1 = ungrouped), and the
 	// cached shard partition built from them (see placement.go). lastTicked
-	// is the previous eval edge's productive tick count, the predictor the
+	// is the previous edge's productive tick count, the predictor the
 	// dispatch-threshold uses to keep light edges serial; -1 until known.
 	groups     []int
 	portGroups []int
@@ -98,33 +105,53 @@ type Clock struct {
 	// so RunSharded can borrow the idle pool; nil outside barriers.
 	curEx *executor
 
-	// Quiescence fast path (see Sleeper). sleepers/skippers parallel comps;
-	// a nil entry means the component never sleeps / needs no compensation.
-	sleepers    []Sleeper
-	skippers    []IdleSkipper
-	numSleepers int
-	// idle records that the most recent tick skipped every component, with
-	// idleUntil the minimum NextWorkCycle reported then (WakeNever if none
-	// finite). Any productive tick on any clock invalidates all idle flags.
+	// The active set (see wake.go), as bitsets over the component indices:
+	// awake holds the components considered on the next edge, bound the
+	// Sleepers a port commit can wake — only those leave the set. sl[i] is
+	// what the edge loop reads and writes about Sleeper i, skip[i] its idle
+	// compensator (nil: none needed), skipIdx the components that have one,
+	// for settle.
+	awake   []uint64
+	bound   []uint64
+	sl      []sleeperState
+	skip    []IdleSkipper
+	skipIdx []int32
+	timers  wakeTimers
+	walk    edgeWalk // of a serial edge
+	// idle records that the most recent edge ticked no component, with
+	// idleUntil the earliest armed timer then (WakeNever if none). Any
+	// productive tick on any clock invalidates all idle flags.
 	idle      bool
 	idleUntil Cycle
-	// skipEval > 0 suppresses sleeper evaluation for that many edges after a
-	// fully busy edge: ticking every component is always legacy-exact, so
-	// this only trades idle-detection latency (a few edges) for near-zero
-	// fast-path overhead on saturated clocks.
-	skipEval int
 
 	// Two-phase edge barrier. ports are the attached Ports whose producers
 	// tick on this clock: their staged pushes commit at the end of every
-	// processed edge. barriers run after the port commits, serially and in
-	// registration order (e.g. deferred replication-tracker updates).
+	// processed edge. While lists is set (serial engine) the barrier visits
+	// only dirty, the ports pushed to or popped from since their last commit;
+	// otherwise every header is scanned. barriers run after the port commits,
+	// serially and in registration order (e.g. deferred replication-tracker
+	// updates).
 	ports    []*portHeader
+	dirty    []*portHeader
+	lists    bool
 	barriers []func()
 }
 
-// busyBackoff is how many edges a fully busy clock full-ticks before
-// re-evaluating its sleepers.
-const busyBackoff = 8
+// sleeperState is what an edge reads and writes about one Sleeper.
+type sleeperState struct {
+	s Sleeper
+
+	// filed is the wake cycle the component's current sleep is on file under
+	// (its timer, unless past the horizon); woken once something has woken it
+	// since, so that its next edge ticks it without asking; 0 once it has
+	// ticked. idleFrom is the first cycle SkipIdle has not yet covered, -1 =
+	// none owed.
+	filed    Cycle
+	idleFrom Cycle
+}
+
+// woken is sleeperState.filed for a component woken since it was last considered.
+const woken Cycle = -1
 
 // shardWorkMin is the minimum productive ticks *per shard* (predicted from
 // the previous eval edge) below which an edge is not worth dispatching: a
@@ -155,17 +182,36 @@ func (c *Clock) Register(t Ticker) { c.RegisterGrouped(t, -1) }
 // in one worker's cache. Group ids are arbitrary; a negative group means
 // ungrouped (a singleton). Grouping never affects results — see placement.go.
 func (c *Clock) RegisterGrouped(t Ticker, group int) {
-	c.comps = append(c.comps, t)
-	c.groups = append(c.groups, group)
+	i := int32(len(c.comps))
 	s, _ := t.(Sleeper)
 	k, _ := t.(IdleSkipper)
-	c.sleepers = append(c.sleepers, s)
-	c.skippers = append(c.skippers, k)
-	if s != nil {
-		c.numSleepers++
+	if s == nil {
+		k = nil // never sleeps, so is never owed an idle cycle
 	}
+	c.comps = append(c.comps, t)
+	c.sl = append(c.sl, sleeperState{s: s, idleFrom: -1})
+	c.skip = append(c.skip, k)
+	c.groups = append(c.groups, group)
+	c.timers.add()
+	if k != nil {
+		c.skipIdx = append(c.skipIdx, i)
+	}
+	if int(i)>>6 == len(c.awake) {
+		c.awake = append(c.awake, 0)
+		c.bound = append(c.bound, 0)
+	}
+	c.wake(i)
 	c.idle = false
+	c.topologyChanged()
+}
+
+// topologyChanged drops what was derived from the set of components and
+// attached ports: the shard plan, and the engine's wake-source binding.
+func (c *Clock) topologyChanged() {
 	c.plan = nil
+	if c.eng != nil {
+		c.eng.bound = false
+	}
 }
 
 // Components returns how many components are registered on this clock.
@@ -180,18 +226,45 @@ func (c *Clock) OnBarrier(f func()) {
 	c.barriers = append(c.barriers, f)
 }
 
-// commitSerial publishes every attached port's staged pushes on the engine
-// goroutine. The commit must run on every processed edge — even one where no
-// component ticked — because consumers on other clocks may have drained a
-// port since the last barrier and the producer-side occupancy snapshot has
-// to be refreshed on the same schedule regardless of fast path or shard
-// count. On dispatched edges the shards commit their own ports inside the
-// same dispatch instead (fused with the eval phase). Edges skipped wholesale
-// by the quiescence fast-forward need no commit: nothing ticks anywhere
-// during an all-idle stretch, so no port can change.
+// commitSerial runs the clock's port barrier on the engine goroutine:
+// publish staged pushes, wake the consumers they are for, refresh the
+// producer-side occupancy snapshots. The barrier runs on every processed
+// edge — even one where no component ticked — because a consumer on another
+// clock may have drained a port since the last one and the freed space has to
+// reach the producer on the same schedule regardless of fast path or shard
+// count. A port nobody pushed to or popped from since its last commit has
+// nothing to publish and a snapshot that is already right, so with lists on
+// only the dirty ports are visited. On dispatched edges the shards commit
+// their own ports inside the same dispatch instead (fused with the eval
+// phase). Edges skipped wholesale by the quiescence fast-forward need no
+// commit: nothing ticks anywhere during an all-idle stretch, so no port can
+// change.
 func (c *Clock) commitSerial() {
-	for _, p := range c.ports {
-		p.commit()
+	ports := c.ports
+	if c.lists {
+		ports = c.dirty
+		c.dirty = c.dirty[:0]
+	}
+	for _, h := range ports {
+		h.listed = false
+		if h.commit() && h.wclk != nil {
+			h.wclk.wake(h.widx)
+		}
+	}
+}
+
+// setLists switches the clock between committing by dirty list (serial
+// engine) and by header scan (sharded). Turning lists on enrols every port
+// once: a sharded run leaves no record of which ports were popped since
+// their last barrier.
+func (c *Clock) setLists(on bool) {
+	c.lists = on
+	c.dirty = c.dirty[:0]
+	for _, h := range c.ports {
+		h.listed = on
+		if on {
+			c.dirty = append(c.dirty, h)
+		}
 	}
 }
 
@@ -224,10 +297,10 @@ func (c *Clock) RunSharded(f func(shard, shards int)) {
 }
 
 // tick advances the clock one edge and returns how many components actually
-// ticked. With the fast path off — or when any registered component is not a
-// Sleeper — every component ticks, exactly as the legacy engine did.
-//
-// With the fast path on, each component's NextWorkCycle gates its tick. Port
+// ticked. With the fast path off every component ticks, exactly as the legacy
+// engine did. With it on, the edge considers only the active set: components
+// whose timer came due are put back first, each member is polled (a plain
+// Ticker is not — it always ticks) and either ticks or goes to sleep. Port
 // visibility makes the gate order-free: a push from another component this
 // edge is staged, so it cannot wake a sleeper until the next edge whether the
 // clock runs serially or sharded.
@@ -244,81 +317,41 @@ func (c *Clock) tick(fast, strided bool, ex *executor) int {
 	if ex != nil && len(c.comps) < 2*ex.n {
 		dispatchEx = nil
 	}
-	full := !fast || c.numSleepers < len(c.comps) || c.skipEval > 0
-	if dispatchEx != nil && !full && c.lastTicked >= 0 && c.lastTicked < dispatchEx.n*shardWorkMin {
-		// The previous eval edge ticked so few components that a dispatch
-		// costs more than it spreads; run this edge serially and let the
-		// tick count re-arm dispatching when the clock heats back up.
+	if dispatchEx != nil && fast && c.lastTicked >= 0 && c.lastTicked < dispatchEx.n*shardWorkMin {
+		// The previous edge ticked so few components that a dispatch costs
+		// more than it spreads; run this edge serially and let the tick
+		// count re-arm dispatching when the clock heats back up.
 		dispatchEx = nil
 	}
-	var plan *shardPlan
-	if dispatchEx != nil {
-		plan = c.planFor(dispatchEx.n, strided)
-	}
-	if full {
-		if fast && c.skipEval > 0 {
-			c.skipEval--
-		}
-		if dispatchEx != nil {
-			dispatchEx.tickAll(c, plan, now)
-		} else {
-			for _, t := range c.comps {
-				t.Tick(now)
-			}
-		}
-		c.cycle++
-		c.idle = false
-		c.lastTicked = len(c.comps)
-		if dispatchEx == nil {
-			c.commitSerial()
-		}
-		c.runBarriers(ex)
-		return len(c.comps)
+	if fast {
+		c.wakeDue(now)
 	}
 	var ticked int
-	minWake := WakeNever
-	if dispatchEx != nil {
-		ticked, minWake = dispatchEx.tickEval(c, plan, now)
-	} else {
-		for i, t := range c.comps {
-			w := c.sleepers[i].NextWorkCycle(now)
-			if w <= now {
-				t.Tick(now)
-				ticked++
-				continue
-			}
-			if k := c.skippers[i]; k != nil {
-				k.SkipIdle(now, 1)
-			}
-			if w < minWake {
-				minWake = w
-			}
+	switch {
+	case dispatchEx != nil:
+		ticked = dispatchEx.tickEdge(c, c.planFor(dispatchEx.n, strided), now, fast)
+	case fast:
+		c.walk.set(c, nil, now)
+		c.fileSleeps(c.walk.slept, now)
+		ticked = c.walk.ticked
+	default:
+		for _, t := range c.comps {
+			t.Tick(now)
 		}
+		ticked = len(c.comps)
 	}
 	c.cycle++
-	c.idle = ticked == 0
-	c.idleUntil = minWake
+	c.idle = fast && ticked == 0
+	c.idleUntil = c.timers.min(c.cycle)
 	c.lastTicked = ticked
-	if ticked == len(c.comps) && ticked > 0 {
-		c.skipEval = busyBackoff - 1
-	}
 	if dispatchEx == nil {
 		c.commitSerial()
 	}
 	c.runBarriers(ex)
-	return ticked
-}
-
-// skipEdges advances the clock's counter over n edges without ticking,
-// compensating every component's idle counters for the skipped cycles.
-func (c *Clock) skipEdges(n Cycle) {
-	c.cycle += n
-	last := c.cycle - 1
-	for _, k := range c.skippers {
-		if k != nil {
-			k.SkipIdle(last, n)
-		}
+	if wakeAuditEveryEdge {
+		c.eng.auditEdge()
 	}
+	return ticked
 }
 
 // Engine owns a set of clock domains and advances them in global time order.
@@ -333,6 +366,9 @@ type Engine struct {
 	// results, so the two must produce bit-identical runs).
 	strided bool
 	ex      *executor
+	// bound records that every component's WakeSources are resolved against
+	// the current set of attached ports; Register and Attach clear it.
+	bound bool
 
 	// ctx, when non-nil, lets RunUntil abandon a long stretch early: the loop
 	// polls it every ctxPollEdges edges and simply stops advancing once it is
@@ -363,6 +399,11 @@ func (e *Engine) SetShards(n int) {
 	}
 	if e.ex != nil && n != e.shards {
 		e.stopExecutor()
+	}
+	if (n == 1) != (e.shards == 1) {
+		for _, c := range e.clocks {
+			c.setLists(n == 1)
+		}
 	}
 	e.shards = n
 }
@@ -409,15 +450,23 @@ func (e *Engine) stopExecutor() {
 	}
 }
 
-// SetFastPath toggles the quiescence fast path: skipping components whose
-// NextWorkCycle lies in the future and bulk fast-forwarding when every
-// component of every clock sleeps until a known wake cycle. Results are
-// bit-identical either way (the legacy always-tick path exists for
-// validation and benchmarking).
+// SetFastPath toggles the quiescence fast path: considering only awake
+// components on each edge and bulk fast-forwarding when every component of
+// every clock sleeps until a known wake cycle. Results are bit-identical
+// either way (the legacy always-tick path exists for validation and
+// benchmarking). Turning it off settles every idle debt and re-awakes every
+// component, so full-tick edges start from exactly the state an always-tick
+// engine would be in.
 func (e *Engine) SetFastPath(on bool) {
 	e.fast = on
 	if !on {
 		for _, c := range e.clocks {
+			c.settle()
+			for i := range c.sl {
+				c.sl[i].idleFrom, c.sl[i].filed = -1, 0
+			}
+			c.wakeAll()
+			c.timers.reset()
 			c.idle = false
 		}
 	}
@@ -433,7 +482,7 @@ func (e *Engine) NewClock(name string, mhz int64) *Clock {
 	if mhz <= 0 {
 		panic(fmt.Sprintf("sim: clock %q frequency must be positive, got %d", name, mhz))
 	}
-	c := &Clock{name: name, mhz: mhz, lastTicked: -1}
+	c := &Clock{name: name, mhz: mhz, lastTicked: -1, eng: e, lists: e.shards == 1}
 	e.clocks = append(e.clocks, c)
 	return c
 }
@@ -447,7 +496,9 @@ func (e *Engine) Clocks() []*Clock {
 
 // RunUntil advances simulated time until the reference clock ref has
 // completed `cycles` cycles. All other clock domains advance in lockstep
-// global time order.
+// global time order. On return every component's idle-compensated counters
+// are settled, so whoever reads them between runs — watchdog samples, the
+// warm-up reset, audits, results — sees what an eager engine would have left.
 func (e *Engine) RunUntil(ref *Clock, cycles Cycle) {
 	if len(e.clocks) == 0 {
 		panic("sim: RunUntil on engine with no clocks")
@@ -456,6 +507,15 @@ func (e *Engine) RunUntil(ref *Clock, cycles Cycle) {
 		e.startExecutor()
 		defer e.stopExecutor()
 	}
+	if !e.bound {
+		e.bind()
+	}
+	e.advance(ref, cycles)
+	e.Settle()
+}
+
+// advance is RunUntil's edge loop.
+func (e *Engine) advance(ref *Clock, cycles Cycle) {
 	poll := 0
 	for ref.cycle < cycles {
 		if e.ctx != nil {
@@ -486,7 +546,7 @@ func (e *Engine) RunUntil(ref *Clock, cycles Cycle) {
 	}
 }
 
-// allIdle reports whether every clock's most recent edge skipped every
+// allIdle reports whether every clock's most recent edge ticked no
 // component. Between such edges no component ran, so no queue changed and the
 // cached idleUntil wake cycles are still valid.
 func (e *Engine) allIdle() bool {
@@ -523,7 +583,9 @@ func (e *Engine) fastForward(ref *Clock, cycles Cycle) bool {
 		if newCycle <= c.cycle {
 			continue
 		}
-		c.skipEdges(newCycle - c.cycle)
+		// Only the cycle moves: the skipped idle cycles stay on each sleeper's
+		// tab until it next ticks or the engine settles.
+		c.cycle = newCycle
 		advanced = true
 	}
 	return advanced
@@ -600,6 +662,10 @@ func (e *Engine) clockStates() []health.ClockState {
 // a *health.DeadlockError carrying a diagnostic dump; a wall-clock deadline
 // overrun aborts with a *health.DeadlineError.
 //
+// Every slice also ends with the engine's wake audit (CheckInvariants): a
+// violation aborts with a *health.InvariantError. The last slice ends where
+// the run does, so a completed run has passed its final audit.
+//
 // The slicing only changes where the host observes the simulation, never the
 // order components tick in, so a healthy run produces results bit-identical
 // to RunUntil.
@@ -636,6 +702,16 @@ func (e *Engine) RunUntilChecked(ref *Clock, cycles Cycle, opts RunOptions) erro
 			target = cycles
 		}
 		e.RunUntil(ref, target)
+		// The engine's own books first: a component asleep with work to do
+		// is the likeliest cause of whatever the probes would report next.
+		if v := e.CheckInvariants(); len(v) > 0 {
+			dump := &health.Dump{Reason: "wake-audit", RefClock: ref.name, RefCycle: ref.cycle, Clocks: e.clockStates()}
+			if opts.Monitor != nil {
+				dump = opts.Monitor.BuildDump(dump.Reason, ref.name, ref.cycle, dump.Clocks)
+			}
+			dump.Violations = append(v, dump.Violations...)
+			return &health.InvariantError{RefCycle: ref.cycle, Dump: dump}
+		}
 		if opts.Deadline > 0 {
 			if elapsed := time.Since(start); elapsed > opts.Deadline {
 				var dump *health.Dump

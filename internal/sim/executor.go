@@ -61,15 +61,19 @@ type executor struct {
 	now    Cycle
 	foldFn func(shard, shards int)
 
-	// Per-shard eval results, index = shard. Joined by main after done
-	// reaches n-1; both aggregates are commutative (sum, min).
-	ticked  []int
-	minWake []Cycle
+	// Per-shard edge results, index = shard, folded by main after the join.
+	// The active set and the timers belong to the coordinator: a shard only
+	// reads the set, and buffers what it would change — the components that
+	// went to sleep (with the wake cycle each reported) and the ports whose
+	// flush has a consumer to wake — for main to apply, sleeps before wakes,
+	// which is the order a serial edge produces them in.
+	walks []edgeWalk
+	woken [][]*portHeader
 }
 
 const (
 	jobTick = iota // full path: tick every component of the shard, then commit
-	jobEval        // fast path: NextWorkCycle gate, Tick or SkipIdle, then commit
+	jobEval        // fast path: poll the shard's awake components, then commit
 	jobFold        // run foldFn(shard, n): parallel stats folding, no ports
 )
 
@@ -80,7 +84,7 @@ const (
 const executorSpin = 256
 
 func newExecutor(n int) *executor {
-	ex := &executor{n: n, ticked: make([]int, n), minWake: make([]Cycle, n)}
+	ex := &executor{n: n, walks: make([]edgeWalk, n), woken: make([][]*portHeader, n)}
 	ex.cond = sync.NewCond(&ex.mu)
 	ex.gcond = sync.NewCond(&ex.gmu)
 	ex.dcond = sync.NewCond(&ex.dmu)
@@ -197,9 +201,10 @@ func (ex *executor) dispatch(mode int, c *Clock, plan *shardPlan, now Cycle) {
 }
 
 // exec runs the current job for one shard. During the eval half a shard only
-// reads committed port state and writes component-private state plus its own
-// ports' staged slices; after the phase barrier each port is committed by
-// exactly one shard. No two shards ever touch the same memory in a phase.
+// reads committed port state and the active set, and writes component-private
+// state plus its own ports' staged slices; after the phase barrier each port
+// is committed by exactly one shard. No two shards ever touch the same memory
+// in a phase.
 func (ex *executor) exec(shard int) {
 	c, plan, now := ex.clk, ex.plan, ex.now
 	switch ex.mode {
@@ -207,55 +212,46 @@ func (ex *executor) exec(shard int) {
 		for _, i := range plan.comps[shard] {
 			c.comps[i].Tick(now)
 		}
+		w := &ex.walks[shard]
+		w.ticked, w.slept = len(plan.comps[shard]), w.slept[:0]
 	case jobEval:
-		ticked := 0
-		minWake := WakeNever
-		for _, i := range plan.comps[shard] {
-			w := c.sleepers[i].NextWorkCycle(now)
-			if w <= now {
-				c.comps[i].Tick(now)
-				ticked++
-				continue
-			}
-			if k := c.skippers[i]; k != nil {
-				k.SkipIdle(now, 1)
-			}
-			if w < minWake {
-				minWake = w
-			}
-		}
-		ex.ticked[shard], ex.minWake[shard] = ticked, minWake
+		ex.walks[shard].set(c, plan.masks[shard], now)
 	case jobFold:
 		ex.foldFn(shard, ex.n)
 		return
 	}
 	ex.phaseBarrier()
+	woken := ex.woken[shard][:0]
 	for _, i := range plan.ports[shard] {
-		c.ports[i].commit()
-	}
-}
-
-// tickAll runs the full-tick path sharded, ports committed in the same
-// dispatch after the phase barrier.
-func (ex *executor) tickAll(c *Clock, plan *shardPlan, now Cycle) {
-	ex.dispatch(jobTick, c, plan, now)
-}
-
-// tickEval runs the sleeper-gated path sharded and folds the per-shard
-// results: total ticked is a sum and the earliest wake a min, so the fold is
-// independent of shard count and completion order. Ports commit in the same
-// dispatch after the phase barrier.
-func (ex *executor) tickEval(c *Clock, plan *shardPlan, now Cycle) (int, Cycle) {
-	ex.dispatch(jobEval, c, plan, now)
-	ticked := 0
-	minWake := WakeNever
-	for k := 0; k < ex.n; k++ {
-		ticked += ex.ticked[k]
-		if ex.minWake[k] < minWake {
-			minWake = ex.minWake[k]
+		if h := c.ports[i]; h.commit() && h.wclk != nil {
+			woken = append(woken, h)
 		}
 	}
-	return ticked, minWake
+	ex.woken[shard] = woken
+}
+
+// tickEdge runs one edge sharded — every component (fast off) or the awake
+// ones — with the ports committed in the same dispatch after the phase
+// barrier, then folds the shards' buffered sleeps and wakes into the active
+// set. The tick total is a sum and set updates commute, so the fold is
+// independent of shard count and completion order.
+func (ex *executor) tickEdge(c *Clock, plan *shardPlan, now Cycle, fast bool) int {
+	mode := jobTick
+	if fast {
+		mode = jobEval
+	}
+	ex.dispatch(mode, c, plan, now)
+	ticked := 0
+	for k := 0; k < ex.n; k++ {
+		ticked += ex.walks[k].ticked
+		c.fileSleeps(ex.walks[k].slept, now)
+	}
+	for k := 0; k < ex.n; k++ {
+		for _, h := range ex.woken[k] {
+			h.wclk.wake(h.widx)
+		}
+	}
+	return ticked
 }
 
 // fold runs f once per shard across the pool (main runs shard 0). f's shard

@@ -20,16 +20,32 @@ import "sort"
 
 // shardPlan is the cached partition of one clock's components and ports
 // across n shards. comps[s] and ports[s] list the indices shard s owns, in
-// registration order; every index appears on exactly one shard.
+// registration order; every index appears on exactly one shard. masks[s] is
+// comps[s] as a bitset, which a shard intersects with the clock's active set
+// to walk only its awake components.
 type shardPlan struct {
 	n       int
 	strided bool
 	comps   [][]int32
 	ports   [][]int32
+	masks   [][]uint64
 }
 
 // buildShardPlan partitions c's components and ports across n shards.
 func buildShardPlan(c *Clock, n int, strided bool) *shardPlan {
+	p := placeShards(c, n, strided)
+	p.masks = make([][]uint64, n)
+	for s, comps := range p.comps {
+		p.masks[s] = make([]uint64, len(c.awake))
+		for _, i := range comps {
+			p.masks[s][i>>6] |= 1 << uint(i&63)
+		}
+	}
+	return p
+}
+
+// placeShards decides which shard owns each component and port.
+func placeShards(c *Clock, n int, strided bool) *shardPlan {
 	p := &shardPlan{
 		n:       n,
 		strided: strided,

@@ -33,16 +33,30 @@ type Port[T any] struct {
 }
 
 // portHeader is the part of an attached Port its clock's edge barrier reads:
-// plain integers and a pointer, no element type. The barrier commits every
-// port on every processed edge and nearly all of them are clean (nothing
-// staged; at most the consumer popped), so the clock scans headers directly —
-// a clean port costs the loads and one store of commit below, and only a
-// port with staged values pays the call into the generic flush.
+// plain integers and pointers, no element type. Nearly every port is clean at
+// nearly every barrier, so a serial engine commits by list: the first staged
+// push or pop since the port's last barrier enrols it on the producer clock's
+// dirty list (listed is the one flag that keeps it there once), and the
+// barrier flushes, wakes and refreshes only the ports on that list (a pop
+// frees space the producer must see at its next barrier, so the committed
+// queue reports its removals through Queue.watch). A port that is not listed
+// has nothing staged and a snapshot equal to its occupancy, which is all a
+// commit would establish. With shards > 1 nothing enrols (Clock.lists is
+// off: two shards must never append to one list) and each shard scans the
+// headers of its own ports, as the barrier always did.
 type portHeader struct {
 	nStaged int  // len(staged)
 	snap    int  // committed occupancy snapshot from the last barrier
 	size    *int // the committed queue's occupancy (Queue.size)
 	owner   stagedFlusher
+
+	clk    *Clock // producer clock, whose barrier commits the port; nil = unattached
+	listed bool   // on clk.dirty
+
+	// The sleeping consumer a flush must wake: component widx of wclk, bound
+	// from its WakeSources; wclk is nil when no component sleeps on the port.
+	wclk *Clock
+	widx int32
 }
 
 // stagedFlusher is the generic half of a commit, reached through the header.
@@ -50,14 +64,27 @@ type stagedFlusher interface {
 	flushStaged()
 }
 
+// touch enrols a port that is not yet listed on its clock's dirty list. The
+// flag is written only while the clock keeps lists, so a sharded run's
+// producer and consumer goroutines only ever read it.
+func (h *portHeader) touch() {
+	if c := h.clk; c.lists {
+		h.listed = true
+		c.dirty = append(c.dirty, h)
+	}
+}
+
 // commit publishes staged values into the committed queue and refreshes the
-// occupancy snapshot. Runs at the owning clock's edge barrier, never
+// occupancy snapshot, reporting whether anything was published (the caller
+// then wakes the consumer). Runs at the owning clock's edge barrier, never
 // concurrently with any producer or consumer access to this port.
-func (h *portHeader) commit() {
+func (h *portHeader) commit() (flushed bool) {
 	if h.nStaged != 0 {
 		h.owner.flushStaged()
+		flushed = true
 	}
 	h.snap = *h.size
+	return flushed
 }
 
 // NewPort returns a port holding at most capacity items (0 = unbounded), in
@@ -83,11 +110,18 @@ func (p *Port[T]) AttachGrouped(c *Clock, group int) {
 		panic("sim: Port attached twice")
 	}
 	p.twoPhase = true
-	p.hdr = portHeader{snap: p.size, size: &p.size, owner: p}
+	p.hdr.snap, p.hdr.size, p.hdr.owner, p.hdr.clk = p.size, &p.size, p, c
+	p.watch = &p.hdr
 	c.ports = append(c.ports, &p.hdr)
 	c.portGroups = append(c.portGroups, group)
-	c.plan = nil
+	c.topologyChanged()
 }
+
+// PortRef names a port without its element type, for WakeSources.
+type PortRef struct{ h *portHeader }
+
+// Ref returns the port's untyped handle.
+func (p *Port[T]) Ref() PortRef { return PortRef{&p.hdr} }
 
 // Attached reports whether the port is in two-phase mode.
 func (p *Port[T]) Attached() bool { return p.twoPhase }
@@ -109,6 +143,9 @@ func (p *Port[T]) Push(v T) bool {
 		return false
 	}
 	p.staged = append(p.staged, v)
+	if p.hdr.nStaged == 0 && !p.hdr.listed {
+		p.hdr.touch()
+	}
 	p.hdr.nStaged++
 	return true
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Queue is a bounded FIFO with backpressure, the basic plumbing between
 // pipeline stages. A capacity of 0 means unbounded (used only by statistics
 // sinks). The zero value is not usable; construct with NewQueue.
@@ -11,11 +13,20 @@ package sim
 // flags sustained occupancy above UnboundedSoftCap (see CheckQueue) so a
 // non-draining sink surfaces as a warning instead of silent memory growth.
 // Bounded queues never grow: their buffer is preallocated at capacity.
+//
+// The buffer is a power-of-two ring, so every push, pop and indexed read
+// wraps with a mask instead of a division; a bounded queue's ring is its
+// capacity rounded up, and Full still answers against the capacity itself.
 type Queue[T any] struct {
 	buf  []T
 	head int
 	size int
 	cap  int
+
+	// watch, set on the committed queue of an attached Port, is told of every
+	// removal: the producer's clock has to refresh its occupancy snapshot of
+	// this queue at its next barrier.
+	watch *portHeader
 
 	// PushCount / PopCount give cumulative traffic through the queue and are
 	// used for occupancy and utilization statistics.
@@ -25,9 +36,9 @@ type Queue[T any] struct {
 
 // NewQueue returns a queue holding at most capacity items (0 = unbounded).
 func NewQueue[T any](capacity int) *Queue[T] {
-	n := capacity
-	if n <= 0 {
-		n = 16
+	n := 16
+	if capacity > 0 {
+		n = 1 << bits.Len(uint(capacity-1))
 	}
 	return &Queue[T]{buf: make([]T, n), cap: capacity}
 }
@@ -62,7 +73,7 @@ func (q *Queue[T]) Push(v T) bool {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = v
 	q.size++
 	q.PushCount++
 	return true
@@ -82,7 +93,7 @@ func (q *Queue[T]) At(i int) T {
 	if i < 0 || i >= q.size {
 		panic("sim: Queue.At index out of range")
 	}
-	return q.buf[(q.head+i)%len(q.buf)]
+	return q.buf[(q.head+i)&(len(q.buf)-1)]
 }
 
 // Pop removes and returns the oldest item. ok is false when empty.
@@ -93,10 +104,13 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	var zero T
 	v = q.buf[q.head]
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
 	q.PopCount++
 	q.maybeShrink()
+	if h := q.watch; h != nil && !h.listed {
+		h.touch()
+	}
 	return v, true
 }
 
@@ -107,16 +121,20 @@ func (q *Queue[T]) RemoveAt(i int) T {
 	if i < 0 || i >= q.size {
 		panic("sim: Queue.RemoveAt index out of range")
 	}
-	v := q.buf[(q.head+i)%len(q.buf)]
+	mask := len(q.buf) - 1
+	v := q.buf[(q.head+i)&mask]
 	// Shift the younger items down one slot.
 	for j := i; j < q.size-1; j++ {
-		q.buf[(q.head+j)%len(q.buf)] = q.buf[(q.head+j+1)%len(q.buf)]
+		q.buf[(q.head+j)&mask] = q.buf[(q.head+j+1)&mask]
 	}
 	var zero T
-	q.buf[(q.head+q.size-1)%len(q.buf)] = zero
+	q.buf[(q.head+q.size-1)&mask] = zero
 	q.size--
 	q.PopCount++
 	q.maybeShrink()
+	if h := q.watch; h != nil && !h.listed {
+		h.touch()
+	}
 	return v
 }
 
@@ -124,23 +142,22 @@ func (q *Queue[T]) RemoveAt(i int) T {
 // falls to a quarter of it, so a burst does not pin memory forever. The 64
 // floor avoids churn at small sizes; the 1/4 trigger keeps the cost
 // amortized O(1) against the growth that preceded it. Bounded queues never
-// shrink (their buffer is exactly the capacity).
+// shrink (their ring is sized by the capacity).
 func (q *Queue[T]) maybeShrink() {
 	if q.cap > 0 || len(q.buf) <= 64 || q.size > len(q.buf)/4 {
 		return
 	}
-	nb := make([]T, len(q.buf)/2)
-	for i := 0; i < q.size; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = nb
-	q.head = 0
+	q.resize(len(q.buf) / 2)
 }
 
-func (q *Queue[T]) grow() {
-	nb := make([]T, 2*len(q.buf))
+func (q *Queue[T]) grow() { q.resize(2 * len(q.buf)) }
+
+// resize re-linearizes the items into a fresh ring of n slots (a power of
+// two no smaller than the occupancy).
+func (q *Queue[T]) resize(n int) {
+	nb := make([]T, n)
 	for i := 0; i < q.size; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = nb
 	q.head = 0

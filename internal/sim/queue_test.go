@@ -257,8 +257,9 @@ func TestRNGZipfSkew(t *testing.T) {
 	r := NewRNG(11)
 	const n = 1000
 	counts := make([]int, n)
+	z := NewZipf(n, 1.0)
 	for i := 0; i < 200000; i++ {
-		counts[r.Zipf(n, 1.0)]++
+		counts[z.Draw(r)]++
 	}
 	// Low indices must dominate: index 0 should be hit far more than index 500.
 	if counts[0] <= counts[500]*5 {
@@ -267,8 +268,9 @@ func TestRNGZipfSkew(t *testing.T) {
 	// s=0 must be roughly uniform.
 	u := NewRNG(13)
 	counts2 := make([]int, 10)
+	z = NewZipf(10, 0)
 	for i := 0; i < 100000; i++ {
-		counts2[u.Zipf(10, 0)]++
+		counts2[z.Draw(u)]++
 	}
 	for i, c := range counts2 {
 		if c < 8000 || c > 12000 {
@@ -280,14 +282,16 @@ func TestRNGZipfSkew(t *testing.T) {
 func TestRNGZipfInRange(t *testing.T) {
 	r := NewRNG(17)
 	for _, s := range []float64{0, 0.5, 1, 1.5, 3} {
+		z := NewZipf(37, s)
 		for i := 0; i < 2000; i++ {
-			v := r.Zipf(37, s)
+			v := z.Draw(r)
 			if v < 0 || v >= 37 {
 				t.Fatalf("Zipf(37, %f) = %d out of range", s, v)
 			}
 		}
 	}
-	if r.Zipf(1, 2) != 0 || r.Zipf(0, 2) != 0 {
+	one, none := NewZipf(1, 2), NewZipf(0, 2)
+	if one.Draw(r) != 0 || none.Draw(r) != 0 {
 		t.Fatal("degenerate Zipf must return 0")
 	}
 }

@@ -42,37 +42,61 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Zipf returns an index in [0, n) drawn from a Zipf-like distribution with
-// exponent s. s = 0 degenerates to uniform; larger s concentrates probability
-// on low indices. Implemented by inverse-CDF on a continuous approximation,
-// which is accurate enough for locality modeling and needs no setup tables.
-func (r *RNG) Zipf(n int, s float64) int {
-	if n <= 1 {
+// Zipf is a Zipf-like distribution over [0, n) with exponent s, with the
+// per-(n, s) constants of the inverse CDF computed once: a workload generator
+// draws millions of indices from two fixed distributions, and recomputing
+// (n+1)^(1-s) with math.Pow on every draw was a visible share of a saturated
+// run. The constants come from the same expressions a per-draw evaluation
+// uses (zipfRef in the workload tests), so the draws are bit-identical.
+//
+// s = 0 degenerates to uniform; larger s concentrates probability on low
+// indices. Implemented by inverse-CDF on a continuous approximation, which
+// is accurate enough for locality modeling and needs no setup tables.
+type Zipf struct {
+	n    int
+	s    float64
+	np1  float64 // n + 1
+	den  float64 // (n+1)^(1-s) - 1
+	inva float64 // 1 / (1-s)
+}
+
+// NewZipf precomputes the distribution over [0, n) with exponent s.
+func NewZipf(n int, s float64) Zipf {
+	z := Zipf{n: n, s: s, np1: float64(n) + 1}
+	if n > 1 && s > 0 && s != 1 {
+		a := 1 - s
+		z.den = pow(z.np1, a) - 1
+		z.inva = 1 / a
+	}
+	return z
+}
+
+// Draw returns the next index from r's stream.
+func (z *Zipf) Draw(r *RNG) int {
+	if z.n <= 1 {
 		return 0
 	}
-	if s <= 0 {
-		return r.Intn(n)
+	if z.s <= 0 {
+		return r.Intn(z.n)
 	}
 	u := r.Float64()
-	if s == 1 {
+	if z.s == 1 {
 		// CDF(x) ~ ln(1+x)/ln(1+n)
-		x := pow(float64(n)+1, u) - 1
+		x := pow(z.np1, u) - 1
 		i := int(x)
-		if i >= n {
-			i = n - 1
+		if i >= z.n {
+			i = z.n - 1
 		}
 		return i
 	}
 	// CDF(x) ~ (1 - (1+x)^(1-s)) / (1 - (1+n)^(1-s))
-	a := 1 - s
-	den := pow(float64(n)+1, a) - 1
-	x := pow(u*den+1, 1/a) - 1
+	x := pow(u*z.den+1, z.inva) - 1
 	i := int(x)
 	if i < 0 {
 		i = 0
 	}
-	if i >= n {
-		i = n - 1
+	if i >= z.n {
+		i = z.n - 1
 	}
 	return i
 }

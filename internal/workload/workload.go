@@ -194,6 +194,11 @@ func (s Spec) Program(cores, coreID, waveID int, sched Sched, seed uint64) core.
 		sched: sched,
 		rng:   sim.NewRNG(h),
 	}
+	g.zipfAll = sim.NewZipf(sp.SharedLines, sp.SharedZipf)
+	if sched == Distributed {
+		g.per = max(sp.SharedLines/cores, 1)
+		g.zipfSlice = sim.NewZipf(g.per, sp.SharedZipf)
+	}
 	slot := uint64(coreID*maxWaveSlots + waveID)
 	// Region spacing is forced odd and the stream starts at a random offset:
 	// otherwise every wavefront's k-th access shares one address residue and
@@ -212,6 +217,12 @@ type gen struct {
 	wave  int
 	sched Sched
 	rng   *sim.RNG
+
+	// The two shared-region distributions a wavefront draws from: the full
+	// region, and the per-core slice of per lines the Distributed scheduler
+	// favours.
+	zipfAll, zipfSlice sim.Zipf
+	per                int
 
 	privBase    uint64
 	privCursor  uint64
@@ -310,14 +321,10 @@ func (g *gen) dataLines() []uint64 {
 func (g *gen) sharedIndex() int {
 	s := g.spec.SharedLines
 	if g.sched == Distributed && g.rng.Float64() < 0.5 {
-		per := s / g.cores
-		if per < 1 {
-			per = 1
-		}
-		base := (g.core * per) % s
-		return (base + g.rng.Zipf(per, g.spec.SharedZipf)) % s
+		base := (g.core * g.per) % s
+		return (base + g.zipfSlice.Draw(g.rng)) % s
 	}
-	return g.rng.Zipf(s, g.spec.SharedZipf)
+	return g.zipfAll.Draw(g.rng)
 }
 
 // registry --------------------------------------------------------------
