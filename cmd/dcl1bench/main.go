@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -39,9 +37,6 @@ func main() {
 		format  = flag.String("format", "text", "output format: text or md")
 		plot    = flag.Bool("plot", false, "also render ASCII S-curves for single-metric experiments")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with 'go tool pprof')")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit (inspect with 'go tool pprof')")
-
 		health    cliflags.Health
 		chaos     cliflags.Chaos
 		engine    = cliflags.Engine{Workers: 1}
@@ -59,14 +54,11 @@ func main() {
 	multi.Register(flag.CommandLine)
 	flag.Parse()
 
-	finishProfiles := startProfiles(*cpuprofile, *memprofile)
 	closeSink := func() error { return nil } // replaced when -metrics-out opens
 	exit := func(code int) {
 		closeSink()
-		finishProfiles()
 		os.Exit(code)
 	}
-	defer finishProfiles()
 	defer func() { closeSink() }()
 
 	if *list || *run == "" {
@@ -166,45 +158,5 @@ func main() {
 	if fails := ctx.Failures(); len(fails) > 0 {
 		experiments.WriteFailureTable(os.Stderr, fails)
 		exit(1)
-	}
-}
-
-// startProfiles starts the requested pprof profiles and returns the function
-// that finalizes them: it stops the CPU profile and snapshots the heap after a
-// final GC (so the memory profile shows live retained memory, not garbage).
-// Safe to call the returned function more than once.
-func startProfiles(cpu, mem string) func() {
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		if cpu != "" {
-			pprof.StopCPUProfile()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-		}
 	}
 }

@@ -130,18 +130,25 @@ type Ctrl struct {
 	pipe    *sim.DelayQueue[*mem.Access] // hit replies / acks in flight
 	mshr    *mshrTable
 
-	absent absentMemo
+	miss missMemo
+	// tickStalls is how many MSHR stalls the most recent Tick counted (0 or
+	// 1: the head request's). A controller that sleeps on that stall owes one
+	// per skipped cycle (SkipIdle).
+	tickStalls int64
 
 	lastTick sim.Cycle // most recent Tick cycle, for invariant age checks
 	ageBound sim.Cycle // MSHR age bound override (0 = DefaultMSHRAgeBound)
 }
 
-// absentMemo memoises the verdict a stalled load re-derived every cycle: its
-// line is neither in the array nor in the MSHR file. The verdict stands while
-// both generation counters do, so a load stalled for an MSHR or for MissOut
-// space pays only the stall check on the cycles in between.
-type absentMemo struct {
+// missMemo memoises the verdict a stalled load re-derived every cycle: its
+// line is not in the array, and either has no MSHR entry (the load waits for
+// a free MSHR or for MissOut space) or has one whose merge list is full (it
+// waits for the fill). The verdict stands while both generation counters do,
+// so a stalled load pays only the stall check on the cycles in between — and
+// NextWorkCycle can tell a controller that is stalled from one with work.
+type missMemo struct {
 	ok              bool
+	full            bool // the line's MSHR entry exists, merge list full
 	line            uint64
 	arrGen, mshrGen uint64
 }
@@ -190,34 +197,77 @@ func (c *Ctrl) Tick(now sim.Cycle) {
 	}
 }
 
-// NextWorkCycle implements sim.Sleeper. The controller has work when a
-// request or fill waits in its input queues, or when a hit reply matures in
-// the latency pipe; with all of those empty it can only be woken externally
-// (an MSHR miss outstanding below resolves via a FillIn push). A tick without
-// any of these updates only lastTick, which SkipIdle compensates.
+// NextWorkCycle implements sim.Sleeper. The controller has work when one of
+// its three movers can move: the head request can be served, the head fill can
+// be consumed, or a reply matures in the latency pipe with room in Out. A
+// mover refused by a full output, and a head load stalled on the MSHR file
+// with the miss memo standing, stay refused until a fill arrives or the output
+// frees — both wake sources — so a tick before then updates only lastTick and
+// MSHRStalls, which SkipIdle compensates. An armed injector's fill-stall and
+// MSHR-pinch draws depend on the cycle: with one, every tick with input
+// waiting may act, and no stall is a reason to sleep.
 func (c *Ctrl) NextWorkCycle(now sim.Cycle) sim.Cycle {
+	if c.Chaos != nil {
+		if !c.In.Empty() || !c.FillIn.Empty() {
+			return now
+		}
+	} else {
+		if a, ok := c.In.Peek(); ok && !c.headStalled(a) {
+			return now
+		}
+		if a, ok := c.FillIn.Peek(); ok && !c.fillStalled(a) {
+			return now
+		}
+	}
 	wake := sim.WakeNever
-	if !c.In.Empty() || !c.FillIn.Empty() {
-		wake = now
-	} else if t, ok := c.pipe.NextReadyAt(); ok {
+	if t, ok := c.pipe.NextReadyAt(); ok && !c.Out.Full() {
 		wake = t
 	}
 	if w, ok := c.Chaos.CorruptWake(now); ok && w < wake {
 		wake = w // never sleep past the corruption drill's cycle
 	}
-	if wake <= now {
-		return now
+	return max(wake, now)
+}
+
+// headStalled reports whether request a, the head of In, is one this cycle's
+// processRequests would fail to advance for a reason only a fill or output
+// space can lift: a load the miss memo still proves unplaceable, or a
+// write-evict store behind a full MissOut. Anything it cannot tell cheaply —
+// a first attempt, a write-back store — counts as work.
+func (c *Ctrl) headStalled(a *mem.Access) bool {
+	switch a.Kind {
+	case mem.Load, mem.NonL1:
+		absent, full := c.missKnown(a.Line)
+		return full || absent && (c.mshr.len() >= c.P.MSHRs || c.MissOut.Full())
+	default:
+		return c.P.Policy == WriteEvict && c.MissOut.Full()
 	}
-	return wake
+}
+
+// fillStalled reports whether processFills would leave fill a, the head of
+// FillIn, where it is: an ACK needs room in Out, a line fill room for the
+// writeback its install may produce.
+func (c *Ctrl) fillStalled(a *mem.Access) bool {
+	if a.Kind == mem.Store || a.Kind == mem.Atomic {
+		return c.Out.Full()
+	}
+	return !c.canInstall()
 }
 
 // WakeSources implements sim.WakeSourcer: a sleeping controller is woken by
-// a request or a fill; the latency pipe and the corruption drill are timers.
-func (c *Ctrl) WakeSources() []sim.PortRef { return []sim.PortRef{c.In.Ref(), c.FillIn.Ref()} }
+// a request or a fill, or by space in an output it was refused by; the
+// latency pipe and the corruption drill are timers.
+func (c *Ctrl) WakeSources() []sim.PortRef {
+	return []sim.PortRef{c.In.Ref(), c.FillIn.Ref(), c.Out.SpaceRef(), c.MissOut.SpaceRef()}
+}
 
-// SkipIdle implements sim.IdleSkipper, keeping the lastTick watermark (used
-// by the invariant age audits) identical to what ticking would have left.
-func (c *Ctrl) SkipIdle(now sim.Cycle, n sim.Cycle) { c.lastTick = now }
+// SkipIdle implements sim.IdleSkipper: the lastTick watermark (used by the
+// invariant age audits) and, when the controller slept on a stalled head
+// request, the MSHR stall each skipped tick would have counted.
+func (c *Ctrl) SkipIdle(now sim.Cycle, n sim.Cycle) {
+	c.lastTick = now
+	c.Stat.MSHRStalls += n * c.tickStalls
+}
 
 // drainPipe moves matured replies into Out, respecting backpressure.
 func (c *Ctrl) drainPipe(now sim.Cycle) {
@@ -319,6 +369,7 @@ func (c *Ctrl) install(line uint64, dirty bool) {
 // processRequests serves up to Ports requests from In.
 func (c *Ctrl) processRequests(now sim.Cycle) {
 	served := 0
+	stalls := c.Stat.MSHRStalls
 	for served < c.P.Ports {
 		a, ok := c.In.Peek()
 		if !ok {
@@ -344,21 +395,34 @@ func (c *Ctrl) processRequests(now sim.Cycle) {
 		c.In.Pop()
 		served++
 	}
+	c.tickStalls = c.Stat.MSHRStalls - stalls
 	if served > 0 {
 		c.Stat.BusyCycles++
 		c.Stat.Accesses += int64(served)
 	}
 }
 
-// knownAbsent reports whether the memo still proves line is in neither the
-// array nor the MSHR file.
-func (c *Ctrl) knownAbsent(line uint64) bool {
-	m := &c.absent
-	return m.ok && m.line == line && m.arrGen == c.Arr.gen && m.mshrGen == c.mshr.gen
+// missKnown reports what the memo still proves about line: absent from both
+// the array and the MSHR file, or absent from the array with a full merge list.
+func (c *Ctrl) missKnown(line uint64) (absent, full bool) {
+	m := &c.miss
+	if !m.ok || m.line != line || m.arrGen != c.Arr.gen || m.mshrGen != c.mshr.gen {
+		return false, false
+	}
+	return !m.full, m.full
+}
+
+// noteMiss memoises the verdict a just-stalled load of line was given.
+func (c *Ctrl) noteMiss(line uint64, full bool) {
+	c.miss = missMemo{ok: true, full: full, line: line, arrGen: c.Arr.gen, mshrGen: c.mshr.gen}
 }
 
 func (c *Ctrl) serveLoad(a *mem.Access, now sim.Cycle) bool {
-	absent := c.knownAbsent(a.Line)
+	absent, full := c.missKnown(a.Line)
+	if full {
+		c.Stat.MSHRStalls++
+		return false
+	}
 	if c.P.Perfect || (!absent && c.Arr.Lookup(a.Line, true)) {
 		c.Stat.Loads++
 		c.Stat.LoadHits++
@@ -370,6 +434,7 @@ func (c *Ctrl) serveLoad(a *mem.Access, now sim.Cycle) bool {
 		if e := c.mshr.get(a.Line); e != nil {
 			if len(e.waiters) >= c.P.MaxMerge {
 				c.Stat.MSHRStalls++
+				c.noteMiss(a.Line, true)
 				return false
 			}
 			e.waiters = append(e.waiters, a)
@@ -382,7 +447,7 @@ func (c *Ctrl) serveLoad(a *mem.Access, now sim.Cycle) bool {
 	}
 	if c.mshr.len() >= c.P.MSHRs || c.MissOut.Full() || c.Chaos.MSHRPinched(now) {
 		c.Stat.MSHRStalls++
-		c.absent = absentMemo{ok: true, line: a.Line, arrGen: c.Arr.gen, mshrGen: c.mshr.gen}
+		c.noteMiss(a.Line, false)
 		return false
 	}
 	e := c.mshr.insert(a.Line, now)

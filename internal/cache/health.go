@@ -27,17 +27,20 @@ func (c *Ctrl) mshrAgeBound() sim.Cycle {
 // CheckInvariants implements health.Checker: MSHR occupancy within capacity,
 // merge counts within MaxMerge, no entry pending longer than the age bound,
 // push/pop conservation on the four controller queues, and — while the
-// stalled-load memo is live — that its line really is in neither the array
-// nor the MSHR file.
+// stalled-load memo is live — that its line really is absent from the array
+// and has no MSHR entry, or one with a full merge list, as memoised.
 func (c *Ctrl) CheckInvariants() []health.Violation {
 	var out []health.Violation
 	name := c.P.Name
-	if m := &c.absent; c.knownAbsent(m.line) && (c.Arr.Contains(m.line) || c.mshr.get(m.line) != nil) {
-		out = append(out, health.Violation{
-			Component: name, Rule: "stale-miss-memo",
-			Detail: fmt.Sprintf("line %#x memoised absent but resident %t, MSHR entry %t",
-				m.line, c.Arr.Contains(m.line), c.mshr.get(m.line) != nil),
-		})
+	if absent, full := c.missKnown(c.miss.line); absent || full {
+		line, e := c.miss.line, c.mshr.get(c.miss.line)
+		if c.Arr.Contains(line) || (e != nil) != full || (full && len(e.waiters) < c.P.MaxMerge) {
+			out = append(out, health.Violation{
+				Component: name, Rule: "stale-miss-memo",
+				Detail: fmt.Sprintf("line %#x memoised absent (merge list full: %t) but resident %t, MSHR entry %t",
+					line, full, c.Arr.Contains(line), e != nil),
+			})
+		}
 	}
 	if c.mshr.len() > c.P.MSHRs {
 		out = append(out, health.Violation{

@@ -74,7 +74,7 @@ func TestStalledLoadProceedsAfterMSHRChange(t *testing.T) {
 func TestStaleMissMemoIsAnInvariantViolation(t *testing.T) {
 	c, _ := stalledLoad(t)
 	c.Arr.Install(9, false)
-	c.absent.arrGen = c.Arr.gen // forge: pretend the install never bumped the generation
+	c.miss.arrGen = c.Arr.gen // forge: pretend the install never bumped the generation
 	v := c.CheckInvariants()
 	if len(v) != 1 || v[0].Rule != "stale-miss-memo" {
 		t.Fatalf("violations = %v, want one stale-miss-memo", v)

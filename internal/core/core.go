@@ -293,15 +293,20 @@ func (c *Core) Tick(now sim.Cycle) {
 	c.issue(now)
 }
 
-// NextWorkCycle implements sim.Sleeper. The core has work whenever a reply
-// waits in In, a memory instruction is mid-expansion, the LSQ holds
-// transactions, or the issue stage is not asleep (sleepUntil tracks the
-// earliest compute-latency wake-up; unblocking events reset it, and the
-// external ones — reply arrivals — are visible here as a non-empty In).
-// While now < sleepUntil with all queues empty, Tick only advances
-// Stat.Cycles and Stat.StallNoReady, which SkipIdle compensates.
+// NextWorkCycle implements sim.Sleeper. The core has work whenever one of its
+// stages can move something: a reply waits in In, a memory instruction can
+// expand into the LSQ (expandPending's own stop rule: a full LSQ ends the pass
+// unless a zero-line op is pending), the LSQ can inject into Out, or the issue
+// stage is not asleep (sleepUntil tracks the earliest compute-latency
+// wake-up; unblocking events reset it, and the external ones — reply arrivals
+// — are visible here as a non-empty In). A core backed up behind a full Out —
+// LSQ occupied, expansion stopped, issue asleep — has none of these: until
+// sleepUntil, a reply or space in Out, Tick only advances Stat.Cycles and
+// Stat.StallNoReady, which SkipIdle compensates.
 func (c *Core) NextWorkCycle(now sim.Cycle) sim.Cycle {
-	if !c.In.Empty() || c.pendCount != 0 || !c.lsq.Empty() {
+	if !c.In.Empty() ||
+		c.pendCount != 0 && (c.pendZero != 0 || !c.lsq.Full()) ||
+		!c.lsq.Empty() && !c.Out.Full() {
 		return now
 	}
 	if len(c.waves) == 0 {
@@ -314,9 +319,11 @@ func (c *Core) NextWorkCycle(now sim.Cycle) sim.Cycle {
 }
 
 // WakeSources implements sim.WakeSourcer: asleep, the core's own state is
-// frozen, so only a reply committed into In can give it work before
-// sleepUntil.
-func (c *Core) WakeSources() []sim.PortRef { return []sim.PortRef{c.In.Ref()} }
+// frozen, so before sleepUntil only a reply committed into In or space freed
+// in Out can give it work.
+func (c *Core) WakeSources() []sim.PortRef {
+	return []sim.PortRef{c.In.Ref(), c.Out.SpaceRef()}
+}
 
 // SkipIdle implements sim.IdleSkipper: n skipped idle ticks each count one
 // cycle and (when the core has wavefronts to stall) one no-ready stall,

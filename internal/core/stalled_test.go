@@ -241,3 +241,79 @@ func TestStaleWaveSetsAreInvariantViolations(t *testing.T) {
 		t.Fatalf("forged pendZero: %v", r)
 	}
 }
+
+// slowMemory drains two requests from a core's Out every period cycles — so
+// the LSQ gets to inject on two successive edges, the second with nothing but
+// its own occupancy to keep the core awake — and returns each reply lat
+// cycles later: a memory system slow enough that the core spends most of its
+// time backed up behind a full Out. A plain Ticker, so
+// it ticks on every edge in either engine mode.
+type slowMemory struct {
+	c           *Core
+	period, lat sim.Cycle
+	pending     *sim.DelayQueue[*mem.Access]
+}
+
+func (m *slowMemory) Tick(now sim.Cycle) {
+	for i := 0; i < 2 && now%m.period == 0; i++ {
+		if a, ok := m.c.Out.Pop(); ok {
+			m.pending.Push(a.Reply(), now+m.lat)
+		}
+	}
+	for !m.c.In.Full() {
+		r, ok := m.pending.PopReady(now)
+		if !ok {
+			break
+		}
+		m.c.In.Push(r)
+	}
+}
+
+// A core backed up behind a full Out — LSQ occupied, expansion stopped at the
+// full LSQ, issue asleep because every wavefront waits on memory — leaves the
+// active set, and comes back for the edge after Out frees a slot or a reply
+// lands. Its totals, every one of them, must be those of a core ticked on
+// every cycle: Cycles and StallNoReady through SkipIdle, the rest because no
+// skipped tick would have moved anything. The programs end well before the
+// run does, so its tail is the LSQ draining with nothing left to expand: there
+// the LSQ's own occupancy, against room in Out, is all that keeps the core
+// awake between the memory's two pops.
+func TestBlockedLSQSleepsToEagerTotals(t *testing.T) {
+	const cycles = 6000
+	run := func(fast bool) (Stats, int64) {
+		e := sim.NewEngine()
+		e.SetFastPath(fast)
+		clk := e.NewClock("core", 1000)
+		c := New(Params{LSQCap: 4, OutCap: 2, InCap: 4, MaxOutstanding: 16})
+		for w := 0; w < 4; w++ {
+			var ops []Op
+			for i := 0; i < 12; i++ {
+				base := uint64(w*1000 + i*8)
+				ops = append(ops,
+					Op{Kind: OpLoad, Lines: []uint64{base, base + 1, base + 2, base + 3, base + 4}, Bytes: 32, Blocking: i%2 == 0},
+					Op{Kind: OpCompute, Latency: 3})
+			}
+			c.AddWave(&listProgram{ops: ops})
+		}
+		c.Out.Attach(clk)
+		c.In.Attach(clk)
+		clk.Register(c)
+		clk.Register(&slowMemory{c: c, period: 32, lat: 40, pending: sim.NewDelayQueue[*mem.Access]()})
+		e.RunUntil(clk, cycles)
+		if v := c.CheckInvariants(); len(v) != 0 {
+			t.Fatalf("fast=%v invariants: %v", fast, v)
+		}
+		return c.Stat, e.WalkStats()[0].Ticks - cycles // the memory ticks once an edge
+	}
+	want, eager := run(false)
+	got, ticks := run(true)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sleeping core's totals differ from the eagerly ticked core's:\n got %+v\nwant %+v", got, want)
+	}
+	if want.Cycles != cycles || want.StallNoReady < cycles/2 || want.Transactions != 4*12*5 {
+		t.Fatalf("the scenario is not the back-pressured one: %+v", want)
+	}
+	if eager != cycles || ticks > cycles/3 {
+		t.Errorf("core ticked %d of %d cycles (eager engine: %d): it is not sleeping through the back-pressure", ticks, cycles, eager)
+	}
+}

@@ -163,22 +163,33 @@ func (n *Node) Tick(now sim.Cycle) {
 	n.pumpOut()
 }
 
-// NextWorkCycle implements sim.Sleeper. The node has work when any bridge
-// queue feeding its pumps is non-empty (Q1/Q4 inbound, the cache's Out and
-// MissOut outbound); otherwise it sleeps exactly as long as its cache
-// controller does.
+// NextWorkCycle implements sim.Sleeper. The node has work when one of its four
+// pumps can move its head — Q1 and Q4 inbound (into the cache, or around it
+// for bypass traffic), the cache's Out and MissOut outbound — each of which a
+// full destination refuses; with every pump empty or refused it sleeps exactly
+// as long as its cache controller does. What can lift a refusal is a fill or
+// a request arriving, or space in Q2 or Q3: the controller's own four queues
+// change only when the node ticks.
 func (n *Node) NextWorkCycle(now sim.Cycle) sim.Cycle {
-	if !n.Q1.Empty() || !n.Q4.Empty() || !n.Ctrl.Out.Empty() || !n.Ctrl.MissOut.Empty() {
+	if a, ok := n.Q1.Peek(); ok && !n.requestDst(a).Full() {
+		return now
+	}
+	if a, ok := n.Q4.Peek(); ok && !n.replyDst(a).Full() {
+		return now
+	}
+	if !n.Ctrl.Out.Empty() && !n.Q2.Full() || !n.Ctrl.MissOut.Empty() && !n.Q3.Full() {
 		return now
 	}
 	return n.Ctrl.NextWorkCycle(now)
 }
 
 // WakeSources implements sim.WakeSourcer: the two inbound bridge queues are
-// the only ports another component fills. The cache controller's own four
-// are filled and drained by the node itself, so they are frozen while it
-// sleeps.
-func (n *Node) WakeSources() []sim.PortRef { return []sim.PortRef{n.Q1.Ref(), n.Q4.Ref()} }
+// the only ports another component fills, the two outbound ones the only
+// ports another component drains. The cache controller's own four are filled
+// and drained by the node itself, so they are frozen while it sleeps.
+func (n *Node) WakeSources() []sim.PortRef {
+	return []sim.PortRef{n.Q1.Ref(), n.Q4.Ref(), n.Q2.SpaceRef(), n.Q3.SpaceRef()}
+}
 
 // SkipIdle implements sim.IdleSkipper by forwarding to the cache controller
 // (the node itself keeps no per-cycle counters).
@@ -186,48 +197,53 @@ func (n *Node) SkipIdle(now sim.Cycle, nc sim.Cycle) { n.Ctrl.SkipIdle(now, nc) 
 
 func bypasses(k mem.Kind) bool { return k == mem.NonL1 || k == mem.Atomic }
 
+// requestDst is where pumpIn moves request a from Q1: around the cache into
+// Q3 for bypass traffic, into the cache otherwise. replyDst is the same for a
+// reply leaving Q4.
+func (n *Node) requestDst(a *mem.Access) *sim.Port[*mem.Access] {
+	if bypasses(a.Kind) {
+		return n.Q3
+	}
+	return n.Ctrl.In
+}
+
+func (n *Node) replyDst(a *mem.Access) *sim.Port[*mem.Access] {
+	if bypasses(a.Kind) {
+		return n.Q2
+	}
+	return n.Ctrl.FillIn
+}
+
 func (n *Node) pumpIn() {
-	// Q1 → Ctrl.In (L1 traffic) or Q3 (bypass).
 	for i := 0; i < n.P.PumpPerCycle; i++ {
 		a, ok := n.Q1.Peek()
 		if !ok {
 			break
 		}
-		if bypasses(a.Kind) {
-			if n.Q3.Full() {
-				break
-			}
-			n.Q1.Pop()
-			n.Q3.Push(a)
-			n.Stat.BypassRequests++
-			continue
-		}
-		if n.Ctrl.In.Full() {
+		dst := n.requestDst(a)
+		if dst.Full() {
 			break
 		}
 		n.Q1.Pop()
-		n.Ctrl.In.Push(a)
+		dst.Push(a)
+		if dst == n.Q3 {
+			n.Stat.BypassRequests++
+		}
 	}
-	// Q4 → Ctrl.FillIn (L1 fills/ACKs) or Q2 (bypass replies).
 	for i := 0; i < n.P.PumpPerCycle; i++ {
 		a, ok := n.Q4.Peek()
 		if !ok {
 			break
 		}
-		if bypasses(a.Kind) {
-			if n.Q2.Full() {
-				break
-			}
-			n.Q4.Pop()
-			n.Q2.Push(a)
-			n.Stat.BypassReplies++
-			continue
-		}
-		if n.Ctrl.FillIn.Full() {
+		dst := n.replyDst(a)
+		if dst.Full() {
 			break
 		}
 		n.Q4.Pop()
-		n.Ctrl.FillIn.Push(a)
+		dst.Push(a)
+		if dst == n.Q2 {
+			n.Stat.BypassReplies++
+		}
 	}
 }
 

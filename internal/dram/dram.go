@@ -246,17 +246,22 @@ func (c *Channel) Tick(now sim.Cycle) {
 	c.inflight.Push(a, dataAt+t.TBurst)
 }
 
-// NextWorkCycle implements sim.Sleeper. The channel has work while requests
-// queue in In; otherwise its only future events are in-flight accesses
-// maturing and (when refresh is enabled) the next refresh boundary. A tick
-// with none of these due advances only Stat.Cycles and lastTick, which
-// SkipIdle compensates.
+// NextWorkCycle implements sim.Sleeper. The channel's future events are a
+// queued request's bank coming free, an in-flight access maturing with room
+// in Out for its reply, and (when refresh is enabled) the next refresh
+// boundary; a request arriving or space in a full Out are its wake sources.
+// A tick with none of these due advances only Stat.Cycles and lastTick, which
+// SkipIdle compensates. An armed injector's refresh storms depend on the
+// cycle, so with one every tick with requests queued may act.
 func (c *Channel) NextWorkCycle(now sim.Cycle) sim.Cycle {
-	if !c.In.Empty() {
-		return now
-	}
 	wake := sim.WakeNever
-	if t, ok := c.inflight.NextReadyAt(); ok {
+	if !c.In.Empty() {
+		if c.Chaos != nil {
+			return now
+		}
+		wake = c.nextIssue(now)
+	}
+	if t, ok := c.inflight.NextReadyAt(); ok && !c.Out.Full() && t < wake {
 		wake = t
 	}
 	if c.P.Timing.TREFI > 0 {
@@ -270,15 +275,27 @@ func (c *Channel) NextWorkCycle(now sim.Cycle) sim.Cycle {
 			wake = nr
 		}
 	}
-	if wake <= now {
-		return now
-	}
-	return wake
+	return max(wake, now)
 }
 
-// WakeSources implements sim.WakeSourcer: in-flight accesses and refresh are
-// timers; only a request committed into In arrives from outside.
-func (c *Channel) WakeSources() []sim.PortRef { return []sim.PortRef{c.In.Ref()} }
+// nextIssue returns the earliest cycle a queued request can issue: the
+// soonest its bank accepts a command, which is now as soon as one bank is
+// free. pickRequest finds a request exactly when one's bank is.
+func (c *Channel) nextIssue(now sim.Cycle) sim.Cycle {
+	at := sim.WakeNever
+	for i := 0; i < c.In.Len() && at > now; i++ {
+		bi, _ := c.locate(c.In.At(i).Line)
+		at = min(at, c.banks[bi].readyAt)
+	}
+	return at
+}
+
+// WakeSources implements sim.WakeSourcer: bank timing, in-flight accesses and
+// refresh are timers; a request committed into In arrives from outside, and
+// so does the space a full Out is waiting for.
+func (c *Channel) WakeSources() []sim.PortRef {
+	return []sim.PortRef{c.In.Ref(), c.Out.SpaceRef()}
+}
 
 // SkipIdle implements sim.IdleSkipper.
 func (c *Channel) SkipIdle(now sim.Cycle, n sim.Cycle) {

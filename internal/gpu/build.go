@@ -566,64 +566,39 @@ func (mod *Module) buildL2AndDram() {
 	}
 }
 
-// queuePump moves accesses from a source queue through an injection function
-// at a bounded rate. It implements sim.Sleeper — an empty source queue means
-// a tick would do nothing — so the engine can skip it; it keeps no per-cycle
-// counters, so no SkipIdle compensation is needed.
-type queuePump struct {
-	q    *sim.Port[*mem.Access]
-	rate int
-	try  func(a *mem.Access) bool
-}
-
-func (p *queuePump) Tick(sim.Cycle) {
-	for i := 0; i < p.rate; i++ {
-		a, ok := p.q.Peek()
-		if !ok {
-			return
-		}
-		if !p.try(a) {
-			return
-		}
-		p.q.Pop()
-	}
-}
-
-// NextWorkCycle implements sim.Sleeper.
-func (p *queuePump) NextWorkCycle(now sim.Cycle) sim.Cycle {
-	if p.q.Empty() {
-		return sim.WakeNever
-	}
-	return now
-}
-
-// WakeSources implements sim.WakeSourcer.
-func (p *queuePump) WakeSources() []sim.PortRef { return []sim.PortRef{p.q.Ref()} }
-
-// pump returns a Ticker moving accesses from q through try, up to rate/cycle.
-func pump(q *sim.Port[*mem.Access], rate int, try func(a *mem.Access) bool) sim.Ticker {
-	return &queuePump{q: q, rate: rate, try: try}
-}
-
-// multiPump drains several source ports into one destination in fixed source
-// order, up to rate accesses per source per cycle. It exists because an
-// attached port admits exactly one producer component: where many logical
-// sources feed one queue (all cores into the SingleL1 node, all of a DRAM
-// channel's slices into its In port), the fan-in must be a single ticker so
-// the destination's staging buffer is never written concurrently. The
-// optional prep hook runs before try with the source index, letting a fan-in
-// treat sources differently (the multi-GPU DRAM fan-in stamps locally
+// multiPump drains source ports through an injection function in fixed source
+// order, up to rate accesses per source per cycle. Several sources share one
+// pump where many logical producers feed one queue (all cores into the
+// SingleL1 node, all of a DRAM channel's slices into its In port): an attached
+// port admits exactly one producer component, so the fan-in must be a single
+// ticker and the destination's staging buffer is never written concurrently.
+// The optional prep hook runs before try with the source index, letting a
+// fan-in treat sources differently (the multi-GPU DRAM fan-in stamps locally
 // originated misses with the module id while link arrivals keep theirs).
+//
+// It implements sim.Sleeper — with every source empty a tick would do nothing
+// — and keeps no per-cycle counters, so no SkipIdle compensation is needed. A
+// wiring site that names in space everything a refused try waits for (the
+// destination ports, or the crossbar input whose credits ran out) also lets
+// the pump sleep through back-pressure: refused records that the last tick
+// left every non-empty source on a refusal, and only the barrier that frees
+// one of space — which wakes the pump to try again — can change that. A site
+// that names nothing keeps polling.
 type multiPump struct {
-	srcs []*sim.Port[*mem.Access]
-	rate int
-	try  func(a *mem.Access) bool
-	prep func(src int, a *mem.Access)
+	srcs  []*sim.Port[*mem.Access]
+	rate  int
+	try   func(a *mem.Access) bool
+	prep  func(src int, a *mem.Access)
+	space []sim.PortRef
+
+	refused bool
 }
 
 func (p *multiPump) Tick(sim.Cycle) {
+	p.refused = len(p.space) > 0
 	for si, q := range p.srcs {
-		for i := 0; i < p.rate; i++ {
+		moved := 0
+		for ; moved < p.rate; moved++ {
 			a, ok := q.Peek()
 			if !ok {
 				break
@@ -636,11 +611,19 @@ func (p *multiPump) Tick(sim.Cycle) {
 			}
 			q.Pop()
 		}
+		if moved == p.rate && !q.Empty() {
+			p.refused = false // stopped by the rate, not by a refusal
+		}
 	}
 }
 
-// NextWorkCycle implements sim.Sleeper.
+// NextWorkCycle implements sim.Sleeper. The refusal memo counts only while
+// the engine has bound the pump to its space sources: unbound, nothing would
+// wake it to try again.
 func (p *multiPump) NextWorkCycle(now sim.Cycle) sim.Cycle {
+	if p.refused && p.space[0].Bound() {
+		return sim.WakeNever
+	}
 	for _, q := range p.srcs {
 		if !q.Empty() {
 			return now
@@ -651,9 +634,25 @@ func (p *multiPump) NextWorkCycle(now sim.Cycle) sim.Cycle {
 
 // WakeSources implements sim.WakeSourcer.
 func (p *multiPump) WakeSources() []sim.PortRef {
-	refs := make([]sim.PortRef, len(p.srcs))
-	for i, q := range p.srcs {
-		refs[i] = q.Ref()
+	refs := make([]sim.PortRef, 0, len(p.srcs)+len(p.space))
+	for _, q := range p.srcs {
+		refs = append(refs, q.Ref())
+	}
+	return append(refs, p.space...)
+}
+
+// pump returns a Ticker moving accesses from q through try, up to rate/cycle,
+// sleeping through refusals when the site names what they wait for in space.
+func pump(q *sim.Port[*mem.Access], rate int, try func(a *mem.Access) bool, space ...sim.PortRef) sim.Ticker {
+	return &multiPump{srcs: []*sim.Port[*mem.Access]{q}, rate: rate, try: try, space: space}
+}
+
+// spaceRefs names the space of every port of ports, for a pump whose try
+// picks its destination among them.
+func spaceRefs(ports []*sim.Port[*mem.Access]) []sim.PortRef {
+	refs := make([]sim.PortRef, len(ports))
+	for i, p := range ports {
+		refs[i] = p.SpaceRef()
 	}
 	return refs
 }
@@ -702,8 +701,8 @@ func (mod *Module) wireLocalL1() {
 	for c := 0; c < mod.sys.Cfg.Cores; c++ {
 		co, nd := mod.Cores[c], mod.Nodes[c]
 		g := mod.coreClkGroup(c)
-		mod.sys.CoreClk.RegisterGrouped(pump(co.Out, pumpRate, nd.Q1.Push), g)
-		mod.sys.CoreClk.RegisterGrouped(pump(nd.Q2, pumpRate, co.In.Push), g)
+		mod.sys.CoreClk.RegisterGrouped(pump(co.Out, pumpRate, nd.Q1.Push, nd.Q1.SpaceRef()), g)
+		mod.sys.CoreClk.RegisterGrouped(pump(nd.Q2, pumpRate, co.In.Push, co.In.SpaceRef()), g)
 		nd.Q1.AttachGrouped(mod.sys.CoreClk, g)
 		co.In.AttachGrouped(mod.sys.CoreClk, g)
 	}
@@ -728,7 +727,7 @@ func (mod *Module) wireBaselineNoC() {
 		nd := mod.Nodes[c]
 		mod.sys.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
 			return mod.sys.inject(req, a, c, mod.AMap.L2Slice(a.Line), reqFlits(a, mod.sys.D.FlitBytes, true))
-		}), gPump(c))
+		}, req.InjectSpace(c)), gPump(c))
 		rep.SetEndpoint(c, mod.sys.sink(nd.Q4))
 		nd.Q4.AttachGrouped(mod.sys.Noc2Clk, gRep)
 	}
@@ -741,7 +740,7 @@ func (mod *Module) wireBaselineNoC() {
 			dst = a.Node
 		}
 		return mod.sys.inject(rep, a, slice, dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
-	})
+	}, rep.InjectSpace)
 }
 
 // wireNoC1 builds NoC#1 between lite cores and DC-L1 nodes for the Private,
@@ -774,7 +773,7 @@ func (mod *Module) wireNoC1() {
 			src := c % per
 			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(req, a, src, 0, reqFlits(a, d.FlitBytes, false))
-			}), mod.noc1Group(n))
+			}, req.InjectSpace(src)), mod.noc1Group(n))
 			mod.Noc1Rep[n].SetEndpoint(src, mod.sys.sink(mod.Cores[c].In))
 			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(n))
 		}
@@ -783,7 +782,7 @@ func (mod *Module) wireNoC1() {
 			rep := mod.Noc1Rep[n]
 			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(rep, a, 0, a.Core%per, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}), mod.noc1Group(n))
+			}, rep.InjectSpace(0)), mod.noc1Group(n))
 		}
 	case Shared:
 		// Noc1Clk namespace: the two crossbar hubs get groups 0/1, each
@@ -801,7 +800,7 @@ func (mod *Module) wireNoC1() {
 			c := c
 			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(req, a, c, mod.Map.Home(c, a.Line), reqFlits(a, d.FlitBytes, false))
-			}), mod.noc1Group(2+c))
+			}, req.InjectSpace(c)), mod.noc1Group(2+c))
 			rep.SetEndpoint(c, mod.sys.sink(mod.Cores[c].In))
 			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(1))
 		}
@@ -811,7 +810,7 @@ func (mod *Module) wireNoC1() {
 			mod.Nodes[n].Q1.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(0))
 			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(rep, a, n, a.Core, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}), mod.noc1Group(2+cfg.Cores+n))
+			}, rep.InjectSpace(n)), mod.noc1Group(2+cfg.Cores+n))
 		}
 	case Clustered:
 		// Noc1Clk namespace: crossbar pair of cluster cl → 2cl/2cl+1, then
@@ -843,7 +842,7 @@ func (mod *Module) wireNoC1() {
 			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				local := mod.Map.Home(c, a.Line) - cl*m
 				return mod.sys.inject(req, a, c%coresPer, local, reqFlits(a, d.FlitBytes, false))
-			}), mod.noc1Group(base+c))
+			}, req.InjectSpace(c%coresPer)), mod.noc1Group(base+c))
 			mod.Noc1Rep[cl].SetEndpoint(c%coresPer, mod.sys.sink(mod.Cores[c].In))
 			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*cl+1))
 		}
@@ -853,7 +852,7 @@ func (mod *Module) wireNoC1() {
 			rep := mod.Noc1Rep[cl]
 			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(rep, a, n%m, a.Core%coresPer, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}), mod.noc1Group(base+cfg.Cores+n))
+			}, rep.InjectSpace(n%m)), mod.noc1Group(base+cfg.Cores+n))
 		}
 	}
 }
@@ -872,25 +871,29 @@ func (mod *Module) wireSingleL1() {
 	for c, co := range mod.Cores {
 		outs[c] = co.Out
 	}
-	mod.sys.CoreClk.RegisterGrouped(&multiPump{srcs: outs, rate: pumpRate, try: nd.Q1.Push}, gNode)
+	mod.sys.CoreClk.RegisterGrouped(&multiPump{
+		srcs: outs, rate: pumpRate, try: nd.Q1.Push, space: []sim.PortRef{nd.Q1.SpaceRef()},
+	}, gNode)
 	nd.Q1.AttachGrouped(mod.sys.CoreClk, gNode)
 	// Replies demultiplex back to cores by Access.Core.
-	mod.sys.CoreClk.RegisterGrouped(pump(nd.Q2, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
-		return mod.Cores[a.Core].In.Push(a)
-	}), gNode)
-	for _, co := range mod.Cores {
+	ins := make([]*sim.Port[*mem.Access], len(mod.Cores))
+	for c, co := range mod.Cores {
+		ins[c] = co.In
 		co.In.AttachGrouped(mod.sys.CoreClk, gNode)
 	}
+	mod.sys.CoreClk.RegisterGrouped(pump(nd.Q2, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
+		return mod.Cores[a.Core].In.Push(a)
+	}, spaceRefs(ins)...), gNode)
 	// Miss path: ideal full-width connection to the L2 slices.
 	mod.sys.Noc2Clk.RegisterGrouped(pump(nd.Q3, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
 		return mod.l2in[mod.AMap.L2Slice(a.Line)].Push(a)
-	}), mod.noc2Group(0))
+	}, spaceRefs(mod.l2in)...), mod.noc2Group(0))
 	// L2 side: per-slice l2in→L2.In pumps, plus one composite pump over all
 	// L2 outputs into the node's Q4 (again a single producer), consuming
 	// orphan writeback ACKs as wireL2Replies does for the NoC designs.
 	l2outs := make([]*sim.Port[*mem.Access], len(mod.L2))
 	for i := range mod.L2 {
-		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push), mod.sliceGroup(i))
+		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()), mod.sliceGroup(i))
 		l2outs[i] = mod.L2[i].Out
 	}
 	mod.sys.Noc2Clk.RegisterGrouped(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
@@ -899,7 +902,7 @@ func (mod *Module) wireSingleL1() {
 			return true
 		}
 		return nd.Q4.Push(a)
-	}}, mod.noc2Group(1))
+	}, space: []sim.PortRef{nd.Q4.SpaceRef()}}, mod.noc2Group(1))
 	nd.Q4.AttachGrouped(mod.sys.Noc2Clk, mod.noc2Group(1))
 }
 
@@ -922,7 +925,7 @@ func (mod *Module) wireNoC2Flat() {
 		n := n
 		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
 			return mod.sys.inject(req, a, n, mod.AMap.L2Slice(a.Line), reqFlits(a, mod.sys.D.FlitBytes, true))
-		}), gPump(n))
+		}, req.InjectSpace(n)), gPump(n))
 		rep.SetEndpoint(n, mod.sys.sink(mod.Nodes[n].Q4))
 		mod.Nodes[n].Q4.AttachGrouped(mod.sys.Noc2Clk, gRep)
 	}
@@ -935,7 +938,7 @@ func (mod *Module) wireNoC2Flat() {
 			dst = a.Node
 		}
 		return mod.sys.inject(rep, a, slice, dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
-	})
+	}, rep.InjectSpace)
 }
 
 // wireNoC2Clustered builds the M crossbars of Z×(L2/M) in NoC#2 (Fig 10).
@@ -971,7 +974,7 @@ func (mod *Module) wireNoC2Clustered() {
 		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
 			slice := mod.AMap.L2Slice(a.Line)
 			return mod.sys.inject(req, a, cl, slice/m, reqFlits(a, d.FlitBytes, true))
-		}), gPump(n))
+		}, req.InjectSpace(cl)), gPump(n))
 		mod.Noc2Rep[j].SetEndpoint(cl, mod.sys.sink(mod.Nodes[n].Q4))
 		mod.Nodes[n].Q4.AttachGrouped(mod.sys.Noc2Clk, mod.noc2Group(2*j+1))
 	}
@@ -983,7 +986,7 @@ func (mod *Module) wireNoC2Clustered() {
 			dst = a.Node / m
 		}
 		return mod.sys.inject(mod.Noc2Rep[j], a, slice/m, dst, replyFlits(a, d.FlitBytes, false, false))
-	})
+	}, func(slice int) sim.PortRef { return mod.Noc2Rep[slice%m].InjectSpace(slice / m) })
 }
 
 // wireCDXBarNoC builds the hierarchical two-stage crossbar (Fig 19a study):
@@ -1057,7 +1060,7 @@ func (mod *Module) wireCDXBarNoC() {
 		mod.sys.Noc1Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
 			slice := mod.AMap.L2Slice(a.Line)
 			return mod.sys.inject(req, a, c%per, slice%mid, reqFlits(a, d.FlitBytes, true))
-		}), mod.noc1Group(base1+c))
+		}, req.InjectSpace(c%per)), mod.noc1Group(base1+c))
 		s1rep[gi].SetEndpoint(c%per, mod.sys.sink(nd.Q4))
 		nd.Q4.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*gi+1))
 	}
@@ -1069,7 +1072,7 @@ func (mod *Module) wireCDXBarNoC() {
 			mod.sys.Noc2Clk.RegisterGrouped(pump(midReq[gi][j], pumpRate, func(a *mem.Access) bool {
 				slice := mod.AMap.L2Slice(a.Line)
 				return mod.sys.inject(req2, a, gi, slice/mid, reqFlits(a, d.FlitBytes, true))
-			}), mod.noc2Group(2*mid+gi*mid+j))
+			}, req2.InjectSpace(gi)), mod.noc2Group(2*mid+gi*mid+j))
 			rep1 := s1rep[gi]
 			mod.sys.Noc1Clk.RegisterGrouped(pump(midRep[gi][j], pumpRate, func(a *mem.Access) bool {
 				who := a.Core
@@ -1077,7 +1080,7 @@ func (mod *Module) wireCDXBarNoC() {
 					who = a.Node
 				}
 				return mod.sys.inject(rep1, a, j, who%per, replyFlits(a, d.FlitBytes, false, false))
-			}), mod.noc1Group(base1+cfg.Cores+gi*mid+j))
+			}, rep1.InjectSpace(j)), mod.noc1Group(base1+cfg.Cores+gi*mid+j))
 		}
 	}
 	for j := 0; j < mid; j++ {
@@ -1095,24 +1098,30 @@ func (mod *Module) wireCDXBarNoC() {
 		}
 		gi := who / per
 		return mod.sys.inject(s2rep[j], a, slice/mid, gi, replyFlits(a, d.FlitBytes, false, false))
-	})
+	}, func(slice int) sim.PortRef { return s2rep[slice%mid].InjectSpace(slice / mid) })
 }
 
 // wireL2Replies registers, for every L2 slice: the l2in→L2.In pump and the
-// L2.Out→reply-network pump using the supplied injector. ACKs for L1
-// writebacks (Core == -1, produced when the write-back L1 ablation evicts
-// dirty lines) have no requester and are consumed here.
-func (mod *Module) wireL2Replies(inject func(a *mem.Access, slice int) bool) {
+// L2.Out→reply-network pump using the supplied injector, whose refusals wait
+// for space(slice) — the reply network's input for that slice (nil: the
+// network names none, and the pump polls). ACKs for L1 writebacks (Core ==
+// -1, produced when the write-back L1 ablation evicts dirty lines) have no
+// requester and are consumed here.
+func (mod *Module) wireL2Replies(inject func(a *mem.Access, slice int) bool, space func(slice int) sim.PortRef) {
 	for i := range mod.L2 {
 		i := i
-		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push), mod.sliceGroup(i))
+		var waits []sim.PortRef
+		if space != nil {
+			waits = []sim.PortRef{space(i)}
+		}
+		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()), mod.sliceGroup(i))
 		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.L2[i].Out, pumpRate, func(a *mem.Access) bool {
 			if a.Kind == mem.Store && a.Core == -1 {
 				mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 				return true
 			}
 			return inject(a, i)
-		}), mod.sliceGroup(i))
+		}, waits...), mod.sliceGroup(i))
 	}
 }
 
@@ -1136,13 +1145,17 @@ func (mod *Module) wireMemSide() {
 	// Group each channel's slices so the channel's In port has one composite
 	// producer draining the mapped MissOuts in slice order.
 	missByCh := make([][]*sim.Port[*mem.Access], len(mod.Drams))
+	fillByCh := make([][]*sim.Port[*mem.Access], len(mod.Drams))
 	for i := range mod.L2 {
 		ch := mod.AMap.Channel(i)
 		missByCh[ch] = append(missByCh[ch], mod.L2[i].MissOut)
+		fillByCh[ch] = append(fillByCh[ch], mod.L2[i].FillIn)
 	}
 	for ch, dc := range mod.Drams {
 		if !multi {
-			mod.sys.Noc2Clk.RegisterGrouped(&multiPump{srcs: missByCh[ch], rate: pumpRate, try: dc.In.Push}, mod.chanGroup(ch))
+			mod.sys.Noc2Clk.RegisterGrouped(&multiPump{
+				srcs: missByCh[ch], rate: pumpRate, try: dc.In.Push, space: []sim.PortRef{dc.In.SpaceRef()},
+			}, mod.chanGroup(ch))
 			dc.In.AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
 			continue
 		}
@@ -1166,6 +1179,7 @@ func (mod *Module) wireMemSide() {
 				}
 				return mod.linkMissOut[ch].Push(a)
 			},
+			space: []sim.PortRef{dc.In.SpaceRef(), mod.linkMissOut[ch].SpaceRef()},
 		}, mod.chanGroup(ch))
 		dc.In.AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
 		mod.linkMissOut[ch].AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
@@ -1179,7 +1193,7 @@ func (mod *Module) wireMemSide() {
 					return true
 				}
 				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
-			}), mod.memGroup(ch))
+			}, spaceRefs(fillByCh[ch])...), mod.memGroup(ch))
 			continue
 		}
 		ch := ch
@@ -1199,6 +1213,7 @@ func (mod *Module) wireMemSide() {
 				}
 				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
 			},
+			space: append(spaceRefs(fillByCh[ch]), mod.linkRepOut[ch].SpaceRef()),
 		}, mod.memGroup(ch))
 		mod.linkRepOut[ch].AttachGrouped(mod.sys.MemClk, mod.memGroup(ch))
 	}

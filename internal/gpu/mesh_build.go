@@ -74,5 +74,5 @@ func (mod *Module) wireMeshNoC() {
 			dst = a.Node
 		}
 		return mod.sys.inject(rep, a, l2Node(slice), dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
-	})
+	}, nil)
 }

@@ -69,6 +69,7 @@ func (s *System) wireLink() {
 			try: func(a *mem.Access) bool {
 				return s.inject(req, a, i, amap.HomeModule(a.Line), reqFlits(a, d.LinkGBps, true))
 			},
+			space: []sim.PortRef{req.InjectSpace(i)},
 		}, i)
 		req.SetEndpoint(i, sinkPort(mod.linkReqIn))
 		// Fills: home DRAM data returns to the origin module. Full lines,
@@ -79,6 +80,7 @@ func (s *System) wireLink() {
 			try: func(a *mem.Access) bool {
 				return s.inject(rep, a, i, a.Module, replyFlits(a, d.LinkGBps, false, false))
 			},
+			space: []sim.PortRef{rep.InjectSpace(i)},
 		}, i)
 		rep.SetEndpoint(i, sinkPort(mod.linkFillIn))
 		for ch := range mod.linkReqIn {

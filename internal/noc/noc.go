@@ -119,7 +119,13 @@ type Crossbar struct {
 	// (grants popping a VOQ) is recorded in granted during Tick and applied
 	// at the edge barrier (or at the end of Tick in immediate mode), so the
 	// two sides never race under sharded execution.
-	credit    [][]int32
+	credit [][]int32
+	// refused[in] is the output input in's producer has been refused a credit
+	// toward (noOutput: none since that credit came back; anyOutput: several,
+	// a fan-in pump's sources wanting different ones): the grant whose credit
+	// return has to wake a producer asleep on InjectSpace(in). Written by
+	// Inject, cleared by applyCredits, like the credits themselves.
+	refused   []int32
 	granted   []credPair
 	attached  bool
 	voqBits   [][]uint64  // [out] bitmap of inputs with waiting packets
@@ -167,7 +173,9 @@ func New(p Params) *Crossbar {
 		endpoints: make([]Endpoint, p.Outs),
 	}
 	x.credit = make([][]int32, p.Ins)
+	x.refused = make([]int32, p.Ins)
 	for i := range x.voq {
+		x.refused[i] = noOutput
 		// The injection port is unbounded: admission is bounded per (in,out)
 		// by the credit check, so occupancy never exceeds Outs×VOQDepth.
 		x.inj[i] = sim.NewPort[*mem.Packet](0)
@@ -199,6 +207,12 @@ func (x *Crossbar) SetEndpoint(o int, e Endpoint) { x.endpoints[o] = e }
 
 type credPair struct{ in, out int32 }
 
+// Values of Crossbar.refused besides an output index.
+const (
+	noOutput  int32 = -1
+	anyOutput int32 = -2
+)
+
 // Inject offers a packet at input port p.Src destined for output p.Dst by
 // pushing it onto that input's injection port — the crossbar's two-phase
 // boundary: all switch-internal bookkeeping happens when Tick drains the
@@ -215,6 +229,11 @@ func (x *Crossbar) Inject(p *mem.Packet) bool {
 		panic("noc: packet with no flits")
 	}
 	if x.credit[p.Src][p.Dst] >= int32(x.P.VOQDepth) {
+		if r := &x.refused[p.Src]; *r == noOutput {
+			*r = int32(p.Dst)
+		} else if *r != int32(p.Dst) {
+			*r = anyOutput
+		}
 		return false
 	}
 	if !x.inj[p.Src].Push(p) {
@@ -223,6 +242,11 @@ func (x *Crossbar) Inject(p *mem.Packet) bool {
 	x.credit[p.Src][p.Dst]++
 	return true
 }
+
+// InjectSpace names what a producer refused at input port in waits for — a
+// credit toward the output it wanted — as a wake source (sim.WakeSourcer):
+// the barrier that returns that credit wakes whoever sleeps on it.
+func (x *Crossbar) InjectSpace(in int) sim.PortRef { return x.inj[in].SpaceRef() }
 
 // CanInject reports whether input port in has VOQ room toward output out.
 func (x *Crossbar) CanInject(in, out int) bool {
@@ -254,11 +278,16 @@ func (x *Crossbar) AttachPortsGrouped(clk *sim.Clock, groupOf func(in int) int) 
 }
 
 // applyCredits returns the credits of this edge's VOQ grants to the
-// producers. Runs at the edge barrier (attached) or at the end of Tick
-// (immediate mode) — never concurrently with Inject.
+// producers, waking the one refused for want of the credit returned. Runs at
+// the edge barrier (attached) or at the end of Tick (immediate mode) — never
+// concurrently with Inject.
 func (x *Crossbar) applyCredits() {
 	for _, g := range x.granted {
 		x.credit[g.in][g.out]--
+		if r := &x.refused[g.in]; *r == g.out || *r == anyOutput {
+			*r = noOutput
+			x.inj[g.in].WakeProducer()
+		}
 	}
 	x.granted = x.granted[:0]
 }

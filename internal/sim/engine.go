@@ -60,9 +60,9 @@ const wakeHorizon Cycle = 1 << 42
 // The promise only needs to hold under the engine's re-evaluation rule:
 // NextWorkCycle is re-queried at every edge the component is considered on —
 // every edge for a plain Sleeper; for one that also declares WakeSources (see
-// wake.go), the edges after its timer comes due or a producer's barrier
-// publishes into one of those ports. It must be a pure function of the
-// component's state.
+// wake.go), the edges after its timer comes due, a barrier publishes into a
+// port it named the contents of, or a barrier frees a port it named the space
+// of. It must be a pure function of the component's state.
 type Sleeper interface {
 	NextWorkCycle(now Cycle) Cycle
 }
@@ -117,10 +117,12 @@ type Clock struct {
 	skip    []IdleSkipper
 	skipIdx []int32
 	timers  wakeTimers
-	walk    edgeWalk // of a serial edge
-	// idle records that the most recent edge ticked no component, with
-	// idleUntil the earliest armed timer then (WakeNever if none). Any
-	// productive tick on any clock invalidates all idle flags.
+	walk    edgeWalk  // of a serial edge
+	stats   WalkStats // Clock and Components are filled in by Engine.WalkStats
+	// idle records that the most recent edge ticked no component and nothing
+	// has been woken since, with idleUntil the earliest armed timer then
+	// (WakeNever if none). Any productive tick on any clock invalidates all
+	// idle flags.
 	idle      bool
 	idleUntil Cycle
 
@@ -227,18 +229,18 @@ func (c *Clock) OnBarrier(f func()) {
 }
 
 // commitSerial runs the clock's port barrier on the engine goroutine:
-// publish staged pushes, wake the consumers they are for, refresh the
-// producer-side occupancy snapshots. The barrier runs on every processed
-// edge — even one where no component ticked — because a consumer on another
-// clock may have drained a port since the last one and the freed space has to
-// reach the producer on the same schedule regardless of fast path or shard
-// count. A port nobody pushed to or popped from since its last commit has
-// nothing to publish and a snapshot that is already right, so with lists on
-// only the dirty ports are visited. On dispatched edges the shards commit
-// their own ports inside the same dispatch instead (fused with the eval
-// phase). Edges skipped wholesale by the quiescence fast-forward need no
-// commit: nothing ticks anywhere during an all-idle stretch, so no port can
-// change.
+// publish staged pushes, refresh the producer-side occupancy snapshots, wake
+// the consumers of what was published and the producers of what was freed.
+// The barrier runs on every processed edge — even one where no component
+// ticked — because a consumer on another clock may have drained a port since
+// the last one and the freed space has to reach the producer on the same
+// schedule regardless of fast path or shard count. A port nobody pushed to or
+// popped from since its last commit has nothing to publish and a snapshot
+// that is already right, so with lists on only the dirty ports are visited.
+// On dispatched edges the shards commit their own ports inside the same
+// dispatch instead (fused with the eval phase). Edges skipped wholesale by
+// the quiescence fast-forward need no commit: nothing ticks anywhere during
+// an all-idle stretch, so no port can change.
 func (c *Clock) commitSerial() {
 	ports := c.ports
 	if c.lists {
@@ -248,7 +250,10 @@ func (c *Clock) commitSerial() {
 	for _, h := range ports {
 		h.listed = false
 		if h.commit() && h.wclk != nil {
-			h.wclk.wake(h.widx)
+			h.wakeConsumer()
+		}
+		if h.relented() {
+			h.wakeProducer()
 		}
 	}
 }
@@ -334,18 +339,25 @@ func (c *Clock) tick(fast, strided bool, ex *executor) int {
 		c.walk.set(c, nil, now)
 		c.fileSleeps(c.walk.slept, now)
 		ticked = c.walk.ticked
+		c.stats.Polls += int64(c.walk.polled)
 	default:
 		for _, t := range c.comps {
 			t.Tick(now)
 		}
 		ticked = len(c.comps)
 	}
+	c.stats.Edges++
+	c.stats.Ticks += int64(ticked)
 	c.cycle++
+	// The idle verdict comes before the barrier: a wake the commits or a
+	// barrier task raise clears it again (see Clock.wake).
 	c.idle = fast && ticked == 0
 	c.idleUntil = c.timers.min(c.cycle)
 	c.lastTicked = ticked
 	if dispatchEx == nil {
 		c.commitSerial()
+	} else {
+		dispatchEx.wakeCommitted()
 	}
 	c.runBarriers(ex)
 	if wakeAuditEveryEdge {

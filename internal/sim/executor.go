@@ -65,10 +65,12 @@ type executor struct {
 	// The active set and the timers belong to the coordinator: a shard only
 	// reads the set, and buffers what it would change — the components that
 	// went to sleep (with the wake cycle each reported) and the ports whose
-	// flush has a consumer to wake — for main to apply, sleeps before wakes,
-	// which is the order a serial edge produces them in.
+	// commit has a consumer (woken) or a producer (freed) to wake — for main
+	// to apply, sleeps before wakes, which is the order a serial edge produces
+	// them in.
 	walks []edgeWalk
 	woken [][]*portHeader
+	freed [][]*portHeader
 }
 
 const (
@@ -84,7 +86,7 @@ const (
 const executorSpin = 256
 
 func newExecutor(n int) *executor {
-	ex := &executor{n: n, walks: make([]edgeWalk, n), woken: make([][]*portHeader, n)}
+	ex := &executor{n: n, walks: make([]edgeWalk, n), woken: make([][]*portHeader, n), freed: make([][]*portHeader, n)}
 	ex.cond = sync.NewCond(&ex.mu)
 	ex.gcond = sync.NewCond(&ex.gmu)
 	ex.dcond = sync.NewCond(&ex.dmu)
@@ -213,7 +215,7 @@ func (ex *executor) exec(shard int) {
 			c.comps[i].Tick(now)
 		}
 		w := &ex.walks[shard]
-		w.ticked, w.slept = len(plan.comps[shard]), w.slept[:0]
+		w.ticked, w.polled, w.slept = len(plan.comps[shard]), 0, w.slept[:0]
 	case jobEval:
 		ex.walks[shard].set(c, plan.masks[shard], now)
 	case jobFold:
@@ -221,20 +223,25 @@ func (ex *executor) exec(shard int) {
 		return
 	}
 	ex.phaseBarrier()
-	woken := ex.woken[shard][:0]
+	woken, freed := ex.woken[shard][:0], ex.freed[shard][:0]
 	for _, i := range plan.ports[shard] {
-		if h := c.ports[i]; h.commit() && h.wclk != nil {
+		h := c.ports[i]
+		if h.commit() && h.wclk != nil {
 			woken = append(woken, h)
 		}
+		if h.relented() {
+			freed = append(freed, h)
+		}
 	}
-	ex.woken[shard] = woken
+	ex.woken[shard], ex.freed[shard] = woken, freed
 }
 
 // tickEdge runs one edge sharded — every component (fast off) or the awake
 // ones — with the ports committed in the same dispatch after the phase
-// barrier, then folds the shards' buffered sleeps and wakes into the active
-// set. The tick total is a sum and set updates commute, so the fold is
-// independent of shard count and completion order.
+// barrier, then folds the shards' buffered sleeps into the active set; the
+// wakes their commits owe follow in wakeCommitted. The tick total is a sum
+// and set updates commute, so the fold is independent of shard count and
+// completion order.
 func (ex *executor) tickEdge(c *Clock, plan *shardPlan, now Cycle, fast bool) int {
 	mode := jobTick
 	if fast {
@@ -244,14 +251,24 @@ func (ex *executor) tickEdge(c *Clock, plan *shardPlan, now Cycle, fast bool) in
 	ticked := 0
 	for k := 0; k < ex.n; k++ {
 		ticked += ex.walks[k].ticked
+		c.stats.Polls += int64(ex.walks[k].polled)
 		c.fileSleeps(ex.walks[k].slept, now)
 	}
+	return ticked
+}
+
+// wakeCommitted raises the wakes the shards' port commits buffered on the
+// edge tickEdge just ran: the coordinator's half of the barrier, after the
+// clock's idle verdict as in a serial edge.
+func (ex *executor) wakeCommitted() {
 	for k := 0; k < ex.n; k++ {
 		for _, h := range ex.woken[k] {
-			h.wclk.wake(h.widx)
+			h.wakeConsumer()
+		}
+		for _, h := range ex.freed[k] {
+			h.wakeProducer()
 		}
 	}
-	return ticked
 }
 
 // fold runs f once per shard across the pool (main runs shard 0). f's shard

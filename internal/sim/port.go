@@ -48,15 +48,23 @@ type portHeader struct {
 	nStaged int  // len(staged)
 	snap    int  // committed occupancy snapshot from the last barrier
 	size    *int // the committed queue's occupancy (Queue.size)
+	cap     int  // the queue's capacity (0 = unbounded)
 	owner   stagedFlusher
 
 	clk    *Clock // producer clock, whose barrier commits the port; nil = unattached
 	listed bool   // on clk.dirty
 
-	// The sleeping consumer a flush must wake: component widx of wclk, bound
-	// from its WakeSources; wclk is nil when no component sleeps on the port.
-	wclk *Clock
-	widx int32
+	// The sleepers a commit must wake, bound from their WakeSources. A flush
+	// wakes the consumer, component widx of wclk (nil: none sleeps on the
+	// port's data); a commit after which the port accepts again wakes the
+	// producer, component pidx of clk (-1: none sleeps on the port's space) —
+	// if it has been refused since the port last accepted at a barrier, which
+	// is what starved records: a producer that never met the port full is not
+	// waiting for it.
+	wclk    *Clock
+	widx    int32
+	pidx    int32
+	starved bool
 }
 
 // stagedFlusher is the generic half of a commit, reached through the header.
@@ -87,11 +95,40 @@ func (h *portHeader) commit() (flushed bool) {
 	return flushed
 }
 
+// relented reports, right after commit, that the Full verdict the producer
+// was refused by has turned to accepting — the one transition that can turn
+// "my output is full" into work, whether it comes from pops on another clock's
+// edges or from this edge's own — and whether a producer sleeps on it (the
+// caller then wakes it). Once per refusal: the mark is cleared either way. (An
+// unbounded port is never full; what refuses its producer is the owner's
+// business, see WakeProducer.) Kept apart from commit so that both inline
+// into the barrier's loop over ports.
+func (h *portHeader) relented() bool {
+	if !h.starved || h.snap >= h.cap {
+		return false
+	}
+	h.starved = false
+	return h.pidx >= 0
+}
+
+// wakeConsumer and wakeProducer re-awake the component bound to that end of
+// the port, for its clock's next edge.
+func (h *portHeader) wakeConsumer() {
+	h.wclk.stats.DataWakes++
+	h.wclk.wake(h.widx)
+}
+
+func (h *portHeader) wakeProducer() {
+	h.clk.stats.SpaceWakes++
+	h.clk.wake(h.pidx)
+}
+
 // NewPort returns a port holding at most capacity items (0 = unbounded), in
 // immediate mode until Attach is called.
 func NewPort[T any](capacity int) *Port[T] {
 	p := &Port[T]{}
 	p.Queue = *NewQueue[T](capacity)
+	p.hdr.pidx = -1
 	return p
 }
 
@@ -110,18 +147,50 @@ func (p *Port[T]) AttachGrouped(c *Clock, group int) {
 		panic("sim: Port attached twice")
 	}
 	p.twoPhase = true
-	p.hdr.snap, p.hdr.size, p.hdr.owner, p.hdr.clk = p.size, &p.size, p, c
+	p.hdr.snap, p.hdr.size, p.hdr.cap, p.hdr.owner, p.hdr.clk = p.size, &p.size, p.cap, p, c
 	p.watch = &p.hdr
 	c.ports = append(c.ports, &p.hdr)
 	c.portGroups = append(c.portGroups, group)
 	c.topologyChanged()
 }
 
-// PortRef names a port without its element type, for WakeSources.
-type PortRef struct{ h *portHeader }
+// PortRef names one end of a port without its element type, for WakeSources:
+// the data a consumer sleeps on, or the space a producer does.
+type PortRef struct {
+	h     *portHeader
+	space bool
+}
 
-// Ref returns the port's untyped handle.
-func (p *Port[T]) Ref() PortRef { return PortRef{&p.hdr} }
+// Ref names the port's contents: the source of a component that consumes the
+// port and sleeps while it is empty.
+func (p *Port[T]) Ref() PortRef { return PortRef{h: &p.hdr} }
+
+// SpaceRef names the port's free space: the source of a component that
+// produces into the port and sleeps while it is full. The component must tick
+// on the clock the port is attached to.
+func (p *Port[T]) SpaceRef() PortRef { return PortRef{h: &p.hdr, space: true} }
+
+// Bound reports whether the engine has bound a sleeper to this end of the
+// port, so that a commit will wake it. A component whose blocked verdict is a
+// memo of its last attempt, not a predicate it re-evaluates, may trust the
+// memo only while this holds: unbound, nothing would tell it to try again.
+func (r PortRef) Bound() bool {
+	if r.space {
+		return r.h.pidx >= 0
+	}
+	return r.h.wclk != nil
+}
+
+// WakeProducer raises the port's space wake by hand, for a producer whose
+// admission is bounded by something the port's capacity does not show (a
+// crossbar's per-pair credits behind an unbounded injection port): the owner
+// of that bound knows whom it refused and when it relents. Call it only from
+// a barrier task of the port's clock.
+func (p *Port[T]) WakeProducer() {
+	if p.hdr.pidx >= 0 {
+		p.hdr.wakeProducer()
+	}
+}
 
 // Attached reports whether the port is in two-phase mode.
 func (p *Port[T]) Attached() bool { return p.twoPhase }
@@ -139,7 +208,7 @@ func (p *Port[T]) Push(v T) bool {
 	if !p.twoPhase {
 		return p.Queue.Push(v)
 	}
-	if p.cap > 0 && p.hdr.snap+p.hdr.nStaged >= p.cap {
+	if p.Full() {
 		return false
 	}
 	p.staged = append(p.staged, v)
@@ -151,12 +220,18 @@ func (p *Port[T]) Push(v T) bool {
 }
 
 // Full reports whether a Push would be rejected (two-phase: against the
-// snapshot plus already-staged values).
+// snapshot plus already-staged values). A refusal is remembered until the
+// barrier after which the port accepts again, which then wakes the producer
+// if it sleeps on the port's space: only the producer may ask.
 func (p *Port[T]) Full() bool {
 	if !p.twoPhase {
 		return p.Queue.Full()
 	}
-	return p.cap > 0 && p.hdr.snap+p.hdr.nStaged >= p.cap
+	if p.cap > 0 && p.hdr.snap+p.hdr.nStaged >= p.cap {
+		p.hdr.starved = true
+		return true
+	}
+	return false
 }
 
 // Space returns how many more items the producer can push this edge.

@@ -10,21 +10,25 @@ import (
 // The active set. A clock edge costs what is awake on it, not what is
 // registered: each clock keeps a bitset of the components it will consider on
 // its next edge, walked in registration order. A Sleeper that reports a
-// future wake leaves the set and comes back one of two ways — its timer (one
-// heap entry per component, keyed by the cycle it reported) or the barrier
-// commit that publishes values into a port it consumes. Both are exact for a
-// component whose NextWorkCycle has the shape "an input port is non-empty →
-// now; otherwise my own earliest timer, or never": asleep, its state is
-// frozen, so the answer can only change when a producer's commit fills one of
-// those ports, and the commit is where the wake is raised. See DESIGN.md §9.
+// future wake leaves the set and comes back one of three ways — its timer (one
+// entry per component, keyed by the cycle it reported), the barrier commit
+// that publishes values into a port it consumes (data), or the barrier commit
+// after which a port it produces into accepts again (space). All three are
+// exact for a component whose NextWorkCycle has the shape "an input port holds
+// something I can move → now; otherwise my own earliest timer, or never":
+// asleep, its state is frozen, so the answer can only change when a commit
+// fills one of its inputs or frees one of its outputs, and the commit is
+// where the wake is raised. See DESIGN.md §9 and §20.
 
 // WakeSourcer is the optional Sleeper extension that lets a component leave
-// the active set: WakeSources names every port whose committed contents can
-// turn the component's NextWorkCycle from a future cycle into "now". The
-// engine binds them when a run starts; a flush into any of them re-awakes the
-// component for its next edge. A Sleeper without it (or with a source that
-// is not attached to a clock) is polled on every edge, and a plain Ticker is
-// simply always awake.
+// the active set: WakeSources names every port end that can turn the
+// component's NextWorkCycle from a future cycle into "now" — Ref for a port
+// it consumes (a flush into it is work), SpaceRef for a port it produces into
+// and whose fullness it sleeps on (Full turning false is work). The engine
+// binds them when a run starts; the barrier commit that changes either
+// re-awakes the component for its next edge. A Sleeper without it (or with a
+// source that is not attached to a clock) is polled on every edge, and a plain
+// Ticker is simply always awake.
 type WakeSourcer interface {
 	WakeSources() []PortRef
 }
@@ -173,9 +177,15 @@ func (t *wakeTimers) reset() {
 // so that edge ticks it without asking first. (Were the wake spurious, the
 // Tick is the no-op-but-for-counters the Sleeper contract already allows in
 // place of any skipped cycle.)
+//
+// A wake also voids the clock's idle verdict. The edge that set it ticked
+// nothing, but a wake raised after it — by this clock's own barrier, for a pop
+// made on another clock's edge — means the next edge will, and the bulk
+// fast-forward must not skip it.
 func (c *Clock) wake(i int32) {
 	c.awake[i>>6] |= 1 << uint(i&63)
 	c.sl[i].filed = woken
+	c.idle = false
 }
 
 // isAwake reports whether component i is in the active set.
@@ -210,6 +220,7 @@ func (c *Clock) wakeDue(now Cycle) {
 		for b := word; b != 0; b &= b - 1 {
 			i := int32(wi<<6 + bits.TrailingZeros64(b))
 			t.at[i] = -1
+			c.stats.TimerWakes++
 			c.wake(i)
 		}
 	}
@@ -223,10 +234,11 @@ type sleepRec struct {
 }
 
 // edgeWalk is one walk over (a shard's part of) a clock's active set on one
-// edge, and what it hands back: how many components ticked, and those whose
-// sleep the coordinator still has to file. The loop below keeps its state
-// here, behind one pointer, so that the commonest visit — a poll that finds
-// its component still asleep — holds almost nothing live across the call.
+// edge, and what it hands back: how many components ticked, how many were
+// polled, and those whose sleep the coordinator still has to file. The loop
+// below keeps its state here, behind one pointer, so that the commonest visit
+// — a poll that finds its component still asleep — holds almost nothing live
+// across the call.
 // The walk writes only the state of the components it visits, so shards run
 // walks of their own concurrently over disjoint masks; the active set and the
 // timers, which a walk only reads, change in fileSleeps.
@@ -234,6 +246,7 @@ type edgeWalk struct {
 	c      *Clock
 	now    Cycle
 	ticked int
+	polled int
 	slept  []sleepRec
 	_      [64]byte // walks of different shards sit in one slice
 }
@@ -246,7 +259,7 @@ type edgeWalk struct {
 // poll that finds it still asleep, so the debt is never forgotten or paid
 // twice (see noteSleep, rouse).
 func (w *edgeWalk) set(c *Clock, mask []uint64, now Cycle) {
-	w.c, w.now, w.ticked, w.slept = c, now, 0, w.slept[:0]
+	w.c, w.now, w.ticked, w.polled, w.slept = c, now, 0, 0, w.slept[:0]
 	for wi, word := range c.awake {
 		if mask != nil {
 			word &= mask[wi]
@@ -266,6 +279,7 @@ func (w *edgeWalk) word(base int, word uint64) {
 			// Nothing of m is used after the calls below but this copy.
 			filed := m.filed
 			if filed != woken {
+				w.polled++
 				if wake := m.s.NextWorkCycle(w.now); wake > w.now {
 					if wake != filed { // else an unbound sleeper, polled again: nothing new
 						w.noteSleep(i, wake)
@@ -327,6 +341,7 @@ func (c *Clock) payIdle(m *sleeperState, i int, last Cycle) {
 // timer only bounds the bulk fast-forward — and sets each one's timer to the
 // cycle it reported.
 func (c *Clock) fileSleeps(slept []sleepRec, now Cycle) {
+	c.stats.Sleeps += int64(len(slept))
 	for _, r := range slept {
 		wi, bit := r.idx>>6, uint64(1)<<uint(r.idx&63)
 		c.awake[wi] &^= c.bound[wi] & bit
@@ -365,6 +380,11 @@ func (e *Engine) Settle() {
 // values). Runs when a run starts after any Register or Attach.
 func (e *Engine) bind() {
 	for _, c := range e.clocks {
+		for _, h := range c.ports {
+			h.wclk, h.pidx = nil, -1
+		}
+	}
+	for _, c := range e.clocks {
 		for i, t := range c.comps {
 			bit := uint64(1) << uint(i&63)
 			c.bound[i>>6] &^= bit
@@ -381,11 +401,23 @@ func (e *Engine) bind() {
 				continue
 			}
 			for _, r := range refs {
-				if h := r.h; h.wclk != nil && (h.wclk != c || h.widx != int32(i)) {
-					panic(fmt.Sprintf("sim: port is a wake source of two components (%s[%d] and %s[%d])",
-						h.wclk.name, h.widx, c.name, i))
+				h := r.h
+				switch {
+				case !r.space:
+					if h.wclk != nil && (h.wclk != c || h.widx != int32(i)) {
+						panic(fmt.Sprintf("sim: port is a wake source of two components (%s[%d] and %s[%d])",
+							h.wclk.name, h.widx, c.name, i))
+					}
+					h.wclk, h.widx = c, int32(i)
+				case h.clk != c:
+					panic(fmt.Sprintf("sim: %s[%d] sleeps on the space of a port that commits on %s",
+						c.name, i, h.clk.name))
+				case h.pidx >= 0 && h.pidx != int32(i):
+					panic(fmt.Sprintf("sim: port is a space source of two components (%s[%d] and [%d])",
+						c.name, h.pidx, i))
+				default:
+					h.pidx = int32(i)
 				}
-				r.h.wclk, r.h.widx = c, int32(i)
 			}
 			c.bound[i>>6] |= bit
 		}
@@ -396,10 +428,11 @@ func (e *Engine) bind() {
 
 // CheckInvariants audits the active set and the dirty-port lists between
 // edges (health.Checker): a component outside the set must still report a
-// future wake when polled, its timer must be armed for exactly that cycle,
-// and a port off its clock's dirty list must be clean. RunUntilChecked runs
-// it at every watchdog sample; under the wakeaudit build tag it runs after
-// every edge.
+// future wake when polled — which, the blocked predicates being explicit over
+// Full, covers a producer asleep on a port that accepts again — its timer must
+// be armed for exactly that cycle, and a port off its clock's dirty list must
+// be clean. RunUntilChecked runs it at every watchdog sample; under the
+// wakeaudit build tag it runs after every edge.
 func (e *Engine) CheckInvariants() []health.Violation {
 	var out []health.Violation
 	for _, c := range e.clocks {
@@ -431,7 +464,7 @@ func (c *Clock) auditWakes(out []health.Violation) []health.Violation {
 		}
 		w := c.sl[i].s.NextWorkCycle(last)
 		if w <= last {
-			bad(i, "wake-missed", "asleep at cycle %d with work to do", last)
+			bad(i, "wake-missed", "asleep at cycle %d with work to do%s", last, c.freedPorts(i))
 			continue
 		}
 		at, armed := c.timers.armedAt(i)
@@ -440,6 +473,17 @@ func (c *Clock) auditWakes(out []health.Violation) []health.Violation {
 		}
 	}
 	return out
+}
+
+// freedPorts names, for a wake-missed report, the ports component i sleeps on
+// the space of that accept a push: the wakes the barrier should have raised.
+func (c *Clock) freedPorts(i int32) (s string) {
+	for k, h := range c.ports {
+		if h.pidx == i && (h.cap <= 0 || h.snap < h.cap) {
+			s += fmt.Sprintf("; port %d it produces into accepts (%d/%d)", k, h.snap, h.cap)
+		}
+	}
+	return s
 }
 
 func (c *Clock) auditPorts(out []health.Violation) []health.Violation {
@@ -476,6 +520,32 @@ func (c *Clock) auditPorts(out []health.Violation) []health.Violation {
 			bad("port-unlisted", "port %d is off the dirty list with %d staged, snapshot %d, occupancy %d",
 				i, h.nStaged, h.snap, *h.size)
 		}
+	}
+	return out
+}
+
+// WalkStats is what one clock's edges have cost since the engine was built:
+// the counters the walk keeps anyway, always on. A component that ticks or is
+// polled without moving anything shows up here as Ticks and Polls that do not
+// fall when it stalls (DESIGN.md §20).
+type WalkStats struct {
+	Clock      string
+	Components int
+	Edges      int64 // edges processed (bulk fast-forwarded ones are not)
+	Ticks      int64 // component Ticks
+	Polls      int64 // NextWorkCycle calls
+	Sleeps     int64 // sleeps filed: a component left the set or re-keyed its timer
+	// Wakes by cause: a timer coming due, a commit publishing into a consumed
+	// port, a commit or credit return freeing a produced one.
+	TimerWakes, DataWakes, SpaceWakes int64
+}
+
+// WalkStats returns every clock's counters, in clock creation order.
+func (e *Engine) WalkStats() []WalkStats {
+	out := make([]WalkStats, len(e.clocks))
+	for i, c := range e.clocks {
+		out[i] = c.stats
+		out[i].Clock, out[i].Components = c.name, len(c.comps)
 	}
 	return out
 }

@@ -602,6 +602,45 @@ func TestWakeAuditCatchesForgedState(t *testing.T) {
 	clk.dirty = append(clk.dirty, &q.hdr) // a list on a clock that commits by scan
 	expect("list in scan mode", e, "port-dirty-list", "port-dirty-list")
 
+	// The space end: a producer asleep behind the full port r, which a
+	// consumer then pops. Left alone, the barrier wakes it and the audit is
+	// content; each way of losing that wake leaves it asleep on a port that
+	// accepts, which its own predicate reports.
+	var r *Port[int]
+	buildSpace := func() (*Engine, *Clock) {
+		e := NewEngine()
+		clk := e.NewClock("c", 1000)
+		r = NewPort[int](2)
+		r.Attach(clk)
+		clk.Register(&stuffer{out: r, left: 5, rate: 1})
+		e.RunUntil(clk, 50)
+		if v := e.CheckInvariants(); len(v) != 0 || clk.isAwake(0) || !r.hdr.starved {
+			t.Fatalf("healthy engine: violations %v, producer awake %v, refusal on record %v", v, clk.isAwake(0), r.hdr.starved)
+		}
+		return e, clk
+	}
+	e, clk = buildSpace()
+	r.Pop()
+	clk.commitSerial()
+	if !clk.isAwake(0) {
+		t.Fatal("the barrier after a pop left the refused producer asleep")
+	}
+	expect("woken by the barrier", e)
+	clk.awake[0] &^= 1 // the wake was raised and lost
+	expect("asleep on a port that accepts", e, "wake-missed")
+
+	e, clk = buildSpace()
+	r.hdr.starved = false // the refusal was forgotten: the barrier has nobody to wake
+	r.Pop()
+	clk.commitSerial()
+	expect("refusal forgotten", e, "wake-missed")
+
+	e, clk = buildSpace()
+	r.hdr.pidx = -1 // the port no longer knows who produces into it
+	r.Pop()
+	clk.commitSerial()
+	expect("producer unbound from its port", e, "wake-missed")
+
 	// RunUntilChecked audits at every watchdog sample and aborts.
 	e, clk, n, _ = build()
 	clk.OnBarrier(func() {
