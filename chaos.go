@@ -9,9 +9,9 @@ import (
 // storms, cache fill stalls and forced MSHR-exhaustion windows, core issue
 // stalls — plus two destructive drills (JamAllAfter, CorruptAt) that exist to
 // prove the health layer fires. Every injection is a pure function of
-// (Seed, component, cycle), so a chaotic run is exactly as replayable and
-// shard-invariant as a clean one: same (seed, spec) ⇒ byte-identical fault
-// schedule and Results at any shard count or tick mode.
+// (Seed, component, cycle), so a chaotic run is exactly as replayable as a
+// clean one: same (seed, spec) ⇒ byte-identical fault schedule and Results in
+// either tick mode.
 type ChaosSpec = chaos.Spec
 
 // ChaosLight returns a mild all-subsystem timing-fault preset.

@@ -24,12 +24,10 @@ func main() {
 		measure = flag.Bool("measure", false, "simulate the baseline fingerprint (slow)")
 
 		health    cliflags.Health
-		engine    cliflags.Engine
 		telemetry cliflags.Telemetry
 		multi     cliflags.Multi
 	)
 	health.Register(flag.CommandLine)
-	engine.RegisterShards(flag.CommandLine)
 	telemetry.Register(flag.CommandLine)
 	multi.Register(flag.CommandLine)
 	flag.Parse()
@@ -66,7 +64,6 @@ func main() {
 	if *measure {
 		var h dcl1.HealthOptions
 		health.Apply(&h)
-		engine.Apply(&h)
 		closeSink, err := telemetry.Apply(&h)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

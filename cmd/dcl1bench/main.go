@@ -99,7 +99,6 @@ func main() {
 	}
 	ctx.Health.Ctx = sigCtx
 	health.Apply(&ctx.Health)
-	engine.Apply(&ctx.Health)
 	ctx.Workers = engine.Workers
 	ctx.Retry = retry.Policy()
 	ctx.PointDeadline = retry.PointDeadline

@@ -107,7 +107,6 @@ func main() {
 	cfg := spec.Config()
 	opts := dcl1.HealthOptions{Ctx: sigCtx}
 	health.Apply(&opts)
-	engine.Apply(&opts)
 	if err := chaos.Apply(&opts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

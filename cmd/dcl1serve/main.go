@@ -83,7 +83,6 @@ func main() {
 	opt := serve.Options{
 		DataDir:           *dataDir,
 		Workers:           engine.Workers,
-		Shards:            engine.ShardCount(),
 		MaxQueuedPoints:   *maxQueued,
 		TenantMaxQueued:   *tenantQueued,
 		TenantMaxInFlight: *tenantInflight,

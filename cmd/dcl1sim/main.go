@@ -45,13 +45,11 @@ func main() {
 
 		health    cliflags.Health
 		chaos     cliflags.Chaos
-		engine    cliflags.Engine
 		telemetry cliflags.Telemetry
 		multi     cliflags.Multi
 	)
 	health.Register(flag.CommandLine)
 	chaos.Register(flag.CommandLine)
-	engine.RegisterShards(flag.CommandLine)
 	telemetry.Register(flag.CommandLine)
 	multi.Register(flag.CommandLine)
 	flag.Parse()
@@ -105,7 +103,6 @@ func main() {
 
 	var h dcl1.HealthOptions
 	health.Apply(&h)
-	engine.Apply(&h)
 	if err := chaos.Apply(&h); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

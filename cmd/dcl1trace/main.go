@@ -76,10 +76,8 @@ func replay(args []string) {
 	design := fs.String("design", "Sh40+C10+Boost", "cache organization")
 	cycles := fs.Int64("cycles", 0, "measurement window (core cycles)")
 	var health cliflags.Health
-	var engine cliflags.Engine
 	var telemetry cliflags.Telemetry
 	health.Register(fs)
-	engine.RegisterShards(fs)
 	telemetry.Register(fs)
 	fs.Parse(args)
 
@@ -99,7 +97,6 @@ func replay(args []string) {
 	cfg := dcl1.Config{Cores: tr.Cores, MeasureCycles: *cycles}
 	var h dcl1.HealthOptions
 	health.Apply(&h)
-	engine.Apply(&h)
 	closeSink, err := telemetry.Apply(&h)
 	if err != nil {
 		fatal("%v", err)

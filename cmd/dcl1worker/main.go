@@ -13,7 +13,7 @@
 //
 //	dcl1worker -server http://coordinator:8080
 //	dcl1worker -server http://coordinator:8080 -token s3cret -name rack7-0
-//	dcl1worker -server http://coordinator:8080 -max-points 8 -shards 4
+//	dcl1worker -server http://coordinator:8080 -max-points 8
 package main
 
 import (
@@ -40,11 +40,9 @@ func main() {
 		verbose   = flag.Bool("v", false, "log each point and lease event")
 
 		health cliflags.Health
-		engine cliflags.Engine
 		retry  = cliflags.Retry{Retries: 1, PointDeadline: 2 * time.Minute}
 	)
 	health.Register(flag.CommandLine)
-	engine.RegisterShards(flag.CommandLine)
 	retry.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -77,7 +75,6 @@ func main() {
 		Health: gpu.HealthOptions{
 			StallWindow: health.StallWindow,
 			Deadline:    health.Deadline,
-			Shards:      engine.ShardCount(),
 		},
 		Retry:         retry.Policy(),
 		PointDeadline: retry.PointDeadline,

@@ -13,8 +13,8 @@ package cache
 // The set index is a hash of the line number rather than a modulo. GPUs hash
 // their cache indices for exactly the reasons this simulator needs it: with
 // modulo indexing, the DC-L1 home selection (line mod Y), the L2 slice
-// interleaving (line mod 32), and strided access patterns all alias with the
-// set-index bits and collapse the cache onto a fraction of its sets.
+// interleaving (line mod 32), and constant-stride access patterns all alias
+// with the set-index bits and collapse the cache onto a fraction of its sets.
 type Array struct {
 	sets int
 	ways int

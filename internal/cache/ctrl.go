@@ -122,7 +122,7 @@ type Ctrl struct {
 	// Chaos, when set, injects fill-path stalls, forced MSHR-exhaustion
 	// windows, and the queue-accounting corruption drill. Timing faults are
 	// queried only with affected work present, so the fault schedule is
-	// shard- and fast-path-invariant; the corruption drill fires at a fixed
+	// fast-path-invariant; the corruption drill fires at a fixed
 	// cycle and publishes it through NextWorkCycle. Nil injects nothing.
 	Chaos *chaos.Injector
 

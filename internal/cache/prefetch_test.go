@@ -45,7 +45,7 @@ func TestPrefetchStride(t *testing.T) {
 	p1, _ := c.MissOut.Pop()
 	p2, _ := c.MissOut.Pop()
 	if p1.Line != 104 || p2.Line != 108 {
-		t.Fatalf("strided prefetch lines = %d %d, want 104 108", p1.Line, p2.Line)
+		t.Fatalf("stride-prefetch lines = %d %d, want 104 108", p1.Line, p2.Line)
 	}
 }
 

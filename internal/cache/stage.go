@@ -5,9 +5,9 @@ package cache
 // presence map (PresentElsewhere/Replicas) and stages its OnInstall/OnEvict
 // mutations locally; the gpu layer applies every node's staged ops at the
 // core clock's edge barrier, in node registration order. Reads therefore see
-// the state as of the previous edge and mutations never race, which keeps
-// replication statistics identical at every shard count (the apply schedule
-// does not depend on intra-edge tick order).
+// the state as of the previous edge whichever nodes have already ticked on
+// this one, which keeps replication statistics independent of intra-edge
+// tick order (and of which sleeping nodes the fast path skips).
 type PresenceStage struct {
 	shared *Presence
 	ops    []presenceOp

@@ -10,10 +10,10 @@
 // Every injection decision is a pure function of (seed, component stream id,
 // cycle): an Injector holds no mutable PRNG state, it hashes its stream base
 // with the queried cycle. Because decisions are drawn only on a component's
-// own Tick path — never from producer-side pushes, whose intra-edge order is
-// unspecified under sharded execution — the fault schedule is bit-identical
-// across shard counts, across the legacy and quiescence engines, and across
-// replays of the same (seed, spec).
+// own Tick path — never from producer-side pushes, whose intra-edge order the
+// port contract leaves unspecified — the fault schedule is bit-identical
+// across the legacy and quiescence engines, across any re-ordering of
+// component registration, and across replays of the same (seed, spec).
 //
 // Two further rules keep the quiescence fast path exact (see sim.Sleeper):
 //
@@ -296,11 +296,10 @@ func mix(x uint64) uint64 {
 // a nil receiver (no faults), so components carry an optional *Injector field
 // and call it unconditionally. The only mutable state is the event log and
 // the fired counter — decisions themselves are pure functions of the queried
-// cycle, which is what makes the schedule replay- and shard-invariant.
+// cycle, which is what makes the schedule replay-invariant.
 //
 // An Injector belongs to exactly one component and must only be called from
-// that component's Tick path (the component's own shard), never from
-// producer-side pushes.
+// that component's Tick path, never from producer-side pushes.
 type Injector struct {
 	spec  *Spec
 	name  string

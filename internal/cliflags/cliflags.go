@@ -73,44 +73,15 @@ func (c *Chaos) Apply(o *dcl1.HealthOptions) error {
 	return nil
 }
 
-// Engine is the parallelism group: -workers (across simulations) and -shards
-// (inside one simulation). Both preserve bit-identical results at any value.
+// Engine is the parallelism group: -workers spreads independent simulations
+// across goroutines; each simulation runs on one.
 type Engine struct {
 	Workers int
-	Shards  int
 }
 
 func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.IntVar(&e.Workers, "workers", e.Workers,
 		"simulate points across this many goroutines (0 = GOMAXPROCS; results are identical for any value)")
-	e.RegisterShards(fs)
-}
-
-// RegisterShards installs only -shards, for single-simulation commands
-// (dcl1sim, dcl1trace replay) where a worker pool has nothing to divide. The
-// default is serial: on the hosts this has been measured on, sharding one
-// run loses to not sharding it (bench sim.shards2_ratio), so auto-sizing is
-// for whoever asks with -shards 0.
-func (e *Engine) RegisterShards(fs *flag.FlagSet) {
-	if e.Shards == 0 {
-		e.Shards = 1
-	}
-	fs.IntVar(&e.Shards, "shards", e.Shards,
-		"tick-execution shards inside each simulation (1 = serial, the default; 0 = auto-size to the machine; capped at GOMAXPROCS/workers; results are identical for any value)")
-}
-
-// Apply folds the group into o. An explicit -shards 0 means auto: the run
-// picks min(GOMAXPROCS, widest clock), serial on a single-CPU host.
-func (e *Engine) Apply(o *dcl1.HealthOptions) { o.Shards = e.ShardCount() }
-
-// ShardCount returns the -shards value with 0 resolved to dcl1.ShardsAuto,
-// for commands that route the count somewhere other than HealthOptions
-// (dcl1serve hands it to its server options).
-func (e *Engine) ShardCount() int {
-	if e.Shards == 0 {
-		return dcl1.ShardsAuto
-	}
-	return e.Shards
 }
 
 // Retry is the sweep-supervisor group: -retries and -point-deadline.

@@ -179,8 +179,7 @@ type Core struct {
 
 	// Chaos, when set, injects issue-stage freezes. Drawn only while the
 	// issue stage is awake (asleep cores draw nothing in either tick mode),
-	// keeping the fault schedule shard- and fast-path-invariant; nil injects
-	// nothing.
+	// keeping the fault schedule fast-path-invariant; nil injects nothing.
 	Chaos *chaos.Injector
 
 	waves  []*wave

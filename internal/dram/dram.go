@@ -111,7 +111,7 @@ type Channel struct {
 
 	// Chaos, when set, injects per-issue timing jitter and refresh storms
 	// (windows with no command issue). Queried only with requests queued, so
-	// the fault schedule is shard- and fast-path-invariant; nil is a no-op.
+	// the fault schedule is fast-path-invariant; nil is a no-op.
 	Chaos *chaos.Injector
 
 	banks       []bank

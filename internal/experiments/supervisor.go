@@ -68,8 +68,7 @@ func (p RetryPolicy) delay(n int) time.Duration {
 // Contains a mutex; use by pointer and do not copy.
 type Supervisor struct {
 	// Health is the per-point health configuration (watchdog, deadline, ctx,
-	// chaos, shards). Shards are capped against Workers exactly as
-	// gpu.RunManyChecked does.
+	// chaos).
 	Health gpu.HealthOptions
 	// Workers is the sweep parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -164,15 +163,6 @@ func (s *Supervisor) RunAll(jobs []gpu.Job) ([]gpu.Results, []error) {
 		workers = len(jobs)
 	}
 	h := s.pointOpts()
-	if h.Shards > 1 && workers > 0 {
-		per := runtime.GOMAXPROCS(0) / workers
-		if per < 1 {
-			per = 1
-		}
-		if h.Shards > per {
-			h.Shards = per
-		}
-	}
 	out := make([]gpu.Results, len(jobs))
 	errs := make([]error, len(jobs))
 	if len(jobs) == 0 {

@@ -24,8 +24,8 @@ type Options struct {
 	Name string
 	// MaxPoints caps one lease grant (0 = server default).
 	MaxPoints int
-	// Health seeds the per-point simulation options (stall window, deadline,
-	// shards); the worker fills Ctx and Chaos per point. Simulation results
+	// Health seeds the per-point simulation options (stall window,
+	// deadline); the worker fills Ctx and Chaos per point. Simulation results
 	// are bit-identical for any of these knobs, so a farm worker and the
 	// server's local pool can disagree on all of them.
 	Health gpu.HealthOptions

@@ -44,11 +44,10 @@ func TestPumpBlockedOnCreditsWakesAfterApplyCredits(t *testing.T) {
 	backPressure := scene{"back-pressure", pumpRate, 2, [2]sim.Cycle{3, 40}, false}
 	rateBound := scene{"rate-bound", 1, 8, [2]sim.Cycle{1, 1}, false}
 	unbound := scene{"unbound", pumpRate, 2, [2]sim.Cycle{3, 40}, true}
-	run := func(sc scene, fast bool, shards int) ([]string, int) {
+	run := func(sc scene, fast bool) ([]string, int) {
 		s := &System{} // no pool: inject and sink allocate
 		e := sim.NewEngine()
 		e.SetFastPath(fast)
-		e.SetShards(shards)
 		clk := e.NewClock("noc", 1000)
 		x := noc.New(noc.Params{Name: "x", Ins: 1, Outs: 2, VOQDepth: sc.voq})
 		clk.Register(x)
@@ -93,33 +92,28 @@ func TestPumpBlockedOnCreditsWakesAfterApplyCredits(t *testing.T) {
 				}
 			}
 		}))
-		for i := 0; i < 8; i++ { // enough components for a sharded edge
+		for i := 0; i < 8; i++ { // always-ticking company
 			clk.Register(sim.TickFunc(func(sim.Cycle) {}))
 		}
 		e.RunUntil(clk, cycles)
 		if left != [2]int{} || x.Pending() != 0 {
-			t.Fatalf("%s fast=%v shards=%d: %v accesses unfed, %d packets left in the switch", sc.name, fast, shards, left, x.Pending())
+			t.Fatalf("%s fast=%v: %v accesses unfed, %d packets left in the switch", sc.name, fast, left, x.Pending())
 		}
 		return log, p.ticks
 	}
 	for _, sc := range []scene{backPressure, rateBound, unbound} {
-		want, eager := run(sc, false, 1)
+		want, eager := run(sc, false)
 		if len(want) != 660 || eager != cycles {
 			t.Fatalf("%s: reference run delivered %d accesses in %d pump ticks", sc.name, len(want), eager)
 		}
-		for _, shards := range []int{1, 2} {
-			if sc.unbound && shards > 1 {
-				continue // unattached ports are not for two goroutines
-			}
-			got, ticks := run(sc, true, shards)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s shards=%d: deliveries differ from the always-ticking run:\n got %v\nwant %v", sc.name, shards, got, want)
-			}
-			// One tick per injection and per refusal that puts it to sleep.
-			if ticks > 3*660 && !sc.unbound {
-				t.Errorf("%s shards=%d: pump ticked %d times for 660 accesses over %d cycles: it polls through the back-pressure",
-					sc.name, shards, ticks, cycles)
-			}
+		got, ticks := run(sc, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: deliveries differ from the always-ticking run:\n got %v\nwant %v", sc.name, got, want)
+		}
+		// One tick per injection and per refusal that puts it to sleep.
+		if ticks > 3*660 && !sc.unbound {
+			t.Errorf("%s: pump ticked %d times for 660 accesses over %d cycles: it polls through the back-pressure",
+				sc.name, ticks, cycles)
 		}
 	}
 }

@@ -38,7 +38,7 @@ const (
 //
 // The machine owns what every module shares — the engine and its clock
 // domains, the recycling pool, the metric registry, the link — and every
-// run-level operation (shards, chaos, telemetry, monitor, run, collect). A
+// run-level operation (chaos, telemetry, monitor, run, collect). A
 // Module owns the hardware of one GPU.
 type System struct {
 	Cfg Config
@@ -121,14 +121,8 @@ type Module struct {
 	gov   *governor
 
 	// Placement in the machine (the module's index is AMap.Module): its
-	// component-name prefix ("m<i>.", empty in a machine of one module) and
-	// the per-clock locality-group bases that keep two modules' group ids
-	// disjoint on the shared clocks (all zero for module 0).
+	// component-name prefix ("m<i>.", empty in a machine of one module).
 	prefix string
-	gbCore int
-	gbNoc1 int
-	gbNoc2 int
-	gbMem  int
 
 	// Inter-module link ports, one per DRAM channel (built only in a linked
 	// machine; see wireMemSide). linkMissOut carries remote-homed L2 misses
@@ -207,20 +201,7 @@ func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *
 // newModule builds module i of n and wires it per the design.
 func (s *System) newModule(i, n int) *Module {
 	cfg, d := s.Cfg, s.D
-	// Per-clock group spans: generous upper bounds on the ids one module's
-	// wiring allocates in each clock namespace. Collisions would only hurt
-	// placement quality, never results, but disjoint spans keep each module
-	// one coherent neighborhood for the locality-aware partitioner.
-	nodes := nodeCount(cfg, d)
-	mod := &Module{
-		sys:    s,
-		App:    s.App,
-		AMap:   cfg.AddressMap(),
-		gbCore: i * (cfg.Cores + nodes + 8),
-		gbNoc1: i * (2*cfg.Cores + 2*nodes + 64),
-		gbNoc2: i * (cfg.L2Slices + cfg.Channels + 2*cfg.Cores + 2*nodes + 64),
-		gbMem:  i * (cfg.Channels + 8),
-	}
+	mod := &Module{sys: s, App: s.App, AMap: cfg.AddressMap()}
 	if n > 1 {
 		mod.prefix = fmt.Sprintf("m%d.", i)
 		mod.AMap.Modules = n
@@ -232,7 +213,7 @@ func (s *System) newModule(i, n int) *Module {
 	}
 
 	l1 := mod.l1NodeParams(0).Cache
-	mod.Tracker = cache.NewPresence(nodes * l1.Sets * l1.Ways)
+	mod.Tracker = cache.NewPresence(nodeCount(cfg, d) * l1.Sets * l1.Ways)
 	mod.buildCores()
 	mod.buildNodes()
 	mod.buildL2AndDram()
@@ -269,64 +250,6 @@ func (s *System) newModule(i, n int) *Module {
 	mod.wireMemSide()
 	mod.registerMetrics()
 	return mod
-}
-
-// Locality-group namespaces for shard placement (sim.RegisterGrouped /
-// AttachGrouped). Each clock has its own namespace; ids only need to be
-// stable per design, the partitioner ranks them by first appearance. The
-// scheme keeps each tightly coupled producer/consumer neighborhood — a core,
-// its DC-L1 node, their connecting pumps and ports — on one shard, spreads
-// L2 slices and DRAM channels round-robin via LPT, and gives hubs
-// (crossbars, meshes) their own groups. Placement never affects results
-// (see internal/sim/placement.go), only which worker's cache holds the hot
-// state.
-
-// Every id below is offset by the module's per-clock group base (gb*), so
-// group allocation is module-scoped: in a multi-GPU machine two modules
-// sharing a clock can never collide on a group id, and whole modules stay
-// coherent neighborhoods for the locality-aware partitioner. Single-module
-// builds have zero bases and keep the historical ids exactly.
-
-// coreClkGroup is the CoreClk group of core c: local-L1 designs colocate the
-// core with its private node, Private with its fixed DC-L1 node; in the
-// home-sliced designs (Shared, Clustered, SingleL1) a core talks to every
-// node, so it keeps its own group.
-func (mod *Module) coreClkGroup(c int) int {
-	switch mod.sys.D.Kind {
-	case Baseline, CDXBar, MeshBase:
-		return mod.gbCore + c
-	case Private:
-		return mod.gbCore + c/(mod.sys.Cfg.Cores/mod.sys.D.DCL1s)
-	default:
-		return mod.gbCore + c
-	}
-}
-
-// nodeClkGroup is the CoreClk group of L1/DC-L1 node i.
-func (mod *Module) nodeClkGroup(i int) int {
-	switch mod.sys.D.Kind {
-	case Baseline, CDXBar, MeshBase, Private:
-		return mod.gbCore + i // shares the namespace coreClkGroup maps cores into
-	default:
-		return mod.gbCore + mod.sys.Cfg.Cores + i
-	}
-}
-
-// noc1Group is the Noc1Clk namespace: the design wiring allocates ids from
-// zero, the base keeps modules disjoint.
-func (mod *Module) noc1Group(k int) int { return mod.gbNoc1 + k }
-
-// memGroup is the MemClk namespace: channel ch and everything serving it.
-func (mod *Module) memGroup(ch int) int { return mod.gbMem + ch }
-
-// Noc2Clk namespace: [0, L2Slices) per-slice neighborhoods (the L2 ctrl, its
-// l2in→In pump, its Out→reply pump), [L2Slices, +Channels) the DRAM fan-in
-// pumps, and noc2Group(k) for everything the design wiring adds on top
-// (crossbars, meshes, node-side pumps; k allocated per wire function).
-func (mod *Module) sliceGroup(i int) int { return mod.gbNoc2 + i }
-func (mod *Module) chanGroup(ch int) int { return mod.gbNoc2 + mod.sys.Cfg.L2Slices + ch }
-func (mod *Module) noc2Group(k int) int {
-	return mod.gbNoc2 + mod.sys.Cfg.L2Slices + mod.sys.Cfg.Channels + k
 }
 
 func validate(cfg Config, d Design) {
@@ -410,12 +333,11 @@ func (mod *Module) buildCores() {
 			co.AddWave(mod.App.Program(cfg.Cores, c, w, cfg.Sched, cfg.Seed))
 		}
 		mod.Cores = append(mod.Cores, co)
-		g := mod.coreClkGroup(c)
-		mod.sys.CoreClk.RegisterGrouped(co, g)
+		mod.sys.CoreClk.Register(co)
 		// The core is the single producer of its Out port and ticks on the
 		// core clock. (In is attached by the design-specific wiring — its
 		// producer differs per topology.)
-		co.Out.AttachGrouped(mod.sys.CoreClk, g)
+		co.Out.Attach(mod.sys.CoreClk)
 	}
 }
 
@@ -496,18 +418,17 @@ func (mod *Module) buildNodes() {
 		mod.stages = append(mod.stages, st)
 		nd := dcl1.New(mod.l1NodeParams(i), st)
 		mod.Nodes = append(mod.Nodes, nd)
-		g := mod.nodeClkGroup(i)
-		mod.sys.CoreClk.RegisterGrouped(nd, g)
+		mod.sys.CoreClk.Register(nd)
 		// The node produces Q2 (replies toward cores) and Q3 (misses toward
 		// NoC#2) on the core clock. Q1/Q4 are attached by the wiring that
 		// creates their producers. The node's internal Ctrl queues stay in
 		// immediate mode: a single component owns both ends.
-		nd.Q2.AttachGrouped(mod.sys.CoreClk, g)
-		nd.Q3.AttachGrouped(mod.sys.CoreClk, g)
+		nd.Q2.Attach(mod.sys.CoreClk)
+		nd.Q3.Attach(mod.sys.CoreClk)
 	}
 	// Apply every node's staged replication-tracker ops at the core clock's
-	// edge barrier, in node order — the one piece of cross-node state that
-	// cannot be partitioned across shards.
+	// edge barrier, in node order — the one piece of state every node reads
+	// and writes, which no node may see half-updated by the others' ticks.
 	mod.sys.CoreClk.OnBarrier(func() {
 		for _, st := range mod.stages {
 			st.Apply()
@@ -538,18 +459,18 @@ func (mod *Module) buildL2AndDram() {
 		mod.L2 = append(mod.L2, l2)
 		in := sim.NewPort[*mem.Access](8)
 		mod.l2in = append(mod.l2in, in)
-		mod.sys.Noc2Clk.RegisterGrouped(l2, mod.sliceGroup(i))
+		mod.sys.Noc2Clk.Register(l2)
 		// Port producers, identical across designs: the L2 controller emits
 		// Out/MissOut on the NoC#2 clock; l2in is fed by the request network
 		// (or the SingleL1 miss pump), always on the NoC#2 clock; L2.In by
 		// the l2in pump (NoC#2 clock); FillIn by the DRAM reply pump (memory
 		// clock). l2in groups with its consumer-side slice neighborhood;
 		// FillIn with its producer channel's MemClk group.
-		l2.Out.AttachGrouped(mod.sys.Noc2Clk, mod.sliceGroup(i))
-		l2.MissOut.AttachGrouped(mod.sys.Noc2Clk, mod.sliceGroup(i))
-		l2.In.AttachGrouped(mod.sys.Noc2Clk, mod.sliceGroup(i))
-		l2.FillIn.AttachGrouped(mod.sys.MemClk, mod.memGroup(mod.AMap.Channel(i)))
-		in.AttachGrouped(mod.sys.Noc2Clk, mod.sliceGroup(i))
+		l2.Out.Attach(mod.sys.Noc2Clk)
+		l2.MissOut.Attach(mod.sys.Noc2Clk)
+		l2.In.Attach(mod.sys.Noc2Clk)
+		l2.FillIn.Attach(mod.sys.MemClk)
+		in.Attach(mod.sys.Noc2Clk)
 	}
 	for ch := 0; ch < cfg.Channels; ch++ {
 		dc := dram.New(dram.Params{
@@ -561,8 +482,8 @@ func (mod *Module) buildL2AndDram() {
 		// MemClk namespace: channel ch and everything serving it (the reply
 		// pump, the slices' FillIn ports) share group ch; LPT spreads the
 		// channels round-robin.
-		mod.sys.MemClk.RegisterGrouped(dc, mod.memGroup(ch))
-		dc.Out.AttachGrouped(mod.sys.MemClk, mod.memGroup(ch))
+		mod.sys.MemClk.Register(dc)
+		dc.Out.Attach(mod.sys.MemClk)
 	}
 }
 
@@ -700,11 +621,10 @@ func (mod *Module) xbar(name string, ins, outs int) *noc.Crossbar {
 func (mod *Module) wireLocalL1() {
 	for c := 0; c < mod.sys.Cfg.Cores; c++ {
 		co, nd := mod.Cores[c], mod.Nodes[c]
-		g := mod.coreClkGroup(c)
-		mod.sys.CoreClk.RegisterGrouped(pump(co.Out, pumpRate, nd.Q1.Push, nd.Q1.SpaceRef()), g)
-		mod.sys.CoreClk.RegisterGrouped(pump(nd.Q2, pumpRate, co.In.Push, co.In.SpaceRef()), g)
-		nd.Q1.AttachGrouped(mod.sys.CoreClk, g)
-		co.In.AttachGrouped(mod.sys.CoreClk, g)
+		mod.sys.CoreClk.Register(pump(co.Out, pumpRate, nd.Q1.Push, nd.Q1.SpaceRef()))
+		mod.sys.CoreClk.Register(pump(nd.Q2, pumpRate, co.In.Push, co.In.SpaceRef()))
+		nd.Q1.Attach(mod.sys.CoreClk)
+		co.In.Attach(mod.sys.CoreClk)
 	}
 }
 
@@ -716,20 +636,18 @@ func (mod *Module) wireBaselineNoC() {
 	rep := mod.xbar("noc-rep", cfg.L2Slices, cfg.Cores)
 	mod.Noc2Req = []*noc.Crossbar{req}
 	mod.Noc2Rep = []*noc.Crossbar{rep}
-	gReq, gRep := mod.noc2Group(0), mod.noc2Group(1)
-	gPump := func(c int) int { return mod.noc2Group(2 + c) }
-	mod.sys.Noc2Clk.RegisterGrouped(req, gReq)
-	mod.sys.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(mod.sys.Noc2Clk, gPump)
-	rep.AttachPortsGrouped(mod.sys.Noc2Clk, mod.sliceGroup)
+	mod.sys.Noc2Clk.Register(req)
+	mod.sys.Noc2Clk.Register(rep)
+	req.AttachPorts(mod.sys.Noc2Clk)
+	rep.AttachPorts(mod.sys.Noc2Clk)
 	for c := 0; c < cfg.Cores; c++ {
 		c := c
 		nd := mod.Nodes[c]
-		mod.sys.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+		mod.sys.Noc2Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
 			return mod.sys.inject(req, a, c, mod.AMap.L2Slice(a.Line), reqFlits(a, mod.sys.D.FlitBytes, true))
-		}, req.InjectSpace(c)), gPump(c))
+		}, req.InjectSpace(c)))
 		rep.SetEndpoint(c, mod.sys.sink(nd.Q4))
-		nd.Q4.AttachGrouped(mod.sys.Noc2Clk, gRep)
+		nd.Q4.Attach(mod.sys.Noc2Clk)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
 		req.SetEndpoint(i, mod.sys.sink(mod.l2in[i]))
@@ -749,9 +667,6 @@ func (mod *Module) wireNoC1() {
 	cfg, d := mod.sys.Cfg, mod.sys.D
 	switch d.Kind {
 	case Private:
-		// Noc1Clk namespace: one group per DC-L1 node, holding the node's
-		// crossbar pair, every pump feeding them, and their ports — the whole
-		// core↔node neighborhood stays on one shard.
 		per := cfg.Cores / d.DCL1s
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
@@ -759,30 +674,30 @@ func (mod *Module) wireNoC1() {
 			rep := mod.xbar(fmt.Sprintf("noc1-rep-%d", n), 1, per)
 			mod.Noc1Req = append(mod.Noc1Req, req)
 			mod.Noc1Rep = append(mod.Noc1Rep, rep)
-			mod.sys.Noc1Clk.RegisterGrouped(req, mod.noc1Group(n))
-			mod.sys.Noc1Clk.RegisterGrouped(rep, mod.noc1Group(n))
-			req.AttachPortsGrouped(mod.sys.Noc1Clk, func(int) int { return mod.noc1Group(n) })
-			rep.AttachPortsGrouped(mod.sys.Noc1Clk, func(int) int { return mod.noc1Group(n) })
+			mod.sys.Noc1Clk.Register(req)
+			mod.sys.Noc1Clk.Register(rep)
+			req.AttachPorts(mod.sys.Noc1Clk)
+			rep.AttachPorts(mod.sys.Noc1Clk)
 			req.SetEndpoint(0, mod.sys.sink(mod.Nodes[n].Q1))
-			mod.Nodes[n].Q1.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(n))
+			mod.Nodes[n].Q1.Attach(mod.sys.Noc1Clk)
 		}
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
 			n := c / per
 			req := mod.Noc1Req[n]
 			src := c % per
-			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+			mod.sys.Noc1Clk.Register(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(req, a, src, 0, reqFlits(a, d.FlitBytes, false))
-			}, req.InjectSpace(src)), mod.noc1Group(n))
+			}, req.InjectSpace(src)))
 			mod.Noc1Rep[n].SetEndpoint(src, mod.sys.sink(mod.Cores[c].In))
-			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(n))
+			mod.Cores[c].In.Attach(mod.sys.Noc1Clk)
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
 			rep := mod.Noc1Rep[n]
-			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+			mod.sys.Noc1Clk.Register(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(rep, a, 0, a.Core%per, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}, rep.InjectSpace(0)), mod.noc1Group(n))
+			}, rep.InjectSpace(0)))
 		}
 	case Shared:
 		// Noc1Clk namespace: the two crossbar hubs get groups 0/1, each
@@ -792,67 +707,63 @@ func (mod *Module) wireNoC1() {
 		rep := mod.xbar("noc1-rep", d.DCL1s, cfg.Cores)
 		mod.Noc1Req = []*noc.Crossbar{req}
 		mod.Noc1Rep = []*noc.Crossbar{rep}
-		mod.sys.Noc1Clk.RegisterGrouped(req, mod.noc1Group(0))
-		mod.sys.Noc1Clk.RegisterGrouped(rep, mod.noc1Group(1))
-		req.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(2 + in) })
-		rep.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(2 + cfg.Cores + in) })
+		mod.sys.Noc1Clk.Register(req)
+		mod.sys.Noc1Clk.Register(rep)
+		req.AttachPorts(mod.sys.Noc1Clk)
+		rep.AttachPorts(mod.sys.Noc1Clk)
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
-			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+			mod.sys.Noc1Clk.Register(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(req, a, c, mod.Map.Home(c, a.Line), reqFlits(a, d.FlitBytes, false))
-			}, req.InjectSpace(c)), mod.noc1Group(2+c))
+			}, req.InjectSpace(c)))
 			rep.SetEndpoint(c, mod.sys.sink(mod.Cores[c].In))
-			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(1))
+			mod.Cores[c].In.Attach(mod.sys.Noc1Clk)
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
 			req.SetEndpoint(n, mod.sys.sink(mod.Nodes[n].Q1))
-			mod.Nodes[n].Q1.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(0))
-			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+			mod.Nodes[n].Q1.Attach(mod.sys.Noc1Clk)
+			mod.sys.Noc1Clk.Register(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(rep, a, n, a.Core, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}, rep.InjectSpace(n)), mod.noc1Group(2+cfg.Cores+n))
+			}, rep.InjectSpace(n)))
 		}
 	case Clustered:
-		// Noc1Clk namespace: crossbar pair of cluster cl → 2cl/2cl+1, then
-		// per-pump groups past 2z (core pump c → base+c, node pump n →
-		// base+Cores+n) so LPT can balance within big clusters.
 		z := d.Clusters
 		m := d.DCL1s / z
 		coresPer := cfg.Cores / z
-		base := 2 * z
 		for cl := 0; cl < z; cl++ {
 			cl := cl
 			req := mod.xbar(fmt.Sprintf("noc1-req-%d", cl), coresPer, m)
 			rep := mod.xbar(fmt.Sprintf("noc1-rep-%d", cl), m, coresPer)
 			mod.Noc1Req = append(mod.Noc1Req, req)
 			mod.Noc1Rep = append(mod.Noc1Rep, rep)
-			mod.sys.Noc1Clk.RegisterGrouped(req, mod.noc1Group(2*cl))
-			mod.sys.Noc1Clk.RegisterGrouped(rep, mod.noc1Group(2*cl+1))
-			req.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(base + cl*coresPer + in) })
-			rep.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(base + cfg.Cores + cl*m + in) })
+			mod.sys.Noc1Clk.Register(req)
+			mod.sys.Noc1Clk.Register(rep)
+			req.AttachPorts(mod.sys.Noc1Clk)
+			rep.AttachPorts(mod.sys.Noc1Clk)
 			for j := 0; j < m; j++ {
 				req.SetEndpoint(j, mod.sys.sink(mod.Nodes[cl*m+j].Q1))
-				mod.Nodes[cl*m+j].Q1.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*cl))
+				mod.Nodes[cl*m+j].Q1.Attach(mod.sys.Noc1Clk)
 			}
 		}
 		for c := 0; c < cfg.Cores; c++ {
 			c := c
 			cl := c / coresPer
 			req := mod.Noc1Req[cl]
-			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
+			mod.sys.Noc1Clk.Register(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
 				local := mod.Map.Home(c, a.Line) - cl*m
 				return mod.sys.inject(req, a, c%coresPer, local, reqFlits(a, d.FlitBytes, false))
-			}, req.InjectSpace(c%coresPer)), mod.noc1Group(base+c))
+			}, req.InjectSpace(c%coresPer)))
 			mod.Noc1Rep[cl].SetEndpoint(c%coresPer, mod.sys.sink(mod.Cores[c].In))
-			mod.Cores[c].In.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*cl+1))
+			mod.Cores[c].In.Attach(mod.sys.Noc1Clk)
 		}
 		for n := 0; n < d.DCL1s; n++ {
 			n := n
 			cl := n / m
 			rep := mod.Noc1Rep[cl]
-			mod.sys.Noc1Clk.RegisterGrouped(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
+			mod.sys.Noc1Clk.Register(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
 				return mod.sys.inject(rep, a, n%m, a.Core%coresPer, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}, rep.InjectSpace(n%m)), mod.noc1Group(base+cfg.Cores+n))
+			}, rep.InjectSpace(n%m)))
 		}
 	}
 }
@@ -863,47 +774,45 @@ func (mod *Module) wireNoC1() {
 // isolates the capacity effect of eliminating replication).
 func (mod *Module) wireSingleL1() {
 	nd := mod.Nodes[0]
-	gNode := mod.nodeClkGroup(0)
 	// Every core's Out feeds the one node's Q1, so the fan-in must be a
-	// single composite pump: an attached port has exactly one producer. The
-	// fan-in/fan-out pumps and their ports group with the node hub.
+	// single composite pump: an attached port has exactly one producer.
 	outs := make([]*sim.Port[*mem.Access], mod.sys.Cfg.Cores)
 	for c, co := range mod.Cores {
 		outs[c] = co.Out
 	}
-	mod.sys.CoreClk.RegisterGrouped(&multiPump{
+	mod.sys.CoreClk.Register(&multiPump{
 		srcs: outs, rate: pumpRate, try: nd.Q1.Push, space: []sim.PortRef{nd.Q1.SpaceRef()},
-	}, gNode)
-	nd.Q1.AttachGrouped(mod.sys.CoreClk, gNode)
+	})
+	nd.Q1.Attach(mod.sys.CoreClk)
 	// Replies demultiplex back to cores by Access.Core.
 	ins := make([]*sim.Port[*mem.Access], len(mod.Cores))
 	for c, co := range mod.Cores {
 		ins[c] = co.In
-		co.In.AttachGrouped(mod.sys.CoreClk, gNode)
+		co.In.Attach(mod.sys.CoreClk)
 	}
-	mod.sys.CoreClk.RegisterGrouped(pump(nd.Q2, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
+	mod.sys.CoreClk.Register(pump(nd.Q2, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
 		return mod.Cores[a.Core].In.Push(a)
-	}, spaceRefs(ins)...), gNode)
+	}, spaceRefs(ins)...))
 	// Miss path: ideal full-width connection to the L2 slices.
-	mod.sys.Noc2Clk.RegisterGrouped(pump(nd.Q3, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
+	mod.sys.Noc2Clk.Register(pump(nd.Q3, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
 		return mod.l2in[mod.AMap.L2Slice(a.Line)].Push(a)
-	}, spaceRefs(mod.l2in)...), mod.noc2Group(0))
+	}, spaceRefs(mod.l2in)...))
 	// L2 side: per-slice l2in→L2.In pumps, plus one composite pump over all
 	// L2 outputs into the node's Q4 (again a single producer), consuming
 	// orphan writeback ACKs as wireL2Replies does for the NoC designs.
 	l2outs := make([]*sim.Port[*mem.Access], len(mod.L2))
 	for i := range mod.L2 {
-		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()), mod.sliceGroup(i))
+		mod.sys.Noc2Clk.Register(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()))
 		l2outs[i] = mod.L2[i].Out
 	}
-	mod.sys.Noc2Clk.RegisterGrouped(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
+	mod.sys.Noc2Clk.Register(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
 		if a.Kind == mem.Store && a.Core == -1 {
 			mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 			return true
 		}
 		return nd.Q4.Push(a)
-	}, space: []sim.PortRef{nd.Q4.SpaceRef()}}, mod.noc2Group(1))
-	nd.Q4.AttachGrouped(mod.sys.Noc2Clk, mod.noc2Group(1))
+	}, space: []sim.PortRef{nd.Q4.SpaceRef()}})
+	nd.Q4.Attach(mod.sys.Noc2Clk)
 }
 
 // wireNoC2Flat builds the single Y×L2 request / L2×Y reply crossbars used by
@@ -915,19 +824,17 @@ func (mod *Module) wireNoC2Flat() {
 	rep := mod.xbar("noc2-rep", cfg.L2Slices, y)
 	mod.Noc2Req = []*noc.Crossbar{req}
 	mod.Noc2Rep = []*noc.Crossbar{rep}
-	gReq, gRep := mod.noc2Group(0), mod.noc2Group(1)
-	gPump := func(n int) int { return mod.noc2Group(2 + n) }
-	mod.sys.Noc2Clk.RegisterGrouped(req, gReq)
-	mod.sys.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(mod.sys.Noc2Clk, gPump)
-	rep.AttachPortsGrouped(mod.sys.Noc2Clk, mod.sliceGroup)
+	mod.sys.Noc2Clk.Register(req)
+	mod.sys.Noc2Clk.Register(rep)
+	req.AttachPorts(mod.sys.Noc2Clk)
+	rep.AttachPorts(mod.sys.Noc2Clk)
 	for n := 0; n < y; n++ {
 		n := n
-		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
+		mod.sys.Noc2Clk.Register(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
 			return mod.sys.inject(req, a, n, mod.AMap.L2Slice(a.Line), reqFlits(a, mod.sys.D.FlitBytes, true))
-		}, req.InjectSpace(n)), gPump(n))
+		}, req.InjectSpace(n)))
 		rep.SetEndpoint(n, mod.sys.sink(mod.Nodes[n].Q4))
-		mod.Nodes[n].Q4.AttachGrouped(mod.sys.Noc2Clk, gRep)
+		mod.Nodes[n].Q4.Attach(mod.sys.Noc2Clk)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
 		req.SetEndpoint(i, mod.sys.sink(mod.l2in[i]))
@@ -947,20 +854,16 @@ func (mod *Module) wireNoC2Clustered() {
 	z := d.Clusters
 	m := d.DCL1s / z
 	o := cfg.L2Slices / m
-	// Noc2Clk extras: crossbar pair j → noc2Group(2j)/noc2Group(2j+1), node
-	// pump n → noc2Group(2m+n); inj ports follow the pumps, sink-fed ports
-	// the crossbar (Q4) or slice neighborhood (l2in, grouped at build).
-	gPump := func(n int) int { return mod.noc2Group(2*m + n) }
 	for j := 0; j < m; j++ {
 		j := j
 		req := mod.xbar(fmt.Sprintf("noc2-req-%d", j), z, o)
 		rep := mod.xbar(fmt.Sprintf("noc2-rep-%d", j), o, z)
 		mod.Noc2Req = append(mod.Noc2Req, req)
 		mod.Noc2Rep = append(mod.Noc2Rep, rep)
-		mod.sys.Noc2Clk.RegisterGrouped(req, mod.noc2Group(2*j))
-		mod.sys.Noc2Clk.RegisterGrouped(rep, mod.noc2Group(2*j+1))
-		req.AttachPortsGrouped(mod.sys.Noc2Clk, func(cl int) int { return gPump(cl*m + j) })
-		rep.AttachPortsGrouped(mod.sys.Noc2Clk, func(k int) int { return mod.sliceGroup(k*m + j) })
+		mod.sys.Noc2Clk.Register(req)
+		mod.sys.Noc2Clk.Register(rep)
+		req.AttachPorts(mod.sys.Noc2Clk)
+		rep.AttachPorts(mod.sys.Noc2Clk)
 		// Output ports: L2 slices with slice%m == j, indexed by slice/m.
 		for k := 0; k < o; k++ {
 			req.SetEndpoint(k, mod.sys.sink(mod.l2in[k*m+j]))
@@ -971,12 +874,12 @@ func (mod *Module) wireNoC2Clustered() {
 		cl := n / m
 		j := n % m
 		req := mod.Noc2Req[j]
-		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
+		mod.sys.Noc2Clk.Register(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
 			slice := mod.AMap.L2Slice(a.Line)
 			return mod.sys.inject(req, a, cl, slice/m, reqFlits(a, d.FlitBytes, true))
-		}, req.InjectSpace(cl)), gPump(n))
+		}, req.InjectSpace(cl)))
 		mod.Noc2Rep[j].SetEndpoint(cl, mod.sys.sink(mod.Nodes[n].Q4))
-		mod.Nodes[n].Q4.AttachGrouped(mod.sys.Noc2Clk, mod.noc2Group(2*j+1))
+		mod.Nodes[n].Q4.Attach(mod.sys.Noc2Clk)
 	}
 	cmap := mod.Map.(dcl1.ClusteredMap)
 	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
@@ -1008,11 +911,6 @@ func (mod *Module) wireCDXBarNoC() {
 			midRep[i][j] = sim.NewPort[*mem.Access](4)
 		}
 	}
-	// Noc1Clk namespace: stage-1 pair of group gi → 2gi/2gi+1, core pump c →
-	// base1+c, mid reply pump (gi,j) → base1+Cores+gi*mid+j. Noc2Clk extras:
-	// stage-2 pair j → noc2Group(2j)/noc2Group(2j+1), mid request pump
-	// (gi,j) → noc2Group(2mid+gi*mid+j). Ports follow their producers.
-	base1 := 2 * g
 	// Stage 1 (per group): per×mid request, mid×per reply. Runs on Noc1Clk
 	// so CDXBar+2xNoC1 boosts only this stage.
 	var s1req, s1rep []*noc.Crossbar
@@ -1022,13 +920,13 @@ func (mod *Module) wireCDXBarNoC() {
 		rep := mod.xbar(fmt.Sprintf("cdx-s1-rep-%d", gi), mid, per)
 		s1req = append(s1req, req)
 		s1rep = append(s1rep, rep)
-		mod.sys.Noc1Clk.RegisterGrouped(req, mod.noc1Group(2*gi))
-		mod.sys.Noc1Clk.RegisterGrouped(rep, mod.noc1Group(2*gi+1))
-		req.AttachPortsGrouped(mod.sys.Noc1Clk, func(in int) int { return mod.noc1Group(base1 + gi*per + in) })
-		rep.AttachPortsGrouped(mod.sys.Noc1Clk, func(j int) int { return mod.noc1Group(base1 + cfg.Cores + gi*mid + j) })
+		mod.sys.Noc1Clk.Register(req)
+		mod.sys.Noc1Clk.Register(rep)
+		req.AttachPorts(mod.sys.Noc1Clk)
+		rep.AttachPorts(mod.sys.Noc1Clk)
 		for j := 0; j < mid; j++ {
 			req.SetEndpoint(j, mod.sys.sink(midReq[gi][j]))
-			midReq[gi][j].AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*gi))
+			midReq[gi][j].Attach(mod.sys.Noc1Clk)
 		}
 	}
 	mod.Noc1Req = s1req
@@ -1041,10 +939,10 @@ func (mod *Module) wireCDXBarNoC() {
 		rep := mod.xbar(fmt.Sprintf("cdx-s2-rep-%d", j), o, g)
 		s2req = append(s2req, req)
 		s2rep = append(s2rep, rep)
-		mod.sys.Noc2Clk.RegisterGrouped(req, mod.noc2Group(2*j))
-		mod.sys.Noc2Clk.RegisterGrouped(rep, mod.noc2Group(2*j+1))
-		req.AttachPortsGrouped(mod.sys.Noc2Clk, func(gi int) int { return mod.noc2Group(2*mid + gi*mid + j) })
-		rep.AttachPortsGrouped(mod.sys.Noc2Clk, func(k int) int { return mod.sliceGroup(k*mid + j) })
+		mod.sys.Noc2Clk.Register(req)
+		mod.sys.Noc2Clk.Register(rep)
+		req.AttachPorts(mod.sys.Noc2Clk)
+		rep.AttachPorts(mod.sys.Noc2Clk)
 		for k := 0; k < o; k++ {
 			req.SetEndpoint(k, mod.sys.sink(mod.l2in[k*mid+j]))
 		}
@@ -1057,37 +955,37 @@ func (mod *Module) wireCDXBarNoC() {
 		gi := c / per
 		nd := mod.Nodes[c]
 		req := s1req[gi]
-		mod.sys.Noc1Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+		mod.sys.Noc1Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
 			slice := mod.AMap.L2Slice(a.Line)
 			return mod.sys.inject(req, a, c%per, slice%mid, reqFlits(a, d.FlitBytes, true))
-		}, req.InjectSpace(c%per)), mod.noc1Group(base1+c))
+		}, req.InjectSpace(c%per)))
 		s1rep[gi].SetEndpoint(c%per, mod.sys.sink(nd.Q4))
-		nd.Q4.AttachGrouped(mod.sys.Noc1Clk, mod.noc1Group(2*gi+1))
+		nd.Q4.Attach(mod.sys.Noc1Clk)
 	}
 	for gi := 0; gi < g; gi++ {
 		gi := gi
 		for j := 0; j < mid; j++ {
 			j := j
 			req2 := s2req[j]
-			mod.sys.Noc2Clk.RegisterGrouped(pump(midReq[gi][j], pumpRate, func(a *mem.Access) bool {
+			mod.sys.Noc2Clk.Register(pump(midReq[gi][j], pumpRate, func(a *mem.Access) bool {
 				slice := mod.AMap.L2Slice(a.Line)
 				return mod.sys.inject(req2, a, gi, slice/mid, reqFlits(a, d.FlitBytes, true))
-			}, req2.InjectSpace(gi)), mod.noc2Group(2*mid+gi*mid+j))
+			}, req2.InjectSpace(gi)))
 			rep1 := s1rep[gi]
-			mod.sys.Noc1Clk.RegisterGrouped(pump(midRep[gi][j], pumpRate, func(a *mem.Access) bool {
+			mod.sys.Noc1Clk.Register(pump(midRep[gi][j], pumpRate, func(a *mem.Access) bool {
 				who := a.Core
 				if a.Core == cache.PrefetchCore {
 					who = a.Node
 				}
 				return mod.sys.inject(rep1, a, j, who%per, replyFlits(a, d.FlitBytes, false, false))
-			}, rep1.InjectSpace(j)), mod.noc1Group(base1+cfg.Cores+gi*mid+j))
+			}, rep1.InjectSpace(j)))
 		}
 	}
 	for j := 0; j < mid; j++ {
 		j := j
 		for gi := 0; gi < g; gi++ {
 			s2rep[j].SetEndpoint(gi, mod.sys.sink(midRep[gi][j]))
-			midRep[gi][j].AttachGrouped(mod.sys.Noc2Clk, mod.noc2Group(2*j+1))
+			midRep[gi][j].Attach(mod.sys.Noc2Clk)
 		}
 	}
 	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
@@ -1114,14 +1012,14 @@ func (mod *Module) wireL2Replies(inject func(a *mem.Access, slice int) bool, spa
 		if space != nil {
 			waits = []sim.PortRef{space(i)}
 		}
-		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()), mod.sliceGroup(i))
-		mod.sys.Noc2Clk.RegisterGrouped(pump(mod.L2[i].Out, pumpRate, func(a *mem.Access) bool {
+		mod.sys.Noc2Clk.Register(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()))
+		mod.sys.Noc2Clk.Register(pump(mod.L2[i].Out, pumpRate, func(a *mem.Access) bool {
 			if a.Kind == mem.Store && a.Core == -1 {
 				mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 				return true
 			}
 			return inject(a, i)
-		}, waits...), mod.sliceGroup(i))
+		}, waits...))
 	}
 }
 
@@ -1153,10 +1051,10 @@ func (mod *Module) wireMemSide() {
 	}
 	for ch, dc := range mod.Drams {
 		if !multi {
-			mod.sys.Noc2Clk.RegisterGrouped(&multiPump{
+			mod.sys.Noc2Clk.Register(&multiPump{
 				srcs: missByCh[ch], rate: pumpRate, try: dc.In.Push, space: []sim.PortRef{dc.In.SpaceRef()},
-			}, mod.chanGroup(ch))
-			dc.In.AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
+			})
+			dc.In.Attach(mod.sys.Noc2Clk)
 			continue
 		}
 		ch, dc := ch, dc
@@ -1165,7 +1063,7 @@ func (mod *Module) wireMemSide() {
 		// the module so its fill can find the way home.
 		nLocal := len(missByCh[ch])
 		srcs := append(append([]*sim.Port[*mem.Access]{}, missByCh[ch]...), mod.linkReqIn[ch])
-		mod.sys.Noc2Clk.RegisterGrouped(&multiPump{
+		mod.sys.Noc2Clk.Register(&multiPump{
 			srcs: srcs,
 			rate: pumpRate,
 			prep: func(si int, a *mem.Access) {
@@ -1180,27 +1078,27 @@ func (mod *Module) wireMemSide() {
 				return mod.linkMissOut[ch].Push(a)
 			},
 			space: []sim.PortRef{dc.In.SpaceRef(), mod.linkMissOut[ch].SpaceRef()},
-		}, mod.chanGroup(ch))
-		dc.In.AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
-		mod.linkMissOut[ch].AttachGrouped(mod.sys.Noc2Clk, mod.chanGroup(ch))
+		})
+		dc.In.Attach(mod.sys.Noc2Clk)
+		mod.linkMissOut[ch].Attach(mod.sys.Noc2Clk)
 	}
 	for ch, dc := range mod.Drams {
 		dc := dc
 		if !multi {
-			mod.sys.MemClk.RegisterGrouped(pump(dc.Out, pumpRate, func(a *mem.Access) bool {
+			mod.sys.MemClk.Register(pump(dc.Out, pumpRate, func(a *mem.Access) bool {
 				if a.Kind == mem.Store && a.Core == -1 {
 					mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
 					return true
 				}
 				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
-			}, spaceRefs(fillByCh[ch])...), mod.memGroup(ch))
+			}, spaceRefs(fillByCh[ch])...))
 			continue
 		}
 		ch := ch
 		// DRAM output first, then fills arriving over the link; orphan
 		// writeback ACKs retire at the home module (nothing waits for them),
 		// remote-origin fills divert to the link egress.
-		mod.sys.MemClk.RegisterGrouped(&multiPump{
+		mod.sys.MemClk.Register(&multiPump{
 			srcs: []*sim.Port[*mem.Access]{dc.Out, mod.linkFillIn[ch]},
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
@@ -1214,7 +1112,7 @@ func (mod *Module) wireMemSide() {
 				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
 			},
 			space: append(spaceRefs(fillByCh[ch]), mod.linkRepOut[ch].SpaceRef()),
-		}, mod.memGroup(ch))
-		mod.linkRepOut[ch].AttachGrouped(mod.sys.MemClk, mod.memGroup(ch))
+		})
+		mod.linkRepOut[ch].Attach(mod.sys.MemClk)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // every module, plus the link crossbars of a linked machine. Each component
 // receives its own injector stream keyed by (spec.Seed, subsystem kind,
 // component index), so the fault schedule is a pure function of the spec and
-// the machine shape, independent of shard count, tick mode, and wall-clock —
+// the machine shape, independent of tick mode and wall-clock —
 // see the chaos package doc. Component indices are machine-global: one
 // counter per subsystem kind, walked in module order, link last (module 1's
 // first core is KindCore index Cores, not 0). Must be called before the first

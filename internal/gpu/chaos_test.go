@@ -12,26 +12,23 @@ import (
 
 // runChaos executes one chaotic run and returns its Results plus the canonical
 // rendering of the recorded fault schedule.
-func runChaos(t *testing.T, cfg Config, d Design, app workload.Source, spec *chaos.Spec, shards int, fast bool) (Results, string) {
+func runChaos(t *testing.T, cfg Config, d Design, app workload.Source, spec *chaos.Spec, fast bool) (Results, string) {
 	t.Helper()
 	s := NewSystem(cfg, d, app)
 	if err := s.InstallChaos(spec); err != nil {
 		t.Fatalf("InstallChaos: %v", err)
 	}
 	s.SetFastPath(fast)
-	if shards > 1 {
-		s.SetShards(shards)
-	}
 	r := s.Run()
 	return r, chaos.FormatEvents(s.ChaosEvents())
 }
 
-// TestChaosShardDeterminism proves the tentpole's bit-identity claim for fault
-// injection: the same (seed, spec) yields a byte-identical fault schedule and
-// identical Results at shard counts 1, 2, 4, and 8 and under the legacy
-// always-tick engine. Injection decisions are drawn only on component tick
-// paths, so neither sharding nor quiescence skipping can perturb them.
-func TestChaosShardDeterminism(t *testing.T) {
+// TestChaosDeterminism proves the bit-identity claim for fault injection: the
+// same (seed, spec) yields a byte-identical fault schedule and identical
+// Results on a replay and under the legacy always-tick engine. Injection
+// decisions are drawn only on component tick paths, with affected work
+// present, so quiescence skipping cannot perturb them.
+func TestChaosDeterminism(t *testing.T) {
 	app, ok := workload.ByName("T-AlexNet")
 	if !ok {
 		t.Fatal("unknown app T-AlexNet")
@@ -46,20 +43,18 @@ func TestChaosShardDeterminism(t *testing.T) {
 		d := d
 		t.Run(d.Name(), func(t *testing.T) {
 			t.Parallel()
-			refR, refS := runChaos(t, cfg, d, app, spec, 1, true)
+			refR, refS := runChaos(t, cfg, d, app, spec, true)
 			if refR.FaultsInjected == 0 {
 				t.Fatal("heavy chaos injected nothing")
 			}
-			for _, shards := range []int{2, 4, 8} {
-				r, s := runChaos(t, cfg, d, app, spec, shards, true)
-				if s != refS {
-					t.Errorf("fault schedule diverged at %d shards", shards)
-				}
-				if !reflect.DeepEqual(r, refR) {
-					t.Errorf("Results diverged at %d shards:\nref: %+v\ngot: %+v", shards, refR, r)
-				}
+			r, s := runChaos(t, cfg, d, app, spec, true)
+			if s != refS {
+				t.Error("fault schedule diverged on replay")
 			}
-			r, s := runChaos(t, cfg, d, app, spec, 1, false)
+			if !reflect.DeepEqual(r, refR) {
+				t.Errorf("Results diverged on replay:\nref: %+v\ngot: %+v", refR, r)
+			}
+			r, s = runChaos(t, cfg, d, app, spec, false)
 			if s != refS {
 				t.Error("fault schedule diverged under legacy tick")
 			}

@@ -35,25 +35,19 @@ type HealthOptions struct {
 	// bit-identical either way; the knob exists for validation and
 	// before/after benchmarking.
 	LegacyTick bool
-	// Shards spreads each clock edge's component ticks across this many
-	// worker shards (<= 1 means serial, the default; ShardsAuto sizes the
-	// worker set to the machine). The two-phase port contract makes results
-	// bit-identical at every shard count; the knob trades goroutines for
-	// wall-clock speed on saturated runs.
+	// Shards is inert: no code reads it, and a run is the same run at any
+	// value (TestBenchPinnedSurface). It is declared only because the frozen
+	// bench/layers.go still names it; it goes with that file's "shards2"
+	// variant in the next benchmark PR.
 	Shards int
-	// StridedPlacement switches shard placement back to the legacy strided
-	// (i mod n) partition instead of the locality-aware plan. Results are
-	// bit-identical either way; the knob exists for equivalence tests and
-	// before/after benchmarks.
-	StridedPlacement bool
 	// Chaos, when non-nil, arms deterministic fault injection on every
 	// component before the run starts (see InstallChaos and the chaos
 	// package). The fault schedule is a pure function of the spec, so a
-	// chaotic run is just as replayable and shard-invariant as a clean one.
+	// chaotic run is just as replayable as a clean one.
 	Chaos *chaos.Spec
 	// Metrics, when non-nil, attaches live metrics collection: the registry
 	// is snapshotted every Metrics.Every core cycles (on exact multiples,
-	// identical in every tick mode and at every shard count) and each batch
+	// identical with the fast path on or off) and each batch
 	// is handed to Metrics.Sink. See InstallTelemetry.
 	Metrics *metrics.Options
 	// PowerCap, when non-nil, arms the power-capping governor: at each
@@ -289,12 +283,6 @@ func (s *System) RunChecked(opts HealthOptions) (r Results, err error) {
 	}()
 	if opts.LegacyTick {
 		s.Eng.SetFastPath(false)
-	}
-	if opts.StridedPlacement {
-		s.SetStridedPlacement(true)
-	}
-	if opts.Shards > 1 || opts.Shards == ShardsAuto {
-		s.SetShards(opts.Shards)
 	}
 	if opts.Chaos != nil {
 		if err := s.InstallChaos(opts.Chaos); err != nil {

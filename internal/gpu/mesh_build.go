@@ -33,37 +33,21 @@ func (mod *Module) wireMeshNoC() {
 	req := mk("mesh-req")
 	rep := mk("mesh-rep")
 	mod.MeshReq, mod.MeshRep = req, rep
-	// Noc2Clk extras: the two mesh hubs → noc2Group(0)/noc2Group(1), core
-	// pump c → noc2Group(2+c). Injection ports follow their producers: core
-	// nodes inject requests (pump groups), L2 nodes inject replies (slice
-	// groups); the unused direction of each port stays ungrouped.
-	gReq, gRep := mod.noc2Group(0), mod.noc2Group(1)
-	gPump := func(c int) int { return mod.noc2Group(2 + c) }
-	mod.sys.Noc2Clk.RegisterGrouped(req, gReq)
-	mod.sys.Noc2Clk.RegisterGrouped(rep, gRep)
-	req.AttachPortsGrouped(mod.sys.Noc2Clk, func(n int) int {
-		if n < cfg.Cores {
-			return gPump(n)
-		}
-		return -1
-	})
-	rep.AttachPortsGrouped(mod.sys.Noc2Clk, func(n int) int {
-		if n >= cfg.Cores && n < cfg.Cores+cfg.L2Slices {
-			return mod.sliceGroup(n - cfg.Cores)
-		}
-		return -1
-	})
+	mod.sys.Noc2Clk.Register(req)
+	mod.sys.Noc2Clk.Register(rep)
+	req.AttachPorts(mod.sys.Noc2Clk)
+	rep.AttachPorts(mod.sys.Noc2Clk)
 
 	l2Node := func(slice int) int { return cfg.Cores + slice }
 
 	for c := 0; c < cfg.Cores; c++ {
 		c := c
 		nd := mod.Nodes[c]
-		mod.sys.Noc2Clk.RegisterGrouped(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+		mod.sys.Noc2Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
 			return mod.sys.inject(req, a, c, l2Node(mod.AMap.L2Slice(a.Line)), reqFlits(a, mod.sys.D.FlitBytes, true))
-		}), gPump(c))
+		}))
 		rep.SetEndpoint(c, mod.sys.sink(nd.Q4))
-		nd.Q4.AttachGrouped(mod.sys.Noc2Clk, gRep)
+		nd.Q4.Attach(mod.sys.Noc2Clk)
 	}
 	for i := 0; i < cfg.L2Slices; i++ {
 		req.SetEndpoint(l2Node(i), mod.sys.sink(mod.l2in[i]))

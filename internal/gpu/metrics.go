@@ -144,7 +144,7 @@ func (mod *Module) buildZones() []power.Zone {
 // the budget and moves the core duty-cycle throttle one step at a time —
 // up when over budget, down when comfortably under (capReleaseFraction
 // hysteresis so the level doesn't flap around the budget). It runs only in
-// barrier context, so capped runs stay deterministic at any shard count.
+// barrier context, so every core sees a new throttle level on the same edge.
 type governor struct {
 	meter *power.Meter
 	cap   power.CapSpec
@@ -176,9 +176,9 @@ func (g *governor) step() {
 // its own metered zones) to this machine. It must be called after NewSystem
 // and before the run starts. The collector registers on the core clock as a
 // sleeper whose next-work cycle is the next sample point, so the sample grid
-// — exact multiples of opts.Every — is identical in fast-path, legacy-tick,
-// and sharded execution; the registry walk itself happens in a core-clock
-// barrier task, serially, after the edge's port commits.
+// — exact multiples of opts.Every — is identical in fast-path and legacy-tick
+// execution; the registry walk itself happens in a core-clock barrier task,
+// after the edge's port commits.
 //
 // With a nil opts.Sink nothing is snapshotted, but sample-point hooks still
 // run: a cap works without an observer.
@@ -218,10 +218,6 @@ func (s *System) InstallTelemetry(opts metrics.Options, cap *power.CapSpec) erro
 			}
 		})
 	}
-	// The snapshot walk fans out across the engine's shard workers when the
-	// run is sharded (each worker fills a disjoint stride of the batch) and
-	// degrades to a serial walk otherwise; the batch is identical either way.
-	col.SetSharder(s.CoreClk)
 	s.collector = col
 	s.CoreClk.Register(col)
 	s.CoreClk.OnBarrier(col.Fold)

@@ -23,7 +23,7 @@ func (c *lineSink) Emit(b *metrics.Batch) {
 }
 
 func runTelemetry(t *testing.T, cfg Config, d Design, app workload.Source,
-	shards int, fast bool, every int64, cap *power.CapSpec) (*System, []string, Results) {
+	fast bool, every int64, cap *power.CapSpec) (*System, []string, Results) {
 	t.Helper()
 	s := NewSystem(cfg, d, app)
 	sink := &lineSink{}
@@ -31,7 +31,6 @@ func runTelemetry(t *testing.T, cfg Config, d Design, app workload.Source,
 		t.Fatalf("InstallTelemetry: %v", err)
 	}
 	s.SetFastPath(fast)
-	s.SetShards(shards)
 	r := s.Run()
 	return s, sink.lines, r
 }
@@ -39,7 +38,7 @@ func runTelemetry(t *testing.T, cfg Config, d Design, app workload.Source,
 // TestMetricsStreamExecutionModeInvariance is the determinism matrix for the
 // live metrics stream: the encoded batch sequence — every sample of every
 // series, cycle stamps and timestamps included — must be byte-identical
-// across shard counts and with the legacy always-tick engine. The collector
+// with the fast path and with the legacy always-tick engine. The collector
 // bounds idle fast-forward to the next sample cycle and snapshots only in
 // barrier context, so no execution mode may be observable in the stream.
 func TestMetricsStreamExecutionModeInvariance(t *testing.T) {
@@ -53,30 +52,17 @@ func TestMetricsStreamExecutionModeInvariance(t *testing.T) {
 		d := d
 		t.Run(d.Name(), func(t *testing.T) {
 			t.Parallel()
-			_, refLines, refRes := runTelemetry(t, cfg, d, app, 1, true, 512, nil)
+			_, refLines, refRes := runTelemetry(t, cfg, d, app, true, 512, nil)
 			if len(refLines) == 0 {
 				t.Fatal("reference run produced no batches")
 			}
-			modes := []struct {
-				name   string
-				shards int
-				fast   bool
-			}{
-				{"shards=2", 2, true},
-				{"shards=4", 4, true},
-				{"shards=8", 8, true},
-				{"legacy-tick", 1, false},
-				{"legacy-tick/shards=4", 4, false},
+			_, lines, res := runTelemetry(t, cfg, d, app, false, 512, nil)
+			if !reflect.DeepEqual(res, refRes) {
+				t.Error("legacy-tick: Results diverged from reference")
 			}
-			for _, m := range modes {
-				_, lines, res := runTelemetry(t, cfg, d, app, m.shards, m.fast, 512, nil)
-				if !reflect.DeepEqual(res, refRes) {
-					t.Errorf("%s: Results diverged from reference", m.name)
-				}
-				if !reflect.DeepEqual(lines, refLines) {
-					t.Errorf("%s: metric stream diverged (%d vs %d batches)",
-						m.name, len(lines), len(refLines))
-				}
+			if !reflect.DeepEqual(lines, refLines) {
+				t.Errorf("legacy-tick: metric stream diverged (%d vs %d batches)",
+					len(lines), len(refLines))
 			}
 		})
 	}
@@ -90,7 +76,7 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 	cfg := quiesceCfg()
 	d := Design{Kind: Shared, DCL1s: 8}
 	bare := NewSystem(cfg, d, app).Run()
-	_, _, observed := runTelemetry(t, cfg, d, app, 1, true, 256, nil)
+	_, _, observed := runTelemetry(t, cfg, d, app, true, 256, nil)
 	if !reflect.DeepEqual(bare, observed) {
 		t.Errorf("telemetry changed results:\nbare:     %+v\nobserved: %+v", bare, observed)
 	}
@@ -107,8 +93,8 @@ func TestPowerCapThrottles(t *testing.T) {
 	cfg := quiesceCfg()
 	d := Design{Kind: Baseline}
 
-	_, _, free := runTelemetry(t, cfg, d, app, 1, true, 256, nil)
-	s, lines, capped := runTelemetry(t, cfg, d, app, 1, true, 256,
+	_, _, free := runTelemetry(t, cfg, d, app, true, 256, nil)
+	s, lines, capped := runTelemetry(t, cfg, d, app, true, 256,
 		&power.CapSpec{Zone: power.ZoneModule, BudgetWatts: 1, MaxLevel: 7})
 
 	if throttled := s.Reg.Total("core_throttled_total"); throttled == 0 {
@@ -149,8 +135,8 @@ func TestPowerCapGenerousBudgetIsNoop(t *testing.T) {
 	app, _ := workload.ByName("C-NN")
 	cfg := quiesceCfg()
 	d := Design{Kind: Baseline}
-	_, _, free := runTelemetry(t, cfg, d, app, 1, true, 256, nil)
-	s, _, capped := runTelemetry(t, cfg, d, app, 1, true, 256,
+	_, _, free := runTelemetry(t, cfg, d, app, true, 256, nil)
+	s, _, capped := runTelemetry(t, cfg, d, app, true, 256,
 		&power.CapSpec{Zone: power.ZoneModule, BudgetWatts: 1e6})
 	if s.Reg.Total("core_throttled_total") != 0 {
 		t.Error("generous budget still throttled")
@@ -160,33 +146,23 @@ func TestPowerCapGenerousBudgetIsNoop(t *testing.T) {
 	}
 }
 
-// TestPowerCapShardInvariance pins the riskiest determinism claim: a capped
-// run — meter windows, governor steps, and the issue-gate they drive — must
-// be bit-identical at any shard count and in legacy tick mode, because the
+// TestPowerCapTickModeInvariance pins the riskiest determinism claim: a
+// capped run — meter windows, governor steps, and the issue-gate they drive —
+// must be bit-identical in fast-path and legacy tick mode, because the
 // throttle changes only in barrier context.
-func TestPowerCapShardInvariance(t *testing.T) {
+func TestPowerCapTickModeInvariance(t *testing.T) {
 	app, _ := workload.ByName("T-AlexNet")
 	cfg := quiesceCfg()
 	d := Design{Kind: Clustered, DCL1s: 8, Clusters: 2}
 	cap := &power.CapSpec{Zone: power.ZoneGPU, BudgetWatts: 10}
 
-	_, refLines, refRes := runTelemetry(t, cfg, d, app, 1, true, 512, cap)
-	for _, m := range []struct {
-		name   string
-		shards int
-		fast   bool
-	}{
-		{"shards=4", 4, true},
-		{"shards=8", 8, true},
-		{"legacy-tick", 1, false},
-	} {
-		_, lines, res := runTelemetry(t, cfg, d, app, m.shards, m.fast, 512, cap)
-		if !reflect.DeepEqual(res, refRes) {
-			t.Errorf("%s: capped Results diverged", m.name)
-		}
-		if !reflect.DeepEqual(lines, refLines) {
-			t.Errorf("%s: capped metric stream diverged", m.name)
-		}
+	_, refLines, refRes := runTelemetry(t, cfg, d, app, true, 512, cap)
+	_, lines, res := runTelemetry(t, cfg, d, app, false, 512, cap)
+	if !reflect.DeepEqual(res, refRes) {
+		t.Error("legacy-tick: capped Results diverged")
+	}
+	if !reflect.DeepEqual(lines, refLines) {
+		t.Error("legacy-tick: capped metric stream diverged")
 	}
 }
 

@@ -19,25 +19,20 @@ import (
 // under testdata/golden_single were generated from the tree BEFORE the
 // multi-module refactor landed (DCL1_UPDATE_GOLDEN=1 go test -run
 // SingleModuleGolden), so any drift in Results JSON or the metrics stream —
-// for any design kind, shard count, or tick mode — fails here.
+// for any design kind or tick mode — fails here.
 
 const updateGoldenEnv = "DCL1_UPDATE_GOLDEN"
 
 // goldenVariant is one execution mode of the identical simulation.
 type goldenVariant struct {
 	key    string
-	shards int
 	legacy bool
 }
 
 func goldenVariants() []goldenVariant {
 	return []goldenVariant{
-		{key: "serial", shards: 1},
-		{key: "shards2", shards: 2},
-		{key: "shards4", shards: 4},
-		{key: "shards8", shards: 8},
-		{key: "serial-legacy", shards: 1, legacy: true},
-		{key: "shards4-legacy", shards: 4, legacy: true},
+		{key: "serial"},
+		{key: "serial-legacy", legacy: true},
 	}
 }
 
@@ -68,7 +63,6 @@ func runGolden(t *testing.T, c goldenCase, v goldenVariant) ([]byte, []byte) {
 	cfg := testCfg()
 	var stream bytes.Buffer
 	opts := HealthOptions{
-		Shards:     v.shards,
 		LegacyTick: v.legacy,
 		Chaos:      c.chaos,
 		Metrics:    &metrics.Options{Every: 2048, Sink: metrics.NewNDJSONSink(&stream)},
@@ -135,8 +129,8 @@ func checkGolden(t *testing.T, dir string, cases []goldenCase) {
 	}
 }
 
-// TestSingleModuleGolden proves every single-module run — at every shard
-// count and in both tick modes — produces Results and a metrics stream
+// TestSingleModuleGolden proves every single-module run — in both tick
+// modes — produces Results and a metrics stream
 // byte-identical to the pre-refactor simulator, across all seven design
 // kinds. This is the Modules=1 equivalence gate of the multi-GPU refactor.
 func TestSingleModuleGolden(t *testing.T) {
@@ -153,9 +147,9 @@ func TestModulesOneMatchesSingle(t *testing.T) {
 		gd := gd
 		t.Run(gd.name, func(t *testing.T) {
 			t.Parallel()
-			res0, stream0 := runGolden(t, gd, goldenVariant{key: "m0", shards: 1})
+			res0, stream0 := runGolden(t, gd, goldenVariant{key: "m0"})
 			gd.d.Modules = 1
-			res1, stream1 := runGolden(t, gd, goldenVariant{key: "m1", shards: 1})
+			res1, stream1 := runGolden(t, gd, goldenVariant{key: "m1"})
 			if !bytes.Equal(res0, res1) {
 				t.Errorf("Modules=1 Results differ from unset:\n got: %s\nwant: %s", res1, res0)
 			}

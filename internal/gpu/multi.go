@@ -37,10 +37,10 @@ func (s *System) wireLink() {
 	req := mk("link-req")
 	rep := mk("link-rep")
 	s.LinkReq, s.LinkRep = req, rep
-	s.LinkClk.RegisterGrouped(req, n)
-	s.LinkClk.RegisterGrouped(rep, n+1)
-	req.AttachPortsGrouped(s.LinkClk, func(in int) int { return in })
-	rep.AttachPortsGrouped(s.LinkClk, func(in int) int { return in })
+	s.LinkClk.Register(req)
+	s.LinkClk.Register(rep)
+	req.AttachPorts(s.LinkClk)
+	rep.AttachPorts(s.LinkClk)
 
 	// sinkPort delivers a link packet's access into the channel-indexed port
 	// slice of its destination module, routing by the line's home geometry
@@ -63,29 +63,29 @@ func (s *System) wireLink() {
 		// Requests: remote-homed misses leave module i toward the home
 		// module's DRAM. Whole lines matter on the memory side, so requests
 		// carry full-store payloads like NoC#2 (reqFlits fullStore).
-		s.LinkClk.RegisterGrouped(&multiPump{
+		s.LinkClk.Register(&multiPump{
 			srcs: mod.linkMissOut,
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
 				return s.inject(req, a, i, amap.HomeModule(a.Line), reqFlits(a, d.LinkGBps, true))
 			},
 			space: []sim.PortRef{req.InjectSpace(i)},
-		}, i)
+		})
 		req.SetEndpoint(i, sinkPort(mod.linkReqIn))
 		// Fills: home DRAM data returns to the origin module. Full lines,
 		// never trimmed (both ends are memory-side).
-		s.LinkClk.RegisterGrouped(&multiPump{
+		s.LinkClk.Register(&multiPump{
 			srcs: mod.linkRepOut,
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
 				return s.inject(rep, a, i, a.Module, replyFlits(a, d.LinkGBps, false, false))
 			},
 			space: []sim.PortRef{rep.InjectSpace(i)},
-		}, i)
+		})
 		rep.SetEndpoint(i, sinkPort(mod.linkFillIn))
 		for ch := range mod.linkReqIn {
-			mod.linkReqIn[ch].AttachGrouped(s.LinkClk, i)
-			mod.linkFillIn[ch].AttachGrouped(s.LinkClk, i)
+			mod.linkReqIn[ch].Attach(s.LinkClk)
+			mod.linkFillIn[ch].Attach(s.LinkClk)
 		}
 	}
 

@@ -1,8 +1,6 @@
 package gpu
 
 import (
-	"runtime"
-
 	"dcl1sim/internal/cache"
 	"dcl1sim/internal/core"
 	"dcl1sim/internal/dram"
@@ -63,40 +61,6 @@ func Run(cfg Config, d Design, app workload.Source) Results {
 // (used by equivalence tests and before/after benchmarks). Results are
 // bit-identical either way.
 func (s *System) SetFastPath(on bool) { s.Eng.SetFastPath(on) }
-
-// ShardsAuto, passed to SetShards (or HealthOptions.Shards), picks the shard
-// count from the machine: min(GOMAXPROCS, widest clock's component count).
-// On a single-CPU host it resolves to serial execution.
-const ShardsAuto = -1
-
-// SetShards sets the number of shards each clock edge's tickers are spread
-// across, and switches the recycling pool into the matching mode. n <= 1
-// selects serial execution (the default); ShardsAuto sizes the worker set to
-// the machine. Because every cross-component hand-off goes through a
-// two-phase port or an edge-barrier stage, results are bit-identical at
-// every shard count; see DESIGN.md §11 and §15.
-func (s *System) SetShards(n int) {
-	if n == ShardsAuto {
-		n = runtime.GOMAXPROCS(0)
-		if w := s.Eng.MaxClockComponents(); w < n {
-			n = w
-		}
-		if n < 1 {
-			n = 1
-		}
-	}
-	s.Eng.SetShards(n)
-	s.Pool.SetConcurrent(n > 1)
-}
-
-// SetStridedPlacement switches shard placement back to the legacy strided
-// (i mod n) partition instead of the locality-aware plan. Results are
-// bit-identical either way; the knob exists for equivalence tests and
-// before/after benchmarks.
-func (s *System) SetStridedPlacement(on bool) { s.Eng.SetStridedPlacement(on) }
-
-// Shards reports the configured shard count (1 = serial).
-func (s *System) Shards() int { return s.Eng.Shards() }
 
 // Run executes this machine's warmup and measurement windows.
 func (s *System) Run() Results {

@@ -32,26 +32,12 @@ type Job struct {
 // the run's internal recovery — e.g. from a misbehaving workload.Source —
 // becomes that job's *health.SimError instead of killing the worker pool and
 // discarding completed runs.
-//
-// Workers and shards compose: workers takes precedence, and opts.Shards is
-// capped at GOMAXPROCS/workers (floor 1) so the sweep's total goroutine
-// demand stays near GOMAXPROCS instead of multiplying. Shard count never
-// affects results, so the cap is purely a scheduling decision.
 func RunManyChecked(jobs []Job, workers int, opts HealthOptions) (out []Results, errs []error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
-	}
-	if (opts.Shards > 1 || opts.Shards == ShardsAuto) && workers > 0 {
-		per := runtime.GOMAXPROCS(0) / workers
-		if per < 1 {
-			per = 1
-		}
-		if opts.Shards == ShardsAuto || opts.Shards > per {
-			opts.Shards = per
-		}
 	}
 	out = make([]Results, len(jobs))
 	errs = make([]error, len(jobs))

@@ -1,10 +1,5 @@
 package mem
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Pool recycles Access and Packet values so a saturated steady-state cycle
 // performs no heap allocation: components Get a value where they previously
 // allocated one and the owner Puts it back where the value used to become
@@ -20,15 +15,10 @@ import (
 // indistinguishable from &Access{} / &Packet{} — and because no component
 // compares pointer identity (see DESIGN.md §10 for the ownership contract).
 //
-// Pool has two modes. The default serial mode (plain slice free lists, plain
-// counter increments) matches single-shard engine execution, where exactly
-// one goroutine touches the pool. SetConcurrent(true) — selected by the gpu
-// layer whenever the engine runs with more than one shard — switches Get/Put
-// to sync.Pool free lists and atomic counter updates. The mode cannot change
-// simulated results: Gets return zeroed values in either mode, and the
-// counters are sums, so their totals are independent of interleaving.
-// Double-Put detection is compiled in with the "pooldebug" build tag (see
-// pool_guard_on.go, which serializes internally) and costs nothing otherwise.
+// A Pool belongs to one System and is touched only by the goroutine running
+// it: plain slice free lists, plain counter increments. Double-Put detection
+// is compiled in with the "pooldebug" build tag (see pool_guard_on.go) and
+// costs nothing otherwise.
 type Pool struct {
 	acc []*Access
 	pkt []*Packet
@@ -36,16 +26,11 @@ type Pool struct {
 	// Cumulative counters, for tests and allocation-discipline audits:
 	// Gets = total Get calls, News = Gets that had to allocate (free list
 	// empty), Puts = values returned. In a leak-free steady state News stops
-	// growing while Gets/Puts keep advancing. Updated atomically in
-	// concurrent mode; read them only between runs.
+	// growing while Gets/Puts keep advancing.
 	AccGets, AccNews, AccPuts uint64
 	PktGets, PktNews, PktPuts uint64
 
 	guard putGuard
-
-	concurrent bool
-	cacc       sync.Pool
-	cpkt       sync.Pool
 }
 
 // NewPool returns an empty pool.
@@ -55,44 +40,9 @@ func NewPool() *Pool {
 	return p
 }
 
-// SetConcurrent switches the pool between serial and concurrent mode. Must
-// be called while no simulation is running. Turning concurrency on migrates
-// the serial free lists into the sync.Pools so already-warmed capacity is
-// kept; turning it off simply reverts the code path (values parked in the
-// sync.Pools are re-allocated on demand).
-func (p *Pool) SetConcurrent(on bool) {
-	if p == nil || p.concurrent == on {
-		return
-	}
-	if on {
-		for i, a := range p.acc {
-			p.cacc.Put(a)
-			p.acc[i] = nil
-		}
-		p.acc = p.acc[:0]
-		for i, k := range p.pkt {
-			p.cpkt.Put(k)
-			p.pkt[i] = nil
-		}
-		p.pkt = p.pkt[:0]
-	}
-	p.concurrent = on
-}
-
 // GetAccess returns a zeroed Access, reusing a retired one when available.
 func (p *Pool) GetAccess() *Access {
 	if p == nil {
-		return &Access{}
-	}
-	if p.concurrent {
-		atomic.AddUint64(&p.AccGets, 1)
-		if v := p.cacc.Get(); v != nil {
-			a := v.(*Access)
-			p.guard.getAccess(a)
-			*a = Access{}
-			return a
-		}
-		atomic.AddUint64(&p.AccNews, 1)
 		return &Access{}
 	}
 	p.AccGets++
@@ -115,11 +65,6 @@ func (p *Pool) PutAccess(a *Access) {
 		return
 	}
 	p.guard.putAccess(a)
-	if p.concurrent {
-		atomic.AddUint64(&p.AccPuts, 1)
-		p.cacc.Put(a)
-		return
-	}
 	p.AccPuts++
 	p.acc = append(p.acc, a)
 }
@@ -127,17 +72,6 @@ func (p *Pool) PutAccess(a *Access) {
 // GetPacket returns a zeroed Packet, reusing a retired one when available.
 func (p *Pool) GetPacket() *Packet {
 	if p == nil {
-		return &Packet{}
-	}
-	if p.concurrent {
-		atomic.AddUint64(&p.PktGets, 1)
-		if v := p.cpkt.Get(); v != nil {
-			k := v.(*Packet)
-			p.guard.getPacket(k)
-			*k = Packet{}
-			return k
-		}
-		atomic.AddUint64(&p.PktNews, 1)
 		return &Packet{}
 	}
 	p.PktGets++
@@ -162,11 +96,6 @@ func (p *Pool) PutPacket(k *Packet) {
 	}
 	p.guard.putPacket(k)
 	k.Acc = nil // drop the reference; the access is owned elsewhere
-	if p.concurrent {
-		atomic.AddUint64(&p.PktPuts, 1)
-		p.cpkt.Put(k)
-		return
-	}
 	p.PktPuts++
 	p.pkt = append(p.pkt, k)
 }

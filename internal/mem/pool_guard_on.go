@@ -10,13 +10,9 @@ import (
 // putGuard (pooldebug builds) tracks which values currently sit on the free
 // list and panics on a double Put or on a Get returning a value the guard
 // never saw leave — both indicate an ownership bug in a retirement point.
-// The guard serializes internally so it stays sound when the pool runs in
-// concurrent mode under a sharded engine; debug builds pay the lock.
-//
-// One concurrent-mode caveat: sync.Pool may drop parked values under GC
-// pressure, so a Get can allocate fresh while the guard still remembers the
-// dropped value as "on the free list". That only widens the set of values the
-// guard accepts back — double Puts of a live value are still caught.
+// The guard locks its maps, so a pool wrongly reached from two goroutines
+// still gets an ownership report out of a debug build rather than a
+// concurrent-map fault; debug builds pay the lock.
 type putGuard struct {
 	mu  sync.Mutex
 	acc map[*Access]bool

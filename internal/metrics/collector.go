@@ -16,7 +16,7 @@ const DefaultEvery = 4096
 type Options struct {
 	// Every is the sampling period in core-clock cycles (0 selects
 	// DefaultEvery). Samples land exactly on multiples of Every from the
-	// start of the run, in every tick mode and at every shard count.
+	// start of the run, with the fast path on or off.
 	Every int64
 	// Sink receives each snapshot batch, on the engine goroutine, in cycle
 	// order. The batch is reused: Emit must serialize or copy (Batch.Clone)
@@ -37,21 +37,14 @@ type SinkFunc func(b *Batch)
 // Emit calls f.
 func (f SinkFunc) Emit(b *Batch) { f(b) }
 
-// Sharder runs a function once per execution shard, concurrently when the
-// caller has shard workers and serially (f(0, 1)) otherwise. *sim.Clock
-// implements it: from a barrier task the engine's shard workers execute f in
-// parallel, which is how the collector spreads the registry walk.
-type Sharder interface {
-	RunSharded(f func(shard, shards int))
-}
-
 // Collector samples a registry at fixed cycle intervals. It is registered on
 // the core clock as a ticker whose NextWorkCycle is the next sample point,
 // which bounds the engine's idle fast-forward so sample cycles are never
-// skipped — the sample grid is identical in fast-path, legacy-tick, and
-// sharded execution. Tick only marks the pending sample; the actual registry
-// walk happens in a barrier task (serial, after port commits), so sampling
-// is race-free at any shard count.
+// skipped — the sample grid is identical in fast-path and legacy-tick
+// execution. Tick only marks the pending sample; the actual registry walk
+// happens in a barrier task (after every component of the edge has ticked and
+// the ports have committed), so a snapshot reads post-edge state wherever the
+// collector sits in registration order.
 type Collector struct {
 	reg    *Registry
 	every  int64
@@ -66,7 +59,6 @@ type Collector struct {
 	pending bool
 	at      int64 // cycle the pending sample was marked on
 	batch   Batch
-	sharder Sharder
 }
 
 // NewCollector builds a collector over reg. design and app label every
@@ -91,16 +83,8 @@ func (c *Collector) SetTimeFunc(fn func(cycle int64) int64) { c.timeOf = fn }
 // is read. Hooks run serially on the engine goroutine.
 func (c *Collector) OnSample(fn func(cycle int64)) { c.hooks = append(c.hooks, fn) }
 
-// SetSharder installs the shard fan-out used to fill snapshot batches. With a
-// sharder the registry walk is split across the engine's shard workers
-// (partial strided fills folded into one batch at the barrier); without one
-// it stays a serial walk. The resulting batch is identical either way.
-func (c *Collector) SetSharder(s Sharder) { c.sharder = s }
-
 // Tick marks the sample pending when the clock reaches the next sample
-// cycle. It runs inside the edge (possibly on a shard goroutine, but the
-// collector is always alone in its shard slot and touches only its own
-// fields).
+// cycle. It runs inside the edge and touches only the collector's own fields.
 func (c *Collector) Tick(now int64) {
 	if now >= c.next {
 		c.pending = true
@@ -119,8 +103,8 @@ func (c *Collector) WakeSources() []sim.PortRef { return nil }
 
 // Fold takes the pending snapshot, if any, stamped with the cycle the sample
 // was marked on. It must be called from a barrier task of the collector's
-// clock: barriers run serially after the edge's port commits, so the
-// snapshot observes a consistent post-edge state at any shard count.
+// clock: barriers run after the edge's port commits, so the snapshot
+// observes a consistent post-edge state.
 func (c *Collector) Fold() {
 	if !c.pending {
 		return
@@ -142,14 +126,7 @@ func (c *Collector) emit(cycle, timePs int64, final bool) {
 	if c.sink == nil {
 		return
 	}
-	if c.sharder != nil {
-		c.reg.PrepareSample(&c.batch)
-		c.sharder.RunSharded(func(shard, shards int) {
-			c.reg.SampleShard(&c.batch, shard, shards)
-		})
-	} else {
-		c.reg.Sample(&c.batch)
-	}
+	c.reg.Sample(&c.batch)
 	c.batch.Cycle = cycle
 	c.batch.TimePs = timePs
 	c.batch.Final = final

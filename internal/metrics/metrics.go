@@ -9,10 +9,10 @@
 //
 //   - Determinism. Registration happens during system build, so series order
 //     is the build order — identical for identical configurations. Sampling
-//     happens only inside clock-barrier tasks, which run serially on the
-//     engine goroutine after port commits, so a snapshot is race-free at any
-//     shard count and lands on the same cycles in fast-path, legacy-tick,
-//     and sharded execution.
+//     happens only inside clock-barrier tasks, which run after every
+//     component of the edge has ticked and the ports have committed, so a
+//     snapshot reads post-edge state and lands on the same cycles in
+//     fast-path and legacy-tick execution.
 //
 //   - Zero cost when dark. Series are closures over fields the components
 //     already maintain; registering them adds no work to tick paths. Without
@@ -226,29 +226,11 @@ func (r *Registry) MergedHistogram(name string) stats.Histogram {
 // and must not hold references across calls. Sample runs only on the engine
 // goroutine (barrier context), so it takes no locks.
 func (r *Registry) Sample(b *Batch) {
-	r.PrepareSample(b)
-	r.SampleShard(b, 0, 1)
-}
-
-// PrepareSample sizes b's buffers for one full snapshot without evaluating
-// any series. It must run once (serially) before SampleShard calls.
-func (r *Registry) PrepareSample(b *Batch) {
 	if cap(b.Samples) < len(r.series) {
 		b.Samples = make([]Sample, len(r.series))
 	}
 	b.Samples = b.Samples[:len(r.series)]
-}
-
-// SampleShard evaluates the series at indices shard, shard+n, shard+2n, ...
-// into a batch prepared by PrepareSample. Disjoint shards touch disjoint
-// batch slots and disjoint series closures (each closure reads only its own
-// component's fields), so n calls with distinct shard values may run
-// concurrently — that is how the collector folds a snapshot across the
-// engine's shard workers. The filled batch is identical to Sample's for any
-// n.
-func (r *Registry) SampleShard(b *Batch, shard, n int) {
-	for i := shard; i < len(r.series); i += n {
-		s := r.series[i]
+	for i, s := range r.series {
 		out := &b.Samples[i]
 		out.ID = s.id
 		out.Kind = s.Kind

@@ -179,19 +179,8 @@ func (m *Mesh) Inject(p *mem.Packet) bool {
 // clock every producer of this mesh ticks on) and moves the credit-grant
 // application to clk's edge barrier.
 func (m *Mesh) AttachPorts(clk *sim.Clock) {
-	m.AttachPortsGrouped(clk, nil)
-}
-
-// AttachPortsGrouped is AttachPorts with shard-locality groups: groupOf(n)
-// names the locality group of node n's producer (the pump staging into
-// inj[n]). A nil groupOf or a negative group leaves that port ungrouped.
-func (m *Mesh) AttachPortsGrouped(clk *sim.Clock, groupOf func(node int) int) {
-	for n, p := range m.inj {
-		g := -1
-		if groupOf != nil {
-			g = groupOf(n)
-		}
-		p.AttachGrouped(clk, g)
+	for _, p := range m.inj {
+		p.Attach(clk)
 	}
 	m.attached = true
 	clk.OnBarrier(m.applyCredits)

@@ -103,7 +103,7 @@ type Crossbar struct {
 
 	// Chaos, when set, injects grant perturbations (extra serialization
 	// cycles) and transient output jams. All queries happen on the Tick path
-	// with affected work present, keeping the fault schedule shard- and
+	// with affected work present, keeping the fault schedule
 	// fast-path-invariant; nil injects nothing.
 	Chaos *chaos.Injector
 
@@ -117,8 +117,9 @@ type Crossbar struct {
 	// HOL-blocks other outputs at the injection boundary. The increment side
 	// is owned by input in's single producer (Inject); the decrement side
 	// (grants popping a VOQ) is recorded in granted during Tick and applied
-	// at the edge barrier (or at the end of Tick in immediate mode), so the
-	// two sides never race under sharded execution.
+	// at the edge barrier (or at the end of Tick in immediate mode), so a
+	// producer sees a returned credit on the next edge whether it ticks before
+	// or after the crossbar on this one.
 	credit [][]int32
 	// refused[in] is the output input in's producer has been refused a credit
 	// toward (noOutput: none since that credit came back; anyOutput: several,
@@ -256,22 +257,10 @@ func (x *Crossbar) CanInject(in, out int) bool {
 // AttachPorts switches the injection ports to two-phase mode on clk (the
 // clock every producer of this crossbar ticks on — asserted by the gpu
 // wiring audit) and moves the credit-grant application to clk's edge
-// barrier, where it cannot race with producer-side credit increments.
+// barrier, where no producer's admission this edge can depend on it.
 func (x *Crossbar) AttachPorts(clk *sim.Clock) {
-	x.AttachPortsGrouped(clk, nil)
-}
-
-// AttachPortsGrouped is AttachPorts with shard-locality groups: groupOf(in)
-// names the locality group of input in's producer (the pump staging into
-// inj[in]), so the shard that stages a packet also commits it. A nil groupOf
-// or a negative group leaves that port ungrouped.
-func (x *Crossbar) AttachPortsGrouped(clk *sim.Clock, groupOf func(in int) int) {
-	for in, p := range x.inj {
-		g := -1
-		if groupOf != nil {
-			g = groupOf(in)
-		}
-		p.AttachGrouped(clk, g)
+	for _, p := range x.inj {
+		p.Attach(clk)
 	}
 	x.attached = true
 	clk.OnBarrier(x.applyCredits)
@@ -280,7 +269,7 @@ func (x *Crossbar) AttachPortsGrouped(clk *sim.Clock, groupOf func(in int) int) 
 // applyCredits returns the credits of this edge's VOQ grants to the
 // producers, waking the one refused for want of the credit returned. Runs at
 // the edge barrier (attached) or at the end of Tick (immediate mode) — never
-// concurrently with Inject.
+// between two producers' Injects of one edge.
 func (x *Crossbar) applyCredits() {
 	for _, g := range x.granted {
 		x.credit[g.in][g.out]--

@@ -132,8 +132,8 @@ func (m *Meter) Zones() []string {
 // power exceeds BudgetWatts at a sample point, the governor raises the core
 // duty-cycle throttle one step; when it falls below ~90% of the budget, it
 // backs the throttle off one step. Throttle state changes only at sample
-// points (clock barriers), so capped runs remain deterministic at any shard
-// count.
+// points (clock barriers), so every core of an edge issues under the same
+// level and capped runs remain deterministic.
 type CapSpec struct {
 	// Zone is the governed scope: ZoneGPU, ZoneMemory, or ZoneModule
 	// (default ZoneModule).

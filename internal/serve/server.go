@@ -53,11 +53,6 @@ type Options struct {
 	// Deadline is the wall-clock bound per simulation attempt (0 = none);
 	// PointDeadline folds into it per point, tighter wins.
 	Deadline time.Duration
-	// Shards spreads each simulation's clock edges across this many worker
-	// shards (<= 1 serial; gpu.ShardsAuto resolves to GOMAXPROCS/Workers so
-	// the pool's total goroutine demand stays near the host's cores).
-	// Results are bit-identical at every shard count.
-	Shards int
 	// MetricsEvery, when > 0, attaches live metrics collection to every
 	// fresh point: the registry is snapshotted every MetricsEvery core
 	// cycles and batches stream on GET /v1/jobs/{id}/metrics (Prometheus
@@ -99,12 +94,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards == gpu.ShardsAuto {
-		o.Shards = runtime.GOMAXPROCS(0) / o.Workers
-		if o.Shards < 1 {
-			o.Shards = 1
-		}
 	}
 	if o.MaxQueuedPoints <= 0 {
 		o.MaxQueuedPoints = 4096
@@ -459,7 +448,6 @@ func (s *Server) admitLocked(tenantName string, spec SweepSpec, id string, recov
 		Deadline:    s.opt.Deadline,
 		Ctx:         s.runCtx,
 		Chaos:       spec.ChaosSpec(),
-		Shards:      s.opt.Shards,
 	}
 	j := &job{
 		id:     id,

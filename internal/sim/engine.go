@@ -3,15 +3,15 @@
 // (drift-free) tick scheduling, bounded FIFO queues with backpressure, fixed
 // delay pipes, and a small deterministic RNG.
 //
-// The engine is deterministic by construction rather than by serialization:
-// cross-component communication goes through two-phase Ports (staged pushes
-// become visible only at the owning clock's edge barrier), so the order
-// components tick within an edge cannot influence results. Serial execution
-// is the shards=1 degenerate case of the same code path; SetShards(n) spreads
-// each edge's ticks across a fixed worker pool with a stable component→shard
-// assignment and produces bit-identical results at any shard count (see
-// DESIGN.md §11). Experiment-level parallelism (independent runs) composes
-// with this via the sweep workers.
+// The engine runs on one goroutine, and is deterministic by construction
+// rather than by the order it happens to visit components in: cross-component
+// communication goes through two-phase Ports (staged pushes become visible
+// only at the owning clock's edge barrier), so the order components tick
+// within an edge cannot influence results (see DESIGN.md §11). That is what
+// lets the active set tick only the awake components of an edge, and the
+// always-tick reference (SetFastPath(false)) tick all of them, and agree bit
+// for bit. Parallelism lives one level up, across independent runs (the sweep
+// workers).
 package sim
 
 import (
@@ -92,19 +92,6 @@ type Clock struct {
 	// eng is the owning engine (nil only for a bare Clock built in a test).
 	eng *Engine
 
-	// Locality groups, parallel to comps/ports (-1 = ungrouped), and the
-	// cached shard partition built from them (see placement.go). lastTicked
-	// is the previous edge's productive tick count, the predictor the
-	// dispatch-threshold uses to keep light edges serial; -1 until known.
-	groups     []int
-	portGroups []int
-	plan       *shardPlan
-	lastTicked int
-
-	// curEx is the engine's executor while this clock's barrier tasks run,
-	// so RunSharded can borrow the idle pool; nil outside barriers.
-	curEx *executor
-
 	// The active set (see wake.go), as bitsets over the component indices:
 	// awake holds the components considered on the next edge, bound the
 	// Sleepers a port commit can wake — only those leave the set. sl[i] is
@@ -117,7 +104,7 @@ type Clock struct {
 	skip    []IdleSkipper
 	skipIdx []int32
 	timers  wakeTimers
-	walk    edgeWalk  // of a serial edge
+	walk    edgeWalk
 	stats   WalkStats // Clock and Components are filled in by Engine.WalkStats
 	// idle records that the most recent edge ticked no component and nothing
 	// has been woken since, with idleUntil the earliest armed timer then
@@ -128,14 +115,12 @@ type Clock struct {
 
 	// Two-phase edge barrier. ports are the attached Ports whose producers
 	// tick on this clock: their staged pushes commit at the end of every
-	// processed edge. While lists is set (serial engine) the barrier visits
-	// only dirty, the ports pushed to or popped from since their last commit;
-	// otherwise every header is scanned. barriers run after the port commits,
-	// serially and in registration order (e.g. deferred replication-tracker
+	// processed edge. The barrier visits only dirty, the ports pushed to or
+	// popped from since their last commit. barriers run after the port
+	// commits, in registration order (e.g. deferred replication-tracker
 	// updates).
 	ports    []*portHeader
 	dirty    []*portHeader
-	lists    bool
 	barriers []func()
 }
 
@@ -155,12 +140,6 @@ type sleeperState struct {
 // woken is sleeperState.filed for a component woken since it was last considered.
 const woken Cycle = -1
 
-// shardWorkMin is the minimum productive ticks *per shard* (predicted from
-// the previous eval edge) below which an edge is not worth dispatching: a
-// near-idle edge on a big clock is a snapshot refresh plus a handful of
-// ticks, and a serial pass beats waking n-1 workers for it.
-const shardWorkMin = 4
-
 // Name returns the clock's name.
 func (c *Clock) Name() string { return c.name }
 
@@ -174,16 +153,9 @@ func (c *Clock) Now() Cycle { return c.cycle }
 // tick. Exact: edge k happens at floor(k * 1e6 / mhz) ps.
 func (c *Clock) nextEdgePs() int64 { return c.cycle * 1_000_000 / c.mhz }
 
-// Register adds a component to this clock domain with no locality group.
-// Components tick in the order they were registered.
-func (c *Clock) Register(t Ticker) { c.RegisterGrouped(t, -1) }
-
-// RegisterGrouped adds a component to this clock domain under a locality
-// group: components sharing a group (and the ports attached under it) are
-// placed on the same shard, keeping tightly coupled producer/consumer pairs
-// in one worker's cache. Group ids are arbitrary; a negative group means
-// ungrouped (a singleton). Grouping never affects results — see placement.go.
-func (c *Clock) RegisterGrouped(t Ticker, group int) {
+// Register adds a component to this clock domain. Components tick in the
+// order they were registered.
+func (c *Clock) Register(t Ticker) {
 	i := int32(len(c.comps))
 	s, _ := t.(Sleeper)
 	k, _ := t.(IdleSkipper)
@@ -193,7 +165,6 @@ func (c *Clock) RegisterGrouped(t Ticker, group int) {
 	c.comps = append(c.comps, t)
 	c.sl = append(c.sl, sleeperState{s: s, idleFrom: -1})
 	c.skip = append(c.skip, k)
-	c.groups = append(c.groups, group)
 	c.timers.add()
 	if k != nil {
 		c.skipIdx = append(c.skipIdx, i)
@@ -208,9 +179,8 @@ func (c *Clock) RegisterGrouped(t Ticker, group int) {
 }
 
 // topologyChanged drops what was derived from the set of components and
-// attached ports: the shard plan, and the engine's wake-source binding.
+// attached ports: the engine's wake-source binding.
 func (c *Clock) topologyChanged() {
-	c.plan = nil
 	if c.eng != nil {
 		c.eng.bound = false
 	}
@@ -220,34 +190,27 @@ func (c *Clock) topologyChanged() {
 func (c *Clock) Components() int { return len(c.comps) }
 
 // OnBarrier registers f to run at the end of every edge this clock
-// processes, after the clock's ports have committed. Barrier tasks run
-// serially on the engine goroutine in registration order regardless of shard
-// count — the hook for cross-component state that cannot be partitioned
-// (e.g. the shared replication tracker applies its staged ops here).
+// processes, after the clock's ports have committed, in registration order —
+// the hook for state several components share, whose updates must not be
+// visible to one of them earlier in the edge than to another (e.g. the shared
+// replication tracker applies its staged ops here).
 func (c *Clock) OnBarrier(f func()) {
 	c.barriers = append(c.barriers, f)
 }
 
-// commitSerial runs the clock's port barrier on the engine goroutine:
-// publish staged pushes, refresh the producer-side occupancy snapshots, wake
-// the consumers of what was published and the producers of what was freed.
-// The barrier runs on every processed edge — even one where no component
-// ticked — because a consumer on another clock may have drained a port since
-// the last one and the freed space has to reach the producer on the same
-// schedule regardless of fast path or shard count. A port nobody pushed to or
-// popped from since its last commit has nothing to publish and a snapshot
-// that is already right, so with lists on only the dirty ports are visited.
-// On dispatched edges the shards commit their own ports inside the same
-// dispatch instead (fused with the eval phase). Edges skipped wholesale by
-// the quiescence fast-forward need no commit: nothing ticks anywhere during
-// an all-idle stretch, so no port can change.
-func (c *Clock) commitSerial() {
-	ports := c.ports
-	if c.lists {
-		ports = c.dirty
-		c.dirty = c.dirty[:0]
-	}
-	for _, h := range ports {
+// commit runs the clock's port barrier: publish staged pushes, refresh the
+// producer-side occupancy snapshots, wake the consumers of what was published
+// and the producers of what was freed. The barrier runs on every processed
+// edge — even one where no component ticked — because a consumer on another
+// clock may have drained a port since the last one and the freed space has to
+// reach the producer on the same schedule with the fast path on or off. A
+// port nobody pushed to or popped from since its last commit has nothing to
+// publish and a snapshot that is already right, so only the dirty ports are
+// visited. Edges skipped wholesale by the quiescence fast-forward need no
+// commit: nothing ticks anywhere during an all-idle stretch, so no port can
+// change.
+func (c *Clock) commit() {
+	for _, h := range c.dirty {
 		h.listed = false
 		if h.commit() && h.wclk != nil {
 			h.wakeConsumer()
@@ -256,49 +219,7 @@ func (c *Clock) commitSerial() {
 			h.wakeProducer()
 		}
 	}
-}
-
-// setLists switches the clock between committing by dirty list (serial
-// engine) and by header scan (sharded). Turning lists on enrols every port
-// once: a sharded run leaves no record of which ports were popped since
-// their last barrier.
-func (c *Clock) setLists(on bool) {
-	c.lists = on
 	c.dirty = c.dirty[:0]
-	for _, h := range c.ports {
-		h.listed = on
-		if on {
-			c.dirty = append(c.dirty, h)
-		}
-	}
-}
-
-// runBarriers runs the clock's barrier tasks, serially and in registration
-// order, after the edge's port commits. ex (possibly nil) is the engine's
-// executor, idle at this point, lent to barrier tasks through RunSharded.
-func (c *Clock) runBarriers(ex *executor) {
-	if len(c.barriers) == 0 {
-		return
-	}
-	c.curEx = ex
-	for _, f := range c.barriers {
-		f()
-	}
-	c.curEx = nil
-}
-
-// RunSharded runs f(shard, shards) once per shard, in parallel when called
-// from a barrier task while the engine runs sharded, serially as f(0, 1)
-// otherwise. The shard invocations must touch disjoint state; aggregation
-// across shards is the caller's (commutative) fold. This is the hook for
-// parallel stats folding: the worker pool is idle during barrier tasks, so
-// a fold borrows it for the duration of the call.
-func (c *Clock) RunSharded(f func(shard, shards int)) {
-	if ex := c.curEx; ex != nil {
-		ex.fold(f)
-		return
-	}
-	f(0, 1)
 }
 
 // tick advances the clock one edge and returns how many components actually
@@ -307,40 +228,18 @@ func (c *Clock) RunSharded(f func(shard, shards int)) {
 // whose timer came due are put back first, each member is polled (a plain
 // Ticker is not — it always ticks) and either ticks or goes to sleep. Port
 // visibility makes the gate order-free: a push from another component this
-// edge is staged, so it cannot wake a sleeper until the next edge whether the
-// clock runs serially or sharded.
-//
-// A non-nil ex shards the whole edge — eval phase, phase barrier, port
-// commits — in one dispatch across the worker pool; small clocks and edges
-// predicted too light to amortize a dispatch stay serial, which cannot
-// change results — only the partition of identical work.
-func (c *Clock) tick(fast, strided bool, ex *executor) int {
+// edge is staged, so it cannot wake a sleeper until the next edge wherever
+// the two sit in registration order.
+func (c *Clock) tick(fast bool) int {
 	now := c.cycle
-	// ex stays available to barrier tasks (RunSharded) even when the edge
-	// itself runs serially; dispatchEx is what the edge uses.
-	dispatchEx := ex
-	if ex != nil && len(c.comps) < 2*ex.n {
-		dispatchEx = nil
-	}
-	if dispatchEx != nil && fast && c.lastTicked >= 0 && c.lastTicked < dispatchEx.n*shardWorkMin {
-		// The previous edge ticked so few components that a dispatch costs
-		// more than it spreads; run this edge serially and let the tick
-		// count re-arm dispatching when the clock heats back up.
-		dispatchEx = nil
-	}
+	var ticked int
 	if fast {
 		c.wakeDue(now)
-	}
-	var ticked int
-	switch {
-	case dispatchEx != nil:
-		ticked = dispatchEx.tickEdge(c, c.planFor(dispatchEx.n, strided), now, fast)
-	case fast:
-		c.walk.set(c, nil, now)
+		c.walk.set(c, now)
 		c.fileSleeps(c.walk.slept, now)
 		ticked = c.walk.ticked
 		c.stats.Polls += int64(c.walk.polled)
-	default:
+	} else {
 		for _, t := range c.comps {
 			t.Tick(now)
 		}
@@ -353,13 +252,10 @@ func (c *Clock) tick(fast, strided bool, ex *executor) int {
 	// barrier task raise clears it again (see Clock.wake).
 	c.idle = fast && ticked == 0
 	c.idleUntil = c.timers.min(c.cycle)
-	c.lastTicked = ticked
-	if dispatchEx == nil {
-		c.commitSerial()
-	} else {
-		dispatchEx.wakeCommitted()
+	c.commit()
+	for _, f := range c.barriers {
+		f()
 	}
-	c.runBarriers(ex)
 	if wakeAuditEveryEdge {
 		c.eng.auditEdge()
 	}
@@ -372,12 +268,6 @@ func (c *Clock) tick(fast, strided bool, ex *executor) int {
 type Engine struct {
 	clocks []*Clock
 	fast   bool
-	shards int
-	// strided forces the legacy i mod n shard placement instead of the
-	// locality-group partition; a test oracle (placement cannot affect
-	// results, so the two must produce bit-identical runs).
-	strided bool
-	ex      *executor
 	// bound records that every component's WakeSources are resolved against
 	// the current set of attached ports; Register and Attach clear it.
 	bound bool
@@ -396,71 +286,8 @@ type Engine struct {
 // while bounding the response to well under a millisecond of work.
 const ctxPollEdges = 4096
 
-// NewEngine returns an empty engine with the quiescence fast path enabled
-// and serial (single-shard) execution.
-func NewEngine() *Engine { return &Engine{fast: true, shards: 1} }
-
-// SetShards sets how many shards each clock edge's component ticks are
-// spread across. n <= 1 selects serial execution. Results are bit-identical
-// at every shard count: the two-phase port contract makes intra-edge tick
-// order irrelevant, sharding only changes which goroutine does the work.
-// Worker goroutines exist only while RunUntil is executing.
-func (e *Engine) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if e.ex != nil && n != e.shards {
-		e.stopExecutor()
-	}
-	if (n == 1) != (e.shards == 1) {
-		for _, c := range e.clocks {
-			c.setLists(n == 1)
-		}
-	}
-	e.shards = n
-}
-
-// Shards returns the configured shard count.
-func (e *Engine) Shards() int { return e.shards }
-
-// SetStridedPlacement forces the legacy i mod n component→shard placement
-// instead of the locality-group partition. Placement only chooses where a
-// tick runs, never what it computes, so results are bit-identical either
-// way; this exists so tests can prove exactly that.
-func (e *Engine) SetStridedPlacement(on bool) { e.strided = on }
-
-// StridedPlacement reports whether the legacy strided placement is forced.
-func (e *Engine) StridedPlacement() bool { return e.strided }
-
-// MaxClockComponents returns the component count of the most populated
-// clock — the natural upper bound on useful shards ("auto" shard counts
-// clamp to it).
-func (e *Engine) MaxClockComponents() int {
-	m := 0
-	for _, c := range e.clocks {
-		if len(c.comps) > m {
-			m = len(c.comps)
-		}
-	}
-	return m
-}
-
-// startExecutor spins up the worker pool if sharding is configured and none
-// is running; stopExecutor tears it down. RunUntil manages the pair itself
-// for a one-shot run, while RunUntilChecked pins one executor across all its
-// watchdog slices so workers aren't respawned every CheckEvery cycles.
-func (e *Engine) startExecutor() {
-	if e.shards > 1 && e.ex == nil {
-		e.ex = newExecutor(e.shards)
-	}
-}
-
-func (e *Engine) stopExecutor() {
-	if e.ex != nil {
-		e.ex.stop()
-		e.ex = nil
-	}
-}
+// NewEngine returns an empty engine with the quiescence fast path enabled.
+func NewEngine() *Engine { return &Engine{fast: true} }
 
 // SetFastPath toggles the quiescence fast path: considering only awake
 // components on each edge and bulk fast-forwarding when every component of
@@ -494,7 +321,7 @@ func (e *Engine) NewClock(name string, mhz int64) *Clock {
 	if mhz <= 0 {
 		panic(fmt.Sprintf("sim: clock %q frequency must be positive, got %d", name, mhz))
 	}
-	c := &Clock{name: name, mhz: mhz, lastTicked: -1, eng: e, lists: e.shards == 1}
+	c := &Clock{name: name, mhz: mhz, eng: e}
 	e.clocks = append(e.clocks, c)
 	return c
 }
@@ -514,10 +341,6 @@ func (e *Engine) Clocks() []*Clock {
 func (e *Engine) RunUntil(ref *Clock, cycles Cycle) {
 	if len(e.clocks) == 0 {
 		panic("sim: RunUntil on engine with no clocks")
-	}
-	if e.shards > 1 && e.ex == nil && ref.cycle < cycles {
-		e.startExecutor()
-		defer e.stopExecutor()
 	}
 	if !e.bound {
 		e.bind()
@@ -548,7 +371,7 @@ func (e *Engine) advance(ref *Clock, cycles Cycle) {
 				next, nt = c, t
 			}
 		}
-		if next.tick(e.fast, e.strided, e.ex) > 0 {
+		if next.tick(e.fast) > 0 {
 			// A productive tick may have pushed work into any component on
 			// any clock: every cached idle verdict is stale.
 			for _, c := range e.clocks {
@@ -683,13 +506,6 @@ func (e *Engine) clockStates() []health.ClockState {
 // to RunUntil.
 func (e *Engine) RunUntilChecked(ref *Clock, cycles Cycle, opts RunOptions) error {
 	opts = opts.withDefaults()
-	// Pin one executor across all the watchdog slices: respawning the worker
-	// pool every CheckEvery cycles costs goroutine churn for nothing. The
-	// nested RunUntil calls see e.ex non-nil and leave ownership here.
-	if e.shards > 1 && ref.cycle < cycles {
-		e.startExecutor()
-		defer e.stopExecutor()
-	}
 	if opts.Ctx != nil {
 		// Arm mid-slice polling: RunUntil returns early once the context is
 		// canceled, and the slice-top check below reports the error.

@@ -1,8 +1,8 @@
 package sim
 
 // Port is the communication endpoint between components: a bounded FIFO with
-// the same API as Queue plus an optional two-phase ("staged commit") mode
-// used by the engine's deterministic sharded execution.
+// the same API as Queue plus an optional two-phase ("staged commit") mode,
+// which is what makes a run independent of the order components tick in.
 //
 // An unattached Port behaves exactly like the Queue it embeds — pushes are
 // immediately visible — which keeps standalone component unit tests simple.
@@ -12,8 +12,9 @@ package sim
 // an edge, capacity checks (Full/Space) run against a snapshot of the
 // committed occupancy taken at the previous barrier, so neither the values a
 // producer can push nor the values a consumer can pop depend on the order
-// components tick within the edge. That order-independence is what makes
-// sharded execution bit-identical to serial execution (see DESIGN.md §11).
+// components tick within the edge. That order-independence is what lets the
+// active set tick a subset of an edge's components, and a rewiring change
+// their registration order, without changing a result (see DESIGN.md §11).
 //
 // Ownership contract (audited in internal/gpu wiring):
 //
@@ -34,16 +35,14 @@ type Port[T any] struct {
 
 // portHeader is the part of an attached Port its clock's edge barrier reads:
 // plain integers and pointers, no element type. Nearly every port is clean at
-// nearly every barrier, so a serial engine commits by list: the first staged
+// nearly every barrier, so the barrier commits by list: the first staged
 // push or pop since the port's last barrier enrols it on the producer clock's
 // dirty list (listed is the one flag that keeps it there once), and the
 // barrier flushes, wakes and refreshes only the ports on that list (a pop
 // frees space the producer must see at its next barrier, so the committed
 // queue reports its removals through Queue.watch). A port that is not listed
 // has nothing staged and a snapshot equal to its occupancy, which is all a
-// commit would establish. With shards > 1 nothing enrols (Clock.lists is
-// off: two shards must never append to one list) and each shard scans the
-// headers of its own ports, as the barrier always did.
+// commit would establish.
 type portHeader struct {
 	nStaged int  // len(staged)
 	snap    int  // committed occupancy snapshot from the last barrier
@@ -72,20 +71,16 @@ type stagedFlusher interface {
 	flushStaged()
 }
 
-// touch enrols a port that is not yet listed on its clock's dirty list. The
-// flag is written only while the clock keeps lists, so a sharded run's
-// producer and consumer goroutines only ever read it.
+// touch enrols a port that is not yet listed on its clock's dirty list.
 func (h *portHeader) touch() {
-	if c := h.clk; c.lists {
-		h.listed = true
-		c.dirty = append(c.dirty, h)
-	}
+	h.listed = true
+	h.clk.dirty = append(h.clk.dirty, h)
 }
 
 // commit publishes staged values into the committed queue and refreshes the
 // occupancy snapshot, reporting whether anything was published (the caller
-// then wakes the consumer). Runs at the owning clock's edge barrier, never
-// concurrently with any producer or consumer access to this port.
+// then wakes the consumer). Runs at the owning clock's edge barrier, after
+// every component of the edge has ticked.
 func (h *portHeader) commit() (flushed bool) {
 	if h.nStaged != 0 {
 		h.owner.flushStaged()
@@ -133,16 +128,10 @@ func NewPort[T any](capacity int) *Port[T] {
 }
 
 // Attach switches the port to two-phase mode and registers its commit at c's
-// edge barrier, with no locality group. c must be the clock of the port's
-// producer: staged values become visible to the consumer after the
-// producer's edge completes. Attaching twice is a wiring bug.
-func (p *Port[T]) Attach(c *Clock) { p.AttachGrouped(c, -1) }
-
-// AttachGrouped is Attach under a locality group (see Clock.RegisterGrouped):
-// the shard that owns the group — normally the producer's — also commits the
-// port, so the staged slice never migrates between workers. A negative group
-// means ungrouped; grouping never affects results.
-func (p *Port[T]) AttachGrouped(c *Clock, group int) {
+// edge barrier. c must be the clock of the port's producer: staged values
+// become visible to the consumer after the producer's edge completes.
+// Attaching twice is a wiring bug.
+func (p *Port[T]) Attach(c *Clock) {
 	if p.twoPhase {
 		panic("sim: Port attached twice")
 	}
@@ -150,7 +139,6 @@ func (p *Port[T]) AttachGrouped(c *Clock, group int) {
 	p.hdr.snap, p.hdr.size, p.hdr.cap, p.hdr.owner, p.hdr.clk = p.size, &p.size, p.cap, p, c
 	p.watch = &p.hdr
 	c.ports = append(c.ports, &p.hdr)
-	c.portGroups = append(c.portGroups, group)
 	c.topologyChanged()
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -88,156 +89,171 @@ func TestPortDoubleAttachPanics(t *testing.T) {
 	p.Attach(c)
 }
 
-// TestShardedEngineMatchesSerial runs a ring of components — each pops from
-// its inbound port and pushes a transformed value to its outbound port — at
-// several shard counts and demands identical final state. The ring makes
-// every component both producer and consumer, so any commit-ordering or
-// visibility bug shows up as a diverging sum.
-func TestShardedEngineMatchesSerial(t *testing.T) {
-	const nodes = 12
-	run := func(shards int) []int {
-		e := NewEngine()
-		e.SetShards(shards)
-		c := e.NewClock("c", 1000)
-		ports := make([]*Port[int], nodes)
-		for i := range ports {
-			ports[i] = NewPort[int](4)
-			ports[i].Attach(c)
-		}
-		state := make([]int, nodes)
-		for i := 0; i < nodes; i++ {
-			i := i
-			in, out := ports[i], ports[(i+1)%nodes]
-			c.Register(TickFunc(func(cy Cycle) {
-				if v, ok := in.Pop(); ok {
-					state[i] += v
-					out.Push(v + i)
-				}
-				if cy%Cycle(i+1) == 0 {
-					out.Push(i)
-				}
-			}))
-		}
-		e.RunUntil(c, 500)
-		return state
+// registrationOrders returns the permutations of 0..n-1 the order-independence
+// scenes register their components in: forward, reversed, and one fixed-seed
+// shuffle.
+func registrationOrders(n int) map[string][]int {
+	fwd, rev := make([]int, n), make([]int, n)
+	for i := range fwd {
+		fwd[i], rev[i] = i, n-1-i
 	}
-	want := run(1)
-	for _, shards := range []int{2, 3, 4, 8} {
-		got := run(shards)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: state[%d] = %d, want %d (serial)\ngot:  %v\nwant: %v",
-					shards, i, got[i], want[i], got, want)
-			}
-		}
-	}
+	return map[string][]int{"forward": fwd, "reversed": rev, "shuffled": rand.New(rand.NewSource(7)).Perm(n)}
 }
 
-// TestShardedMultiClockMatchesSerial crosses two clock domains through
-// two-phase ports, checking that the per-edge commit schedule (every
-// processed edge, including unproductive ones) is shard-independent.
-func TestShardedMultiClockMatchesSerial(t *testing.T) {
-	run := func(shards int) string {
-		e := NewEngine()
-		e.SetShards(shards)
-		fastClk := e.NewClock("fast", 1400)
-		slowClk := e.NewClock("slow", 924)
-		fwd := NewPort[int](3)
-		fwd.Attach(fastClk)
-		back := NewPort[int](3)
-		back.Attach(slowClk)
-		var log string
-		seq := 0
-		for i := 0; i < 8; i++ {
-			i := i
-			fastClk.Register(TickFunc(func(cy Cycle) {
-				if i == 0 {
-					seq++
-					fwd.Push(seq)
-				}
-				if i == 7 {
-					if v, ok := back.Pop(); ok {
-						log += fmt.Sprintf("b%d,", v)
+// TestPortOrderIndependence pins the port contract's actual promise: the
+// order components tick in within an edge cannot influence results. Each
+// scene is built three times, with the same components registered in a
+// different order, and must leave identical state behind. Were a Push visible
+// before the barrier, a consumer registered after its producer would see the
+// value an edge earlier than one registered before it, and the runs diverge.
+func TestPortOrderIndependence(t *testing.T) {
+	// A ring of components — each pops from its inbound port and pushes a
+	// transformed value to its outbound port. The ring makes every component
+	// both producer and consumer, so any commit-ordering or visibility bug
+	// shows up as a diverging sum.
+	t.Run("ring", func(t *testing.T) {
+		const nodes = 12
+		run := func(order []int) []int {
+			e := NewEngine()
+			c := e.NewClock("c", 1000)
+			ports := make([]*Port[int], nodes)
+			for i := range ports {
+				ports[i] = NewPort[int](4)
+				ports[i].Attach(c)
+			}
+			state := make([]int, nodes)
+			for _, i := range order {
+				i := i
+				in, out := ports[i], ports[(i+1)%nodes]
+				c.Register(TickFunc(func(cy Cycle) {
+					if v, ok := in.Pop(); ok {
+						state[i] += v
+						out.Push(v + i)
 					}
-				}
-			}))
-		}
-		for i := 0; i < 8; i++ {
-			i := i
-			slowClk.Register(TickFunc(func(Cycle) {
-				if i == 3 {
-					if v, ok := fwd.Pop(); ok {
-						log += fmt.Sprintf("f%d,", v)
-						back.Push(v * 10)
+					if cy%Cycle(i+1) == 0 {
+						out.Push(i)
 					}
-				}
-			}))
+				}))
+			}
+			e.RunUntil(c, 500)
+			return state
 		}
-		e.RunUntil(fastClk, 300)
-		return log
-	}
-	want := run(1)
-	if want == "" {
-		t.Fatal("serial run produced no traffic")
-	}
-	for _, shards := range []int{2, 4, 8} {
-		if got := run(shards); got != want {
-			t.Errorf("shards=%d event log diverged from serial", shards)
+		orders := registrationOrders(nodes)
+		want := run(orders["forward"])
+		if reflect.DeepEqual(want, make([]int, nodes)) {
+			t.Fatal("forward run moved nothing")
 		}
-	}
+		for name, order := range orders {
+			if got := run(order); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s registration: state %v, want %v (forward)", name, got, want)
+			}
+		}
+	})
+
+	// Two clock domains crossed through two-phase ports in both directions:
+	// the per-edge commit schedule (every processed edge, including
+	// unproductive ones) and the snapshot-gated admission of the fast
+	// producer into the slow consumer's full port are order-free too.
+	t.Run("two-clock", func(t *testing.T) {
+		const n = 8
+		run := func(order []int) [3]string {
+			e := NewEngine()
+			fastClk := e.NewClock("fast", 1400)
+			slowClk := e.NewClock("slow", 924)
+			fwd := NewPort[int](3)
+			fwd.Attach(fastClk)
+			mid := NewPort[int](3)
+			mid.Attach(slowClk)
+			back := NewPort[int](3)
+			back.Attach(slowClk)
+			var log [3]string // one per logging component: each sees only its own ports
+			seq := 0
+			for _, i := range order {
+				i := i
+				fastClk.Register(TickFunc(func(cy Cycle) {
+					if i == 0 {
+						seq++
+						fwd.Push(seq)
+					}
+					if i == 7 {
+						if v, ok := back.Pop(); ok {
+							log[0] += fmt.Sprintf("b%d@%d,", v, cy)
+						}
+					}
+				}))
+			}
+			for _, i := range order {
+				i := i
+				slowClk.Register(TickFunc(func(cy Cycle) {
+					if i == 3 {
+						if v, ok := fwd.Pop(); ok {
+							log[1] += fmt.Sprintf("f%d@%d,", v, cy)
+							mid.Push(v * 10)
+						}
+					}
+					if i == 5 { // same clock as its producer: sees mid one edge late in any order
+						if v, ok := mid.Pop(); ok {
+							log[2] += fmt.Sprintf("m%d@%d,", v, cy)
+							back.Push(v + 1)
+						}
+					}
+				}))
+			}
+			e.RunUntil(fastClk, 300)
+			return log
+		}
+		orders := registrationOrders(n)
+		want := run(orders["forward"])
+		if want[0] == "" {
+			t.Fatal("forward run brought nothing back to the fast clock")
+		}
+		for name, order := range orders {
+			if got := run(order); got != want {
+				t.Errorf("%s registration: event logs diverged from forward", name)
+			}
+		}
+	})
 }
 
 // A port whose producer has gone quiet is clean at every barrier — nothing
 // staged — yet its consumer, on another clock, may have popped since the last
-// one. The barrier's header scan must still refresh the producer-side
-// snapshot of such a port, on the same edge serial and sharded: the producer
-// sees the freed slot at its first edge after the first barrier that follows
-// the pop, not earlier and not never.
+// one. The pop must still get the producer-side snapshot of such a port
+// refreshed at the producer clock's next barrier: the producer sees the freed
+// slot at its first edge after the first barrier that follows the pop, not
+// earlier and not never.
 func TestPortCleanCommitRefreshesSnapshot(t *testing.T) {
-	run := func(shards int) []int {
-		e := NewEngine()
-		e.SetShards(shards)
-		prod := e.NewClock("prod", 500)  // edge k at 2k ns; wins ties (created first)
-		cons := e.NewClock("cons", 1000) // edge j at j ns
-		p := NewPort[int](2)
-		p.Attach(prod)
-		var space []int
-		for i := 0; i < 8; i++ { // 8 components, so 2 and 4 shards dispatch
-			i := i
-			prod.Register(TickFunc(func(cy Cycle) {
-				if i != 5 {
-					return
-				}
-				space = append(space, p.Space())
-				if cy < 2 {
-					p.Push(int(cy)) // fill the port, then never push again
-				}
-			}))
-			cons.Register(TickFunc(func(cy Cycle) {
-				if i == 2 && (cy == 7 || cy == 12) {
-					p.Pop()
-				}
-			}))
+	e := NewEngine()
+	prod := e.NewClock("prod", 500)  // edge k at 2k ns; wins ties (created first)
+	cons := e.NewClock("cons", 1000) // edge j at j ns
+	p := NewPort[int](2)
+	p.Attach(prod)
+	var space []int
+	prod.Register(TickFunc(func(cy Cycle) {
+		space = append(space, p.Space())
+		if cy < 2 {
+			p.Push(int(cy)) // fill the port, then never push again
 		}
-		e.RunUntil(prod, 10)
-		if h, n := p.stagedCounts(); h != 0 || n != 0 {
-			t.Fatalf("shards=%d: %d/%d values left staged", shards, h, n)
+	}))
+	cons.Register(TickFunc(func(cy Cycle) {
+		if cy == 7 || cy == 12 {
+			p.Pop()
 		}
-		return space
+	}))
+	e.RunUntil(prod, 10)
+	if h, n := p.stagedCounts(); h != 0 || n != 0 {
+		t.Fatalf("%d/%d values left staged", h, n)
 	}
 	// Pops at 7 ns and 12 ns. The barrier ending prod edge 3 (6 ns) precedes
 	// the first pop and the one ending edge 4 (8 ns) follows it, so edge 5 is
 	// the first to see a free slot. At 12 ns prod edge 6 and its barrier win
 	// the tie and run before the pop; edge 7's barrier publishes it to edge 8.
 	want := []int{2, 1, 0, 0, 0, 1, 1, 1, 2, 2}
-	for _, shards := range []int{1, 2, 4} {
-		if got := run(shards); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: producer saw Space() = %v per edge, want %v", shards, got, want)
-		}
+	if !reflect.DeepEqual(space, want) {
+		t.Errorf("producer saw Space() = %v per edge, want %v", space, want)
 	}
 }
 
-// CheckQueue audits the commit header the barrier scans against the staged
+// CheckQueue audits the commit header the barrier reads against the staged
 // values it stands for.
 func TestPortHeaderAudit(t *testing.T) {
 	e := NewEngine()

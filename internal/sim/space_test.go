@@ -126,7 +126,7 @@ func twoClocks(e *Engine, same, consFirst bool) (prod, cons *Clock) {
 // its clock — the edge an always-ticking producer would first have pushed on.
 // The refusals here come every way they can: pops and RemoveAts, one at a
 // time and in bursts, on the producer's clock and on a slower one in both tie
-// orders, serial and sharded — and, on cycle 13 of the same-clock runs, a
+// orders — and, on cycle 13 of the same-clock runs, a
 // port the producer's own rate-3 pushes fill on the edge the consumer pops it
 // (two staged into two free slots, the third refused; the commit publishes
 // two and frees one, so the occupancy snapshot rises and the verdict still
@@ -150,41 +150,38 @@ func TestWakeOnSpaceNextEdge(t *testing.T) {
 	} {
 		var want [][]string
 		for _, fast := range []bool{false, true} {
-			for _, shards := range []int{1, 2, 4} {
-				e := NewEngine()
-				e.SetFastPath(fast)
-				e.SetShards(shards)
-				prod, cons := twoClocks(e, v.same, v.consFirst)
-				port := NewPort[int](4)
-				port.Attach(prod)
-				s := &stuffer{out: port, left: 20, rate: 3, memo: v.memo}
-				d := &drainer{in: port, at: takes}
-				for i := 0; i < 16; i++ { // keep sharded edges dispatching
-					prod.Register(TickFunc(func(Cycle) {}))
-					cons.Register(TickFunc(func(Cycle) {}))
+			e := NewEngine()
+			e.SetFastPath(fast)
+			prod, cons := twoClocks(e, v.same, v.consFirst)
+			port := NewPort[int](4)
+			port.Attach(prod)
+			s := &stuffer{out: port, left: 20, rate: 3, memo: v.memo}
+			d := &drainer{in: port, at: takes}
+			for i := 0; i < 16; i++ { // always-ticking company on both clocks
+				prod.Register(TickFunc(func(Cycle) {}))
+				cons.Register(TickFunc(func(Cycle) {}))
+			}
+			prod.Register(s)
+			cons.Register(d)
+			e.RunUntil(prod, 12_000)
+			got := [][]string{s.log, d.log}
+			if want == nil {
+				want = got // legacy, serial
+				if s.left != 0 {
+					t.Fatalf("%s: the reference run left %d values unpushed", v.name, s.left)
 				}
-				prod.Register(s)
-				cons.Register(d)
-				e.RunUntil(prod, 12_000)
-				got := [][]string{s.log, d.log}
-				if want == nil {
-					want = got // legacy, serial
-					if s.left != 0 {
-						t.Fatalf("%s: the reference run left %d values unpushed", v.name, s.left)
-					}
-					if v.same && (s.log[6] != "push6@13" || s.log[7] != "push7@13" || s.log[8] != "push8@14") {
-						t.Fatalf("%s: cycle 13 is not the partial push this test is about: %v", v.name, s.log)
-					}
+				if v.same && (s.log[6] != "push6@13" || s.log[7] != "push7@13" || s.log[8] != "push8@14") {
+					t.Fatalf("%s: cycle 13 is not the partial push this test is about: %v", v.name, s.log)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s fast=%v shards=%d:\n got %v\nwant %v", v.name, fast, shards, got, want)
-				}
-				if s.cycles != prod.Now() {
-					t.Errorf("%s fast=%v shards=%d: producer counted %d cycles of %d", v.name, fast, shards, s.cycles, prod.Now())
-				}
-				if fast && s.ticks > 3*len(takes) {
-					t.Errorf("%s shards=%d: producer ticked %d times around %d drains: it never left the active set", v.name, shards, s.ticks, len(takes))
-				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s fast=%v:\n got %v\nwant %v", v.name, fast, got, want)
+			}
+			if s.cycles != prod.Now() {
+				t.Errorf("%s fast=%v: producer counted %d cycles of %d", v.name, fast, s.cycles, prod.Now())
+			}
+			if fast && s.ticks > 3*len(takes) {
+				t.Errorf("%s: producer ticked %d times around %d drains: it never left the active set", v.name, s.ticks, len(takes))
 			}
 		}
 	}
@@ -198,41 +195,38 @@ func TestWakeProducerByHand(t *testing.T) {
 	refills := map[Cycle]int{20: 1, 21: 2, 400: 3, 9000: 6}
 	var want []string
 	for _, fast := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 4} {
-			e := NewEngine()
-			e.SetFastPath(fast)
-			e.SetShards(shards)
-			clk := e.NewClock("p", 1000)
-			port := NewPort[int](0)
-			port.Attach(clk)
-			credits := 2
-			s := &stuffer{out: port, left: 14, rate: 2, credits: &credits}
-			for i := 0; i < 16; i++ {
-				clk.Register(TickFunc(func(Cycle) {}))
+		e := NewEngine()
+		e.SetFastPath(fast)
+		clk := e.NewClock("p", 1000)
+		port := NewPort[int](0)
+		port.Attach(clk)
+		credits := 2
+		s := &stuffer{out: port, left: 14, rate: 2, credits: &credits}
+		for i := 0; i < 16; i++ {
+			clk.Register(TickFunc(func(Cycle) {}))
+		}
+		clk.Register(s)
+		clk.OnBarrier(func() {
+			if n := refills[clk.Now()-1]; n > 0 { // the barrier of edge Now()-1
+				credits += n
+				port.WakeProducer()
 			}
-			clk.Register(s)
-			clk.OnBarrier(func() {
-				if n := refills[clk.Now()-1]; n > 0 { // the barrier of edge Now()-1
-					credits += n
-					port.WakeProducer()
-				}
-			})
-			e.RunUntil(clk, 10_000)
-			if want == nil {
-				want = s.log
-				if s.left != 0 || s.log[2] != "push2@21" || s.log[13] != "push13@9003" {
-					t.Fatalf("reference run: left %d, log %v", s.left, s.log)
-				}
+		})
+		e.RunUntil(clk, 10_000)
+		if want == nil {
+			want = s.log
+			if s.left != 0 || s.log[2] != "push2@21" || s.log[13] != "push13@9003" {
+				t.Fatalf("reference run: left %d, log %v", s.left, s.log)
 			}
-			if !reflect.DeepEqual(s.log, want) {
-				t.Errorf("fast=%v shards=%d:\n got %v\nwant %v", fast, shards, s.log, want)
-			}
-			if fast && s.ticks > 3*len(refills)+3 {
-				t.Errorf("shards=%d: producer ticked %d times around %d refills", shards, s.ticks, len(refills))
-			}
-			if w := e.WalkStats()[0]; fast && shards == 1 && (w.SpaceWakes != int64(len(refills)) || w.Ticks != int64(16*10_000+s.ticks)) {
-				t.Errorf("WalkStats: %d space wakes for %d refills, %d ticks with the producer's %d", w.SpaceWakes, len(refills), w.Ticks, s.ticks)
-			}
+		}
+		if !reflect.DeepEqual(s.log, want) {
+			t.Errorf("fast=%v:\n got %v\nwant %v", fast, s.log, want)
+		}
+		if fast && s.ticks > 3*len(refills)+3 {
+			t.Errorf("producer ticked %d times around %d refills", s.ticks, len(refills))
+		}
+		if w := e.WalkStats()[0]; fast && (w.SpaceWakes != int64(len(refills)) || w.Ticks != int64(16*10_000+s.ticks)) {
+			t.Errorf("WalkStats: %d space wakes for %d refills, %d ticks with the producer's %d", w.SpaceWakes, len(refills), w.Ticks, s.ticks)
 		}
 	}
 }
@@ -244,9 +238,9 @@ func TestWakeProducerByHand(t *testing.T) {
 // ticks nothing either, so both clocks' latest edges are now empty: were that
 // still the engine's cue to fast-forward, A's next edge, the one the producer
 // must push on, would be skipped with every other edge to the end of the run.
-// In either tie order of the pop against A's edge, at 1, 2 and 4 shards (the
-// sleepers that tick on the edge before keep the empty edge dispatched),
-// against the legacy engine's cycle.
+// In either tie order of the pop against A's edge (the sleepers that tick on
+// the edge before make the empty edge one of a populated clock), against the
+// legacy engine's cycle.
 func TestBarrierWakeAfterAnEmptyEdge(t *testing.T) {
 	for _, v := range []struct {
 		name      string
@@ -257,34 +251,31 @@ func TestBarrierWakeAfterAnEmptyEdge(t *testing.T) {
 		{"consumer-clock-first", true, 50},
 	} {
 		for _, fast := range []bool{false, true} {
-			for _, shards := range []int{1, 2, 4} {
-				e := NewEngine()
-				e.SetFastPath(fast)
-				e.SetShards(shards)
-				var a, b *Clock
-				if v.consFirst {
-					b = e.NewClock("b", 1000)
-					a = e.NewClock("a", 500)
-				} else {
-					a = e.NewClock("a", 500)
-					b = e.NewClock("b", 1000)
-				}
-				port := NewPort[int](2)
-				port.Attach(a)
-				s := &stuffer{out: port, left: 3, rate: 1}
-				a.Register(s)
-				for i := 0; i < 16; i++ {
-					a.Register(&boundNapper{napper{name: "f", timers: []Cycle{v.emptyEdge - 1}}})
-				}
-				b.Register(&drainer{in: port, at: map[Cycle][2]int{100: {1, 0}}})
-				e.RunUntil(a, 5_000)
-				want := []string{"push0@0", "push1@1", fmt.Sprintf("push2@%d", v.emptyEdge+1)}
-				if !reflect.DeepEqual(s.log, want) {
-					t.Errorf("%s fast=%v shards=%d: producer log %v, want %v", v.name, fast, shards, s.log, want)
-				}
-				if s.cycles != a.Now() {
-					t.Errorf("%s fast=%v shards=%d: producer counted %d cycles of %d", v.name, fast, shards, s.cycles, a.Now())
-				}
+			e := NewEngine()
+			e.SetFastPath(fast)
+			var a, b *Clock
+			if v.consFirst {
+				b = e.NewClock("b", 1000)
+				a = e.NewClock("a", 500)
+			} else {
+				a = e.NewClock("a", 500)
+				b = e.NewClock("b", 1000)
+			}
+			port := NewPort[int](2)
+			port.Attach(a)
+			s := &stuffer{out: port, left: 3, rate: 1}
+			a.Register(s)
+			for i := 0; i < 16; i++ {
+				a.Register(&boundNapper{napper{name: "f", timers: []Cycle{v.emptyEdge - 1}}})
+			}
+			b.Register(&drainer{in: port, at: map[Cycle][2]int{100: {1, 0}}})
+			e.RunUntil(a, 5_000)
+			want := []string{"push0@0", "push1@1", fmt.Sprintf("push2@%d", v.emptyEdge+1)}
+			if !reflect.DeepEqual(s.log, want) {
+				t.Errorf("%s fast=%v: producer log %v, want %v", v.name, fast, s.log, want)
+			}
+			if s.cycles != a.Now() {
+				t.Errorf("%s fast=%v: producer counted %d cycles of %d", v.name, fast, s.cycles, a.Now())
 			}
 		}
 	}

@@ -46,12 +46,12 @@ const wheelSlots = 64
 // reach. Re-arming moves the component's one bit, so a sleeping component's
 // timer is always the wake it last reported. The one timer that can outlive
 // its purpose belongs to a component a port commit woke before its filed
-// cycle: rouse leaves it armed (walks of different shards run concurrently
-// and only read the timers), and it is tolerated — it may end a bulk
-// fast-forward early, and if the component is still awake when it fires it
-// ticks that one edge without being asked, which the Sleeper contract makes
-// equal to the skipped cycle it stands for. The component's next sleep
-// re-keys it.
+// cycle: rouse leaves it armed (the walk only reads the timers — disarming
+// would be a wheel write per such wake for a bit the component's next sleep
+// moves anyway), and it is tolerated — it may end a bulk fast-forward early,
+// and if the component is still awake when it fires it ticks that one edge
+// without being asked, which the Sleeper contract makes equal to the skipped
+// cycle it stands for. The component's next sleep re-keys it.
 type wakeTimers struct {
 	at     []Cycle  // per component: the cycle it is armed for, -1 = unarmed
 	words  int      // bitset words per slot, len(far)
@@ -233,37 +233,30 @@ type sleepRec struct {
 	at  Cycle
 }
 
-// edgeWalk is one walk over (a shard's part of) a clock's active set on one
-// edge, and what it hands back: how many components ticked, how many were
-// polled, and those whose sleep the coordinator still has to file. The loop
-// below keeps its state here, behind one pointer, so that the commonest visit
-// — a poll that finds its component still asleep — holds almost nothing live
-// across the call.
-// The walk writes only the state of the components it visits, so shards run
-// walks of their own concurrently over disjoint masks; the active set and the
-// timers, which a walk only reads, change in fileSleeps.
+// edgeWalk is one walk over a clock's active set on one edge, and what it
+// hands back: how many components ticked, how many were polled, and those
+// whose sleep fileSleeps still has to file. The loop below keeps its state
+// here, behind one pointer, so that the commonest visit — a poll that finds
+// its component still asleep — holds almost nothing live across the call.
+// The walk writes only the state of the components it visits; the active set
+// and the timers, which it only reads, change in fileSleeps once it is over.
 type edgeWalk struct {
 	c      *Clock
 	now    Cycle
 	ticked int
 	polled int
 	slept  []sleepRec
-	_      [64]byte // walks of different shards sit in one slice
 }
 
-// set considers, in registration order, the awake components of c that mask
-// selects (nil = all of them) on edge now. Only a component that was awake
-// already is polled; a freshly woken one ticks. A component about to tick
-// first receives, in one SkipIdle call, every cycle it slept through; one
-// that sleeps records the first cycle it is owed, and the mark survives a
-// poll that finds it still asleep, so the debt is never forgotten or paid
-// twice (see noteSleep, rouse).
-func (w *edgeWalk) set(c *Clock, mask []uint64, now Cycle) {
+// set considers, in registration order, the awake components of c on edge
+// now. Only a component that was awake already is polled; a freshly woken one
+// ticks. A component about to tick first receives, in one SkipIdle call, every
+// cycle it slept through; one that sleeps records the first cycle it is owed,
+// and the mark survives a poll that finds it still asleep, so the debt is
+// never forgotten or paid twice (see noteSleep, rouse).
+func (w *edgeWalk) set(c *Clock, now Cycle) {
 	w.c, w.now, w.ticked, w.polled, w.slept = c, now, 0, 0, w.slept[:0]
 	for wi, word := range c.awake {
-		if mask != nil {
-			word &= mask[wi]
-		}
 		if word != 0 {
 			w.word(wi<<6, word)
 		}
@@ -298,8 +291,8 @@ func (w *edgeWalk) word(base int, word uint64) {
 
 // noteSleep records that component i, polled on this edge, reported the
 // future wake cycle wake: the first idle cycle it is owed is marked, unless an
-// earlier poll of the same sleep already did, and the sleep goes to the
-// coordinator to file.
+// earlier poll of the same sleep already did, and the sleep is handed to
+// fileSleeps.
 //
 //go:noinline
 func (w *edgeWalk) noteSleep(i int, wake Cycle) {
@@ -492,9 +485,6 @@ func (c *Clock) auditPorts(out []health.Violation) []health.Violation {
 			Component: c.name, Rule: rule, Detail: fmt.Sprintf(format, args...),
 		})
 	}
-	if !c.lists && len(c.dirty) != 0 {
-		bad("port-dirty-list", "%d ports listed on a clock that commits by scan", len(c.dirty))
-	}
 	// Every list entry carries the flag exactly once: clearing as we go turns
 	// a duplicate into an unflagged entry, and leaves a flagged port that is
 	// missing from the list standing out afterwards.
@@ -511,9 +501,6 @@ func (c *Clock) auditPorts(out []health.Violation) []health.Violation {
 	}
 	for _, h := range c.dirty {
 		h.listed = true
-	}
-	if !c.lists {
-		return out
 	}
 	for i, h := range c.ports {
 		if !h.listed && (h.nStaged != 0 || h.snap != *h.size) {

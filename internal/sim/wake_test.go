@@ -132,8 +132,7 @@ func TestWakeTimerExactCycle(t *testing.T) {
 
 // A push committed at producer edge e wakes the consumer for its next edge:
 // e+1 on the producer's own clock, the first edge after e's barrier on
-// another clock (either tie-break order), at 1, 2 and 4 shards. The always-
-// ticking filler keeps sharded edges dispatching.
+// another clock (either tie-break order), among always-ticking filler.
 func TestWakePortCommitNextEdge(t *testing.T) {
 	pushes := map[Cycle]int{3: 30, 4: 40, 5: 50, 200: 2000, 9_000: 90_000}
 	type variant struct {
@@ -158,41 +157,38 @@ func TestWakePortCommitNextEdge(t *testing.T) {
 	}
 	for _, v := range variants {
 		for _, fast := range []bool{false, true} {
-			for _, shards := range []int{1, 2, 4} {
-				e := NewEngine()
-				e.SetFastPath(fast)
-				e.SetShards(shards)
-				var prod, cons *Clock
-				switch {
-				case v.sameClock:
-					prod = e.NewClock("p", v.prodMHz)
-					cons = prod
-				case v.consFirst:
-					cons = e.NewClock("c", v.conMHz)
-					prod = e.NewClock("p", v.prodMHz)
-				default:
-					prod = e.NewClock("p", v.prodMHz)
-					cons = e.NewClock("c", v.conMHz)
-				}
-				port := NewPort[int](8)
-				port.Attach(prod)
-				c := &boundNapper{napper{name: "c", in: port}}
-				for i := 0; i < 16; i++ {
-					prod.Register(TickFunc(func(Cycle) {}))
-					cons.Register(TickFunc(func(Cycle) {}))
-				}
-				prod.Register(&pusher{out: port, at: pushes})
-				cons.Register(c)
-				e.RunUntil(prod, 10_000)
-				if !reflect.DeepEqual(c.log, v.want) {
-					t.Errorf("%s fast=%v shards=%d: consumer saw %v, want %v", v.name, fast, shards, c.log, v.want)
-				}
-				if c.cycles != cons.Now() {
-					t.Errorf("%s fast=%v shards=%d: consumer counted %d cycles of %d", v.name, fast, shards, c.cycles, cons.Now())
-				}
-				if fast && c.ticks > 3*len(pushes) {
-					t.Errorf("%s shards=%d: consumer ticked %d times for %d pushes: it never left the active set", v.name, shards, c.ticks, len(pushes))
-				}
+			e := NewEngine()
+			e.SetFastPath(fast)
+			var prod, cons *Clock
+			switch {
+			case v.sameClock:
+				prod = e.NewClock("p", v.prodMHz)
+				cons = prod
+			case v.consFirst:
+				cons = e.NewClock("c", v.conMHz)
+				prod = e.NewClock("p", v.prodMHz)
+			default:
+				prod = e.NewClock("p", v.prodMHz)
+				cons = e.NewClock("c", v.conMHz)
+			}
+			port := NewPort[int](8)
+			port.Attach(prod)
+			c := &boundNapper{napper{name: "c", in: port}}
+			for i := 0; i < 16; i++ {
+				prod.Register(TickFunc(func(Cycle) {}))
+				cons.Register(TickFunc(func(Cycle) {}))
+			}
+			prod.Register(&pusher{out: port, at: pushes})
+			cons.Register(c)
+			e.RunUntil(prod, 10_000)
+			if !reflect.DeepEqual(c.log, v.want) {
+				t.Errorf("%s fast=%v: consumer saw %v, want %v", v.name, fast, c.log, v.want)
+			}
+			if c.cycles != cons.Now() {
+				t.Errorf("%s fast=%v: consumer counted %d cycles of %d", v.name, fast, c.cycles, cons.Now())
+			}
+			if fast && c.ticks > 3*len(pushes) {
+				t.Errorf("%s: consumer ticked %d times for %d pushes: it never left the active set", v.name, c.ticks, len(pushes))
 			}
 		}
 	}
@@ -214,9 +210,8 @@ func (s *scene) logs() (out [][]string) {
 	return out
 }
 
-func newScene(shards int) *scene {
+func newScene() *scene {
 	s := &scene{e: NewEngine()}
-	s.e.SetShards(shards)
 	s.a = s.e.NewClock("a", 1400)
 	s.b = s.e.NewClock("b", 924)
 	ab, ba := NewPort[int](64), NewPort[int](64)
@@ -242,7 +237,7 @@ func newScene(shards int) *scene {
 	s.b.Register(&pusher{out: ba, at: onB})
 	s.b.Register(mk("b-cons", ab, 3300))
 	s.b.Register(mk("b-idle", nil))
-	for i := 0; i < 12; i++ { // enough components for sharded edges to dispatch
+	for i := 0; i < 12; i++ { // timer-only sleepers, staggered across the wheel and the far set
 		s.a.Register(mk(fmt.Sprintf("a-fill%d", i), nil, Cycle(10+i), Cycle(3000+64*i)))
 		s.b.Register(mk(fmt.Sprintf("b-fill%d", i), nil, Cycle(20+i)))
 	}
@@ -266,41 +261,39 @@ func (s *scene) checkSettled(t *testing.T, when string) {
 
 // Lazy SkipIdle totals equal the eager engine's at every settle point: when
 // RunUntil returns, and mid-run from a barrier task that settles first — what
-// a metrics sample does through Collector.OnSample — serial and sharded.
+// a metrics sample does through Collector.OnSample.
 func TestLazySkipIdleSettlesToEagerTotals(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		s := newScene(shards)
-		samples := 0
-		s.a.OnBarrier(func() {
-			if s.a.Now()%97 != 0 {
-				return
-			}
-			samples++
-			s.e.Settle()
-			s.checkSettled(t, fmt.Sprintf("shards=%d sample at a=%d", shards, s.a.Now()))
-		})
-		for _, stop := range []Cycle{1, 50, 51, 2500, 7000} {
-			s.e.RunUntil(s.a, stop)
-			s.checkSettled(t, fmt.Sprintf("shards=%d RunUntil(%d)", shards, stop))
+	s := newScene()
+	samples := 0
+	s.a.OnBarrier(func() {
+		if s.a.Now()%97 != 0 {
+			return
 		}
-		if samples != 7000/97 {
-			t.Fatalf("shards=%d: %d mid-run samples, want %d", shards, samples, 7000/97)
-		}
-		skipped := false
-		for _, n := range s.nappers {
-			skipped = skipped || len(n.skips) > 0
-		}
-		if !skipped {
-			t.Fatalf("shards=%d: nothing was ever skipped; the test exercised no laziness", shards)
-		}
+		samples++
+		s.e.Settle()
+		s.checkSettled(t, fmt.Sprintf("sample at a=%d", s.a.Now()))
+	})
+	for _, stop := range []Cycle{1, 50, 51, 2500, 7000} {
+		s.e.RunUntil(s.a, stop)
+		s.checkSettled(t, fmt.Sprintf("RunUntil(%d)", stop))
+	}
+	if samples != 7000/97 {
+		t.Fatalf("%d mid-run samples, want %d", samples, 7000/97)
+	}
+	skipped := false
+	for _, n := range s.nappers {
+		skipped = skipped || len(n.skips) > 0
+	}
+	if !skipped {
+		t.Fatal("nothing was ever skipped; the test exercised no laziness")
 	}
 }
 
 // Full-tick edges interleaved with fast edges leave the counters and the
 // work log an all-fast and an all-legacy run leave.
 func TestLegacyTickInterleavedWithFastEdges(t *testing.T) {
-	final := func(shards int, drive func(s *scene)) ([][]string, []Cycle) {
-		s := newScene(shards)
+	final := func(drive func(s *scene)) ([][]string, []Cycle) {
+		s := newScene()
 		drive(s)
 		s.checkSettled(t, "end of run")
 		var cycles []Cycle
@@ -309,7 +302,7 @@ func TestLegacyTickInterleavedWithFastEdges(t *testing.T) {
 		}
 		return s.logs(), cycles
 	}
-	wantLog, wantCycles := final(1, func(s *scene) {
+	wantLog, wantCycles := final(func(s *scene) {
 		s.e.SetFastPath(false)
 		s.e.RunUntil(s.a, 7000)
 	})
@@ -324,14 +317,12 @@ func TestLegacyTickInterleavedWithFastEdges(t *testing.T) {
 		},
 	}
 	for name, drive := range drives {
-		for _, shards := range []int{1, 2} {
-			log, cycles := final(shards, drive)
-			if !reflect.DeepEqual(log, wantLog) {
-				t.Errorf("%s shards=%d: work log diverged from the legacy engine's\n got %v\nwant %v", name, shards, log, wantLog)
-			}
-			if !reflect.DeepEqual(cycles, wantCycles) {
-				t.Errorf("%s shards=%d: cycle counters %v, want %v", name, shards, cycles, wantCycles)
-			}
+		log, cycles := final(drive)
+		if !reflect.DeepEqual(log, wantLog) {
+			t.Errorf("%s: work log diverged from the legacy engine's\n got %v\nwant %v", name, log, wantLog)
+		}
+		if !reflect.DeepEqual(cycles, wantCycles) {
+			t.Errorf("%s: cycle counters %v, want %v", name, cycles, wantCycles)
 		}
 	}
 }
@@ -597,11 +588,6 @@ func TestWakeAuditCatchesForgedState(t *testing.T) {
 	clk.dirty = append(clk.dirty, &q.hdr) // listed twice
 	expect("listed twice", e, "port-dirty-list")
 
-	e, clk, _, _ = build()
-	e.SetShards(2)
-	clk.dirty = append(clk.dirty, &q.hdr) // a list on a clock that commits by scan
-	expect("list in scan mode", e, "port-dirty-list", "port-dirty-list")
-
 	// The space end: a producer asleep behind the full port r, which a
 	// consumer then pops. Left alone, the barrier wakes it and the audit is
 	// content; each way of losing that wake leaves it asleep on a port that
@@ -621,7 +607,7 @@ func TestWakeAuditCatchesForgedState(t *testing.T) {
 	}
 	e, clk = buildSpace()
 	r.Pop()
-	clk.commitSerial()
+	clk.commit()
 	if !clk.isAwake(0) {
 		t.Fatal("the barrier after a pop left the refused producer asleep")
 	}
@@ -632,13 +618,13 @@ func TestWakeAuditCatchesForgedState(t *testing.T) {
 	e, clk = buildSpace()
 	r.hdr.starved = false // the refusal was forgotten: the barrier has nobody to wake
 	r.Pop()
-	clk.commitSerial()
+	clk.commit()
 	expect("refusal forgotten", e, "wake-missed")
 
 	e, clk = buildSpace()
 	r.hdr.pidx = -1 // the port no longer knows who produces into it
 	r.Pop()
-	clk.commitSerial()
+	clk.commit()
 	expect("producer unbound from its port", e, "wake-missed")
 
 	// RunUntilChecked audits at every watchdog sample and aborts.

@@ -21,13 +21,13 @@ func TestCampFracMixesStrides(t *testing.T) {
 		}
 		idx := op.Lines[0] - sharedRegionBase
 		if idx%40 == 0 && idx >= 40 || idx == 0 {
-			camped++ // multiples of 40 (the strided draws, plus idx 0 overlap)
+			camped++ // multiples of 40 (the camped draws, plus idx 0 overlap)
 		} else {
 			uncamped++
 		}
 	}
 	if camped == 0 || uncamped == 0 {
-		t.Fatalf("CampFrac=0.5 must mix strided and dense draws: %d/%d", camped, uncamped)
+		t.Fatalf("CampFrac=0.5 must mix camped and dense draws: %d/%d", camped, uncamped)
 	}
 	frac := float64(camped) / float64(camped+uncamped)
 	if frac < 0.35 || frac > 0.7 {

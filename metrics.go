@@ -9,9 +9,9 @@ import (
 
 // MetricsOptions configures live metrics streaming for a run: the sampling
 // period in core cycles and the sink each snapshot batch is delivered to.
-// Samples land on exact multiples of Every, identical in every tick mode and
-// at every shard count, and each batch is a synchronized snapshot taken at a
-// clock barrier — never a torn mid-cycle read.
+// Samples land on exact multiples of Every, identical in every tick mode, and
+// each batch is a synchronized snapshot taken at a clock barrier — after every
+// component of the edge has ticked, never a mid-cycle read.
 type MetricsOptions = metrics.Options
 
 // MetricsSink consumes snapshot batches during a run. Emit runs on the

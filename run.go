@@ -20,9 +20,7 @@ type runConfig struct {
 	health   HealthOptions
 	ctx      context.Context
 	legacy   bool
-	strided  bool
 	workers  int
-	shards   int
 	chaos    *chaos.Spec
 	metrics  *metrics.Options
 	powerCap *power.CapSpec
@@ -44,22 +42,6 @@ func WithWorkers(n int) RunOption {
 	return func(rc *runConfig) { rc.workers = n }
 }
 
-// ShardsAuto, passed to WithShards (or HealthOptions.Shards), auto-sizes the
-// shard count to the machine: min(GOMAXPROCS, widest clock's component
-// count), serial on a single-CPU host.
-const ShardsAuto = gpu.ShardsAuto
-
-// WithShards spreads each clock edge's component ticks across n worker
-// shards inside one simulation. n == 1 or 0 (the default) runs serially;
-// ShardsAuto sizes the worker set to the machine. Results are bit-identical
-// at every shard count — sharding is a wall-clock optimization for saturated
-// runs, never a modeling change (DESIGN.md §11, §15). Under RunMany, workers
-// takes precedence: the effective shard count is capped at
-// GOMAXPROCS/workers so total goroutine demand stays near GOMAXPROCS.
-func WithShards(n int) RunOption {
-	return func(rc *runConfig) { rc.shards = n }
-}
-
 // WithContext cancels the run (or every job of a batch) when ctx is done.
 // The returned error wraps ctx.Err(), so errors.Is(err, context.Canceled)
 // and errors.Is(err, context.DeadlineExceeded) work.
@@ -75,14 +57,6 @@ func WithLegacyTick() RunOption {
 	return func(rc *runConfig) { rc.legacy = true }
 }
 
-// WithStridedPlacement switches shard placement back to the legacy strided
-// (i mod n) partition instead of the locality-aware plan (DESIGN.md §15).
-// Results are bit-identical either way; the knob exists for equivalence
-// tests and before/after benchmarks. It has no effect on serial runs.
-func WithStridedPlacement() RunOption {
-	return func(rc *runConfig) { rc.strided = true }
-}
-
 // healthOptions folds the option set into the gpu-level health options.
 func (rc *runConfig) healthOptions() HealthOptions {
 	h := rc.health
@@ -91,12 +65,6 @@ func (rc *runConfig) healthOptions() HealthOptions {
 	}
 	if rc.legacy {
 		h.LegacyTick = true
-	}
-	if rc.strided {
-		h.StridedPlacement = true
-	}
-	if rc.shards != 0 {
-		h.Shards = rc.shards
 	}
 	if rc.chaos != nil {
 		h.Chaos = rc.chaos
