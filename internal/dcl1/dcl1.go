@@ -90,19 +90,6 @@ func (m ClusteredMap) Home(core int, line uint64) int {
 // Nodes implements Mapping.
 func (m ClusteredMap) Nodes() int { return m.NodeCount }
 
-// Cluster returns the cluster index of a core.
-func (m ClusteredMap) Cluster(core int) int {
-	coresPer := m.Cores / m.Clusters
-	if coresPer < 1 {
-		coresPer = 1
-	}
-	c := core / coresPer
-	if c >= m.Clusters {
-		c = m.Clusters - 1
-	}
-	return c
-}
-
 // Params configures a DC-L1 node.
 type Params struct {
 	ID       int

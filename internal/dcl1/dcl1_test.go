@@ -185,9 +185,6 @@ func TestClusteredMapHomeBits(t *testing.T) {
 	if got := m.Home(79, 3); got != 9*4+3 {
 		t.Fatalf("last cluster home = %d", got)
 	}
-	if m.Cluster(0) != 0 || m.Cluster(8) != 1 || m.Cluster(79) != 9 {
-		t.Fatal("Cluster() mapping broken")
-	}
 }
 
 // Property: every mapping returns a valid node, and for the clustered map a
@@ -205,7 +202,7 @@ func TestMappingRangeProperty(t *testing.T) {
 			}
 		}
 		h := clustered.Home(c, line)
-		cl := clustered.Cluster(c)
+		cl := c / 8 // 80 cores in 10 clusters
 		return h >= cl*4 && h < (cl+1)*4
 	}
 	if err := quick.Check(f, nil); err != nil {

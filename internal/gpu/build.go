@@ -44,6 +44,9 @@ type System struct {
 	Cfg Config
 	D   Design
 	App workload.Source
+	// Topo is the design's stage table, which the build wires and every
+	// reader of the interconnect walks (topology.go).
+	Topo Topology
 
 	Eng     *sim.Engine
 	CoreClk *sim.Clock
@@ -57,10 +60,9 @@ type System struct {
 	// Mods are the GPU modules in index order; there is always at least one.
 	Mods []*Module
 
-	// LinkReq and LinkRep are the inter-module crossbars (requests toward
-	// home DRAM, fills back toward the origin); nil with one module.
-	LinkReq *noc.Crossbar
-	LinkRep *noc.Crossbar
+	// Link is the built inter-module stage (requests toward home DRAM, fills
+	// back toward the origin); nil with one module.
+	Link *BuiltStage
 
 	// Pool recycles Access and Packet values across the whole machine; nil
 	// disables pooling (WithoutPool). See DESIGN.md §10 for the ownership
@@ -89,19 +91,14 @@ type Module struct {
 	// multi-module machine this module's tenant of a workload.ModuleSource.
 	App workload.Source
 
-	Cores   []*core.Core
-	Nodes   []*dcl1.Node // private L1 nodes (Baseline/CDXBar) or DC-L1 nodes
-	L2      []*cache.Ctrl
-	l2in    []*sim.Port[*mem.Access]
-	Drams   []*dram.Channel
-	Noc1Req []*noc.Crossbar
-	Noc1Rep []*noc.Crossbar
-	Noc2Req []*noc.Crossbar
-	Noc2Rep []*noc.Crossbar
-
-	// MeshReq/MeshRep are populated only by the MeshBase design.
-	MeshReq *noc.Mesh
-	MeshRep *noc.Mesh
+	Cores []*core.Core
+	Nodes []*dcl1.Node // private L1 nodes (Baseline/CDXBar) or DC-L1 nodes
+	L2    []*cache.Ctrl
+	l2in  []*sim.Port[*mem.Access]
+	Drams []*dram.Channel
+	// Stages are the module's built on-chip stages, one per non-link row of
+	// the machine's Topo, in table order.
+	Stages []*BuiltStage
 
 	Tracker *cache.Presence
 	// stages defer each L1 node's replication-tracker mutations to the core
@@ -147,20 +144,6 @@ type BuildOption func(*System)
 // pooled-vs-unpooled equivalence tests; simulated results are identical.
 func WithoutPool() BuildOption { return func(s *System) { s.noPool = true } }
 
-// nocClockMHz derives the two NoC clock frequencies of a design (the boost
-// variants double one or both).
-func nocClockMHz(cfg Config, d Design) (noc1MHz, noc2MHz int64) {
-	noc1MHz = cfg.NoCMHz
-	if d.Boost1 || d.CDXBoostS1 || d.CDXBoostAll || (d.Kind == Baseline && d.NoCBoost) {
-		noc1MHz *= 2
-	}
-	noc2MHz = cfg.NoCMHz
-	if d.CDXBoostAll || (d.Kind == Baseline && d.NoCBoost) {
-		noc2MHz *= 2
-	}
-	return noc1MHz, noc2MHz
-}
-
 // NewSystem builds the machine for design d running app: max(1, d.Modules)
 // modules on one engine. A machine of one module builds no link clock, link
 // ports or link crossbars, carries no "m0." name prefix and leaves its
@@ -170,9 +153,12 @@ func nocClockMHz(cfg Config, d Design) (noc1MHz, noc2MHz int64) {
 func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *System {
 	cfg = cfg.WithDefaults()
 	d = d.withDefaults(cfg)
-	validate(cfg, d)
+	topo, err := DesignTopology(cfg, d)
+	if err != nil {
+		panic(err.Error())
+	}
 
-	s := &System{Cfg: cfg, D: d, App: app, Eng: sim.NewEngine(), Reg: metrics.NewRegistry()}
+	s := &System{Cfg: cfg, D: d, App: app, Topo: topo, Eng: sim.NewEngine(), Reg: metrics.NewRegistry()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -180,14 +166,13 @@ func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *
 		s.Pool = mem.NewPool()
 	}
 
-	noc1MHz, noc2MHz := nocClockMHz(cfg, d)
 	s.CoreClk = s.Eng.NewClock("core", cfg.CoreMHz)
-	s.Noc1Clk = s.Eng.NewClock("noc1", noc1MHz)
-	s.Noc2Clk = s.Eng.NewClock("noc2", noc2MHz)
+	s.Noc1Clk = s.Eng.NewClock(NetNoC1.String(), topo.Noc1MHz)
+	s.Noc2Clk = s.Eng.NewClock(NetNoC2.String(), topo.Noc2MHz)
 	s.MemClk = s.Eng.NewClock("mem", cfg.MemMHz)
 	n := max(1, d.Modules)
 	if n > 1 {
-		s.LinkClk = s.Eng.NewClock("link", LinkClkMHz)
+		s.LinkClk = s.Eng.NewClock(NetLink.String(), LinkClkMHz)
 	}
 	for i := 0; i < n; i++ {
 		s.Mods = append(s.Mods, s.newModule(i, n))
@@ -198,7 +183,14 @@ func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *
 	return s
 }
 
-// newModule builds module i of n and wires it per the design.
+// clock returns the clock domain a stage on net ticks on.
+func (s *System) clock(net Net) *sim.Clock {
+	return [...]*sim.Clock{s.Noc1Clk, s.Noc2Clk, s.LinkClk}[net]
+}
+
+// newModule builds module i of n and wires the machine's stage table into it:
+// each design kind is its rows, where their taps sit, and the two routing
+// rules of each crossbar stage.
 func (s *System) newModule(i, n int) *Module {
 	cfg, d := s.Cfg, s.D
 	mod := &Module{sys: s, App: s.App, AMap: cfg.AddressMap()}
@@ -212,107 +204,70 @@ func (s *System) newModule(i, n int) *Module {
 		}
 	}
 
+	mod.Map = homeMap(cfg, d)
 	l1 := mod.l1NodeParams(0).Cache
-	mod.Tracker = cache.NewPresence(nodeCount(cfg, d) * l1.Sets * l1.Ways)
+	mod.Tracker = cache.NewPresence(mod.Map.Nodes() * l1.Sets * l1.Ways)
 	mod.buildCores()
 	mod.buildNodes()
 	mod.buildL2AndDram()
 
+	st := s.Topo.Stages
 	switch d.Kind {
-	case Baseline, CDXBar:
-		mod.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: cfg.Cores}
+	case Baseline:
 		mod.wireLocalL1()
-		if d.Kind == Baseline {
-			mod.wireBaselineNoC()
-		} else {
-			mod.wireCDXBarNoC()
+		mod.wireStage(st[0], mod.memEdge(st[0], mod.nodeTaps(true), st[0].Count))
+	case Private, Shared, Clustered:
+		// NoC#1: each crossbar joins Ins neighbouring cores to the Outs
+		// neighbouring DC-L1 nodes that can be their home.
+		noc1 := st[0]
+		mod.wireStage(noc1, edge{
+			toCore: true, ups: mod.coreTaps(), downs: mod.nodeTaps(false),
+			forward: func(c int, a *mem.Access) int { return mod.Map.Home(c, a.Line) % noc1.Outs },
+			back:    func(a *mem.Access) int { return a.Core % noc1.Ins },
+		})
+		mod.wireStage(st[1], mod.memEdge(st[1], mod.nodeTaps(true), st[1].Count))
+	case CDXBar:
+		// Fig 19a: stage 1 concentrates each group of Ins private-L1 cores onto
+		// Outs mid links (on the NoC#1 clock, so CDXBar+2xNoC1 boosts it alone);
+		// stage 2 crosses mid link j of every group to the slices with
+		// slice mod Count = j.
+		mod.wireLocalL1()
+		s1 := st[0]
+		mids := make([]tap, s1.Count*s1.Outs)
+		for k := range mids {
+			mids[k] = tap{req: sim.NewPort[*mem.Access](4), rep: sim.NewPort[*mem.Access](4)}
 		}
-	case Private:
-		mod.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: d.DCL1s}
-		mod.wireNoC1()
-		mod.wireNoC2Flat()
-	case Shared:
-		mod.Map = dcl1.SharedMap{NodeCount: d.DCL1s}
-		mod.wireNoC1()
-		mod.wireNoC2Flat()
-	case Clustered:
-		mod.Map = dcl1.ClusteredMap{Cores: cfg.Cores, NodeCount: d.DCL1s, Clusters: d.Clusters}
-		mod.wireNoC1()
-		mod.wireNoC2Clustered()
+		mod.wireStage(s1, edge{
+			ups: mod.nodeTaps(true), downs: mids,
+			forward: func(_ int, a *mem.Access) int { return mod.AMap.L2Slice(a.Line) % s1.Outs },
+			back:    func(a *mem.Access) int { return mod.asker(a) % s1.Ins },
+		})
+		mod.wireStage(st[1], mod.memEdge(st[1], mids, s1.Ins))
 	case SingleL1:
-		mod.Map = dcl1.SharedMap{NodeCount: 1}
 		mod.wireSingleL1()
 	case MeshBase:
-		mod.Map = dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: cfg.Cores}
 		mod.wireLocalL1()
-		mod.wireMeshNoC()
+		mod.wireMeshNoC(st[0])
 	}
 	mod.wireMemSide()
 	mod.registerMetrics()
 	return mod
 }
 
-func validate(cfg Config, d Design) {
-	if err := d.Validate(cfg); err != nil {
-		panic(err.Error())
-	}
-}
-
-// Validate reports whether the design's topology is buildable on the given
-// machine configuration. Both the design and the configuration are checked
-// after defaults are applied, matching what NewSystem would construct.
-func (d Design) Validate(cfg Config) error {
-	cfg = cfg.WithDefaults()
-	d = d.withDefaults(cfg)
+// homeMap returns the design's core-to-node mapping: how many L1/DC-L1 nodes
+// a module holds and which of them serves a core's access to a line.
+func homeMap(cfg Config, d Design) dcl1.Mapping {
 	switch d.Kind {
-	case Private, Shared:
-		if cfg.Cores%d.DCL1s != 0 && d.Kind == Private {
-			return fmt.Errorf("gpu: %d cores not divisible by %d DC-L1 nodes", cfg.Cores, d.DCL1s)
-		}
+	case Private:
+		return dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: d.DCL1s}
+	case Shared:
+		return dcl1.SharedMap{NodeCount: d.DCL1s}
 	case Clustered:
-		if d.DCL1s%d.Clusters != 0 || cfg.Cores%d.Clusters != 0 {
-			return fmt.Errorf("gpu: clusters (%d) must divide cores (%d) and DC-L1 nodes (%d)",
-				d.Clusters, cfg.Cores, d.DCL1s)
-		}
-		m := d.DCL1s / d.Clusters
-		if cfg.L2Slices%m != 0 {
-			return fmt.Errorf("gpu: DC-L1s per cluster (%d) must divide L2 slices (%d)",
-				m, cfg.L2Slices)
-		}
-	case CDXBar:
-		if cfg.Cores%d.CDXGroups != 0 || cfg.L2Slices%d.CDXMid != 0 {
-			return fmt.Errorf("gpu: CDXBar groups (%d) / mid links (%d) must divide cores (%d) / L2 slices (%d)",
-				d.CDXGroups, d.CDXMid, cfg.Cores, cfg.L2Slices)
-		}
-	}
-	if d.Modules < 0 || d.Modules > MaxModules {
-		return fmt.Errorf("gpu: module count %d outside [0, %d]", d.Modules, MaxModules)
-	}
-	if d.Modules < 2 {
-		if d.LinkGBps != 0 || d.LinkLat != 0 || d.PrivateAS {
-			return fmt.Errorf("gpu: inter-module link parameters require Modules >= 2")
-		}
-		return nil
-	}
-	if d.LinkGBps > MaxLinkGBps {
-		return fmt.Errorf("gpu: link bandwidth %d GB/s exceeds %d", d.LinkGBps, MaxLinkGBps)
-	}
-	if d.LinkLat > MaxLinkLat {
-		return fmt.Errorf("gpu: link latency %d exceeds %d cycles", d.LinkLat, MaxLinkLat)
-	}
-	return nil
-}
-
-// nodeCount returns the number of L1/DC-L1 nodes one module of the design
-// holds.
-func nodeCount(cfg Config, d Design) int {
-	switch d.Kind {
-	case Baseline, CDXBar, MeshBase:
-		return cfg.Cores
+		return dcl1.ClusteredMap{Cores: cfg.Cores, NodeCount: d.DCL1s, Clusters: d.Clusters}
 	case SingleL1:
-		return 1
+		return dcl1.SharedMap{NodeCount: 1}
 	default:
-		return d.DCL1s
+		return dcl1.PrivateMap{Cores: cfg.Cores, NodeCount: cfg.Cores}
 	}
 }
 
@@ -344,14 +299,10 @@ func (mod *Module) buildCores() {
 // l1NodeParams derives the cache geometry of one L1/DC-L1 node.
 func (mod *Module) l1NodeParams(id int) dcl1.Params {
 	cfg, d := mod.sys.Cfg, mod.sys.D
-	nodes := nodeCount(cfg, d)
+	// The nodes split the summed capacity of the cores' L1s evenly (one
+	// core's worth each where every core keeps its own).
 	totalLines := cfg.Cores * cfg.L1KB * 1024 / mem.LineBytes * d.L1CapacityScale
-	perNodeLines := totalLines
-	if d.Kind == Baseline || d.Kind == CDXBar || d.Kind == MeshBase {
-		perNodeLines = cfg.L1KB * 1024 / mem.LineBytes * d.L1CapacityScale
-	} else {
-		perNodeLines = totalLines / nodes
-	}
+	perNodeLines := totalLines / mod.Map.Nodes()
 	sets := perNodeLines / cfg.L1Ways
 	if sets < 1 {
 		sets = 1
@@ -373,14 +324,12 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 		mshrs = cfg.L1MSHRs * cfg.Cores
 		ctrlCap = 4 * cfg.Cores
 	}
-	// A home-sliced DC-L1 only caches every homeMod-th line; the sequential
-	// prefetcher must stride accordingly.
+	// A home-sliced DC-L1 only caches every homeMod-th line — one per node
+	// behind its NoC#1 crossbar; the sequential prefetcher must stride
+	// accordingly.
 	homeMod := 1
-	switch d.Kind {
-	case Shared:
-		homeMod = d.DCL1s
-	case Clustered:
-		homeMod = d.DCL1s / d.Clusters
+	if d.Kind == Shared || d.Kind == Clustered {
+		homeMod = mod.sys.Topo.Stages[0].Outs
 	}
 	policy := cache.WriteEvict
 	if d.L1WriteBack {
@@ -412,8 +361,7 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 }
 
 func (mod *Module) buildNodes() {
-	n := nodeCount(mod.sys.Cfg, mod.sys.D)
-	for i := 0; i < n; i++ {
+	for i := 0; i < mod.Map.Nodes(); i++ {
 		st := cache.NewPresenceStage(mod.Tracker)
 		mod.stages = append(mod.stages, st)
 		nd := dcl1.New(mod.l1NodeParams(i), st)
@@ -461,16 +409,13 @@ func (mod *Module) buildL2AndDram() {
 		mod.l2in = append(mod.l2in, in)
 		mod.sys.Noc2Clk.Register(l2)
 		// Port producers, identical across designs: the L2 controller emits
-		// Out/MissOut on the NoC#2 clock; l2in is fed by the request network
-		// (or the SingleL1 miss pump), always on the NoC#2 clock; L2.In by
-		// the l2in pump (NoC#2 clock); FillIn by the DRAM reply pump (memory
-		// clock). l2in groups with its consumer-side slice neighborhood;
-		// FillIn with its producer channel's MemClk group.
+		// Out/MissOut on the NoC#2 clock; L2.In is fed by the l2in pump (NoC#2
+		// clock); FillIn by the DRAM reply pump (memory clock). l2in is
+		// attached by the design's wiring, which creates its producer.
 		l2.Out.Attach(mod.sys.Noc2Clk)
 		l2.MissOut.Attach(mod.sys.Noc2Clk)
 		l2.In.Attach(mod.sys.Noc2Clk)
 		l2.FillIn.Attach(mod.sys.MemClk)
-		in.Attach(mod.sys.Noc2Clk)
 	}
 	for ch := 0; ch < cfg.Channels; ch++ {
 		dc := dram.New(dram.Params{
@@ -479,9 +424,6 @@ func (mod *Module) buildL2AndDram() {
 			Map:   mod.AMap,
 		})
 		mod.Drams = append(mod.Drams, dc)
-		// MemClk namespace: channel ch and everything serving it (the reply
-		// pump, the slices' FillIn ports) share group ch; LPT spreads the
-		// channels round-robin.
 		mod.sys.MemClk.Register(dc)
 		dc.Out.Attach(mod.sys.MemClk)
 	}
@@ -609,11 +551,15 @@ func (s *System) inject(x packetNet, a *mem.Access, src, dst, flits int) bool {
 	return true
 }
 
-func (mod *Module) xbar(name string, ins, outs int) *noc.Crossbar {
-	return noc.New(noc.Params{
-		Name: mod.cname(name), Ins: ins, Outs: outs,
-		LinkBytes: mod.sys.D.FlitBytes, RouterLat: 2,
-	})
+// retireOrphan consumes a if nothing waits for it: the ACK of an L1 writeback
+// (Core == -1, produced when the write-back L1 ablation evicts dirty lines)
+// has no requester.
+func (s *System) retireOrphan(a *mem.Access) bool {
+	if a.Kind == mem.Store && a.Core == -1 {
+		s.Pool.PutAccess(a)
+		return true
+	}
+	return false
 }
 
 // wireLocalL1 connects each core to its colocated private L1 node
@@ -628,168 +574,151 @@ func (mod *Module) wireLocalL1() {
 	}
 }
 
-// wireBaselineNoC builds the 80×32 request and 32×80 reply crossbars between
-// the L1 nodes and the L2 slices.
-func (mod *Module) wireBaselineNoC() {
-	cfg := mod.sys.Cfg
-	req := mod.xbar("noc-req", cfg.Cores, cfg.L2Slices)
-	rep := mod.xbar("noc-rep", cfg.L2Slices, cfg.Cores)
-	mod.Noc2Req = []*noc.Crossbar{req}
-	mod.Noc2Rep = []*noc.Crossbar{rep}
-	mod.sys.Noc2Clk.Register(req)
-	mod.sys.Noc2Clk.Register(rep)
-	req.AttachPorts(mod.sys.Noc2Clk)
-	rep.AttachPorts(mod.sys.Noc2Clk)
-	for c := 0; c < cfg.Cores; c++ {
-		c := c
-		nd := mod.Nodes[c]
-		mod.sys.Noc2Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
-			return mod.sys.inject(req, a, c, mod.AMap.L2Slice(a.Line), reqFlits(a, mod.sys.D.FlitBytes, true))
-		}, req.InjectSpace(c)))
-		rep.SetEndpoint(c, mod.sys.sink(nd.Q4))
-		nd.Q4.Attach(mod.sys.Noc2Clk)
-	}
-	for i := 0; i < cfg.L2Slices; i++ {
-		req.SetEndpoint(i, mod.sys.sink(mod.l2in[i]))
-	}
-	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
-		dst := a.Core
-		if a.Core == cache.PrefetchCore {
-			dst = a.Node
-		}
-		return mod.sys.inject(rep, a, slice, dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
-	}, rep.InjectSpace)
+// tap is one endpoint of a stage: the port its requests travel on and the
+// port its replies travel on. An upstream tap plugs into an input of a
+// request crossbar and the same-numbered output of its reply crossbar, a
+// downstream tap the other way round.
+type tap struct {
+	req, rep *sim.Port[*mem.Access]
+	// l2 marks a downstream tap as an L2 slice, whose ingress glue and orphan
+	// ACKs the stage that reaches it looks after.
+	l2 *cache.Ctrl
 }
 
-// wireNoC1 builds NoC#1 between lite cores and DC-L1 nodes for the Private,
-// Shared, and Clustered designs.
-func (mod *Module) wireNoC1() {
-	cfg, d := mod.sys.Cfg, mod.sys.D
-	switch d.Kind {
-	case Private:
-		per := cfg.Cores / d.DCL1s
-		for n := 0; n < d.DCL1s; n++ {
-			n := n
-			req := mod.xbar(fmt.Sprintf("noc1-req-%d", n), per, 1)
-			rep := mod.xbar(fmt.Sprintf("noc1-rep-%d", n), 1, per)
-			mod.Noc1Req = append(mod.Noc1Req, req)
-			mod.Noc1Rep = append(mod.Noc1Rep, rep)
-			mod.sys.Noc1Clk.Register(req)
-			mod.sys.Noc1Clk.Register(rep)
-			req.AttachPorts(mod.sys.Noc1Clk)
-			rep.AttachPorts(mod.sys.Noc1Clk)
-			req.SetEndpoint(0, mod.sys.sink(mod.Nodes[n].Q1))
-			mod.Nodes[n].Q1.Attach(mod.sys.Noc1Clk)
+// coreTaps returns the cores as the upstream taps of NoC#1.
+func (mod *Module) coreTaps() []tap {
+	ts := make([]tap, len(mod.Cores))
+	for c, co := range mod.Cores {
+		ts[c] = tap{req: co.Out, rep: co.In}
+	}
+	return ts
+}
+
+// nodeTaps returns the L1/DC-L1 nodes as taps: their memory side (misses out
+// of Q3, fills into Q4) upstream of a stage, or their core side (requests
+// into Q1, replies out of Q2) downstream of NoC#1.
+func (mod *Module) nodeTaps(memSide bool) []tap {
+	ts := make([]tap, len(mod.Nodes))
+	for n, nd := range mod.Nodes {
+		if memSide {
+			ts[n] = tap{req: nd.Q3, rep: nd.Q4}
+		} else {
+			ts[n] = tap{req: nd.Q1, rep: nd.Q2}
 		}
-		for c := 0; c < cfg.Cores; c++ {
-			c := c
-			n := c / per
-			req := mod.Noc1Req[n]
-			src := c % per
-			mod.sys.Noc1Clk.Register(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
-				return mod.sys.inject(req, a, src, 0, reqFlits(a, d.FlitBytes, false))
-			}, req.InjectSpace(src)))
-			mod.Noc1Rep[n].SetEndpoint(src, mod.sys.sink(mod.Cores[c].In))
-			mod.Cores[c].In.Attach(mod.sys.Noc1Clk)
+	}
+	return ts
+}
+
+// edge is what a crossbar stage connects and how it routes.
+type edge struct {
+	ups, downs []tap
+	// striped deals tap k of either side to crossbar k mod Count, port
+	// k / Count (the address-sliced stage in front of the L2, Fig 10);
+	// otherwise each crossbar takes the next Ins upstream and Outs downstream
+	// taps in order.
+	striped bool
+	// forward picks the request crossbar's output for access a entering at
+	// upstream tap up; back picks the reply crossbar's output for a reply.
+	forward func(up int, a *mem.Access) int
+	back    func(a *mem.Access) int
+	// toCore marks the stage between cores and DC-L1 nodes: stores carry only
+	// the written bytes and load replies may be trimmed (flits.go). Every
+	// other stage moves whole lines.
+	toCore bool
+}
+
+// asker returns the L1/DC-L1 node a reply from the memory side is for: the
+// node that prefetched the line, else the home of the requesting core.
+func (mod *Module) asker(a *mem.Access) int {
+	if a.Core == cache.PrefetchCore {
+		return a.Node
+	}
+	return mod.Map.Home(a.Core, a.Line)
+}
+
+// memEdge is the edge of the stage that reaches the L2 slices: crossbar j
+// serves the slices with slice mod Count = j. A reply finds its port from the
+// node that asked, nodesPerPort consecutive nodes sharing one.
+func (mod *Module) memEdge(st Stage, ups []tap, nodesPerPort int) edge {
+	downs := make([]tap, len(mod.L2))
+	for i, l2 := range mod.L2 {
+		downs[i] = tap{req: mod.l2in[i], rep: l2.Out, l2: l2}
+	}
+	return edge{
+		ups: ups, downs: downs, striped: true,
+		forward: func(_ int, a *mem.Access) int { return mod.AMap.L2Slice(a.Line) / st.Count },
+		back:    func(a *mem.Access) int { return mod.asker(a) / nodesPerPort },
+	}
+}
+
+// wireStage builds one crossbar stage and plugs the edge's taps into it: per
+// upstream tap a pump injecting its requests (asleep while the crossbar input
+// it is refused at has no credit) and the sink delivering its replies; per
+// downstream tap the sink delivering its requests and a pump injecting its
+// replies. Every port a sink feeds is produced on the stage's clock.
+func (mod *Module) wireStage(st Stage, e edge) {
+	s := mod.sys
+	clk := s.clock(st.Net)
+	b := s.buildStage(st, mod.prefix)
+	mod.Stages = append(mod.Stages, b)
+	// The pumps outlive the build: they capture what they use, not the edge.
+	forward, back, flit, toCore, trim := e.forward, e.back, st.FlitBytes, e.toCore, *s.D.TrimReplies
+	// seat finds tap k's crossbar and port on a side width ports wide.
+	seat := func(k, width int) (xbar, port int) {
+		if e.striped {
+			return k % st.Count, k / st.Count
 		}
-		for n := 0; n < d.DCL1s; n++ {
-			n := n
-			rep := mod.Noc1Rep[n]
-			mod.sys.Noc1Clk.Register(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
-				return mod.sys.inject(rep, a, 0, a.Core%per, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}, rep.InjectSpace(0)))
+		return k / width, k % width
+	}
+	for k, u := range e.ups {
+		i, port := seat(k, st.Ins)
+		req := b.Req[i]
+		clk.Register(pump(u.req, pumpRate, func(a *mem.Access) bool {
+			return s.inject(req, a, port, forward(k, a), reqFlits(a, flit, !toCore))
+		}, req.InjectSpace(port)))
+		b.Rep[i].SetEndpoint(port, s.sink(u.rep))
+		u.rep.Attach(clk)
+	}
+	for k, d := range e.downs {
+		i, port := seat(k, st.Outs)
+		b.Req[i].SetEndpoint(port, s.sink(d.req))
+		d.req.Attach(clk)
+		if d.l2 != nil {
+			clk.Register(pump(d.req, pumpRate, d.l2.In.Push, d.l2.In.SpaceRef()))
 		}
-	case Shared:
-		// Noc1Clk namespace: the two crossbar hubs get groups 0/1, each
-		// core-side pump 2+c, each node-side pump 2+Cores+n; ports follow
-		// their producers (inj ports the pumps, sink-fed queues the hub).
-		req := mod.xbar("noc1-req", cfg.Cores, d.DCL1s)
-		rep := mod.xbar("noc1-rep", d.DCL1s, cfg.Cores)
-		mod.Noc1Req = []*noc.Crossbar{req}
-		mod.Noc1Rep = []*noc.Crossbar{rep}
-		mod.sys.Noc1Clk.Register(req)
-		mod.sys.Noc1Clk.Register(rep)
-		req.AttachPorts(mod.sys.Noc1Clk)
-		rep.AttachPorts(mod.sys.Noc1Clk)
-		for c := 0; c < cfg.Cores; c++ {
-			c := c
-			mod.sys.Noc1Clk.Register(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
-				return mod.sys.inject(req, a, c, mod.Map.Home(c, a.Line), reqFlits(a, d.FlitBytes, false))
-			}, req.InjectSpace(c)))
-			rep.SetEndpoint(c, mod.sys.sink(mod.Cores[c].In))
-			mod.Cores[c].In.Attach(mod.sys.Noc1Clk)
-		}
-		for n := 0; n < d.DCL1s; n++ {
-			n := n
-			req.SetEndpoint(n, mod.sys.sink(mod.Nodes[n].Q1))
-			mod.Nodes[n].Q1.Attach(mod.sys.Noc1Clk)
-			mod.sys.Noc1Clk.Register(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
-				return mod.sys.inject(rep, a, n, a.Core, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}, rep.InjectSpace(n)))
-		}
-	case Clustered:
-		z := d.Clusters
-		m := d.DCL1s / z
-		coresPer := cfg.Cores / z
-		for cl := 0; cl < z; cl++ {
-			cl := cl
-			req := mod.xbar(fmt.Sprintf("noc1-req-%d", cl), coresPer, m)
-			rep := mod.xbar(fmt.Sprintf("noc1-rep-%d", cl), m, coresPer)
-			mod.Noc1Req = append(mod.Noc1Req, req)
-			mod.Noc1Rep = append(mod.Noc1Rep, rep)
-			mod.sys.Noc1Clk.Register(req)
-			mod.sys.Noc1Clk.Register(rep)
-			req.AttachPorts(mod.sys.Noc1Clk)
-			rep.AttachPorts(mod.sys.Noc1Clk)
-			for j := 0; j < m; j++ {
-				req.SetEndpoint(j, mod.sys.sink(mod.Nodes[cl*m+j].Q1))
-				mod.Nodes[cl*m+j].Q1.Attach(mod.sys.Noc1Clk)
+		rep := b.Rep[i]
+		clk.Register(pump(d.rep, pumpRate, func(a *mem.Access) bool {
+			if d.l2 != nil && s.retireOrphan(a) {
+				return true
 			}
-		}
-		for c := 0; c < cfg.Cores; c++ {
-			c := c
-			cl := c / coresPer
-			req := mod.Noc1Req[cl]
-			mod.sys.Noc1Clk.Register(pump(mod.Cores[c].Out, pumpRate, func(a *mem.Access) bool {
-				local := mod.Map.Home(c, a.Line) - cl*m
-				return mod.sys.inject(req, a, c%coresPer, local, reqFlits(a, d.FlitBytes, false))
-			}, req.InjectSpace(c%coresPer)))
-			mod.Noc1Rep[cl].SetEndpoint(c%coresPer, mod.sys.sink(mod.Cores[c].In))
-			mod.Cores[c].In.Attach(mod.sys.Noc1Clk)
-		}
-		for n := 0; n < d.DCL1s; n++ {
-			n := n
-			cl := n / m
-			rep := mod.Noc1Rep[cl]
-			mod.sys.Noc1Clk.Register(pump(mod.Nodes[n].Q2, pumpRate, func(a *mem.Access) bool {
-				return mod.sys.inject(rep, a, n%m, a.Core%coresPer, replyFlits(a, d.FlitBytes, true, *d.TrimReplies))
-			}, rep.InjectSpace(n%m)))
-		}
+			return s.inject(rep, a, port, back(a), replyFlits(a, flit, toCore, trim))
+		}, rep.InjectSpace(port)))
 	}
 }
 
 // wireSingleL1 connects all cores directly to one aggregated L1 node and the
 // node directly to the L2 slices (Section II-C hypothetical: total L1
 // capacity AND bandwidth preserved, no NoC contention modeled — the study
-// isolates the capacity effect of eliminating replication).
+// isolates the capacity effect of eliminating replication). Its two rows are
+// recorded as built stages holding no network.
 func (mod *Module) wireSingleL1() {
+	for _, st := range mod.sys.Topo.Stages[:2] {
+		mod.Stages = append(mod.Stages, &BuiltStage{Stage: st})
+	}
 	nd := mod.Nodes[0]
+	outs := make([]*sim.Port[*mem.Access], len(mod.Cores))
+	ins := make([]*sim.Port[*mem.Access], len(mod.Cores))
+	for c, co := range mod.Cores {
+		outs[c], ins[c] = co.Out, co.In
+		co.In.Attach(mod.sys.CoreClk)
+	}
 	// Every core's Out feeds the one node's Q1, so the fan-in must be a
 	// single composite pump: an attached port has exactly one producer.
-	outs := make([]*sim.Port[*mem.Access], mod.sys.Cfg.Cores)
-	for c, co := range mod.Cores {
-		outs[c] = co.Out
-	}
 	mod.sys.CoreClk.Register(&multiPump{
 		srcs: outs, rate: pumpRate, try: nd.Q1.Push, space: []sim.PortRef{nd.Q1.SpaceRef()},
 	})
 	nd.Q1.Attach(mod.sys.CoreClk)
 	// Replies demultiplex back to cores by Access.Core.
-	ins := make([]*sim.Port[*mem.Access], len(mod.Cores))
-	for c, co := range mod.Cores {
-		ins[c] = co.In
-		co.In.Attach(mod.sys.CoreClk)
-	}
 	mod.sys.CoreClk.Register(pump(nd.Q2, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
 		return mod.Cores[a.Core].In.Push(a)
 	}, spaceRefs(ins)...))
@@ -799,228 +728,17 @@ func (mod *Module) wireSingleL1() {
 	}, spaceRefs(mod.l2in)...))
 	// L2 side: per-slice l2in→L2.In pumps, plus one composite pump over all
 	// L2 outputs into the node's Q4 (again a single producer), consuming
-	// orphan writeback ACKs as wireL2Replies does for the NoC designs.
+	// orphan writeback ACKs as wireStage does for the NoC designs.
 	l2outs := make([]*sim.Port[*mem.Access], len(mod.L2))
 	for i := range mod.L2 {
+		mod.l2in[i].Attach(mod.sys.Noc2Clk)
 		mod.sys.Noc2Clk.Register(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()))
 		l2outs[i] = mod.L2[i].Out
 	}
 	mod.sys.Noc2Clk.Register(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
-		if a.Kind == mem.Store && a.Core == -1 {
-			mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
-			return true
-		}
-		return nd.Q4.Push(a)
+		return mod.sys.retireOrphan(a) || nd.Q4.Push(a)
 	}, space: []sim.PortRef{nd.Q4.SpaceRef()}})
 	nd.Q4.Attach(mod.sys.Noc2Clk)
-}
-
-// wireNoC2Flat builds the single Y×L2 request / L2×Y reply crossbars used by
-// Private, Shared, and SingleL1 designs.
-func (mod *Module) wireNoC2Flat() {
-	cfg := mod.sys.Cfg
-	y := nodeCount(cfg, mod.sys.D)
-	req := mod.xbar("noc2-req", y, cfg.L2Slices)
-	rep := mod.xbar("noc2-rep", cfg.L2Slices, y)
-	mod.Noc2Req = []*noc.Crossbar{req}
-	mod.Noc2Rep = []*noc.Crossbar{rep}
-	mod.sys.Noc2Clk.Register(req)
-	mod.sys.Noc2Clk.Register(rep)
-	req.AttachPorts(mod.sys.Noc2Clk)
-	rep.AttachPorts(mod.sys.Noc2Clk)
-	for n := 0; n < y; n++ {
-		n := n
-		mod.sys.Noc2Clk.Register(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
-			return mod.sys.inject(req, a, n, mod.AMap.L2Slice(a.Line), reqFlits(a, mod.sys.D.FlitBytes, true))
-		}, req.InjectSpace(n)))
-		rep.SetEndpoint(n, mod.sys.sink(mod.Nodes[n].Q4))
-		mod.Nodes[n].Q4.Attach(mod.sys.Noc2Clk)
-	}
-	for i := 0; i < cfg.L2Slices; i++ {
-		req.SetEndpoint(i, mod.sys.sink(mod.l2in[i]))
-	}
-	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
-		dst := mod.Map.Home(a.Core, a.Line)
-		if a.Core == cache.PrefetchCore {
-			dst = a.Node
-		}
-		return mod.sys.inject(rep, a, slice, dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
-	}, rep.InjectSpace)
-}
-
-// wireNoC2Clustered builds the M crossbars of Z×(L2/M) in NoC#2 (Fig 10).
-func (mod *Module) wireNoC2Clustered() {
-	cfg, d := mod.sys.Cfg, mod.sys.D
-	z := d.Clusters
-	m := d.DCL1s / z
-	o := cfg.L2Slices / m
-	for j := 0; j < m; j++ {
-		j := j
-		req := mod.xbar(fmt.Sprintf("noc2-req-%d", j), z, o)
-		rep := mod.xbar(fmt.Sprintf("noc2-rep-%d", j), o, z)
-		mod.Noc2Req = append(mod.Noc2Req, req)
-		mod.Noc2Rep = append(mod.Noc2Rep, rep)
-		mod.sys.Noc2Clk.Register(req)
-		mod.sys.Noc2Clk.Register(rep)
-		req.AttachPorts(mod.sys.Noc2Clk)
-		rep.AttachPorts(mod.sys.Noc2Clk)
-		// Output ports: L2 slices with slice%m == j, indexed by slice/m.
-		for k := 0; k < o; k++ {
-			req.SetEndpoint(k, mod.sys.sink(mod.l2in[k*m+j]))
-		}
-	}
-	for n := 0; n < d.DCL1s; n++ {
-		n := n
-		cl := n / m
-		j := n % m
-		req := mod.Noc2Req[j]
-		mod.sys.Noc2Clk.Register(pump(mod.Nodes[n].Q3, pumpRate, func(a *mem.Access) bool {
-			slice := mod.AMap.L2Slice(a.Line)
-			return mod.sys.inject(req, a, cl, slice/m, reqFlits(a, d.FlitBytes, true))
-		}, req.InjectSpace(cl)))
-		mod.Noc2Rep[j].SetEndpoint(cl, mod.sys.sink(mod.Nodes[n].Q4))
-		mod.Nodes[n].Q4.Attach(mod.sys.Noc2Clk)
-	}
-	cmap := mod.Map.(dcl1.ClusteredMap)
-	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
-		j := slice % m
-		dst := cmap.Cluster(a.Core)
-		if a.Core == cache.PrefetchCore {
-			dst = a.Node / m
-		}
-		return mod.sys.inject(mod.Noc2Rep[j], a, slice/m, dst, replyFlits(a, d.FlitBytes, false, false))
-	}, func(slice int) sim.PortRef { return mod.Noc2Rep[slice%m].InjectSpace(slice / m) })
-}
-
-// wireCDXBarNoC builds the hierarchical two-stage crossbar (Fig 19a study):
-// stage 1 concentrates groups of cores onto mid links, stage 2 crosses to
-// the L2 slices. Private L1s remain in the cores.
-func (mod *Module) wireCDXBarNoC() {
-	cfg, d := mod.sys.Cfg, mod.sys.D
-	g := d.CDXGroups
-	mid := d.CDXMid
-	per := cfg.Cores / g
-	o := cfg.L2Slices / mid
-	midReq := make([][]*sim.Port[*mem.Access], g)
-	midRep := make([][]*sim.Port[*mem.Access], g)
-	for i := range midReq {
-		midReq[i] = make([]*sim.Port[*mem.Access], mid)
-		midRep[i] = make([]*sim.Port[*mem.Access], mid)
-		for j := range midReq[i] {
-			midReq[i][j] = sim.NewPort[*mem.Access](4)
-			midRep[i][j] = sim.NewPort[*mem.Access](4)
-		}
-	}
-	// Stage 1 (per group): per×mid request, mid×per reply. Runs on Noc1Clk
-	// so CDXBar+2xNoC1 boosts only this stage.
-	var s1req, s1rep []*noc.Crossbar
-	for gi := 0; gi < g; gi++ {
-		gi := gi
-		req := mod.xbar(fmt.Sprintf("cdx-s1-req-%d", gi), per, mid)
-		rep := mod.xbar(fmt.Sprintf("cdx-s1-rep-%d", gi), mid, per)
-		s1req = append(s1req, req)
-		s1rep = append(s1rep, rep)
-		mod.sys.Noc1Clk.Register(req)
-		mod.sys.Noc1Clk.Register(rep)
-		req.AttachPorts(mod.sys.Noc1Clk)
-		rep.AttachPorts(mod.sys.Noc1Clk)
-		for j := 0; j < mid; j++ {
-			req.SetEndpoint(j, mod.sys.sink(midReq[gi][j]))
-			midReq[gi][j].Attach(mod.sys.Noc1Clk)
-		}
-	}
-	mod.Noc1Req = s1req
-	mod.Noc1Rep = s1rep
-	// Stage 2: mid crossbars of g×o request, o×g reply, on Noc2Clk.
-	var s2req, s2rep []*noc.Crossbar
-	for j := 0; j < mid; j++ {
-		j := j
-		req := mod.xbar(fmt.Sprintf("cdx-s2-req-%d", j), g, o)
-		rep := mod.xbar(fmt.Sprintf("cdx-s2-rep-%d", j), o, g)
-		s2req = append(s2req, req)
-		s2rep = append(s2rep, rep)
-		mod.sys.Noc2Clk.Register(req)
-		mod.sys.Noc2Clk.Register(rep)
-		req.AttachPorts(mod.sys.Noc2Clk)
-		rep.AttachPorts(mod.sys.Noc2Clk)
-		for k := 0; k < o; k++ {
-			req.SetEndpoint(k, mod.sys.sink(mod.l2in[k*mid+j]))
-		}
-	}
-	mod.Noc2Req = s2req
-	mod.Noc2Rep = s2rep
-	// Core L1 nodes inject into stage 1; mid queues pump into stage 2.
-	for c := 0; c < cfg.Cores; c++ {
-		c := c
-		gi := c / per
-		nd := mod.Nodes[c]
-		req := s1req[gi]
-		mod.sys.Noc1Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
-			slice := mod.AMap.L2Slice(a.Line)
-			return mod.sys.inject(req, a, c%per, slice%mid, reqFlits(a, d.FlitBytes, true))
-		}, req.InjectSpace(c%per)))
-		s1rep[gi].SetEndpoint(c%per, mod.sys.sink(nd.Q4))
-		nd.Q4.Attach(mod.sys.Noc1Clk)
-	}
-	for gi := 0; gi < g; gi++ {
-		gi := gi
-		for j := 0; j < mid; j++ {
-			j := j
-			req2 := s2req[j]
-			mod.sys.Noc2Clk.Register(pump(midReq[gi][j], pumpRate, func(a *mem.Access) bool {
-				slice := mod.AMap.L2Slice(a.Line)
-				return mod.sys.inject(req2, a, gi, slice/mid, reqFlits(a, d.FlitBytes, true))
-			}, req2.InjectSpace(gi)))
-			rep1 := s1rep[gi]
-			mod.sys.Noc1Clk.Register(pump(midRep[gi][j], pumpRate, func(a *mem.Access) bool {
-				who := a.Core
-				if a.Core == cache.PrefetchCore {
-					who = a.Node
-				}
-				return mod.sys.inject(rep1, a, j, who%per, replyFlits(a, d.FlitBytes, false, false))
-			}, rep1.InjectSpace(j)))
-		}
-	}
-	for j := 0; j < mid; j++ {
-		j := j
-		for gi := 0; gi < g; gi++ {
-			s2rep[j].SetEndpoint(gi, mod.sys.sink(midRep[gi][j]))
-			midRep[gi][j].Attach(mod.sys.Noc2Clk)
-		}
-	}
-	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
-		j := slice % mid
-		who := a.Core
-		if a.Core == cache.PrefetchCore {
-			who = a.Node
-		}
-		gi := who / per
-		return mod.sys.inject(s2rep[j], a, slice/mid, gi, replyFlits(a, d.FlitBytes, false, false))
-	}, func(slice int) sim.PortRef { return s2rep[slice%mid].InjectSpace(slice / mid) })
-}
-
-// wireL2Replies registers, for every L2 slice: the l2in→L2.In pump and the
-// L2.Out→reply-network pump using the supplied injector, whose refusals wait
-// for space(slice) — the reply network's input for that slice (nil: the
-// network names none, and the pump polls). ACKs for L1 writebacks (Core ==
-// -1, produced when the write-back L1 ablation evicts dirty lines) have no
-// requester and are consumed here.
-func (mod *Module) wireL2Replies(inject func(a *mem.Access, slice int) bool, space func(slice int) sim.PortRef) {
-	for i := range mod.L2 {
-		i := i
-		var waits []sim.PortRef
-		if space != nil {
-			waits = []sim.PortRef{space(i)}
-		}
-		mod.sys.Noc2Clk.Register(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()))
-		mod.sys.Noc2Clk.Register(pump(mod.L2[i].Out, pumpRate, func(a *mem.Access) bool {
-			if a.Kind == mem.Store && a.Core == -1 {
-				mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
-				return true
-			}
-			return inject(a, i)
-		}, waits...))
-	}
 }
 
 // wireMemSide connects L2 miss queues to the DRAM channels and routes DRAM
@@ -1057,7 +775,6 @@ func (mod *Module) wireMemSide() {
 			dc.In.Attach(mod.sys.Noc2Clk)
 			continue
 		}
-		ch, dc := ch, dc
 		// Local slices first (in slice order, as in the single-module build),
 		// then the link ingress; every locally originated miss is stamped with
 		// the module so its fill can find the way home.
@@ -1083,18 +800,12 @@ func (mod *Module) wireMemSide() {
 		mod.linkMissOut[ch].Attach(mod.sys.Noc2Clk)
 	}
 	for ch, dc := range mod.Drams {
-		dc := dc
 		if !multi {
 			mod.sys.MemClk.Register(pump(dc.Out, pumpRate, func(a *mem.Access) bool {
-				if a.Kind == mem.Store && a.Core == -1 {
-					mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
-					return true
-				}
-				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
+				return mod.sys.retireOrphan(a) || mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
 			}, spaceRefs(fillByCh[ch])...))
 			continue
 		}
-		ch := ch
 		// DRAM output first, then fills arriving over the link; orphan
 		// writeback ACKs retire at the home module (nothing waits for them),
 		// remote-origin fills divert to the link egress.
@@ -1102,8 +813,7 @@ func (mod *Module) wireMemSide() {
 			srcs: []*sim.Port[*mem.Access]{dc.Out, mod.linkFillIn[ch]},
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
-				if a.Kind == mem.Store && a.Core == -1 {
-					mod.sys.Pool.PutAccess(a) // orphan writeback ACK: drop and retire
+				if mod.sys.retireOrphan(a) {
 					return true
 				}
 				if a.Module != mod.AMap.Module {

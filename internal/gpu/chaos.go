@@ -38,7 +38,7 @@ func (s *System) InstallChaos(spec *chaos.Spec) error {
 	for _, mod := range s.Mods {
 		mod.armChaos(norm, next)
 	}
-	for _, x := range s.linkXbars() {
+	for _, x := range s.Link.crossbars() {
 		in := chaos.New(norm, chaos.KindNoC, next[chaos.KindNoC], x.P.Name)
 		next[chaos.KindNoC]++
 		s.linkInjectors = append(s.linkInjectors, in)
@@ -65,8 +65,10 @@ func (mod *Module) armChaos(norm *chaos.Spec, next map[chaos.Kind]int) {
 	for _, l2 := range mod.L2 {
 		l2.Chaos = add(chaos.KindL2, l2.P.Name)
 	}
-	for _, x := range mod.crossbars() {
-		x.Chaos = add(chaos.KindNoC, x.P.Name)
+	for _, st := range mod.Stages {
+		for _, x := range st.crossbars() {
+			x.Chaos = add(chaos.KindNoC, x.P.Name)
+		}
 	}
 	for _, dc := range mod.Drams {
 		dc.Chaos = add(chaos.KindDram, dc.P.Name)

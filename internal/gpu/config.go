@@ -220,7 +220,7 @@ type Design struct {
 
 func (d Design) withDefaults(cfg Config) Design {
 	if d.DCL1s <= 0 {
-		d.DCL1s = cfg.Cores / 2
+		d.DCL1s = max(1, cfg.Cores/2)
 	}
 	if d.Clusters <= 0 {
 		d.Clusters = 1

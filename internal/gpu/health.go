@@ -9,7 +9,6 @@ import (
 	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/health"
 	"dcl1sim/internal/metrics"
-	"dcl1sim/internal/noc"
 	"dcl1sim/internal/power"
 	"dcl1sim/internal/sim"
 	"dcl1sim/internal/workload"
@@ -183,26 +182,18 @@ func (mod *Module) contributeMonitor(m *health.Monitor) {
 			return false
 		},
 	})
+	var flits []func() int64
+	for _, st := range mod.Stages {
+		flits = append(flits, st.traffic()...)
+	}
 	m.AddProbe(health.Probe{
-		Name: mod.cname("noc"),
-		Sample: func() int64 {
-			var v int64
-			for _, x := range mod.crossbars() {
-				v += x.Stat.FlitsMoved
-			}
-			if mod.MeshReq != nil {
-				v += mod.MeshReq.Stat.FlitHops + mod.MeshRep.Stat.FlitHops
-			}
-			return v
-		},
+		Name:   mod.cname("noc"),
+		Sample: sum(flits),
 		Busy: func() bool {
-			for _, x := range mod.crossbars() {
-				if x.Pending() > 0 {
+			for _, st := range mod.Stages {
+				if st.pending() {
 					return true
 				}
-			}
-			if mod.MeshReq != nil && (mod.MeshReq.Pending() > 0 || mod.MeshRep.Pending() > 0) {
-				return true
 			}
 			return false
 		},
@@ -248,25 +239,9 @@ func (mod *Module) contributeMonitor(m *health.Monitor) {
 		m.AddChecker(dc)
 		m.AddDumper(dc.DumpHealth)
 	}
-	for _, x := range mod.crossbars() {
-		m.AddChecker(x)
-		m.AddDumper(x.DumpHealth)
+	for _, st := range mod.Stages {
+		st.watch(m)
 	}
-	if mod.MeshReq != nil {
-		m.AddChecker(mod.MeshReq)
-		m.AddDumper(mod.MeshReq.DumpHealth)
-		m.AddChecker(mod.MeshRep)
-		m.AddDumper(mod.MeshRep.DumpHealth)
-	}
-}
-
-// crossbars returns every crossbar of the module, NoC#1 then NoC#2.
-func (mod *Module) crossbars() []*noc.Crossbar {
-	var out []*noc.Crossbar
-	for _, group := range [][]*noc.Crossbar{mod.Noc1Req, mod.Noc1Rep, mod.Noc2Req, mod.Noc2Rep} {
-		out = append(out, group...)
-	}
-	return out
 }
 
 // RunChecked executes this machine's warmup and measurement windows under the

@@ -123,6 +123,18 @@ func TestNewSystemCheckedValidation(t *testing.T) {
 	if _, err := NewSystemChecked(testCfg(), Design{Kind: Baseline}, sharingApp()); err != nil {
 		t.Errorf("valid system rejected: %v", err)
 	}
+	// One core: the default DC-L1 count is 1, not Cores/2 = 0, so the checked
+	// doors answer with a machine or a plain error — they used to divide by
+	// zero in Validate, ahead of the recover barrier.
+	one := Config{Cores: 1, L2Slices: 1, Channels: 1, L1KB: 4, L2KB: 32, WarmupCycles: 200, MeasureCycles: 400}
+	for _, k := range []DesignKind{Private, Shared} {
+		if r, err := RunChecked(one, Design{Kind: k}, sharingApp(), HealthOptions{}); err != nil || r.IPC <= 0 {
+			t.Errorf("1-core %s: IPC %v, err %v; want a run", Design{Kind: k, DCL1s: 1}.Name(), r.IPC, err)
+		}
+	}
+	if _, err := NewSystemChecked(one, Design{Kind: CDXBar}, sharingApp()); err == nil {
+		t.Error("1-core CDXBar with 10 groups accepted")
+	}
 }
 
 func TestDesignValidate(t *testing.T) {
@@ -135,6 +147,12 @@ func TestDesignValidate(t *testing.T) {
 	}
 	if err := (Design{Kind: Clustered, DCL1s: 4, Clusters: 3}).Validate(cfg); err == nil {
 		t.Error("Sh4+C3 accepted")
+	}
+	one := Config{Cores: 1, L2Slices: 1, Channels: 1}
+	for _, k := range []DesignKind{Private, Shared, Clustered} {
+		if err := (Design{Kind: k}).Validate(one); err != nil {
+			t.Errorf("1-core default %s rejected: %v", k, err)
+		}
 	}
 }
 

@@ -89,10 +89,10 @@ func TestCDXBarTwoStageDelivers(t *testing.T) {
 	}
 	// Both stages must carry traffic.
 	var s1, s2 int64
-	for _, x := range s.Mods[0].Noc1Req {
+	for _, x := range s.Mods[0].Stages[0].Req {
 		s1 += x.Stat.FlitsMoved
 	}
-	for _, x := range s.Mods[0].Noc2Req {
+	for _, x := range s.Mods[0].Stages[1].Req {
 		s2 += x.Stat.FlitsMoved
 	}
 	if s1 == 0 || s2 == 0 {

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"dcl1sim/internal/cache"
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/noc"
 )
@@ -21,42 +20,42 @@ func meshShape(nodes int) (w, h int) {
 	return w, h
 }
 
-func (mod *Module) wireMeshNoC() {
-	cfg := mod.sys.Cfg
-	total := cfg.Cores + cfg.L2Slices
-	w, h := meshShape(total)
-	mk := func(name string) *noc.Mesh {
-		return noc.NewMesh(noc.MeshParams{
-			Name: mod.cname(name), W: w, H: h, LinkBytes: mod.sys.D.FlitBytes,
+// wireMeshNoC builds the mesh stage: one request and one reply mesh,
+// hand-wired because a mesh has one network per direction, addressed by grid
+// node, where a crossbar stage has Count of them.
+func (mod *Module) wireMeshNoC(st Stage) {
+	s, cfg := mod.sys, mod.sys.Cfg
+	clk := s.clock(st.Net)
+	w, h := meshShape(st.Count)
+	mk := func(dir string) *noc.Mesh {
+		m := noc.NewMesh(noc.MeshParams{
+			Name: mod.cname(st.xbarName(dir, 0)), W: w, H: h, LinkBytes: st.FlitBytes,
 		})
+		clk.Register(m)
+		return m
 	}
-	req := mk("mesh-req")
-	rep := mk("mesh-rep")
-	mod.MeshReq, mod.MeshRep = req, rep
-	mod.sys.Noc2Clk.Register(req)
-	mod.sys.Noc2Clk.Register(rep)
-	req.AttachPorts(mod.sys.Noc2Clk)
-	rep.AttachPorts(mod.sys.Noc2Clk)
+	req, rep := mk("req"), mk("rep")
+	mod.Stages = append(mod.Stages, &BuiltStage{Stage: st, MeshReq: req, MeshRep: rep})
+	req.AttachPorts(clk)
+	rep.AttachPorts(clk)
 
 	l2Node := func(slice int) int { return cfg.Cores + slice }
 
-	for c := 0; c < cfg.Cores; c++ {
-		c := c
-		nd := mod.Nodes[c]
-		mod.sys.Noc2Clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
-			return mod.sys.inject(req, a, c, l2Node(mod.AMap.L2Slice(a.Line)), reqFlits(a, mod.sys.D.FlitBytes, true))
+	for c, nd := range mod.Nodes {
+		clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+			return s.inject(req, a, c, l2Node(mod.AMap.L2Slice(a.Line)), reqFlits(a, st.FlitBytes, true))
 		}))
-		rep.SetEndpoint(c, mod.sys.sink(nd.Q4))
-		nd.Q4.Attach(mod.sys.Noc2Clk)
+		rep.SetEndpoint(c, s.sink(nd.Q4))
+		nd.Q4.Attach(clk)
 	}
-	for i := 0; i < cfg.L2Slices; i++ {
-		req.SetEndpoint(l2Node(i), mod.sys.sink(mod.l2in[i]))
+	// The mesh names no injection space, so the reply pumps poll.
+	for i, l2 := range mod.L2 {
+		req.SetEndpoint(l2Node(i), s.sink(mod.l2in[i]))
+		mod.l2in[i].Attach(clk)
+		clk.Register(pump(mod.l2in[i], pumpRate, l2.In.Push, l2.In.SpaceRef()))
+		clk.Register(pump(l2.Out, pumpRate, func(a *mem.Access) bool {
+			return s.retireOrphan(a) ||
+				s.inject(rep, a, l2Node(i), mod.asker(a), replyFlits(a, st.FlitBytes, false, false))
+		}))
 	}
-	mod.wireL2Replies(func(a *mem.Access, slice int) bool {
-		dst := a.Core
-		if a.Core == cache.PrefetchCore {
-			dst = a.Node
-		}
-		return mod.sys.inject(rep, a, l2Node(slice), dst, replyFlits(a, mod.sys.D.FlitBytes, false, false))
-	}, nil)
 }

@@ -39,7 +39,7 @@ func TestMeshBaseDrains(t *testing.T) {
 			}
 		}
 		if done {
-			if s.Mods[0].MeshReq.Pending() != 0 || s.Mods[0].MeshRep.Pending() != 0 {
+			if s.Mods[0].Stages[0].pending() {
 				t.Fatal("mesh retained packets after drain")
 			}
 			return

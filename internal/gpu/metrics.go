@@ -6,7 +6,6 @@ import (
 
 	"dcl1sim/internal/core"
 	"dcl1sim/internal/metrics"
-	"dcl1sim/internal/noc"
 	"dcl1sim/internal/power"
 )
 
@@ -33,21 +32,8 @@ func (mod *Module) registerMetrics() {
 	for _, dc := range mod.Drams {
 		dc.RegisterMetrics(r, dc.P.Name, "mem")
 	}
-	for _, x := range mod.Noc1Req {
-		x.RegisterMetrics(r, "noc1", "noc1", false)
-	}
-	for _, x := range mod.Noc1Rep {
-		x.RegisterMetrics(r, "noc1", "noc1", true)
-	}
-	for _, x := range mod.Noc2Req {
-		x.RegisterMetrics(r, "noc2", "noc2", false)
-	}
-	for _, x := range mod.Noc2Rep {
-		x.RegisterMetrics(r, "noc2", "noc2", true)
-	}
-	if mod.MeshReq != nil {
-		mod.MeshReq.RegisterMetrics(r, mod.cname("mesh-req"), "noc2", "noc2")
-		mod.MeshRep.RegisterMetrics(r, mod.cname("mesh-rep"), "noc2", "noc2")
+	for _, st := range mod.Stages {
+		st.registerMetrics(r)
 	}
 
 	r.Gauge(mod.cname("tracker"), "core", "l1_replicas_mean",
@@ -81,10 +67,10 @@ func (mod *Module) registerMetrics() {
 }
 
 // buildZones assembles the NVML-style power zones from component counters:
-// the compute side (cores + L1/DC-L1 + NoC#1), the memory side (L2 + DRAM +
-// NoC#2, with the mesh standing in for NoC#2 on MeshBase), and the whole
-// module. Term closures capture stats-field addresses, which survive the
-// warmup reset (it zeroes structs in place).
+// the compute side (cores + L1/DC-L1 + the stages on the NoC#1 clock), the
+// memory side (L2 + DRAM + the stages on the NoC#2 clock, the mesh among
+// them), and the whole module. Term closures capture stats-field addresses,
+// which survive the warmup reset (it zeroes structs in place).
 func (mod *Module) buildZones() []power.Zone {
 	var gpuTerms, memTerms []power.ZoneTerm
 	for _, c := range mod.Cores {
@@ -97,13 +83,6 @@ func (mod *Module) buildZones() []power.Zone {
 		gpuTerms = append(gpuTerms, power.ZoneTerm{
 			Energy: power.EnergyPerL1Access, Count: func() int64 { return st.Accesses }})
 	}
-	noc1 := append(append([]*noc.Crossbar{}, mod.Noc1Req...), mod.Noc1Rep...)
-	for _, x := range noc1 {
-		st := &x.Stat
-		gpuTerms = append(gpuTerms, power.ZoneTerm{
-			Energy: power.EnergyPerNoc1Flit, Count: func() int64 { return st.FlitsMoved }})
-	}
-
 	for _, l2 := range mod.L2 {
 		st := &l2.Stat
 		memTerms = append(memTerms, power.ZoneTerm{
@@ -115,16 +94,14 @@ func (mod *Module) buildZones() []power.Zone {
 			power.ZoneTerm{Energy: power.EnergyPerDramAccess, Count: func() int64 { return st.Reads + st.Writes }},
 			power.ZoneTerm{Energy: power.EnergyPerDramRefresh, Count: func() int64 { return st.Refreshes }})
 	}
-	noc2 := append(append([]*noc.Crossbar{}, mod.Noc2Req...), mod.Noc2Rep...)
-	for _, x := range noc2 {
-		st := &x.Stat
-		memTerms = append(memTerms, power.ZoneTerm{
-			Energy: power.EnergyPerNoc2Flit, Count: func() int64 { return st.FlitsMoved }})
-	}
-	if mod.MeshReq != nil {
-		req, rep := &mod.MeshReq.Stat, &mod.MeshRep.Stat
-		memTerms = append(memTerms, power.ZoneTerm{
-			Energy: power.EnergyPerNoc2Flit, Count: func() int64 { return req.FlitHops + rep.FlitHops }})
+	for _, st := range mod.Stages {
+		for _, flits := range st.traffic() {
+			if st.Net == NetNoC1 {
+				gpuTerms = append(gpuTerms, power.ZoneTerm{Energy: power.EnergyPerNoc1Flit, Count: flits})
+			} else {
+				memTerms = append(memTerms, power.ZoneTerm{Energy: power.EnergyPerNoc2Flit, Count: flits})
+			}
+		}
 	}
 
 	gpuStatic := float64(len(mod.Cores))*power.StaticCoreWatts +

@@ -204,7 +204,7 @@ func TestOneModuleBuildsNoLink(t *testing.T) {
 		if sh1.Mods != 1 || len(sh1.Clocks) != 4 {
 			t.Errorf("%s: %d modules on %d clocks, want 1 on 4", gd.name, sh1.Mods, len(sh1.Clocks))
 		}
-		if s1.LinkClk != nil || s1.LinkReq != nil || s1.LinkRep != nil || s1.Mods[0].linkMissOut != nil {
+		if s1.LinkClk != nil || s1.Link != nil || s1.Mods[0].linkMissOut != nil {
 			t.Errorf("%s: one-module machine built link parts", gd.name)
 		}
 		if s1.Mods[0].AMap != testCfg().WithDefaults().AddressMap() {

@@ -20,27 +20,14 @@ import (
 // (Design.PrivateAS) replicates the address space per module and the link
 // stays idle.
 
-// wireLink builds the inter-module crossbar pair and the LinkClk pumps
-// moving traffic between each module's per-channel link ports and the link.
-//
-// LinkClk namespace: module i's pumps and the ports delivered to it use
-// group i; the two crossbar hubs get Modules and Modules+1.
+// wireLink builds the link stage — the last row of the stage table — and the
+// LinkClk pumps moving traffic between each module's per-channel link ports
+// and the link. It is hand-wired because every tap is a fan-in over a
+// module's DRAM channels, not one port pair.
 func (s *System) wireLink() {
-	d := s.D
-	n := len(s.Mods)
-	mk := func(name string) *noc.Crossbar {
-		return noc.New(noc.Params{
-			Name: name, Ins: n, Outs: n,
-			LinkBytes: d.LinkGBps, RouterLat: d.LinkLat,
-		})
-	}
-	req := mk("link-req")
-	rep := mk("link-rep")
-	s.LinkReq, s.LinkRep = req, rep
-	s.LinkClk.Register(req)
-	s.LinkClk.Register(rep)
-	req.AttachPorts(s.LinkClk)
-	rep.AttachPorts(s.LinkClk)
+	st := s.Topo.Stages[len(s.Topo.Stages)-1]
+	s.Link = s.buildStage(st, "")
+	req, rep := s.Link.Req[0], s.Link.Rep[0]
 
 	// sinkPort delivers a link packet's access into the channel-indexed port
 	// slice of its destination module, routing by the line's home geometry
@@ -58,7 +45,6 @@ func (s *System) wireLink() {
 	}
 
 	for i, mod := range s.Mods {
-		i, mod := i, mod
 		amap := mod.AMap
 		// Requests: remote-homed misses leave module i toward the home
 		// module's DRAM. Whole lines matter on the memory side, so requests
@@ -67,7 +53,7 @@ func (s *System) wireLink() {
 			srcs: mod.linkMissOut,
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
-				return s.inject(req, a, i, amap.HomeModule(a.Line), reqFlits(a, d.LinkGBps, true))
+				return s.inject(req, a, i, amap.HomeModule(a.Line), reqFlits(a, st.FlitBytes, true))
 			},
 			space: []sim.PortRef{req.InjectSpace(i)},
 		})
@@ -78,7 +64,7 @@ func (s *System) wireLink() {
 			srcs: mod.linkRepOut,
 			rate: pumpRate,
 			try: func(a *mem.Access) bool {
-				return s.inject(rep, a, i, a.Module, replyFlits(a, d.LinkGBps, false, false))
+				return s.inject(rep, a, i, a.Module, replyFlits(a, st.FlitBytes, false, false))
 			},
 			space: []sim.PortRef{rep.InjectSpace(i)},
 		})
@@ -89,40 +75,21 @@ func (s *System) wireLink() {
 		}
 	}
 
-	req.RegisterMetrics(s.Reg, "link", "link", false)
-	rep.RegisterMetrics(s.Reg, "link", "link", true)
+	s.Link.registerMetrics(s.Reg)
 	s.Reg.Counter("chaos-link", "link", "chaos_faults_total",
 		"fault occurrences on the inter-module link injectors",
 		func() int64 { return fired(s.linkInjectors) })
 }
 
-// linkXbars returns the link crossbars, request then reply: empty in a
-// machine of one module, so loops over it need no module-count test.
-func (s *System) linkXbars() []*noc.Crossbar {
-	if s.LinkClk == nil {
-		return nil
-	}
-	return []*noc.Crossbar{s.LinkReq, s.LinkRep}
-}
-
 // monitorLink adds the link's progress probe, invariant checkers, dump
 // contributors and queue watchers to the machine's monitor.
 func (s *System) monitorLink(mon *health.Monitor) {
-	link := s.linkXbars()
 	mon.AddProbe(health.Probe{
-		Name: "link",
-		Sample: func() int64 {
-			var v int64
-			for _, x := range link {
-				v += x.Stat.FlitsMoved
-			}
-			return v
-		},
+		Name:   "link",
+		Sample: sum(s.Link.traffic()),
 		Busy: func() bool {
-			for _, x := range link {
-				if x.Pending() > 0 {
-					return true
-				}
+			if s.Link.pending() {
+				return true
 			}
 			for _, mod := range s.Mods {
 				for ch := range mod.linkMissOut {
@@ -135,10 +102,7 @@ func (s *System) monitorLink(mon *health.Monitor) {
 			return false
 		},
 	})
-	for _, x := range link {
-		mon.AddChecker(x)
-		mon.AddDumper(x.DumpHealth)
-	}
+	s.Link.watch(mon)
 	for _, mod := range s.Mods {
 		comp := mod.cname("link")
 		for ch := range mod.linkMissOut {

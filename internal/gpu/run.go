@@ -4,8 +4,6 @@ import (
 	"dcl1sim/internal/cache"
 	"dcl1sim/internal/core"
 	"dcl1sim/internal/dram"
-	"dcl1sim/internal/noc"
-	"dcl1sim/internal/power"
 	"dcl1sim/internal/sim"
 	"dcl1sim/internal/workload"
 )
@@ -96,17 +94,8 @@ func (s *System) resetStats() {
 	for _, mod := range s.Mods {
 		mod.resetStats()
 	}
-	for _, x := range s.linkXbars() {
-		resetXbarStats(x)
-	}
-}
-
-// resetXbarStats zeroes a crossbar's counters, keeping its per-port slices
-// at their sizes.
-func resetXbarStats(x *noc.Crossbar) {
-	x.Stat = noc.Stats{
-		InFlits:  make([]int64, x.P.Ins),
-		OutFlits: make([]int64, x.P.Outs),
+	if s.Link != nil {
+		s.Link.resetStats()
 	}
 }
 
@@ -126,12 +115,8 @@ func (mod *Module) resetStats() {
 	for _, dc := range mod.Drams {
 		dc.Stat = dram.Stats{}
 	}
-	if mod.MeshReq != nil {
-		mod.MeshReq.Stat = noc.MeshStats{}
-		mod.MeshRep.Stat = noc.MeshStats{}
-	}
-	for _, x := range mod.crossbars() {
-		resetXbarStats(x)
+	for _, st := range mod.Stages {
+		st.resetStats()
 	}
 	mod.Tracker.SampledReplicaSum = 0
 	mod.Tracker.SampledReplicaCount = 0
@@ -218,30 +203,4 @@ func (s *System) collect(cycles sim.Cycle) Results {
 		r.MaxLinkUtil = reg.GaugeMax("link_reply_link_util_max")
 	}
 	return r
-}
-
-// DesignNoCSpec returns the power-model description of the design's NoC (one
-// physical subnetwork; request/reply duplication cancels in normalization).
-func DesignNoCSpec(cfg Config, d Design) power.NoCSpec {
-	cfg = cfg.WithDefaults()
-	d = d.withDefaults(cfg)
-	noc1MHz, noc2MHz := nocClockMHz(cfg, d)
-	noc1, noc2 := float64(noc1MHz), float64(noc2MHz)
-	switch d.Kind {
-	case Baseline:
-		return power.BaselineNoC(cfg.Cores, cfg.L2Slices, d.FlitBytes, noc2)
-	case Private:
-		return power.PrivateNoC(cfg.Cores, d.DCL1s, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case Shared:
-		return power.SharedNoC(cfg.Cores, d.DCL1s, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case Clustered:
-		return power.ClusteredNoC(cfg.Cores, d.DCL1s, d.Clusters, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case CDXBar:
-		return power.CDXBarNoC(cfg.Cores, d.CDXGroups, d.CDXMid, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case SingleL1:
-		return power.SharedNoC(cfg.Cores, 1, cfg.L2Slices, d.FlitBytes, noc1, noc2)
-	case MeshBase:
-		return power.MeshNoC(cfg.Cores+cfg.L2Slices, d.FlitBytes, noc2)
-	}
-	return power.NoCSpec{}
 }

@@ -255,9 +255,10 @@ func (x *Crossbar) CanInject(in, out int) bool {
 }
 
 // AttachPorts switches the injection ports to two-phase mode on clk (the
-// clock every producer of this crossbar ticks on — asserted by the gpu
-// wiring audit) and moves the credit-grant application to clk's edge
-// barrier, where no producer's admission this edge can depend on it.
+// clock every producer of this crossbar ticks on — asserted for every design
+// by gpu's TestTopologyMatchesBuild) and moves the credit-grant application
+// to clk's edge barrier, where no producer's admission this edge can depend
+// on it.
 func (x *Crossbar) AttachPorts(clk *sim.Clock) {
 	for _, p := range x.inj {
 		p.Attach(clk)

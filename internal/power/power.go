@@ -101,6 +101,16 @@ func MaxFreqMHz(in, out int) float64 {
 	return fmaxNumerator / (1 + fmaxLogCoef*math.Log2(float64(in*out)))
 }
 
+// Link lengths (mm) the energy model charges per flit, from the paper's
+// Section VIII energy analysis: cluster-local crossbars use short 3.3 mm
+// links, chip-crossing stages long 12.3 mm ones. Which stage of which design
+// gets which, like every crossbar shape, is decided by internal/gpu's stage
+// table (gpu.DesignTopology) and projected onto NoCSpec by gpu.DesignNoCSpec.
+const (
+	ShortLinkMM = 3.3
+	LongLinkMM  = 12.3
+)
+
 // XbarSpec describes one group of identical crossbars in a NoC design.
 type XbarSpec struct {
 	In, Out   int

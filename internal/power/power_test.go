@@ -6,55 +6,15 @@ import (
 	"testing/quick"
 )
 
-const (
-	cores = 80
-	l2s   = 32
-	flit  = 32
-)
-
-func baselineArea() float64 { return BaselineNoC(cores, l2s, flit, 700).Area() }
-
-func ratio(a, b float64) float64 { return a / b }
-
-// The calibration targets from the paper, with generous tolerances — the
-// model only needs to land in the reported neighbourhood.
+// within checks a calibration target from the paper, with generous tolerances
+// — the model only needs to land in the reported neighbourhood. (The NoC area
+// and static-power targets are checked in internal/gpu, on the shapes the
+// simulator builds.)
 func within(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()
 	if math.Abs(got-want) > tol {
 		t.Errorf("%s = %.3f, want %.3f ± %.2f", name, got, want, tol)
 	}
-}
-
-func TestNoCAreaMatchesPaperDeltas(t *testing.T) {
-	base := baselineArea()
-	// Fig 6: Pr40 −28%, Pr20 −54%, Pr10 −67%; Pr80 insignificant overhead.
-	within(t, "Pr80 area", ratio(PrivateNoC(cores, 80, l2s, flit, 700, 700).Area(), base), 1.00, 0.06)
-	within(t, "Pr40 area", ratio(PrivateNoC(cores, 40, l2s, flit, 700, 700).Area(), base), 0.72, 0.08)
-	within(t, "Pr20 area", ratio(PrivateNoC(cores, 20, l2s, flit, 700, 700).Area(), base), 0.46, 0.08)
-	within(t, "Pr10 area", ratio(PrivateNoC(cores, 10, l2s, flit, 700, 700).Area(), base), 0.33, 0.08)
-	// Section V-B: Sh40 +69%.
-	within(t, "Sh40 area", ratio(SharedNoC(cores, 40, l2s, flit, 700, 700).Area(), base), 1.69, 0.10)
-	// Fig 12: C5 −45%, C10 −50%, C20 −45%.
-	within(t, "C5 area", ratio(ClusteredNoC(cores, 40, 5, l2s, flit, 700, 700).Area(), base), 0.55, 0.08)
-	within(t, "C10 area", ratio(ClusteredNoC(cores, 40, 10, l2s, flit, 700, 700).Area(), base), 0.50, 0.08)
-	within(t, "C20 area", ratio(ClusteredNoC(cores, 40, 20, l2s, flit, 700, 700).Area(), base), 0.55, 0.08)
-}
-
-func TestNoCStaticPowerMatchesPaperDeltas(t *testing.T) {
-	base := BaselineNoC(cores, l2s, flit, 700).StaticPower()
-	// Fig 6: Pr40 −4%; Pr20/Pr10 bigger reductions.
-	within(t, "Pr40 static", ratio(PrivateNoC(cores, 40, l2s, flit, 700, 700).StaticPower(), base), 0.96, 0.08)
-	pr20 := ratio(PrivateNoC(cores, 20, l2s, flit, 700, 700).StaticPower(), base)
-	pr10 := ratio(PrivateNoC(cores, 10, l2s, flit, 700, 700).StaticPower(), base)
-	if !(pr10 < pr20 && pr20 < 0.96) {
-		t.Errorf("static power must fall with aggregation: pr20=%.3f pr10=%.3f", pr20, pr10)
-	}
-	// Section V-B: Sh40 +57%.
-	within(t, "Sh40 static", ratio(SharedNoC(cores, 40, l2s, flit, 700, 700).StaticPower(), base), 1.57, 0.20)
-	// Fig 12: C5 −15%, C10 −16%, C20 −14%.
-	within(t, "C5 static", ratio(ClusteredNoC(cores, 40, 5, l2s, flit, 700, 700).StaticPower(), base), 0.85, 0.06)
-	within(t, "C10 static", ratio(ClusteredNoC(cores, 40, 10, l2s, flit, 700, 700).StaticPower(), base), 0.84, 0.06)
-	within(t, "C20 static", ratio(ClusteredNoC(cores, 40, 20, l2s, flit, 700, 700).StaticPower(), base), 0.86, 0.06)
 }
 
 func TestMaxFreqShape(t *testing.T) {
@@ -134,7 +94,11 @@ func TestQueueAreaOverhead(t *testing.T) {
 }
 
 func TestDynamicPowerScalesWithTraffic(t *testing.T) {
-	spec := ClusteredNoC(cores, 40, 10, l2s, flit, 1400, 700)
+	// Sh40+C10+Boost's inventory (gpu.DesignNoCSpec pins the projection).
+	spec := NoCSpec{Xbars: []XbarSpec{
+		{In: 8, Out: 4, Count: 10, FlitBytes: 32, FreqMHz: 1400, LinkMM: ShortLinkMM},
+		{In: 10, Out: 8, Count: 4, FlitBytes: 32, FreqMHz: 700, LinkMM: LongLinkMM},
+	}}
 	p1 := spec.DynamicPower([]int64{1000, 1000}, 1.0)
 	p2 := spec.DynamicPower([]int64{2000, 2000}, 1.0)
 	if p2 <= p1 {
@@ -150,16 +114,6 @@ func TestDynamicPowerScalesWithTraffic(t *testing.T) {
 	}
 	if spec.DynamicPower([]int64{1, 1}, 0) != 0 {
 		t.Error("zero time must give 0")
-	}
-}
-
-func TestCDXBarMatchesClusteredInventory(t *testing.T) {
-	// CDXBar with 10 groups and mid=4 uses the same crossbars as Sh40+C10,
-	// hence near-identical area ("similar NoC area and power savings").
-	cd := CDXBarNoC(cores, 10, 4, l2s, flit, 700, 700)
-	cl := ClusteredNoC(cores, 40, 10, l2s, flit, 700, 700)
-	if math.Abs(cd.Area()-cl.Area()) > 1e-9 {
-		t.Errorf("CDXBar area %.1f != clustered area %.1f", cd.Area(), cl.Area())
 	}
 }
 
