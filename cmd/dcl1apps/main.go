@@ -23,13 +23,15 @@ func main() {
 		appName = flag.String("app", "", "show one application in detail")
 		measure = flag.Bool("measure", false, "simulate the baseline fingerprint (slow)")
 
+		// -measure runs the spec's one point: -app on the baseline, built
+		// from -modules linked modules when set.
+		spec      = cliflags.Spec{Design: "Baseline"}
 		health    cliflags.Health
 		telemetry cliflags.Telemetry
-		multi     cliflags.Multi
 	)
+	spec.Register(flag.CommandLine, "modules")
 	health.Register(flag.CommandLine)
 	telemetry.Register(flag.CommandLine)
-	multi.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *appName == "" {
@@ -62,6 +64,12 @@ func main() {
 		a.PaperReplRatio*100, a.PaperMissRate*100)
 
 	if *measure {
+		spec.App = a.Name
+		sweep, err := spec.Resolve()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		var h dcl1.HealthOptions
 		health.Apply(&h)
 		closeSink, err := telemetry.Apply(&h)
@@ -69,12 +77,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		d := dcl1.Design{Kind: dcl1.Baseline}
-		if err := multi.ApplyDesign(&d); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		h, pts := sweep.Points(h)
+		job, err := pts[0].Job, pts[0].Err
+		var r dcl1.Results
+		if err == nil {
+			r, err = dcl1.Run(job.Cfg, job.D, job.App, dcl1.WithHealth(h))
 		}
-		r, err := dcl1.Run(dcl1.Config{}, d, a, dcl1.WithHealth(h))
 		if serr := closeSink(); serr != nil {
 			fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)
 		}

@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"dcl1sim"
 	"dcl1sim/internal/cliflags"
 	"dcl1sim/internal/experiments"
 )
@@ -37,21 +36,19 @@ func main() {
 		format  = flag.String("format", "text", "output format: text or md")
 		plot    = flag.Bool("plot", false, "also render ASCII S-curves for single-metric experiments")
 
+		spec      cliflags.Spec // chaos and modules; the experiments pick apps, designs and windows
 		health    cliflags.Health
-		chaos     cliflags.Chaos
 		engine    = cliflags.Engine{Workers: 1}
 		retry     cliflags.Retry
 		journal   cliflags.Journal
 		telemetry cliflags.Telemetry
-		multi     cliflags.Multi
 	)
+	spec.Register(flag.CommandLine, "chaos", "modules")
 	health.Register(flag.CommandLine)
-	chaos.Register(flag.CommandLine)
 	engine.Register(flag.CommandLine)
 	retry.Register(flag.CommandLine)
 	journal.Register(flag.CommandLine)
 	telemetry.Register(flag.CommandLine)
-	multi.Register(flag.CommandLine)
 	flag.Parse()
 
 	closeSink := func() error { return nil } // replaced when -metrics-out opens
@@ -83,29 +80,18 @@ func main() {
 	if *verbose {
 		ctx.Progress = os.Stderr
 	}
-	if multi != (cliflags.Multi{}) {
-		// Validate the flag combination once against a bare design (the
-		// experiment suite's designs never carry +M), then overlay every
-		// design the experiments run.
-		var probe dcl1.Design
-		if err := multi.ApplyDesign(&probe); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		ctx.Design = func(d dcl1.Design) dcl1.Design {
-			_ = multi.ApplyDesign(&d) // validated above
-			return d
-		}
+	sweep, err := spec.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(1)
 	}
+	ctx.Design = sweep.FillModules
 	ctx.Health.Ctx = sigCtx
+	ctx.Health.Chaos = sweep.ChaosSpec()
 	health.Apply(&ctx.Health)
 	ctx.Workers = engine.Workers
 	ctx.Retry = retry.Policy()
 	ctx.PointDeadline = retry.PointDeadline
-	if err := chaos.Apply(&ctx.Health); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
 	if cs, err := telemetry.Apply(&ctx.Health); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)

@@ -36,65 +36,46 @@ import (
 
 func main() {
 	var (
-		appName = flag.String("app", "T-AlexNet", "application to explore")
 		boost   = flag.Bool("boost", true, "boost NoC#1 to 2x where the crossbars allow it")
-		cycles  = flag.Int64("cycles", 16000, "measurement window in core cycles")
-		warmup  = flag.Int64("warmup", 8000, "warmup window in core cycles")
 		specOut = flag.String("spec-out", "", "write the sweep spec JSON (the grid this command walks, POSTable to dcl1serve) to this file and exit")
 		verbose = flag.Bool("v", false, "print each simulation as it runs")
 
+		spec      = cliflags.Spec{SweepSpec: serve.SweepSpec{App: "T-AlexNet", Cycles: 16000, Warmup: 8000}}
 		health    cliflags.Health
-		chaos     cliflags.Chaos
 		engine    = cliflags.Engine{Workers: 1}
 		retry     cliflags.Retry
 		journal   cliflags.Journal
 		telemetry cliflags.Telemetry
-		multi     cliflags.Multi
 	)
+	spec.Register(flag.CommandLine, "app", "cycles", "warmup", "chaos", "modules")
 	health.Register(flag.CommandLine)
-	chaos.Register(flag.CommandLine)
 	engine.Register(flag.CommandLine)
 	retry.Register(flag.CommandLine)
 	journal.Register(flag.CommandLine)
 	telemetry.Register(flag.CommandLine)
-	multi.Register(flag.CommandLine)
 	flag.Parse()
 
-	app, ok := dcl1.AppByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown app %q\n", *appName)
-		os.Exit(1)
-	}
-
-	// The point grid is the shared sweep-spec encoding: the exact spec this
-	// command walks can be emitted with -spec-out and POSTed to dcl1serve,
-	// which expands it to the same jobs (same memo keys, same results).
-	spec := serve.ExploreSpec(*appName, *boost, *cycles, *warmup)
-	if chaos.Preset != "" && chaos.Preset != "off" {
-		spec.Chaos = chaos.Preset
-		spec.ChaosSeed = chaos.Seed
-	}
-	// -modules/-link-* turn the grid into a multi-GPU sweep: every point is
-	// assembled into that many linked modules. The fields ride along in
-	// -spec-out, so the POSTed sweep names the same machines.
-	if multi.Modules >= 2 {
-		spec.Modules = multi.Modules
-		spec.LinkGBps = multi.LinkGBps
-		spec.LinkLat = multi.LinkLat
-	} else if multi.LinkGBps > 0 || multi.LinkLat > 0 {
-		fmt.Fprintln(os.Stderr, "-link-gbps/-link-lat need -modules 2 or more")
-		os.Exit(1)
-	}
-	if _, err := serve.ParseSweepSpec(append(spec.Encode(), '\n')); err != nil {
+	// The point grid is a sweep spec: the exact spec this command walks —
+	// chaos and -modules included — can be emitted with -spec-out and POSTed
+	// to dcl1serve, which expands it to the same keyed points.
+	spec.SweepSpec = serve.ExploreSpec(spec.SweepSpec, *boost)
+	sweep, err := spec.Resolve()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if *specOut != "" {
-		if err := os.WriteFile(*specOut, append(spec.Encode(), '\n'), 0o644); err != nil {
+		if telemetry.CapWatts > 0 {
+			// A spec has no cap field: the POSTed copy would name uncapped
+			// points while this walk caps and keys them.
+			fmt.Fprintln(os.Stderr, "-spec-out cannot carry -power-cap: a sweep spec names uncapped points")
+			os.Exit(1)
+		}
+		if err := os.WriteFile(*specOut, append(sweep.Encode(), '\n'), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "wrote sweep spec (%d points) to %s\n", len(spec.Designs), *specOut)
+		fmt.Fprintf(os.Stderr, "wrote sweep spec (%d points) to %s\n", len(sweep.Designs), *specOut)
 		return
 	}
 
@@ -104,19 +85,16 @@ func main() {
 	sigCtx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
 
-	cfg := spec.Config()
+	cfg := sweep.Config()
 	opts := dcl1.HealthOptions{Ctx: sigCtx}
 	health.Apply(&opts)
-	if err := chaos.Apply(&opts); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	closeSink, err := telemetry.Apply(&opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer closeSink()
+	opts, grid := sweep.Points(opts)
 
 	// The sweep runs under the experiments supervisor: panics become typed
 	// errors, deadline overruns retry, completed points journal to -resume,
@@ -149,9 +127,8 @@ func main() {
 		boosted bool
 	}
 	// Spec index 0 is the baseline; every later design is one table row.
-	allJobs, jobErrs := spec.Jobs()
-	pts := make([]point, 0, len(spec.Designs)-1)
-	for _, name := range spec.Designs[1:] {
+	pts := make([]point, 0, len(sweep.Designs)-1)
+	for _, name := range sweep.Designs[1:] {
 		d, err := dcl1.ParseDesign(name)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "internal: grid design %q: %v\n", name, err)
@@ -166,7 +143,7 @@ func main() {
 	// identical for any worker count.
 	for i := range pts {
 		p := &pts[i]
-		p.canRun = jobErrs[i+1] == nil
+		p.canRun = grid[i+1].Err == nil
 		if p.boosted {
 			nspec := dcl1.DesignNoC(cfg, p.d)
 			for _, x := range nspec.Xbars {
@@ -176,20 +153,20 @@ func main() {
 			}
 		}
 	}
-	jobs := []dcl1.Job{allJobs[0]}
+	jobs := []dcl1.Job{grid[0].Job}
 	jobOf := make([]int, len(pts))
 	for i := range pts {
 		jobOf[i] = -1
 		if pts[i].canRun {
 			jobOf[i] = len(jobs)
-			jobs = append(jobs, allJobs[i+1])
+			jobs = append(jobs, grid[i+1].Job)
 		}
 	}
 	results, errs := sup.RunAll(jobs)
 	var fails []experiments.Failure
 	for i, err := range errs {
 		if err != nil {
-			fails = append(fails, experiments.Failure{Design: jobs[i].D.Name(), App: app.Name, Err: err})
+			fails = append(fails, experiments.Failure{Design: jobs[i].D.Name(), App: sweep.App, Err: err})
 		}
 	}
 	// Without the baseline there is nothing to normalize against; everything
@@ -204,7 +181,7 @@ func main() {
 	base := results[0]
 	baseNoC := dcl1.DesignNoC(cfg, dcl1.Design{Kind: dcl1.Baseline})
 	fmt.Printf("app %s: baseline IPC %.2f, miss %.2f, replication %.2f\n\n",
-		app.Name, base.IPC, base.L1MissRate, base.ReplicationRatio)
+		sweep.App, base.IPC, base.L1MissRate, base.ReplicationRatio)
 
 	fmt.Printf("%-18s %8s %8s %9s %9s %8s\n", "design", "speedup", "miss", "replicas", "NoC area", "boostOK")
 	best := -1

@@ -89,8 +89,6 @@ func main() {
 		BreakerThreshold:  *breaker,
 		Retry:             retry.Policy(),
 		PointDeadline:     retry.PointDeadline,
-		StallWindow:       health.StallWindow,
-		Deadline:          health.Deadline,
 		MetricsEvery:      telemetry.Every,
 		LeaseTTL:          *leaseTTL,
 		LeaseMaxPoints:    *leaseMax,
@@ -101,6 +99,7 @@ func main() {
 		StoreMaxBytes:     *storeMaxBytes,
 		CompactEvery:      *compactEvery,
 	}
+	health.Apply(&opt.Health)
 	if *verbose {
 		opt.Progress = os.Stderr
 	}

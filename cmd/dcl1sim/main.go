@@ -26,32 +26,27 @@ import (
 
 	"dcl1sim"
 	"dcl1sim/internal/cliflags"
-	"dcl1sim/internal/sim"
+	"dcl1sim/internal/serve"
 )
 
 func main() {
 	var (
-		appName  = flag.String("app", "T-AlexNet", "application name (see -list)")
-		design   = flag.String("design", "Sh40+C10+Boost", "design: Baseline, PrY, ShY, ShY+CZ[+Boost], CDXBar[+2xNoC[1]], SingleL1")
-		cores    = flag.Int("cores", 0, "core count (default 80)")
-		cycles   = flag.Int64("cycles", 0, "measurement window in core cycles (default 40000)")
-		warmup   = flag.Int64("warmup", 0, "warmup window in core cycles (default 10000)")
 		sched    = flag.String("sched", "rr", "CTA scheduler: rr or distributed")
-		seed     = flag.Uint64("seed", 1, "workload seed")
 		list     = flag.Bool("list", false, "list applications and exit")
 		cfgPath  = flag.String("config", "", "machine configuration JSON file (overrides other machine flags)")
 		asJSON   = flag.Bool("json", false, "emit results as JSON")
 		dumpPath = flag.String("health-dump", "", "write the diagnostic dump of a failed run to this file (default stderr)")
 
+		spec = cliflags.Spec{
+			SweepSpec: serve.SweepSpec{App: "T-AlexNet", Seed: 1},
+			Design:    "Sh40+C10+Boost",
+		}
 		health    cliflags.Health
-		chaos     cliflags.Chaos
 		telemetry cliflags.Telemetry
-		multi     cliflags.Multi
 	)
+	spec.Register(flag.CommandLine, "app", "design", "cores", "cycles", "warmup", "seed", "chaos", "modules")
 	health.Register(flag.CommandLine)
-	chaos.Register(flag.CommandLine)
 	telemetry.Register(flag.CommandLine)
-	multi.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -63,26 +58,14 @@ func main() {
 		return
 	}
 
-	app, ok := dcl1.AppByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown app %q (use -list)\n", *appName)
-		os.Exit(1)
-	}
-	d, err := dcl1.ParseDesign(*design)
+	sweep, err := spec.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if err := multi.ApplyDesign(&d); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	cfg := dcl1.Config{
-		Cores:         *cores,
-		MeasureCycles: sim.Cycle(*cycles),
-		WarmupCycles:  sim.Cycle(*warmup),
-		Seed:          *seed,
-	}
+	// -config replaces the spec's machine: a Config has knobs the spec does
+	// not carry. The point is still validated on the loaded machine's shape.
+	var cfg dcl1.Config
 	if *cfgPath != "" {
 		f, err := os.Open(*cfgPath)
 		if err != nil {
@@ -95,24 +78,29 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		cfg.Seed = *seed
-	}
-	if *sched == "distributed" {
-		cfg.Sched = dcl1.Distributed
+		cfg.Seed = sweep.Seed
+		sweep.Cores, sweep.L2Slices, sweep.Channels = cfg.Cores, cfg.L2Slices, cfg.Channels
 	}
 
 	var h dcl1.HealthOptions
 	health.Apply(&h)
-	if err := chaos.Apply(&h); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	closeSink, err := telemetry.Apply(&h)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	r, err := dcl1.Run(cfg, d, app, dcl1.WithHealth(h))
+	h, pts := sweep.Points(h)
+	job, err := pts[0].Job, pts[0].Err
+	if *cfgPath != "" {
+		job.Cfg = cfg
+	}
+	if *sched == "distributed" {
+		job.Cfg.Sched = dcl1.Distributed
+	}
+	var r dcl1.Results
+	if err == nil {
+		r, err = dcl1.Run(job.Cfg, job.D, job.App, dcl1.WithHealth(h))
+	}
 	if serr := closeSink(); serr != nil {
 		fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)
 	}

@@ -27,7 +27,6 @@ import (
 
 	"dcl1sim/internal/cliflags"
 	"dcl1sim/internal/farm"
-	"dcl1sim/internal/gpu"
 )
 
 func main() {
@@ -68,17 +67,14 @@ func main() {
 	}
 
 	opt := farm.Options{
-		Server:    *server,
-		Token:     tok,
-		Name:      workerName,
-		MaxPoints: *maxPoints,
-		Health: gpu.HealthOptions{
-			StallWindow: health.StallWindow,
-			Deadline:    health.Deadline,
-		},
+		Server:        *server,
+		Token:         tok,
+		Name:          workerName,
+		MaxPoints:     *maxPoints,
 		Retry:         retry.Policy(),
 		PointDeadline: retry.PointDeadline,
 	}
+	health.Apply(&opt.Health)
 	if *verbose {
 		opt.Progress = os.Stderr
 	}

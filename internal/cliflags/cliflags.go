@@ -5,9 +5,10 @@
 // Each group is a plain struct whose Register method installs its flags on a
 // FlagSet using the struct's current field values as the defaults — a command
 // that wants a different default (dcl1serve retries once by default, the
-// sweep CLIs do not) seeds the field before calling Register. Apply methods
-// fold a parsed group into dcl1.HealthOptions, the one options struct every
-// run path accepts.
+// sweep CLIs do not) seeds the field before calling Register. Which point to
+// run is the Spec group, resolved into a serve.SweepSpec; how to run it is
+// the other groups, whose Apply methods fold them into dcl1.HealthOptions,
+// the one options struct every run path accepts.
 package cliflags
 
 import (
@@ -22,7 +23,6 @@ import (
 	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/power"
 	"dcl1sim/internal/serve"
-	"dcl1sim/internal/sim"
 )
 
 // Health is the watchdog group every simulating command carries:
@@ -44,33 +44,78 @@ func (h *Health) Apply(o *dcl1.HealthOptions) {
 	o.StallWindow = h.StallWindow
 }
 
-// Chaos is the fault-injection group: -chaos and -chaos-seed.
-type Chaos struct {
-	Preset string
-	Seed   uint64
+// Spec is the run-description group: the fields of one serve.SweepSpec under
+// the commands' flag names. The sweep spec is also the wire form dcl1serve
+// accepts and the input of every point's content key, so a knob is added
+// once, as a spec field, and the flag, the JSON and the key all read it
+// there.
+type Spec struct {
+	serve.SweepSpec
+	// Design is -design: the one design of a single-point command. Resolve
+	// makes it the spec's design list.
+	Design string
 }
 
-func (c *Chaos) Register(fs *flag.FlagSet) {
-	if c.Seed == 0 {
-		c.Seed = 1
+// Register installs the named subset of the spec's flags — app, design,
+// cores, cycles, warmup, seed, chaos (-chaos and -chaos-seed) and modules
+// (-modules, -link-gbps and -link-lat) — each defaulting to its field's
+// current value.
+func (s *Spec) Register(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		switch name {
+		case "app":
+			fs.StringVar(&s.App, "app", s.App, "application name (dcl1apps lists them)")
+		case "design":
+			fs.StringVar(&s.Design, "design", s.Design,
+				"design: Baseline, PrY, ShY, ShY+CZ[+Boost], CDXBar[+2xNoC[1]], SingleL1")
+		case "cores":
+			fs.IntVar(&s.Cores, "cores", s.Cores, "core count (0 = 80)")
+		case "cycles":
+			fs.Int64Var(&s.Cycles, "cycles", s.Cycles, "measurement window in core cycles (0 = 40000)")
+		case "warmup":
+			fs.Int64Var(&s.Warmup, "warmup", s.Warmup, "warmup window in core cycles (0 = 10000)")
+		case "seed":
+			fs.Uint64Var(&s.Seed, "seed", s.Seed, "workload seed")
+		case "chaos":
+			if s.ChaosSeed == 0 {
+				s.ChaosSeed = 1
+			}
+			fs.StringVar(&s.Chaos, "chaos", s.Chaos,
+				"fault-injection preset: off, light, or heavy (deterministic per -chaos-seed)")
+			fs.Uint64Var(&s.ChaosSeed, "chaos-seed", s.ChaosSeed,
+				"fault-injection seed (with -chaos)")
+		case "modules":
+			fs.IntVar(&s.Modules, "modules", s.Modules,
+				fmt.Sprintf("build each design without its own +M<n> from this many linked GPU modules, 2..%d (0 or 1 = one module)", dcl1.MaxModules))
+			fs.IntVar(&s.LinkGBps, "link-gbps", s.LinkGBps,
+				"inter-module link bandwidth in bytes per link cycle (0 = design default; needs -modules 2+)")
+			fs.IntVar(&s.LinkLat, "link-lat", s.LinkLat,
+				"inter-module link switch latency in link cycles (0 = design default; needs -modules 2+)")
+		default:
+			panic("cliflags: unknown spec flag " + name)
+		}
 	}
-	fs.StringVar(&c.Preset, "chaos", c.Preset,
-		"fault-injection preset: off, light, or heavy (deterministic per -chaos-seed)")
-	fs.Uint64Var(&c.Seed, "chaos-seed", c.Seed,
-		"fault-injection seed (with -chaos)")
 }
 
-// Apply resolves the preset into o.Chaos; an unset or "off" preset leaves o
-// untouched.
-func (c *Chaos) Apply(o *dcl1.HealthOptions) error {
-	spec, err := dcl1.ChaosPreset(c.Preset, c.Seed)
-	if err != nil {
-		return err
+// Resolve returns the normalized spec the parsed flags describe. It
+// validates through serve.ParseSweepSpec, so a flag is rejected exactly as
+// the same field POSTed to dcl1serve, with the same message. A command that
+// picks its own apps and designs (dcl1bench) sets neither: its spec is
+// validated around a stand-in point and returned without one.
+func (s *Spec) Resolve() (serve.SweepSpec, error) {
+	spec := s.SweepSpec
+	if s.Design != "" {
+		spec.Designs = []string{s.Design}
 	}
-	if spec != nil {
-		o.Chaos = spec
+	standIn := spec.App == "" && len(spec.Designs) == 0
+	if standIn {
+		spec.App, spec.Designs = "T-AlexNet", []string{"Baseline"}
 	}
-	return nil
+	out, err := serve.ParseSweepSpec(spec.Encode())
+	if standIn {
+		out.App, out.Designs = "", nil
+	}
+	return out, err
 }
 
 // Engine is the parallelism group: -workers spreads independent simulations
@@ -126,55 +171,6 @@ func (j *Journal) Open(errw io.Writer) (*experiments.Journal, error) {
 		fmt.Fprintf(errw, "resume: %d completed point(s) in %s will be skipped\n", n, j.Path)
 	}
 	return jn, nil
-}
-
-// Multi is the multi-GPU group: -modules, -link-gbps, and -link-lat override
-// the design's module assembly (see dcl1.Design.Modules and DESIGN.md §16).
-// Zero values leave the parsed design untouched, so "+M4+G128" spelled inside
-// -design and the flags compose: the flags win where set.
-type Multi struct {
-	Modules  int
-	LinkGBps int
-	LinkLat  int
-}
-
-func (m *Multi) Register(fs *flag.FlagSet) {
-	fs.IntVar(&m.Modules, "modules", m.Modules,
-		fmt.Sprintf("build this many linked GPU modules, 2..%d (0 = design's own count, 1 = single module)", dcl1.MaxModules))
-	fs.IntVar(&m.LinkGBps, "link-gbps", m.LinkGBps,
-		"inter-module link bandwidth in bytes per link cycle (0 = design default; needs 2+ modules)")
-	fs.IntVar(&m.LinkLat, "link-lat", m.LinkLat,
-		"inter-module link switch latency in link cycles (0 = design default; needs 2+ modules)")
-}
-
-// ApplyDesign folds the group into a parsed design. -modules 1 forces a
-// single-module machine (clearing any +M suffix); link overrides require the
-// resulting design to have 2+ modules.
-func (m *Multi) ApplyDesign(d *dcl1.Design) error {
-	switch {
-	case m.Modules == 1:
-		d.Modules = 0
-	case m.Modules < 0 || m.Modules > dcl1.MaxModules:
-		return fmt.Errorf("-modules %d: must be 1..%d", m.Modules, dcl1.MaxModules)
-	case m.Modules >= 2:
-		d.Modules = m.Modules
-	}
-	if m.LinkGBps < 0 {
-		return fmt.Errorf("-link-gbps %d: must be positive", m.LinkGBps)
-	}
-	if m.LinkLat < 0 {
-		return fmt.Errorf("-link-lat %d: must be positive", m.LinkLat)
-	}
-	if (m.LinkGBps > 0 || m.LinkLat > 0) && d.Modules < 2 {
-		return fmt.Errorf("-link-gbps/-link-lat need a multi-module design (-modules 2..%d or +M in -design)", dcl1.MaxModules)
-	}
-	if m.LinkGBps > 0 {
-		d.LinkGBps = m.LinkGBps
-	}
-	if m.LinkLat > 0 {
-		d.LinkLat = sim.Cycle(m.LinkLat)
-	}
-	return nil
 }
 
 // Auth is the static bearer-token group shared by dcl1serve (which loads a

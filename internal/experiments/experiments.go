@@ -154,9 +154,10 @@ type Context struct {
 	// Health.Deadline (the tighter wins). 0 means unbounded.
 	PointDeadline time.Duration
 	// Design, when non-nil, overlays every design just before it is keyed
-	// and simulated — the hook dcl1bench uses to fold the -modules/-link-*
-	// flags over the experiment suite's fixed designs. The overlay is part
-	// of the memo key, so overlaid and plain runs never alias.
+	// and simulated — dcl1bench sets it to its spec's module-fill rule
+	// (serve.SweepSpec.FillModules), the one SweepSpec.Jobs applies. The
+	// overlay is part of the memo key, so overlaid and plain runs never
+	// alias.
 	Design func(gpu.Design) gpu.Design
 
 	failures []Failure
@@ -202,31 +203,25 @@ func (ctx *Context) run(cfg gpu.Config, d gpu.Design, app workload.Source) gpu.R
 	if ctx.Design != nil {
 		d = ctx.Design(d)
 	}
-	// The key encodes the full design value, not just its display name:
-	// study knobs like PrefetchNext or TrimReplies do not appear in Name().
-	// TrimReplies is a pointer, so it is normalized to its value first.
-	dd := d
-	trim := true
-	if dd.TrimReplies != nil {
-		trim = *dd.TrimReplies
-	}
-	dd.TrimReplies = nil
-	key := fmt.Sprintf("%+v|trim=%v|%s|%+v", dd, trim, app.Label(), cfg)
+	// The memo key is the journal's JobKey, whose label read is guarded: a
+	// panicking Label must become this point's Failure, not kill the sweep.
+	j := gpu.Job{Cfg: cfg, D: d, App: app}
+	key := JobKey(j)
 	if r, ok := ctx.memo[key]; ok {
 		return r
 	}
 	if ctx.collecting {
 		if !ctx.pendingSeen[key] {
 			ctx.pendingSeen[key] = true
-			ctx.pending = append(ctx.pending, gpu.Job{Cfg: cfg, D: d, App: app})
+			ctx.pending = append(ctx.pending, j)
 			ctx.pendingKeys = append(ctx.pendingKeys, key)
-			ctx.pendingNames = append(ctx.pendingNames, [2]string{d.Name(), app.Label()})
+			ctx.pendingNames = append(ctx.pendingNames, [2]string{d.Name(), appLabel(app)})
 		}
 		return gpu.Results{}
 	}
-	r, err := ctx.supervisor().RunOne(gpu.Job{Cfg: cfg, D: d, App: app})
+	r, err := ctx.supervisor().RunOne(j)
 	if err != nil {
-		ctx.failures = append(ctx.failures, Failure{Design: d.Name(), App: app.Label(), Err: err})
+		ctx.failures = append(ctx.failures, Failure{Design: d.Name(), App: appLabel(app), Err: err})
 		ctx.memo[key] = r // zero Results: the table shows the hole, once
 		return r
 	}
@@ -254,12 +249,12 @@ func (ctx *Context) runDefault(d gpu.Design, app workload.Source) gpu.Results {
 	return ctx.run(ctx.Base, d, app)
 }
 
-// RunExperiment executes e, filling the memo through gpu.RunManyChecked when
-// Workers > 1: a collect pass replays the experiment against the memo and
-// records every miss as a job (deduplicated), the batch runs across Workers
-// goroutines, and the real pass then assembles the table entirely from the
-// memo. Each simulation stays single-threaded and deterministic, so the table
-// is bit-identical to a serial e.Run(ctx).
+// RunExperiment executes e, filling the memo through the supervisor's RunAll
+// when Workers > 1: a collect pass replays the experiment against the memo
+// and records every miss as a job (deduplicated), the batch runs across
+// Workers goroutines, and the real pass then assembles the table entirely
+// from the memo. Each simulation stays single-threaded and deterministic, so
+// the table is bit-identical to a serial e.Run(ctx).
 func (ctx *Context) RunExperiment(e Experiment) *Table {
 	if ctx.Workers > 1 {
 		ctx.prefetch(e)

@@ -120,6 +120,27 @@ func TestMemoization(t *testing.T) {
 	}
 }
 
+// TestContextRunSurvivesPanickingLabel: the memo key reads the app's label
+// outside the supervisor's panic barrier, so it must read it through JobKey's
+// guard. A panicking Label becomes one recorded Failure — once, memoized —
+// on the serial path and in collect mode, not a crashed sweep.
+func TestContextRunSurvivesPanickingLabel(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ctx := QuickContext()
+		ctx.Workers = workers
+		e := Experiment{ID: "label-panic", Run: func(ctx *Context) *Table {
+			ctx.runDefault(base(), supPanicApp{})
+			ctx.runDefault(base(), supPanicApp{})
+			return &Table{}
+		}}
+		ctx.RunExperiment(e)
+		fails := ctx.Failures()
+		if len(fails) != 1 || fails[0].App != "<unlabeled>" {
+			t.Fatalf("workers=%d: failures = %+v, want one for <unlabeled>", workers, fails)
+		}
+	}
+}
+
 // TestRunExperimentParallelMatchesSerial pins the batched-prefetch contract:
 // a Workers>1 context produces tables bit-identical to the serial path, and
 // the real pass finds every run already memoized.

@@ -151,9 +151,10 @@ func transient(err error) bool {
 }
 
 // RunAll executes the batch across the worker pool and returns results in
-// job order, errs[i] non-nil where point i failed. Like gpu.RunManyChecked,
-// partial results are a hard guarantee: every point is attempted (or skipped
-// via the journal) regardless of earlier failures.
+// job order, errs[i] non-nil where point i failed. Partial results are a
+// hard guarantee: every point is attempted (or skipped via the journal)
+// regardless of earlier failures, and a panicking point becomes its own
+// *health.SimError. Root dcl1.RunMany is this pool with no retries or journal.
 func (s *Supervisor) RunAll(jobs []gpu.Job) ([]gpu.Results, []error) {
 	workers := s.Workers
 	if workers <= 0 {

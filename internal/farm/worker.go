@@ -25,7 +25,8 @@ type Options struct {
 	// MaxPoints caps one lease grant (0 = server default).
 	MaxPoints int
 	// Health seeds the per-point simulation options (stall window,
-	// deadline); the worker fills Ctx and Chaos per point. Simulation results
+	// deadline); the worker fills Ctx and the spec's chaos per point, through
+	// the same SweepSpec.Points the server admits with. Simulation results
 	// are bit-identical for any of these knobs, so a farm worker and the
 	// server's local pool can disagree on all of them.
 	Health gpu.HealthOptions
@@ -223,25 +224,24 @@ func (w *Worker) runPoint(leaseCtx context.Context, lp serve.LeasePoint) (serve.
 		comp.Err = fmt.Sprintf("bad leased spec: %v", err)
 		return comp, true
 	}
-	jobs, errs := spec.Jobs()
-	if len(jobs) != 1 {
-		comp.Err = fmt.Sprintf("leased spec expands to %d points, want 1", len(jobs))
+	base := w.opt.Health
+	base.Ctx = leaseCtx
+	h, pts := spec.Points(base)
+	if len(pts) != 1 {
+		comp.Err = fmt.Sprintf("leased spec expands to %d points, want 1", len(pts))
 		return comp, true
 	}
-	if errs[0] != nil {
-		comp.Err = errs[0].Error()
+	if pts[0].Err != nil {
+		comp.Err = pts[0].Err.Error()
 		return comp, true
 	}
-	h := w.opt.Health
-	h.Ctx = leaseCtx
-	h.Chaos = spec.ChaosSpec()
 	sup := &experiments.Supervisor{
 		Health:        h,
 		Retry:         w.opt.Retry,
 		PointDeadline: w.opt.PointDeadline,
 		Progress:      w.opt.Progress,
 	}
-	res, err := sup.RunOne(jobs[0])
+	res, err := sup.RunOne(pts[0].Job)
 	if err != nil {
 		if leaseCtx.Err() != nil {
 			return comp, false

@@ -156,51 +156,16 @@ func TestDesignValidate(t *testing.T) {
 	}
 }
 
-func TestRunManyChecked(t *testing.T) {
-	jobs := []Job{
-		{Cfg: testCfg(), D: Design{Kind: Baseline}, App: sharingApp()},
-		{Cfg: testCfg(), D: Design{Kind: Private, DCL1s: 3}, App: sharingApp()}, // invalid
-		{Cfg: testCfg(), D: Design{Kind: Shared, DCL1s: 4}, App: streamApp()},
-	}
-	out, errs := RunManyChecked(jobs, 2, HealthOptions{})
-	if len(out) != 3 || len(errs) != 3 {
-		t.Fatalf("got %d results, %d errors", len(out), len(errs))
-	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy jobs errored: %v %v", errs[0], errs[2])
-	}
-	if errs[1] == nil {
-		t.Fatal("invalid job did not error")
-	}
-	want := Run(testCfg(), Design{Kind: Baseline}, sharingApp())
-	if !reflect.DeepEqual(out[0], want) {
-		t.Fatal("batch result differs from direct run")
-	}
-}
-
 // A zero Job — what a sweep expansion leaves beside a non-nil error — has no
 // workload source. The checked doors must refuse it with ErrNilApp; before the
 // up-front check the construction panic's recover handler called Label() on
-// the nil source and re-panicked out of RunChecked.
+// the nil source and re-panicked out of RunChecked. (The batch form is
+// dcl1sim's TestRunManyChecked.)
 func TestRunCheckedRejectsNilApp(t *testing.T) {
 	if _, err := RunChecked(Config{}, Design{}, nil, HealthOptions{}); !errors.Is(err, ErrNilApp) {
 		t.Fatalf("RunChecked(zero job) = %v, want ErrNilApp", err)
 	}
 	if _, err := RunChecked(testCfg(), Design{Kind: Shared, DCL1s: 4, Modules: 2}, nil, HealthOptions{}); !errors.Is(err, ErrNilApp) {
 		t.Fatalf("RunChecked(2-module job, nil app) = %v, want ErrNilApp", err)
-	}
-	jobs := []Job{
-		{},
-		{Cfg: testCfg(), D: Design{Kind: Baseline}, App: sharingApp()},
-	}
-	out, errs := RunManyChecked(jobs, 2, HealthOptions{})
-	if !errors.Is(errs[0], ErrNilApp) {
-		t.Fatalf("zero job in a batch = %v, want ErrNilApp", errs[0])
-	}
-	if errs[1] != nil {
-		t.Fatalf("healthy job beside the zero job errored: %v", errs[1])
-	}
-	if want := Run(testCfg(), Design{Kind: Baseline}, sharingApp()); !reflect.DeepEqual(out[1], want) {
-		t.Fatal("healthy job beside the zero job differs from a direct run")
 	}
 }

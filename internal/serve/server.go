@@ -17,7 +17,6 @@ import (
 	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/metrics"
-	"dcl1sim/internal/sim"
 )
 
 // Options configures a Server. The zero value of every field but DataDir is
@@ -48,11 +47,10 @@ type Options struct {
 	// the CLI sweeps do.
 	Retry         experiments.RetryPolicy
 	PointDeadline time.Duration
-	// StallWindow is the per-simulation deadlock window (0 = default).
-	StallWindow sim.Cycle
-	// Deadline is the wall-clock bound per simulation attempt (0 = none);
-	// PointDeadline folds into it per point, tighter wins.
-	Deadline time.Duration
+	// Health seeds every point's simulation options (stall window, per-
+	// attempt deadline — PointDeadline folds into it, tighter wins); the
+	// server fills Ctx and the spec's chaos per point.
+	Health gpu.HealthOptions
 	// MetricsEvery, when > 0, attaches live metrics collection to every
 	// fresh point: the registry is snapshotted every MetricsEvery core
 	// cycles and batches stream on GET /v1/jobs/{id}/metrics (Prometheus
@@ -432,6 +430,14 @@ func (s *Server) retryAfterLocked(tenantName string, n int) time.Duration {
 	return d
 }
 
+// pointHealth is the base every spec's points resolve against: the
+// configured health options, canceled when the server stops.
+func (s *Server) pointHealth() gpu.HealthOptions {
+	h := s.opt.Health
+	h.Ctx = s.runCtx
+	return h
+}
+
 // admitLocked builds the job, completes invalid and already-cached points
 // immediately, and enqueues the rest on the tenant's bounded queue. Caller
 // holds the mutex and, if the returned job is already finished, appends its
@@ -443,12 +449,7 @@ func (s *Server) admitLocked(tenantName string, spec SweepSpec, id string, recov
 		s.tenants[tenantName] = t
 		s.order = append(s.order, tenantName)
 	}
-	h := gpu.HealthOptions{
-		StallWindow: s.opt.StallWindow,
-		Deadline:    s.opt.Deadline,
-		Ctx:         s.runCtx,
-		Chaos:       spec.ChaosSpec(),
-	}
+	h, pts := spec.Points(s.pointHealth())
 	j := &job{
 		id:     id,
 		tenant: tenantName,
@@ -474,22 +475,20 @@ func (s *Server) admitLocked(tenantName string, spec SweepSpec, id string, recov
 	}
 	s.jobs[id] = j
 
-	jobs, errs := spec.Jobs()
-	for i := range jobs {
-		if errs[i] != nil {
+	for i, p := range pts {
+		if p.Err != nil {
 			// Invalid point (e.g. node count incompatible with the machine):
 			// terminal immediately, exactly like a failed simulation.
 			j.results = append(j.results, PointResult{
-				Index: i, Design: spec.Designs[i], OK: false, Err: errs[i].Error(),
+				Index: i, Design: spec.Designs[i], OK: false, Err: p.Err.Error(),
 			})
 			j.terminal++
 			j.failed++
 			s.pointsFailed.Add(1)
 			continue
 		}
-		key := s.store.Key(jobs[i], h.Chaos)
-		j.keys[i] = key
-		if r, ok := s.store.Peek(key); ok {
+		j.keys[i] = p.Key
+		if r, ok := s.store.Peek(p.Key); ok {
 			// Content-addressed hit at admission: the point never occupies a
 			// queue slot. Byte-identical to a fresh run by the journal's
 			// round-trip guarantee.
@@ -505,7 +504,7 @@ func (s *Server) admitLocked(tenantName string, spec SweepSpec, id string, recov
 			s.pointsCompleted.Add(1)
 			continue
 		}
-		t.queue = append(t.queue, &point{job: j, idx: i, name: spec.Designs[i], key: key, gj: jobs[i]})
+		t.queue = append(t.queue, &point{job: j, idx: i, name: spec.Designs[i], key: p.Key, gj: p.Job})
 		t.pending++
 		s.pendingPoints++
 	}
@@ -534,22 +533,20 @@ func (s *Server) reconstructLocked(id, tenantName string, spec SweepSpec) {
 		recovered: true,
 		notify:    make(chan struct{}),
 	}
-	jobs, errs := spec.Jobs()
-	chaosSpec := spec.ChaosSpec()
-	for i := range jobs {
+	_, pts := spec.Points(s.pointHealth())
+	for i, p := range pts {
 		pr := PointResult{Index: i, Design: spec.Designs[i]}
 		switch {
-		case errs[i] != nil:
-			pr.Err = errs[i].Error()
+		case p.Err != nil:
+			pr.Err = p.Err.Error()
 			j.failed++
 		default:
-			key := s.store.Key(jobs[i], chaosSpec)
-			j.keys[i] = key
-			if r, ok := s.store.Peek(key); ok {
+			j.keys[i] = p.Key
+			if r, ok := s.store.Peek(p.Key); ok {
 				res := r
 				pr.OK, pr.Cached, pr.Result = true, true, &res
 				j.cached++
-			} else if msg, ok := s.store.FailedEntry(key); ok {
+			} else if msg, ok := s.store.FailedEntry(p.Key); ok {
 				pr.Err = msg
 				j.failed++
 			} else {

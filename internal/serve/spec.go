@@ -18,9 +18,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"dcl1sim"
 	"dcl1sim/internal/chaos"
+	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/sim"
 )
@@ -40,11 +42,13 @@ const (
 	maxSpecBytes = 1 << 20
 )
 
-// SweepSpec is the wire format of one sweep submission: one application run
-// on a list of designs under one machine window. It is the shared encoding
-// between dcl1explore (which can emit its point grid as a spec) and the
-// dcl1serve daemon (which accepts it over HTTP). The zero windows select the
-// simulator's defaults.
+// SweepSpec is the one run description: one application run on a list of
+// designs under one machine window. It is the flag target of every
+// simulating command (cliflags.Spec), the wire form dcl1serve accepts over
+// HTTP, and the input of every point's content key (Points), so a knob is
+// added once, as a field here. How a point runs — watchdog, deadline,
+// metrics — is gpu.HealthOptions, not part of the description. The zero
+// windows select the simulator's defaults.
 type SweepSpec struct {
 	// App names the workload (dcl1.AppByName).
 	App string `json:"app"`
@@ -126,6 +130,9 @@ func (s *SweepSpec) normalize() error {
 		if err != nil {
 			return fmt.Errorf("serve: design %d: %w", i, err)
 		}
+		if dropsModifier(d) {
+			return fmt.Errorf("serve: design %d: %q has a modifier its canonical name %q drops", i, name, d.Name())
+		}
 		s.Designs[i] = d.Name()
 	}
 	if s.Cycles < 0 || s.Cycles > MaxSpecCycles {
@@ -157,16 +164,37 @@ func (s *SweepSpec) normalize() error {
 	if (s.LinkGBps > 0 || s.LinkLat > 0) && s.Modules < 2 {
 		return fmt.Errorf("serve: link_gbps/link_lat require modules >= 2")
 	}
-	if s.Chaos == "off" {
-		s.Chaos = ""
-	}
-	if _, err := dcl1.ChaosPreset(s.Chaos, s.ChaosSeed); err != nil {
+	cs, err := dcl1.ChaosPreset(s.Chaos, s.ChaosSeed)
+	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	if s.Chaos == "" {
-		s.ChaosSeed = 0
+	if cs == nil {
+		s.Chaos, s.ChaosSeed = "", 0
+	} else {
+		s.Chaos = strings.ToLower(strings.TrimSpace(s.Chaos))
 	}
 	return nil
+}
+
+// dropsModifier reports whether d's canonical name loses one of its
+// modifiers (Pr40+2xL1, CDXBar+Boost). A spec carries designs by name, so
+// such a design would run without the modifier; it is rejected instead.
+// Default link values are no loss: the name omits them and the build
+// restores them.
+func dropsModifier(d gpu.Design) bool {
+	c, err := dcl1.ParseDesign(d.Name())
+	if err != nil {
+		return true
+	}
+	for _, x := range []*gpu.Design{&d, &c} {
+		if x.LinkGBps == gpu.DefaultLinkGBps {
+			x.LinkGBps = 0
+		}
+		if x.LinkLat == gpu.DefaultLinkLat {
+			x.LinkLat = 0
+		}
+	}
+	return c != d
 }
 
 // Encode renders the spec as canonical compact JSON. Parsing the result
@@ -232,15 +260,7 @@ func (s SweepSpec) Jobs() (jobs []gpu.Job, errs []error) {
 			errs[i] = err
 			continue
 		}
-		if s.Modules >= 2 && d.Modules == 0 {
-			d.Modules = s.Modules
-			if s.LinkGBps > 0 {
-				d.LinkGBps = s.LinkGBps
-			}
-			if s.LinkLat > 0 {
-				d.LinkLat = sim.Cycle(s.LinkLat)
-			}
-		}
+		d = s.FillModules(d)
 		if err := d.Validate(cfg); err != nil {
 			errs[i] = err
 			continue
@@ -250,13 +270,56 @@ func (s SweepSpec) Jobs() (jobs []gpu.Job, errs []error) {
 	return jobs, errs
 }
 
-// ExploreSpec returns the canonical dcl1explore point grid as a sweep spec:
-// the baseline, the aggregation axis (Pr80..Pr10), and the sharing-
-// granularity axis (Sh40 clustered at Z ∈ {1,5,10,20}), with 2x-NoC#1 boost
-// variants when boost is set. dcl1explore builds its jobs from this spec and
-// can emit it with -spec-out, so a sweep POSTed to dcl1serve is guaranteed
-// to name the same points the CLI walks.
-func ExploreSpec(app string, boost bool, cycles, warmup int64) SweepSpec {
+// FillModules is the spec's module-fill rule: a design without its own
+// +M<n> suffix is assembled from Modules linked modules over the spec's
+// link, and a design that spells +M<n> keeps its own machine. Modules 0 (or
+// 1) leaves every design single-module.
+func (s SweepSpec) FillModules(d gpu.Design) gpu.Design {
+	if s.Modules >= 2 && d.Modules == 0 {
+		d.Modules = s.Modules
+		d.LinkGBps = s.LinkGBps
+		d.LinkLat = sim.Cycle(s.LinkLat)
+	}
+	return d
+}
+
+// Point is one resolved sweep point. Err is set, and Job and Key left zero,
+// when the design fails machine validation.
+type Point struct {
+	Job gpu.Job
+	// Key is the point's content address: experiments.PointKey over the job
+	// and the chaos and power cap the point runs under. The resume journal,
+	// the result store and the lease table all read it.
+	Key string
+	Err error
+}
+
+// Points resolves the spec into the options its points run under — base
+// with the spec's chaos armed — and one Point per design, in spec order.
+// It is the one place a spec becomes runnable, keyed points: the service's
+// admission and restart recovery, a farm worker and dcl1explore all call
+// it, so none of them can key or arm a point differently.
+func (s SweepSpec) Points(base gpu.HealthOptions) (gpu.HealthOptions, []Point) {
+	h := base
+	h.Chaos = s.ChaosSpec()
+	jobs, errs := s.Jobs()
+	pts := make([]Point, len(jobs))
+	for i, j := range jobs {
+		if pts[i].Err = errs[i]; pts[i].Err == nil {
+			pts[i].Job = j
+			pts[i].Key = experiments.PointKey(j, h.Chaos, h.PowerCap)
+		}
+	}
+	return h, pts
+}
+
+// ExploreSpec returns base with its designs replaced by the canonical
+// dcl1explore point grid: the baseline, the aggregation axis (Pr80..Pr10),
+// and the sharing-granularity axis (Sh40 clustered at Z ∈ {1,5,10,20}), with
+// 2x-NoC#1 boost variants when boost is set. dcl1explore builds its jobs
+// from this spec and can emit it with -spec-out, so a sweep POSTed to
+// dcl1serve is guaranteed to name the same points the CLI walks.
+func ExploreSpec(base SweepSpec, boost bool) SweepSpec {
 	designs := []string{"Baseline", "Pr80", "Pr40", "Pr20", "Pr10"}
 	for _, z := range []int{1, 5, 10, 20} {
 		name := "Sh40"
@@ -268,5 +331,6 @@ func ExploreSpec(app string, boost bool, cycles, warmup int64) SweepSpec {
 			designs = append(designs, name+"+Boost")
 		}
 	}
-	return SweepSpec{App: app, Designs: designs, Cycles: cycles, Warmup: warmup}
+	base.Designs = designs
+	return base
 }

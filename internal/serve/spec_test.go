@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dcl1sim/internal/experiments"
+	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/power"
 )
 
 func TestParseSweepSpecValid(t *testing.T) {
@@ -57,6 +61,7 @@ func TestParseSweepSpecRejects(t *testing.T) {
 		{"negative cores", `{"app":"T-AlexNet","designs":["Baseline"],"cores":-8}`, "cores"},
 		{"huge cores", `{"app":"T-AlexNet","designs":["Baseline"],"cores":999999}`, "cores"},
 		{"bad chaos", `{"app":"T-AlexNet","designs":["Baseline"],"chaos":"catastrophic"}`, "chaos"},
+		{"dropped modifier", `{"app":"T-AlexNet","designs":["Pr40+2xL1"]}`, "drops"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,7 +120,8 @@ func TestEncodeFixpoint(t *testing.T) {
 // expands to runnable jobs on the default machine — the bridge dcl1explore
 // -spec-out and dcl1serve meet on.
 func TestExploreSpec(t *testing.T) {
-	spec := ExploreSpec("T-AlexNet", true, 16000, 8000)
+	base := SweepSpec{App: "T-AlexNet", Cycles: 16000, Warmup: 8000}
+	spec := ExploreSpec(base, true)
 	if spec.Designs[0] != "Baseline" {
 		t.Fatalf("grid must lead with the baseline, got %v", spec.Designs)
 	}
@@ -131,10 +137,41 @@ func TestExploreSpec(t *testing.T) {
 			t.Errorf("grid design %s invalid on the default machine: %v", spec.Designs[i], err)
 		}
 	}
-	unboosted := ExploreSpec("T-AlexNet", false, 16000, 8000)
+	unboosted := ExploreSpec(base, false)
 	if len(unboosted.Designs) >= len(spec.Designs) {
 		t.Fatalf("boost=false should drop the +Boost variants (%d vs %d designs)",
 			len(unboosted.Designs), len(spec.Designs))
+	}
+}
+
+// TestSpecPoints pins the one resolution step: the spec's chaos is armed on
+// the base options, each valid point is keyed by PointKey over its job, that
+// chaos and the base's power cap, and an invalid design keeps its error in
+// its own slot.
+func TestSpecPoints(t *testing.T) {
+	s, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline","Pr3","Sh40+M2+G64"],"cores":8,"l2_slices":4,"channels":2,"chaos":"light","chaos_seed":3}`))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	base := gpu.HealthOptions{StallWindow: 777, PowerCap: &power.CapSpec{Zone: power.ZoneGPU, BudgetWatts: 50}}
+	h, pts := s.Points(base)
+	if h.StallWindow != 777 || h.PowerCap != base.PowerCap || !reflect.DeepEqual(h.Chaos, s.ChaosSpec()) || h.Chaos == nil {
+		t.Fatalf("health = %+v", h)
+	}
+	if pts[1].Err == nil || pts[1].Key != "" || pts[1].Job.App != nil {
+		t.Errorf("Pr3 on 8 cores: %+v", pts[1])
+	}
+	jobs, _ := s.Jobs()
+	for _, i := range []int{0, 2} {
+		if pts[i].Err != nil || !reflect.DeepEqual(pts[i].Job, jobs[i]) {
+			t.Fatalf("point %d = %+v, want job %+v", i, pts[i], jobs[i])
+		}
+		if want := experiments.PointKey(jobs[i], h.Chaos, h.PowerCap); pts[i].Key != want {
+			t.Errorf("point %d key %q, want %q", i, pts[i].Key, want)
+		}
+	}
+	if _, uncapped := s.Points(gpu.HealthOptions{}); uncapped[0].Key == pts[0].Key {
+		t.Error("a capped point shares its key with the uncapped one")
 	}
 }
 

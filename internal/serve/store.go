@@ -67,9 +67,8 @@ func (s *Store) Compact(now time.Time) (int, error) {
 func (s *Store) Compactions() int64 { return s.compactions.Load() }
 func (s *Store) Dropped() int64     { return s.dropped.Load() }
 
-// Key returns the content address of one point. The service never arms the
-// power-capping governor (SweepSpec has no cap field), so the cap component
-// of the point identity is always nil here.
+// Key returns the content address of one uncapped point: the key
+// SweepSpec.Points gives it.
 func (s *Store) Key(j gpu.Job, spec *chaos.Spec) string {
 	return experiments.PointKey(j, spec, nil)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"dcl1sim/internal/chaos"
+	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/power"
@@ -110,8 +111,10 @@ func Run(cfg Config, d Design, w Workload, opts ...RunOption) (Results, error) {
 // degrades into its error slot instead of hanging or killing the sweep, and
 // a canceled WithContext context fails not-yet-started jobs immediately.
 // Each simulation is single-threaded and deterministic, so the output is
-// independent of worker count and scheduling.
+// independent of worker count and scheduling. The batch runs on the sweep
+// supervisor's worker pool and panic barrier, without retries or a journal.
 func RunMany(jobs []Job, opts ...RunOption) (results []Results, errs []error) {
 	rc := applyOptions(opts)
-	return gpu.RunManyChecked(jobs, rc.workers, rc.healthOptions())
+	sup := &experiments.Supervisor{Health: rc.healthOptions(), Workers: rc.workers}
+	return sup.RunAll(jobs)
 }

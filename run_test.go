@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dcl1sim"
+	"dcl1sim/internal/gpu"
 )
 
 // TestRunRepeatable pins the one-door contract now that the deprecated
@@ -67,6 +68,123 @@ func TestRunManyContextCanceled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("job %d: expected context.Canceled, got %v", i, err)
 		}
+	}
+}
+
+// tinyCfg is the 8-core machine of the batch-guarantee tests below.
+func tinyCfg() dcl1.Config {
+	return dcl1.Config{
+		Cores: 8, L2Slices: 4, Channels: 2, L1KB: 4, L2KB: 32,
+		WarmupCycles: 2000, MeasureCycles: 6000,
+	}
+}
+
+func appNamed(t *testing.T, name string) dcl1.AppSpec {
+	t.Helper()
+	a, ok := dcl1.AppByName(name)
+	if !ok {
+		t.Fatalf("unknown app %q", name)
+	}
+	return a
+}
+
+// panicApp panics when built and when asked for its label, so the batch's
+// panic barrier must describe the failure without trusting the source.
+type panicApp struct{ dcl1.AppSpec }
+
+func (panicApp) Label() string    { panic("injected label panic") }
+func (panicApp) WavesFor(int) int { panic("injected workload panic") }
+
+// TestRunManyChecked pins the batch door's error slots: an invalid design
+// and a zero Job (what a sweep expansion leaves beside an error) fail in
+// their own slots, and a healthy neighbour equals a direct run.
+func TestRunManyChecked(t *testing.T) {
+	cfg := tinyCfg()
+	jobs := []dcl1.Job{
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Baseline}, App: appNamed(t, "C-BFS")},
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Private, DCL1s: 3}, App: appNamed(t, "C-BFS")}, // 3 does not divide 8
+		{},
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Shared, DCL1s: 4}, App: appNamed(t, "T-AlexNet")},
+	}
+	out, errs := dcl1.RunMany(jobs, dcl1.WithWorkers(2))
+	if len(out) != len(jobs) || len(errs) != len(jobs) {
+		t.Fatalf("got %d results, %d errors for %d jobs", len(out), len(errs), len(jobs))
+	}
+	if errs[0] != nil || errs[3] != nil {
+		t.Fatalf("healthy jobs errored: %v %v", errs[0], errs[3])
+	}
+	if errs[1] == nil {
+		t.Error("invalid design did not error")
+	}
+	if !errors.Is(errs[2], gpu.ErrNilApp) {
+		t.Errorf("zero job = %v, want ErrNilApp", errs[2])
+	}
+	if want := mustRun(t, cfg, jobs[0].D, jobs[0].App); !reflect.DeepEqual(out[0], want) {
+		t.Error("batch result differs from a direct run")
+	}
+}
+
+// TestRunManyCheckedPartialResults pins the batch's hard guarantee: a
+// panicking workload source degrades into its own *SimError slot while every
+// other job's Results come back intact, identical to a clean batch's.
+func TestRunManyCheckedPartialResults(t *testing.T) {
+	cfg := tinyCfg()
+	good := []dcl1.Job{
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Baseline}, App: appNamed(t, "C-BFS")},
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Private, DCL1s: 4}, App: appNamed(t, "T-AlexNet")},
+	}
+	jobs := []dcl1.Job{
+		good[0],
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Baseline}, App: panicApp{appNamed(t, "C-BFS")}},
+		good[1],
+	}
+	results, errs := dcl1.RunMany(jobs, dcl1.WithWorkers(2))
+	var se *dcl1.SimError
+	if !errors.As(errs[1], &se) {
+		t.Fatalf("panicking workload: want *SimError, got %v", errs[1])
+	}
+	if se.App != "<unlabeled>" || se.Stack == "" {
+		t.Errorf("SimError = {App %q, stack %d bytes}", se.App, len(se.Stack))
+	}
+	clean, cleanErrs := dcl1.RunMany(good, dcl1.WithWorkers(1))
+	for i, err := range cleanErrs {
+		if err != nil {
+			t.Fatalf("clean job %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(results[0], clean[0]) || !reflect.DeepEqual(results[2], clean[1]) {
+		t.Error("healthy jobs perturbed by a failing neighbour")
+	}
+}
+
+// TestRunManyMatchesSerial: a parallel batch equals one direct Run per job.
+func TestRunManyMatchesSerial(t *testing.T) {
+	cfg := tinyCfg()
+	jobs := []dcl1.Job{
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Baseline}, App: appNamed(t, "C-BFS")},
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Shared, DCL1s: 4}, App: appNamed(t, "C-BFS")},
+		{Cfg: cfg, D: dcl1.Design{Kind: dcl1.Private, DCL1s: 4}, App: appNamed(t, "T-AlexNet")},
+	}
+	par, errs := dcl1.RunMany(jobs, dcl1.WithWorkers(3))
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
+		}
+		if serial := mustRun(t, j.Cfg, j.D, j.App); !reflect.DeepEqual(par[i], serial) {
+			t.Fatalf("job %d diverged: parallel IPC %v vs serial %v", i, par[i].IPC, serial.IPC)
+		}
+	}
+}
+
+// TestRunManyEmptyAndDefaults: an empty batch returns empty slices, and no
+// WithWorkers runs on the default pool (GOMAXPROCS).
+func TestRunManyEmptyAndDefaults(t *testing.T) {
+	if out, errs := dcl1.RunMany(nil); len(out) != 0 || len(errs) != 0 {
+		t.Fatal("empty batch must return empty results")
+	}
+	out, errs := dcl1.RunMany([]dcl1.Job{{Cfg: tinyCfg(), D: dcl1.Design{Kind: dcl1.Baseline}, App: appNamed(t, "C-BFS")}})
+	if len(out) != 1 || errs[0] != nil || out[0].IPC <= 0 {
+		t.Fatalf("single-job batch failed: %v", errs)
 	}
 }
 
