@@ -19,18 +19,16 @@ type Array struct {
 	sets int
 	ways int
 	tick int64
-	meta []way // sets*ways entries, set-major
+	// The ways, as parallel slices of sets*ways entries, set-major: tags[i]
+	// is the resident line + 1 (0 = invalid), used[i] its LRU timestamp,
+	// dirty[i] its dirty bit. A lookup scans only a set's tags.
+	tags  []uint64
+	used  []int64
+	dirty []bool
 	// gen advances whenever the set of resident lines may have changed
 	// (Install, Invalidate): a "line absent" verdict taken at one gen holds
 	// for as long as gen does.
 	gen uint64
-}
-
-type way struct {
-	line  uint64
-	valid bool
-	dirty bool
-	used  int64 // LRU timestamp
 }
 
 // NewArray builds a tag array with the given geometry. Both arguments must be
@@ -40,7 +38,8 @@ func NewArray(sets, ways int) *Array {
 	if sets <= 0 || ways <= 0 {
 		panic("cache: NewArray requires positive sets and ways")
 	}
-	return &Array{sets: sets, ways: ways, meta: make([]way, sets*ways)}
+	n := sets * ways
+	return &Array{sets: sets, ways: ways, tags: make([]uint64, n), used: make([]int64, n), dirty: make([]bool, n)}
 }
 
 // mix64 is the SplitMix64 finalizer: a fast, well-distributed 64-bit hash.
@@ -66,101 +65,91 @@ func (a *Array) index(line uint64) (set int) {
 	return int(mix64(line) % uint64(a.sets))
 }
 
-func (a *Array) slot(set, w int) *way { return &a.meta[set*a.ways+w] }
+// find returns the index of line's way, or -1 when it is not resident.
+func (a *Array) find(line uint64) int {
+	base := a.index(line) * a.ways
+	for w, t := range a.tags[base : base+a.ways] {
+		if t == line+1 {
+			return base + w
+		}
+	}
+	return -1
+}
 
 // Lookup reports whether line is present; when touch is true a hit also
 // refreshes its LRU position.
 func (a *Array) Lookup(line uint64, touch bool) bool {
-	set := a.index(line)
-	for w := 0; w < a.ways; w++ {
-		s := a.slot(set, w)
-		if s.valid && s.line == line {
-			if touch {
-				a.tick++
-				s.used = a.tick
-			}
-			return true
-		}
+	i := a.find(line)
+	if i >= 0 && touch {
+		a.tick++
+		a.used[i] = a.tick
 	}
-	return false
+	return i >= 0
 }
 
 // Contains is Lookup without the LRU side effect.
-func (a *Array) Contains(line uint64) bool { return a.Lookup(line, false) }
+func (a *Array) Contains(line uint64) bool { return a.find(line) >= 0 }
 
 // Install places line in its set, evicting the LRU victim if the set is
-// full. It returns the victim line and whether it was dirty. Installing a
-// line already present refreshes it instead (no eviction).
+// full: the first invalid way, otherwise the least recently used, the first
+// of them on a tie. It returns the victim line and whether it was dirty.
+// Installing a line already present refreshes it instead (no eviction).
 func (a *Array) Install(line uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
-	set := a.index(line)
+	base := a.index(line) * a.ways
 	a.tick++
 	a.gen++
-	var lru *way
-	for w := 0; w < a.ways; w++ {
-		s := a.slot(set, w)
-		if s.valid && s.line == line {
-			s.used = a.tick
+	lru := -1
+	for w, t := range a.tags[base : base+a.ways] {
+		i := base + w
+		switch {
+		case t == line+1:
+			a.used[i] = a.tick
 			if dirty {
-				s.dirty = true
+				a.dirty[i] = true
 			}
 			return 0, false, false
-		}
-		if !s.valid {
-			if lru == nil || lru.valid {
-				lru = s
+		case t == 0:
+			if lru < 0 || a.tags[lru] != 0 {
+				lru = i
 			}
-			continue
-		}
-		if lru == nil || (lru.valid && s.used < lru.used) {
-			lru = s
+		case lru < 0 || a.tags[lru] != 0 && a.used[i] < a.used[lru]:
+			lru = i
 		}
 	}
-	if lru.valid {
-		victim = lru.line
-		victimDirty = lru.dirty
-		evicted = true
+	if t := a.tags[lru]; t != 0 {
+		victim, victimDirty, evicted = t-1, a.dirty[lru], true
 	}
-	lru.line = line
-	lru.valid = true
-	lru.dirty = dirty
-	lru.used = a.tick
+	a.tags[lru], a.dirty[lru], a.used[lru] = line+1, dirty, a.tick
 	return victim, victimDirty, evicted
 }
 
 // MarkDirty sets the dirty bit of a resident line, reporting whether the
 // line was present.
 func (a *Array) MarkDirty(line uint64) bool {
-	set := a.index(line)
-	for w := 0; w < a.ways; w++ {
-		s := a.slot(set, w)
-		if s.valid && s.line == line {
-			s.dirty = true
-			return true
-		}
+	i := a.find(line)
+	if i >= 0 {
+		a.dirty[i] = true
 	}
-	return false
+	return i >= 0
 }
 
 // Invalidate drops a line if present, returning whether it was present and
 // whether it was dirty (the write-evict policy forwards the line downward).
 func (a *Array) Invalidate(line uint64) (present, dirty bool) {
-	set := a.index(line)
-	for w := 0; w < a.ways; w++ {
-		s := a.slot(set, w)
-		if s.valid && s.line == line {
-			s.valid = false
-			a.gen++
-			return true, s.dirty
-		}
+	i := a.find(line)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	a.tags[i] = 0
+	a.gen++
+	return true, a.dirty[i]
 }
 
 // CountValid returns the number of resident lines (test/debug aid).
 func (a *Array) CountValid() int {
 	n := 0
-	for i := range a.meta {
-		if a.meta[i].valid {
+	for _, t := range a.tags {
+		if t != 0 {
 			n++
 		}
 	}

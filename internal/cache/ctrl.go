@@ -126,6 +126,10 @@ type Ctrl struct {
 	// cycle and publishes it through NextWorkCycle. Nil injects nothing.
 	Chaos *chaos.Injector
 
+	// Feeds run at the end of Tick: glue between other components' ports
+	// on the controller's clock that it hosts (sim.Feed).
+	Feeds sim.Feeds[*mem.Access]
+
 	tracker Tracker
 	pipe    *sim.DelayQueue[*mem.Access] // hit replies / acks in flight
 	mshr    *mshrTable
@@ -195,6 +199,7 @@ func (c *Ctrl) Tick(now sim.Cycle) {
 		// state; the health audit must catch it.
 		c.In.PushCount++
 	}
+	c.Feeds.Run()
 }
 
 // NextWorkCycle implements sim.Sleeper. The controller has work when one of
@@ -205,8 +210,12 @@ func (c *Ctrl) Tick(now sim.Cycle) {
 // frees — both wake sources — so a tick before then updates only lastTick and
 // MSHRStalls, which SkipIdle compensates. An armed injector's fill-stall and
 // MSHR-pinch draws depend on the cycle: with one, every tick with input
-// waiting may act, and no stall is a reason to sleep.
+// waiting may act, and no stall is a reason to sleep. A feed that can move is
+// work too.
 func (c *Ctrl) NextWorkCycle(now sim.Cycle) sim.Cycle {
+	if c.Feeds.Busy() {
+		return now
+	}
 	if c.Chaos != nil {
 		if !c.In.Empty() || !c.FillIn.Empty() {
 			return now
@@ -256,9 +265,10 @@ func (c *Ctrl) fillStalled(a *mem.Access) bool {
 
 // WakeSources implements sim.WakeSourcer: a sleeping controller is woken by
 // a request or a fill, or by space in an output it was refused by; the
-// latency pipe and the corruption drill are timers.
+// latency pipe and the corruption drill are timers. The feeds add theirs.
 func (c *Ctrl) WakeSources() []sim.PortRef {
-	return []sim.PortRef{c.In.Ref(), c.FillIn.Ref(), c.Out.SpaceRef(), c.MissOut.SpaceRef()}
+	refs := []sim.PortRef{c.In.Ref(), c.FillIn.Ref(), c.Out.SpaceRef(), c.MissOut.SpaceRef()}
+	return append(refs, c.Feeds.WakeSources()...)
 }
 
 // SkipIdle implements sim.IdleSkipper: the lastTick watermark (used by the

@@ -124,6 +124,11 @@ type Node struct {
 	Q3   *sim.Port[*mem.Access]
 	Q4   *sim.Port[*mem.Access]
 	Stat Stats
+
+	// Feeds run at the end of Tick: glue between other components' ports
+	// on the node's clock that it hosts (sim.Feed) — where a core sits next
+	// to its private L1, the moves between the core's ports and Q1/Q2.
+	Feeds sim.Feeds[*mem.Access]
 }
 
 // New builds a DC-L1 node; tracker feeds the replication statistics.
@@ -143,11 +148,12 @@ func New(p Params, tracker cache.Tracker) *Node {
 }
 
 // Tick advances the node one cycle: pump Q1/Q4 into the cache (or around
-// it), tick the cache, then pump its outputs into Q2/Q3.
+// it), tick the cache, pump its outputs into Q2/Q3, then run the feeds.
 func (n *Node) Tick(now sim.Cycle) {
 	n.pumpIn()
 	n.Ctrl.Tick(now)
 	n.pumpOut()
+	n.Feeds.Run()
 }
 
 // NextWorkCycle implements sim.Sleeper. The node has work when one of its four
@@ -156,8 +162,11 @@ func (n *Node) Tick(now sim.Cycle) {
 // full destination refuses; with every pump empty or refused it sleeps exactly
 // as long as its cache controller does. What can lift a refusal is a fill or
 // a request arriving, or space in Q2 or Q3: the controller's own four queues
-// change only when the node ticks.
+// change only when the node ticks. A feed that can move is work too.
 func (n *Node) NextWorkCycle(now sim.Cycle) sim.Cycle {
+	if n.Feeds.Busy() {
+		return now
+	}
 	if a, ok := n.Q1.Peek(); ok && !n.requestDst(a).Full() {
 		return now
 	}
@@ -173,9 +182,11 @@ func (n *Node) NextWorkCycle(now sim.Cycle) sim.Cycle {
 // WakeSources implements sim.WakeSourcer: the two inbound bridge queues are
 // the only ports another component fills, the two outbound ones the only
 // ports another component drains. The cache controller's own four are filled
-// and drained by the node itself, so they are frozen while it sleeps.
+// and drained by the node itself, so they are frozen while it sleeps. The
+// feeds add theirs.
 func (n *Node) WakeSources() []sim.PortRef {
-	return []sim.PortRef{n.Q1.Ref(), n.Q4.Ref(), n.Q2.SpaceRef(), n.Q3.SpaceRef()}
+	refs := []sim.PortRef{n.Q1.Ref(), n.Q4.Ref(), n.Q2.SpaceRef(), n.Q3.SpaceRef()}
+	return append(refs, n.Feeds.WakeSources()...)
 }
 
 // SkipIdle implements sim.IdleSkipper by forwarding to the cache controller

@@ -114,6 +114,10 @@ type Channel struct {
 	// the fault schedule is fast-path-invariant; nil is a no-op.
 	Chaos *chaos.Injector
 
+	// Feeds run at the end of Tick: glue between other components' ports
+	// on the memory clock that the channel hosts (sim.Feed).
+	Feeds sim.Feeds[*mem.Access]
+
 	banks       []bank
 	busBusy     sim.Cycle
 	inflight    *sim.DelayQueue[*mem.Access]
@@ -171,8 +175,13 @@ func (c *Channel) locate(line uint64) (bank int, row uint64) {
 	return c.P.Map.Bank(line) % c.P.Banks, c.P.Map.Row(line)
 }
 
-// Tick advances the channel one memory-clock cycle.
+// Tick advances the channel one memory-clock cycle, then runs its feeds.
 func (c *Channel) Tick(now sim.Cycle) {
+	c.tick(now)
+	c.Feeds.Run()
+}
+
+func (c *Channel) tick(now sim.Cycle) {
 	c.lastTick = now
 	c.Stat.Cycles++
 	c.maybeRefresh(now)
@@ -254,6 +263,9 @@ func (c *Channel) Tick(now sim.Cycle) {
 // SkipIdle compensates. An armed injector's refresh storms depend on the
 // cycle, so with one every tick with requests queued may act.
 func (c *Channel) NextWorkCycle(now sim.Cycle) sim.Cycle {
+	if c.Feeds.Busy() {
+		return now
+	}
 	wake := sim.WakeNever
 	if !c.In.Empty() {
 		if c.Chaos != nil {
@@ -292,9 +304,9 @@ func (c *Channel) nextIssue(now sim.Cycle) sim.Cycle {
 
 // WakeSources implements sim.WakeSourcer: bank timing, in-flight accesses and
 // refresh are timers; a request committed into In arrives from outside, and
-// so does the space a full Out is waiting for.
+// so does the space a full Out is waiting for. The feeds add theirs.
 func (c *Channel) WakeSources() []sim.PortRef {
-	return []sim.PortRef{c.In.Ref(), c.Out.SpaceRef()}
+	return append([]sim.PortRef{c.In.Ref(), c.Out.SpaceRef()}, c.Feeds.WakeSources()...)
 }
 
 // SkipIdle implements sim.IdleSkipper.

@@ -16,7 +16,8 @@ import (
 	"dcl1sim/internal/workload"
 )
 
-const pumpRate = 2
+// feedRate is how many accesses a feed moves from each source per cycle.
+const feedRate = 2
 
 // Bounds of the multi-GPU assembly (DESIGN.md §16).
 const (
@@ -311,7 +312,7 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 	lat := sim.Cycle(power.CacheAccessLatency(bankBytes, int(cfg.L1Lat)))
 	ports := 1
 	qcap := 4
-	pump := pumpRate
+	pump := feedRate
 	mshrs := cfg.L1MSHRs
 	ctrlCap := 8
 	if d.Kind == SingleL1 {
@@ -409,8 +410,8 @@ func (mod *Module) buildL2AndDram() {
 		mod.l2in = append(mod.l2in, in)
 		mod.sys.Noc2Clk.Register(l2)
 		// Port producers, identical across designs: the L2 controller emits
-		// Out/MissOut on the NoC#2 clock; L2.In is fed by the l2in pump (NoC#2
-		// clock); FillIn by the DRAM reply pump (memory clock). l2in is
+		// Out/MissOut on the NoC#2 clock; L2.In is fed by the l2in feed (NoC#2
+		// clock); FillIn by the DRAM reply feed (memory clock). l2in is
 		// attached by the design's wiring, which creates its producer.
 		l2.Out.Attach(mod.sys.Noc2Clk)
 		l2.MissOut.Attach(mod.sys.Noc2Clk)
@@ -429,88 +430,20 @@ func (mod *Module) buildL2AndDram() {
 	}
 }
 
-// multiPump drains source ports through an injection function in fixed source
-// order, up to rate accesses per source per cycle. Several sources share one
-// pump where many logical producers feed one queue (all cores into the
-// SingleL1 node, all of a DRAM channel's slices into its In port): an attached
-// port admits exactly one producer component, so the fan-in must be a single
-// ticker and the destination's staging buffer is never written concurrently.
-// The optional prep hook runs before try with the source index, letting a
-// fan-in treat sources differently (the multi-GPU DRAM fan-in stamps locally
-// originated misses with the module id while link arrivals keep theirs).
-//
-// It implements sim.Sleeper — with every source empty a tick would do nothing
-// — and keeps no per-cycle counters, so no SkipIdle compensation is needed. A
-// wiring site that names in space everything a refused try waits for (the
-// destination ports, or the crossbar input whose credits ran out) also lets
-// the pump sleep through back-pressure: refused records that the last tick
-// left every non-empty source on a refusal, and only the barrier that frees
-// one of space — which wakes the pump to try again — can change that. A site
-// that names nothing keeps polling.
-type multiPump struct {
-	srcs  []*sim.Port[*mem.Access]
-	rate  int
-	try   func(a *mem.Access) bool
-	prep  func(src int, a *mem.Access)
-	space []sim.PortRef
-
-	refused bool
+// feed returns a feed moving accesses from src through try at feedRate, for
+// the component it feeds to host (sim.Feed). space names the ports try pushes
+// into: what a refused try waits for.
+func feed(src *sim.Port[*mem.Access], try func(a *mem.Access) bool, space ...sim.PortRef) *sim.Feed[*mem.Access] {
+	return &sim.Feed[*mem.Access]{Srcs: []*sim.Port[*mem.Access]{src}, Rate: feedRate, Try: try, Space: space}
 }
 
-func (p *multiPump) Tick(sim.Cycle) {
-	p.refused = len(p.space) > 0
-	for si, q := range p.srcs {
-		moved := 0
-		for ; moved < p.rate; moved++ {
-			a, ok := q.Peek()
-			if !ok {
-				break
-			}
-			if p.prep != nil {
-				p.prep(si, a)
-			}
-			if !p.try(a) {
-				break
-			}
-			q.Pop()
-		}
-		if moved == p.rate && !q.Empty() {
-			p.refused = false // stopped by the rate, not by a refusal
-		}
-	}
+// netFeed returns a feed injecting accesses from srcs into the network net
+// through try, for net to host: a refused try waits for net's credits.
+func netFeed(net packetNet, try func(a *mem.Access) bool, srcs ...*sim.Port[*mem.Access]) *sim.Feed[*mem.Access] {
+	return &sim.Feed[*mem.Access]{Srcs: srcs, Rate: feedRate, Try: try, Credits: net.CreditsReturned}
 }
 
-// NextWorkCycle implements sim.Sleeper. The refusal memo counts only while
-// the engine has bound the pump to its space sources: unbound, nothing would
-// wake it to try again.
-func (p *multiPump) NextWorkCycle(now sim.Cycle) sim.Cycle {
-	if p.refused && p.space[0].Bound() {
-		return sim.WakeNever
-	}
-	for _, q := range p.srcs {
-		if !q.Empty() {
-			return now
-		}
-	}
-	return sim.WakeNever
-}
-
-// WakeSources implements sim.WakeSourcer.
-func (p *multiPump) WakeSources() []sim.PortRef {
-	refs := make([]sim.PortRef, 0, len(p.srcs)+len(p.space))
-	for _, q := range p.srcs {
-		refs = append(refs, q.Ref())
-	}
-	return append(refs, p.space...)
-}
-
-// pump returns a Ticker moving accesses from q through try, up to rate/cycle,
-// sleeping through refusals when the site names what they wait for in space.
-func pump(q *sim.Port[*mem.Access], rate int, try func(a *mem.Access) bool, space ...sim.PortRef) sim.Ticker {
-	return &multiPump{srcs: []*sim.Port[*mem.Access]{q}, rate: rate, try: try, space: space}
-}
-
-// spaceRefs names the space of every port of ports, for a pump whose try
+// spaceRefs names the space of every port of ports, for a feed whose try
 // picks its destination among them.
 func spaceRefs(ports []*sim.Port[*mem.Access]) []sim.PortRef {
 	refs := make([]sim.PortRef, len(ports))
@@ -536,6 +469,7 @@ func (s *System) sink(q *sim.Port[*mem.Access]) noc.Endpoint {
 // packetNet is any network accepting packet injections (Crossbar or Mesh).
 type packetNet interface {
 	Inject(*mem.Packet) bool
+	CreditsReturned() int64
 }
 
 // inject wraps a in a pooled packet and offers it to x. A refused injection
@@ -563,12 +497,13 @@ func (s *System) retireOrphan(a *mem.Access) bool {
 }
 
 // wireLocalL1 connects each core to its colocated private L1 node
-// (Baseline and CDXBar): core↔node queues move at core clock.
+// (Baseline and CDXBar): core↔node queues move at core clock, both ways
+// by feeds the node hosts.
 func (mod *Module) wireLocalL1() {
 	for c := 0; c < mod.sys.Cfg.Cores; c++ {
 		co, nd := mod.Cores[c], mod.Nodes[c]
-		mod.sys.CoreClk.Register(pump(co.Out, pumpRate, nd.Q1.Push, nd.Q1.SpaceRef()))
-		mod.sys.CoreClk.Register(pump(nd.Q2, pumpRate, co.In.Push, co.In.SpaceRef()))
+		nd.Feeds.Add(feed(co.Out, nd.Q1.Push, nd.Q1.SpaceRef()))
+		nd.Feeds.Add(feed(nd.Q2, co.In.Push, co.In.SpaceRef()))
 		nd.Q1.Attach(mod.sys.CoreClk)
 		co.In.Attach(mod.sys.CoreClk)
 	}
@@ -580,7 +515,7 @@ func (mod *Module) wireLocalL1() {
 // downstream tap the other way round.
 type tap struct {
 	req, rep *sim.Port[*mem.Access]
-	// l2 marks a downstream tap as an L2 slice, whose ingress glue and orphan
+	// l2 marks a downstream tap as an L2 slice, whose ingress feed and orphan
 	// ACKs the stage that reaches it looks after.
 	l2 *cache.Ctrl
 }
@@ -652,16 +587,18 @@ func (mod *Module) memEdge(st Stage, ups []tap, nodesPerPort int) edge {
 }
 
 // wireStage builds one crossbar stage and plugs the edge's taps into it: per
-// upstream tap a pump injecting its requests (asleep while the crossbar input
-// it is refused at has no credit) and the sink delivering its replies; per
-// downstream tap the sink delivering its requests and a pump injecting its
-// replies. Every port a sink feeds is produced on the stage's clock.
+// upstream tap a feed injecting its requests and the sink delivering its
+// replies; per downstream tap the sink delivering its requests and a feed
+// injecting its replies. Each injecting feed is hosted by the crossbar it
+// injects into; an L2 tap's ingress feed (its sink's port into L2.In) by the
+// request crossbar that fills that port. Every port a sink or feed fills is
+// produced on the stage's clock.
 func (mod *Module) wireStage(st Stage, e edge) {
 	s := mod.sys
 	clk := s.clock(st.Net)
 	b := s.buildStage(st, mod.prefix)
 	mod.Stages = append(mod.Stages, b)
-	// The pumps outlive the build: they capture what they use, not the edge.
+	// The feeds outlive the build: they capture what they use, not the edge.
 	forward, back, flit, toCore, trim := e.forward, e.back, st.FlitBytes, e.toCore, *s.D.TrimReplies
 	// seat finds tap k's crossbar and port on a side width ports wide.
 	seat := func(k, width int) (xbar, port int) {
@@ -673,26 +610,26 @@ func (mod *Module) wireStage(st Stage, e edge) {
 	for k, u := range e.ups {
 		i, port := seat(k, st.Ins)
 		req := b.Req[i]
-		clk.Register(pump(u.req, pumpRate, func(a *mem.Access) bool {
+		req.Feeds.Add(netFeed(req, func(a *mem.Access) bool {
 			return s.inject(req, a, port, forward(k, a), reqFlits(a, flit, !toCore))
-		}, req.InjectSpace(port)))
+		}, u.req))
 		b.Rep[i].SetEndpoint(port, s.sink(u.rep))
 		u.rep.Attach(clk)
 	}
 	for k, d := range e.downs {
 		i, port := seat(k, st.Outs)
-		b.Req[i].SetEndpoint(port, s.sink(d.req))
+		req, rep := b.Req[i], b.Rep[i]
+		req.SetEndpoint(port, s.sink(d.req))
 		d.req.Attach(clk)
 		if d.l2 != nil {
-			clk.Register(pump(d.req, pumpRate, d.l2.In.Push, d.l2.In.SpaceRef()))
+			req.Feeds.Add(feed(d.req, d.l2.In.Push, d.l2.In.SpaceRef()))
 		}
-		rep := b.Rep[i]
-		clk.Register(pump(d.rep, pumpRate, func(a *mem.Access) bool {
+		rep.Feeds.Add(netFeed(rep, func(a *mem.Access) bool {
 			if d.l2 != nil && s.retireOrphan(a) {
 				return true
 			}
 			return s.inject(rep, a, port, back(a), replyFlits(a, flit, toCore, trim))
-		}, rep.InjectSpace(port)))
+		}, d.rep))
 	}
 }
 
@@ -700,12 +637,14 @@ func (mod *Module) wireStage(st Stage, e edge) {
 // node directly to the L2 slices (Section II-C hypothetical: total L1
 // capacity AND bandwidth preserved, no NoC contention modeled — the study
 // isolates the capacity effect of eliminating replication). Its two rows are
-// recorded as built stages holding no network.
+// recorded as built stages holding no network. The node hosts the core-clock
+// feeds; on the NoC#2 clock each slice hosts its ingress feed and slice 0
+// the two that cross to and from the node.
 func (mod *Module) wireSingleL1() {
 	for _, st := range mod.sys.Topo.Stages[:2] {
 		mod.Stages = append(mod.Stages, &BuiltStage{Stage: st})
 	}
-	nd := mod.Nodes[0]
+	nd, l2 := mod.Nodes[0], mod.L2[0]
 	outs := make([]*sim.Port[*mem.Access], len(mod.Cores))
 	ins := make([]*sim.Port[*mem.Access], len(mod.Cores))
 	for c, co := range mod.Cores {
@@ -713,31 +652,36 @@ func (mod *Module) wireSingleL1() {
 		co.In.Attach(mod.sys.CoreClk)
 	}
 	// Every core's Out feeds the one node's Q1, so the fan-in must be a
-	// single composite pump: an attached port has exactly one producer.
-	mod.sys.CoreClk.Register(&multiPump{
-		srcs: outs, rate: pumpRate, try: nd.Q1.Push, space: []sim.PortRef{nd.Q1.SpaceRef()},
+	// single feed: an attached port has exactly one producer.
+	nd.Feeds.Add(&sim.Feed[*mem.Access]{
+		Srcs: outs, Rate: feedRate, Try: nd.Q1.Push, Space: []sim.PortRef{nd.Q1.SpaceRef()},
 	})
 	nd.Q1.Attach(mod.sys.CoreClk)
 	// Replies demultiplex back to cores by Access.Core.
-	mod.sys.CoreClk.Register(pump(nd.Q2, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
-		return mod.Cores[a.Core].In.Push(a)
-	}, spaceRefs(ins)...))
-	// Miss path: ideal full-width connection to the L2 slices.
-	mod.sys.Noc2Clk.Register(pump(nd.Q3, 2*mod.sys.Cfg.Cores, func(a *mem.Access) bool {
-		return mod.l2in[mod.AMap.L2Slice(a.Line)].Push(a)
-	}, spaceRefs(mod.l2in)...))
-	// L2 side: per-slice l2in→L2.In pumps, plus one composite pump over all
-	// L2 outputs into the node's Q4 (again a single producer), consuming
-	// orphan writeback ACKs as wireStage does for the NoC designs.
-	l2outs := make([]*sim.Port[*mem.Access], len(mod.L2))
-	for i := range mod.L2 {
-		mod.l2in[i].Attach(mod.sys.Noc2Clk)
-		mod.sys.Noc2Clk.Register(pump(mod.l2in[i], pumpRate, mod.L2[i].In.Push, mod.L2[i].In.SpaceRef()))
-		l2outs[i] = mod.L2[i].Out
+	wide := func(src *sim.Port[*mem.Access], try func(a *mem.Access) bool, space []sim.PortRef) *sim.Feed[*mem.Access] {
+		f := feed(src, try, space...)
+		f.Rate = 2 * mod.sys.Cfg.Cores
+		return f
 	}
-	mod.sys.Noc2Clk.Register(&multiPump{srcs: l2outs, rate: pumpRate, try: func(a *mem.Access) bool {
+	nd.Feeds.Add(wide(nd.Q2, func(a *mem.Access) bool {
+		return mod.Cores[a.Core].In.Push(a)
+	}, spaceRefs(ins)))
+	// Miss path: ideal full-width connection to the L2 slices.
+	l2.Feeds.Add(wide(nd.Q3, func(a *mem.Access) bool {
+		return mod.l2in[mod.AMap.L2Slice(a.Line)].Push(a)
+	}, spaceRefs(mod.l2in)))
+	// L2 side: per-slice l2in→L2.In feeds, plus one fan-in over all L2
+	// outputs into the node's Q4 (again a single producer), consuming orphan
+	// writeback ACKs as wireStage does for the NoC designs.
+	l2outs := make([]*sim.Port[*mem.Access], len(mod.L2))
+	for i, sl := range mod.L2 {
+		mod.l2in[i].Attach(mod.sys.Noc2Clk)
+		sl.Feeds.Add(feed(mod.l2in[i], sl.In.Push, sl.In.SpaceRef()))
+		l2outs[i] = sl.Out
+	}
+	l2.Feeds.Add(&sim.Feed[*mem.Access]{Srcs: l2outs, Rate: feedRate, Try: func(a *mem.Access) bool {
 		return mod.sys.retireOrphan(a) || nd.Q4.Push(a)
-	}, space: []sim.PortRef{nd.Q4.SpaceRef()}})
+	}, Space: []sim.PortRef{nd.Q4.SpaceRef()}})
 	nd.Q4.Attach(mod.sys.Noc2Clk)
 }
 
@@ -748,6 +692,10 @@ func (mod *Module) wireSingleL1() {
 // modules' requests arrive through linkReqIn, local DRAM fills bound for a
 // remote origin divert to linkRepOut, and remote fills come home through
 // linkFillIn. The single-module paths are untouched.
+//
+// A channel's request feed pushes on the NoC#2 clock, so an L2 slice hosts
+// it: the channel's first slice (the last slice, for a channel with none);
+// its fill feed, on the memory clock, is hosted by the channel.
 func (mod *Module) wireMemSide() {
 	multi := mod.sys.LinkClk != nil
 	if multi {
@@ -758,19 +706,27 @@ func (mod *Module) wireMemSide() {
 			mod.linkFillIn = append(mod.linkFillIn, sim.NewPort[*mem.Access](8))
 		}
 	}
-	// Group each channel's slices so the channel's In port has one composite
-	// producer draining the mapped MissOuts in slice order.
+	// Group each channel's slices so the channel's In port has one feed
+	// draining the mapped MissOuts in slice order.
 	missByCh := make([][]*sim.Port[*mem.Access], len(mod.Drams))
 	fillByCh := make([][]*sim.Port[*mem.Access], len(mod.Drams))
+	hosts := make([]*cache.Ctrl, len(mod.Drams))
 	for i := range mod.L2 {
 		ch := mod.AMap.Channel(i)
 		missByCh[ch] = append(missByCh[ch], mod.L2[i].MissOut)
 		fillByCh[ch] = append(fillByCh[ch], mod.L2[i].FillIn)
+		if hosts[ch] == nil {
+			hosts[ch] = mod.L2[i]
+		}
 	}
 	for ch, dc := range mod.Drams {
+		host := hosts[ch]
+		if host == nil {
+			host = mod.L2[len(mod.L2)-1]
+		}
 		if !multi {
-			mod.sys.Noc2Clk.Register(&multiPump{
-				srcs: missByCh[ch], rate: pumpRate, try: dc.In.Push, space: []sim.PortRef{dc.In.SpaceRef()},
+			host.Feeds.Add(&sim.Feed[*mem.Access]{
+				Srcs: missByCh[ch], Rate: feedRate, Try: dc.In.Push, Space: []sim.PortRef{dc.In.SpaceRef()},
 			})
 			dc.In.Attach(mod.sys.Noc2Clk)
 			continue
@@ -780,28 +736,28 @@ func (mod *Module) wireMemSide() {
 		// the module so its fill can find the way home.
 		nLocal := len(missByCh[ch])
 		srcs := append(append([]*sim.Port[*mem.Access]{}, missByCh[ch]...), mod.linkReqIn[ch])
-		mod.sys.Noc2Clk.Register(&multiPump{
-			srcs: srcs,
-			rate: pumpRate,
-			prep: func(si int, a *mem.Access) {
+		host.Feeds.Add(&sim.Feed[*mem.Access]{
+			Srcs: srcs,
+			Rate: feedRate,
+			Prep: func(si int, a *mem.Access) {
 				if si < nLocal {
 					a.Module = mod.AMap.Module
 				}
 			},
-			try: func(a *mem.Access) bool {
+			Try: func(a *mem.Access) bool {
 				if mod.AMap.Local(a.Line) {
 					return dc.In.Push(a)
 				}
 				return mod.linkMissOut[ch].Push(a)
 			},
-			space: []sim.PortRef{dc.In.SpaceRef(), mod.linkMissOut[ch].SpaceRef()},
+			Space: []sim.PortRef{dc.In.SpaceRef(), mod.linkMissOut[ch].SpaceRef()},
 		})
 		dc.In.Attach(mod.sys.Noc2Clk)
 		mod.linkMissOut[ch].Attach(mod.sys.Noc2Clk)
 	}
 	for ch, dc := range mod.Drams {
 		if !multi {
-			mod.sys.MemClk.Register(pump(dc.Out, pumpRate, func(a *mem.Access) bool {
+			dc.Feeds.Add(feed(dc.Out, func(a *mem.Access) bool {
 				return mod.sys.retireOrphan(a) || mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
 			}, spaceRefs(fillByCh[ch])...))
 			continue
@@ -809,10 +765,10 @@ func (mod *Module) wireMemSide() {
 		// DRAM output first, then fills arriving over the link; orphan
 		// writeback ACKs retire at the home module (nothing waits for them),
 		// remote-origin fills divert to the link egress.
-		mod.sys.MemClk.Register(&multiPump{
-			srcs: []*sim.Port[*mem.Access]{dc.Out, mod.linkFillIn[ch]},
-			rate: pumpRate,
-			try: func(a *mem.Access) bool {
+		dc.Feeds.Add(&sim.Feed[*mem.Access]{
+			Srcs: []*sim.Port[*mem.Access]{dc.Out, mod.linkFillIn[ch]},
+			Rate: feedRate,
+			Try: func(a *mem.Access) bool {
 				if mod.sys.retireOrphan(a) {
 					return true
 				}
@@ -821,7 +777,7 @@ func (mod *Module) wireMemSide() {
 				}
 				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
 			},
-			space: append(spaceRefs(fillByCh[ch]), mod.linkRepOut[ch].SpaceRef()),
+			Space: append(spaceRefs(fillByCh[ch]), mod.linkRepOut[ch].SpaceRef()),
 		})
 		mod.linkRepOut[ch].Attach(mod.sys.MemClk)
 	}

@@ -41,21 +41,22 @@ func (mod *Module) wireMeshNoC(st Stage) {
 
 	l2Node := func(slice int) int { return cfg.Cores + slice }
 
+	// Each mesh hosts the feeds injecting into it; the request mesh also
+	// hosts the L2 ingress feeds, whose ports its sinks fill.
 	for c, nd := range mod.Nodes {
-		clk.Register(pump(nd.Q3, pumpRate, func(a *mem.Access) bool {
+		req.Feeds.Add(netFeed(req, func(a *mem.Access) bool {
 			return s.inject(req, a, c, l2Node(mod.AMap.L2Slice(a.Line)), reqFlits(a, st.FlitBytes, true))
-		}))
+		}, nd.Q3))
 		rep.SetEndpoint(c, s.sink(nd.Q4))
 		nd.Q4.Attach(clk)
 	}
-	// The mesh names no injection space, so the reply pumps poll.
 	for i, l2 := range mod.L2 {
 		req.SetEndpoint(l2Node(i), s.sink(mod.l2in[i]))
 		mod.l2in[i].Attach(clk)
-		clk.Register(pump(mod.l2in[i], pumpRate, l2.In.Push, l2.In.SpaceRef()))
-		clk.Register(pump(l2.Out, pumpRate, func(a *mem.Access) bool {
+		req.Feeds.Add(feed(mod.l2in[i], l2.In.Push, l2.In.SpaceRef()))
+		rep.Feeds.Add(netFeed(rep, func(a *mem.Access) bool {
 			return s.retireOrphan(a) ||
 				s.inject(rep, a, l2Node(i), mod.asker(a), replyFlits(a, st.FlitBytes, false, false))
-		}))
+		}, l2.Out))
 	}
 }

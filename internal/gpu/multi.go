@@ -21,9 +21,9 @@ import (
 // stays idle.
 
 // wireLink builds the link stage — the last row of the stage table — and the
-// LinkClk pumps moving traffic between each module's per-channel link ports
-// and the link. It is hand-wired because every tap is a fan-in over a
-// module's DRAM channels, not one port pair.
+// feeds, hosted by the link crossbars, injecting each module's per-channel
+// link ports into the link. It is hand-wired because every tap is a fan-in
+// over a module's DRAM channels, not one port pair.
 func (s *System) wireLink() {
 	st := s.Topo.Stages[len(s.Topo.Stages)-1]
 	s.Link = s.buildStage(st, "")
@@ -49,25 +49,15 @@ func (s *System) wireLink() {
 		// Requests: remote-homed misses leave module i toward the home
 		// module's DRAM. Whole lines matter on the memory side, so requests
 		// carry full-store payloads like NoC#2 (reqFlits fullStore).
-		s.LinkClk.Register(&multiPump{
-			srcs: mod.linkMissOut,
-			rate: pumpRate,
-			try: func(a *mem.Access) bool {
-				return s.inject(req, a, i, amap.HomeModule(a.Line), reqFlits(a, st.FlitBytes, true))
-			},
-			space: []sim.PortRef{req.InjectSpace(i)},
-		})
+		req.Feeds.Add(netFeed(req, func(a *mem.Access) bool {
+			return s.inject(req, a, i, amap.HomeModule(a.Line), reqFlits(a, st.FlitBytes, true))
+		}, mod.linkMissOut...))
 		req.SetEndpoint(i, sinkPort(mod.linkReqIn))
 		// Fills: home DRAM data returns to the origin module. Full lines,
 		// never trimmed (both ends are memory-side).
-		s.LinkClk.Register(&multiPump{
-			srcs: mod.linkRepOut,
-			rate: pumpRate,
-			try: func(a *mem.Access) bool {
-				return s.inject(rep, a, i, a.Module, replyFlits(a, st.FlitBytes, false, false))
-			},
-			space: []sim.PortRef{rep.InjectSpace(i)},
-		})
+		rep.Feeds.Add(netFeed(rep, func(a *mem.Access) bool {
+			return s.inject(rep, a, i, a.Module, replyFlits(a, st.FlitBytes, false, false))
+		}, mod.linkRepOut...))
 		rep.SetEndpoint(i, sinkPort(mod.linkFillIn))
 		for ch := range mod.linkReqIn {
 			mod.linkReqIn[ch].Attach(s.LinkClk)

@@ -124,7 +124,7 @@ func DesignTopology(cfg Config, d Design) (Topology, error) {
 		row("cdx-s2", NetNoC2, mid, g, l2s/mid, power.LongLinkMM).Indexed = true
 	case SingleL1:
 		// The study's connections are ideal: the rows say what a network of
-		// that reach would cost, the build places direct pumps and no crossbar.
+		// that reach would cost, the build places direct feeds and no crossbar.
 		row("noc1", NetNoC1, 1, cores, 1, power.LongLinkMM)
 		row("noc2", NetNoC2, 1, 1, l2s, power.LongLinkMM)
 	case MeshBase:
@@ -210,7 +210,7 @@ func (b *BuiltStage) crossbars() []*noc.Crossbar {
 
 // buildStage makes the stage's crossbars — the only place crossbars are made
 // — under the name prefix: Count request/reply pairs, registered on the
-// stage's clock with their injection ports attached to it.
+// stage's clock, whose barrier publishes their injections.
 func (s *System) buildStage(st Stage, prefix string) *BuiltStage {
 	clk := s.clock(st.Net)
 	b := &BuiltStage{Stage: st}
@@ -223,8 +223,8 @@ func (s *System) buildStage(st Stage, prefix string) *BuiltStage {
 	for i := 0; i < st.Count; i++ {
 		req, rep := mk("req", i, st.Ins, st.Outs), mk("rep", i, st.Outs, st.Ins)
 		b.Req, b.Rep = append(b.Req, req), append(b.Rep, rep)
-		req.AttachPorts(clk)
-		rep.AttachPorts(clk)
+		req.Attach(clk)
+		rep.Attach(clk)
 	}
 	return b
 }

@@ -12,9 +12,9 @@ import (
 // and two modules, what NewSystem built is what the stage table says — every
 // crossbar's shape, flit width and name, each stage's count and clock — and
 // the power model's spec is the same table. Running the first edges binds
-// every pump to the crossbar input it sleeps on, which panics if the two tick
-// on different clocks (sim.Engine's bind): the producers of a stage's
-// crossbars are on the stage's clock.
+// every feed's Space ports to the component hosting it, which panics if a
+// port commits on another clock than the host ticks on (sim.Engine's bind):
+// every feed runs on the clock its pushes commit on.
 func TestTopologyMatchesBuild(t *testing.T) {
 	cfg := testCfg()
 	for name, d := range designs() {

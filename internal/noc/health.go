@@ -14,9 +14,10 @@ const DefaultStuckFlitAge sim.Cycle = 10_000
 
 // CheckInvariants implements health.Checker for the crossbar: a traversal
 // that matured long ago but cannot leave (full staging queue or a rejecting
-// endpoint) is a stuck flit; VOQ and staging queues must conserve packets.
+// endpoint) is a stuck flit; the staging queues must conserve packets, and
+// the VOQ books must balance (checkVOQs).
 func (x *Crossbar) CheckInvariants() []health.Violation {
-	var out []health.Violation
+	out := x.checkVOQs()
 	if at, ok := x.inFlight.NextReadyAt(); ok {
 		if age := x.lastTick - at; age > DefaultStuckFlitAge {
 			p, _ := x.inFlight.PeekReady(x.lastTick)
@@ -36,21 +37,61 @@ func (x *Crossbar) CheckInvariants() []health.Violation {
 	return out
 }
 
+// checkVOQs audits the VOQ conservation rules, all fatal:
+//
+//   - voq-credit: every pair's credit equals its VOQ length plus its
+//     unpublished injections plus its grants whose credit has not returned;
+//   - voq-books: voqPerOut, voqCount and the voqBits/outPending bitmaps agree
+//     with the lengths.
+func (x *Crossbar) checkVOQs() []health.Violation {
+	var out []health.Violation
+	bad := func(rule, format string, args ...any) {
+		out = append(out, health.Violation{Component: x.P.Name, Rule: rule, Detail: fmt.Sprintf(format, args...)})
+	}
+	held := make(map[int]int32, len(x.pending)+len(x.granted))
+	for _, p := range x.pending {
+		held[x.pair(p.Src, p.Dst)]++
+	}
+	for _, k := range x.granted {
+		held[int(k)]++
+	}
+	total := 0
+	for o := 0; o < x.P.Outs; o++ {
+		perOut := 0
+		for in := 0; in < x.P.Ins; in++ {
+			k := x.pair(in, o)
+			n := x.voqLen[k]
+			if want := n + held[k]; x.credit[k] != want {
+				bad("voq-credit", "pair (in %d, out %d): credit %d, VOQ %d + held %d", in, o, x.credit[k], n, held[k])
+			}
+			if set := x.voqBits[o][in>>6]&(1<<uint(in&63)) != 0; set != (n > 0) {
+				bad("voq-books", "pair (in %d, out %d): VOQ %d, bitmap bit %v", in, o, n, set)
+			}
+			perOut += int(n)
+		}
+		if int(x.voqPerOut[o]) != perOut {
+			bad("voq-books", "output %d: voqPerOut %d, VOQs hold %d", o, x.voqPerOut[o], perOut)
+		}
+		if set := x.outPending[o>>6]&(1<<uint(o&63)) != 0; set != (perOut > 0) {
+			bad("voq-books", "output %d: %d waiting, outPending bit %v", o, perOut, set)
+		}
+		total += perOut
+	}
+	if x.voqCount != total {
+		bad("voq-books", "voqCount %d, VOQs hold %d", x.voqCount, total)
+	}
+	return out
+}
+
 // DumpHealth snapshots the crossbar for a diagnostic dump.
 func (x *Crossbar) DumpHealth() (health.ComponentDump, bool) {
-	voqOccupied, voqPackets := 0, 0
-	for i := range x.voq {
-		for o := range x.voq[i] {
-			if n := x.voq[i][o].Len(); n > 0 {
-				voqOccupied++
-				voqPackets += n
-			}
+	voqOccupied := 0
+	for _, n := range x.voqLen {
+		if n > 0 {
+			voqOccupied++
 		}
 	}
-	stagedPackets := 0
-	for _, q := range x.staged {
-		stagedPackets += q.Len()
-	}
+	voqPackets := x.voqCount
 	d := health.ComponentDump{
 		Name: x.P.Name,
 		Fields: []health.Field{
@@ -58,7 +99,7 @@ func (x *Crossbar) DumpHealth() (health.ComponentDump, bool) {
 			health.F("shape", "%dx%d, %dB links", x.P.Ins, x.P.Outs, x.P.LinkBytes),
 			health.F("voqs", "%d occupied, %d packets", voqOccupied, voqPackets),
 			health.F("inFlight", "%d traversals", x.inFlight.Len()),
-			health.F("staged", "%d packets", stagedPackets),
+			health.F("staged", "%d packets", x.stagedCount),
 			health.F("stats", "packets %d, flits %d, stallNoRoom %d",
 				x.Stat.PacketsMoved, x.Stat.FlitsMoved, x.Stat.StallNoRoom),
 		},

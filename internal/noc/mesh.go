@@ -20,6 +20,10 @@ type Mesh struct {
 	P    MeshParams
 	Stat MeshStats
 
+	// Feeds are the producers of the mesh's injections, run at the end of
+	// its Tick on the clock it ticks on.
+	Feeds sim.Feeds[*mem.Access]
+
 	inj       []*sim.Port[*mem.Packet] // per-node injection port (the two-phase boundary)
 	routers   []meshRouter
 	endpoints []Endpoint
@@ -31,8 +35,10 @@ type Mesh struct {
 	// Increments belong to node n's single producer; decrements (local-input
 	// grants) are recorded in granted during Tick and applied at the edge
 	// barrier (or at the end of Tick in immediate mode).
+	// returned counts the credits returned so far.
 	credit   []int32
 	granted  []int32
+	returned int64
 	attached bool
 
 	// pending counts packets anywhere in the mesh (input buffers or router
@@ -193,8 +199,13 @@ func (m *Mesh) applyCredits() {
 	for _, n := range m.granted {
 		m.credit[n]--
 	}
+	m.returned += int64(len(m.granted))
 	m.granted = m.granted[:0]
 }
+
+// CreditsReturned counts the injection credits returned so far: what a feed
+// refused a credit waits to see move (sim.Feed.Credits).
+func (m *Mesh) CreditsReturned() int64 { return m.returned }
 
 // drainInject moves committed injections into the routers' local input
 // buffers. Runs at the start of Tick so an immediate-mode injection still
@@ -248,11 +259,11 @@ func (m *Mesh) putTransit(tr *meshTransit) {
 }
 
 // NextWorkCycle implements sim.Sleeper: the mesh is busy while any packet is
-// buffered or in transit anywhere on the grid, and fully quiescent otherwise
-// (transits always mature into retries or deliveries before pending drops to
-// zero, so no future-cycle wake needs tracking).
+// buffered or in transit anywhere on the grid or a feed can move, and fully
+// quiescent otherwise (transits always mature into retries or deliveries
+// before pending drops to zero, so no future-cycle wake needs tracking).
 func (m *Mesh) NextWorkCycle(now sim.Cycle) sim.Cycle {
-	if m.pending > 0 {
+	if m.pending > 0 || m.Feeds.Busy() {
 		return now
 	}
 	for _, p := range m.inj {
@@ -263,8 +274,16 @@ func (m *Mesh) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return sim.WakeNever
 }
 
-// WakeSources implements sim.WakeSourcer.
-func (m *Mesh) WakeSources() []sim.PortRef { return portRefs(m.inj) }
+// WakeSources implements sim.WakeSourcer: the injection ports and the
+// feeds' ports. (A feed refused a credit needs no wake: the packets holding
+// the credits keep the mesh awake until they leave their input buffers.)
+func (m *Mesh) WakeSources() []sim.PortRef {
+	refs := make([]sim.PortRef, len(m.inj))
+	for i, p := range m.inj {
+		refs[i] = p.Ref()
+	}
+	return append(refs, m.Feeds.WakeSources()...)
+}
 
 // SkipIdle implements sim.IdleSkipper.
 func (m *Mesh) SkipIdle(now sim.Cycle, n sim.Cycle) {
@@ -330,8 +349,8 @@ func opposite(d int) int {
 	return dirL
 }
 
-// Tick advances the mesh one cycle: deliver matured transits, then arbitrate
-// each router's outputs round-robin over its inputs.
+// Tick advances the mesh one cycle: deliver matured transits, arbitrate each
+// router's outputs round-robin over its inputs, then run the feeds.
 func (m *Mesh) Tick(now sim.Cycle) {
 	m.lastTick = now
 	m.Stat.Cycles++
@@ -414,6 +433,7 @@ func (m *Mesh) Tick(now sim.Cycle) {
 			}
 		}
 	}
+	m.Feeds.Run()
 	if !m.attached {
 		m.applyCredits()
 	}

@@ -94,7 +94,7 @@ func (s *Stats) MaxOutUtilization() float64 {
 	return best
 }
 
-// Crossbar is an Ins x Outs switch. Inject places packets into per-input
+// Crossbar is an Ins x Outs switch. Inject places packets into per-(in,out)
 // VOQs; Tick arbitrates outputs round-robin over inputs, models per-port
 // serialization, and delivers completed packets to the registered endpoints.
 type Crossbar struct {
@@ -107,28 +107,34 @@ type Crossbar struct {
 	// fast-path-invariant; nil injects nothing.
 	Chaos *chaos.Injector
 
-	inj []*sim.Port[*mem.Packet]    // per-input injection port (the two-phase boundary)
-	voq [][]*sim.Queue[*mem.Packet] // [in][out]
+	// Feeds are the producers of the switch's inputs, run at the end of its
+	// Tick: attached, every injection comes from one of them, on the clock
+	// the switch ticks on.
+	Feeds sim.Feeds[*mem.Access]
 
-	// credit[in][out] is the projected occupancy of voq[in][out]: committed
-	// VOQ contents plus packets toward out still in (or staged for) inj[in].
-	// Inject admits a packet only while credit < VOQDepth, which reproduces
-	// the pre-port per-(in,out) acceptance exactly — a blocked output never
-	// HOL-blocks other outputs at the injection boundary. The increment side
-	// is owned by input in's single producer (Inject); the decrement side
-	// (grants popping a VOQ) is recorded in granted during Tick and applied
-	// at the edge barrier (or at the end of Tick in immediate mode), so a
-	// producer sees a returned credit on the next edge whether it ticks before
-	// or after the crossbar on this one.
-	credit [][]int32
-	// refused[in] is the output input in's producer has been refused a credit
-	// toward (noOutput: none since that credit came back; anyOutput: several,
-	// a fan-in pump's sources wanting different ones): the grant whose credit
-	// return has to wake a producer asleep on InjectSpace(in). Written by
-	// Inject, cleared by applyCredits, like the credits themselves.
-	refused   []int32
-	granted   []credPair
-	attached  bool
+	// The VOQs: one bounded ring per (in,out) pair, flattened by pair index
+	// out*Ins+in — pair k's ring is voqBuf[k*VOQDepth:(k+1)*VOQDepth], its
+	// oldest packet at voqHead[k], voqLen[k] of them.
+	voqBuf  []*mem.Packet
+	voqHead []int32
+	voqLen  []int32
+
+	// credit[k] is the projected occupancy of pair k's VOQ: its packets, plus
+	// the injections toward it not yet published (pending), plus the packets
+	// granted from it whose credit has not come back (granted). Inject admits
+	// a packet only while credit < VOQDepth, so admission counts VOQ
+	// occupancy as of the last barrier plus this edge's injections — a blocked
+	// output never HOL-blocks other outputs at the injection boundary. The
+	// edge barrier publishes pending into the VOQs and returns granted's
+	// credits (at the start and the end of Tick in immediate mode), so a feed
+	// sees a credit come back on the edge after the grant, never on the
+	// grant's own. returned counts the credits returned so far.
+	credit   []int32
+	pending  []*mem.Packet
+	granted  []int32 // pair indices
+	returned int64
+	attached bool
+
 	voqBits   [][]uint64  // [out] bitmap of inputs with waiting packets
 	inBusy    []sim.Cycle // input link busy until cycle
 	outBusy   []sim.Cycle // output link busy until cycle
@@ -162,29 +168,19 @@ func New(p Params) *Crossbar {
 	if p.Ins <= 0 || p.Outs <= 0 {
 		panic(fmt.Sprintf("noc: crossbar %q needs positive port counts", p.Name))
 	}
+	pairs := p.Ins * p.Outs
 	x := &Crossbar{
 		P:         p,
-		inj:       make([]*sim.Port[*mem.Packet], p.Ins),
-		voq:       make([][]*sim.Queue[*mem.Packet], p.Ins),
+		voqBuf:    make([]*mem.Packet, pairs*p.VOQDepth),
+		voqHead:   make([]int32, pairs),
+		voqLen:    make([]int32, pairs),
+		credit:    make([]int32, pairs),
 		inBusy:    make([]sim.Cycle, p.Ins),
 		outBusy:   make([]sim.Cycle, p.Outs),
 		rr:        make([]int, p.Outs),
 		inFlight:  sim.NewDelayQueue[*mem.Packet](),
 		staged:    make([]*sim.Queue[*mem.Packet], p.Outs),
 		endpoints: make([]Endpoint, p.Outs),
-	}
-	x.credit = make([][]int32, p.Ins)
-	x.refused = make([]int32, p.Ins)
-	for i := range x.voq {
-		x.refused[i] = noOutput
-		// The injection port is unbounded: admission is bounded per (in,out)
-		// by the credit check, so occupancy never exceeds Outs×VOQDepth.
-		x.inj[i] = sim.NewPort[*mem.Packet](0)
-		x.voq[i] = make([]*sim.Queue[*mem.Packet], p.Outs)
-		x.credit[i] = make([]int32, p.Outs)
-		for o := range x.voq[i] {
-			x.voq[i][o] = sim.NewQueue[*mem.Packet](p.VOQDepth)
-		}
 	}
 	words := (p.Ins + 63) / 64
 	x.voqBits = make([][]uint64, p.Outs)
@@ -206,22 +202,16 @@ func New(p Params) *Crossbar {
 // SetEndpoint attaches the receiver for output port o.
 func (x *Crossbar) SetEndpoint(o int, e Endpoint) { x.endpoints[o] = e }
 
-type credPair struct{ in, out int32 }
+// pair returns the index of the (in,out) pair's VOQ.
+func (x *Crossbar) pair(in, out int) int { return out*x.P.Ins + in }
 
-// Values of Crossbar.refused besides an output index.
-const (
-	noOutput  int32 = -1
-	anyOutput int32 = -2
-)
-
-// Inject offers a packet at input port p.Src destined for output p.Dst by
-// pushing it onto that input's injection port — the crossbar's two-phase
-// boundary: all switch-internal bookkeeping happens when Tick drains the
-// port, so concurrent producers on other components never touch shared
-// switch state. Admission is per (in,out) via the credit array, exactly the
-// old direct-VOQ rule. The packet's Flits field must be set (see
-// mem.FlitCount). Returns false when the (in,out) VOQ is (projected) full;
-// the sender retries later.
+// Inject offers a packet at input port p.Src destined for output p.Dst. An
+// admitted packet takes a credit of its (in,out) pair and waits on the
+// pending list until the next publication — the edge barrier, or the start
+// of the next Tick in immediate mode — so no injection of this edge is
+// visible to arbitration before the next one wherever its feed runs. The
+// packet's Flits field must be set (see mem.FlitCount). Returns false when
+// the pair's VOQ is (projected) full; the sender retries later.
 func (x *Crossbar) Inject(p *mem.Packet) bool {
 	if p.Src < 0 || p.Src >= x.P.Ins || p.Dst < 0 || p.Dst >= x.P.Outs {
 		panic(fmt.Sprintf("noc: %s inject with bad ports src=%d dst=%d", x.P.Name, p.Src, p.Dst))
@@ -229,109 +219,115 @@ func (x *Crossbar) Inject(p *mem.Packet) bool {
 	if p.Flits <= 0 {
 		panic("noc: packet with no flits")
 	}
-	if x.credit[p.Src][p.Dst] >= int32(x.P.VOQDepth) {
-		if r := &x.refused[p.Src]; *r == noOutput {
-			*r = int32(p.Dst)
-		} else if *r != int32(p.Dst) {
-			*r = anyOutput
-		}
+	c := &x.credit[x.pair(p.Src, p.Dst)]
+	if *c >= int32(x.P.VOQDepth) {
 		return false
 	}
-	if !x.inj[p.Src].Push(p) {
-		return false
-	}
-	x.credit[p.Src][p.Dst]++
+	*c++
+	x.pending = append(x.pending, p)
 	return true
 }
 
-// InjectSpace names what a producer refused at input port in waits for — a
-// credit toward the output it wanted — as a wake source (sim.WakeSourcer):
-// the barrier that returns that credit wakes whoever sleeps on it.
-func (x *Crossbar) InjectSpace(in int) sim.PortRef { return x.inj[in].SpaceRef() }
-
 // CanInject reports whether input port in has VOQ room toward output out.
 func (x *Crossbar) CanInject(in, out int) bool {
-	return x.credit[in][out] < int32(x.P.VOQDepth)
+	return x.credit[x.pair(in, out)] < int32(x.P.VOQDepth)
 }
 
-// AttachPorts switches the injection ports to two-phase mode on clk (the
-// clock every producer of this crossbar ticks on — asserted for every design
-// by gpu's TestTopologyMatchesBuild) and moves the credit-grant application
-// to clk's edge barrier, where no producer's admission this edge can depend
-// on it.
-func (x *Crossbar) AttachPorts(clk *sim.Clock) {
-	for _, p := range x.inj {
-		p.Attach(clk)
-	}
+// CreditsReturned counts the injection credits returned so far: what a feed
+// refused a credit waits to see move (sim.Feed.Credits).
+func (x *Crossbar) CreditsReturned() int64 { return x.returned }
+
+// Attach moves publication and credit return to clk's edge barrier. clk is
+// the clock the switch ticks on, and so are its producers — its feeds, run
+// in its Tick — so no admission of this edge can depend on the barrier's
+// work.
+func (x *Crossbar) Attach(clk *sim.Clock) {
 	x.attached = true
 	clk.OnBarrier(x.applyCredits)
 }
 
-// applyCredits returns the credits of this edge's VOQ grants to the
-// producers, waking the one refused for want of the credit returned. Runs at
-// the edge barrier (attached) or at the end of Tick (immediate mode) — never
-// between two producers' Injects of one edge.
+// applyCredits is the edge barrier: this edge's injections enter their VOQs
+// and this edge's grants return their credits.
 func (x *Crossbar) applyCredits() {
-	for _, g := range x.granted {
-		x.credit[g.in][g.out]--
-		if r := &x.refused[g.in]; *r == g.out || *r == anyOutput {
-			*r = noOutput
-			x.inj[g.in].WakeProducer()
-		}
+	x.publish()
+	x.returnCredits()
+}
+
+// returnCredits returns the credits of the grants since the last return.
+func (x *Crossbar) returnCredits() {
+	for _, k := range x.granted {
+		x.credit[k]--
 	}
+	x.returned += int64(len(x.granted))
 	x.granted = x.granted[:0]
 }
 
-// drainInject moves committed injections from the per-input ports into the
-// VOQs, performing the bookkeeping Inject used to do. Runs at the start of
-// Tick, so in immediate (unattached) mode an injection still arbitrates the
-// same cycle. The credit admission rule guarantees every committed packet
-// fits its VOQ (voq occupancy + in-port packets per pair never exceeds
-// VOQDepth), so the scan skips nothing; the RemoveAt fallback covers a full
-// VOQ defensively without head-of-line blocking the other outputs.
-func (x *Crossbar) drainInject() {
-	for in, port := range x.inj {
-		for i := 0; i < port.Len(); {
-			p := port.At(i)
-			q := x.voq[in][p.Dst]
-			if !q.Push(p) {
-				i++
-				continue
-			}
-			port.RemoveAt(i)
-			x.voqBits[p.Dst][in/64] |= 1 << uint(in%64)
-			x.outPending[p.Dst/64] |= 1 << uint(p.Dst%64)
-			x.voqPerOut[p.Dst]++
-			x.voqCount++
+// publish appends the pending injections to their VOQs. The credit rule
+// bounds every pair's VOQ plus pending injections by VOQDepth, so a full VOQ
+// here is a broken credit and panics.
+func (x *Crossbar) publish() {
+	depth := int32(x.P.VOQDepth)
+	for i, p := range x.pending {
+		in, out := p.Src, p.Dst
+		k := x.pair(in, out)
+		n := x.voqLen[k]
+		if n >= depth {
+			panic(fmt.Sprintf("noc: %s VOQ overflow at publish (in %d, out %d)", x.P.Name, in, out))
 		}
+		slot := x.voqHead[k] + n
+		if slot >= depth {
+			slot -= depth
+		}
+		x.voqBuf[k*x.P.VOQDepth+int(slot)] = p
+		x.voqLen[k] = n + 1
+		x.voqBits[out][in>>6] |= 1 << uint(in&63)
+		x.outPending[out>>6] |= 1 << uint(out&63)
+		x.voqPerOut[out]++
+		x.voqCount++
+		x.pending[i] = nil
 	}
+	x.pending = x.pending[:0]
 }
 
-// Tick advances the switch one NoC-clock cycle.
+// popVOQ removes and returns the oldest packet of pair k's VOQ.
+func (x *Crossbar) popVOQ(k int) *mem.Packet {
+	h := x.voqHead[k]
+	i := k*x.P.VOQDepth + int(h)
+	p := x.voqBuf[i]
+	x.voqBuf[i] = nil
+	if h++; h == int32(x.P.VOQDepth) {
+		h = 0
+	}
+	x.voqHead[k] = h
+	x.voqLen[k]--
+	return p
+}
+
+// Tick advances the switch one NoC-clock cycle, then runs its feeds.
 func (x *Crossbar) Tick(now sim.Cycle) {
 	x.lastTick = now
 	x.Stat.Cycles++
-	x.drainInject()
+	if !x.attached {
+		x.publish()
+	}
 	x.deliverStaged(now)
 	x.completeTraversals(now)
 	x.arbitrate(now)
+	x.Feeds.Run()
 	if !x.attached {
-		x.applyCredits()
+		x.returnCredits()
 	}
 }
 
 // NextWorkCycle implements sim.Sleeper. The switch has work while any packet
-// waits in a VOQ or staging queue; with both empty, the only future event is
-// the earliest in-flight traversal maturing. An idle tick advances only
-// Stat.Cycles and lastTick, which SkipIdle compensates.
+// waits in a VOQ or staging queue or a feed can move; with none, the only
+// future event is the earliest in-flight traversal maturing. An idle tick
+// advances only Stat.Cycles and lastTick, which SkipIdle compensates. In
+// immediate mode anyone may inject between ticks, so the switch never
+// sleeps.
 func (x *Crossbar) NextWorkCycle(now sim.Cycle) sim.Cycle {
-	if x.voqCount > 0 || x.stagedCount > 0 {
+	if x.voqCount > 0 || x.stagedCount > 0 || !x.attached || x.Feeds.Busy() {
 		return now
-	}
-	for _, p := range x.inj {
-		if !p.Empty() {
-			return now
-		}
 	}
 	if t, ok := x.inFlight.NextReadyAt(); ok {
 		if t <= now {
@@ -342,17 +338,11 @@ func (x *Crossbar) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	return sim.WakeNever
 }
 
-// WakeSources implements sim.WakeSourcer: the injection ports are the only
-// way a packet enters an empty switch.
-func (x *Crossbar) WakeSources() []sim.PortRef { return portRefs(x.inj) }
-
-func portRefs(ports []*sim.Port[*mem.Packet]) []sim.PortRef {
-	refs := make([]sim.PortRef, len(ports))
-	for i, p := range ports {
-		refs[i] = p.Ref()
-	}
-	return refs
-}
+// WakeSources implements sim.WakeSourcer: a packet enters an empty switch
+// only through a feed, so the feeds' ports are its only wake sources. (A
+// feed refused a credit needs no wake: the packets holding the credits keep
+// the switch awake until they leave.)
+func (x *Crossbar) WakeSources() []sim.PortRef { return x.Feeds.WakeSources() }
 
 // SkipIdle implements sim.IdleSkipper. Stat.Cycles feeds OutUtilization, so
 // the compensation must be exact for results to stay bit-identical.
@@ -432,16 +422,16 @@ func (x *Crossbar) arbitrate(now sim.Cycle) {
 			if in < 0 {
 				continue
 			}
-			q := x.voq[in][o]
-			p, _ := q.Pop()
-			x.granted = append(x.granted, credPair{int32(in), int32(o)})
+			k := x.pair(in, o)
+			p := x.popVOQ(k)
+			x.granted = append(x.granted, int32(k))
 			x.voqCount--
 			x.voqPerOut[o]--
 			if x.voqPerOut[o] == 0 {
 				x.outPending[wi] &^= 1 << uint(o&63)
 			}
-			if q.Empty() {
-				x.voqBits[o][in/64] &^= 1 << uint(in%64)
+			if x.voqLen[k] == 0 {
+				x.voqBits[o][in>>6] &^= 1 << uint(in&63)
 			}
 			// Grant: serialize p.Flits flits at one per cycle on both ports.
 			dur := sim.Cycle(p.Flits)
@@ -501,17 +491,7 @@ func (x *Crossbar) pickInput(bm []uint64, start int, now sim.Cycle) int {
 }
 
 // Pending returns the number of packets buffered anywhere in the switch
-// (injection ports, VOQs, in flight, staged). Useful for drain checks.
+// (unpublished, in VOQs, in flight, staged). Useful for drain checks.
 func (x *Crossbar) Pending() int {
-	n := x.inFlight.Len()
-	for i := range x.voq {
-		n += x.inj[i].Len()
-		for o := range x.voq[i] {
-			n += x.voq[i][o].Len()
-		}
-	}
-	for o := range x.staged {
-		n += x.staged[o].Len()
-	}
-	return n
+	return len(x.pending) + x.voqCount + x.inFlight.Len() + x.stagedCount
 }

@@ -306,3 +306,41 @@ func TestCrossbarPerFlowOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The VOQ books balance through injection, publication, grants and credit
+// returns, and a corrupted credit fails the audit by its rule name. A credit
+// returned early (the corruption's other direction) lets a VOQ overflow at
+// publication, which panics instead of being skipped.
+func TestCrossbarConservationAudit(t *testing.T) {
+	x, _ := newXbar(3, 2)
+	for c := sim.Cycle(0); c < 40; c++ {
+		for in := 0; in < 3; in++ {
+			x.Inject(pkt(in, int(c)%2, 1+in))
+		}
+		if v := x.checkVOQs(); len(v) > 0 {
+			t.Fatalf("cycle %d, before the tick: %v", c, v)
+		}
+		x.Tick(c)
+		if v := x.CheckInvariants(); len(v) > 0 {
+			t.Fatalf("cycle %d: %v", c, v)
+		}
+	}
+	if x.voqCount == 0 {
+		t.Fatal("no VOQ ever held a packet: the audit saw nothing")
+	}
+	k := x.pair(1, 0)
+	x.credit[k]++
+	v := x.CheckInvariants()
+	if len(v) != 1 || v[0].Rule != "voq-credit" || v[0].Warn {
+		t.Fatalf("corrupted credit: audit reported %+v, want one fatal voq-credit", v)
+	}
+	x.credit[k] = -1 // a credit returned that was never taken: VOQDepth+1 admitted
+	for x.Inject(pkt(1, 0, 1)) {
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a VOQ overflowing at publication did not panic")
+		}
+	}()
+	x.Tick(40)
+}

@@ -189,6 +189,9 @@ func (c *Clock) topologyChanged() {
 // Components returns how many components are registered on this clock.
 func (c *Clock) Components() int { return len(c.comps) }
 
+// Component returns the i-th component registered on this clock.
+func (c *Clock) Component(i int) Ticker { return c.comps[i] }
+
 // OnBarrier registers f to run at the end of every edge this clock
 // processes, after the clock's ports have committed, in registration order —
 // the hook for state several components share, whose updates must not be
@@ -212,8 +215,13 @@ func (c *Clock) OnBarrier(f func()) {
 func (c *Clock) commit() {
 	for _, h := range c.dirty {
 		h.listed = false
-		if h.commit() && h.wclk != nil {
-			h.wakeConsumer()
+		if h.commit() {
+			if h.wclk != nil {
+				h.wakeConsumer()
+			}
+			if h.dnote != nil {
+				h.dnote.mark(h.didx)
+			}
 		}
 		if h.relented() {
 			h.wakeProducer()

@@ -64,6 +64,13 @@ type portHeader struct {
 	widx    int32
 	pidx    int32
 	starved bool
+	// A port feeding, or fed by, a Feed tells the Feeds hosting it of either
+	// end's change: a flush marks feed didx of dnote live, a relent feed sidx
+	// of snote.
+	dnote *feedSet
+	didx  int32
+	snote *feedSet
+	sidx  int32
 }
 
 // stagedFlusher is the generic half of a commit, reached through the header.
@@ -95,14 +102,16 @@ func (h *portHeader) commit() (flushed bool) {
 // "my output is full" into work, whether it comes from pops on another clock's
 // edges or from this edge's own — and whether a producer sleeps on it (the
 // caller then wakes it). Once per refusal: the mark is cleared either way. (An
-// unbounded port is never full; what refuses its producer is the owner's
-// business, see WakeProducer.) Kept apart from commit so that both inline
+// unbounded port is never full.) Kept apart from commit so that both inline
 // into the barrier's loop over ports.
 func (h *portHeader) relented() bool {
 	if !h.starved || h.snap >= h.cap {
 		return false
 	}
 	h.starved = false
+	if h.snote != nil {
+		h.snote.mark(h.sidx)
+	}
 	return h.pidx >= 0
 }
 
@@ -167,17 +176,6 @@ func (r PortRef) Bound() bool {
 		return r.h.pidx >= 0
 	}
 	return r.h.wclk != nil
-}
-
-// WakeProducer raises the port's space wake by hand, for a producer whose
-// admission is bounded by something the port's capacity does not show (a
-// crossbar's per-pair credits behind an unbounded injection port): the owner
-// of that bound knows whom it refused and when it relents. Call it only from
-// a barrier task of the port's clock.
-func (p *Port[T]) WakeProducer() {
-	if p.hdr.pidx >= 0 {
-		p.hdr.wakeProducer()
-	}
 }
 
 // Attached reports whether the port is in two-phase mode.

@@ -7,19 +7,16 @@ import (
 )
 
 // stuffer is the test producer: it has left values to push into out, rate a
-// tick, and work exactly while it has values and something to push them into.
-// What bounds it is out's capacity — or, for an unbounded out, credits, a
-// budget somebody else refills (the shape of a crossbar's injection port).
-// With memo set it does not ask before it pushes and does not ask again after
-// a refusal: like a pump, it sleeps on the memory of its last attempt, so
-// nothing but the wake can get it going. Every cycle counts once, ticked or
-// skipped.
+// tick, and work exactly while it has values and something to push them into:
+// what bounds it is out's capacity. With memo set it does not ask before it
+// pushes and does not ask again after a refusal: like a feed, it sleeps on the
+// memory of its last attempt, so nothing but the wake can get it going. Every
+// cycle counts once, ticked or skipped.
 type stuffer struct {
-	out     *Port[int]
-	left    int
-	rate    int
-	credits *int // nil: out's capacity is the bound
-	memo    bool
+	out  *Port[int]
+	left int
+	rate int
+	memo bool
 
 	refused bool // memo: the last push was refused
 
@@ -30,11 +27,8 @@ type stuffer struct {
 }
 
 func (s *stuffer) blocked() bool {
-	switch {
-	case s.memo:
+	if s.memo {
 		return s.refused && s.out.SpaceRef().Bound()
-	case s.credits != nil:
-		return *s.credits == 0
 	}
 	return s.out.Full()
 }
@@ -50,9 +44,6 @@ func (s *stuffer) Tick(now Cycle) {
 			}
 			s.refused = true
 			break
-		}
-		if s.credits != nil {
-			*s.credits--
 		}
 		s.log = append(s.log, fmt.Sprintf("push%d@%d", s.next, now))
 		s.next++
@@ -183,50 +174,6 @@ func TestWakeOnSpaceNextEdge(t *testing.T) {
 			if fast && s.ticks > 3*len(takes) {
 				t.Errorf("%s: producer ticked %d times around %d drains: it never left the active set", v.name, s.ticks, len(takes))
 			}
-		}
-	}
-}
-
-// An unbounded port is never full: whoever bounds its producer some other way
-// raises the wake by hand, from a barrier task of the port's clock, and the
-// producer ticks on the next edge — as after a commit, and with the same
-// counters.
-func TestWakeProducerByHand(t *testing.T) {
-	refills := map[Cycle]int{20: 1, 21: 2, 400: 3, 9000: 6}
-	var want []string
-	for _, fast := range []bool{false, true} {
-		e := NewEngine()
-		e.SetFastPath(fast)
-		clk := e.NewClock("p", 1000)
-		port := NewPort[int](0)
-		port.Attach(clk)
-		credits := 2
-		s := &stuffer{out: port, left: 14, rate: 2, credits: &credits}
-		for i := 0; i < 16; i++ {
-			clk.Register(TickFunc(func(Cycle) {}))
-		}
-		clk.Register(s)
-		clk.OnBarrier(func() {
-			if n := refills[clk.Now()-1]; n > 0 { // the barrier of edge Now()-1
-				credits += n
-				port.WakeProducer()
-			}
-		})
-		e.RunUntil(clk, 10_000)
-		if want == nil {
-			want = s.log
-			if s.left != 0 || s.log[2] != "push2@21" || s.log[13] != "push13@9003" {
-				t.Fatalf("reference run: left %d, log %v", s.left, s.log)
-			}
-		}
-		if !reflect.DeepEqual(s.log, want) {
-			t.Errorf("fast=%v:\n got %v\nwant %v", fast, s.log, want)
-		}
-		if fast && s.ticks > 3*len(refills)+3 {
-			t.Errorf("producer ticked %d times around %d refills", s.ticks, len(refills))
-		}
-		if w := e.WalkStats()[0]; fast && (w.SpaceWakes != int64(len(refills)) || w.Ticks != int64(16*10_000+s.ticks)) {
-			t.Errorf("WalkStats: %d space wakes for %d refills, %d ticks with the producer's %d", w.SpaceWakes, len(refills), w.Ticks, s.ticks)
 		}
 	}
 }
