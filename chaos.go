@@ -33,5 +33,5 @@ func ChaosPreset(name string, seed uint64) (*ChaosSpec, error) {
 //
 //	r, err := dcl1.Run(cfg, d, app, dcl1.WithChaos(dcl1.ChaosLight(42)))
 func WithChaos(spec *ChaosSpec) RunOption {
-	return func(rc *runConfig) { rc.chaos = spec }
+	return func(rc *runConfig) { rc.h.Chaos = spec }
 }

@@ -16,6 +16,7 @@ import (
 
 	"dcl1sim"
 	"dcl1sim/internal/cliflags"
+	"dcl1sim/internal/gpu"
 )
 
 func main() {
@@ -81,7 +82,7 @@ func main() {
 		job, err := pts[0].Job, pts[0].Err
 		var r dcl1.Results
 		if err == nil {
-			r, err = dcl1.Run(job.Cfg, job.D, job.App, dcl1.WithHealth(h))
+			r, err = gpu.RunChecked(job.Cfg, job.D, job.App, h)
 		}
 		if serr := closeSink(); serr != nil {
 			fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)

@@ -42,7 +42,7 @@ func main() {
 
 		maxQueued      = flag.Int("max-queued", 4096, "global bound on pending points; beyond it submissions get 429 + Retry-After")
 		tenantQueued   = flag.Int("tenant-queued", 0, "per-tenant bound on pending points (0 = the global bound)")
-		tenantInflight = flag.Int("tenant-inflight", 0, "per-tenant concurrency quota (0 = the worker count)")
+		tenantInflight = flag.Int("tenant-inflight", 0, "per-tenant quota on leased points, local or remote (0 = the worker count; unbounded with -coordinator)")
 		breaker        = flag.Int("breaker", 3, "consecutive point failures that trip a job's circuit breaker (negative disables)")
 
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "graceful-drain bound on SIGTERM; in-flight points beyond it are canceled and recovered on restart")

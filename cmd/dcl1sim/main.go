@@ -26,6 +26,7 @@ import (
 
 	"dcl1sim"
 	"dcl1sim/internal/cliflags"
+	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/serve"
 )
 
@@ -99,7 +100,7 @@ func main() {
 	}
 	var r dcl1.Results
 	if err == nil {
-		r, err = dcl1.Run(job.Cfg, job.D, job.App, dcl1.WithHealth(h))
+		r, err = gpu.RunChecked(job.Cfg, job.D, job.App, h)
 	}
 	if serr := closeSink(); serr != nil {
 		fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)

@@ -21,6 +21,7 @@ import (
 
 	"dcl1sim"
 	"dcl1sim/internal/cliflags"
+	"dcl1sim/internal/gpu"
 )
 
 func main() {
@@ -101,7 +102,7 @@ func replay(args []string) {
 	if err != nil {
 		fatal("%v", err)
 	}
-	r, err := dcl1.Run(cfg, d, tr, dcl1.WithHealth(h))
+	r, err := gpu.RunChecked(cfg, d, tr, h)
 	if serr := closeSink(); serr != nil {
 		fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)
 	}

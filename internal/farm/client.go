@@ -1,17 +1,16 @@
-// Package farm is the worker half of the distributed sweep farm: a typed
-// HTTP client for the dcl1serve lease protocol and a Worker that pulls
-// leases, simulates their points through the experiments Supervisor, and
-// uploads results. The package never bends the model: a point computed here
-// is the same deterministic simulation the server would run locally, so the
-// server's content-addressed store makes every upload idempotent. See
-// DESIGN.md §17.
+// Package farm is the remote half of the distributed sweep farm: a typed
+// HTTP client for the dcl1serve lease protocol (a serve.Transport) and a
+// Worker that runs serve's lease worker — the same point lifecycle the
+// server's local workers run in process — over it. The package never bends
+// the model: a point computed here is the same deterministic simulation the
+// server would run locally, so the server's content-addressed store makes
+// every upload idempotent. See DESIGN.md §17.
 package farm
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,25 +21,16 @@ import (
 )
 
 // ErrLeaseLost marks a 410 from the server: the lease expired, was fenced,
-// or predates a server restart. The worker must abandon the lease's points —
+// or predates a server restart. It is serve.ErrUnknownLease, the one
+// sentinel both transports report; the worker abandons the lease's points —
 // the server has already requeued or reassigned them.
-var ErrLeaseLost = errors.New("farm: lease lost (expired or fenced by the server)")
+var ErrLeaseLost = serve.ErrUnknownLease
 
 // TransientError wraps a retryable failure — a network error, a 429, a 503,
 // or any other 5xx — with the server's backoff hint when it sent one. The
 // worker retries these with jittered exponential backoff; anything else is
 // permanent.
-type TransientError struct {
-	Op         string
-	RetryAfter time.Duration
-	Err        error
-}
-
-func (e *TransientError) Error() string {
-	return fmt.Sprintf("farm: %s: transient: %v", e.Op, e.Err)
-}
-
-func (e *TransientError) Unwrap() error { return e.Err }
+type TransientError = serve.TransientError
 
 // Client speaks the dcl1serve lease protocol. The zero HTTP client gets a
 // sane default timeout; Token, when set, is sent as a bearer token on every

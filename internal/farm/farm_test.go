@@ -292,20 +292,3 @@ func TestClientErrorMapping(t *testing.T) {
 		t.Errorf("400: err = %v, want a permanent error", err)
 	}
 }
-
-// TestBackoff pins the retry delay: deterministic per (name, attempt),
-// bounded, and never below the server's Retry-After hint.
-func TestBackoff(t *testing.T) {
-	if a, b := backoff("w0", 0, 0), backoff("w0", 0, 0); a != b {
-		t.Errorf("backoff not deterministic: %v vs %v", a, b)
-	}
-	if d := backoff("w0", 0, 0); d < 200*time.Millisecond || d > 300*time.Millisecond {
-		t.Errorf("attempt 0 = %v, want within [200ms, 300ms]", d)
-	}
-	if d := backoff("w0", 20, 0); d > 5*time.Second+5*time.Second/2 {
-		t.Errorf("attempt 20 = %v, want capped at 5s + 50%% jitter", d)
-	}
-	if d := backoff("w0", 0, 10*time.Second); d != 10*time.Second {
-		t.Errorf("hint not honored: %v, want 10s", d)
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
 )
 
@@ -48,8 +47,8 @@ type JobStatus struct {
 	Failed      int  `json:"failed"`
 	Cached      int  `json:"cached"`
 	Quarantined int  `json:"quarantined"`
-	InFlight    int  `json:"in_flight"`
-	Leased      int  `json:"leased,omitempty"`    // points out under farm leases
+	InFlight    int  `json:"in_flight"`           // points out under leases
+	Leased      int  `json:"leased,omitempty"`    // the same count (kept for older clients)
 	Recovered   bool `json:"recovered,omitempty"` // resumed after a restart
 	BreakerOpen bool `json:"breaker_open,omitempty"`
 
@@ -63,7 +62,6 @@ type job struct {
 	id      string
 	tenant  string
 	spec    SweepSpec
-	sup     *experiments.Supervisor
 	keys    []string // content address per point index
 	total   int      // len(spec.Designs)
 	results []PointResult
@@ -73,8 +71,7 @@ type job struct {
 	failed      int
 	cached      int
 	quarantined int
-	inflight    int
-	leased      int  // points currently out under farm leases
+	leased      int  // points currently out under leases, local or remote
 	consecFails int  // consecutive non-quarantine failures (breaker input)
 	tripped     bool // circuit breaker open: pending points quarantine
 	finished    bool
@@ -98,7 +95,7 @@ func (j *job) status(withResults bool) JobStatus {
 		Failed:      j.failed,
 		Cached:      j.cached,
 		Quarantined: j.quarantined,
-		InFlight:    j.inflight,
+		InFlight:    j.leased,
 		Leased:      j.leased,
 		Recovered:   j.recovered,
 		BreakerOpen: j.tripped,
@@ -106,7 +103,7 @@ func (j *job) status(withResults bool) JobStatus {
 	switch {
 	case j.finished:
 		st.State = StateDone
-	case j.terminal > 0 || j.inflight > 0 || j.leased > 0:
+	case j.terminal > 0 || j.leased > 0:
 		st.State = StateRunning
 	}
 	if withResults {
@@ -121,9 +118,8 @@ type point struct {
 	idx  int
 	name string // canonical design name
 	key  string // content address
-	gj   gpu.Job
 
-	// Farm lease state (all guarded by the server mutex):
+	// Lease state (all guarded by the server mutex):
 	epoch  int    // bumped at every grant; completions must echo it (fencing)
 	deaths int    // lease expiries while held (poison-point counter)
 	lease  *lease // the live lease holding this point, nil otherwise

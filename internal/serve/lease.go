@@ -1,20 +1,24 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"dcl1sim/internal/gpu"
 )
 
-// The lease protocol turns the server's point queue into a distributed work
-// pool: a farm worker POSTs /v1/leases and receives a batch of pending
-// points under a lease ID with a TTL, heartbeats to keep it alive, and
-// uploads each point's result as it finishes. Every failure mode maps onto
-// one invariant — a point is requeued exactly once, completed exactly once,
-// or parked as poison, and the finished sweep is byte-identical to a
-// single-process run:
+// The lease protocol is the only way a point leaves the queue: a farm worker
+// POSTs /v1/leases and the server's own workers call the same handlers in
+// process (localTransport), so grant, park, breaker, expiry, abandon and
+// complete are written once. A worker receives a batch of pending points
+// under a lease ID with a TTL, heartbeats to keep it alive, and uploads each
+// point's result as it finishes. Every failure mode maps onto one invariant —
+// a point is requeued exactly once, completed exactly once, or parked as
+// poison, and the finished sweep is byte-identical to a single-process run:
 //
 //   - Worker crash (SIGKILL, OOM, power loss): heartbeats stop, the lease
 //     expires, and the reaper requeues its unresolved points at the head of
@@ -30,7 +34,8 @@ import (
 //     restores every point's epoch high-water mark before granting again —
 //     pre-restart workers are fenced by both the unknown lease ID and the
 //     stale epoch. The points themselves requeue under their original job
-//     IDs through the ordinary incomplete-job replay.
+//     IDs through the ordinary incomplete-job replay. A local worker killed
+//     with the server abandons its point un-journaled the same way.
 //   - Poison point: a point whose lease expires PoisonThreshold times has
 //     killed that many workers; it is quarantined through the same
 //     machinery as the job circuit breaker instead of cycling through the
@@ -40,7 +45,7 @@ type lease struct {
 	worker    string
 	expires   time.Time
 	grantedAt time.Time
-	granted   int               // points in the original grant (statz)
+	last      time.Time         // grant or latest recorded completion (point run time)
 	points    map[string]*point // token → unresolved point
 }
 
@@ -71,6 +76,10 @@ type LeasePoint struct {
 	// Designs reduced to this one design); expanding it yields the exact
 	// gpu.Job the server would run locally.
 	Spec SweepSpec `json:"spec"`
+
+	// local is the server's own point, set on in-process grants only: the
+	// local worker reads the job's metrics sink and the test hook from it.
+	local *point
 }
 
 // LeaseGrant is the response to POST /v1/leases. An empty grant (no ID, no
@@ -107,8 +116,9 @@ const (
 	// CompletionDuplicate: the point already resolved with this content key
 	// (idempotent no-op — the store already holds the identical result).
 	CompletionDuplicate = "duplicate"
-	// CompletionStale: fencing rejected the upload (stale epoch, or a point
-	// this lease no longer owns) and the server state did not change.
+	// CompletionStale: fencing rejected the upload (stale epoch, a point
+	// this lease no longer owns, or a success without a result) and the
+	// server state did not change.
 	CompletionStale = "stale"
 )
 
@@ -144,31 +154,41 @@ type ReleaseResponse struct {
 	Requeued int `json:"requeued"`
 }
 
-// ErrUnknownLease marks lease operations against an expired or never-granted
-// lease ID; the transport maps it to 410 Gone.
-var ErrUnknownLease = fmt.Errorf("serve: unknown or expired lease")
+// ErrUnknownLease marks lease operations against an expired, fenced or
+// never-granted lease ID; the HTTP API maps it to 410 Gone and the farm
+// client maps 410 back to it. A worker holding it must abandon the lease's
+// points — the server has already requeued or reassigned them.
+var ErrUnknownLease = errors.New("serve: lease lost (expired, fenced, or never granted)")
 
 func pointToken(jobID string, idx int) string {
-	return fmt.Sprintf("%s/%d", jobID, idx)
+	return jobID + "/" + strconv.Itoa(idx)
 }
 
 // AcquireLease grants worker a lease over up to max pending points, fairly
 // round-robin across tenants. Points whose job breaker is open quarantine
 // immediately, points already satisfied by the store complete as cache hits,
-// and points whose content key is already executing (locally or under
-// another lease) park behind it — none of those consume grant slots. An
-// empty grant means nothing is dispatchable right now.
+// and points whose content key is already executing (under any lease, local
+// or remote) park behind it — none of those consume grant slots. An empty
+// grant means nothing is dispatchable right now.
 func (s *Server) AcquireLease(worker string, max int) (LeaseGrant, error) {
+	g, _, err := s.acquire(worker, max, false)
+	return g, err
+}
+
+// acquire is AcquireLease for both transports. local marks an in-process
+// grant (its points carry the server's point); an empty grant also returns
+// the wake channel that closes when dispatchable work may have appeared.
+func (s *Server) acquire(worker string, max int, local bool) (LeaseGrant, <-chan struct{}, error) {
 	if max <= 0 || max > s.opt.LeaseMaxPoints {
 		max = s.opt.LeaseMaxPoints
 	}
 	now := time.Now()
 	s.mu.Lock()
-	if s.draining || s.stopped {
-		s.mu.Unlock()
-		return LeaseGrant{}, &AdmissionError{Reason: "server is draining", Status: 503, RetryAfter: 10 * time.Second}
+	defer s.unlock()
+	if s.draining {
+		return LeaseGrant{}, nil, &AdmissionError{Reason: "server is draining", Status: 503, RetryAfter: 10 * time.Second}
 	}
-	finished := s.expireLeasesLocked(now)
+	s.expireLeasesLocked(now)
 
 	l := &lease{worker: worker, points: map[string]*point{}}
 	var pts []LeasePoint
@@ -179,49 +199,45 @@ func (s *Server) AcquireLease(worker string, max int) (LeaseGrant, error) {
 		}
 		switch {
 		case p.job.tripped:
-			// Circuit breaker open: quarantine without granting, exactly as
-			// the local pool would.
-			if s.resolveLocked(p, PointResult{
+			// Circuit breaker open: quarantine without granting so one
+			// poisoned job cannot wedge the workers.
+			s.resolveLocked(p, PointResult{
 				Index: p.idx, Design: p.name, OK: false, Quarantined: true,
 				Err: "quarantined: job circuit breaker open",
-			}) {
-				finished = append(finished, p.job)
-			}
-		case s.storeHitLocked(p, &finished):
+			})
+		case s.storeHitLocked(p):
 			// Resolved from the content-addressed store (e.g. a requeued
 			// duplicate whose twin completed meanwhile).
 		case s.running[p.key]:
 			// Identical point already executing somewhere: park behind it;
-			// completion requeues it and the store resolves it.
+			// its completion resolves it from the store.
 			s.parked[p.key] = append(s.parked[p.key], p)
 		default:
+			s.store.count(false)
 			p.epoch++
 			p.lease = l
 			s.running[p.key] = true
 			s.leasedPoints++
 			p.job.leased++
-			tok := pointToken(p.job.id, p.idx)
-			l.points[tok] = p
-			pts = append(pts, LeasePoint{
-				Token: tok, Job: p.job.id, Index: p.idx, Epoch: p.epoch,
+			s.tenants[p.job.tenant].inflight++
+			lp := LeasePoint{
+				Token: pointToken(p.job.id, p.idx), Job: p.job.id, Index: p.idx, Epoch: p.epoch,
 				Design: p.name, Spec: p.job.spec.Single(p.idx),
-			})
+			}
+			if local {
+				lp.local = p
+			}
+			l.points[lp.Token] = p
+			pts = append(pts, lp)
 		}
 	}
 	if len(pts) == 0 {
-		s.mu.Unlock()
-		for _, j := range finished {
-			s.logDone(j)
-		}
-		return LeaseGrant{Worker: worker, PollAfterSeconds: jitterSeconds(worker, 1.0)}, nil
+		return LeaseGrant{Worker: worker, PollAfterSeconds: jitterSeconds(worker, 1.0)}, s.wake, nil
 	}
 	s.leaseSeq++
 	l.id = fmt.Sprintf("l%08d", s.leaseSeq)
-	l.grantedAt = now
+	l.grantedAt, l.last = now, now
 	l.expires = now.Add(s.opt.LeaseTTL)
-	l.granted = len(pts)
-	s.leases[l.id] = l
-	s.leasesGranted.Add(1)
 	// Journal the grant (fsynced, under the lock like submissions): restart
 	// recovery replays it to restore each point's epoch high-water mark, so
 	// post-restart grants always fence pre-restart workers.
@@ -232,50 +248,38 @@ func (s *Server) AcquireLease(worker string, max int) (LeaseGrant, error) {
 	if err := s.jlog.Append(rec); err != nil {
 		// Durability trouble fences nothing: refuse the grant and requeue.
 		for _, lp := range pts {
-			p := l.points[lp.Token]
-			s.requeueLeasedPointLocked(p)
+			s.requeueLeasedPointLocked(l.points[lp.Token])
 		}
-		delete(s.leases, l.id)
-		s.mu.Unlock()
-		for _, j := range finished {
-			s.logDone(j)
-		}
-		return LeaseGrant{}, fmt.Errorf("serve: persist lease grant: %w", err)
+		return LeaseGrant{}, nil, fmt.Errorf("serve: persist lease grant: %w", err)
 	}
-	g := LeaseGrant{ID: l.id, Worker: worker, TTLSeconds: s.opt.LeaseTTL.Seconds(), Points: pts}
-	s.mu.Unlock()
-	for _, j := range finished {
-		s.logDone(j)
-	}
-	return g, nil
+	s.leases[l.id] = l
+	s.leasesGranted.Add(1)
+	return LeaseGrant{ID: l.id, Worker: worker, TTLSeconds: s.opt.LeaseTTL.Seconds(), Points: pts}, nil, nil
 }
 
 // storeHitLocked resolves p from the result store when its key is already
-// recorded, returning whether it did. Caller holds the mutex and owns
-// logDone for any job appended to finished.
-func (s *Server) storeHitLocked(p *point, finished *[]*job) bool {
+// recorded, returning whether it did. Admission, grants and the twins parked
+// behind a released key all resolve store hits here. Caller holds the mutex.
+func (s *Server) storeHitLocked(p *point) bool {
 	r, ok := s.store.Peek(p.key)
 	if !ok {
 		return false
 	}
-	res := r
-	s.store.countHit()
-	if s.resolveLocked(p, PointResult{
-		Index: p.idx, Design: p.name, OK: true, Cached: true, Result: &res,
-	}) {
-		*finished = append(*finished, p.job)
-	}
+	s.store.count(true)
+	s.resolveLocked(p, PointResult{
+		Index: p.idx, Design: p.name, OK: true, Cached: true, Result: &r,
+	})
 	return true
 }
 
 // leaseNextLocked pops the next leasable point: round-robin across tenants,
-// ignoring the local-pool concurrency quota (lease capacity belongs to the
-// remote worker, not this process). Caller holds the mutex.
+// skipping tenants at their in-flight quota (leased points, local or
+// remote). Caller holds the mutex.
 func (s *Server) leaseNextLocked() *point {
 	n := len(s.order)
 	for i := 0; i < n; i++ {
 		t := s.tenants[s.order[(s.rrNext+i)%n]]
-		if len(t.queue) == 0 {
+		if len(t.queue) == 0 || (s.opt.TenantMaxInFlight > 0 && t.inflight >= s.opt.TenantMaxInFlight) {
 			continue
 		}
 		p := t.queue[0]
@@ -292,113 +296,84 @@ func (s *Server) leaseNextLocked() *point {
 func (s *Server) RenewLease(id string) (time.Duration, bool) {
 	now := time.Now()
 	s.mu.Lock()
-	finished := s.expireLeasesLocked(now)
+	defer s.unlock()
+	s.expireLeasesLocked(now)
 	l, ok := s.leases[id]
-	if ok {
-		l.expires = now.Add(s.opt.LeaseTTL)
-	}
-	s.mu.Unlock()
-	for _, j := range finished {
-		s.logDone(j)
-	}
 	if !ok {
 		return 0, false
 	}
+	l.expires = now.Add(s.opt.LeaseTTL)
 	return s.opt.LeaseTTL, true
 }
 
-// CompleteLeasePoints records uploaded results against a live lease. Each
-// completion resolves exactly one of three ways: recorded (the result landed
-// and the point is terminal), duplicate (the point already resolved with
-// this content key — idempotent no-op), or stale (epoch fencing rejected it,
-// server state unchanged). ErrUnknownLease fences a worker whose lease
-// expired or predates a restart.
+// CompleteLeasePoints records uploaded results against a live lease. It is
+// where every fresh point, local or remote, resolves. Each completion
+// resolves exactly one of three ways: recorded (the result landed and the
+// point is terminal), duplicate (the point already resolved with this
+// content key — idempotent no-op), or stale (fencing rejected it, server
+// state unchanged). ErrUnknownLease fences a worker whose lease expired or
+// predates a restart.
 func (s *Server) CompleteLeasePoints(id string, ups []LeaseCompletion) ([]CompletionStatus, error) {
 	now := time.Now()
 	s.mu.Lock()
-	finished := s.expireLeasesLocked(now)
+	defer s.unlock()
+	s.expireLeasesLocked(now)
 	l, ok := s.leases[id]
 	if !ok {
-		s.mu.Unlock()
-		for _, j := range finished {
-			s.logDone(j)
-		}
 		return nil, ErrUnknownLease
 	}
 	out := make([]CompletionStatus, 0, len(ups))
 	for _, up := range ups {
-		st := CompletionStatus{Token: up.Token}
+		st := CompletionStatus{Token: up.Token, Status: CompletionStale}
 		p, owned := l.points[up.Token]
 		switch {
+		case up.OK && up.Result == nil:
+			// A success without a result would store a zero gpu.Results and
+			// serve it forever: fenced, and the point re-runs on expiry.
 		case owned && up.Epoch == p.epoch:
-			// Live upload: record content-addressed (fsynced), then resolve.
-			// The journal write happens under the server mutex exactly like
-			// submissions — a kill between the two sides leaves either a
-			// re-runnable point or a stored result, never a lost one.
-			var err error
-			if !up.OK {
-				err = fmt.Errorf("%s", up.Err)
-				if up.Err == "" {
-					err = fmt.Errorf("worker %s reported failure without detail", l.worker)
-				}
-			}
-			var res gpu.Results
-			if up.Result != nil {
-				res = *up.Result
-			}
-			s.store.Journal().Record(p.key, res, err)
-			pr := PointResult{Index: p.idx, Design: p.name, OK: up.OK}
-			if up.OK {
-				pr.Result = &res
-			} else {
-				pr.Err = err.Error()
-			}
-			delete(l.points, up.Token)
-			p.lease = nil
-			s.leasedPoints--
-			p.job.leased--
-			delete(s.running, p.key)
-			if up.OK {
-				// Twins parked behind this key resolve right now from the
-				// result that just landed — no queue round-trip, which in a
-				// coordinator-only deployment would otherwise stall them
-				// until the next lease poll.
-				for _, w := range s.parked[p.key] {
-					if !s.storeHitLocked(w, &finished) {
-						// Store write failed (disk trouble): fall back to a
-						// fresh run via the queue.
-						wt := s.tenants[w.job.tenant]
-						wt.queue = append([]*point{w}, wt.queue...)
-					}
-				}
-				delete(s.parked, p.key)
-			} else {
-				// Failed attempt: twins requeue and run (or fail) fresh.
-				s.requeueParkedLocked(p.key)
-			}
-			if s.resolveLocked(p, pr) {
-				finished = append(finished, p.job)
-			}
+			s.recordLocked(l, p, up, now)
 			st.Status = CompletionRecorded
 		case s.pointResolvedLocked(up.Token):
 			// The point already resolved (duplicate upload, or a retry after
 			// a lost response). Content addressing makes this a no-op: the
 			// store already holds the byte-identical result.
 			st.Status = CompletionDuplicate
-		default:
-			// Stale epoch or a point this lease never owned: fenced.
-			st.Status = CompletionStale
 		}
 		out = append(out, st)
 	}
 	if len(l.points) == 0 {
 		s.finalizeLeaseLocked(l, "complete")
 	}
-	s.mu.Unlock()
-	for _, j := range finished {
-		s.logDone(j)
-	}
 	return out, nil
+}
+
+// recordLocked lands one live upload: content-addressed in the store
+// (fsynced), then the point resolves. The journal write happens under the
+// server mutex exactly like submissions — a kill between the two sides leaves
+// either a re-runnable point or a stored result, never a lost one. Caller
+// holds the mutex.
+func (s *Server) recordLocked(l *lease, p *point, up LeaseCompletion, now time.Time) {
+	pr := PointResult{Index: p.idx, Design: p.name, OK: up.OK}
+	var res gpu.Results
+	var err error
+	if up.OK {
+		res = *up.Result
+		pr.Result = &res
+	} else {
+		err = errors.New(up.Err)
+		if up.Err == "" {
+			err = fmt.Errorf("worker %s reported failure without detail", l.worker)
+		}
+		pr.Err = err.Error()
+	}
+	s.store.Journal().Record(p.key, res, err)
+	s.runNanos.Add(now.Sub(l.last).Nanoseconds())
+	s.runCount.Add(1)
+	l.last = now
+	// Twins parked behind this key resolve right now from the result that
+	// just landed (or requeue to run fresh after a failure).
+	s.unleaseLocked(p)
+	s.resolveLocked(p, pr)
 }
 
 // pointResolvedLocked reports whether the point named by token is already
@@ -417,17 +392,15 @@ func (s *Server) pointResolvedLocked(token string) bool {
 	return false
 }
 
+// splitToken parses a canonical "jobID/index" token; anything else (trailing
+// garbage, a sign, leading zeros) yields index -1.
 func splitToken(token string) (string, int) {
-	for i := len(token) - 1; i >= 0; i-- {
-		if token[i] == '/' {
-			var idx int
-			if _, err := fmt.Sscanf(token[i+1:], "%d", &idx); err != nil {
-				return "", -1
-			}
-			return token[:i], idx
-		}
+	jobID, rest, ok := strings.Cut(token, "/")
+	idx, err := strconv.Atoi(rest)
+	if !ok || err != nil || strconv.Itoa(idx) != rest {
+		return "", -1
 	}
-	return "", -1
+	return jobID, idx
 }
 
 // ReleaseLease requeues the named unresolved points (all of them when tokens
@@ -437,52 +410,76 @@ func splitToken(token string) (string, int) {
 func (s *Server) ReleaseLease(id string, tokens []string) (int, bool) {
 	now := time.Now()
 	s.mu.Lock()
-	finished := s.expireLeasesLocked(now)
+	defer s.unlock()
+	s.expireLeasesLocked(now)
 	l, ok := s.leases[id]
+	if !ok {
+		return 0, false
+	}
+	if len(tokens) == 0 {
+		tokens = sortedTokens(l)
+	}
 	requeued := 0
-	if ok {
-		if len(tokens) == 0 {
-			tokens = make([]string, 0, len(l.points))
-			for tok := range l.points {
-				tokens = append(tokens, tok)
-			}
-			sort.Strings(tokens)
-		}
-		for _, tok := range tokens {
-			p, owned := l.points[tok]
-			if !owned {
-				continue
-			}
-			delete(l.points, tok)
+	for _, tok := range tokens {
+		if p, owned := l.points[tok]; owned {
 			s.requeueLeasedPointLocked(p)
 			requeued++
 		}
-		s.pointsRequeued.Add(int64(requeued))
-		if len(l.points) == 0 {
-			s.finalizeLeaseLocked(l, "release")
-			s.leasesReleased.Add(1)
-		}
-		s.cond.Broadcast()
 	}
-	s.mu.Unlock()
-	for _, j := range finished {
-		s.logDone(j)
+	s.pointsRequeued.Add(int64(requeued))
+	if len(l.points) == 0 {
+		s.finalizeLeaseLocked(l, "release")
+		s.leasesReleased.Add(1)
 	}
-	return requeued, ok
+	return requeued, true
 }
 
-// requeueLeasedPointLocked returns one leased point to the head of its
-// tenant's queue and frees its single-flight slot. The epoch is left at its
-// granted value — the next grant bumps it, so the releasing worker's epoch
-// can never match again. Caller holds the mutex.
-func (s *Server) requeueLeasedPointLocked(p *point) {
+func sortedTokens(l *lease) []string {
+	tokens := make([]string, 0, len(l.points))
+	for tok := range l.points {
+		tokens = append(tokens, tok)
+	}
+	sort.Strings(tokens)
+	return tokens
+}
+
+// unleaseLocked takes p out of its lease: frees its tenant's quota slot and
+// its key's single-flight slot, which resolves or requeues the twins parked
+// behind the key. The epoch is left at its granted value — the next grant
+// bumps it, so the releasing worker's epoch can never match again. Caller
+// holds the mutex.
+func (s *Server) unleaseLocked(p *point) {
+	delete(p.lease.points, pointToken(p.job.id, p.idx))
 	p.lease = nil
 	s.leasedPoints--
 	p.job.leased--
-	delete(s.running, p.key)
+	s.tenants[p.job.tenant].inflight--
 	s.requeueParkedLocked(p.key)
-	t := s.tenants[p.job.tenant]
-	t.queue = append([]*point{p}, t.queue...)
+	s.wakeLocked()
+}
+
+// requeueParkedLocked releases key's single-flight slot. Twins parked behind
+// it resolve from the store when it now holds the key — no queue round-trip,
+// which in a coordinator-only deployment would otherwise stall them until the
+// next lease poll — and otherwise (a failed attempt, an expiry, a release)
+// requeue at the head of their tenants' queues to run fresh. Caller holds the
+// mutex.
+func (s *Server) requeueParkedLocked(key string) {
+	delete(s.running, key)
+	waiters := s.parked[key]
+	delete(s.parked, key)
+	for _, w := range waiters {
+		if !s.storeHitLocked(w) {
+			s.pushFrontLocked(w)
+		}
+	}
+}
+
+// requeueLeasedPointLocked returns one leased point to the head of its
+// tenant's queue. Caller holds the mutex.
+func (s *Server) requeueLeasedPointLocked(p *point) {
+	s.unleaseLocked(p)
+	s.pushFrontLocked(p)
 }
 
 // finalizeLeaseLocked retires an emptied lease and journals its end so
@@ -496,43 +493,27 @@ func (s *Server) finalizeLeaseLocked(l *lease, how string) {
 // either requeue at the head of their queues (exactly once — the lease is
 // deleted in the same step, so a racing release or duplicate reap finds
 // nothing) or, when the expiry pushes the point's death count to the poison
-// threshold, quarantine as poison. Returns jobs finished by poisoning, for
-// the caller to logDone off the lock. Caller holds the mutex.
-func (s *Server) expireLeasesLocked(now time.Time) []*job {
-	var finished []*job
-	expired := 0
+// threshold, quarantine as poison. Caller holds the mutex.
+func (s *Server) expireLeasesLocked(now time.Time) {
 	for id, l := range s.leases {
 		if !l.expires.Before(now) {
 			continue
 		}
-		expired++
 		delete(s.leases, id)
 		s.leasesExpired.Add(1)
-		tokens := make([]string, 0, len(l.points))
-		for tok := range l.points {
-			tokens = append(tokens, tok)
-		}
-		sort.Strings(tokens)
-		for _, tok := range tokens {
+		for _, tok := range sortedTokens(l) {
 			p := l.points[tok]
-			delete(l.points, tok)
 			p.deaths++
 			if s.opt.PoisonThreshold > 0 && p.deaths >= s.opt.PoisonThreshold {
 				// This point has now killed (or outlived) PoisonThreshold
 				// workers: park it as poison through the quarantine
 				// machinery instead of feeding it to the next one.
-				p.lease = nil
-				s.leasedPoints--
-				p.job.leased--
-				delete(s.running, p.key)
-				s.requeueParkedLocked(p.key)
+				s.unleaseLocked(p)
 				s.pointsPoisoned.Add(1)
-				if s.resolveLocked(p, PointResult{
+				s.resolveLocked(p, PointResult{
 					Index: p.idx, Design: p.name, OK: false, Quarantined: true,
 					Err: fmt.Sprintf("poison point: lease expired %d times (workers presumed killed mid-point)", p.deaths),
-				}) {
-					finished = append(finished, p.job)
-				}
+				})
 				continue
 			}
 			s.requeueLeasedPointLocked(p)
@@ -540,11 +521,6 @@ func (s *Server) expireLeasesLocked(now time.Time) []*job {
 		}
 		s.jlog.Append(jobRecord{Op: "lease_end", ID: id, Worker: "expired"})
 	}
-	if expired > 0 {
-		// Requeued points are dispatchable again: wake the local pool.
-		s.cond.Broadcast()
-	}
-	return finished
 }
 
 // expireLeases runs lease expiry against an explicit clock reading — the
@@ -552,11 +528,8 @@ func (s *Server) expireLeasesLocked(now time.Time) []*job {
 // deterministic drill.
 func (s *Server) expireLeases(now time.Time) {
 	s.mu.Lock()
-	finished := s.expireLeasesLocked(now)
-	s.mu.Unlock()
-	for _, j := range finished {
-		s.logDone(j)
-	}
+	defer s.unlock()
+	s.expireLeasesLocked(now)
 }
 
 // leaseReaper periodically expires dead leases so a crashed worker's points

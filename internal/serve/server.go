@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,7 +15,6 @@ import (
 
 	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
-	"dcl1sim/internal/metrics"
 )
 
 // Options configures a Server. The zero value of every field but DataDir is
@@ -25,8 +23,8 @@ type Options struct {
 	// DataDir holds the persistent state: results.jsonl (the content-
 	// addressed result store) and jobs.jsonl (the job log recovery replays).
 	DataDir string
-	// Workers is the number of concurrently executing points (default
-	// GOMAXPROCS).
+	// Workers is the number of local lease workers, each running one point
+	// at a time (default GOMAXPROCS; CoordinatorOnly starts none).
 	Workers int
 	// MaxQueuedPoints bounds the total pending (admitted, not yet terminal,
 	// not in flight) points across all tenants; submissions that would
@@ -35,8 +33,9 @@ type Options struct {
 	// TenantMaxQueued bounds one tenant's pending points (default
 	// MaxQueuedPoints: no per-tenant cap beyond the global one).
 	TenantMaxQueued int
-	// TenantMaxInFlight is the per-tenant concurrency quota (default
-	// Workers: no quota beyond the pool size).
+	// TenantMaxInFlight is the per-tenant concurrency quota, enforced at
+	// grant over leased points, local or remote (default Workers with a
+	// local pool; unbounded under CoordinatorOnly).
 	TenantMaxInFlight int
 	// BreakerThreshold trips a job's circuit breaker after this many
 	// consecutive point failures: remaining points quarantine instead of
@@ -70,7 +69,7 @@ type Options struct {
 	// expiries — a point that keeps killing workers must not cycle through
 	// the fleet forever. Default 3; negative disables.
 	PoisonThreshold int
-	// CoordinatorOnly disables the local worker pool: the server admits,
+	// CoordinatorOnly starts zero local workers: the server admits,
 	// schedules, leases, and stores, but never simulates. Farm workers do
 	// all the computing.
 	CoordinatorOnly bool
@@ -99,7 +98,7 @@ func (o Options) withDefaults() Options {
 	if o.TenantMaxQueued <= 0 {
 		o.TenantMaxQueued = o.MaxQueuedPoints
 	}
-	if o.TenantMaxInFlight <= 0 {
+	if o.TenantMaxInFlight <= 0 && !o.CoordinatorOnly {
 		o.TenantMaxInFlight = o.Workers
 	}
 	if o.BreakerThreshold == 0 {
@@ -138,14 +137,15 @@ func (e *AdmissionError) Error() string {
 type tenant struct {
 	name      string
 	queue     []*point
-	pending   int // queued + parked-behind-identical-key points
-	inflight  int
+	pending   int // queued + parked + leased points (not yet terminal)
+	inflight  int // points out under leases (the quota's count)
 	completed int64
 }
 
 // Server is the simulation service: a bounded multi-tenant job queue with
-// fair round-robin scheduling feeding a worker pool, a persistent content-
-// addressed result store, and crash recovery from fsynced JSONL logs. Create
+// fair round-robin lease grants, a persistent content-addressed result
+// store, and crash recovery from fsynced JSONL logs. Its own workers are
+// lease workers like any farm worker, over an in-process transport. Create
 // with New, expose with Handler, stop with Close (graceful drain) or Kill
 // (abrupt, for crash drills).
 type Server struct {
@@ -154,30 +154,34 @@ type Server struct {
 	jlog  *experiments.Log
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	wake    chan struct{} // closed and replaced when dispatchable work may have appeared
 	tenants map[string]*tenant
 	order   []string // round-robin order, append-on-first-submit
 	rrNext  int
 	jobs    map[string]*job
 	jobSeq  int
+	done    []jobRecord // done records of jobs finished under the mutex, appended by unlock
 
-	pendingPoints  int // all tenants' pending
-	inflightPoints int
-	running        map[string]bool     // content keys currently executing (locally or leased)
-	parked         map[string][]*point // points waiting on an identical in-flight key
+	pendingPoints int                 // all tenants' pending
+	running       map[string]bool     // content keys out under a lease
+	parked        map[string][]*point // points waiting on an identical in-flight key
 
-	leases       map[string]*lease // live farm leases by ID
+	leases       map[string]*lease // live leases by ID
 	leaseSeq     int
 	leasedPoints int               // points out under live leases
 	tokens       map[string]string // bearer token → tenant (auth index)
 
 	draining bool
-	stopped  bool
 
-	runCtx    context.Context
-	runCancel context.CancelFunc
-	wg        sync.WaitGroup
-	started   time.Time
+	// drainCtx ends the local workers' loops (Drain); runCtx cancels their
+	// simulations (Kill, or Close past its deadline).
+	drainCtx    context.Context
+	drainCancel context.CancelFunc
+	runCtx      context.Context
+	runCancel   context.CancelFunc
+	workers     sync.WaitGroup // local lease workers
+	wg          sync.WaitGroup // reaper and compactor
+	started     time.Time
 
 	// lifetime counters (atomics: read lock-free by /statz and tests)
 	jobsSubmitted     atomic.Int64
@@ -187,24 +191,25 @@ type Server struct {
 	pointsFailed      atomic.Int64
 	pointsCached      atomic.Int64
 	pointsQuarantined atomic.Int64
-	runNanos          atomic.Int64 // cumulative fresh-simulation wall time
+	runNanos          atomic.Int64 // cumulative grant-to-completion time of recorded points
 	runCount          atomic.Int64
 
-	// farm lifetime counters
+	// lease lifetime counters
 	leasesGranted  atomic.Int64
 	leasesExpired  atomic.Int64
 	leasesReleased atomic.Int64
 	pointsRequeued atomic.Int64 // lease expiries + releases
 	pointsPoisoned atomic.Int64
 
-	// beforePoint, when set (tests), runs before each fresh point executes —
-	// a hook to hold the worker pool in a known state.
+	// beforePoint, when set (tests), runs in a local worker before each
+	// granted point simulates — a hook to hold the workers in a known state.
 	beforePoint func(p *point)
 }
 
 // New opens the server's persistent state under opt.DataDir, replays the job
 // log — incomplete jobs are resubmitted under their original IDs, finished
-// ones reconstructed from the result store — and starts the worker pool.
+// ones reconstructed from the result store — and starts Options.Workers
+// local lease workers (none under CoordinatorOnly).
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	if opt.DataDir == "" {
@@ -230,8 +235,9 @@ func New(opt Options) (*Server, error) {
 		leases:  map[string]*lease{},
 		tokens:  tokens,
 		started: time.Now(),
+		wake:    make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 
 	// Replay the job log: collect submissions in order and the done set.
@@ -277,7 +283,6 @@ func New(opt Options) (*Server, error) {
 	s.jobSeq = len(subs)
 	s.leaseSeq = leaseSeq
 
-	var finishedNow []*job
 	s.mu.Lock()
 	for _, rec := range subs {
 		spec, perr := ParseSweepSpec(rec.raw)
@@ -293,11 +298,8 @@ func New(opt Options) (*Server, error) {
 		// Incomplete: resubmit under the original ID, bypassing admission —
 		// the job was admitted before the crash, and the result store turns
 		// its already-finished points into instant cache hits.
-		j := s.admitLocked(rec.tenant, spec, rec.id, true)
+		s.admitLocked(rec.tenant, spec, rec.id, true)
 		s.jobsRecovered.Add(1)
-		if j.finished {
-			finishedNow = append(finishedNow, j)
-		}
 	}
 	// Leased points recover exactly like queued ones (their jobs had no done
 	// record), but their replayed epochs must carry over so post-restart
@@ -311,16 +313,10 @@ func New(opt Options) (*Server, error) {
 			}
 		}
 	}
-	s.mu.Unlock()
-	for _, j := range finishedNow {
-		s.logDone(j)
-	}
+	s.unlock()
 
 	if !opt.CoordinatorOnly {
-		for i := 0; i < opt.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
+		s.startLocalWorkers()
 	}
 	s.wg.Add(1)
 	go s.leaseReaper()
@@ -357,28 +353,24 @@ func (s *Server) compactor() {
 // it onto the transport.
 func (s *Server) Submit(tenantName string, spec SweepSpec) (JobStatus, error) {
 	s.mu.Lock()
-	if s.draining || s.stopped {
-		s.mu.Unlock()
+	defer s.unlock()
+	if s.draining {
 		return JobStatus{}, &AdmissionError{Reason: "server is draining", Status: 503, RetryAfter: 10 * time.Second}
 	}
 	n := len(spec.Designs)
 	if s.pendingPoints+n > s.opt.MaxQueuedPoints {
-		e := &AdmissionError{
+		return JobStatus{}, &AdmissionError{
 			Reason:     fmt.Sprintf("queue full: %d pending + %d new points exceed the %d bound", s.pendingPoints, n, s.opt.MaxQueuedPoints),
 			Status:     429,
 			RetryAfter: s.retryAfterLocked(tenantName, n),
 		}
-		s.mu.Unlock()
-		return JobStatus{}, e
 	}
 	if t := s.tenants[tenantName]; t != nil && t.pending+n > s.opt.TenantMaxQueued {
-		e := &AdmissionError{
+		return JobStatus{}, &AdmissionError{
 			Reason:     fmt.Sprintf("tenant quota: %d pending + %d new points exceed the %d per-tenant bound", t.pending, n, s.opt.TenantMaxQueued),
 			Status:     429,
 			RetryAfter: s.retryAfterLocked(tenantName, n),
 		}
-		s.mu.Unlock()
-		return JobStatus{}, e
 	}
 	id := jobID(tenantName, s.jobSeq, spec)
 	s.jobSeq++
@@ -387,23 +379,17 @@ func (s *Server) Submit(tenantName string, spec SweepSpec) (JobStatus, error) {
 	// tenant got no 201) or a recoverable incomplete job — never an
 	// accepted-and-forgotten one.
 	if err := s.jlog.Append(jobRecord{Op: "submit", ID: id, Tenant: tenantName, Spec: spec.Encode()}); err != nil {
-		s.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("serve: persist submission: %w", err)
 	}
 	j := s.admitLocked(tenantName, spec, id, false)
 	s.jobsSubmitted.Add(1)
-	st := j.status(false)
-	finished := j.finished
-	s.mu.Unlock()
-	if finished {
-		s.logDone(j)
-	}
-	return st, nil
+	return j.status(false), nil
 }
 
 // retryAfterLocked estimates when n points' worth of queue headroom will
-// exist, from the observed mean fresh-point runtime. Crude by design: the
-// hint only needs the right order of magnitude. The base estimate is
+// exist, from the observed mean grant-to-completion time of recorded points
+// (local or remote; 250ms before the first). Crude by design: the hint
+// only needs the right order of magnitude. The base estimate is
 // spread by a deterministic per-tenant jitter of up to +25% — a worker
 // fleet (or any set of synchronized clients) that all hit 429 in the same
 // instant would otherwise obey identical hints and stampede the queue
@@ -413,7 +399,7 @@ func (s *Server) retryAfterLocked(tenantName string, n int) time.Duration {
 	if c := s.runCount.Load(); c > 0 {
 		avg = time.Duration(s.runNanos.Load() / c)
 	}
-	backlog := s.pendingPoints + s.inflightPoints + n - s.opt.MaxQueuedPoints
+	backlog := s.pendingPoints + s.leasedPoints + n - s.opt.MaxQueuedPoints
 	if backlog < 1 {
 		backlog = 1
 	}
@@ -430,18 +416,9 @@ func (s *Server) retryAfterLocked(tenantName string, n int) time.Duration {
 	return d
 }
 
-// pointHealth is the base every spec's points resolve against: the
-// configured health options, canceled when the server stops.
-func (s *Server) pointHealth() gpu.HealthOptions {
-	h := s.opt.Health
-	h.Ctx = s.runCtx
-	return h
-}
-
 // admitLocked builds the job, completes invalid and already-cached points
 // immediately, and enqueues the rest on the tenant's bounded queue. Caller
-// holds the mutex and, if the returned job is already finished, appends its
-// done record off the lock. recovered marks a crash-recovery resubmission.
+// holds the mutex. recovered marks a crash-recovery resubmission.
 func (s *Server) admitLocked(tenantName string, spec SweepSpec, id string, recovered bool) *job {
 	t := s.tenants[tenantName]
 	if t == nil {
@@ -449,69 +426,47 @@ func (s *Server) admitLocked(tenantName string, spec SweepSpec, id string, recov
 		s.tenants[tenantName] = t
 		s.order = append(s.order, tenantName)
 	}
-	h, pts := spec.Points(s.pointHealth())
+	_, pts := spec.Points(s.opt.Health)
 	j := &job{
-		id:     id,
-		tenant: tenantName,
-		spec:   spec,
-		total:  len(spec.Designs),
-		keys:   make([]string, len(spec.Designs)),
-		sup: &experiments.Supervisor{
-			Health:        h,
-			Retry:         s.opt.Retry,
-			PointDeadline: s.opt.PointDeadline,
-			Journal:       s.store.Journal(),
-			Progress:      s.opt.Progress,
-		},
+		id:        id,
+		tenant:    tenantName,
+		spec:      spec,
+		total:     len(spec.Designs),
+		keys:      make([]string, len(spec.Designs)),
 		recovered: recovered,
 		notify:    make(chan struct{}),
 	}
 	if s.opt.MetricsEvery > 0 {
 		j.metrics = newJobMetrics()
-		jm, every := j.metrics, s.opt.MetricsEvery
-		j.sup.Metrics = func(gpu.Job) *metrics.Options {
-			return &metrics.Options{Every: every, Sink: jm}
-		}
 	}
 	s.jobs[id] = j
 
-	for i, p := range pts {
-		if p.Err != nil {
+	for i, pt := range pts {
+		if pt.Err != nil {
 			// Invalid point (e.g. node count incompatible with the machine):
 			// terminal immediately, exactly like a failed simulation.
 			j.results = append(j.results, PointResult{
-				Index: i, Design: spec.Designs[i], OK: false, Err: p.Err.Error(),
+				Index: i, Design: spec.Designs[i], OK: false, Err: pt.Err.Error(),
 			})
 			j.terminal++
 			j.failed++
 			s.pointsFailed.Add(1)
 			continue
 		}
-		j.keys[i] = p.Key
-		if r, ok := s.store.Peek(p.Key); ok {
-			// Content-addressed hit at admission: the point never occupies a
-			// queue slot. Byte-identical to a fresh run by the journal's
-			// round-trip guarantee.
-			res := r
-			s.store.countHit()
-			j.results = append(j.results, PointResult{
-				Index: i, Design: spec.Designs[i], OK: true, Cached: true, Result: &res,
-			})
-			j.terminal++
-			j.cached++
-			t.completed++
-			s.pointsCached.Add(1)
-			s.pointsCompleted.Add(1)
-			continue
-		}
-		t.queue = append(t.queue, &point{job: j, idx: i, name: spec.Designs[i], key: p.Key, gj: p.Job})
+		j.keys[i] = pt.Key
+		p := &point{job: j, idx: i, name: spec.Designs[i], key: pt.Key}
 		t.pending++
 		s.pendingPoints++
+		// A content-addressed hit at admission never occupies a queue slot.
+		// Byte-identical to a fresh run by the journal's round-trip guarantee.
+		if !s.storeHitLocked(p) {
+			t.queue = append(t.queue, p)
+		}
 	}
 	if j.terminal == j.total {
 		s.markFinishedLocked(j)
 	}
-	s.cond.Broadcast()
+	s.wakeLocked()
 	return j
 }
 
@@ -533,7 +488,7 @@ func (s *Server) reconstructLocked(id, tenantName string, spec SweepSpec) {
 		recovered: true,
 		notify:    make(chan struct{}),
 	}
-	_, pts := spec.Points(s.pointHealth())
+	_, pts := spec.Points(s.opt.Health)
 	for i, p := range pts {
 		pr := PointResult{Index: i, Design: spec.Designs[i]}
 		switch {
@@ -560,159 +515,11 @@ func (s *Server) reconstructLocked(id, tenantName string, spec SweepSpec) {
 	s.jobs[id] = j
 }
 
-// markFinishedLocked marks a job terminal (idempotent) and wakes its
-// streamers. Caller holds the mutex and must call logDone off the lock when
-// this returns true.
-func (s *Server) markFinishedLocked(j *job) bool {
-	if j.finished {
-		return false
-	}
-	j.finished = true
-	s.jobsCompleted.Add(1)
-	close(j.notify)
-	j.notify = make(chan struct{})
-	return true
-}
-
-// logDone appends a job's terminal record (fsynced). Called off the mutex.
-func (s *Server) logDone(j *job) {
-	s.mu.Lock()
-	failed := j.failed + j.quarantined
-	s.mu.Unlock()
-	s.jlog.Append(jobRecord{Op: "done", ID: j.id, Failed: failed})
-}
-
-// worker is one executor: it picks points fairly across tenants, runs them
-// under the job's supervisor, and publishes results. Workers block on the
-// condition variable when nothing is dispatchable (bounded queues, no
-// spinning) and exit when the server stops.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	s.mu.Lock()
-	for {
-		if s.stopped {
-			break
-		}
-		p := s.pickLocked()
-		if p == nil {
-			s.cond.Wait()
-			continue
-		}
-		if p.job.tripped {
-			// Circuit breaker open: quarantine without running so one
-			// poisoned job cannot wedge the pool.
-			s.mu.Unlock()
-			s.publish(p, PointResult{
-				Index: p.idx, Design: p.name, OK: false, Quarantined: true,
-				Err: "quarantined: job circuit breaker open",
-			}, false)
-			s.mu.Lock()
-			continue
-		}
-		if s.running[p.key] {
-			// An identical point (same content address) is already
-			// executing — for this or any other tenant. Park behind it; on
-			// completion the point requeues and resolves from the store.
-			s.parked[p.key] = append(s.parked[p.key], p)
-			continue
-		}
-		s.running[p.key] = true
-		s.inflightPoints++
-		s.tenants[p.job.tenant].inflight++
-		p.job.inflight++
-		s.mu.Unlock()
-
-		s.runPoint(p)
-
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-}
-
-// pickLocked pops the next dispatchable point: round-robin across tenants,
-// skipping tenants at their concurrency quota. Returns nil when nothing is
-// dispatchable (empty queues, quotas, or drain).
-func (s *Server) pickLocked() *point {
-	if s.draining {
-		return nil
-	}
-	n := len(s.order)
-	for i := 0; i < n; i++ {
-		t := s.tenants[s.order[(s.rrNext+i)%n]]
-		if len(t.queue) == 0 || t.inflight >= s.opt.TenantMaxInFlight {
-			continue
-		}
-		p := t.queue[0]
-		t.queue = t.queue[1:]
-		s.rrNext = (s.rrNext + i + 1) % n
-		return p
-	}
-	return nil
-}
-
-// runPoint executes one fresh point (cache probe, then supervised
-// simulation) and publishes the outcome. Runs without the mutex.
-func (s *Server) runPoint(p *point) {
-	if s.beforePoint != nil {
-		s.beforePoint(p)
-	}
-	if r, ok := s.store.Lookup(p.key); ok {
-		res := r
-		s.publish(p, PointResult{
-			Index: p.idx, Design: p.name, OK: true, Cached: true, Result: &res,
-		}, true)
-		return
-	}
-	t0 := time.Now()
-	res, err := p.job.sup.RunOne(p.gj)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// Shutdown, not failure: the point is abandoned un-terminal. Its
-		// submission record has no done marker, so restart recovery re-runs
-		// it — and the result store replays whatever did finish.
-		s.mu.Lock()
-		s.abandonLocked(p)
-		s.mu.Unlock()
-		return
-	}
-	s.runNanos.Add(time.Since(t0).Nanoseconds())
-	s.runCount.Add(1)
-	pr := PointResult{Index: p.idx, Design: p.name, OK: err == nil}
-	if err != nil {
-		pr.Err = err.Error()
-	} else {
-		pr.Result = &res
-	}
-	s.publish(p, pr, true)
-}
-
-// publish records one terminal point result and, when it finished the job,
-// appends the job's done record off the lock.
-func (s *Server) publish(p *point, pr PointResult, wasRunning bool) {
-	s.mu.Lock()
-	finished := s.completeLocked(p, pr, wasRunning)
-	s.mu.Unlock()
-	if finished {
-		s.logDone(p.job)
-	}
-}
-
-// completeLocked publishes one terminal point result, updates the breaker,
-// releases the in-flight slot when the point was running, and requeues any
-// points parked behind its key. Returns whether this point finished the job.
-// Caller holds the mutex.
-func (s *Server) completeLocked(p *point, pr PointResult, wasRunning bool) bool {
-	if wasRunning {
-		s.releaseLocked(p)
-	}
-	return s.resolveLocked(p, pr)
-}
-
-// resolveLocked records one terminal point result — fresh, cached, failed,
-// quarantined, or farm-uploaded — updates the job's counters and breaker,
-// and wakes streamers and workers. It does not touch in-flight or lease
-// bookkeeping; callers settle those first. Returns whether this point
-// finished the job. Caller holds the mutex.
-func (s *Server) resolveLocked(p *point, pr PointResult) bool {
+// resolveLocked records one terminal point result — cached, recorded,
+// failed or quarantined — updates the job's counters and breaker, and wakes
+// the job's streamers. It does not touch lease bookkeeping; callers settle
+// that first. Caller holds the mutex.
+func (s *Server) resolveLocked(p *point, pr PointResult) {
 	j := p.job
 	t := s.tenants[j.tenant]
 	j.results = append(j.results, pr)
@@ -739,79 +546,76 @@ func (s *Server) resolveLocked(p *point, pr PointResult) bool {
 			j.tripped = true
 		}
 	}
-	// Wake streamers on this job and workers waiting for slots or requeues.
 	close(j.notify)
 	j.notify = make(chan struct{})
-	finished := false
 	if j.terminal == j.total {
-		finished = s.markFinishedLocked(j)
-	}
-	s.cond.Broadcast()
-	return finished
-}
-
-// releaseLocked frees a running point's slot and requeues points parked
-// behind its key at the head of their tenants' queues (they resolve from the
-// store, or run fresh if the attempt failed). Caller holds the mutex.
-func (s *Server) releaseLocked(p *point) {
-	t := s.tenants[p.job.tenant]
-	s.inflightPoints--
-	t.inflight--
-	p.job.inflight--
-	delete(s.running, p.key)
-	s.requeueParkedLocked(p.key)
-}
-
-// requeueParkedLocked requeues points parked behind key at the head of
-// their tenants' queues (they resolve from the store, or run fresh if the
-// attempt failed). Caller holds the mutex and must already have cleared the
-// key from s.running.
-func (s *Server) requeueParkedLocked(key string) {
-	if waiters := s.parked[key]; len(waiters) > 0 {
-		delete(s.parked, key)
-		for _, w := range waiters {
-			wt := s.tenants[w.job.tenant]
-			wt.queue = append([]*point{w}, wt.queue...)
-		}
+		s.markFinishedLocked(j)
 	}
 }
 
-// abandonLocked returns a canceled in-flight point to the head of its
-// tenant's queue without recording a result. Caller holds the mutex.
-func (s *Server) abandonLocked(p *point) {
-	s.releaseLocked(p)
+// markFinishedLocked marks a job terminal (idempotent), wakes its streamers
+// and queues its done record for unlock. Caller holds the mutex.
+func (s *Server) markFinishedLocked(j *job) {
+	if j.finished {
+		return
+	}
+	j.finished = true
+	s.jobsCompleted.Add(1)
+	close(j.notify)
+	j.notify = make(chan struct{})
+	s.done = append(s.done, jobRecord{Op: "done", ID: j.id, Failed: j.failed + j.quarantined})
+}
+
+// unlock releases the mutex, then appends (fsynced) the done record of
+// every job that finished under it.
+func (s *Server) unlock() {
+	done := s.done
+	s.done = nil
+	s.mu.Unlock()
+	for _, rec := range done {
+		s.jlog.Append(rec)
+	}
+}
+
+// pushFrontLocked requeues p at the head of its tenant's queue. Caller holds
+// the mutex.
+func (s *Server) pushFrontLocked(p *point) {
 	t := s.tenants[p.job.tenant]
 	t.queue = append([]*point{p}, t.queue...)
-	s.cond.Broadcast()
+	s.wakeLocked()
 }
 
-// Drain stops admission and dispatch: POSTs are rejected with 503, queued
-// points stay queued (they recover on restart), and in-flight points run to
-// completion. Idempotent.
+// wakeLocked wakes every local worker waiting for an empty grant to change.
+// Caller holds the mutex.
+func (s *Server) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
+// Drain stops admission and dispatch: POSTs and lease requests are rejected
+// with 503, queued points stay queued (they recover on restart), and
+// in-flight points run to completion. Idempotent.
 func (s *Server) Drain() {
+	s.drainCancel()
 	s.mu.Lock()
 	s.draining = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// Close drains and shuts down gracefully: in-flight points finish and are
-// journaled, then the worker pool exits and the logs close. If ctx expires
-// first, remaining in-flight points are canceled — they abandon un-journaled
-// and re-run byte-identically after a restart.
+// Close drains and shuts down gracefully: the local workers finish and
+// journal their in-flight points and exit, then the logs close. If ctx
+// expires first, remaining local points are canceled — they abandon
+// un-journaled and re-run byte-identically after a restart.
 func (s *Server) Close(ctx context.Context) error {
 	s.Drain()
-	for ctx.Err() == nil {
-		s.mu.Lock()
-		idle := s.inflightPoints == 0
-		s.mu.Unlock()
-		if idle {
-			break
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(10 * time.Millisecond):
-		}
+	idle := make(chan struct{})
+	go func() {
+		s.workers.Wait()
+		close(idle)
+	}()
+	select {
+	case <-idle:
+	case <-ctx.Done():
 	}
 	return s.stop()
 }
@@ -826,10 +630,7 @@ func (s *Server) Kill() {
 
 func (s *Server) stop() error {
 	s.runCancel()
-	s.mu.Lock()
-	s.stopped = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.workers.Wait()
 	s.wg.Wait()
 	err := s.store.Close()
 	if cerr := s.jlog.Close(); err == nil {
@@ -931,7 +732,7 @@ func (s *Server) Stats() Statz {
 		Draining:       s.draining,
 		Workers:        s.opt.Workers,
 		PendingPoints:  s.pendingPoints,
-		InFlightPoints: s.inflightPoints,
+		InFlightPoints: s.leasedPoints,
 		MaxQueued:      s.opt.MaxQueuedPoints,
 
 		JobsSubmitted: s.jobsSubmitted.Load(),
@@ -992,5 +793,5 @@ func (s *Server) Stats() Statz {
 func (s *Server) Ready() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.draining && !s.stopped
+	return !s.draining
 }

@@ -78,19 +78,21 @@ func (s *Store) Key(j gpu.Job, spec *chaos.Spec) string {
 // cache traffic).
 func (s *Store) Peek(key string) (gpu.Results, bool) { return s.j.Done(key) }
 
-// countHit records a cache hit discovered outside Lookup (the admission
-// fast path completes hits without a second probe).
-func (s *Store) countHit() { s.hits.Add(1) }
+// count records a cache hit or miss decided outside Lookup: the server
+// counts a hit where a Peek resolves a point and a miss where it grants one.
+func (s *Store) count(hit bool) {
+	if hit {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+}
 
 // Lookup returns the stored result for key, counting the probe as a cache
 // hit or miss.
 func (s *Store) Lookup(key string) (gpu.Results, bool) {
 	r, ok := s.j.Done(key)
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
+	s.count(ok)
 	return r, ok
 }
 

@@ -57,12 +57,12 @@ func WriteMetricsProm(w io.Writer, batches ...*MetricsBatch) error {
 // registry is snapshotted every o.Every core cycles and each batch goes to
 // o.Sink. Collection never perturbs simulated results.
 func WithMetrics(o MetricsOptions) RunOption {
-	return func(rc *runConfig) { rc.metrics = &o }
+	return func(rc *runConfig) { rc.h.Metrics = &o }
 }
 
 // WithPowerCap arms the power-capping governor for the run. A cap works with
 // or without WithMetrics; adding a sink makes the throttling visible as the
 // power_throttle_level and power_effective_core_mhz series.
 func WithPowerCap(cap PowerCap) RunOption {
-	return func(rc *runConfig) { rc.powerCap = &cap }
+	return func(rc *runConfig) { rc.h.PowerCap = &cap }
 }

@@ -3,11 +3,8 @@ package dcl1
 import (
 	"context"
 
-	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
-	"dcl1sim/internal/metrics"
-	"dcl1sim/internal/power"
 )
 
 // RunOption customizes a Run or RunMany call. The zero set of options runs
@@ -18,21 +15,18 @@ import (
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	health   HealthOptions
-	ctx      context.Context
-	legacy   bool
-	workers  int
-	chaos    *chaos.Spec
-	metrics  *metrics.Options
-	powerCap *power.CapSpec
+	h       gpu.HealthOptions
+	workers int
 }
 
 // WithHealth sets the health layer's knobs: stall window, check period, and
-// wall-clock deadline. Options are order-independent: a context installed by
-// WithContext and the WithLegacyTick flag overlay h rather than being
-// overwritten by it.
+// wall-clock deadline. It overlays only those three fields, so options are
+// order-independent: a context from WithContext, the WithLegacyTick flag,
+// chaos, metrics and a power cap survive it whichever comes first.
 func WithHealth(h HealthOptions) RunOption {
-	return func(rc *runConfig) { rc.health = h }
+	return func(rc *runConfig) {
+		rc.h.StallWindow, rc.h.CheckEvery, rc.h.Deadline = h.StallWindow, h.CheckEvery, h.Deadline
+	}
 }
 
 // WithWorkers sets the number of worker goroutines RunMany spreads its jobs
@@ -47,7 +41,7 @@ func WithWorkers(n int) RunOption {
 // The returned error wraps ctx.Err(), so errors.Is(err, context.Canceled)
 // and errors.Is(err, context.DeadlineExceeded) work.
 func WithContext(ctx context.Context) RunOption {
-	return func(rc *runConfig) { rc.ctx = ctx }
+	return func(rc *runConfig) { rc.h.Ctx = ctx }
 }
 
 // WithLegacyTick disables the engine's quiescence fast path and ticks every
@@ -55,28 +49,7 @@ func WithContext(ctx context.Context) RunOption {
 // bit-identical either way; the knob exists for validation and before/after
 // benchmarking (see DESIGN.md §9).
 func WithLegacyTick() RunOption {
-	return func(rc *runConfig) { rc.legacy = true }
-}
-
-// healthOptions folds the option set into the gpu-level health options.
-func (rc *runConfig) healthOptions() HealthOptions {
-	h := rc.health
-	if rc.ctx != nil {
-		h.Ctx = rc.ctx
-	}
-	if rc.legacy {
-		h.LegacyTick = true
-	}
-	if rc.chaos != nil {
-		h.Chaos = rc.chaos
-	}
-	if rc.metrics != nil {
-		h.Metrics = rc.metrics
-	}
-	if rc.powerCap != nil {
-		h.PowerCap = rc.powerCap
-	}
-	return h
+	return func(rc *runConfig) { rc.h.LegacyTick = true }
 }
 
 func applyOptions(opts []RunOption) *runConfig {
@@ -102,7 +75,7 @@ func applyOptions(opts []RunOption) *runConfig {
 //	r, err := dcl1.Run(cfg, d, app, dcl1.WithContext(ctx))
 func Run(cfg Config, d Design, w Workload, opts ...RunOption) (Results, error) {
 	rc := applyOptions(opts)
-	return gpu.RunChecked(cfg, d, w, rc.healthOptions())
+	return gpu.RunChecked(cfg, d, w, rc.h)
 }
 
 // RunMany executes a batch of independent simulations across worker
@@ -115,6 +88,6 @@ func Run(cfg Config, d Design, w Workload, opts ...RunOption) (Results, error) {
 // supervisor's worker pool and panic barrier, without retries or a journal.
 func RunMany(jobs []Job, opts ...RunOption) (results []Results, errs []error) {
 	rc := applyOptions(opts)
-	sup := &experiments.Supervisor{Health: rc.healthOptions(), Workers: rc.workers}
+	sup := &experiments.Supervisor{Health: rc.h, Workers: rc.workers}
 	return sup.RunAll(jobs)
 }
