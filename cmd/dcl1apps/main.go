@@ -30,7 +30,7 @@ func main() {
 		health    cliflags.Health
 		telemetry cliflags.Telemetry
 	)
-	spec.Register(flag.CommandLine, "modules")
+	spec.Register(flag.CommandLine, "modules", "power")
 	health.Register(flag.CommandLine)
 	telemetry.Register(flag.CommandLine)
 	flag.Parse()

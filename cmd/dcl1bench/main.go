@@ -36,14 +36,14 @@ func main() {
 		format  = flag.String("format", "text", "output format: text or md")
 		plot    = flag.Bool("plot", false, "also render ASCII S-curves for single-metric experiments")
 
-		spec      cliflags.Spec // chaos and modules; the experiments pick apps, designs and windows
+		spec      cliflags.Spec // chaos, modules and power; the experiments pick apps, designs and windows
 		health    cliflags.Health
 		engine    = cliflags.Engine{Workers: 1}
 		retry     cliflags.Retry
 		journal   cliflags.Journal
 		telemetry cliflags.Telemetry
 	)
-	spec.Register(flag.CommandLine, "chaos", "modules")
+	spec.Register(flag.CommandLine, "chaos", "modules", "power")
 	health.Register(flag.CommandLine)
 	engine.Register(flag.CommandLine)
 	retry.Register(flag.CommandLine)
@@ -77,33 +77,33 @@ func main() {
 	if *quick {
 		ctx = experiments.QuickContext()
 	}
-	if *verbose {
-		ctx.Progress = os.Stderr
-	}
 	sweep, err := spec.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
 	ctx.Design = sweep.FillModules
-	ctx.Health.Ctx = sigCtx
-	ctx.Health.Chaos = sweep.ChaosSpec()
-	health.Apply(&ctx.Health)
-	ctx.Workers = engine.Workers
-	ctx.Retry = retry.Policy()
-	ctx.PointDeadline = retry.PointDeadline
-	if cs, err := telemetry.Apply(&ctx.Health); err != nil {
+	ctx.Sup.Health.Ctx = sigCtx
+	health.Apply(&ctx.Sup.Health)
+	if cs, err := telemetry.Apply(&ctx.Sup.Health); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	} else {
 		closeSink = cs
+	}
+	ctx.Sup.Health = sweep.Arm(ctx.Sup.Health)
+	ctx.Sup.Workers = engine.Workers
+	ctx.Sup.Retry = retry.Policy()
+	ctx.Sup.PointDeadline = retry.PointDeadline
+	if *verbose {
+		ctx.Sup.Progress = os.Stderr
 	}
 	if j, err := journal.Open(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	} else if j != nil {
 		defer j.Close()
-		ctx.Journal = j
+		ctx.Sup.Journal = j
 	}
 
 	var ids []string

@@ -47,7 +47,7 @@ func main() {
 		journal   cliflags.Journal
 		telemetry cliflags.Telemetry
 	)
-	spec.Register(flag.CommandLine, "app", "cycles", "warmup", "chaos", "modules")
+	spec.Register(flag.CommandLine, "app", "cycles", "warmup", "chaos", "modules", "power")
 	health.Register(flag.CommandLine)
 	engine.Register(flag.CommandLine)
 	retry.Register(flag.CommandLine)
@@ -56,8 +56,9 @@ func main() {
 	flag.Parse()
 
 	// The point grid is a sweep spec: the exact spec this command walks —
-	// chaos and -modules included — can be emitted with -spec-out and POSTed
-	// to dcl1serve, which expands it to the same keyed points.
+	// chaos, -modules and -power-cap included — can be emitted with
+	// -spec-out and POSTed to dcl1serve, which expands it to the same keyed
+	// points.
 	spec.SweepSpec = serve.ExploreSpec(spec.SweepSpec, *boost)
 	sweep, err := spec.Resolve()
 	if err != nil {
@@ -65,12 +66,6 @@ func main() {
 		os.Exit(1)
 	}
 	if *specOut != "" {
-		if telemetry.CapWatts > 0 {
-			// A spec has no cap field: the POSTed copy would name uncapped
-			// points while this walk caps and keys them.
-			fmt.Fprintln(os.Stderr, "-spec-out cannot carry -power-cap: a sweep spec names uncapped points")
-			os.Exit(1)
-		}
 		if err := os.WriteFile(*specOut, append(sweep.Encode(), '\n'), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

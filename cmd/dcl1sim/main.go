@@ -45,7 +45,7 @@ func main() {
 		health    cliflags.Health
 		telemetry cliflags.Telemetry
 	)
-	spec.Register(flag.CommandLine, "app", "design", "cores", "cycles", "warmup", "seed", "chaos", "modules")
+	spec.Register(flag.CommandLine, "app", "design", "cores", "cycles", "warmup", "seed", "chaos", "modules", "power")
 	health.Register(flag.CommandLine)
 	telemetry.Register(flag.CommandLine)
 	flag.Parse()

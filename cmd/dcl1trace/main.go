@@ -76,11 +76,17 @@ func replay(args []string) {
 	in := fs.String("in", "workload.trc", "input trace file")
 	design := fs.String("design", "Sh40+C10+Boost", "cache organization")
 	cycles := fs.Int64("cycles", 0, "measurement window (core cycles)")
+	var spec cliflags.Spec // only the power cap: a trace file is not a named app
 	var health cliflags.Health
 	var telemetry cliflags.Telemetry
+	spec.Register(fs, "power")
 	health.Register(fs)
 	telemetry.Register(fs)
 	fs.Parse(args)
+	sweep, err := spec.Resolve()
+	if err != nil {
+		fatal("%v", err)
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {
@@ -102,7 +108,7 @@ func replay(args []string) {
 	if err != nil {
 		fatal("%v", err)
 	}
-	r, err := gpu.RunChecked(cfg, d, tr, h)
+	r, err := gpu.RunChecked(cfg, d, tr, sweep.Arm(h))
 	if serr := closeSink(); serr != nil {
 		fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)
 	}

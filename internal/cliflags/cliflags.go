@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -57,9 +58,9 @@ type Spec struct {
 }
 
 // Register installs the named subset of the spec's flags — app, design,
-// cores, cycles, warmup, seed, chaos (-chaos and -chaos-seed) and modules
-// (-modules, -link-gbps and -link-lat) — each defaulting to its field's
-// current value.
+// cores, cycles, warmup, seed, chaos (-chaos and -chaos-seed), modules
+// (-modules, -link-gbps and -link-lat) and power (-power-cap and
+// -power-zone) — each defaulting to its field's current value.
 func (s *Spec) Register(fs *flag.FlagSet, names ...string) {
 	for _, name := range names {
 		switch name {
@@ -91,6 +92,14 @@ func (s *Spec) Register(fs *flag.FlagSet, names ...string) {
 				"inter-module link bandwidth in bytes per link cycle (0 = design default; needs -modules 2+)")
 			fs.IntVar(&s.LinkLat, "link-lat", s.LinkLat,
 				"inter-module link switch latency in link cycles (0 = design default; needs -modules 2+)")
+		case "power":
+			if s.PowerZone == "" {
+				s.PowerZone = power.ZoneModule
+			}
+			fs.Float64Var(&s.PowerCap, "power-cap", s.PowerCap,
+				"power budget in watts for -power-zone; exceeding it throttles core issue (0 = uncapped)")
+			fs.StringVar(&s.PowerZone, "power-zone", s.PowerZone,
+				"power zone the -power-cap budget governs: gpu, memory, or module")
 		default:
 			panic("cliflags: unknown spec flag " + name)
 		}
@@ -106,6 +115,9 @@ func (s *Spec) Resolve() (serve.SweepSpec, error) {
 	spec := s.SweepSpec
 	if s.Design != "" {
 		spec.Designs = []string{s.Design}
+	}
+	if math.IsNaN(spec.PowerCap) || math.IsInf(spec.PowerCap, 0) {
+		return serve.SweepSpec{}, fmt.Errorf("serve: power cap %g is not a number of watts", spec.PowerCap)
 	}
 	standIn := spec.App == "" && len(spec.Designs) == 0
 	if standIn {
@@ -202,26 +214,16 @@ func (a *Auth) Load() (map[string]string, error) {
 }
 
 // Telemetry is the live-metrics group: -metrics-out and -metrics-every
-// select registry sampling and its NDJSON destination, -power-cap and
-// -power-zone arm the power-capping governor.
+// select registry sampling and its NDJSON destination.
 type Telemetry struct {
-	Out      string
-	Every    int64
-	CapWatts float64
-	CapZone  string
+	Out   string
+	Every int64
 }
 
 func (t *Telemetry) Register(fs *flag.FlagSet) {
-	if t.CapZone == "" {
-		t.CapZone = power.ZoneModule
-	}
 	t.RegisterEvery(fs)
 	fs.StringVar(&t.Out, "metrics-out", t.Out,
 		"stream live metric batches to this NDJSON file ('-' = stdout)")
-	fs.Float64Var(&t.CapWatts, "power-cap", t.CapWatts,
-		"power budget in watts for -power-zone; exceeding it throttles core issue (0 = uncapped)")
-	fs.StringVar(&t.CapZone, "power-zone", t.CapZone,
-		"power zone the -power-cap budget governs: gpu, memory, or module")
 }
 
 // RegisterEvery installs only -metrics-every, for commands that stream
@@ -236,13 +238,6 @@ func (t *Telemetry) RegisterEvery(fs *flag.FlagSet) {
 // none was opened) and must run after the simulations finish.
 func (t *Telemetry) Apply(o *dcl1.HealthOptions) (func() error, error) {
 	closer := func() error { return nil }
-	if t.CapWatts > 0 {
-		cs := power.CapSpec{Zone: t.CapZone, BudgetWatts: t.CapWatts}
-		if err := cs.Validate(); err != nil {
-			return closer, err
-		}
-		o.PowerCap = &cs
-	}
 	if t.Out == "" && t.Every <= 0 {
 		return closer, nil
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcl1sim"
 	"dcl1sim/internal/serve"
 )
 
@@ -16,7 +17,7 @@ func resolve(argv string) (serve.SweepSpec, error) {
 	var s Spec
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	s.Register(fs, "app", "design", "cores", "cycles", "warmup", "seed", "chaos", "modules")
+	s.Register(fs, "app", "design", "cores", "cycles", "warmup", "seed", "chaos", "modules", "power")
 	if err := fs.Parse(strings.Fields(argv)); err != nil {
 		return serve.SweepSpec{}, err
 	}
@@ -45,6 +46,12 @@ func TestSpecFlagsMatchTheWireForm(t *testing.T) {
 			`{"app":"C-BFS","designs":["Sh40+M4"],"modules":2,"chaos_seed":1}`},
 		{"-app C-BFS -design Sh40+M4 -modules 1",
 			`{"app":"C-BFS","designs":["Sh40+M4"],"modules":1,"chaos_seed":1}`},
+		{"-app C-BFS -design Sh40 -power-cap 60",
+			`{"app":"C-BFS","designs":["Sh40"],"chaos_seed":1,"power_cap":60}`},
+		{"-app C-BFS -design Sh40 -power-cap 12.5 -power-zone gpu",
+			`{"app":"C-BFS","designs":["Sh40"],"chaos_seed":1,"power_cap":12.5,"power_zone":"gpu"}`},
+		{"-app C-BFS -design Sh40 -power-zone memory",
+			`{"app":"C-BFS","designs":["Sh40"],"chaos_seed":1}`},
 
 		// Rejections: the flag error is the POST error, byte for byte.
 		{"-app NoSuchApp -design Baseline", `{"app":"NoSuchApp","designs":["Baseline"]}`},
@@ -55,6 +62,8 @@ func TestSpecFlagsMatchTheWireForm(t *testing.T) {
 		{"-app C-BFS -design Baseline -chaos catastrophic", `{"app":"C-BFS","designs":["Baseline"],"chaos":"catastrophic"}`},
 		{"-app C-BFS -design Bogus99", `{"app":"C-BFS","designs":["Bogus99"]}`},
 		{"-app C-BFS -design Pr40+2xL1", `{"app":"C-BFS","designs":["Pr40+2xL1"]}`},
+		{"-app C-BFS -design Baseline -power-cap -1", `{"app":"C-BFS","designs":["Baseline"],"power_cap":-1}`},
+		{"-app C-BFS -design Baseline -power-cap 60 -power-zone rack", `{"app":"C-BFS","designs":["Baseline"],"power_cap":60,"power_zone":"rack"}`},
 	} {
 		got, gotErr := resolve(tc.argv)
 		want, wantErr := serve.ParseSweepSpec([]byte(tc.json))
@@ -64,6 +73,13 @@ func TestSpecFlagsMatchTheWireForm(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\n  flags %+v\n  POST  %+v", tc.argv, got, want)
+		}
+	}
+	// JSON cannot carry these, so they have no POST twin; they must still be
+	// rejected, not panic in Encode.
+	for _, argv := range []string{"-app C-BFS -design Baseline -power-cap NaN", "-app C-BFS -design Baseline -power-cap +Inf"} {
+		if _, err := resolve(argv); err == nil {
+			t.Errorf("%s accepted", argv)
 		}
 	}
 }
@@ -100,15 +116,18 @@ func TestSpecStandIn(t *testing.T) {
 		var s Spec
 		fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		s.Register(fs, "chaos", "modules")
+		s.Register(fs, "chaos", "modules", "power")
 		if err := fs.Parse(strings.Fields(argv)); err != nil {
 			t.Fatal(err)
 		}
 		return s.Resolve()
 	}
-	spec, err := parse("-modules 2 -chaos heavy")
-	if err != nil || spec.App != "" || spec.Designs != nil || spec.Modules != 2 || spec.ChaosSpec() == nil {
+	spec, err := parse("-modules 2 -chaos heavy -power-cap 60")
+	if err != nil || spec.App != "" || spec.Designs != nil || spec.Modules != 2 {
 		t.Fatalf("resolved %+v, %v", spec, err)
+	}
+	if h := spec.Arm(dcl1.HealthOptions{}); h.Chaos == nil || h.PowerCap == nil || h.PowerCap.BudgetWatts != 60 {
+		t.Fatalf("stand-in spec armed %+v", h)
 	}
 	_, err = parse("-link-lat 4")
 	_, want := serve.ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline"],"link_lat":4}`))

@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/workload"
@@ -129,46 +128,29 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Context carries the machine configuration and memoizes simulation runs
-// (figures 14–17 share most of their runs).
+// Context is a memo over one Supervisor: it carries the machine
+// configuration, remembers every point's Results (figures 14–17 share most
+// of their runs), and hands each batch of memo misses to Sup. An experiment
+// never simulates directly — see RunExperiment.
 type Context struct {
 	Base gpu.Config
-	memo map[string]gpu.Results
-	// Progress, when non-nil, receives a line per fresh simulation.
-	Progress io.Writer
-	// Health configures the watchdog every simulation runs under. The zero
-	// value is the default stall window with no wall-clock deadline.
-	Health gpu.HealthOptions
-	// Workers sets the parallelism of RunExperiment's batched prefetch:
-	// with Workers > 1 the experiment's fresh simulations run concurrently
-	// (deduplicated against the memo) before the experiment assembles its
-	// table. 0 or 1 keeps the fully serial behavior.
-	Workers int
-	// Journal, when non-nil, makes the sweep resumable: completed points are
-	// persisted and skipped on the next run (see OpenJournal).
-	Journal *Journal
-	// Retry re-attempts transiently failed points (deadline overruns) with
-	// capped exponential backoff. The zero value never retries.
-	Retry RetryPolicy
-	// PointDeadline bounds each individual simulation's wall clock on top of
-	// Health.Deadline (the tighter wins). 0 means unbounded.
-	PointDeadline time.Duration
 	// Design, when non-nil, overlays every design just before it is keyed
 	// and simulated — dcl1bench sets it to its spec's module-fill rule
 	// (serve.SweepSpec.FillModules), the one SweepSpec.Jobs applies. The
 	// overlay is part of the memo key, so overlaid and plain runs never
 	// alias.
 	Design func(gpu.Design) gpu.Design
+	// Sup runs every simulation and owns how: health options (chaos and
+	// power cap included), workers, retries, deadline, journal, progress.
+	// Its PointKey is also the memo key.
+	Sup *Supervisor
 
+	memo     map[string]gpu.Results
 	failures []Failure
-
-	// Collect mode (see prefetch): ctx.run records memo misses as jobs
-	// instead of simulating.
-	collecting   bool
-	pending      []gpu.Job
-	pendingKeys  []string
-	pendingNames [][2]string // design name, app label (for failure records)
-	pendingSeen  map[string]bool
+	// The current pass's memo misses, deduplicated, in the order the
+	// experiment met them.
+	pending     []gpu.Job
+	pendingSeen map[string]bool
 }
 
 // Failure records one simulation that aborted with a health error. The
@@ -186,62 +168,41 @@ func (ctx *Context) Failures() []Failure { return ctx.failures }
 // NewContext builds a context around the 80-core default machine with the
 // experiment-suite measurement windows.
 func NewContext() *Context {
-	cfg := gpu.Config{WarmupCycles: 12000, MeasureCycles: 28000}
-	return &Context{Base: cfg.WithDefaults(), memo: map[string]gpu.Results{}}
+	return newContext(gpu.Config{WarmupCycles: 12000, MeasureCycles: 28000})
 }
 
 // QuickContext shrinks windows and the machine for smoke tests.
 func QuickContext() *Context {
-	cfg := gpu.Config{
+	return newContext(gpu.Config{
 		Cores: 16, L2Slices: 8, Channels: 4,
 		WarmupCycles: 1500, MeasureCycles: 4000,
-	}
-	return &Context{Base: cfg.WithDefaults(), memo: map[string]gpu.Results{}}
+	})
 }
 
+func newContext(cfg gpu.Config) *Context {
+	return &Context{Base: cfg.WithDefaults(), Sup: &Supervisor{},
+		memo: map[string]gpu.Results{}, pendingSeen: map[string]bool{}}
+}
+
+// run returns the memoized Results of one point. A miss simulates nothing:
+// it is recorded once for the pass's batch and reads as zero Results until
+// RunExperiment has run that batch.
 func (ctx *Context) run(cfg gpu.Config, d gpu.Design, app workload.Source) gpu.Results {
 	if ctx.Design != nil {
 		d = ctx.Design(d)
 	}
-	// The memo key is the journal's JobKey, whose label read is guarded: a
-	// panicking Label must become this point's Failure, not kill the sweep.
+	// PointKey reads the label through a guard: a panicking Label must
+	// become this point's Failure, not kill the sweep.
 	j := gpu.Job{Cfg: cfg, D: d, App: app}
-	key := JobKey(j)
+	key := ctx.Sup.key(j)
 	if r, ok := ctx.memo[key]; ok {
 		return r
 	}
-	if ctx.collecting {
-		if !ctx.pendingSeen[key] {
-			ctx.pendingSeen[key] = true
-			ctx.pending = append(ctx.pending, j)
-			ctx.pendingKeys = append(ctx.pendingKeys, key)
-			ctx.pendingNames = append(ctx.pendingNames, [2]string{d.Name(), appLabel(app)})
-		}
-		return gpu.Results{}
+	if !ctx.pendingSeen[key] {
+		ctx.pendingSeen[key] = true
+		ctx.pending = append(ctx.pending, j)
 	}
-	r, err := ctx.supervisor().RunOne(j)
-	if err != nil {
-		ctx.failures = append(ctx.failures, Failure{Design: d.Name(), App: appLabel(app), Err: err})
-		ctx.memo[key] = r // zero Results: the table shows the hole, once
-		return r
-	}
-	ctx.memo[key] = r
-	return r
-}
-
-// supervisor assembles the sweep supervisor for this context's settings. The
-// supervisor owns progress printing, the panic barrier, retries, per-point
-// deadlines, and the resume journal; the context keeps the memo and the
-// failure list.
-func (ctx *Context) supervisor() *Supervisor {
-	return &Supervisor{
-		Health:        ctx.Health,
-		Workers:       ctx.Workers,
-		Retry:         ctx.Retry,
-		PointDeadline: ctx.PointDeadline,
-		Journal:       ctx.Journal,
-		Progress:      ctx.Progress,
-	}
+	return gpu.Results{}
 }
 
 // runDefault runs on the context's base machine.
@@ -249,41 +210,30 @@ func (ctx *Context) runDefault(d gpu.Design, app workload.Source) gpu.Results {
 	return ctx.run(ctx.Base, d, app)
 }
 
-// RunExperiment executes e, filling the memo through the supervisor's RunAll
-// when Workers > 1: a collect pass replays the experiment against the memo
-// and records every miss as a job (deduplicated), the batch runs across
-// Workers goroutines, and the real pass then assembles the table entirely
-// from the memo. Each simulation stays single-threaded and deterministic, so
-// the table is bit-identical to a serial e.Run(ctx).
+// RunExperiment executes e as collect → batch → render: a pass of e.Run
+// records every memo miss, Sup.RunAll simulates them as one batch, and the
+// pass repeats until it records no miss — that pass's table is the answer
+// (one batch, since no registered experiment picks points by results). A
+// failed point memoizes zero Results (the table shows the hole, once) and
+// records one Failure. Jobs start in the order e met them and each
+// simulation is deterministic, so tables and failures are the same for any
+// worker count, and one worker runs points in simulate-on-miss order.
 func (ctx *Context) RunExperiment(e Experiment) *Table {
-	if ctx.Workers > 1 {
-		ctx.prefetch(e)
-	}
-	return e.Run(ctx)
-}
-
-// prefetch runs e in collect mode and executes the recorded memo misses as
-// one parallel batch. Failures are recorded exactly as the serial path does:
-// once per (design, app, config), with zero Results memoized so tables show
-// the hole.
-func (ctx *Context) prefetch(e Experiment) {
-	ctx.collecting = true
-	ctx.pendingSeen = map[string]bool{}
-	e.Run(ctx) // dry pass: simulates nothing, only records memo misses
-	ctx.collecting = false
-	jobs, keys, names := ctx.pending, ctx.pendingKeys, ctx.pendingNames
-	ctx.pending, ctx.pendingKeys, ctx.pendingNames, ctx.pendingSeen = nil, nil, nil, nil
-	if len(jobs) == 0 {
-		return
-	}
-	results, errs := ctx.supervisor().RunAll(jobs)
-	for i, key := range keys {
-		if errs[i] != nil {
-			ctx.failures = append(ctx.failures, Failure{Design: names[i][0], App: names[i][1], Err: errs[i]})
-			ctx.memo[key] = gpu.Results{}
-			continue
+	for {
+		t := e.Run(ctx)
+		if len(ctx.pending) == 0 {
+			return t
 		}
-		ctx.memo[key] = results[i]
+		jobs := ctx.pending
+		ctx.pending = nil
+		clear(ctx.pendingSeen)
+		results, errs := ctx.Sup.RunAll(jobs)
+		for i, j := range jobs {
+			if errs[i] != nil {
+				ctx.failures = append(ctx.failures, Failure{Design: j.D.Name(), App: appLabel(j.App), Err: errs[i]})
+			}
+			ctx.memo[ctx.Sup.key(j)] = results[i]
+		}
 	}
 }
 
@@ -292,10 +242,10 @@ func (ctx *Context) prefetch(e Experiment) {
 func (ctx *Context) scaledDesign(d gpu.Design) gpu.Design {
 	scale := float64(ctx.Base.Cores) / 80.0
 	if d.DCL1s > 0 {
-		d.DCL1s = maxInt(1, int(float64(d.DCL1s)*scale))
+		d.DCL1s = max(1, int(float64(d.DCL1s)*scale))
 	}
 	if d.Clusters > 1 {
-		d.Clusters = maxInt(1, int(float64(d.Clusters)*scale))
+		d.Clusters = max(1, int(float64(d.Clusters)*scale))
 	}
 	if d.Kind == gpu.CDXBar {
 		if d.CDXGroups <= 0 {
@@ -304,17 +254,10 @@ func (ctx *Context) scaledDesign(d gpu.Design) gpu.Design {
 		if d.CDXMid <= 0 {
 			d.CDXMid = 4
 		}
-		d.CDXGroups = maxInt(1, int(float64(d.CDXGroups)*scale))
-		d.CDXMid = maxInt(1, int(float64(d.CDXMid)*scale))
+		d.CDXGroups = max(1, int(float64(d.CDXGroups)*scale))
+		d.CDXMid = max(1, int(float64(d.CDXMid)*scale))
 	}
 	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Design shorthands (80-core shapes; scaledDesign adapts them).

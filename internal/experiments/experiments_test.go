@@ -1,9 +1,19 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"dcl1sim/internal/core"
+	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -88,7 +98,7 @@ func TestQuickDynamicExperiments(t *testing.T) {
 	ctx := QuickContext()
 	for _, id := range []string{"sec2c", "fig8", "fig14"} {
 		e, _ := ByID(id)
-		table := e.Run(ctx)
+		table := ctx.RunExperiment(e)
 		if len(table.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
 		}
@@ -102,32 +112,64 @@ func TestQuickDynamicExperiments(t *testing.T) {
 	}
 }
 
+// TestMemoization: a second RunExperiment of the same figure is served
+// entirely from the memo — no point runs again — and renders the same table.
 func TestMemoization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs simulation")
 	}
 	ctx := QuickContext()
+	var progress bytes.Buffer
+	ctx.Sup.Progress = &progress
 	e, _ := ByID("fig8")
-	t1 := e.Run(ctx)
-	// Second run must come from the memo and be identical.
-	t2 := e.Run(ctx)
-	for i := range t1.Rows {
-		for j := range t1.Rows[i].Cells {
-			if t1.Rows[i].Cells[j] != t2.Rows[i].Cells[j] {
-				t.Fatal("memoized rerun diverged")
+	t1 := ctx.RunExperiment(e)
+	if !strings.Contains(progress.String(), "  ran ") {
+		t.Fatalf("first run simulated nothing:\n%s", progress.String())
+	}
+	progress.Reset()
+	t2 := ctx.RunExperiment(e)
+	if progress.Len() != 0 {
+		t.Fatalf("memoized rerun ran points:\n%s", progress.String())
+	}
+	if !reflect.DeepEqual(t1, t2) {
+		t.Fatal("memoized rerun diverged")
+	}
+}
+
+// TestEveryExperimentCollectsWithoutResults: a collect pass — e.Run against
+// an empty memo, every run reading zero Results — must not panic, must not
+// simulate, and must record the same pending points each time.
+func TestEveryExperimentCollectsWithoutResults(t *testing.T) {
+	for _, e := range All() {
+		ctx := QuickContext()
+		collect := func() []string {
+			e.Run(ctx)
+			keys := make([]string, len(ctx.pending))
+			for i, j := range ctx.pending {
+				keys[i] = ctx.Sup.key(j)
 			}
+			ctx.pending = nil
+			clear(ctx.pendingSeen)
+			return keys
+		}
+		first, second := collect(), collect()
+		if len(ctx.memo) != 0 {
+			t.Errorf("%s: the collect pass memoized %d points", e.ID, len(ctx.memo))
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: two collect passes recorded different points:\n%v\n%v", e.ID, first, second)
 		}
 	}
 }
 
 // TestContextRunSurvivesPanickingLabel: the memo key reads the app's label
-// outside the supervisor's panic barrier, so it must read it through JobKey's
-// guard. A panicking Label becomes one recorded Failure — once, memoized —
-// on the serial path and in collect mode, not a crashed sweep.
+// outside the supervisor's panic barrier, so it must read it through
+// PointKey's guard. A panicking Label becomes one recorded Failure — once,
+// memoized — for any worker count, not a crashed sweep.
 func TestContextRunSurvivesPanickingLabel(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		ctx := QuickContext()
-		ctx.Workers = workers
+		ctx.Sup.Workers = workers
 		e := Experiment{ID: "label-panic", Run: func(ctx *Context) *Table {
 			ctx.runDefault(base(), supPanicApp{})
 			ctx.runDefault(base(), supPanicApp{})
@@ -141,9 +183,9 @@ func TestContextRunSurvivesPanickingLabel(t *testing.T) {
 	}
 }
 
-// TestRunExperimentParallelMatchesSerial pins the batched-prefetch contract:
-// a Workers>1 context produces tables bit-identical to the serial path, and
-// the real pass finds every run already memoized.
+// TestRunExperimentParallelMatchesSerial pins the batch contract: the same
+// figure through RunExperiment at 1 and at 4 workers renders bit-identical
+// tables.
 func TestRunExperimentParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs simulation")
@@ -151,9 +193,10 @@ func TestRunExperimentParallelMatchesSerial(t *testing.T) {
 	for _, id := range []string{"fig8", "fig14"} {
 		e, _ := ByID(id)
 		serial := QuickContext()
-		t1 := e.Run(serial)
+		serial.Sup.Workers = 1
+		t1 := serial.RunExperiment(e)
 		par := QuickContext()
-		par.Workers = 4
+		par.Sup.Workers = 4
 		t2 := par.RunExperiment(e)
 		if len(serial.Failures()) != 0 || len(par.Failures()) != 0 {
 			t.Fatalf("%s: unexpected failures: %v / %v", id, serial.Failures(), par.Failures())
@@ -172,6 +215,75 @@ func TestRunExperimentParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// pointBarrier releases its parties once two have arrived; a party that
+// waits longer than timeout gives up and marks the barrier missed.
+type pointBarrier struct {
+	mu      sync.Mutex
+	arrived int
+	all     chan struct{}
+	timeout time.Duration
+	missed  atomic.Bool
+}
+
+func (b *pointBarrier) arrive() {
+	b.mu.Lock()
+	if b.arrived++; b.arrived == 2 {
+		close(b.all)
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.all:
+	case <-time.After(b.timeout):
+		b.missed.Store(true)
+	}
+}
+
+// barrierApp is a real workload whose point, at its first Program call,
+// waits at a barrier shared with another point.
+type barrierApp struct {
+	workload.Source
+	label string
+	b     *pointBarrier
+	once  *sync.Once
+}
+
+func (a barrierApp) Label() string { return a.label }
+
+func (a barrierApp) Program(cores, coreID, waveID int, sched workload.Sched, seed uint64) core.Program {
+	a.once.Do(a.b.arrive)
+	return a.Source.Program(cores, coreID, waveID, sched, seed)
+}
+
+// TestRunExperimentWorkersZeroIsParallel: Workers 0 means GOMAXPROCS, so two
+// points of one experiment must be in flight at once — each waits at a
+// barrier only the other can release.
+func TestRunExperimentWorkersZeroIsParallel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2")
+	}
+	app, _ := workload.ByName("T-AlexNet")
+	b := &pointBarrier{all: make(chan struct{}), timeout: 10 * time.Second}
+	apps := []workload.Source{
+		barrierApp{Source: app, label: "barrier-a", b: b, once: new(sync.Once)},
+		barrierApp{Source: app, label: "barrier-b", b: b, once: new(sync.Once)},
+	}
+	cfg := gpu.Config{Cores: 8, L2Slices: 4, Channels: 2, WarmupCycles: 200, MeasureCycles: 400}
+	ctx := QuickContext()
+	ctx.Sup.Workers = 0
+	ctx.RunExperiment(Experiment{ID: "barrier", Run: func(ctx *Context) *Table {
+		for _, a := range apps {
+			ctx.run(cfg, base(), a)
+		}
+		return &Table{}
+	}})
+	if fails := ctx.Failures(); len(fails) != 0 {
+		t.Fatalf("failures: %+v", fails)
+	}
+	if b.missed.Load() {
+		t.Fatal("the two points ran one after the other: -workers 0 must run GOMAXPROCS points at once")
 	}
 }
 

@@ -231,7 +231,7 @@ func runSize(ctx *Context) *Table {
 	d := gpu.Design{
 		Kind:     gpu.Clustered,
 		DCL1s:    cfg.Cores / 2,
-		Clusters: maxInt(1, cfg.Cores/2/6),
+		Clusters: max(1, cfg.Cores/2/6),
 		Boost1:   true,
 	}
 	var sens, insens []float64

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -55,6 +56,23 @@ type Log struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
+	// broken is set while f is not the durable file at path (a Rewrite
+	// failed after its rename), so Append cannot report a loseable record.
+	broken error
+}
+
+// syncDir is fsyncDir, a variable so tests can count the calls.
+var syncDir = fsyncDir
+
+// fsyncDir fsyncs directory dir, making a file created or renamed in it
+// durable.
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // OpenLog opens (or creates) the JSONL log at path, invokes line for every
@@ -90,15 +108,23 @@ func OpenLog(path string, line func([]byte)) (*Log, error) {
 		if _, err := f.ReadAt(last, off-1); err == nil && last[0] != '\n' {
 			f.Write([]byte("\n"))
 		}
+	} else if err := syncDir(filepath.Dir(path)); err != nil {
+		// An empty log may be one this call created: until its directory
+		// is synced, a power loss can drop the file and every record in it.
+		f.Close()
+		return nil, fmt.Errorf("experiments: sync log directory: %w", err)
 	}
 	return &Log{path: path, f: f}, nil
 }
 
 // Rewrite atomically replaces the log's contents with whatever fill writes:
 // the new contents land in a temp file, are fsynced, and are renamed over
-// the log path, so a kill at any instant leaves either the old file or the
-// complete new one — never a partial rewrite. The log stays open for
-// appending afterwards. Used by journal compaction.
+// the log path, and the directory is synced, so a kill or power loss at any
+// instant leaves either the old file or the complete new one — never a
+// partial rewrite. The log stays open for appending afterwards. If the
+// renamed file cannot be reopened or its directory synced, the log is
+// broken: every Append fails until a Rewrite succeeds. Used by journal
+// compaction.
 func (l *Log) Rewrite(fill func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -108,44 +134,39 @@ func (l *Log) Rewrite(fill func(io.Writer) error) error {
 		return fmt.Errorf("experiments: rewrite log: %w", err)
 	}
 	bw := bufio.NewWriter(f)
-	if err := fill(bw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = fill(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err == nil {
+	if err == nil {
 		err = f.Sync()
 	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, l.path)
+	}
 	if err != nil {
-		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("experiments: rewrite log: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("experiments: rewrite log: %w", err)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("experiments: rewrite log: %w", err)
-	}
-	nf, err := os.OpenFile(l.path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("experiments: reopen log: %w", err)
-	}
-	if _, err := nf.Seek(0, 2); err != nil {
-		nf.Close()
-		return fmt.Errorf("experiments: reopen log: %w", err)
-	}
+	// From here the old file is unlinked: appending to it would lose records.
 	l.f.Close()
-	l.f = nf
-	return nil
+	if l.f, err = os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0); err != nil {
+		l.broken = fmt.Errorf("experiments: reopen log: %w", err)
+	} else if err = syncDir(filepath.Dir(l.path)); err != nil {
+		l.broken = fmt.Errorf("experiments: sync log directory: %w", err)
+	} else {
+		l.broken = nil
+	}
+	return l.broken
 }
 
 // Append marshals v as one JSON line and fsyncs it: when Append returns nil
 // the record is durable. Marshal failures are reported; write failures are
 // reported but leave the log usable (disk trouble degrades durability, never
-// the caller's in-memory progress).
+// the caller's in-memory progress). A log broken by Rewrite fails.
 func (l *Log) Append(v interface{}) error {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -153,6 +174,9 @@ func (l *Log) Append(v interface{}) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.broken != nil {
+		return l.broken
+	}
 	if _, err := l.f.Write(append(b, '\n')); err != nil {
 		return fmt.Errorf("experiments: append log record: %w", err)
 	}
@@ -166,6 +190,9 @@ func (l *Log) Append(v interface{}) error {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.f == nil {
+		return nil // a failed reopen left nothing open
+	}
 	return l.f.Close()
 }
 
@@ -189,7 +216,7 @@ type journalEntry struct {
 // encoding/json preserves float64 bit patterns and the cycle counts stay
 // below 2^53, so a resumed sweep's aggregate output is byte-identical to an
 // uninterrupted run's. The same property makes it a content-addressed result
-// store: keys are the canonical point identity (JobKey + chaos spec), so any
+// store: keys are the canonical point identity (PointKey), so any
 // caller holding an equal key — another sweep, another service tenant,
 // another process lifetime — gets the identical stored result. Safe for
 // concurrent use by the sweep workers.
@@ -333,6 +360,12 @@ func (j *Journal) Compact(maxAge time.Duration, maxBytes int64, now time.Time) (
 		}
 	}
 	for key, msg := range j.failed {
+		if _, ok := j.done[key]; ok {
+			// Invisible behind the success (Failed ignores done keys); a
+			// second row would sort against the first in arbitrary order.
+			delete(j.failed, key)
+			continue
+		}
 		if err := encode(journalEntry{Key: key, Err: msg, At: j.at[key]}); err != nil {
 			return 0, err
 		}

@@ -38,7 +38,7 @@ func TestExtPrefetchExperimentRegistered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	tb := e.Run(QuickContext())
+	tb := QuickContext().RunExperiment(e)
 	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,6 +161,44 @@ func TestServeColdThenCached(t *testing.T) {
 	if stats.CacheHits < 3 {
 		t.Errorf("cache hits = %d, want >= 3 (bob's whole sweep)", stats.CacheHits)
 	}
+	closeServer(t, s)
+}
+
+// TestPowerCapSpecServedMatchesRunChecked: a POSTed spec that names a power
+// cap is served under that cap — byte-identical to gpu.RunChecked with the
+// same CapSpec, and different from the uncapped run.
+func TestPowerCapSpecServedMatchesRunChecked(t *testing.T) {
+	free := SweepSpec{
+		App: "R-HS", Designs: []string{"Baseline", "Sh4"},
+		// The governor steps at each metrics sample (every 4096 cycles).
+		Cycles: 16000, Warmup: 4000, Cores: 8, L2Slices: 4, Channels: 2,
+	}
+	spec := free
+	spec.PowerCap = 1
+	spec, err := ParseSweepSpec(spec.Encode())
+	if err != nil {
+		t.Fatalf("capped spec: %v", err)
+	}
+	h, pts := spec.Points(gpu.HealthOptions{})
+	cold := make([]gpu.Results, len(pts))
+	for i, p := range pts {
+		if cold[i], err = gpu.RunChecked(p.Job.Cfg, p.Job.D, p.Job.App, h); err != nil {
+			t.Fatalf("capped reference %d: %v", i, err)
+		}
+	}
+	if uncapped := coldResults(t, free); reflect.DeepEqual(uncapped[0], cold[0]) {
+		t.Fatal("a 1 W cap left the results unchanged: the spec did not arm it")
+	}
+
+	s, err := New(Options{DataDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	st, err := s.Submit("alice", spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	assertByteIdentical(t, waitJob(t, s, st.ID), cold)
 	closeServer(t, s)
 }
 

@@ -21,9 +21,9 @@ import (
 	"strings"
 
 	"dcl1sim"
-	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/power"
 	"dcl1sim/internal/sim"
 )
 
@@ -83,6 +83,11 @@ type SweepSpec struct {
 	Modules  int `json:"modules,omitempty"`
 	LinkGBps int `json:"link_gbps,omitempty"`
 	LinkLat  int `json:"link_lat,omitempty"`
+	// PowerCap arms the power-capping governor with this budget in watts
+	// for PowerZone (gpu, memory or module; "" = module). 0 is uncapped and
+	// clears the zone, so an uncapped spec encodes without either field.
+	PowerCap  float64 `json:"power_cap,omitempty"`
+	PowerZone string  `json:"power_zone,omitempty"`
 }
 
 // ParseSweepSpec decodes and validates one sweep spec. It is the public
@@ -173,7 +178,27 @@ func (s *SweepSpec) normalize() error {
 	} else {
 		s.Chaos = strings.ToLower(strings.TrimSpace(s.Chaos))
 	}
+	pc, err := s.capSpec()
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	s.PowerZone = ""
+	if pc != nil {
+		s.PowerZone = pc.Zone
+	}
 	return nil
+}
+
+// capSpec returns the validated governor spec, or nil when uncapped.
+func (s SweepSpec) capSpec() (*power.CapSpec, error) {
+	if s.PowerCap == 0 {
+		return nil, nil
+	}
+	pc := power.CapSpec{Zone: s.PowerZone, BudgetWatts: s.PowerCap}
+	if err := pc.Validate(); err != nil {
+		return nil, err
+	}
+	return &pc, nil
 }
 
 // dropsModifier reports whether d's canonical name loses one of its
@@ -231,14 +256,14 @@ func (s SweepSpec) Config() gpu.Config {
 	}
 }
 
-// ChaosSpec returns the armed fault-injection spec, or nil when chaos is off.
-// The spec must have been validated (normalize rejects unknown presets).
-func (s SweepSpec) ChaosSpec() *chaos.Spec {
-	spec, err := dcl1.ChaosPreset(s.Chaos, s.ChaosSeed)
-	if err != nil {
-		return nil
-	}
-	return spec
+// Arm returns base with the spec's fault injection and power cap armed (nil
+// when off): the two run options that change Results, and so enter every
+// point's key. The spec must have been validated.
+func (s SweepSpec) Arm(base gpu.HealthOptions) gpu.HealthOptions {
+	h := base
+	h.Chaos, _ = dcl1.ChaosPreset(s.Chaos, s.ChaosSeed)
+	h.PowerCap, _ = s.capSpec()
+	return h
 }
 
 // Jobs expands the spec into one gpu.Job per design, in spec order. Designs
@@ -295,13 +320,12 @@ type Point struct {
 }
 
 // Points resolves the spec into the options its points run under — base
-// with the spec's chaos armed — and one Point per design, in spec order.
-// It is the one place a spec becomes runnable, keyed points: the service's
-// admission and restart recovery, a farm worker and dcl1explore all call
-// it, so none of them can key or arm a point differently.
+// armed by the spec (Arm) — and one Point per design, in spec order. It is
+// the one place a spec becomes runnable, keyed points: the service's
+// admission and restart recovery, a farm worker, dcl1sim and dcl1explore
+// all call it, so none of them can key or arm a point differently.
 func (s SweepSpec) Points(base gpu.HealthOptions) (gpu.HealthOptions, []Point) {
-	h := base
-	h.Chaos = s.ChaosSpec()
+	h := s.Arm(base)
 	jobs, errs := s.Jobs()
 	pts := make([]Point, len(jobs))
 	for i, j := range jobs {

@@ -31,6 +31,11 @@ func FuzzParseSweepSpec(f *testing.F) {
 	f.Add([]byte(`[{"app":"T-AlexNet"}]`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"app":"T-AlexNet","designs":["Baseline"],"power_cap":60}`))
+	f.Add([]byte(`{"app":"T-AlexNet","designs":["Baseline"],"power_cap":12.5,"power_zone":"memory"}`))
+	f.Add([]byte(`{"app":"T-AlexNet","designs":["Baseline"],"power_zone":"gpu"}`))
+	f.Add([]byte(`{"app":"T-AlexNet","designs":["Baseline"],"power_cap":-3}`))
+	f.Add([]byte(`{"app":"T-AlexNet","designs":["Baseline"],"power_cap":5,"power_zone":"rack"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSweepSpec(data)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/power"
@@ -144,18 +145,19 @@ func TestExploreSpec(t *testing.T) {
 	}
 }
 
-// TestSpecPoints pins the one resolution step: the spec's chaos is armed on
-// the base options, each valid point is keyed by PointKey over its job, that
-// chaos and the base's power cap, and an invalid design keeps its error in
-// its own slot.
+// TestSpecPoints pins the one resolution step: the spec's chaos and power
+// cap are armed on the base options, each valid point is keyed by PointKey
+// over its job, that chaos and that cap, and an invalid design keeps its
+// error in its own slot.
 func TestSpecPoints(t *testing.T) {
-	s, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline","Pr3","Sh40+M2+G64"],"cores":8,"l2_slices":4,"channels":2,"chaos":"light","chaos_seed":3}`))
+	s, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline","Pr3","Sh40+M2+G64"],"cores":8,"l2_slices":4,"channels":2,"chaos":"light","chaos_seed":3,"power_cap":50,"power_zone":"gpu"}`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	base := gpu.HealthOptions{StallWindow: 777, PowerCap: &power.CapSpec{Zone: power.ZoneGPU, BudgetWatts: 50}}
+	base := gpu.HealthOptions{StallWindow: 777}
 	h, pts := s.Points(base)
-	if h.StallWindow != 777 || h.PowerCap != base.PowerCap || !reflect.DeepEqual(h.Chaos, s.ChaosSpec()) || h.Chaos == nil {
+	wantCap := &power.CapSpec{Zone: power.ZoneGPU, BudgetWatts: 50, MaxLevel: 6}
+	if h.StallWindow != 777 || !reflect.DeepEqual(h.PowerCap, wantCap) || !reflect.DeepEqual(h.Chaos, chaos.Light(3)) {
 		t.Fatalf("health = %+v", h)
 	}
 	if pts[1].Err == nil || pts[1].Key != "" || pts[1].Job.App != nil {
@@ -170,8 +172,70 @@ func TestSpecPoints(t *testing.T) {
 			t.Errorf("point %d key %q, want %q", i, pts[i].Key, want)
 		}
 	}
-	if _, uncapped := s.Points(gpu.HealthOptions{}); uncapped[0].Key == pts[0].Key {
+	u := s
+	u.PowerCap, u.PowerZone = 0, ""
+	if _, uncapped := u.Points(base); uncapped[0].Key == pts[0].Key {
 		t.Error("a capped point shares its key with the uncapped one")
+	}
+}
+
+// TestPowerCapSpecField: the cap is a spec field. It normalizes like the
+// chaos preset — the zone defaulted when capped, cleared when not — is
+// rejected with the governor's own message, and arms and keys a point with
+// the same validated CapSpec the -power-cap flag armed before it was a
+// field, so keys written then still match.
+func TestPowerCapSpecField(t *testing.T) {
+	capped, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline"],"power_cap":60}`))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if capped.PowerZone != power.ZoneModule {
+		t.Fatalf("zone %q, want the default %q", capped.PowerZone, power.ZoneModule)
+	}
+	stale := &power.CapSpec{Zone: power.ZoneGPU, BudgetWatts: 1}
+	h, pts := capped.Points(gpu.HealthOptions{PowerCap: stale})
+	if want := (&power.CapSpec{Zone: power.ZoneModule, BudgetWatts: 60, MaxLevel: 6}); !reflect.DeepEqual(h.PowerCap, want) {
+		t.Fatalf("armed cap %+v, want %+v", h.PowerCap, want)
+	}
+	jobs, _ := capped.Jobs()
+	if want := experiments.JobKey(jobs[0]) + "|cap={Zone:module BudgetWatts:60 MaxLevel:6}"; pts[0].Key != want {
+		t.Fatalf("capped key %q, want %q", pts[0].Key, want)
+	}
+
+	uncapped, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline"],"power_zone":"gpu"}`))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if uncapped.PowerZone != "" || uncapped.Arm(gpu.HealthOptions{PowerCap: stale}).PowerCap != nil {
+		t.Fatalf("uncapped spec %+v kept a zone or armed a cap", uncapped)
+	}
+
+	for in, frag := range map[string]string{
+		`{"app":"T-AlexNet","designs":["Baseline"],"power_cap":-5}`:                    "serve: power: cap budget must be positive",
+		`{"app":"T-AlexNet","designs":["Baseline"],"power_cap":5,"power_zone":"rack"}`: "serve: power: unknown zone",
+	} {
+		if _, err := ParseSweepSpec([]byte(in)); err == nil || !strings.Contains(err.Error(), frag) {
+			t.Errorf("ParseSweepSpec(%s) = %v, want %q", in, err, frag)
+		}
+	}
+}
+
+// TestPowerCapUncappedEncodingUnchanged: an uncapped spec encodes to the
+// bytes it had before the cap fields existed, so job IDs and stored specs
+// stay put.
+func TestPowerCapUncappedEncodingUnchanged(t *testing.T) {
+	for in, want := range map[string]string{
+		`{"app":"T-AlexNet","designs":["Baseline","Pr40"]}`:                                         `{"app":"T-AlexNet","designs":["Baseline","Pr40"]}`,
+		`{"app":"T-AlexNet","designs":["Sh40"],"cycles":16000,"warmup":8000,"power_zone":"module"}`: `{"app":"T-AlexNet","designs":["Sh40"],"cycles":16000,"warmup":8000}`,
+		`{"app":"C-BFS","designs":["Pr4"],"cores":8,"chaos":"light","chaos_seed":2,"power_cap":0}`:  `{"app":"C-BFS","designs":["Pr4"],"cores":8,"chaos":"light","chaos_seed":2}`,
+	} {
+		s, err := ParseSweepSpec([]byte(in))
+		if err != nil {
+			t.Fatalf("parse %s: %v", in, err)
+		}
+		if got := string(s.Encode()); got != want {
+			t.Errorf("%s encodes to %s, want %s", in, got, want)
+		}
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 )
 
 // Store is the persistent content-addressed result cache: results keyed by
-// the canonical point identity (experiments.PointKey — the run memo hash
-// plus the chaos spec). The storage engine is the experiments resume journal
-// (fsynced JSONL with torn-tail repair), so identical points dedupe across
-// all tenants and across process restarts, and a kill can never lose a
-// result that was reported stored. Hit/miss counters feed /statz.
+// the canonical point identity (experiments.PointKey, the run memo key). The
+// storage engine is the experiments resume journal (fsynced JSONL with
+// torn-tail repair), so identical points dedupe across all tenants and
+// across process restarts, and a kill can never lose a result that was
+// reported stored. Hit/miss counters feed /statz.
 type Store struct {
 	j            *experiments.Journal
 	policy       StorePolicy
