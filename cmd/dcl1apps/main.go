@@ -16,7 +16,6 @@ import (
 
 	"dcl1sim"
 	"dcl1sim/internal/cliflags"
-	"dcl1sim/internal/gpu"
 )
 
 func main() {
@@ -26,13 +25,11 @@ func main() {
 
 		// -measure runs the spec's one point: -app on the baseline, built
 		// from -modules linked modules when set.
-		spec      = cliflags.Spec{Design: "Baseline"}
-		health    cliflags.Health
-		telemetry cliflags.Telemetry
+		spec = cliflags.Spec{Design: "Baseline"}
+		run  cliflags.Run
 	)
 	spec.Register(flag.CommandLine, "modules", "power")
-	health.Register(flag.CommandLine)
-	telemetry.Register(flag.CommandLine)
+	run.Register(flag.CommandLine, "health", "metrics")
 	flag.Parse()
 
 	if *appName == "" {
@@ -71,26 +68,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		var h dcl1.HealthOptions
-		health.Apply(&h)
-		closeSink, err := telemetry.Apply(&h)
+		sup, err := run.Supervisor(sweep)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(run.Finish(err, nil))
 		}
-		h, pts := sweep.Points(h)
-		job, err := pts[0].Job, pts[0].Err
+		pt := sweep.Points()[0]
 		var r dcl1.Results
-		if err == nil {
-			r, err = gpu.RunChecked(job.Cfg, job.D, job.App, h)
+		if err = pt.Err; err == nil {
+			r, err = sup.RunOne(pt.Job)
 		}
-		if serr := closeSink(); serr != nil {
-			fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			dcl1.WriteHealthDump(os.Stderr, err)
-			os.Exit(1)
+		if code := run.Finish(err, nil); code != 0 {
+			os.Exit(code)
 		}
 		fmt.Printf("measured baseline:         replication %.0f%%, miss %.0f%% (IPC %.2f)\n",
 			r.ReplicationRatio*100, r.L1MissRate*100, r.IPC)

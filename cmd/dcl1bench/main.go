@@ -13,14 +13,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"dcl1sim/internal/cliflags"
@@ -29,36 +25,21 @@ import (
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list experiments")
-		run     = flag.String("run", "", "experiment id(s), comma-separated, or 'all'")
-		quick   = flag.Bool("quick", false, "small machine and windows (fast, smoke-test fidelity)")
-		verbose = flag.Bool("v", false, "print each simulation as it runs")
-		format  = flag.String("format", "text", "output format: text or md")
-		plot    = flag.Bool("plot", false, "also render ASCII S-curves for single-metric experiments")
+		list   = flag.Bool("list", false, "list experiments")
+		exps   = flag.String("run", "", "experiment id(s), comma-separated, or 'all'")
+		quick  = flag.Bool("quick", false, "small machine and windows (fast, smoke-test fidelity)")
+		format = flag.String("format", "text", "output format: text or md")
+		plot   = flag.Bool("plot", false, "also render ASCII S-curves for single-metric experiments")
 
-		spec      cliflags.Spec // chaos, modules and power; the experiments pick apps, designs and windows
-		health    cliflags.Health
-		engine    = cliflags.Engine{Workers: 1}
-		retry     cliflags.Retry
-		journal   cliflags.Journal
-		telemetry cliflags.Telemetry
+		spec cliflags.Spec // chaos, modules and power; the experiments pick apps, designs and windows
+		run  cliflags.Run
 	)
 	spec.Register(flag.CommandLine, "chaos", "modules", "power")
-	health.Register(flag.CommandLine)
-	engine.Register(flag.CommandLine)
-	retry.Register(flag.CommandLine)
-	journal.Register(flag.CommandLine)
-	telemetry.Register(flag.CommandLine)
+	run.Register(flag.CommandLine, "health", "workers", "retries", "resume", "metrics")
+	flag.BoolVar(&run.Verbose, "v", false, "print each simulation as it runs")
 	flag.Parse()
 
-	closeSink := func() error { return nil } // replaced when -metrics-out opens
-	exit := func(code int) {
-		closeSink()
-		os.Exit(code)
-	}
-	defer func() { closeSink() }()
-
-	if *list || *run == "" {
+	if *list || *exps == "" {
 		fmt.Printf("%-10s %s\n", "ID", "TITLE")
 		for _, e := range experiments.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
@@ -67,12 +48,6 @@ func main() {
 		return
 	}
 
-	// An interrupted sweep (Ctrl-C, SIGTERM) cancels between watchdog
-	// slices instead of dying mid-write: completed points are already
-	// fsynced to the resume journal, so -resume continues cleanly.
-	sigCtx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-
 	ctx := experiments.NewContext()
 	if *quick {
 		ctx = experiments.QuickContext()
@@ -80,45 +55,28 @@ func main() {
 	sweep, err := spec.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+		os.Exit(1)
 	}
 	ctx.Design = sweep.FillModules
-	ctx.Sup.Health.Ctx = sigCtx
-	health.Apply(&ctx.Sup.Health)
-	if cs, err := telemetry.Apply(&ctx.Sup.Health); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	} else {
-		closeSink = cs
-	}
-	ctx.Sup.Health = sweep.Arm(ctx.Sup.Health)
-	ctx.Sup.Workers = engine.Workers
-	ctx.Sup.Retry = retry.Policy()
-	ctx.Sup.PointDeadline = retry.PointDeadline
-	if *verbose {
-		ctx.Sup.Progress = os.Stderr
-	}
-	if j, err := journal.Open(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	} else if j != nil {
-		defer j.Close()
-		ctx.Sup.Journal = j
+	// An interrupted sweep (Ctrl-C, SIGTERM) cancels between watchdog
+	// slices instead of dying mid-write: completed points are already
+	// fsynced to the resume journal, so -resume continues cleanly.
+	if ctx.Sup, err = run.Supervisor(sweep); err != nil {
+		os.Exit(run.Finish(err, nil))
 	}
 
 	var ids []string
-	if *run == "all" {
+	if *exps == "all" {
 		for _, e := range experiments.All() {
 			ids = append(ids, e.ID)
 		}
 	} else {
-		ids = strings.Split(*run, ",")
+		ids = strings.Split(*exps, ",")
 	}
 	for _, id := range ids {
 		e, ok := experiments.ByID(strings.TrimSpace(id))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			exit(1)
+			os.Exit(run.Finish(fmt.Errorf("unknown experiment %q (use -list)", id), nil))
 		}
 		t0 := time.Now()
 		table := ctx.RunExperiment(e)
@@ -136,12 +94,6 @@ func main() {
 		}
 	}
 	// Tables already rendered above carry zero cells for any failed point:
-	// the sweep degrades into partial results plus this failure table.
-	if errors.Is(sigCtx.Err(), context.Canceled) {
-		fmt.Fprintln(os.Stderr, "interrupted: journaled points are safe; re-run with the same -resume file to continue")
-	}
-	if fails := ctx.Failures(); len(fails) > 0 {
-		experiments.WriteFailureTable(os.Stderr, fails)
-		exit(1)
-	}
+	// the sweep degrades into partial results plus the failure table.
+	os.Exit(run.Finish(nil, ctx.Failures()))
 }

@@ -8,7 +8,7 @@
 //
 //	dcl1explore -app T-AlexNet [-boost] [-cycles 20000]
 //	dcl1explore -app T-AlexNet -resume explore.jsonl   # journal; re-run resumes
-//	dcl1explore -app T-AlexNet -chaos heavy -retries 2 -point-deadline 30s
+//	dcl1explore -app T-AlexNet -chaos heavy -retries 2 -deadline 30s
 //	dcl1explore -app T-AlexNet -spec-out sweep.json    # emit the grid as a
 //	                                                   # sweep spec for dcl1serve
 //
@@ -20,13 +20,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"dcl1sim"
 	"dcl1sim/internal/cliflags"
@@ -38,21 +34,13 @@ func main() {
 	var (
 		boost   = flag.Bool("boost", true, "boost NoC#1 to 2x where the crossbars allow it")
 		specOut = flag.String("spec-out", "", "write the sweep spec JSON (the grid this command walks, POSTable to dcl1serve) to this file and exit")
-		verbose = flag.Bool("v", false, "print each simulation as it runs")
 
-		spec      = cliflags.Spec{SweepSpec: serve.SweepSpec{App: "T-AlexNet", Cycles: 16000, Warmup: 8000}}
-		health    cliflags.Health
-		engine    = cliflags.Engine{Workers: 1}
-		retry     cliflags.Retry
-		journal   cliflags.Journal
-		telemetry cliflags.Telemetry
+		spec = cliflags.Spec{SweepSpec: serve.SweepSpec{App: "T-AlexNet", Cycles: 16000, Warmup: 8000}}
+		run  cliflags.Run
 	)
 	spec.Register(flag.CommandLine, "app", "cycles", "warmup", "chaos", "modules", "power")
-	health.Register(flag.CommandLine)
-	engine.Register(flag.CommandLine)
-	retry.Register(flag.CommandLine)
-	journal.Register(flag.CommandLine)
-	telemetry.Register(flag.CommandLine)
+	run.Register(flag.CommandLine, "health", "workers", "retries", "resume", "metrics")
+	flag.BoolVar(&run.Verbose, "v", false, "print each simulation as it runs")
 	flag.Parse()
 
 	// The point grid is a sweep spec: the exact spec this command walks —
@@ -74,43 +62,18 @@ func main() {
 		return
 	}
 
-	// An interrupted sweep (Ctrl-C, SIGTERM) cancels between watchdog
-	// slices: completed points are already fsynced to the resume journal, so
-	// nothing is lost mid-write and -resume continues cleanly.
-	sigCtx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-
-	cfg := sweep.Config()
-	opts := dcl1.HealthOptions{Ctx: sigCtx}
-	health.Apply(&opts)
-	closeSink, err := telemetry.Apply(&opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer closeSink()
-	opts, grid := sweep.Points(opts)
-
 	// The sweep runs under the experiments supervisor: panics become typed
 	// errors, deadline overruns retry, completed points journal to -resume,
 	// and failed points degrade into table holes plus a failure table instead
-	// of aborting the whole exploration.
-	sup := &experiments.Supervisor{
-		Health:        opts,
-		Workers:       engine.Workers,
-		Retry:         retry.Policy(),
-		PointDeadline: retry.PointDeadline,
+	// of aborting the whole exploration. An interrupted sweep (Ctrl-C,
+	// SIGTERM) cancels between watchdog slices: completed points are already
+	// fsynced to the resume journal, so -resume continues cleanly.
+	sup, err := run.Supervisor(sweep)
+	if err != nil {
+		os.Exit(run.Finish(err, nil))
 	}
-	if *verbose {
-		sup.Progress = os.Stderr
-	}
-	if j, err := journal.Open(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	} else if j != nil {
-		defer j.Close()
-		sup.Journal = j
-	}
+	cfg := sweep.Config()
+	grid := sweep.Points()
 
 	type point struct {
 		d       dcl1.Design
@@ -126,8 +89,7 @@ func main() {
 	for _, name := range sweep.Designs[1:] {
 		d, err := dcl1.ParseDesign(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "internal: grid design %q: %v\n", name, err)
-			os.Exit(1)
+			os.Exit(run.Finish(fmt.Errorf("internal: grid design %q: %v", name, err), nil))
 		}
 		pts = append(pts, point{d: d, boosted: d.Boost1})
 	}
@@ -167,10 +129,7 @@ func main() {
 	// Without the baseline there is nothing to normalize against; everything
 	// else degrades into per-point holes below.
 	if errs[0] != nil {
-		fmt.Fprintf(os.Stderr, "baseline failed: %v\n", errs[0])
-		dcl1.WriteHealthDump(os.Stderr, errs[0])
-		experiments.WriteFailureTable(os.Stderr, fails)
-		os.Exit(1)
+		os.Exit(run.Finish(fmt.Errorf("baseline failed: %w", errs[0]), fails))
 	}
 
 	base := results[0]
@@ -209,10 +168,5 @@ func main() {
 		fmt.Printf("\nbest performance-per-NoC-area: %s (%.2fx speedup at %.2fx area)\n",
 			pts[best].d.Name(), pts[best].speed, pts[best].area)
 	}
-	if errors.Is(sigCtx.Err(), context.Canceled) {
-		fmt.Fprintln(os.Stderr, "interrupted: journaled points are safe; re-run with the same -resume file to continue")
-	}
-	if experiments.WriteFailureTable(os.Stderr, fails) > 0 {
-		os.Exit(1)
-	}
+	os.Exit(run.Finish(nil, fails))
 }

@@ -46,7 +46,6 @@ func main() {
 		breaker        = flag.Int("breaker", 3, "consecutive point failures that trip a job's circuit breaker (negative disables)")
 
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "graceful-drain bound on SIGTERM; in-flight points beyond it are canceled and recovered on restart")
-		verbose      = flag.Bool("v", false, "log each point as it runs")
 
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "farm lease TTL: a worker that misses heartbeats this long has its points requeued")
 		leaseMax    = flag.Int("lease-max-points", 64, "cap on points per farm lease grant")
@@ -57,16 +56,11 @@ func main() {
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "bound the compacted result store size, dropping oldest entries first (0 = unbounded)")
 		compactEvery  = flag.Duration("compact-every", 0, "result-store compaction period when a bound is set (0 = hourly)")
 
-		health    cliflags.Health
-		engine    = cliflags.Engine{Workers: 0}
-		retry     = cliflags.Retry{Retries: 1, PointDeadline: 2 * time.Minute}
-		telemetry cliflags.Telemetry
-		auth      cliflags.Auth
+		run  = cliflags.Run{Retries: 1, Deadline: 2 * time.Minute}
+		auth cliflags.Auth
 	)
-	health.Register(flag.CommandLine)
-	engine.Register(flag.CommandLine)
-	retry.Register(flag.CommandLine)
-	telemetry.RegisterEvery(flag.CommandLine)
+	run.Register(flag.CommandLine, "health", "workers", "retries", "metrics-every")
+	flag.BoolVar(&run.Verbose, "v", false, "log each point as it runs")
 	auth.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -82,14 +76,10 @@ func main() {
 	}
 	opt := serve.Options{
 		DataDir:           *dataDir,
-		Workers:           engine.Workers,
 		MaxQueuedPoints:   *maxQueued,
 		TenantMaxQueued:   *tenantQueued,
 		TenantMaxInFlight: *tenantInflight,
 		BreakerThreshold:  *breaker,
-		Retry:             retry.Policy(),
-		PointDeadline:     retry.PointDeadline,
-		MetricsEvery:      telemetry.Every,
 		LeaseTTL:          *leaseTTL,
 		LeaseMaxPoints:    *leaseMax,
 		PoisonThreshold:   *poison,
@@ -99,10 +89,7 @@ func main() {
 		StoreMaxBytes:     *storeMaxBytes,
 		CompactEvery:      *compactEvery,
 	}
-	health.Apply(&opt.Health)
-	if *verbose {
-		opt.Progress = os.Stderr
-	}
+	run.ServeOptions(&opt)
 	s, err := serve.New(opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -22,32 +22,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"dcl1sim"
 	"dcl1sim/internal/cliflags"
-	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/serve"
 )
 
 func main() {
 	var (
-		sched    = flag.String("sched", "rr", "CTA scheduler: rr or distributed")
-		list     = flag.Bool("list", false, "list applications and exit")
-		cfgPath  = flag.String("config", "", "machine configuration JSON file (overrides other machine flags)")
-		asJSON   = flag.Bool("json", false, "emit results as JSON")
-		dumpPath = flag.String("health-dump", "", "write the diagnostic dump of a failed run to this file (default stderr)")
+		sched   = flag.String("sched", "rr", "CTA scheduler: rr or distributed")
+		list    = flag.Bool("list", false, "list applications and exit")
+		cfgPath = flag.String("config", "", "machine configuration JSON file (overrides other machine flags)")
+		asJSON  = flag.Bool("json", false, "emit results as JSON")
 
 		spec = cliflags.Spec{
 			SweepSpec: serve.SweepSpec{App: "T-AlexNet", Seed: 1},
 			Design:    "Sh40+C10+Boost",
 		}
-		health    cliflags.Health
-		telemetry cliflags.Telemetry
+		run cliflags.Run
 	)
 	spec.Register(flag.CommandLine, "app", "design", "cores", "cycles", "warmup", "seed", "chaos", "modules", "power")
-	health.Register(flag.CommandLine)
-	telemetry.Register(flag.CommandLine)
+	run.Register(flag.CommandLine, "health", "metrics", "health-dump")
 	flag.Parse()
 
 	if *list {
@@ -83,15 +78,12 @@ func main() {
 		sweep.Cores, sweep.L2Slices, sweep.Channels = cfg.Cores, cfg.L2Slices, cfg.Channels
 	}
 
-	var h dcl1.HealthOptions
-	health.Apply(&h)
-	closeSink, err := telemetry.Apply(&h)
+	sup, err := run.Supervisor(sweep)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(run.Finish(err, nil))
 	}
-	h, pts := sweep.Points(h)
-	job, err := pts[0].Job, pts[0].Err
+	pt := sweep.Points()[0]
+	job, err := pt.Job, pt.Err
 	if *cfgPath != "" {
 		job.Cfg = cfg
 	}
@@ -100,15 +92,10 @@ func main() {
 	}
 	var r dcl1.Results
 	if err == nil {
-		r, err = gpu.RunChecked(job.Cfg, job.D, job.App, h)
+		r, err = sup.RunOne(job)
 	}
-	if serr := closeSink(); serr != nil {
-		fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		writeDump(err, *dumpPath)
-		os.Exit(1)
+	if code := run.Finish(err, nil); code != 0 {
+		os.Exit(code)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -123,32 +110,3 @@ func main() {
 }
 
 func className(c interface{ String() string }) string { return c.String() }
-
-// writeDump sends err's diagnostic dump to path (JSON when the path ends in
-// .json, text otherwise), or as text to stderr when path is "".
-func writeDump(err error, path string) {
-	d := dcl1.DumpOf(err)
-	if d == nil {
-		return
-	}
-	if path == "" {
-		dcl1.WriteHealthDump(os.Stderr, err)
-		return
-	}
-	f, ferr := os.Create(path)
-	if ferr != nil {
-		fmt.Fprintf(os.Stderr, "cannot write health dump: %v\n", ferr)
-		dcl1.WriteHealthDump(os.Stderr, err)
-		return
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		if js, jerr := d.JSON(); jerr == nil {
-			f.Write(append(js, '\n'))
-			fmt.Fprintf(os.Stderr, "health dump written to %s\n", path)
-			return
-		}
-	}
-	dcl1.WriteHealthDump(f, err)
-	fmt.Fprintf(os.Stderr, "health dump written to %s\n", path)
-}

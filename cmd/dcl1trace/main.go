@@ -21,7 +21,6 @@ import (
 
 	"dcl1sim"
 	"dcl1sim/internal/cliflags"
-	"dcl1sim/internal/gpu"
 )
 
 func main() {
@@ -77,11 +76,9 @@ func replay(args []string) {
 	design := fs.String("design", "Sh40+C10+Boost", "cache organization")
 	cycles := fs.Int64("cycles", 0, "measurement window (core cycles)")
 	var spec cliflags.Spec // only the power cap: a trace file is not a named app
-	var health cliflags.Health
-	var telemetry cliflags.Telemetry
+	var run cliflags.Run
 	spec.Register(fs, "power")
-	health.Register(fs)
-	telemetry.Register(fs)
+	run.Register(fs, "health", "metrics")
 	fs.Parse(args)
 	sweep, err := spec.Resolve()
 	if err != nil {
@@ -101,21 +98,13 @@ func replay(args []string) {
 	if err != nil {
 		fatal("%v", err)
 	}
-	cfg := dcl1.Config{Cores: tr.Cores, MeasureCycles: *cycles}
-	var h dcl1.HealthOptions
-	health.Apply(&h)
-	closeSink, err := telemetry.Apply(&h)
+	sup, err := run.Supervisor(sweep)
 	if err != nil {
-		fatal("%v", err)
+		os.Exit(run.Finish(err, nil))
 	}
-	r, err := gpu.RunChecked(cfg, d, tr, sweep.Arm(h))
-	if serr := closeSink(); serr != nil {
-		fmt.Fprintf(os.Stderr, "metrics sink: %v\n", serr)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		dcl1.WriteHealthDump(os.Stderr, err)
-		os.Exit(1)
+	r, err := sup.RunOne(dcl1.Job{Cfg: dcl1.Config{Cores: tr.Cores, MeasureCycles: *cycles}, D: d, App: tr})
+	if code := run.Finish(err, nil); code != 0 {
+		os.Exit(code)
 	}
 	fmt.Printf("trace:             %s (%d cores, %d waves/core)\n", tr.Name, tr.Cores, tr.Waves)
 	fmt.Printf("design:            %s\n", r.Design)

@@ -1,6 +1,6 @@
 // Command dcl1worker is a farm worker: it pulls leased sweep points from a
 // dcl1serve coordinator over HTTP, simulates them through the experiments
-// supervisor (panic barrier, retries, per-point deadline), and uploads the
+// supervisor (panic barrier, retries, per-simulation deadline), and uploads the
 // results. Determinism makes the farm safe: every point a worker computes is
 // byte-identical to the server running it locally, so crashed workers,
 // duplicate uploads, and requeued points can never change a sweep's output.
@@ -36,13 +36,11 @@ func main() {
 		tokenEnv  = flag.String("token-env", "", "name of an environment variable holding the bearer token")
 		name      = flag.String("name", "", "worker name shown in the server's /statz and journal (default host-pid)")
 		maxPoints = flag.Int("max-points", 0, "cap on points per lease grant (0 = server default)")
-		verbose   = flag.Bool("v", false, "log each point and lease event")
 
-		health cliflags.Health
-		retry  = cliflags.Retry{Retries: 1, PointDeadline: 2 * time.Minute}
+		run = cliflags.Run{Retries: 1, Deadline: 2 * time.Minute}
 	)
-	health.Register(flag.CommandLine)
-	retry.Register(flag.CommandLine)
+	run.Register(flag.CommandLine, "health", "retries")
+	flag.BoolVar(&run.Verbose, "v", false, "log each point and lease event")
 	flag.Parse()
 
 	tok := *token
@@ -66,18 +64,8 @@ func main() {
 		workerName = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 
-	opt := farm.Options{
-		Server:        *server,
-		Token:         tok,
-		Name:          workerName,
-		MaxPoints:     *maxPoints,
-		Retry:         retry.Policy(),
-		PointDeadline: retry.PointDeadline,
-	}
-	health.Apply(&opt.Health)
-	if *verbose {
-		opt.Progress = os.Stderr
-	}
+	opt := farm.Options{Server: *server, Token: tok, Name: workerName, MaxPoints: *maxPoints}
+	run.FarmOptions(&opt)
 	w := farm.New(opt)
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

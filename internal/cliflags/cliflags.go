@@ -2,48 +2,36 @@
 // every binary spells the common knobs the same way: one canonical name,
 // usage string, and folding rule per flag, in one place.
 //
-// Each group is a plain struct whose Register method installs its flags on a
-// FlagSet using the struct's current field values as the defaults — a command
-// that wants a different default (dcl1serve retries once by default, the
-// sweep CLIs do not) seeds the field before calling Register. Which point to
-// run is the Spec group, resolved into a serve.SweepSpec; how to run it is
-// the other groups, whose Apply methods fold them into dcl1.HealthOptions,
-// the one options struct every run path accepts.
+// Each group is a plain struct whose Register method installs the named
+// subset of its flags on a FlagSet, using the struct's current field values
+// as the defaults — a command that wants a different default (dcl1serve
+// retries once by default, the sweep CLIs do not) seeds the field before
+// calling Register. Which points to run is the Spec group, resolved into a
+// serve.SweepSpec; how every point runs is the Run group, resolved into the
+// one experiments.Supervisor the points run under.
 package cliflags
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"os/signal"
+	"strings"
+	"syscall"
 	"time"
 
-	"dcl1sim"
 	"dcl1sim/internal/experiments"
+	"dcl1sim/internal/farm"
+	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/health"
 	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/power"
 	"dcl1sim/internal/serve"
 )
-
-// Health is the watchdog group every simulating command carries:
-// -deadline and -stall-window.
-type Health struct {
-	Deadline    time.Duration
-	StallWindow int64
-}
-
-func (h *Health) Register(fs *flag.FlagSet) {
-	fs.DurationVar(&h.Deadline, "deadline", h.Deadline,
-		"wall-clock bound per simulation (0 = none)")
-	fs.Int64Var(&h.StallWindow, "stall-window", h.StallWindow,
-		"deadlock window in core cycles (0 = default, negative disables)")
-}
-
-func (h *Health) Apply(o *dcl1.HealthOptions) {
-	o.Deadline = h.Deadline
-	o.StallWindow = h.StallWindow
-}
 
 // Spec is the run-description group: the fields of one serve.SweepSpec under
 // the commands' flag names. The sweep spec is also the wire form dcl1serve
@@ -87,7 +75,7 @@ func (s *Spec) Register(fs *flag.FlagSet, names ...string) {
 				"fault-injection seed (with -chaos)")
 		case "modules":
 			fs.IntVar(&s.Modules, "modules", s.Modules,
-				fmt.Sprintf("build each design without its own +M<n> from this many linked GPU modules, 2..%d (0 or 1 = one module)", dcl1.MaxModules))
+				fmt.Sprintf("build each design without its own +M<n> from this many linked GPU modules, 2..%d (0 or 1 = one module)", gpu.MaxModules))
 			fs.IntVar(&s.LinkGBps, "link-gbps", s.LinkGBps,
 				"inter-module link bandwidth in bytes per link cycle (0 = design default; needs -modules 2+)")
 			fs.IntVar(&s.LinkLat, "link-lat", s.LinkLat,
@@ -130,61 +118,6 @@ func (s *Spec) Resolve() (serve.SweepSpec, error) {
 	return out, err
 }
 
-// Engine is the parallelism group: -workers spreads independent simulations
-// across goroutines; each simulation runs on one.
-type Engine struct {
-	Workers int
-}
-
-func (e *Engine) Register(fs *flag.FlagSet) {
-	fs.IntVar(&e.Workers, "workers", e.Workers,
-		"simulate points across this many goroutines (0 = GOMAXPROCS; results are identical for any value)")
-}
-
-// Retry is the sweep-supervisor group: -retries and -point-deadline.
-type Retry struct {
-	Retries       int
-	PointDeadline time.Duration
-}
-
-func (r *Retry) Register(fs *flag.FlagSet) {
-	fs.IntVar(&r.Retries, "retries", r.Retries,
-		"retry a simulation that overran its deadline up to this many times (capped exponential backoff)")
-	fs.DurationVar(&r.PointDeadline, "point-deadline", r.PointDeadline,
-		"wall-clock bound per sweep point, folded into -deadline (tighter wins; 0 = none)")
-}
-
-func (r *Retry) Policy() experiments.RetryPolicy {
-	return experiments.RetryPolicy{Retries: r.Retries}
-}
-
-// Journal is the -resume group.
-type Journal struct {
-	Path string
-}
-
-func (j *Journal) Register(fs *flag.FlagSet) {
-	fs.StringVar(&j.Path, "resume", j.Path,
-		"journal completed simulations to this JSONL file and skip points already journaled there")
-}
-
-// Open opens the journal named by -resume, announcing on errw how many
-// already-completed points will be skipped. Returns (nil, nil) when the flag
-// is unset; the caller owns Close.
-func (j *Journal) Open(errw io.Writer) (*experiments.Journal, error) {
-	if j.Path == "" {
-		return nil, nil
-	}
-	jn, err := experiments.OpenJournal(j.Path)
-	if err != nil {
-		return nil, err
-	}
-	if n := jn.Completed(); n > 0 && errw != nil {
-		fmt.Fprintf(errw, "resume: %d completed point(s) in %s will be skipped\n", n, j.Path)
-	}
-	return jn, nil
-}
-
 // Auth is the static bearer-token group shared by dcl1serve (which loads a
 // whole tenant table) and dcl1worker (which presents one token).
 type Auth struct {
@@ -213,57 +146,219 @@ func (a *Auth) Load() (map[string]string, error) {
 	return nil, nil
 }
 
-// Telemetry is the live-metrics group: -metrics-out and -metrics-every
-// select registry sampling and its NDJSON destination.
-type Telemetry struct {
-	Out   string
-	Every int64
+// Run is the supervision group: how every point of a command runs. Register
+// installs the named subset of its flags — health (-deadline and
+// -stall-window), workers, retries, resume, metrics (-metrics-every and
+// -metrics-out), metrics-every alone (dcl1serve streams batches over HTTP)
+// and health-dump — each defaulting to its field's current value. A
+// simulating command resolves the parsed flags with Supervisor and ends
+// with Finish; dcl1serve and dcl1worker fill their options with
+// ServeOptions and FarmOptions, whose lease workers build the same
+// Supervisor per point.
+type Run struct {
+	Deadline     time.Duration
+	StallWindow  int64
+	Workers      int
+	Retries      int
+	Resume       string
+	MetricsOut   string
+	MetricsEvery int64
+	HealthDump   string
+	// Verbose sends one progress line per point to stderr. Each command
+	// registers its own -v, in its own words.
+	Verbose bool
+
+	// sweeps is set when -resume is registered: the command runs a sweep
+	// and an interrupt ends with the hint to resume it.
+	sweeps    bool
+	stderr    io.Writer // nil = os.Stderr
+	ctx       context.Context
+	stop      context.CancelFunc
+	closeSink func() error
+	journal   *experiments.Journal
 }
 
-func (t *Telemetry) Register(fs *flag.FlagSet) {
-	t.RegisterEvery(fs)
-	fs.StringVar(&t.Out, "metrics-out", t.Out,
-		"stream live metric batches to this NDJSON file ('-' = stdout)")
-}
-
-// RegisterEvery installs only -metrics-every, for commands that stream
-// batches somewhere other than a file (dcl1serve serves them over HTTP).
-func (t *Telemetry) RegisterEvery(fs *flag.FlagSet) {
-	fs.Int64Var(&t.Every, "metrics-every", t.Every,
-		fmt.Sprintf("sample the metric registry every this many core cycles (0 = %d when metrics are on)", metrics.DefaultEvery))
-}
-
-// Apply folds the telemetry flags into o, opening the -metrics-out sink when
-// one is named. The returned closer flushes and closes the sink (a no-op when
-// none was opened) and must run after the simulations finish.
-func (t *Telemetry) Apply(o *dcl1.HealthOptions) (func() error, error) {
-	closer := func() error { return nil }
-	if t.Out == "" && t.Every <= 0 {
-		return closer, nil
-	}
-	mo := &metrics.Options{Every: t.Every}
-	if t.Out != "" {
-		var w io.WriteCloser = os.Stdout
-		if t.Out != "-" {
-			f, err := os.Create(t.Out)
-			if err != nil {
-				return closer, err
-			}
-			w = f
+// Register installs the named subset of the group's flags.
+func (r *Run) Register(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		switch name {
+		case "health":
+			fs.DurationVar(&r.Deadline, "deadline", r.Deadline,
+				"wall-clock bound per simulation (0 = none)")
+			fs.Int64Var(&r.StallWindow, "stall-window", r.StallWindow,
+				"deadlock window in core cycles (0 = default, negative disables)")
+		case "workers":
+			fs.IntVar(&r.Workers, "workers", r.Workers,
+				"simulate points across this many goroutines (0 = GOMAXPROCS; results are identical for any value)")
+		case "retries":
+			fs.IntVar(&r.Retries, "retries", r.Retries,
+				"retry a simulation that overran its deadline up to this many times (capped exponential backoff)")
+		case "resume":
+			r.sweeps = true
+			fs.StringVar(&r.Resume, "resume", r.Resume,
+				"journal completed simulations to this JSONL file and skip points already journaled there")
+		case "metrics":
+			fs.StringVar(&r.MetricsOut, "metrics-out", r.MetricsOut,
+				"stream live metric batches to this NDJSON file ('-' = stdout)")
+			fallthrough
+		case "metrics-every":
+			fs.Int64Var(&r.MetricsEvery, "metrics-every", r.MetricsEvery,
+				fmt.Sprintf("sample the metric registry every this many core cycles (0 = %d when metrics are on)", metrics.DefaultEvery))
+		case "health-dump":
+			fs.StringVar(&r.HealthDump, "health-dump", r.HealthDump,
+				"write the diagnostic dump of a failed run to this file (default stderr)")
+		default:
+			panic("cliflags: unknown run flag " + name)
 		}
-		sink := metrics.NewNDJSONSink(w)
-		mo.Sink = sink
-		out := t.Out
-		closer = func() error {
-			err := sink.Close()
-			if out != "-" {
-				if cerr := w.Close(); err == nil {
-					err = cerr
+	}
+}
+
+// health is the watchdog every point of the command runs under.
+func (r *Run) health() gpu.HealthOptions {
+	return gpu.HealthOptions{Deadline: r.Deadline, StallWindow: r.StallWindow}
+}
+
+// progress is where per-point lines go: stderr under -v, else nowhere.
+func (r *Run) progress() io.Writer {
+	if r.Verbose {
+		return os.Stderr
+	}
+	return nil
+}
+
+// Supervisor returns the one Supervisor every point of the command runs
+// under: canceled by SIGINT or SIGTERM between watchdog slices, bounded by
+// -deadline and -stall-window, sampled into -metrics-out, armed with the
+// spec's chaos and power cap, spread over -workers, retried -retries times,
+// journaled to -resume, and reporting each point under -v. The command must
+// end through Finish — on this call's error too — which releases all of it.
+func (r *Run) Supervisor(spec serve.SweepSpec) (*experiments.Supervisor, error) {
+	sup := &experiments.Supervisor{
+		Health:   r.health(),
+		Workers:  r.Workers,
+		Retry:    experiments.RetryPolicy{Retries: r.Retries},
+		Progress: r.progress(),
+	}
+	r.ctx, r.stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	sup.Health.Ctx = r.ctx
+	if r.MetricsOut != "" || r.MetricsEvery > 0 {
+		mo := &metrics.Options{Every: r.MetricsEvery}
+		if r.MetricsOut != "" {
+			var w io.WriteCloser = os.Stdout
+			if r.MetricsOut != "-" {
+				f, err := os.Create(r.MetricsOut)
+				if err != nil {
+					return nil, err
 				}
+				w = f
 			}
-			return err
+			sink := metrics.NewNDJSONSink(w)
+			mo.Sink = sink
+			r.closeSink = func() error {
+				err := sink.Close()
+				if w != os.Stdout {
+					if cerr := w.Close(); err == nil {
+						err = cerr
+					}
+				}
+				return err
+			}
+		}
+		sup.Health.Metrics = mo
+	}
+	sup.Health = spec.Arm(sup.Health)
+	if r.Resume != "" {
+		j, err := experiments.OpenJournal(r.Resume)
+		if err != nil {
+			return nil, err
+		}
+		if n := j.Completed(); n > 0 {
+			fmt.Fprintf(r.errw(), "resume: %d completed point(s) in %s will be skipped\n", n, r.Resume)
+		}
+		r.journal, sup.Journal = j, j
+	}
+	return sup, nil
+}
+
+// Finish ends a command that ran points under Supervisor: it flushes and
+// closes the -metrics-out sink, so no exit path loses its buffered tail;
+// reports fatal — a lone point's error, or what stopped a sweep early —
+// with its health dump; says how to resume a sweep that a signal cut short;
+// writes the failure table; and closes the journal and the signal handler.
+// It returns the exit code: 1 when fatal is set or any point failed, else 0.
+func (r *Run) Finish(fatal error, fails []experiments.Failure) int {
+	w := r.errw()
+	code := 0
+	if r.closeSink != nil {
+		if err := r.closeSink(); err != nil {
+			fmt.Fprintf(w, "metrics sink: %v\n", err)
 		}
 	}
-	o.Metrics = mo
-	return closer, nil
+	if fatal != nil {
+		fmt.Fprintln(w, fatal)
+		r.writeDump(fatal)
+		code = 1
+	}
+	if fatal == nil && r.sweeps && r.ctx != nil && errors.Is(r.ctx.Err(), context.Canceled) {
+		fmt.Fprintln(w, "interrupted: journaled points are safe; re-run with the same -resume file to continue")
+	}
+	if experiments.WriteFailureTable(w, fails) > 0 {
+		code = 1
+	}
+	r.journal.Close()
+	if r.stop != nil {
+		r.stop()
+	}
+	return code
+}
+
+func (r *Run) errw() io.Writer {
+	if r.stderr != nil {
+		return r.stderr
+	}
+	return os.Stderr
+}
+
+// writeDump sends err's diagnostic dump to -health-dump (JSON when the path
+// ends in .json, text otherwise), or as text to stderr when it is unset.
+func (r *Run) writeDump(err error) {
+	var d *health.Dump
+	for ; err != nil && d == nil; err = errors.Unwrap(err) {
+		d = health.DumpOf(err) // through the context a sweep prefixes
+	}
+	if d == nil {
+		return
+	}
+	w, path := r.errw(), r.HealthDump
+	if path == "" {
+		fmt.Fprint(w, d.Text())
+		return
+	}
+	f, ferr := os.Create(path)
+	if ferr != nil {
+		fmt.Fprintf(w, "cannot write health dump: %v\n", ferr)
+		fmt.Fprint(w, d.Text())
+		return
+	}
+	defer f.Close()
+	if js, jerr := d.JSON(); jerr == nil && strings.HasSuffix(path, ".json") {
+		f.Write(append(js, '\n'))
+	} else {
+		fmt.Fprint(f, d.Text())
+	}
+	fmt.Fprintf(w, "health dump written to %s\n", path)
+}
+
+// ServeOptions fills a dcl1serve server's supervision: its local workers,
+// the retries, watchdog and progress of the Supervisor each of them builds
+// per point, and the live-metrics period of the batches it serves over HTTP.
+func (r *Run) ServeOptions(o *serve.Options) {
+	o.Workers, o.MetricsEvery = r.Workers, r.MetricsEvery
+	o.Health, o.Retry, o.Progress = r.health(), experiments.RetryPolicy{Retries: r.Retries}, r.progress()
+}
+
+// FarmOptions fills a dcl1worker's supervision: the retries, watchdog and
+// progress of the Supervisor it builds per leased point.
+func (r *Run) FarmOptions(o *farm.Options) {
+	o.Health, o.Retry, o.Progress = r.health(), experiments.RetryPolicy{Retries: r.Retries}, r.progress()
 }

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"dcl1sim"
+	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/serve"
 )
 
@@ -126,7 +126,7 @@ func TestSpecStandIn(t *testing.T) {
 	if err != nil || spec.App != "" || spec.Designs != nil || spec.Modules != 2 {
 		t.Fatalf("resolved %+v, %v", spec, err)
 	}
-	if h := spec.Arm(dcl1.HealthOptions{}); h.Chaos == nil || h.PowerCap == nil || h.PowerCap.BudgetWatts != 60 {
+	if h := spec.Arm(gpu.HealthOptions{}); h.Chaos == nil || h.PowerCap == nil || h.PowerCap.BudgetWatts != 60 {
 		t.Fatalf("stand-in spec armed %+v", h)
 	}
 	_, err = parse("-link-lat 4")

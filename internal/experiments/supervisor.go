@@ -13,7 +13,6 @@ import (
 	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/health"
-	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/power"
 )
 
@@ -24,84 +23,50 @@ import (
 type RetryPolicy struct {
 	// Retries is the number of re-attempts after the first try (0 = none).
 	Retries int
-	// Backoff is the delay before the first retry; each further retry
-	// doubles it. 0 selects 250ms.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling. 0 selects 5s.
-	MaxBackoff time.Duration
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Backoff <= 0 {
-		p.Backoff = 250 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 5 * time.Second
-	}
-	return p
-}
+// The retry backoff: retryBackoff before the first retry, doubling per
+// further retry, capped at maxRetryBackoff. Variables, not constants, only
+// so tests can stretch or shrink the sleep; nothing else assigns them.
+var (
+	retryBackoff    = 250 * time.Millisecond
+	maxRetryBackoff = 5 * time.Second
+)
 
-// delay returns the backoff before retry number n (0-based), exponential and
-// capped.
-func (p RetryPolicy) delay(n int) time.Duration {
-	d := p.Backoff
-	for i := 0; i < n; i++ {
+// retryDelay returns the backoff before retry number n (0-based).
+func retryDelay(n int) time.Duration {
+	d := retryBackoff
+	for i := 0; i < n && d < maxRetryBackoff; i++ {
 		d *= 2
-		if d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
 	}
-	if d > p.MaxBackoff {
-		return p.MaxBackoff
-	}
-	return d
+	return min(d, maxRetryBackoff)
 }
 
 // Supervisor runs sweep points so that no single point can take the campaign
 // down: every point executes behind a panic barrier (panics become typed
 // *health.SimError values with stacks), transient failures retry with capped
-// exponential backoff, a per-point deadline bounds each simulation, and
+// exponential backoff, Health.Deadline bounds each simulation, and
 // completed points are journaled so an interrupted sweep resumes by skipping
 // finished work. Failed points degrade into their error slots — callers emit
 // partial results plus a failure table instead of aborting.
 //
 // Contains a mutex; use by pointer and do not copy.
 type Supervisor struct {
-	// Health is the per-point health configuration (watchdog, deadline, ctx,
-	// chaos).
+	// Health is the per-point health configuration (watchdog, per-simulation
+	// deadline, ctx, chaos, power cap, live metrics).
 	Health gpu.HealthOptions
 	// Workers is the sweep parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Retry classifies and retries transient failures.
 	Retry RetryPolicy
-	// PointDeadline bounds each point's wall clock, folded into
-	// Health.Deadline (the tighter of the two wins). 0 means unbounded.
-	PointDeadline time.Duration
 	// Journal, when non-nil, records completed points and supplies the skip
 	// set on resume.
 	Journal *Journal
 	// Progress, when non-nil, receives one line per point (ran / FAILED /
 	// skip / retry).
 	Progress io.Writer
-	// Metrics, when non-nil, builds the per-point live-metrics options just
-	// before each attempt runs (the service layer attaches per-job stream
-	// sinks here). A nil return leaves that point dark. Metrics collection
-	// never perturbs Results, so it does not enter the point's content key —
-	// but note a journal or cache hit skips the simulation entirely and
-	// produces no stream.
-	Metrics func(j gpu.Job) *metrics.Options
 
 	mu sync.Mutex
-}
-
-// pointOpts returns the per-point health options: the caller's Health with
-// PointDeadline folded in.
-func (s *Supervisor) pointOpts() gpu.HealthOptions {
-	h := s.Health
-	if s.PointDeadline > 0 && (h.Deadline <= 0 || s.PointDeadline < h.Deadline) {
-		h.Deadline = s.PointDeadline
-	}
-	return h
 }
 
 // PointKey returns the content address of one supervised point: JobKey plus
@@ -163,7 +128,6 @@ func (s *Supervisor) RunAll(jobs []gpu.Job) ([]gpu.Results, []error) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	h := s.pointOpts()
 	out := make([]gpu.Results, len(jobs))
 	errs := make([]error, len(jobs))
 	if len(jobs) == 0 {
@@ -176,7 +140,7 @@ func (s *Supervisor) RunAll(jobs []gpu.Job) ([]gpu.Results, []error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i], errs[i] = s.runPoint(jobs[i], h)
+				out[i], errs[i] = s.RunOne(jobs[i])
 			}
 		}()
 	}
@@ -189,28 +153,21 @@ func (s *Supervisor) RunAll(jobs []gpu.Job) ([]gpu.Results, []error) {
 }
 
 // RunOne executes a single point with the full supervision stack (journal
-// skip, panic barrier, retry, per-point deadline, journal record).
+// skip, panic barrier, retry, per-simulation deadline, journal record).
 func (s *Supervisor) RunOne(j gpu.Job) (gpu.Results, error) {
-	return s.runPoint(j, s.pointOpts())
-}
-
-func (s *Supervisor) runPoint(j gpu.Job, h gpu.HealthOptions) (gpu.Results, error) {
+	ctx := s.Health.Ctx
 	name, app := j.D.Name(), appLabel(j.App)
 	key := s.key(j)
 	if r, ok := s.Journal.Done(key); ok {
 		s.progressf("  skip %-16s %-14s (journaled)\n", name, app)
 		return r, nil
 	}
-	retry := s.Retry.withDefaults()
 	for attempt := 0; ; attempt++ {
-		if h.Ctx != nil && h.Ctx.Err() != nil {
+		if ctx != nil && ctx.Err() != nil {
 			return gpu.Results{}, fmt.Errorf("experiments: point %s/%s canceled before start: %w",
-				name, app, h.Ctx.Err())
+				name, app, ctx.Err())
 		}
-		if s.Metrics != nil {
-			h.Metrics = s.Metrics(j)
-		}
-		r, err := runGuarded(j, h)
+		r, err := runGuarded(j, s.Health)
 		if err == nil {
 			s.Journal.Record(key, r, nil)
 			s.progressf("  ran %-16s %-14s IPC=%.2f miss=%.2f\n", name, app, r.IPC, r.L1MissRate)
@@ -219,10 +176,10 @@ func (s *Supervisor) runPoint(j gpu.Job, h gpu.HealthOptions) (gpu.Results, erro
 		if canceled(err) {
 			return gpu.Results{}, err
 		}
-		if transient(err) && attempt < retry.Retries {
+		if transient(err) && attempt < s.Retry.Retries {
 			s.progressf("  retry %-16s %-14s attempt %d/%d: %v\n",
-				name, app, attempt+2, retry.Retries+1, err)
-			if serr := sleepCtx(h.Ctx, retry.delay(attempt)); serr != nil {
+				name, app, attempt+2, s.Retry.Retries+1, err)
+			if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
 				return gpu.Results{}, fmt.Errorf("experiments: point %s/%s canceled during retry backoff: %w",
 					name, app, serr)
 			}

@@ -114,16 +114,25 @@ func TestSupervisorResume(t *testing.T) {
 	}
 }
 
+// setRetryBackoff swaps the supervisor's retry backoff for one test.
+func setRetryBackoff(t *testing.T, base, max time.Duration) {
+	t.Helper()
+	oldBase, oldMax := retryBackoff, maxRetryBackoff
+	retryBackoff, maxRetryBackoff = base, max
+	t.Cleanup(func() { retryBackoff, maxRetryBackoff = oldBase, oldMax })
+}
+
 // TestSupervisorRetryExhaustsOnDeadline: wall-clock overruns are classified
 // transient and retried with backoff; when every attempt overruns, the point
 // fails with the deadline error after the configured number of retries.
 func TestSupervisorRetryExhaustsOnDeadline(t *testing.T) {
+	setRetryBackoff(t, time.Millisecond, time.Millisecond)
 	jobs := sweepJobs(t)
 	var progress bytes.Buffer
 	s := &Supervisor{
-		PointDeadline: time.Nanosecond,
-		Retry:         RetryPolicy{Retries: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		Progress:      &progress,
+		Health:   gpu.HealthOptions{Deadline: time.Nanosecond},
+		Retry:    RetryPolicy{Retries: 2},
+		Progress: &progress,
 	}
 	_, err := s.RunOne(jobs[0])
 	var de *health.DeadlineError
@@ -141,33 +150,47 @@ func TestSupervisorRetryExhaustsOnDeadline(t *testing.T) {
 // TestSupervisorBackoffHonorsCancel: a canceled context must interrupt the
 // retry backoff sleep itself, not just the next attempt — a drain signal
 // during a long backoff may otherwise leave worker goroutines lingering for
-// the full delay after shutdown.
+// the full delay after shutdown. The backoff is stretched to an hour and the
+// cancel fires at the first retry line, just before the sleep begins, so a
+// sleep that ignored the context would outlast the test's bound.
 func TestSupervisorBackoffHonorsCancel(t *testing.T) {
+	setRetryBackoff(t, time.Hour, time.Hour)
 	jobs := sweepJobs(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	s := &Supervisor{
-		Health:        gpu.HealthOptions{Ctx: ctx},
-		PointDeadline: time.Nanosecond, // every attempt overruns: transient, retried
-		Retry:         RetryPolicy{Retries: 3, Backoff: time.Hour, MaxBackoff: time.Hour},
+		// Every attempt overruns: transient, retried after a backoff that
+		// the cancel lands in.
+		Health:   gpu.HealthOptions{Ctx: ctx, Deadline: time.Nanosecond},
+		Retry:    RetryPolicy{Retries: 3},
+		Progress: cancelOnRetry{cancel},
 	}
 	done := make(chan error, 1)
-	start := time.Now()
 	go func() {
 		_, err := s.RunOne(jobs[0])
 		done <- err
 	}()
-	time.AfterFunc(50*time.Millisecond, cancel)
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
-		if elapsed := time.Since(start); elapsed > 30*time.Second {
-			t.Fatalf("cancel took %v — backoff sleep ignored the context", elapsed)
+		if !strings.Contains(err.Error(), "during retry backoff") {
+			t.Fatalf("cancel did not land in the backoff: %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("RunOne still sleeping in backoff 30s after cancel")
 	}
+}
+
+// cancelOnRetry is a progress writer that cancels at the first retry line.
+type cancelOnRetry struct{ cancel context.CancelFunc }
+
+func (c cancelOnRetry) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("retry")) {
+		c.cancel()
+	}
+	return len(p), nil
 }
 
 // TestSleepCtx pins the helper's contract: nil ctx sleeps; live ctx sleeps;
@@ -218,20 +241,17 @@ func TestFailureClassification(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyDelay pins the backoff: 250ms doubling per retry, capped
+// at 5s.
 func TestRetryPolicyDelay(t *testing.T) {
-	p := RetryPolicy{Backoff: 100 * time.Millisecond, MaxBackoff: 350 * time.Millisecond}.withDefaults()
 	want := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond,
-		350 * time.Millisecond, 350 * time.Millisecond,
+		250 * time.Millisecond, 500 * time.Millisecond, time.Second,
+		2 * time.Second, 4 * time.Second, 5 * time.Second, 5 * time.Second,
 	}
 	for n, w := range want {
-		if d := p.delay(n); d != w {
-			t.Errorf("delay(%d) = %v, want %v", n, d, w)
+		if d := retryDelay(n); d != w {
+			t.Errorf("retryDelay(%d) = %v, want %v", n, d, w)
 		}
-	}
-	z := RetryPolicy{}.withDefaults()
-	if z.Backoff != 250*time.Millisecond || z.MaxBackoff != 5*time.Second {
-		t.Errorf("zero policy defaults = %+v", z)
 	}
 }
 

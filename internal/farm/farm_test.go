@@ -111,10 +111,10 @@ func assertByteIdentical(t *testing.T, st serve.JobStatus, cold []gpu.Results) {
 
 func workerOpts(url, name string) Options {
 	return Options{
-		Server:        url,
-		Name:          name,
-		Retry:         experiments.RetryPolicy{Retries: 1},
-		PointDeadline: time.Minute,
+		Server: url,
+		Name:   name,
+		Health: gpu.HealthOptions{Deadline: time.Minute},
+		Retry:  experiments.RetryPolicy{Retries: 1},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"time"
 
 	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
@@ -23,15 +22,14 @@ type Options struct {
 	// MaxPoints caps one lease grant (0 = server default).
 	MaxPoints int
 	// Health seeds the per-point simulation options (stall window,
-	// deadline); the worker fills Ctx and the spec's chaos per point, through
-	// the same SweepSpec.Points the server admits with. Simulation results
-	// are bit-identical for any of these knobs, so a farm worker and the
-	// server's local workers can disagree on all of them.
+	// deadline); the worker fills Ctx, and the spec's chaos and cap through
+	// SweepSpec.Arm, per point. Simulation results are bit-identical for any
+	// of these knobs, so a farm worker and the server's local workers can
+	// disagree on all of them.
 	Health gpu.HealthOptions
-	// Retry and PointDeadline configure the per-point supervisor exactly as
-	// the server's local workers do.
-	Retry         experiments.RetryPolicy
-	PointDeadline time.Duration
+	// Retry configures the per-point supervisor exactly as the server's
+	// local workers do.
+	Retry experiments.RetryPolicy
 	// Progress, when non-nil, receives the supervisor's per-point lines and
 	// the worker's lease-lifecycle lines.
 	Progress io.Writer
@@ -55,12 +53,11 @@ type Worker struct {
 func New(opt Options) *Worker {
 	c := &Client{Base: opt.Server, Token: opt.Token}
 	return &Worker{opt: opt, client: c, w: serve.NewWorker(c, serve.WorkerOptions{
-		Name:          opt.Name,
-		MaxPoints:     opt.MaxPoints,
-		Health:        opt.Health,
-		Retry:         opt.Retry,
-		PointDeadline: opt.PointDeadline,
-		Progress:      opt.Progress,
+		Name:      opt.Name,
+		MaxPoints: opt.MaxPoints,
+		Health:    opt.Health,
+		Retry:     opt.Retry,
+		Progress:  opt.Progress,
 	})}
 }
 

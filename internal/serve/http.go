@@ -150,35 +150,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	emit := func(event string, v interface{}) bool {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		if sse {
-			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", b)
-		}
-		flush()
-		return err == nil
-	}
-
+	emit := openStream(w, wantsSSE(r))
 	sent := 0
 	for {
 		rows, finished, ch, ok := s.follow(id, sent)
@@ -204,6 +176,42 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		}
+	}
+}
+
+// wantsSSE reports whether the client asked for Server-Sent Events rather
+// than the default NDJSON.
+func wantsSSE(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+}
+
+// openStream writes a 200 stream header — SSE or NDJSON — and returns the
+// stream's emit: it marshals v, frames it as one NDJSON line or one
+// "event:/data:" pair, and flushes. emit reports false once the client is
+// gone, ending the follower.
+func openStream(w http.ResponseWriter, sse bool) func(event string, v interface{}) bool {
+	if sse {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	return func(event string, v interface{}) bool {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return false
+		}
+		if sse {
+			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
+		} else {
+			_, err = fmt.Fprintf(w, "%s\n", b)
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return err == nil
 	}
 }
 

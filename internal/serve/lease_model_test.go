@@ -73,7 +73,7 @@ func (l *modelLease) first() LeasePoint {
 }
 
 func keyOf(t *testing.T, lp LeasePoint) string {
-	_, pts := lp.Spec.Points(gpu.HealthOptions{})
+	pts := lp.Spec.Points()
 	if len(pts) != 1 || pts[0].Err != nil {
 		t.Fatalf("leased point %s: bad single spec", lp.Token)
 	}

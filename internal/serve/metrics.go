@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 
 	"dcl1sim/internal/metrics"
@@ -117,7 +114,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"live metrics disabled: start the server with -metrics-every > 0")
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+	sse := wantsSSE(r)
 	if r.URL.Query().Get("follow") == "" && !sse {
 		batches := jm.snapshot()
 		if len(batches) == 0 {
@@ -130,36 +127,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	emit := func(b *metrics.Batch) bool {
-		enc, err := json.Marshal(b)
-		if err != nil {
-			return false
-		}
-		if sse {
-			_, err = fmt.Fprintf(w, "event: metrics\ndata: %s\n\n", enc)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", enc)
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return err == nil
-	}
-
+	emit := openStream(w, sse)
 	var sent int64
 	for {
 		batches, next, mch := jm.follow(sent)
 		sent = next
 		for _, b := range batches {
-			if !emit(b) {
+			if !emit("metrics", b) {
 				return
 			}
 		}
@@ -172,7 +146,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			// check, then end the stream.
 			batches, _, _ = jm.follow(sent)
 			for _, b := range batches {
-				if !emit(b) {
+				if !emit("metrics", b) {
 					return
 				}
 			}

@@ -35,7 +35,7 @@ func loadRecoveryRun(t *testing.T) {
 				t.Fatalf("submit: %v", err)
 			}
 			waitJob(t, s, st.ID)
-			_, pts := spec.Points(gpu.HealthOptions{})
+			pts := spec.Points()
 			for k, r := range coldResults(t, spec) {
 				recoveryRun.cold[pts[k].Key] = mustJSON(t, &r)
 			}

@@ -42,13 +42,11 @@ type Options struct {
 	// running, so a poisoned job cannot wedge the queue by burning every
 	// retry budget. Default 3; negative disables.
 	BreakerThreshold int
-	// Retry and PointDeadline configure the per-point supervisor exactly as
-	// the CLI sweeps do.
-	Retry         experiments.RetryPolicy
-	PointDeadline time.Duration
+	// Retry configures the per-point supervisor exactly as the CLI sweeps do.
+	Retry experiments.RetryPolicy
 	// Health seeds every point's simulation options (stall window, per-
-	// attempt deadline — PointDeadline folds into it, tighter wins); the
-	// server fills Ctx and the spec's chaos per point.
+	// simulation deadline); the server fills Ctx and the spec's chaos and
+	// cap per point.
 	Health gpu.HealthOptions
 	// MetricsEvery, when > 0, attaches live metrics collection to every
 	// fresh point: the registry is snapshotted every MetricsEvery core
@@ -426,7 +424,7 @@ func (s *Server) admitLocked(tenantName string, spec SweepSpec, id string, recov
 		s.tenants[tenantName] = t
 		s.order = append(s.order, tenantName)
 	}
-	_, pts := spec.Points(s.opt.Health)
+	pts := spec.Points()
 	j := &job{
 		id:        id,
 		tenant:    tenantName,
@@ -488,7 +486,7 @@ func (s *Server) reconstructLocked(id, tenantName string, spec SweepSpec) {
 		recovered: true,
 		notify:    make(chan struct{}),
 	}
-	_, pts := spec.Points(s.opt.Health)
+	pts := spec.Points()
 	for i, p := range pts {
 		pr := PointResult{Index: i, Design: spec.Designs[i]}
 		switch {

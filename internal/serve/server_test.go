@@ -179,7 +179,7 @@ func TestPowerCapSpecServedMatchesRunChecked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("capped spec: %v", err)
 	}
-	h, pts := spec.Points(gpu.HealthOptions{})
+	h, pts := spec.Arm(gpu.HealthOptions{}), spec.Points()
 	cold := make([]gpu.Results, len(pts))
 	for i, p := range pts {
 		if cold[i], err = gpu.RunChecked(p.Job.Cfg, p.Job.D, p.Job.App, h); err != nil {
@@ -482,7 +482,7 @@ func TestServeCircuitBreaker(t *testing.T) {
 	s, err := New(Options{
 		DataDir: t.TempDir(), Workers: 1,
 		BreakerThreshold: 2,
-		PointDeadline:    time.Nanosecond, // every fresh point overruns instantly
+		Health:           gpu.HealthOptions{Deadline: time.Nanosecond}, // every fresh point overruns instantly
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -20,11 +20,12 @@ import (
 	"fmt"
 	"strings"
 
-	"dcl1sim"
+	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/experiments"
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/power"
 	"dcl1sim/internal/sim"
+	"dcl1sim/internal/workload"
 )
 
 // Spec bounds, enforced by ParseSweepSpec regardless of server options: a
@@ -50,10 +51,10 @@ const (
 // metrics — is gpu.HealthOptions, not part of the description. The zero
 // windows select the simulator's defaults.
 type SweepSpec struct {
-	// App names the workload (dcl1.AppByName).
+	// App names the workload (workload.ByName).
 	App string `json:"app"`
 	// Designs lists the sweep points as the paper's design names
-	// (dcl1.ParseDesign); they are canonicalized on parse.
+	// (gpu.ParseDesign); they are canonicalized on parse.
 	Designs []string `json:"designs"`
 	// Cycles and Warmup are the measurement and warmup windows in core
 	// cycles (0 = the simulator's defaults).
@@ -74,7 +75,7 @@ type SweepSpec struct {
 	Chaos     string `json:"chaos,omitempty"`
 	ChaosSeed uint64 `json:"chaos_seed,omitempty"`
 	// Modules assembles every design point into a multi-GPU machine of this
-	// many linked modules (2..dcl1.MaxModules; 0 or 1 = single module).
+	// many linked modules (2..gpu.MaxModules; 0 or 1 = single module).
 	// Designs that spell their own +M<n> suffix keep it — the spec value
 	// only fills designs without one, so a single sweep can mix module
 	// counts. LinkGBps and LinkLat tune the inter-module link of the
@@ -121,7 +122,7 @@ func (s *SweepSpec) normalize() error {
 	if s.App == "" {
 		return fmt.Errorf("serve: spec missing app")
 	}
-	if _, ok := dcl1.AppByName(s.App); !ok {
+	if _, ok := workload.ByName(s.App); !ok {
 		return fmt.Errorf("serve: unknown app %q", s.App)
 	}
 	if len(s.Designs) == 0 {
@@ -131,7 +132,7 @@ func (s *SweepSpec) normalize() error {
 		return fmt.Errorf("serve: %d designs exceed the %d-point spec cap", len(s.Designs), MaxSpecDesigns)
 	}
 	for i, name := range s.Designs {
-		d, err := dcl1.ParseDesign(name)
+		d, err := gpu.ParseDesign(name)
 		if err != nil {
 			return fmt.Errorf("serve: design %d: %w", i, err)
 		}
@@ -157,8 +158,8 @@ func (s *SweepSpec) normalize() error {
 	if s.Modules == 1 {
 		s.Modules = 0 // canonical single-module spelling
 	}
-	if s.Modules < 0 || s.Modules > dcl1.MaxModules {
-		return fmt.Errorf("serve: modules %d outside [0, %d]", s.Modules, dcl1.MaxModules)
+	if s.Modules < 0 || s.Modules > gpu.MaxModules {
+		return fmt.Errorf("serve: modules %d outside [0, %d]", s.Modules, gpu.MaxModules)
 	}
 	if s.LinkGBps < 0 || s.LinkGBps > gpu.MaxLinkGBps {
 		return fmt.Errorf("serve: link_gbps %d outside [0, %d]", s.LinkGBps, gpu.MaxLinkGBps)
@@ -169,7 +170,7 @@ func (s *SweepSpec) normalize() error {
 	if (s.LinkGBps > 0 || s.LinkLat > 0) && s.Modules < 2 {
 		return fmt.Errorf("serve: link_gbps/link_lat require modules >= 2")
 	}
-	cs, err := dcl1.ChaosPreset(s.Chaos, s.ChaosSeed)
+	cs, err := chaos.Preset(s.Chaos, s.ChaosSeed)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
@@ -207,7 +208,7 @@ func (s SweepSpec) capSpec() (*power.CapSpec, error) {
 // Default link values are no loss: the name omits them and the build
 // restores them.
 func dropsModifier(d gpu.Design) bool {
-	c, err := dcl1.ParseDesign(d.Name())
+	c, err := gpu.ParseDesign(d.Name())
 	if err != nil {
 		return true
 	}
@@ -261,7 +262,7 @@ func (s SweepSpec) Config() gpu.Config {
 // point's key. The spec must have been validated.
 func (s SweepSpec) Arm(base gpu.HealthOptions) gpu.HealthOptions {
 	h := base
-	h.Chaos, _ = dcl1.ChaosPreset(s.Chaos, s.ChaosSeed)
+	h.Chaos, _ = chaos.Preset(s.Chaos, s.ChaosSeed)
 	h.PowerCap, _ = s.capSpec()
 	return h
 }
@@ -272,7 +273,7 @@ func (s SweepSpec) Arm(base gpu.HealthOptions) gpu.HealthOptions {
 // the service degrades a bad point into its error slot exactly like a failed
 // simulation.
 func (s SweepSpec) Jobs() (jobs []gpu.Job, errs []error) {
-	app, ok := dcl1.AppByName(s.App)
+	app, ok := workload.ByName(s.App)
 	if !ok {
 		panic(fmt.Sprintf("serve: Jobs on unvalidated spec: unknown app %q", s.App))
 	}
@@ -280,7 +281,7 @@ func (s SweepSpec) Jobs() (jobs []gpu.Job, errs []error) {
 	jobs = make([]gpu.Job, len(s.Designs))
 	errs = make([]error, len(s.Designs))
 	for i, name := range s.Designs {
-		d, err := dcl1.ParseDesign(name)
+		d, err := gpu.ParseDesign(name)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -319,13 +320,13 @@ type Point struct {
 	Err error
 }
 
-// Points resolves the spec into the options its points run under — base
-// armed by the spec (Arm) — and one Point per design, in spec order. It is
-// the one place a spec becomes runnable, keyed points: the service's
-// admission and restart recovery, a farm worker, dcl1sim and dcl1explore
-// all call it, so none of them can key or arm a point differently.
-func (s SweepSpec) Points(base gpu.HealthOptions) (gpu.HealthOptions, []Point) {
-	h := s.Arm(base)
+// Points resolves the spec into one keyed Point per design, in spec order.
+// It is the one place a spec becomes keyed points: the service's admission
+// and restart recovery, a farm worker, dcl1sim and dcl1explore all call it,
+// and each key reads the chaos and cap Arm gives the options those points
+// run under, so no caller can key or arm a point differently.
+func (s SweepSpec) Points() []Point {
+	h := s.Arm(gpu.HealthOptions{})
 	jobs, errs := s.Jobs()
 	pts := make([]Point, len(jobs))
 	for i, j := range jobs {
@@ -334,7 +335,7 @@ func (s SweepSpec) Points(base gpu.HealthOptions) (gpu.HealthOptions, []Point) {
 			pts[i].Key = experiments.PointKey(j, h.Chaos, h.PowerCap)
 		}
 	}
-	return h, pts
+	return pts
 }
 
 // ExploreSpec returns base with its designs replaced by the canonical

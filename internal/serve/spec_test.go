@@ -145,17 +145,17 @@ func TestExploreSpec(t *testing.T) {
 	}
 }
 
-// TestSpecPoints pins the one resolution step: the spec's chaos and power
-// cap are armed on the base options, each valid point is keyed by PointKey
-// over its job, that chaos and that cap, and an invalid design keeps its
-// error in its own slot.
+// TestSpecPoints pins the one resolution step: Arm gives the base options
+// the spec's chaos and power cap, each valid point is keyed by PointKey over
+// its job, that chaos and that cap, and an invalid design keeps its error in
+// its own slot.
 func TestSpecPoints(t *testing.T) {
 	s, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline","Pr3","Sh40+M2+G64"],"cores":8,"l2_slices":4,"channels":2,"chaos":"light","chaos_seed":3,"power_cap":50,"power_zone":"gpu"}`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	base := gpu.HealthOptions{StallWindow: 777}
-	h, pts := s.Points(base)
+	h, pts := s.Arm(base), s.Points()
 	wantCap := &power.CapSpec{Zone: power.ZoneGPU, BudgetWatts: 50, MaxLevel: 6}
 	if h.StallWindow != 777 || !reflect.DeepEqual(h.PowerCap, wantCap) || !reflect.DeepEqual(h.Chaos, chaos.Light(3)) {
 		t.Fatalf("health = %+v", h)
@@ -174,7 +174,7 @@ func TestSpecPoints(t *testing.T) {
 	}
 	u := s
 	u.PowerCap, u.PowerZone = 0, ""
-	if _, uncapped := u.Points(base); uncapped[0].Key == pts[0].Key {
+	if uncapped := u.Points(); uncapped[0].Key == pts[0].Key {
 		t.Error("a capped point shares its key with the uncapped one")
 	}
 }
@@ -193,7 +193,7 @@ func TestPowerCapSpecField(t *testing.T) {
 		t.Fatalf("zone %q, want the default %q", capped.PowerZone, power.ZoneModule)
 	}
 	stale := &power.CapSpec{Zone: power.ZoneGPU, BudgetWatts: 1}
-	h, pts := capped.Points(gpu.HealthOptions{PowerCap: stale})
+	h, pts := capped.Arm(gpu.HealthOptions{PowerCap: stale}), capped.Points()
 	if want := (&power.CapSpec{Zone: power.ZoneModule, BudgetWatts: 60, MaxLevel: 6}); !reflect.DeepEqual(h.PowerCap, want) {
 		t.Fatalf("armed cap %+v, want %+v", h.PowerCap, want)
 	}

@@ -48,13 +48,12 @@ type WorkerOptions struct {
 	// MaxPoints caps one lease grant (0 = server default).
 	MaxPoints int
 	// Health seeds the per-point simulation options (stall window,
-	// deadline); the worker fills Ctx and the spec's chaos per point, through
-	// the same SweepSpec.Points the server admits with. Simulation results
-	// are bit-identical for any of these knobs.
+	// deadline); the worker fills Ctx, and the spec's chaos and cap through
+	// SweepSpec.Arm, per point. Simulation results are bit-identical for any
+	// of these knobs.
 	Health gpu.HealthOptions
-	// Retry and PointDeadline configure the per-point supervisor.
-	Retry         experiments.RetryPolicy
-	PointDeadline time.Duration
+	// Retry configures the per-point supervisor.
+	Retry experiments.RetryPolicy
 	// Progress, when non-nil, receives the supervisor's per-point lines and
 	// the worker's lease-lifecycle lines.
 	Progress io.Writer
@@ -231,7 +230,7 @@ func (w *Worker) heartbeat(g LeaseGrant, leaseLost context.CancelFunc, stop <-ch
 }
 
 // runPoint simulates one leased point under the full supervision stack
-// (panic barrier, retries, per-point deadline). ok=false means the
+// (panic barrier, retries, per-simulation deadline). ok=false means the
 // simulation was canceled by lease loss and there is nothing to upload.
 func (w *Worker) runPoint(leaseCtx context.Context, lp LeasePoint) (LeaseCompletion, bool) {
 	comp := LeaseCompletion{Token: lp.Token, Epoch: lp.Epoch}
@@ -242,9 +241,7 @@ func (w *Worker) runPoint(leaseCtx context.Context, lp LeasePoint) (LeaseComplet
 		comp.Err = fmt.Sprintf("bad leased spec: %v", err)
 		return comp, true
 	}
-	base := w.opt.Health
-	base.Ctx = leaseCtx
-	h, pts := spec.Points(base)
+	pts := spec.Points()
 	if len(pts) != 1 {
 		comp.Err = fmt.Sprintf("leased spec expands to %d points, want 1", len(pts))
 		return comp, true
@@ -253,12 +250,9 @@ func (w *Worker) runPoint(leaseCtx context.Context, lp LeasePoint) (LeaseComplet
 		comp.Err = pts[0].Err.Error()
 		return comp, true
 	}
-	sup := &experiments.Supervisor{
-		Health:        h,
-		Retry:         w.opt.Retry,
-		PointDeadline: w.opt.PointDeadline,
-		Progress:      w.opt.Progress,
-	}
+	h := w.opt.Health
+	h.Ctx = leaseCtx
+	sup := &experiments.Supervisor{Health: spec.Arm(h), Retry: w.opt.Retry, Progress: w.opt.Progress}
 	if w.prepare != nil {
 		w.prepare(lp, sup)
 	}
@@ -425,12 +419,11 @@ func (t localTransport) Release(_ context.Context, id string, tokens []string) (
 func (s *Server) startLocalWorkers() {
 	for i := 0; i < s.opt.Workers; i++ {
 		w := NewWorker(localTransport{s}, WorkerOptions{
-			Name:          fmt.Sprintf("local-%d", i),
-			MaxPoints:     1,
-			Health:        s.opt.Health,
-			Retry:         s.opt.Retry,
-			PointDeadline: s.opt.PointDeadline,
-			Progress:      s.opt.Progress,
+			Name:      fmt.Sprintf("local-%d", i),
+			MaxPoints: 1,
+			Health:    s.opt.Health,
+			Retry:     s.opt.Retry,
+			Progress:  s.opt.Progress,
 		})
 		w.simCtx, w.prepare = s.runCtx, s.prepareLocal
 		s.workers.Add(1)
@@ -450,9 +443,6 @@ func (s *Server) prepareLocal(lp LeasePoint, sup *experiments.Supervisor) {
 		s.beforePoint(lp.local)
 	}
 	if jm := lp.local.job.metrics; jm != nil {
-		every := s.opt.MetricsEvery
-		sup.Metrics = func(gpu.Job) *metrics.Options {
-			return &metrics.Options{Every: every, Sink: jm}
-		}
+		sup.Health.Metrics = &metrics.Options{Every: s.opt.MetricsEvery, Sink: jm}
 	}
 }

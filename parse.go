@@ -1,109 +1,8 @@
 package dcl1
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
+import "dcl1sim/internal/gpu"
 
-	"dcl1sim/internal/sim"
-)
-
-// ParseDesign parses the paper's design names used throughout the CLI tools:
-// Baseline, Pr40, Sh40, Sh40+C10, Sh40+C10+Boost, CDXBar, CDXBar+2xNoC1,
-// CDXBar+2xNoC, SingleL1, plus the study modifiers +PerfectL1, +NxL1
-// (capacity scale), and Baseline+2xNoC. The multi-GPU modifiers build N
-// linked modules of the named design: +MN (module count, 2..8), and with it
-// +GN (link GB/s), +LatN (link switch latency in link cycles), and +Priv
-// (private per-module address space) — e.g. "Sh40+C10+M4+G128".
-func ParseDesign(s string) (Design, error) {
-	var d Design
-	parts := strings.Split(s, "+")
-	head := parts[0]
-	switch {
-	case head == "Baseline":
-		d.Kind = Baseline
-	case head == "SingleL1":
-		d.Kind = SingleL1
-	case head == "CDXBar":
-		d.Kind = CDXBar
-	case head == "MeshBase":
-		d.Kind = MeshBase
-	case strings.HasPrefix(head, "Pr"):
-		d.Kind = Private
-		n, err := strconv.Atoi(head[2:])
-		if err != nil || n <= 0 {
-			return d, fmt.Errorf("bad design %q: node count must be a positive integer", s)
-		}
-		d.DCL1s = n
-	case strings.HasPrefix(head, "Sh"):
-		d.Kind = Shared
-		n, err := strconv.Atoi(head[2:])
-		if err != nil || n <= 0 {
-			return d, fmt.Errorf("bad design %q: node count must be a positive integer", s)
-		}
-		d.DCL1s = n
-	default:
-		return d, fmt.Errorf("unknown design %q", s)
-	}
-	for _, p := range parts[1:] {
-		switch {
-		case p == "Boost":
-			d.Boost1 = true
-		case p == "2xNoC1":
-			d.CDXBoostS1 = true
-		case p == "2xNoC":
-			if d.Kind == Baseline {
-				d.NoCBoost = true
-			} else {
-				d.CDXBoostAll = true
-			}
-		case p == "PerfectL1":
-			d.PerfectL1 = true
-		case strings.HasPrefix(p, "C"):
-			n, err := strconv.Atoi(p[1:])
-			if err != nil || n <= 0 {
-				return d, fmt.Errorf("bad cluster count %q: must be a positive integer", p)
-			}
-			if d.Kind != Shared && d.Kind != Clustered {
-				return d, fmt.Errorf("cluster modifier %q requires a ShY design", p)
-			}
-			d.Kind = Clustered
-			d.Clusters = n
-		case strings.HasSuffix(p, "xL1"):
-			n, err := strconv.Atoi(strings.TrimSuffix(p, "xL1"))
-			if err != nil || n <= 0 {
-				return d, fmt.Errorf("bad capacity scale %q: must be a positive integer", p)
-			}
-			d.L1CapacityScale = n
-		case p == "Priv":
-			d.PrivateAS = true
-		case strings.HasPrefix(p, "Lat"):
-			n, err := strconv.Atoi(p[3:])
-			if err != nil || n <= 0 {
-				return d, fmt.Errorf("bad link latency %q: must be a positive integer", p)
-			}
-			d.LinkLat = sim.Cycle(n)
-		case strings.HasPrefix(p, "M"):
-			n, err := strconv.Atoi(p[1:])
-			if err != nil {
-				return d, fmt.Errorf("bad module count %q: must be an integer in 2..%d", p, MaxModules)
-			}
-			if n < 2 || n > MaxModules {
-				return d, fmt.Errorf("bad module count %q: must be in 2..%d", p, MaxModules)
-			}
-			d.Modules = n
-		case strings.HasPrefix(p, "G"):
-			n, err := strconv.Atoi(p[1:])
-			if err != nil || n <= 0 {
-				return d, fmt.Errorf("bad link bandwidth %q: must be a positive integer", p)
-			}
-			d.LinkGBps = n
-		default:
-			return d, fmt.Errorf("unknown design modifier %q", p)
-		}
-	}
-	if d.Modules < 2 && (d.LinkGBps > 0 || d.LinkLat > 0 || d.PrivateAS) {
-		return d, fmt.Errorf("bad design %q: link modifiers (+G/+Lat/+Priv) require +M2..+M%d", s, MaxModules)
-	}
-	return d, nil
-}
+// ParseDesign parses the paper's design names used throughout the CLI tools
+// (Baseline, Pr40, Sh40+C10+Boost, CDXBar+2xNoC1, Sh40+C10+M4+G128, ...).
+// Its inverse is Design.Name.
+func ParseDesign(s string) (Design, error) { return gpu.ParseDesign(s) }
