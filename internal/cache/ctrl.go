@@ -141,7 +141,6 @@ type Ctrl struct {
 	tickStalls int64
 
 	lastTick sim.Cycle // most recent Tick cycle, for invariant age checks
-	ageBound sim.Cycle // MSHR age bound override (0 = DefaultMSHRAgeBound)
 }
 
 // missMemo memoises the verdict a stalled load re-derived every cycle: its

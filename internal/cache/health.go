@@ -12,18 +12,6 @@ import (
 // under heavy congestion; an entry this old means the fill was lost.
 const DefaultMSHRAgeBound sim.Cycle = 25_000
 
-// SetAgeBound overrides DefaultMSHRAgeBound for this controller (tests and
-// stress studies); 0 restores the default. It lives outside Params so
-// existing construction sites stay untouched.
-func (c *Ctrl) SetAgeBound(b sim.Cycle) { c.ageBound = b }
-
-func (c *Ctrl) mshrAgeBound() sim.Cycle {
-	if c.ageBound > 0 {
-		return c.ageBound
-	}
-	return DefaultMSHRAgeBound
-}
-
 // CheckInvariants implements health.Checker: MSHR occupancy within capacity,
 // merge counts within MaxMerge, no entry pending longer than the age bound,
 // push/pop conservation on the four controller queues, and — while the
@@ -54,7 +42,7 @@ func (c *Ctrl) CheckInvariants() []health.Violation {
 		if len(e.waiters) > c.P.MaxMerge {
 			overMerged++
 		}
-		if age := c.lastTick - e.allocAt; age > c.mshrAgeBound() {
+		if age := c.lastTick - e.allocAt; age > DefaultMSHRAgeBound {
 			overAged++
 			if age > oldest {
 				oldest = age
@@ -71,7 +59,7 @@ func (c *Ctrl) CheckInvariants() []health.Violation {
 		out = append(out, health.Violation{
 			Component: name, Rule: "mshr-entry-stuck", Warn: true,
 			Detail: fmt.Sprintf("%d entries pending > %d cycles (oldest %d)",
-				overAged, c.mshrAgeBound(), oldest),
+				overAged, DefaultMSHRAgeBound, oldest),
 		})
 	}
 	for _, q := range []struct {

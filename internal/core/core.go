@@ -258,9 +258,6 @@ func (c *Core) SetThrottle(level int) {
 	c.throttle = level
 }
 
-// Throttle returns the current governor duty-cycle level.
-func (c *Core) Throttle() int { return c.throttle }
-
 // Waves returns the number of wavefronts.
 func (c *Core) Waves() int { return len(c.waves) }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dcl1sim/internal/analytic"
+	"dcl1sim/internal/stats"
 	"dcl1sim/internal/workload"
 )
 
@@ -39,6 +40,6 @@ func runExtAnalytic(ctx *Context) *Table {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"mean |error|: miss %.3f, replication %.3f (Che's approximation ignores queueing-induced reuse-distance shifts)",
-		mean(missErr), mean(replErr)))
+		stats.Mean(missErr), stats.Mean(replErr)))
 	return t
 }

@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/workload"
@@ -267,39 +266,4 @@ func sh40() gpu.Design     { return gpu.Design{Kind: gpu.Shared, DCL1s: 40} }
 func shc(z int) gpu.Design { return gpu.Design{Kind: gpu.Clustered, DCL1s: 40, Clusters: z} }
 func boost() gpu.Design {
 	return gpu.Design{Kind: gpu.Clustered, DCL1s: 40, Clusters: 10, Boost1: true}
-}
-
-// geomean returns the geometric mean of positive values.
-func geomean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vs)))
-}
-
-func mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vs {
-		s += v
-	}
-	return s / float64(len(vs))
-}
-
-// appNames joins spec names for notes.
-func appNames(specs []workload.Spec) string {
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	return strings.Join(names, ", ")
 }

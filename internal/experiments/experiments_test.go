@@ -13,6 +13,7 @@ import (
 
 	"dcl1sim/internal/core"
 	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/stats"
 	"dcl1sim/internal/workload"
 )
 
@@ -309,17 +310,19 @@ func TestTableRenderAndCell(t *testing.T) {
 	}
 }
 
+// TestGeomeanAndMean pins the aggregates the figures' MEAN rows are built
+// from: a zero or empty input yields 0 rather than NaN in a rendered table.
 func TestGeomeanAndMean(t *testing.T) {
-	if g := geomean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
+	if g := stats.Geomean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
 		t.Errorf("geomean = %f", g)
 	}
-	if geomean(nil) != 0 || geomean([]float64{1, 0}) != 0 {
+	if stats.Geomean(nil) != 0 || stats.Geomean([]float64{1, 0}) != 0 {
 		t.Error("degenerate geomean must be 0")
 	}
-	if m := mean([]float64{1, 2, 3}); m != 2 {
+	if m := stats.Mean([]float64{1, 2, 3}); m != 2 {
 		t.Errorf("mean = %f", m)
 	}
-	if mean(nil) != 0 {
+	if stats.Mean(nil) != 0 {
 		t.Error("empty mean must be 0")
 	}
 }

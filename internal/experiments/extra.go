@@ -6,6 +6,7 @@ import (
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/power"
 	"dcl1sim/internal/sim"
+	"dcl1sim/internal/stats"
 	"dcl1sim/internal/workload"
 )
 
@@ -127,7 +128,7 @@ func runLat(ctx *Context) *Table {
 		Row{Label: "core<->DC-L1 overhead (cyc)", Cells: []float64{hop}},
 		Row{Label: "L1 32KB access (cyc)", Cells: []float64{float64(base32)}},
 		Row{Label: "DC-L1 64KB access (cyc)", Cells: []float64{float64(dc64)}},
-		Row{Label: "mean RTT ratio", Cells: []float64{mean(oRTT) / mean(bRTT)}},
+		Row{Label: "mean RTT ratio", Cells: []float64{stats.Mean(oRTT) / stats.Mean(bRTT)}},
 	)
 	t.Notes = append(t.Notes, "paper: +54 cycles hop overhead, 28->30 cycle access, RTT -53%")
 	return t
@@ -160,7 +161,7 @@ func runFig19a(ctx *Context) *Table {
 			r := ctx.runDefault(dd.d, app)
 			insens = append(insens, r.IPC/b.IPC)
 		}
-		t.Rows = append(t.Rows, Row{Label: dd.label, Cells: []float64{geomean(sens), geomean(insens)}})
+		t.Rows = append(t.Rows, Row{Label: dd.label, Cells: []float64{stats.Geomean(sens), stats.Geomean(insens)}})
 	}
 	t.Notes = append(t.Notes, "paper: CDXBar 0.86/0.93, CDXBar+2xNoC 1.29/1.05, ours 1.75/0.99")
 	return t
@@ -185,7 +186,7 @@ func runFig19b(ctx *Context) *Table {
 			o := ctx.run(cfg, ctx.scaledDesign(boost()), app)
 			speed = append(speed, o.IPC/b.IPC)
 		}
-		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{geomean(speed)}})
+		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{stats.Geomean(speed)}})
 	}
 	t.Notes = append(t.Notes, "paper: +66% at zero latency, rising with latency; insensitive apps <1% drop throughout")
 	return t
@@ -210,7 +211,7 @@ func runCTA(ctx *Context) *Table {
 		if sched == workload.Distributed {
 			label = "distributed"
 		}
-		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{geomean(speed)}})
+		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{stats.Geomean(speed)}})
 	}
 	t.Notes = append(t.Notes, "paper: +75% under RR, +46% under the distributed scheduler")
 	return t
@@ -245,7 +246,7 @@ func runSize(ctx *Context) *Table {
 		o := ctx.run(cfg, d, app)
 		insens = append(insens, o.IPC/b.IPC)
 	}
-	t.Rows = append(t.Rows, Row{Label: d.Name(), Cells: []float64{geomean(sens), geomean(insens)}})
+	t.Rows = append(t.Rows, Row{Label: d.Name(), Cells: []float64{stats.Geomean(sens), stats.Geomean(insens)}})
 	t.Notes = append(t.Notes, "paper: +67% sensitive, insensitive maintained")
 	return t
 }
@@ -272,7 +273,7 @@ func runBoostBase(ctx *Context) *Table {
 			r := ctx.runDefault(e.d, app)
 			speed = append(speed, r.IPC/b.IPC)
 		}
-		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{geomean(speed)}})
+		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{stats.Geomean(speed)}})
 	}
 	t.Notes = append(t.Notes,
 		"paper: boosted baselines 1.33-1.36 vs ours 1.75; 2x-L1 costs +84% cache area; the 80x32 crossbar cannot physically run 2x frequency (fig13b)")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/stats"
 	"dcl1sim/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func runExtMesh(ctx *Context) *Table {
 		}
 		area := gpu.DesignNoCSpec(ctx.Base, e.d).Area() / baseArea
 		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{
-			geomean(sens), geomean(insens), area,
+			stats.Geomean(sens), stats.Geomean(insens), area,
 		}})
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/stats"
 	"dcl1sim/internal/workload"
 )
 
@@ -147,7 +148,7 @@ func runSec2C(ctx *Context) *Table {
 		speed = append(speed, sp)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{mr, sp}})
 	}
-	t.Rows = append(t.Rows, Row{Label: "MEAN", Cells: []float64{mean(missRed), geomean(speed)}})
+	t.Rows = append(t.Rows, Row{Label: "MEAN", Cells: []float64{stats.Mean(missRed), stats.Geomean(speed)}})
 	t.Notes = append(t.Notes, "paper: miss -89.5% average, IPC 2.9x average")
 	return t
 }
@@ -174,7 +175,7 @@ func runFig4(ctx *Context) *Table {
 		}
 		t.Rows = append(t.Rows, Row{
 			Label: fmt.Sprintf("Pr%d", y),
-			Cells: []float64{geomean(ipc), mean(miss), geomean(pipc)},
+			Cells: []float64{stats.Geomean(ipc), stats.Mean(miss), stats.Geomean(pipc)},
 		})
 	}
 	// Perfect private L1 baseline (the "Base" bar of Fig 4c).
@@ -183,7 +184,7 @@ func runFig4(ctx *Context) *Table {
 		p := ctx.runDefault(gpu.Design{Kind: gpu.Baseline, PerfectL1: true}, app)
 		basePerfect = append(basePerfect, p.IPC/b.IPC)
 	}
-	t.Rows = append(t.Rows, Row{Label: "Base+Perfect", Cells: []float64{1, 1, geomean(basePerfect)}})
+	t.Rows = append(t.Rows, Row{Label: "Base+Perfect", Cells: []float64{1, 1, stats.Geomean(basePerfect)}})
 	t.Notes = append(t.Notes,
 		"paper 4a: Pr80 0.97, Pr40 1.15, Pr20 0.97, Pr10 0.66",
 		"paper 4b: miss ratio Pr40 0.81, Pr20 0.51, Pr10 0.26",
@@ -209,7 +210,7 @@ func runFig8(ctx *Context) *Table {
 		ipcs = append(ipcs, s.IPC/b.IPC)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{mr, s.IPC / b.IPC}})
 	}
-	t.Rows = append(t.Rows, Row{Label: "MEAN", Cells: []float64{mean(misses), geomean(ipcs)}})
+	t.Rows = append(t.Rows, Row{Label: "MEAN", Cells: []float64{stats.Mean(misses), stats.Geomean(ipcs)}})
 	t.Notes = append(t.Notes, "paper: miss -89% average, IPC +48% average, P-2MM only +6% (camping), P-3DCONV -3% (bandwidth)")
 	return t
 }
@@ -228,7 +229,7 @@ func runFig9(ctx *Context) *Table {
 		all = append(all, v)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{v}})
 	}
-	t.Rows = append(t.Rows, Row{Label: "MEAN", Cells: []float64{geomean(all)}})
+	t.Rows = append(t.Rows, Row{Label: "MEAN", Cells: []float64{stats.Geomean(all)}})
 	t.Notes = append(t.Notes, "paper: 5 poor performers lose 40-85% (C-NN, C-RAY, P-3MM, P-GEMM, P-2DCONV); R-SC gains")
 	return t
 }
@@ -261,7 +262,7 @@ func runFig11(ctx *Context) *Table {
 			}
 			reps = append(reps, r.MeanReplicas)
 		}
-		t.Rows = append(t.Rows, Row{Label: cr.label, Cells: []float64{geomean(ipc), mean(miss), mean(reps)}})
+		t.Rows = append(t.Rows, Row{Label: cr.label, Cells: []float64{stats.Geomean(ipc), stats.Mean(miss), stats.Mean(reps)}})
 	}
 	t.Notes = append(t.Notes, "paper: miss ratio 0.28/0.39/0.59 for C5/C10/C20; C10 chosen")
 	return t
@@ -321,7 +322,7 @@ func runFig14(ctx *Context) *Table {
 	}
 	meanCells := make([]float64, 4)
 	for i := range sums {
-		meanCells[i] = geomean(sums[i])
+		meanCells[i] = stats.Geomean(sums[i])
 	}
 	t.Rows = append(t.Rows, Row{Label: "GEOMEAN", Cells: meanCells})
 	t.Notes = append(t.Notes, "paper means: Pr40 1.15, Sh40 1.48, Sh40+C10 1.41, Sh40+C10+Boost 1.75 (max 8x)")
@@ -368,7 +369,7 @@ func geomeanCol(rows [][]float64, col int) float64 {
 	for _, r := range rows {
 		vs = append(vs, r[col])
 	}
-	return geomean(vs)
+	return stats.Geomean(vs)
 }
 
 func runFig16(ctx *Context) *Table {
@@ -397,7 +398,7 @@ func runFig16(ctx *Context) *Table {
 			}
 			reps = append(reps, r.MeanReplicas)
 		}
-		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{mean(miss), mean(reps)}})
+		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{stats.Mean(miss), stats.Mean(reps)}})
 	}
 	t.Notes = append(t.Notes, "paper replicas: baseline 7.7, Pr40 5.7, Sh40+C10+Boost 2.8, Sh40 1 copy")
 	return t

@@ -38,9 +38,9 @@ func runTelemetry(t *testing.T, cfg Config, d Design, app workload.Source,
 // TestMetricsStreamExecutionModeInvariance is the determinism matrix for the
 // live metrics stream: the encoded batch sequence — every sample of every
 // series, cycle stamps and timestamps included — must be byte-identical
-// with the fast path and with the legacy always-tick engine. The collector
-// bounds idle fast-forward to the next sample cycle and snapshots only in
-// barrier context, so no execution mode may be observable in the stream.
+// with the fast path and with the legacy always-tick engine. The collector's
+// timer wakes it on each sample cycle and it snapshots only in barrier
+// context, so no execution mode may be observable in the stream.
 func TestMetricsStreamExecutionModeInvariance(t *testing.T) {
 	app, _ := workload.ByName("T-AlexNet")
 	cfg := quiesceCfg()

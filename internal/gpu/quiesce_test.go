@@ -65,9 +65,8 @@ func TestQuiescenceEquivalence(t *testing.T) {
 
 // TestQuiescenceEquivalenceTraceDrain replays a finite trace whose programs
 // end well before the measurement window closes, so the run has a long fully
-// quiescent drain phase — the case the bulk fast-forward exists for. The
-// fast path must cross that phase with results identical to the legacy
-// engine.
+// quiescent drain phase, where nearly every component sleeps. The fast path
+// must cross that phase with results identical to the legacy engine.
 func TestQuiescenceEquivalenceTraceDrain(t *testing.T) {
 	app, _ := workload.ByName("T-AlexNet")
 	cfg := quiesceCfg()
@@ -107,5 +106,23 @@ func TestQuiescenceEquivalenceChecked(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fast, legacy) {
 		t.Errorf("checked fast path diverged:\nfast:   %+v\nlegacy: %+v", fast, legacy)
+	}
+}
+
+// TestEveryEdgeIsProcessed pins the engine's edge loop: even across a drained
+// trace's long quiescent tail, where no component ticks, every clock processes
+// each of its edges, so its walk counters cover every cycle it reports.
+func TestEveryEdgeIsProcessed(t *testing.T) {
+	app, _ := workload.ByName("T-AlexNet")
+	cfg := quiesceCfg()
+	cfg.MeasureCycles = 20000 // far beyond the trace's natural end
+	tr := trace.Capture(app, 16, 40, workload.RoundRobin, 1)
+	s := NewSystem(cfg, Design{Kind: Shared, DCL1s: 8}, tr)
+	s.Run()
+	clocks := s.Eng.Clocks()
+	for i, w := range s.Eng.WalkStats() {
+		if now := clocks[i].Now(); w.Edges != now {
+			t.Errorf("clock %s: %d edges processed of %d", w.Clock, w.Edges, now)
+		}
 	}
 }

@@ -38,13 +38,12 @@ type SinkFunc func(b *Batch)
 func (f SinkFunc) Emit(b *Batch) { f(b) }
 
 // Collector samples a registry at fixed cycle intervals. It is registered on
-// the core clock as a ticker whose NextWorkCycle is the next sample point,
-// which bounds the engine's idle fast-forward so sample cycles are never
-// skipped — the sample grid is identical in fast-path and legacy-tick
-// execution. Tick only marks the pending sample; the actual registry walk
-// happens in a barrier task (after every component of the edge has ticked and
-// the ports have committed), so a snapshot reads post-edge state wherever the
-// collector sits in registration order.
+// the core clock as a ticker whose NextWorkCycle is the next sample point, so
+// its timer wakes it on exactly that edge — the sample grid is identical in
+// fast-path and legacy-tick execution. Tick only marks the pending sample; the
+// actual registry walk happens in a barrier task (after every component of the
+// edge has ticked and the ports have committed), so a snapshot reads post-edge
+// state wherever the collector sits in registration order.
 type Collector struct {
 	reg    *Registry
 	every  int64
@@ -93,8 +92,8 @@ func (c *Collector) Tick(now int64) {
 	}
 }
 
-// NextWorkCycle returns the next sample cycle, bounding idle fast-forward so
-// the engine never skips over a sample point.
+// NextWorkCycle returns the next sample cycle: the collector's timer wakes it
+// on that edge.
 func (c *Collector) NextWorkCycle(now int64) int64 { return c.next }
 
 // WakeSources implements sim.WakeSourcer: the collector consumes no port, so

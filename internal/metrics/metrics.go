@@ -24,7 +24,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dcl1sim/internal/stats"
@@ -297,20 +296,4 @@ func SplitID(id string) (comp, domain, name string) {
 		return comp, "", rest
 	}
 	return comp, domain, name
-}
-
-// Families returns the distinct family names in the batch, sorted, with the
-// kind of each (families are homogeneous by construction).
-func (b *Batch) Families() []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := range b.Samples {
-		_, _, name := SplitID(b.Samples[i].ID)
-		if !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

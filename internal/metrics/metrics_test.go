@@ -93,8 +93,8 @@ func TestCollectorGrid(t *testing.T) {
 	c := NewCollector(r, "D", "A", 100, sink)
 	c.SetTimeFunc(func(cyc int64) int64 { return cyc * 2 })
 
-	// Simulate a fast-forwarding engine: ticks only on a sparse set of
-	// cycles, but never past NextWorkCycle — exactly the engine's contract.
+	// Simulate a sleeping collector: ticks only on a sparse set of cycles,
+	// but never past NextWorkCycle — exactly the engine's contract.
 	now := int64(0)
 	for now < 450 {
 		step := int64(7)

@@ -42,11 +42,6 @@ func (f TickFunc) Tick(cycle Cycle) { f(cycle) }
 // another component) gives it something to do.
 const WakeNever Cycle = 1 << 62
 
-// wakeHorizon bounds finite wake cycles: anything at or beyond it is treated
-// as WakeNever, which keeps the cycle→picosecond conversion in the bulk
-// fast-forward free of int64 overflow.
-const wakeHorizon Cycle = 1 << 42
-
 // Sleeper is an optional Ticker extension for the quiescence fast path.
 // NextWorkCycle reports the earliest cycle of the owning clock at which the
 // component could possibly do anything beyond pure idle accounting:
@@ -106,12 +101,6 @@ type Clock struct {
 	timers  wakeTimers
 	walk    edgeWalk
 	stats   WalkStats // Clock and Components are filled in by Engine.WalkStats
-	// idle records that the most recent edge ticked no component and nothing
-	// has been woken since, with idleUntil the earliest armed timer then
-	// (WakeNever if none). Any productive tick on any clock invalidates all
-	// idle flags.
-	idle      bool
-	idleUntil Cycle
 
 	// Two-phase edge barrier. ports are the attached Ports whose producers
 	// tick on this clock: their staged pushes commit at the end of every
@@ -129,7 +118,7 @@ type sleeperState struct {
 	s Sleeper
 
 	// filed is the wake cycle the component's current sleep is on file under
-	// (its timer, unless past the horizon); woken once something has woken it
+	// (its timer, unless WakeNever); woken once something has woken it
 	// since, so that its next edge ticks it without asking; 0 once it has
 	// ticked. idleFrom is the first cycle SkipIdle has not yet covered, -1 =
 	// none owed.
@@ -174,7 +163,6 @@ func (c *Clock) Register(t Ticker) {
 		c.bound = append(c.bound, 0)
 	}
 	c.wake(i)
-	c.idle = false
 	c.topologyChanged()
 }
 
@@ -209,9 +197,7 @@ func (c *Clock) OnBarrier(f func()) {
 // reach the producer on the same schedule with the fast path on or off. A
 // port nobody pushed to or popped from since its last commit has nothing to
 // publish and a snapshot that is already right, so only the dirty ports are
-// visited. Edges skipped wholesale by the quiescence fast-forward need no
-// commit: nothing ticks anywhere during an all-idle stretch, so no port can
-// change.
+// visited.
 func (c *Clock) commit() {
 	for _, h := range c.dirty {
 		h.listed = false
@@ -230,36 +216,29 @@ func (c *Clock) commit() {
 	c.dirty = c.dirty[:0]
 }
 
-// tick advances the clock one edge and returns how many components actually
-// ticked. With the fast path off every component ticks, exactly as the legacy
-// engine did. With it on, the edge considers only the active set: components
-// whose timer came due are put back first, each member is polled (a plain
-// Ticker is not — it always ticks) and either ticks or goes to sleep. Port
-// visibility makes the gate order-free: a push from another component this
-// edge is staged, so it cannot wake a sleeper until the next edge wherever
-// the two sit in registration order.
-func (c *Clock) tick(fast bool) int {
+// tick advances the clock one edge. With the fast path off every component
+// ticks, exactly as the legacy engine did. With it on, the edge considers only
+// the active set: components whose timer came due are put back first, each
+// member is polled (a plain Ticker is not — it always ticks) and either ticks
+// or goes to sleep. Port visibility makes the gate order-free: a push from
+// another component this edge is staged, so it cannot wake a sleeper until the
+// next edge wherever the two sit in registration order.
+func (c *Clock) tick(fast bool) {
 	now := c.cycle
-	var ticked int
 	if fast {
 		c.wakeDue(now)
 		c.walk.set(c, now)
 		c.fileSleeps(c.walk.slept, now)
-		ticked = c.walk.ticked
+		c.stats.Ticks += int64(c.walk.ticked)
 		c.stats.Polls += int64(c.walk.polled)
 	} else {
 		for _, t := range c.comps {
 			t.Tick(now)
 		}
-		ticked = len(c.comps)
+		c.stats.Ticks += int64(len(c.comps))
 	}
 	c.stats.Edges++
-	c.stats.Ticks += int64(ticked)
 	c.cycle++
-	// The idle verdict comes before the barrier: a wake the commits or a
-	// barrier task raise clears it again (see Clock.wake).
-	c.idle = fast && ticked == 0
-	c.idleUntil = c.timers.min(c.cycle)
 	c.commit()
 	for _, f := range c.barriers {
 		f()
@@ -267,7 +246,6 @@ func (c *Clock) tick(fast bool) int {
 	if wakeAuditEveryEdge {
 		c.eng.auditEdge()
 	}
-	return ticked
 }
 
 // Engine owns a set of clock domains and advances them in global time order.
@@ -298,12 +276,11 @@ const ctxPollEdges = 4096
 func NewEngine() *Engine { return &Engine{fast: true} }
 
 // SetFastPath toggles the quiescence fast path: considering only awake
-// components on each edge and bulk fast-forwarding when every component of
-// every clock sleeps until a known wake cycle. Results are bit-identical
-// either way (the legacy always-tick path exists for validation and
-// benchmarking). Turning it off settles every idle debt and re-awakes every
-// component, so full-tick edges start from exactly the state an always-tick
-// engine would be in.
+// components on each edge, and paying sleepers their idle cycles lazily.
+// Results are bit-identical either way (the legacy always-tick path exists for
+// validation and benchmarking). Turning it off settles every idle debt and
+// re-awakes every component, so full-tick edges start from exactly the state
+// an always-tick engine would be in.
 func (e *Engine) SetFastPath(on bool) {
 	e.fast = on
 	if !on {
@@ -314,13 +291,9 @@ func (e *Engine) SetFastPath(on bool) {
 			}
 			c.wakeAll()
 			c.timers.reset()
-			c.idle = false
 		}
 	}
 }
-
-// FastPath reports whether the quiescence fast path is enabled.
-func (e *Engine) FastPath() bool { return e.fast }
 
 // NewClock creates and registers a clock domain with the given frequency in
 // MHz. It panics if mhz is not positive: a zero-frequency clock can never
@@ -357,7 +330,8 @@ func (e *Engine) RunUntil(ref *Clock, cycles Cycle) {
 	e.Settle()
 }
 
-// advance is RunUntil's edge loop.
+// advance is RunUntil's edge loop: find the next edge, tick it. Every edge
+// of every clock is processed, in global (time, clock-order) sequence.
 func (e *Engine) advance(ref *Clock, cycles Cycle) {
 	poll := 0
 	for ref.cycle < cycles {
@@ -369,9 +343,6 @@ func (e *Engine) advance(ref *Clock, cycles Cycle) {
 				}
 			}
 		}
-		if e.fast && e.allIdle() && e.fastForward(ref, cycles) {
-			continue
-		}
 		next := e.clocks[0]
 		nt := next.nextEdgePs()
 		for _, c := range e.clocks[1:] {
@@ -379,74 +350,8 @@ func (e *Engine) advance(ref *Clock, cycles Cycle) {
 				next, nt = c, t
 			}
 		}
-		if next.tick(e.fast) > 0 {
-			// A productive tick may have pushed work into any component on
-			// any clock: every cached idle verdict is stale.
-			for _, c := range e.clocks {
-				c.idle = false
-			}
-		}
+		next.tick(e.fast)
 	}
-}
-
-// allIdle reports whether every clock's most recent edge ticked no
-// component. Between such edges no component ran, so no queue changed and the
-// cached idleUntil wake cycles are still valid.
-func (e *Engine) allIdle() bool {
-	for _, c := range e.clocks {
-		if !c.idle {
-			return false
-		}
-	}
-	return true
-}
-
-// fastForward bulk-skips every edge of every clock that lies strictly before
-// S = min(earliest possible wake time, ref's final edge of this run), in
-// picoseconds. Those edges form a prefix of the global (time, clock-order)
-// edge sequence, so skipping them wholesale preserves the exact interleaving
-// the legacy engine would have produced; edges at or after S — including any
-// same-picosecond ties — are left to the normal loop. Returns false when no
-// edge can be skipped.
-func (e *Engine) fastForward(ref *Clock, cycles Cycle) bool {
-	s := (cycles - 1) * 1_000_000 / ref.mhz
-	for _, c := range e.clocks {
-		if c.idleUntil < wakeHorizon {
-			if t := c.idleUntil * 1_000_000 / c.mhz; t < s {
-				s = t
-			}
-		}
-	}
-	advanced := false
-	for _, c := range e.clocks {
-		// Edges strictly before time s: edge k fires at floor(k*1e6/mhz), and
-		// floor(k*1e6/mhz) < s  ⇔  k*1e6 < s*mhz, so the first kept edge is
-		// ceil(s*mhz/1e6).
-		newCycle := (s*c.mhz + 999_999) / 1_000_000
-		if newCycle <= c.cycle {
-			continue
-		}
-		// Only the cycle moves: the skipped idle cycles stay on each sleeper's
-		// tab until it next ticks or the engine settles.
-		c.cycle = newCycle
-		advanced = true
-	}
-	return advanced
-}
-
-// NowPs returns the earliest pending edge time in picoseconds — the current
-// simulated time frontier. Returns 0 on an empty engine.
-func (e *Engine) NowPs() int64 {
-	if len(e.clocks) == 0 {
-		return 0
-	}
-	min := e.clocks[0].nextEdgePs()
-	for _, c := range e.clocks[1:] {
-		if t := c.nextEdgePs(); t < min {
-			min = t
-		}
-	}
-	return min
 }
 
 // DefaultStallWindow is the number of reference cycles without any probe

@@ -178,13 +178,6 @@ func (r PortRef) Bound() bool {
 	return r.h.wclk != nil
 }
 
-// Attached reports whether the port is in two-phase mode.
-func (p *Port[T]) Attached() bool { return p.twoPhase }
-
-// StagedLen returns the number of values staged but not yet committed
-// (always 0 outside a two-phase edge; for tests and diagnostics).
-func (p *Port[T]) StagedLen() int { return p.hdr.nStaged }
-
 // Push appends v and reports whether it was accepted. In immediate mode this
 // is Queue.Push. In two-phase mode the value is staged against the committed
 // occupancy snapshot: the consumer sees it only after the next barrier, and a

@@ -38,8 +38,8 @@ func TestPortTwoPhaseVisibility(t *testing.T) {
 	if p.Len() != 0 {
 		t.Errorf("Len before commit = %d, want 0 (value staged)", p.Len())
 	}
-	if p.StagedLen() != 1 {
-		t.Errorf("StagedLen = %d, want 1", p.StagedLen())
+	if p.hdr.nStaged != 1 {
+		t.Errorf("staged = %d, want 1", p.hdr.nStaged)
 	}
 	c.Register(TickFunc(func(Cycle) {}))
 	e.RunUntil(c, 1) // one edge: commit runs at its barrier

@@ -182,9 +182,9 @@ func TestWakeOnSpaceNextEdge(t *testing.T) {
 // consumer, on the faster clock B, pops once; the producer's clock A then runs
 // an edge on which every component sleeps, and it is that edge's barrier —
 // A's, the port's — that sees the pop and wakes the producer. B's next edge
-// ticks nothing either, so both clocks' latest edges are now empty: were that
-// still the engine's cue to fast-forward, A's next edge, the one the producer
-// must push on, would be skipped with every other edge to the end of the run.
+// ticks nothing either, so both clocks' latest edges are now empty: an engine
+// that took two empty edges as its cue to skip ahead would miss A's next edge,
+// the one the producer must push on.
 // In either tie order of the pop against A's edge (the sleepers that tick on
 // the edge before make the empty edge one of a populated clock), against the
 // legacy engine's cycle.

@@ -48,10 +48,10 @@ const wheelSlots = 64
 // its purpose belongs to a component a port commit woke before its filed
 // cycle: rouse leaves it armed (the walk only reads the timers — disarming
 // would be a wheel write per such wake for a bit the component's next sleep
-// moves anyway), and it is tolerated — it may end a bulk fast-forward early,
-// and if the component is still awake when it fires it ticks that one edge
-// without being asked, which the Sleeper contract makes equal to the skipped
-// cycle it stands for. The component's next sleep re-keys it.
+// moves anyway), and it is tolerated — if the component is still awake when
+// it fires it ticks that one edge without being asked, which the Sleeper
+// contract makes equal to the skipped cycle it stands for. The component's
+// next sleep re-keys it.
 type wakeTimers struct {
 	at     []Cycle  // per component: the cycle it is armed for, -1 = unarmed
 	words  int      // bitset words per slot, len(far)
@@ -82,20 +82,6 @@ func (t *wakeTimers) add() {
 		}
 	}
 	t.at = append(t.at, -1)
-}
-
-// min returns the earliest armed cycle (a lower bound on it, for a far one),
-// WakeNever with none armed. base is the clock's next edge: nothing is armed
-// before it.
-func (t *wakeTimers) min(base Cycle) Cycle {
-	m := t.farMin
-	if t.occ != 0 {
-		d := bits.TrailingZeros64(bits.RotateLeft64(t.occ, -int(base&(wheelSlots-1))))
-		if near := base + Cycle(d); near < m {
-			m = near
-		}
-	}
-	return m
 }
 
 // armedAt returns component i's armed cycle.
@@ -177,15 +163,9 @@ func (t *wakeTimers) reset() {
 // so that edge ticks it without asking first. (Were the wake spurious, the
 // Tick is the no-op-but-for-counters the Sleeper contract already allows in
 // place of any skipped cycle.)
-//
-// A wake also voids the clock's idle verdict. The edge that set it ticked
-// nothing, but a wake raised after it — by this clock's own barrier, for a pop
-// made on another clock's edge — means the next edge will, and the bulk
-// fast-forward must not skip it.
 func (c *Clock) wake(i int32) {
 	c.awake[i>>6] |= 1 << uint(i&63)
 	c.sl[i].filed = woken
-	c.idle = false
 }
 
 // isAwake reports whether component i is in the active set.
@@ -202,8 +182,7 @@ func (c *Clock) wakeAll() {
 }
 
 // wakeDue re-awakes every component whose timer is armed for edge now. Every
-// processed edge runs it and the bulk fast-forward never passes an armed
-// cycle, so slot now&63 holds exactly the timers for now.
+// edge runs it, so slot now&63 holds exactly the timers for now.
 func (c *Clock) wakeDue(now Cycle) {
 	t := &c.timers
 	if now+wheelSlots > t.farMin {
@@ -301,7 +280,7 @@ func (w *edgeWalk) noteSleep(i int, wake Cycle) {
 		m.idleFrom = w.now
 	}
 	m.filed = wake
-	if wake >= wakeHorizon {
+	if wake == WakeNever {
 		wake = -1
 	}
 	w.slept = append(w.slept, sleepRec{int32(i), wake})
@@ -330,9 +309,9 @@ func (c *Clock) payIdle(m *sleeperState, i int, last Cycle) {
 }
 
 // fileSleeps takes the components that went to sleep on edge now out of the
-// active set — the bound ones; an unbound sleeper keeps its place, and its
-// timer only bounds the bulk fast-forward — and sets each one's timer to the
-// cycle it reported.
+// active set — the bound ones; an unbound sleeper keeps its place and is
+// polled again on every edge — and sets each one's timer to the cycle it
+// reported.
 func (c *Clock) fileSleeps(slept []sleepRec, now Cycle) {
 	c.stats.Sleeps += int64(len(slept))
 	for _, r := range slept {
@@ -348,7 +327,7 @@ func (c *Clock) fileSleeps(slept []sleepRec, now Cycle) {
 
 // settle pays every component the idle cycles it is owed through the clock's
 // last processed edge, leaving the counters exactly where an engine calling
-// SkipIdle on every skipped edge would have them. Sleepers stay asleep.
+// SkipIdle for every skipped tick would have them. Sleepers stay asleep.
 func (c *Clock) settle() {
 	for _, i := range c.skipIdx {
 		if m := &c.sl[i]; m.idleFrom >= 0 {
@@ -461,7 +440,7 @@ func (c *Clock) auditWakes(out []health.Violation) []health.Violation {
 			continue
 		}
 		at, armed := c.timers.armedAt(i)
-		if want := w < wakeHorizon; armed != want || (armed && at != w) {
+		if want := w != WakeNever; armed != want || (armed && at != w) {
 			bad(i, "wake-timer", "reports wake cycle %d, timer armed=%v at %d", w, armed, at)
 		}
 	}
@@ -518,7 +497,7 @@ func (c *Clock) auditPorts(out []health.Violation) []health.Violation {
 type WalkStats struct {
 	Clock      string
 	Components int
-	Edges      int64 // edges processed (bulk fast-forwarded ones are not)
+	Edges      int64 // edges processed: every edge, so Edges == Clock.Now()
 	Ticks      int64 // component Ticks
 	Polls      int64 // NextWorkCycle calls
 	Sleeps     int64 // sleeps filed: a component left the set or re-keyed its timer

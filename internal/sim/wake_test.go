@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dcl1sim/internal/health"
@@ -82,11 +83,11 @@ func (p *pusher) Tick(now Cycle) {
 }
 
 // A timer wake ticks on exactly the cycle the component reported: across
-// bulk fast-forwards (the gaps are thousands of idle edges on two clocks)
+// long sleeps (the gaps are thousands of idle edges on two clocks)
 // and across RunUntil slice boundaries that fall before, on and after the
 // wake cycles.
 func TestWakeTimerExactCycle(t *testing.T) {
-	run := func(fast bool, stops []Cycle) ([]string, []*boundNapper) {
+	run := func(fast bool, stops []Cycle) ([]string, []WalkStats) {
 		e := NewEngine()
 		e.SetFastPath(fast)
 		a := e.NewClock("a", 1000)
@@ -101,7 +102,7 @@ func TestWakeTimerExactCycle(t *testing.T) {
 				t.Fatalf("fast=%v stop %d: cycles a=%d/%d b=%d/%d not settled", fast, s, na.cycles, a.Now(), nb.cycles, b.Now())
 			}
 		}
-		return append(na.log, nb.log...), []*boundNapper{na, nb}
+		return append(na.log, nb.log...), e.WalkStats()
 	}
 	stops := []Cycle{3, 5, 6, 700, 999, 1000, 1001, 49_999, 50_001, 60_000}
 	want, _ := run(false, []Cycle{60_000})
@@ -116,15 +117,17 @@ func TestWakeTimerExactCycle(t *testing.T) {
 		}
 	}
 	for _, st := range [][]Cycle{{60_000}, stops} {
-		got, ns := run(true, st)
+		got, ws := run(true, st)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("stops %v: fast events %v, want %v", st, got, want)
 		}
-		for _, n := range ns {
+		for _, w := range ws {
 			// Woken components tick unasked and sleep on the next poll: a
-			// handful of polls per timer, not one per edge.
-			if n.polls > 4*11+2*len(st) {
-				t.Errorf("stops %v: %s polled %d times over 60k cycles: the sleep is not being skipped", st, n.name, n.polls)
+			// handful of polls per timer, not one per edge. Each clock holds
+			// one napper, so its walk's polls are that napper's (the napper's
+			// own count would include the wakeaudit build's audit polls).
+			if w.Polls > 4*11+2*int64(len(st)) {
+				t.Errorf("stops %v: %s polled %d times over 60k cycles: the sleep is not being skipped", st, w.Clock, w.Polls)
 			}
 		}
 	}
@@ -421,14 +424,18 @@ func TestUnboundSleeperAndPlainTickerAsBefore(t *testing.T) {
 	if plain != 64*300 {
 		t.Errorf("64 plain tickers ticked %d times in 300 edges, want %d", plain, 64*300)
 	}
-	// With only sleepers, the clock goes idle and the engine fast-forwards.
+	// A lone bound sleeper leaves the set and is woken by its timer alone:
+	// every edge runs, but none polls it between its sleep and its wake.
 	e2 := NewEngine()
 	c2 := e2.NewClock("rig", 1000)
-	lone := &napper{name: "l", timers: []Cycle{90_000}}
+	lone := &boundNapper{napper{name: "l", timers: []Cycle{90_000}}}
 	c2.Register(lone)
 	e2.RunUntil(c2, 100_000)
-	if lone.polls > 10 || lone.cycles != 100_000 {
-		t.Errorf("lone unbound sleeper: %d polls, %d cycles; want a bulk fast-forward to its wake cycle", lone.polls, lone.cycles)
+	if polls := e2.WalkStats()[0].Polls; polls > 2 || lone.cycles != 100_000 {
+		t.Errorf("lone bound sleeper: %d polls, %d cycles; want at most 2 polls and 100000 cycles", polls, lone.cycles)
+	}
+	if want := []string{"l@90000:timer90000"}; !slices.Equal(lone.log, want) {
+		t.Errorf("lone bound sleeper did %v, want %v", lone.log, want)
 	}
 }
 
@@ -493,7 +500,7 @@ func TestWakeTimersOneEntryPerComponent(t *testing.T) {
 			if clk.isAwake(int32(i)) {
 				continue
 			}
-			if want := f.NextWorkCycle(clk.Now() - 1); armed != (want < wakeHorizon) || (armed && at != want) {
+			if want := f.NextWorkCycle(clk.Now() - 1); armed != (want != WakeNever) || (armed && at != want) {
 				t.Fatalf("cycle %d: sleeping component %d armed=%v at %d, reports %d", clk.Now(), i, armed, at, want)
 			}
 		}

@@ -1,16 +1,10 @@
 // Package stats provides the measurement primitives used across the
-// simulator: counters with rates, log-bucketed histograms for latency
-// distributions, windowed time series for utilization traces, and small
-// helpers for aggregate statistics. Everything is allocation-light so it can
-// sit on simulation fast paths.
+// simulator: log-bucketed histograms for latency distributions, and the
+// aggregate helpers the figures reduce a sweep with. Everything is
+// allocation-light so it can sit on simulation fast paths.
 package stats
 
-import (
-	"fmt"
-	"io"
-	"math"
-	"sort"
-)
+import "math"
 
 // Histogram is a log2-bucketed histogram of non-negative integer samples
 // (latencies in cycles, queue depths, burst sizes). Bucket 0 holds zeros and
@@ -148,71 +142,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Dump writes a textual bucket listing.
-func (h *Histogram) Dump(w io.Writer) {
-	fmt.Fprintf(w, "samples=%d mean=%.1f min=%d max=%d p50~%d p99~%d\n",
-		h.count, h.Mean(), h.Min(), h.Max(), h.Percentile(50), h.Percentile(99))
-	for b, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		lo := int64(0)
-		if b > 0 {
-			lo = 1 << uint(b-1)
-		}
-		fmt.Fprintf(w, "  [%8d, %8d): %d\n", lo, int64(1)<<uint(b), n)
-	}
-}
-
-// Series is a fixed-interval time series: it accumulates a value over a
-// window of cycles and stores one point per window (utilization traces,
-// throughput over time).
-type Series struct {
-	window int64
-	cur    float64
-	curN   int64
-	pts    []float64
-}
-
-// NewSeries creates a series with the given window length in cycles.
-func NewSeries(windowCycles int64) *Series {
-	if windowCycles <= 0 {
-		windowCycles = 1
-	}
-	return &Series{window: windowCycles}
-}
-
-// Observe accumulates v for the current window; call once per cycle.
-func (s *Series) Observe(v float64) {
-	s.cur += v
-	s.curN++
-	if s.curN >= s.window {
-		s.pts = append(s.pts, s.cur/float64(s.curN))
-		s.cur, s.curN = 0, 0
-	}
-}
-
-// Points returns the completed window averages.
-func (s *Series) Points() []float64 {
-	out := make([]float64, len(s.pts))
-	copy(out, s.pts)
-	return out
-}
-
-// Max returns the largest completed window average.
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, p := range s.pts {
-		if p > m {
-			m = p
-		}
-	}
-	return m
-}
-
 // Aggregate helpers ---------------------------------------------------------
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -241,36 +170,4 @@ func Geomean(vs []float64) float64 {
 		s += math.Log(v)
 	}
 	return math.Exp(s / float64(len(vs)))
-}
-
-// Median returns the median (0 for empty input).
-func Median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	c := make([]float64, len(vs))
-	copy(c, vs)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
-// MinMax returns the extremes (zeros for empty input).
-func MinMax(vs []float64) (lo, hi float64) {
-	if len(vs) == 0 {
-		return 0, 0
-	}
-	lo, hi = vs[0], vs[0]
-	for _, v := range vs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }
