@@ -145,6 +145,15 @@ func (a *Array) Invalidate(line uint64) (present, dirty bool) {
 	return true, a.dirty[i]
 }
 
+// ForEach calls fn with every resident line, in way order (test/debug aid).
+func (a *Array) ForEach(fn func(line uint64)) {
+	for _, t := range a.tags {
+		if t != 0 {
+			fn(t - 1)
+		}
+	}
+}
+
 // CountValid returns the number of resident lines (test/debug aid).
 func (a *Array) CountValid() int {
 	n := 0

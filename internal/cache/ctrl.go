@@ -130,7 +130,7 @@ type Ctrl struct {
 	// on the controller's clock that it hosts (sim.Feed).
 	Feeds sim.Feeds[*mem.Access]
 
-	tracker Tracker
+	tracker *Presence
 	pipe    *sim.DelayQueue[*mem.Access] // hit replies / acks in flight
 	mshr    *mshrTable
 
@@ -161,12 +161,11 @@ type mshrEntry struct {
 	allocAt sim.Cycle // cycle the entry was allocated, for age auditing
 }
 
-// New builds a controller. tracker may be nil (no replication measurement).
-func New(p Params, id int, tracker Tracker) *Ctrl {
+// New builds a controller that reports its installs and evictions to tracker
+// as cache id; a nil tracker measures no replication.
+func New(p Params, id int, tracker *Presence) *Ctrl {
 	p = p.withDefaults()
-	if tracker == nil {
-		tracker = NopTracker{}
-	}
+	tracker.join(id)
 	return &Ctrl{
 		P:       p,
 		ID:      id,

@@ -1,42 +1,32 @@
 package cache
 
-// Tracker observes line installs/evictions across a group of caches so the
-// simulator can measure cache-line replication: the paper's replication ratio
-// (Fig 1) is the fraction of L1 misses whose line is resident in some *other*
-// L1 at miss time, and Fig 16's replica counts are the number of L1 copies of
-// a line.
-type Tracker interface {
-	OnInstall(cacheID int, line uint64)
-	OnEvict(cacheID int, line uint64)
-	// PresentElsewhere reports whether line is resident in any cache other
-	// than cacheID.
-	PresentElsewhere(cacheID int, line uint64) bool
-	// Replicas returns the number of caches currently holding line.
-	Replicas(line uint64) int
-}
+import "math/bits"
 
-// NopTracker ignores all events (used for L2 and for caches where
-// replication is not measured).
-type NopTracker struct{}
-
-// OnInstall implements Tracker.
-func (NopTracker) OnInstall(int, uint64) {}
-
-// OnEvict implements Tracker.
-func (NopTracker) OnEvict(int, uint64) {}
-
-// PresentElsewhere implements Tracker.
-func (NopTracker) PresentElsewhere(int, uint64) bool { return false }
-
-// Replicas implements Tracker.
-func (NopTracker) Replicas(uint64) int { return 0 }
-
-// Presence tracks, per line, the set of caches holding it (bitmap over up to
-// 128 caches — enough for the 120-core sensitivity study). It also keeps a
-// running tally of replicated installs so average replicas/line can be
-// reported cheaply.
+// Presence is the replication directory: per line, the set of caches holding
+// it. The replication ratio (Fig 1) is the fraction of L1 misses whose line
+// is resident in some *other* L1 at miss time; Figs 11 and 16 count a line's
+// L1 copies, sampled at each install.
+//
+// Like the MSHR file it is a fixed-shape table on a lineIndex. Slot i's
+// sharers are the bitmap sharers[i*words:(i+1)*words] over cache ids, as wide
+// as the highest id that joined (every Ctrl joins at New) or installed. A
+// line holds its slot exactly while its bitmap is non-empty, so the replica
+// count is a popcount and every empty slot's bitmap is zero.
+//
+// A nil *Presence is valid and means "replication not measured": installs
+// and evictions are dropped and no line is ever present elsewhere.
 type Presence struct {
-	byLine map[uint64]presenceEntry
+	lineIndex
+	sharers []uint64
+	words   int // bitmap words per slot: ⌈caches/64⌉
+	limit   int // keys at which the table doubles: a load of 5/8
+	// size is the slot count the first install allocates. Until then the
+	// table is one empty slot with no room, so it is allocated once, at its
+	// final width, after every cache has joined.
+	size int
+
+	staged bool // OnInstall and OnEvict append to log (Staged)
+	log    []presenceOp
 
 	// SampledReplicaSum / SampledReplicaCount accumulate the replica count
 	// observed at each install, giving the "replicas per cached line" average
@@ -46,65 +36,119 @@ type Presence struct {
 	SampledReplicaCount int64
 }
 
-type presenceEntry struct {
-	bits [2]uint64
-	n    int16
+type presenceOp struct {
+	line  uint64
+	cache int32
+	evict bool
 }
 
 // NewPresence returns an empty tracker sized for caches holding lines lines
-// in all (the most entries the map can ever carry at once). The hint is
-// capped: an 80-core machine's L1s hold more lines than a run keeps distinct.
+// in all — the most keys it can ever carry at once — at a load of at most
+// 5/8. It grows by doubling only if more distinct lines than that arrive.
 func NewPresence(lines int) *Presence {
-	return &Presence{byLine: make(map[uint64]presenceEntry, min(lines, 1<<16))}
+	size := 8
+	for size*5 < lines*8 {
+		size *= 2
+	}
+	p := &Presence{size: size}
+	p.resize(1, 1)
+	return p
 }
 
-// OnInstall implements Tracker.
+// Staged makes the tracker two-phase and returns the function that publishes
+// a phase. From then on OnInstall and OnEvict append to one log, and reads
+// see the directory as of the last publish. The gpu layer publishes at the
+// core clock's edge barrier, so no L1 sees another's install or eviction
+// earlier in an edge than the rest do, whichever of them have ticked.
+func (p *Presence) Staged() (apply func()) {
+	p.staged = true
+	return p.apply
+}
+
+func (p *Presence) apply() {
+	for _, op := range p.log {
+		p.do(op)
+	}
+	p.log = p.log[:0]
+}
+
+// OnInstall records that cacheID now holds line.
 func (p *Presence) OnInstall(cacheID int, line uint64) {
-	e := p.byLine[line]
-	w, b := cacheID/64, uint(cacheID%64)
-	if e.bits[w]&(1<<b) == 0 {
-		e.bits[w] |= 1 << b
-		e.n++
-	}
-	p.byLine[line] = e
-	p.SampledReplicaSum += int64(e.n)
-	p.SampledReplicaCount++
+	p.record(presenceOp{line: line, cache: int32(cacheID)})
 }
 
-// OnEvict implements Tracker.
+// OnEvict records that cacheID no longer holds line.
 func (p *Presence) OnEvict(cacheID int, line uint64) {
-	e, ok := p.byLine[line]
-	if !ok {
-		return
-	}
-	w, b := cacheID/64, uint(cacheID%64)
-	if e.bits[w]&(1<<b) != 0 {
-		e.bits[w] &^= 1 << b
-		e.n--
-	}
-	if e.n <= 0 {
-		delete(p.byLine, line)
-		return
-	}
-	p.byLine[line] = e
+	p.record(presenceOp{line: line, cache: int32(cacheID), evict: true})
 }
 
-// PresentElsewhere implements Tracker.
+func (p *Presence) record(op presenceOp) {
+	switch {
+	case p == nil:
+	case p.staged:
+		p.log = append(p.log, op)
+	default:
+		p.do(op)
+	}
+}
+
+// do applies one install or eviction.
+func (p *Presence) do(op presenceOp) {
+	id, w := int(op.cache), int(op.cache>>6)
+	p.join(id)
+	i, ok := p.find(op.line)
+	switch {
+	case op.evict && ok:
+		s := p.bitmap(i)
+		s[w] &^= 1 << (id & 63)
+		if popcount(s) == 0 {
+			clear(p.bitmap(p.vacate(i, func(dst, src int) { copy(p.bitmap(dst), p.bitmap(src)) })))
+		}
+	case !op.evict:
+		if !ok {
+			if p.n == p.limit {
+				p.resize(max(2*len(p.keys), p.size), p.words)
+				i, _ = p.find(op.line)
+			}
+			p.put(i, op.line)
+		}
+		s := p.bitmap(i)
+		s[w] |= 1 << (id & 63)
+		p.SampledReplicaSum += int64(popcount(s))
+		p.SampledReplicaCount++
+	}
+}
+
+// join widens the bitmaps to hold cacheID. Every Ctrl joins at New, before
+// any line is installed, so a machine's table is allocated once at its final
+// width; an install by a cache that never joined widens them then.
+func (p *Presence) join(cacheID int) {
+	if p != nil && cacheID>>6 >= p.words {
+		p.resize(len(p.keys), cacheID>>6+1)
+	}
+}
+
+// PresentElsewhere reports whether line is resident in any cache other than
+// cacheID.
 func (p *Presence) PresentElsewhere(cacheID int, line uint64) bool {
-	e, ok := p.byLine[line]
-	if !ok {
+	if p == nil {
 		return false
 	}
-	w, b := cacheID/64, uint(cacheID%64)
-	if e.bits[w]&(1<<b) != 0 {
-		return e.n > 1
-	}
-	return e.n > 0
+	i, _ := p.find(line) // an absent line's empty slot has no sharers
+	return popcount(p.bitmap(i)) > p.bit(i, cacheID)
 }
 
-// Replicas implements Tracker.
+// Holds reports whether line is recorded as resident in cacheID (audits and
+// tests).
+func (p *Presence) Holds(cacheID int, line uint64) bool {
+	i, _ := p.find(line)
+	return p.bit(i, cacheID) == 1
+}
+
+// Replicas returns the number of caches currently holding line.
 func (p *Presence) Replicas(line uint64) int {
-	return int(p.byLine[line].n)
+	i, _ := p.find(line)
+	return popcount(p.bitmap(i))
 }
 
 // MeanReplicas returns the average number of caches holding a line, sampled
@@ -117,4 +161,43 @@ func (p *Presence) MeanReplicas() float64 {
 }
 
 // Distinct returns the number of lines currently resident somewhere.
-func (p *Presence) Distinct() int { return len(p.byLine) }
+func (p *Presence) Distinct() int { return p.n }
+
+// Slots returns the table's slot count: its build size until more distinct
+// lines arrive than it was sized for.
+func (p *Presence) Slots() int { return max(len(p.keys), p.size) }
+
+func (p *Presence) bitmap(i int) []uint64 {
+	return p.sharers[i*p.words : (i+1)*p.words]
+}
+
+// bit returns cacheID's bit in slot i's bitmap; cacheID has joined or
+// installed.
+func (p *Presence) bit(i, cacheID int) int {
+	return int(p.bitmap(i)[cacheID>>6] >> (cacheID & 63) & 1)
+}
+
+// resize rebuilds the table with slots slots (a power of two) and words
+// bitmap words per slot, rehashing every line.
+func (p *Presence) resize(slots, words int) {
+	keys, sharers, old := p.keys, p.sharers, p.words
+	p.lineIndex = newLineIndex(slots)
+	p.sharers = make([]uint64, slots*words)
+	p.words = words
+	p.limit = slots * 5 / 8
+	for i, k := range keys {
+		if k != 0 {
+			j, _ := p.find(k - 1)
+			p.put(j, k-1)
+			copy(p.bitmap(j), sharers[i*old:(i+1)*old])
+		}
+	}
+}
+
+func popcount(s []uint64) int {
+	n := 0
+	for _, x := range s {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}

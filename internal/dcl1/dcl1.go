@@ -131,8 +131,9 @@ type Node struct {
 	Feeds sim.Feeds[*mem.Access]
 }
 
-// New builds a DC-L1 node; tracker feeds the replication statistics.
-func New(p Params, tracker cache.Tracker) *Node {
+// New builds a DC-L1 node; tracker feeds the replication statistics (nil:
+// not measured).
+func New(p Params, tracker *cache.Presence) *Node {
 	p = p.withDefaults()
 	if p.Cache.Name == "" {
 		p.Cache.Name = fmt.Sprintf("dcl1-%d", p.ID)

@@ -101,13 +101,13 @@ type Module struct {
 	// the machine's Topo, in table order.
 	Stages []*BuiltStage
 
+	// Tracker is the module's replication directory over its L1 nodes. It
+	// is staged: the nodes' installs and evictions go to one log, in tick
+	// order, which the core clock's edge barrier publishes, so a node reads
+	// the directory as of the previous edge whichever nodes ticked before it.
 	Tracker *cache.Presence
-	// stages defer each L1 node's replication-tracker mutations to the core
-	// clock's edge barrier (one per node, applied in node order), so tracker
-	// state never depends on intra-edge tick order. See cache.PresenceStage.
-	stages []*cache.PresenceStage
-	Map    dcl1.Mapping
-	AMap   mem.AddressMap
+	Map     dcl1.Mapping
+	AMap    mem.AddressMap
 
 	// injectors are this module's fault injectors, in installation order.
 	injectors []*chaos.Injector
@@ -363,9 +363,7 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 
 func (mod *Module) buildNodes() {
 	for i := 0; i < mod.Map.Nodes(); i++ {
-		st := cache.NewPresenceStage(mod.Tracker)
-		mod.stages = append(mod.stages, st)
-		nd := dcl1.New(mod.l1NodeParams(i), st)
+		nd := dcl1.New(mod.l1NodeParams(i), mod.Tracker)
 		mod.Nodes = append(mod.Nodes, nd)
 		mod.sys.CoreClk.Register(nd)
 		// The node produces Q2 (replies toward cores) and Q3 (misses toward
@@ -375,14 +373,12 @@ func (mod *Module) buildNodes() {
 		nd.Q2.Attach(mod.sys.CoreClk)
 		nd.Q3.Attach(mod.sys.CoreClk)
 	}
-	// Apply every node's staged replication-tracker ops at the core clock's
-	// edge barrier, in node order — the one piece of state every node reads
-	// and writes, which no node may see half-updated by the others' ticks.
-	mod.sys.CoreClk.OnBarrier(func() {
-		for _, st := range mod.stages {
-			st.Apply()
-		}
-	})
+	// Publish the tracker's log at the core clock's edge barrier: the one
+	// piece of state every node reads and writes, which no node may see
+	// half-updated by the others' ticks. Nodes tick in registration order in
+	// both tick modes and every op comes from inside its node's Tick, so the
+	// log holds the ops node by node, in node order.
+	mod.sys.CoreClk.OnBarrier(mod.Tracker.Staged())
 }
 
 func (mod *Module) buildL2AndDram() {
