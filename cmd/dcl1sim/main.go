@@ -61,6 +61,7 @@ func main() {
 	}
 	// -config replaces the spec's machine: a Config has knobs the spec does
 	// not carry. The point is still validated on the loaded machine's shape.
+	// A window given on the command line overrides the file's.
 	var cfg dcl1.Config
 	if *cfgPath != "" {
 		f, err := os.Open(*cfgPath)
@@ -75,6 +76,12 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.Seed = sweep.Seed
+		if sweep.Cycles != 0 {
+			cfg.MeasureCycles = sweep.Cycles
+		}
+		if sweep.Warmup != 0 {
+			cfg.WarmupCycles = sweep.Warmup
+		}
 		sweep.Cores, sweep.L2Slices, sweep.Channels = cfg.Cores, cfg.L2Slices, cfg.Channels
 	}
 

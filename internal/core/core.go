@@ -20,15 +20,13 @@ import (
 // OpKind classifies one wavefront instruction.
 type OpKind uint8
 
-// Instruction kinds. OpBarrier synchronizes the wavefronts of one CTA
-// (workgroup); OpEnd terminates a wavefront's program.
+// Instruction kinds. OpEnd terminates a wavefront's program.
 const (
 	OpCompute OpKind = iota
 	OpLoad
 	OpStore
 	OpNonL1
 	OpAtomic
-	OpBarrier
 	OpEnd
 )
 
@@ -65,19 +63,8 @@ func (f ProgramFunc) Next() Op { return f() }
 type Params struct {
 	ID             int
 	MaxOutstanding int // per-wavefront outstanding transactions
-	IssueWidth     int // instructions issued per cycle
 	LSQCap         int // coalesced transactions buffered before injection
-	LSUPerCycle    int // transactions injected into Out per cycle
 	OutCap, InCap  int
-	// WavesPerCTA groups wavefronts into CTAs for OpBarrier synchronization
-	// (consecutive wavefront ids form a CTA). 0 treats all of the core's
-	// wavefronts as one CTA.
-	WavesPerCTA int
-	// GTO switches issue from round-robin to greedy-then-oldest: keep
-	// issuing from the same wavefront until it stalls, then fall back to the
-	// oldest ready one. GTO improves intra-wavefront locality; RR (the
-	// default, as in the paper's baseline) spreads it.
-	GTO bool
 	// Pool recycles Access values: the core allocates every transaction from
 	// it and retires consumed replies back to it. Nil means plain allocation.
 	Pool *mem.Pool
@@ -87,14 +74,8 @@ func (p Params) withDefaults() Params {
 	if p.MaxOutstanding <= 0 {
 		p.MaxOutstanding = 8
 	}
-	if p.IssueWidth <= 0 {
-		p.IssueWidth = 1
-	}
 	if p.LSQCap <= 0 {
 		p.LSQCap = 32
-	}
-	if p.LSUPerCycle <= 0 {
-		p.LSUPerCycle = 1
 	}
 	if p.OutCap <= 0 {
 		p.OutCap = 8
@@ -114,8 +95,6 @@ type Stats struct {
 	Transactions  int64 // coalesced memory transactions created
 	StallNoReady  int64 // cycles with no issuable wavefront
 	Throttled     int64 // awake cycles the power governor withheld issue
-	RTTSum        int64 // sum of load round-trip times (core cycles)
-	RTTCount      int64
 	// RTT is the full load round-trip latency distribution.
 	RTT stats.Histogram
 }
@@ -129,12 +108,7 @@ func (s *Stats) IPC() float64 {
 }
 
 // MeanRTT returns the average load round-trip time in core cycles.
-func (s *Stats) MeanRTT() float64 {
-	if s.RTTCount == 0 {
-		return 0
-	}
-	return float64(s.RTTSum) / float64(s.RTTCount)
-}
+func (s *Stats) MeanRTT() float64 { return s.RTT.Mean() }
 
 type wave struct {
 	id          int
@@ -146,9 +120,7 @@ type wave struct {
 	// outstanding transaction returns. Without fence, a wave blocked at
 	// MaxOutstanding resumes as soon as it drops below the cap.
 	fence bool
-	// atBarrier marks a wavefront waiting at a CTA barrier.
-	atBarrier bool
-	done      bool
+	done  bool
 
 	// In-flight memory instruction being expanded into the LSQ: remaining
 	// lines plus the op metadata. A wavefront with an active pending op
@@ -167,7 +139,7 @@ type wave struct {
 // stalled reports whether a flag — as opposed to the clock (readyAt) — keeps
 // the wavefront from issuing.
 func (w *wave) stalled() bool {
-	return w.done || w.blocked || w.pendActive || w.atBarrier
+	return w.done || w.blocked || w.pendActive
 }
 
 // Core is one compute unit.
@@ -184,7 +156,6 @@ type Core struct {
 
 	waves  []*wave
 	rr     int
-	greedy int // last-issued wavefront (GTO policy)
 	lsq    *sim.Queue[*mem.Access]
 	nextID uint64
 
@@ -410,34 +381,26 @@ func (c *Core) retire(now sim.Cycle) {
 			}
 		}
 		if a.Kind == mem.Load {
-			rtt := now - a.IssuedAt
-			c.Stat.RTTSum += rtt
-			c.Stat.RTTCount++
-			c.Stat.RTT.Add(rtt)
+			c.Stat.RTT.Add(now - a.IssuedAt)
 		}
 		// The reply is fully consumed: this is the Access's retirement point.
 		c.P.Pool.PutAccess(a)
 	}
 }
 
-// injectLSQ moves buffered transactions into Out at LSU bandwidth.
+// injectLSQ moves at most one buffered transaction into Out per cycle.
 func (c *Core) injectLSQ() {
-	for i := 0; i < c.P.LSUPerCycle; i++ {
-		a, ok := c.lsq.Peek()
-		if !ok || c.Out.Full() {
-			return
-		}
-		c.lsq.Pop()
-		c.Out.Push(a)
+	a, ok := c.lsq.Peek()
+	if !ok || c.Out.Full() {
+		return
 	}
+	c.lsq.Pop()
+	c.Out.Push(a)
 }
 
-// issue picks ready wavefronts and issues their next ops: round-robin from
-// the rotating start, or (GTO) the last issuer first and then oldest-first.
-// Either order is walked over the issuable set, so wavefronts stalled on a
-// flag cost nothing; the walk reads the live set, so a barrier opened by one
-// wavefront's op releases its CTA-mates to the positions still ahead, as a
-// scan over every wavefront would.
+// issue issues the next op of at most one ready wavefront, round-robin from
+// the rotating start. The order is walked over the issuable set, so
+// wavefronts stalled on a flag cost nothing.
 func (c *Core) issue(now sim.Cycle) {
 	if len(c.waves) == 0 {
 		return
@@ -460,26 +423,15 @@ func (c *Core) issue(now sim.Cycle) {
 		c.Stat.Throttled++
 		return
 	}
-	issued := 0
-	width := c.P.IssueWidth
-	if c.P.GTO {
-		// Greedy: stick with the last issuer, then oldest (lowest id) first.
-		if c.issuable.has(c.greedy) {
-			issued += c.issueWave(c.waves[c.greedy], now)
-		}
-		for i := c.issuable.next(0); i >= 0 && issued < width; i = c.issuable.next(i + 1) {
-			issued += c.issueWave(c.waves[i], now)
-		}
-	} else {
-		for i := c.issuable.next(c.rr); i >= 0 && issued < width; i = c.issuable.next(i + 1) {
-			issued += c.issueWave(c.waves[i], now)
-		}
-		for i := c.issuable.next(0); i >= 0 && i < c.rr && issued < width; i = c.issuable.next(i + 1) {
-			issued += c.issueWave(c.waves[i], now)
-		}
+	issued := false
+	for i := c.issuable.next(c.rr); i >= 0 && !issued; i = c.issuable.next(i + 1) {
+		issued = c.issueWave(c.waves[i], now)
+	}
+	for i := c.issuable.next(0); i >= 0 && i < c.rr && !issued; i = c.issuable.next(i + 1) {
+		issued = c.issueWave(c.waves[i], now)
 	}
 	c.rr = (c.rr + 1) % len(c.waves)
-	if issued == 0 {
+	if !issued {
 		c.Stat.StallNoReady++
 		// Nothing issuable now: sleep until the earliest compute-latency
 		// wake-up; unblocking events reset the hint.
@@ -494,25 +446,17 @@ func (c *Core) issue(now sim.Cycle) {
 }
 
 // issueWave issues the next op of an issuable wavefront if its pipeline
-// latency has elapsed, returning how many issue slots that used (a finished
+// latency has elapsed, reporting whether that used the issue slot (a finished
 // program uses none).
-func (c *Core) issueWave(w *wave, now sim.Cycle) int {
+func (c *Core) issueWave(w *wave, now sim.Cycle) bool {
 	if w.readyAt > now {
-		return 0
+		return false
 	}
-	c.greedy = w.id
 	op := w.prog.Next()
 	switch op.Kind {
 	case OpEnd:
 		w.done = true
 		c.issuable.clear(w.id)
-		c.releaseBarrier(w) // a finished wave must not hold its CTA hostage
-	case OpBarrier:
-		w.atBarrier = true
-		c.issuable.clear(w.id)
-		c.Stat.Issued++
-		c.releaseBarrier(w)
-		return 1
 	case OpCompute:
 		lat := op.Latency
 		if lat < 1 {
@@ -521,7 +465,7 @@ func (c *Core) issueWave(w *wave, now sim.Cycle) int {
 		w.readyAt = now + lat
 		c.Stat.Issued++
 		c.Stat.ComputeIssued++
-		return 1
+		return true
 	case OpLoad, OpStore, OpNonL1, OpAtomic:
 		// Hand the coalesced transactions to the LSU; they drain into
 		// the LSQ over the following cycles (expandPending).
@@ -540,40 +484,9 @@ func (c *Core) issueWave(w *wave, now sim.Cycle) int {
 		w.readyAt = now + 1
 		c.Stat.Issued++
 		c.Stat.MemIssued++
-		return 1
+		return true
 	}
-	return 0
-}
-
-// ctaRange returns the wavefront-id span [lo, hi) of w's CTA.
-func (c *Core) ctaRange(w *wave) (lo, hi int) {
-	size := c.P.WavesPerCTA
-	if size <= 0 || size > len(c.waves) {
-		return 0, len(c.waves)
-	}
-	lo = w.id / size * size
-	hi = lo + size
-	if hi > len(c.waves) {
-		hi = len(c.waves)
-	}
-	return lo, hi
-}
-
-// releaseBarrier opens w's CTA barrier once every non-finished wavefront of
-// the CTA has arrived.
-func (c *Core) releaseBarrier(w *wave) {
-	lo, hi := c.ctaRange(w)
-	for i := lo; i < hi; i++ {
-		ww := c.waves[i]
-		if !ww.done && !ww.atBarrier {
-			return // someone is still running
-		}
-	}
-	for i := lo; i < hi; i++ {
-		c.waves[i].atBarrier = false
-		c.markIssuable(c.waves[i])
-	}
-	c.sleepUntil = 0
+	return false
 }
 
 func (c *Core) idNext() uint64 {

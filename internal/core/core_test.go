@@ -179,7 +179,7 @@ func TestMaxOutstandingBlocks(t *testing.T) {
 }
 
 func TestLSUInjectionRateLimit(t *testing.T) {
-	p := Params{ID: 0, LSUPerCycle: 1, OutCap: 64, LSQCap: 64, MaxOutstanding: 64}
+	p := Params{ID: 0, OutCap: 64, LSQCap: 64, MaxOutstanding: 64}
 	c := New(p)
 	c.AddWave(&listProgram{ops: []Op{
 		{Kind: OpLoad, Lines: []uint64{1, 2, 3, 4, 5, 6, 7, 8}},
@@ -203,8 +203,8 @@ func TestRoundTripLatencyStat(t *testing.T) {
 		c.Tick(cyc)
 		echo(c, cyc, 30, pending)
 	}
-	if c.Stat.RTTCount != 1 {
-		t.Fatalf("RTT count = %d", c.Stat.RTTCount)
+	if c.Stat.RTT.Count() != 1 {
+		t.Fatalf("RTT count = %d", c.Stat.RTT.Count())
 	}
 	if rtt := c.Stat.MeanRTT(); rtt < 30 || rtt > 40 {
 		t.Fatalf("RTT = %f, want ~30", rtt)
@@ -254,7 +254,7 @@ func TestWaveRoundRobinFairness(t *testing.T) {
 
 func TestLSQBackpressurePushback(t *testing.T) {
 	// LSQ too small for a divergent op: the op must replay, not vanish.
-	p := Params{ID: 0, LSQCap: 4, MaxOutstanding: 64, OutCap: 1, LSUPerCycle: 1}
+	p := Params{ID: 0, LSQCap: 4, MaxOutstanding: 64, OutCap: 1}
 	c := New(p)
 	lines := make([]uint64, 8)
 	for i := range lines {

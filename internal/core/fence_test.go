@@ -101,43 +101,3 @@ func TestRTTHistogramPopulated(t *testing.T) {
 		t.Fatalf("p99 = %d, want ~20 at log resolution", p99)
 	}
 }
-
-func TestGTOSticksWithOneWave(t *testing.T) {
-	// Under GTO, one wave's compute stream issues to completion before the
-	// others start; under RR the waves interleave.
-	mk := func(gto bool) []int {
-		c := New(Params{ID: 0, GTO: gto})
-		for w := 0; w < 3; w++ {
-			ops := make([]Op, 10)
-			for i := range ops {
-				ops[i] = Op{Kind: OpCompute, Latency: 1}
-			}
-			c.AddWave(&listProgram{ops: ops})
-		}
-		tick(c, 0, 10)
-		prog := make([]int, 3)
-		for i, w := range c.waves {
-			prog[i] = w.prog.(*listProgram).i
-		}
-		return prog
-	}
-	gto := mk(true)
-	if gto[0] != 10 || gto[1] != 0 {
-		t.Fatalf("GTO must drain wave 0 first: %v", gto)
-	}
-	rr := mk(false)
-	if rr[0] == 10 && rr[1] == 0 {
-		t.Fatalf("RR must interleave waves: %v", rr)
-	}
-}
-
-func TestGTOFallsBackWhenGreedyStalls(t *testing.T) {
-	c := New(Params{ID: 0, GTO: true})
-	// Wave 0 blocks on a load immediately; wave 1 computes.
-	c.AddWave(&listProgram{ops: []Op{{Kind: OpLoad, Lines: []uint64{1}, Blocking: true}}})
-	c.AddWave(&listProgram{ops: []Op{{Kind: OpCompute, Latency: 1}, {Kind: OpCompute, Latency: 1}}})
-	tick(c, 0, 10)
-	if c.Stat.ComputeIssued != 2 {
-		t.Fatalf("GTO must fall back to wave 1: computes = %d", c.Stat.ComputeIssued)
-	}
-}

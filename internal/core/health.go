@@ -68,7 +68,7 @@ func (c *Core) CheckInvariants() []health.Violation {
 // DumpHealth snapshots the core for a diagnostic dump; interesting while any
 // wavefront is unfinished or transactions are in flight.
 func (c *Core) DumpHealth() (health.ComponentDump, bool) {
-	done, blocked, fenced, barrier, pending := 0, 0, 0, 0, 0
+	done, blocked, fenced, pending := 0, 0, 0, 0
 	outstanding := 0
 	for _, w := range c.waves {
 		if w.done {
@@ -80,9 +80,6 @@ func (c *Core) DumpHealth() (health.ComponentDump, bool) {
 		if w.fence {
 			fenced++
 		}
-		if w.atBarrier {
-			barrier++
-		}
 		if w.pendActive {
 			pending++
 		}
@@ -91,8 +88,8 @@ func (c *Core) DumpHealth() (health.ComponentDump, bool) {
 	d := health.ComponentDump{
 		Name: fmt.Sprintf("core-%d", c.P.ID),
 		Fields: []health.Field{
-			health.F("waves", "%d total: %d done, %d blocked (%d fenced), %d at barrier, %d expanding",
-				len(c.waves), done, blocked, fenced, barrier, pending),
+			health.F("waves", "%d total: %d done, %d blocked (%d fenced), %d expanding",
+				len(c.waves), done, blocked, fenced, pending),
 			health.F("outstanding", "%d transactions", outstanding),
 			health.F("lsq", "%d/%d", c.lsq.Len(), c.lsq.Cap()),
 			health.F("out", "%d/%d", c.Out.Len(), c.Out.Cap()),

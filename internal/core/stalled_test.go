@@ -60,7 +60,7 @@ func TestZeroLineOpCompletesWhileLSQFull(t *testing.T) {
 }
 
 // referenceTick is Tick with the issue stage written as the scan it replaced:
-// every wavefront visited in policy order, its flags tested at the visit.
+// every wavefront visited in round-robin order, its flags tested at the visit.
 func referenceTick(c *Core, now sim.Cycle) {
 	c.Stat.Cycles++
 	c.retire(now)
@@ -70,33 +70,20 @@ func referenceTick(c *Core, now sim.Cycle) {
 		c.Stat.StallNoReady++
 		return
 	}
-	issued, scanned := 0, 0
-	limit := len(c.waves)
-	if c.P.GTO {
-		limit++
-	}
-	for issued < c.P.IssueWidth && scanned < limit {
-		var w *wave
-		switch {
-		case c.P.GTO && scanned == 0:
-			w = c.waves[c.greedy]
-		case c.P.GTO:
-			w = c.waves[scanned-1]
-		default:
-			w = c.waves[(c.rr+scanned)%len(c.waves)]
-		}
-		scanned++
-		if w.done || w.blocked || w.pendActive || w.atBarrier {
+	issued := false
+	for scanned := 0; !issued && scanned < len(c.waves); scanned++ {
+		w := c.waves[(c.rr+scanned)%len(c.waves)]
+		if w.done || w.blocked || w.pendActive {
 			continue
 		}
-		issued += c.issueWave(w, now)
+		issued = c.issueWave(w, now)
 	}
 	c.rr = (c.rr + 1) % len(c.waves)
-	if issued == 0 {
+	if !issued {
 		c.Stat.StallNoReady++
 		next := sim.Cycle(1) << 60
 		for _, w := range c.waves {
-			if w.done || w.blocked || w.pendActive || w.atBarrier {
+			if w.done || w.blocked || w.pendActive {
 				continue
 			}
 			if w.readyAt < next {
@@ -108,13 +95,10 @@ func referenceTick(c *Core, now sim.Cycle) {
 }
 
 // mixedCore builds a core whose wavefronts run a seeded mix of compute ops,
-// blocking and non-blocking loads (some with no lines), stores, CTA barriers
-// and early exits, logging every op handed to the issue stage.
-func mixedCore(gto bool, waves int, log *[]string) *Core {
-	c := New(Params{
-		IssueWidth: 3, GTO: gto, WavesPerCTA: 5,
-		MaxOutstanding: 3, LSQCap: 4, OutCap: 2, InCap: 2,
-	})
+// blocking and non-blocking loads (some with no lines), stores and early
+// exits, logging every op handed to the issue stage.
+func mixedCore(waves int, log *[]string) *Core {
+	c := New(Params{MaxOutstanding: 3, LSQCap: 4, OutCap: 2, InCap: 2})
 	for w := 0; w < waves; w++ {
 		w := w
 		rng := sim.NewRNG(uint64(1000 + w))
@@ -135,8 +119,6 @@ func mixedCore(gto bool, waves int, log *[]string) *Core {
 				op = Op{Kind: OpLoad, Lines: lines, Bytes: 32, Blocking: r < 10}
 			case r < 16:
 				op = Op{Kind: OpStore, Lines: []uint64{uint64(w*1000 + n)}, Bytes: 32}
-			case r < 18:
-				op = Op{Kind: OpBarrier}
 			default:
 				op = Op{Kind: OpCompute, Latency: 1}
 			}
@@ -149,67 +131,63 @@ func mixedCore(gto bool, waves int, log *[]string) *Core {
 
 // The issue stage walks the issuable set with bit scans. Over a machine whose
 // wavefronts are a shifting mix of finished, fence-blocked, cap-blocked,
-// mid-expansion, at-barrier, latency-waiting and ready — 70 of them, so the
-// set spans two words — it must hand out the same ops to the same wavefronts
-// on the same cycles as the scan over every wavefront, under both policies,
-// including the cycles where an op opens a barrier for wavefronts the walk has
-// yet to reach.
+// mid-expansion, latency-waiting and ready — 70 of them, so the set spans two
+// words — it must hand out the same ops to the same wavefronts on the same
+// cycles as the round-robin scan over every wavefront.
 func TestIssueOrderMatchesReferenceScan(t *testing.T) {
-	for _, gto := range []bool{false, true} {
-		t.Run(fmt.Sprintf("gto=%t", gto), func(t *testing.T) {
-			var gotLog, wantLog []string
-			got, want := mixedCore(gto, 70, &gotLog), mixedCore(gto, 70, &wantLog)
-			gotMem, wantMem := sim.NewDelayQueue[*mem.Access](), sim.NewDelayQueue[*mem.Access]()
-			sawMixed := false
-			for now := sim.Cycle(0); now < 20000 && !(got.Done() && want.Done()); now++ {
-				mark := len(gotLog)
-				got.Tick(now)
-				referenceTick(want, now)
-				for i := mark; i < len(gotLog); i++ {
-					gotLog[i] = fmt.Sprintf("%d %s", now, gotLog[i])
-				}
-				for i := mark; i < len(wantLog); i++ {
-					wantLog[i] = fmt.Sprintf("%d %s", now, wantLog[i])
-				}
-				echo(got, now, 17, gotMem)
-				echo(want, now, 17, wantMem)
-				if v := got.CheckInvariants(); len(v) != 0 {
-					t.Fatalf("cycle %d: invariants: %v", now, v)
-				}
-				var blocked, barrier, ready int
-				for _, w := range got.waves {
-					switch {
-					case w.blocked:
-						blocked++
-					case w.atBarrier:
-						barrier++
-					case !w.stalled():
-						ready++
-					}
-				}
-				if blocked > 0 && barrier > 0 && ready > 0 {
-					sawMixed = true
+	// The subtest keeps the name it had while a greedy-then-oldest policy ran
+	// beside round robin; round robin is the one policy left.
+	t.Run("gto=false", func(t *testing.T) {
+		var gotLog, wantLog []string
+		got, want := mixedCore(70, &gotLog), mixedCore(70, &wantLog)
+		gotMem, wantMem := sim.NewDelayQueue[*mem.Access](), sim.NewDelayQueue[*mem.Access]()
+		sawMixed := false
+		for now := sim.Cycle(0); now < 20000 && !(got.Done() && want.Done()); now++ {
+			mark := len(gotLog)
+			got.Tick(now)
+			referenceTick(want, now)
+			for i := mark; i < len(gotLog); i++ {
+				gotLog[i] = fmt.Sprintf("%d %s", now, gotLog[i])
+			}
+			for i := mark; i < len(wantLog); i++ {
+				wantLog[i] = fmt.Sprintf("%d %s", now, wantLog[i])
+			}
+			echo(got, now, 17, gotMem)
+			echo(want, now, 17, wantMem)
+			if v := got.CheckInvariants(); len(v) != 0 {
+				t.Fatalf("cycle %d: invariants: %v", now, v)
+			}
+			var blocked, ready int
+			for _, w := range got.waves {
+				switch {
+				case w.blocked:
+					blocked++
+				case !w.stalled():
+					ready++
 				}
 			}
-			if !sawMixed {
-				t.Fatal("the run never had blocked, at-barrier and ready wavefronts at once")
+			if blocked > 0 && ready > 0 {
+				sawMixed = true
 			}
-			if !got.Done() {
-				t.Fatal("programs did not finish: the comparison covers only part of them")
-			}
-			if !reflect.DeepEqual(gotLog, wantLog) {
-				for i := range gotLog {
-					if i >= len(wantLog) || gotLog[i] != wantLog[i] {
-						t.Fatalf("issue %d diverges: bit walk %q, reference scan %q", i, gotLog[i], wantLog[i:])
-					}
+		}
+		if !sawMixed {
+			t.Fatal("the run never had blocked and ready wavefronts at once")
+		}
+		if !got.Done() {
+			t.Fatal("programs did not finish: the comparison covers only part of them")
+		}
+		if !reflect.DeepEqual(gotLog, wantLog) {
+			for i := range gotLog {
+				if i >= len(wantLog) || gotLog[i] != wantLog[i] {
+					t.Fatalf("issue %d diverges: bit walk %q, reference scan %q", i, gotLog[i], wantLog[i:])
 				}
-				t.Fatalf("bit walk issued %d ops, reference scan %d", len(gotLog), len(wantLog))
 			}
-			if !reflect.DeepEqual(got.Stat, want.Stat) {
-				t.Fatalf("stats diverge:\nbit walk  %+v\nreference %+v", got.Stat, want.Stat)
-			}
-		})
-	}
+			t.Fatalf("bit walk issued %d ops, reference scan %d", len(gotLog), len(wantLog))
+		}
+		if !reflect.DeepEqual(got.Stat, want.Stat) {
+			t.Fatalf("stats diverge:\nbit walk  %+v\nreference %+v", got.Stat, want.Stat)
+		}
+	})
 }
 
 // The audit catches derived scheduling state that drifted from the flags.

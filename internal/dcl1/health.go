@@ -1,26 +1,11 @@
 package dcl1
 
-import (
-	"dcl1sim/internal/health"
-	"dcl1sim/internal/sim"
-)
+import "dcl1sim/internal/health"
 
 // Pending returns buffered work in the node's bridge queues plus the cache
 // controller (drain and health checks).
 func (n *Node) Pending() int {
 	return n.Q1.Len() + n.Q2.Len() + n.Q3.Len() + n.Q4.Len() + n.Ctrl.Pending()
-}
-
-// CheckInvariants implements health.Checker: the cache controller's own
-// invariants plus conservation on the four bridge queues.
-func (n *Node) CheckInvariants() []health.Violation {
-	out := n.Ctrl.CheckInvariants()
-	name := n.Ctrl.P.Name
-	out = append(out, sim.CheckQueue(name, "Q1", n.Q1)...)
-	out = append(out, sim.CheckQueue(name, "Q2", n.Q2)...)
-	out = append(out, sim.CheckQueue(name, "Q3", n.Q3)...)
-	out = append(out, sim.CheckQueue(name, "Q4", n.Q4)...)
-	return out
 }
 
 // DumpHealth snapshots the node — bridge queues, bypass counters, and the

@@ -42,9 +42,6 @@ type Params struct {
 	Timing   Timing
 	QueueCap int
 	Map      mem.AddressMap
-	// FCFS disables the first-ready (row-hit-first) scheduling rule,
-	// degrading to pure in-order service (ablation benchmark).
-	FCFS bool
 }
 
 func (p Params) withDefaults() Params {
@@ -331,9 +328,6 @@ func (c *Channel) pickRequest(now sim.Cycle) int {
 		}
 		if oldest < 0 {
 			oldest = i
-			if c.P.FCFS {
-				return oldest
-			}
 		}
 		if b.rowOpen && b.row == row {
 			return i // oldest row hit

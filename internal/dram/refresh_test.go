@@ -3,7 +3,6 @@ package dram
 import (
 	"testing"
 
-	"dcl1sim/internal/mem"
 	"dcl1sim/internal/sim"
 )
 
@@ -70,58 +69,5 @@ func TestRefreshDelaysService(t *testing.T) {
 	}
 	if served < 600 {
 		t.Fatalf("served at %d, inside the refresh window", served)
-	}
-}
-
-func TestFCFSIgnoresRowHits(t *testing.T) {
-	// Same request pattern as the FR-FCFS test: under FCFS the service
-	// order must be strictly queue order.
-	c := New(Params{Name: "f", FCFS: true})
-	a1, b1, a2 := rd(0), rd(16*16), rd(1)
-	a1.ID, b1.ID, a2.ID = 1, 2, 3
-	c.In.Push(a1)
-	c.In.Push(b1)
-	c.In.Push(a2)
-	var order []uint64
-	for cyc := sim.Cycle(0); cyc < 800 && len(order) < 3; cyc++ {
-		c.Tick(cyc)
-		for {
-			r, ok := c.Out.Pop()
-			if !ok {
-				break
-			}
-			order = append(order, r.ID)
-		}
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("FCFS order = %v, want [1 2 3]", order)
-	}
-}
-
-func TestFCFSSlowerThanFRFCFS(t *testing.T) {
-	mk := func(fcfs bool) sim.Cycle {
-		c := New(Params{Name: "x", FCFS: fcfs, QueueCap: 64})
-		// Interleave two rows in the same bank: FR-FCFS batches row hits.
-		for i := 0; i < 16; i++ {
-			line := uint64(i % 2 * 16 * 16) // rows 0 and 1, bank 0
-			c.In.Push(&mem.Access{Kind: mem.Load, Line: line + uint64(i/2), ReqBytes: 128})
-		}
-		done := 0
-		var cyc sim.Cycle
-		for ; done < 16 && cyc < 100000; cyc++ {
-			c.Tick(cyc)
-			for {
-				if _, ok := c.Out.Pop(); !ok {
-					break
-				}
-				done++
-			}
-		}
-		return cyc
-	}
-	fr := mk(false)
-	fc := mk(true)
-	if fc <= fr {
-		t.Fatalf("FCFS (%d) must be slower than FR-FCFS (%d) on row-thrashing mixes", fc, fr)
 	}
 }

@@ -280,8 +280,6 @@ func (mod *Module) buildCores() {
 			MaxOutstanding: cfg.MaxOutstanding,
 			OutCap:         8,
 			InCap:          16,
-			WavesPerCTA:    cfg.WavesPerCTA,
-			GTO:            cfg.GTO,
 			Pool:           mod.sys.Pool,
 		})
 		waves := mod.App.WavesFor(c)

@@ -55,14 +55,6 @@ type Config struct {
 
 	// Max wavefronts the core model tracks concurrently.
 	MaxOutstanding int
-
-	// WavesPerCTA groups each core's wavefronts into CTAs for barrier
-	// synchronization (0 = the whole core is one CTA; only matters for
-	// workloads that emit barriers).
-	WavesPerCTA int
-
-	// GTO switches wavefront issue from round-robin to greedy-then-oldest.
-	GTO bool
 }
 
 // WithDefaults fills zero fields with the paper's 80-core machine.

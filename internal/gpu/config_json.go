@@ -59,7 +59,6 @@ func (c Config) Validate() error {
 		{"WarmupCycles", c.WarmupCycles},
 		{"MeasureCycles", c.MeasureCycles},
 		{"MaxOutstanding", int64(c.MaxOutstanding)},
-		{"WavesPerCTA", int64(c.WavesPerCTA)},
 	} {
 		if err := chk(f.name, f.v); err != nil {
 			return err

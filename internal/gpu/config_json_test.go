@@ -51,7 +51,6 @@ func TestLoadConfigValidates(t *testing.T) {
 		`{"L2Lat": -3}`,
 		`{"DramBanks": -16}`,
 		`{"MaxOutstanding": -12}`,
-		`{"WavesPerCTA": -2}`,
 	}
 	for _, in := range cases {
 		if _, err := LoadConfig(strings.NewReader(in)); err == nil {

@@ -222,7 +222,9 @@ func (mod *Module) contributeMonitor(m *health.Monitor) {
 		m.AddDumper(c.DumpHealth)
 	}
 	for _, n := range mod.Nodes {
-		m.AddChecker(n)
+		// The bridge queues' watchers audit their accounting; the node
+		// itself adds only its controller's invariants.
+		m.AddChecker(n.Ctrl)
 		m.AddDumper(n.DumpHealth)
 		name := n.Ctrl.P.Name
 		watchQueue(m, name, "Q1", n.Q1)

@@ -28,6 +28,29 @@ func TestRunCheckedMatchesRun(t *testing.T) {
 	}
 }
 
+// Each queue's accounting is audited once: a corrupted DC-L1 bridge queue and
+// a corrupted L2 ingress queue each put exactly one queue-accounting violation
+// in the machine's audit.
+func TestQueueAccountingReportedOnce(t *testing.T) {
+	s := NewSystem(testCfg(), designs()["sh4c2"], sharingApp())
+	mod := s.Mods[0]
+	mod.Nodes[0].Q1.PushCount++
+	mod.l2in[0].PushCount++
+	var got []string
+	for _, v := range s.NewMonitor().CheckInvariants() {
+		if v.Rule == "queue-accounting" {
+			got = append(got, v.Component+" "+v.Detail)
+		}
+	}
+	want := []string{ // sorted by component
+		mod.Nodes[0].Ctrl.P.Name + " Q1: pushes 1 - pops 0 != occupancy 0",
+		mod.L2[0].P.Name + " in: pushes 1 - pops 0 != occupancy 0",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("queue-accounting violations:\n got %q\nwant %q", got, want)
+	}
+}
+
 func TestRunCheckedHealthyHasNoViolations(t *testing.T) {
 	s := NewSystem(testCfg(), Design{Kind: Clustered, DCL1s: 4, Clusters: 2}, sharingApp())
 	if _, err := s.RunChecked(HealthOptions{}); err != nil {

@@ -190,33 +190,6 @@ func TestSeedChangesTraffic(t *testing.T) {
 	}
 }
 
-func TestBarrierWorkloadEndToEnd(t *testing.T) {
-	// A barrier-heavy workload must still make progress and drain on the
-	// full machine (barrier + memory interleavings must not deadlock).
-	app := workload.Spec{
-		Name: "test-barrier", Suite: "test",
-		Waves: 8, ComputePerMem: 1, BlockEvery: 2, BarrierEvery: 4,
-		SharedLines: 80, SharedFrac: 0.5, SharedZipf: 0.3, PrivateLines: 60,
-	}
-	cfg := testCfg()
-	cfg.WavesPerCTA = 4
-	for _, d := range []Design{{Kind: Baseline}, {Kind: Clustered, DCL1s: 4, Clusters: 2, Boost1: true}} {
-		r := Run(cfg, d, app)
-		if r.IPC <= 0 {
-			t.Fatalf("%s: barrier workload made no progress", d.Name())
-		}
-	}
-	// Barriers throttle IPC relative to the same app without them.
-	noBar := app
-	noBar.Name = "test-nobarrier"
-	noBar.BarrierEvery = 0
-	with := Run(cfg, Design{Kind: Baseline}, app)
-	without := Run(cfg, Design{Kind: Baseline}, noBar)
-	if with.IPC >= without.IPC*1.1 {
-		t.Fatalf("barriers should not speed things up: %f vs %f", with.IPC, without.IPC)
-	}
-}
-
 func TestWriteBackL1EndToEnd(t *testing.T) {
 	// Write-heavy app with reuse: write-back L1s must retain written lines
 	// (lower miss rate than write-evict) and stay deadlock-free.
@@ -239,18 +212,5 @@ func TestWriteBackL1EndToEnd(t *testing.T) {
 	b := Run(cfg, Design{Kind: Baseline, L1WriteBack: true}, app)
 	if b.IPC <= 0 {
 		t.Fatal("write-back baseline made no progress")
-	}
-}
-
-func TestGTOSchedulerEndToEnd(t *testing.T) {
-	cfg := testCfg()
-	cfg.GTO = true
-	r := Run(cfg, Design{Kind: Baseline}, sharingApp())
-	if r.IPC <= 0 {
-		t.Fatal("GTO machine made no progress")
-	}
-	rr := Run(testCfg(), Design{Kind: Baseline}, sharingApp())
-	if r.IPC == rr.IPC && r.Noc2Flits == rr.Noc2Flits {
-		t.Fatal("GTO had no effect on the machine")
 	}
 }

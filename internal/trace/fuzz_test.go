@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"dcl1sim/internal/core"
 	"dcl1sim/internal/workload"
 )
 
@@ -33,6 +34,13 @@ func FuzzRead(f *testing.F) {
 		// A successfully parsed trace must be internally consistent.
 		if got.Cores < 0 || got.Waves < 0 || len(got.streams) != got.Cores*got.Waves {
 			t.Fatalf("inconsistent trace accepted: %+v streams=%d", got, len(got.streams))
+		}
+		for _, s := range got.streams {
+			for _, op := range s {
+				if op.Kind > core.OpAtomic {
+					t.Fatalf("op kind %d accepted", op.Kind)
+				}
+			}
 		}
 	})
 }

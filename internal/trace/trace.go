@@ -206,6 +206,11 @@ func readOp(r io.Reader) (core.Op, error) {
 			return core.Op{}, err
 		}
 	}
+	// Only the five instruction kinds are ever recorded (Capture stops at
+	// OpEnd); the issue stage would silently drop any other.
+	if core.OpKind(kind) > core.OpAtomic {
+		return core.Op{}, fmt.Errorf("unknown op kind %d", kind)
+	}
 	op := core.Op{
 		Kind:     core.OpKind(kind),
 		Blocking: blocking != 0,

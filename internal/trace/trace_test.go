@@ -167,3 +167,32 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Read accepts exactly the five recorded op kinds (compute, load, store,
+// non-L1, atomic). Any other byte would replay as an instruction the issue
+// stage silently drops.
+func TestReadRejectsUnknownOpKind(t *testing.T) {
+	tr := &Trace{Name: "k", Cores: 1, Waves: 1, OpsPer: 1,
+		streams: [][]core.Op{{{Kind: core.OpCompute, Latency: 1}}}}
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	at := len(magic) + 2 + len(tr.Name) + 3*4 + 4 // the op's kind byte
+	read := func(kind byte) error {
+		data := append([]byte(nil), buf.Bytes()...)
+		data[at] = kind
+		_, err := Read(bytes.NewReader(data))
+		return err
+	}
+	for _, k := range []core.OpKind{core.OpCompute, core.OpLoad, core.OpStore, core.OpNonL1, core.OpAtomic} {
+		if err := read(byte(k)); err != nil {
+			t.Errorf("kind %d rejected: %v", k, err)
+		}
+	}
+	for _, k := range []byte{5, 6, 200} {
+		if err := read(k); err == nil || !strings.Contains(err.Error(), "unknown op kind") {
+			t.Errorf("kind %d: err = %v, want unknown op kind", k, err)
+		}
+	}
+}

@@ -102,32 +102,3 @@ func TestAtomicFraction(t *testing.T) {
 		t.Fatalf("atomic fraction = %f, want ~0.3", frac)
 	}
 }
-
-func TestBarrierCadence(t *testing.T) {
-	s := Spec{Name: "bar", Waves: 8, PrivateLines: 20, BarrierEvery: 3, ComputePerMem: 1}
-	p := s.Program(8, 0, 0, RoundRobin, 4)
-	barriers, mems := 0, 0
-	for i := 0; i < 3000; i++ {
-		op := p.Next()
-		switch op.Kind {
-		case core.OpBarrier:
-			barriers++
-		case core.OpLoad, core.OpStore:
-			mems++
-		}
-	}
-	if barriers == 0 {
-		t.Fatal("no barriers emitted")
-	}
-	ratio := float64(mems) / float64(barriers)
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("mem:barrier = %f, want ~3", ratio)
-	}
-	// BarrierEvery = 0 emits none.
-	q := Spec{Name: "nobar", Waves: 8, PrivateLines: 20}.Program(8, 0, 0, RoundRobin, 4)
-	for i := 0; i < 1000; i++ {
-		if q.Next().Kind == core.OpBarrier {
-			t.Fatal("barrier emitted with BarrierEvery=0")
-		}
-	}
-}

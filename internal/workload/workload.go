@@ -91,7 +91,6 @@ type Spec struct {
 	ComputePerMem int       // compute ops between memory ops
 	ComputeLat    sim.Cycle // compute pipeline latency
 	BlockEvery    int       // every k-th memory op is load-use blocking (0 = never)
-	BarrierEvery  int       // a CTA barrier after every k-th memory op (0 = never)
 
 	// Shared (inter-core) region.
 	SharedLines int     // footprint in cache lines
@@ -229,7 +228,6 @@ type gen struct {
 	memCount    int64
 	computeLeft int
 	primed      bool
-	barrierDone bool
 
 	// scratch backs the Lines slice of the op most recently returned by Next.
 	// The core copies Lines at the issue site before calling Next again, and
@@ -249,12 +247,6 @@ func (g *gen) Next() core.Op {
 		g.computeLeft--
 		return core.Op{Kind: core.OpCompute, Latency: g.spec.ComputeLat}
 	}
-	if g.spec.BarrierEvery > 0 && g.memCount > 0 &&
-		g.memCount%int64(g.spec.BarrierEvery) == 0 && !g.barrierDone {
-		g.barrierDone = true
-		return core.Op{Kind: core.OpBarrier}
-	}
-	g.barrierDone = false
 	g.computeLeft = g.spec.ComputePerMem
 	return g.memOp()
 }
