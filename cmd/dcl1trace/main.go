@@ -66,8 +66,8 @@ func record(args []string) {
 	if err := dcl1.WriteTrace(f, tr); err != nil {
 		fatal("write: %v", err)
 	}
-	fmt.Printf("recorded %s: %d cores x %d waves x %d ops -> %s\n",
-		tr.Name, tr.Cores, tr.Waves, tr.OpsPer, *out)
+	fmt.Printf("recorded %s: %d cores x %s waves x %d ops -> %s\n",
+		tr.Name, tr.Cores, waves(tr), tr.OpsPer, *out)
 }
 
 func replay(args []string) {
@@ -106,7 +106,7 @@ func replay(args []string) {
 	if code := run.Finish(err, nil); code != 0 {
 		os.Exit(code)
 	}
-	fmt.Printf("trace:             %s (%d cores, %d waves/core)\n", tr.Name, tr.Cores, tr.Waves)
+	fmt.Printf("trace:             %s (%d cores, %s waves/core)\n", tr.Name, tr.Cores, waves(tr))
 	fmt.Printf("design:            %s\n", r.Design)
 	fmt.Printf("IPC:               %.3f\n", r.IPC)
 	fmt.Printf("L1 miss rate:      %.3f\n", r.L1MissRate)
@@ -127,8 +127,18 @@ func info(args []string) {
 	if err != nil {
 		fatal("read: %v", err)
 	}
-	fmt.Printf("name:  %s\ncores: %d\nwaves: %d per core\nops:   %d per wavefront\n",
-		tr.Name, tr.Cores, tr.Waves, tr.OpsPer)
+	fmt.Printf("name:  %s\ncores: %d\nwaves: %s per core\nops:   %d per wavefront\n",
+		tr.Name, tr.Cores, waves(tr), tr.OpsPer)
+}
+
+// waves renders a trace's per-core wavefront count: one number when every
+// core runs the same, else the range ("12-24").
+func waves(tr *dcl1.Trace) string {
+	lo, hi := tr.WaveRange()
+	if lo == hi {
+		return fmt.Sprint(lo)
+	}
+	return fmt.Sprintf("%d-%d", lo, hi)
 }
 
 func fatal(format string, args ...interface{}) {

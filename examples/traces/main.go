@@ -22,8 +22,9 @@ func main() {
 	if err := dcl1.WriteTrace(&buf, tr); err != nil {
 		log.Fatal(err)
 	}
+	_, waves := tr.WaveRange()
 	fmt.Printf("recorded %s: %d cores x %d waves, %.1f KB on the wire\n\n",
-		tr.Name, tr.Cores, tr.Waves, float64(buf.Len())/1024)
+		tr.Name, tr.Cores, waves, float64(buf.Len())/1024)
 
 	// Reload (as a user with a trace file would) and replay everywhere.
 	loaded, err := dcl1.ReadTrace(&buf)

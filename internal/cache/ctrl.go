@@ -331,7 +331,7 @@ func (c *Ctrl) processFills(now sim.Cycle) {
 			}
 			c.install(a.Line, dirty)
 			for _, w := range e.waiters {
-				if w.Core == PrefetchCore && w.Node == c.ID {
+				if w.Core == PrefetchCore && int(w.Node) == c.ID {
 					c.P.Pool.PutAccess(w) // own prefetch: fill installs silently
 					continue
 				}
@@ -496,7 +496,7 @@ func (c *Ctrl) prefetchAfter(a *mem.Access, now sim.Cycle) {
 		}
 		pf := c.P.Pool.GetAccess()
 		pf.Kind, pf.Line, pf.ReqBytes = mem.Load, line, mem.LineBytes
-		pf.Core, pf.Wave, pf.Node = PrefetchCore, -1, c.ID
+		pf.Core, pf.Wave, pf.Node = PrefetchCore, -1, int32(c.ID)
 		e := c.mshr.insert(line, now)
 		e.waiters = append(e.waiters, pf)
 		fetch := c.P.Pool.GetAccess()

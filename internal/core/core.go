@@ -154,7 +154,9 @@ type Core struct {
 	// keeping the fault schedule fast-path-invariant; nil injects nothing.
 	Chaos *chaos.Injector
 
-	waves  []*wave
+	// waves holds the wavefronts by value: issue's round-robin walk reads
+	// one contiguous array. AddWave may move it, so no *wave outlives a call.
+	waves  []wave
 	rr     int
 	lsq    *sim.Queue[*mem.Access]
 	nextID uint64
@@ -198,11 +200,11 @@ func New(p Params) *Core {
 
 // AddWave attaches a wavefront executing prog.
 func (c *Core) AddWave(prog Program) {
-	w := &wave{id: len(c.waves), prog: prog}
-	c.waves = append(c.waves, w)
+	id := len(c.waves)
+	c.waves = append(c.waves, wave{id: id, prog: prog})
 	c.pending.grow(len(c.waves))
 	c.issuable.grow(len(c.waves))
-	c.issuable.set(w.id)
+	c.issuable.set(id)
 }
 
 // markIssuable re-derives w's membership of the issuable set; called after
@@ -234,8 +236,8 @@ func (c *Core) Waves() int { return len(c.waves) }
 
 // Done reports whether every wavefront has finished its program.
 func (c *Core) Done() bool {
-	for _, w := range c.waves {
-		if !w.done {
+	for i := range c.waves {
+		if !c.waves[i].done {
 			return false
 		}
 	}
@@ -245,8 +247,8 @@ func (c *Core) Done() bool {
 // OutstandingTotal returns in-flight transactions across wavefronts (tests).
 func (c *Core) OutstandingTotal() int {
 	n := 0
-	for _, w := range c.waves {
-		n += w.outstanding
+	for i := range c.waves {
+		n += c.waves[i].outstanding
 	}
 	return n
 }
@@ -315,7 +317,7 @@ func (c *Core) expandPending(now sim.Cycle) {
 		if c.lsq.Full() && c.pendZero == 0 {
 			return
 		}
-		w := c.waves[i]
+		w := &c.waves[i]
 		for w.pendNext < len(w.pendLines) && !c.lsq.Full() {
 			line := w.pendLines[w.pendNext]
 			w.pendNext++
@@ -323,9 +325,9 @@ func (c *Core) expandPending(now sim.Cycle) {
 			a.ID = c.idNext()
 			a.Kind = w.pendKind
 			a.Line = line
-			a.ReqBytes = w.pendBytes
-			a.Core = c.P.ID
-			a.Wave = w.id
+			a.ReqBytes = int32(w.pendBytes)
+			a.Core = int32(c.P.ID)
+			a.Wave = int32(w.id)
 			a.IssuedAt = now
 			c.lsq.Push(a)
 			w.outstanding++
@@ -360,8 +362,8 @@ func (c *Core) retire(now sim.Cycle) {
 		if !ok {
 			return
 		}
-		if a.Wave >= 0 && a.Wave < len(c.waves) {
-			w := c.waves[a.Wave]
+		if a.Wave >= 0 && int(a.Wave) < len(c.waves) {
+			w := &c.waves[a.Wave]
 			if w.outstanding > 0 {
 				w.outstanding--
 			}
@@ -425,10 +427,10 @@ func (c *Core) issue(now sim.Cycle) {
 	}
 	issued := false
 	for i := c.issuable.next(c.rr); i >= 0 && !issued; i = c.issuable.next(i + 1) {
-		issued = c.issueWave(c.waves[i], now)
+		issued = c.issueWave(&c.waves[i], now)
 	}
 	for i := c.issuable.next(0); i >= 0 && i < c.rr && !issued; i = c.issuable.next(i + 1) {
-		issued = c.issueWave(c.waves[i], now)
+		issued = c.issueWave(&c.waves[i], now)
 	}
 	c.rr = (c.rr + 1) % len(c.waves)
 	if !issued {

@@ -19,7 +19,8 @@ func (c *Core) CheckInvariants() []health.Violation {
 	var out []health.Violation
 	name := fmt.Sprintf("core-%d", c.P.ID)
 	pend, zero := 0, 0
-	for _, w := range c.waves {
+	for i := range c.waves {
+		w := &c.waves[i]
 		if w.pendActive {
 			pend++
 			if len(w.pendLines) == 0 {
@@ -70,7 +71,8 @@ func (c *Core) CheckInvariants() []health.Violation {
 func (c *Core) DumpHealth() (health.ComponentDump, bool) {
 	done, blocked, fenced, pending := 0, 0, 0, 0
 	outstanding := 0
-	for _, w := range c.waves {
+	for i := range c.waves {
+		w := &c.waves[i]
 		if w.done {
 			done++
 		}

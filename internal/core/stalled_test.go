@@ -72,7 +72,7 @@ func referenceTick(c *Core, now sim.Cycle) {
 	}
 	issued := false
 	for scanned := 0; !issued && scanned < len(c.waves); scanned++ {
-		w := c.waves[(c.rr+scanned)%len(c.waves)]
+		w := &c.waves[(c.rr+scanned)%len(c.waves)]
 		if w.done || w.blocked || w.pendActive {
 			continue
 		}

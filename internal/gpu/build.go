@@ -224,7 +224,7 @@ func (s *System) newModule(i, n int) *Module {
 		mod.wireStage(noc1, edge{
 			toCore: true, ups: mod.coreTaps(), downs: mod.nodeTaps(false),
 			forward: func(c int, a *mem.Access) int { return mod.Map.Home(c, a.Line) % noc1.Outs },
-			back:    func(a *mem.Access) int { return a.Core % noc1.Ins },
+			back:    func(a *mem.Access) int { return int(a.Core) % noc1.Ins },
 		})
 		mod.wireStage(st[1], mod.memEdge(st[1], mod.nodeTaps(true), st[1].Count))
 	case CDXBar:
@@ -274,6 +274,7 @@ func homeMap(cfg Config, d Design) dcl1.Mapping {
 
 func (mod *Module) buildCores() {
 	cfg := mod.sys.Cfg
+	program := workload.Streams(mod.App, cfg.Cores, cfg.Sched, cfg.Seed)
 	for c := 0; c < cfg.Cores; c++ {
 		co := core.New(core.Params{
 			ID:             c,
@@ -284,7 +285,7 @@ func (mod *Module) buildCores() {
 		})
 		waves := mod.App.WavesFor(c)
 		for w := 0; w < waves; w++ {
-			co.AddWave(mod.App.Program(cfg.Cores, c, w, cfg.Sched, cfg.Seed))
+			co.AddWave(program(c, w))
 		}
 		mod.Cores = append(mod.Cores, co)
 		mod.sys.CoreClk.Register(co)
@@ -560,9 +561,9 @@ type edge struct {
 // node that prefetched the line, else the home of the requesting core.
 func (mod *Module) asker(a *mem.Access) int {
 	if a.Core == cache.PrefetchCore {
-		return a.Node
+		return int(a.Node)
 	}
-	return mod.Map.Home(a.Core, a.Line)
+	return mod.Map.Home(int(a.Core), a.Line)
 }
 
 // memEdge is the edge of the stage that reaches the L2 slices: crossbar j
@@ -735,7 +736,7 @@ func (mod *Module) wireMemSide() {
 			Rate: feedRate,
 			Prep: func(si int, a *mem.Access) {
 				if si < nLocal {
-					a.Module = mod.AMap.Module
+					a.Module = int16(mod.AMap.Module)
 				}
 			},
 			Try: func(a *mem.Access) bool {
@@ -766,7 +767,7 @@ func (mod *Module) wireMemSide() {
 				if mod.sys.retireOrphan(a) {
 					return true
 				}
-				if a.Module != mod.AMap.Module {
+				if int(a.Module) != mod.AMap.Module {
 					return mod.linkRepOut[ch].Push(a)
 				}
 				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)

@@ -19,9 +19,9 @@ func reqFlits(a *mem.Access, linkBytes int, fullStore bool) int {
 		if fullStore {
 			return mem.FlitCount(mem.LineBytes, linkBytes)
 		}
-		return mem.FlitCount(a.ReqBytes, linkBytes)
+		return mem.FlitCount(int(a.ReqBytes), linkBytes)
 	case mem.Atomic:
-		return mem.FlitCount(a.ReqBytes, linkBytes)
+		return mem.FlitCount(int(a.ReqBytes), linkBytes)
 	default:
 		return 1
 	}
@@ -33,7 +33,7 @@ func replyFlits(a *mem.Access, linkBytes int, toCore, trim bool) int {
 	switch a.Kind {
 	case mem.Load:
 		if toCore && trim {
-			return mem.FlitCount(a.ReqBytes, linkBytes)
+			return mem.FlitCount(int(a.ReqBytes), linkBytes)
 		}
 		return mem.FlitCount(mem.LineBytes, linkBytes)
 	case mem.NonL1:
@@ -41,7 +41,7 @@ func replyFlits(a *mem.Access, linkBytes int, toCore, trim bool) int {
 	case mem.Store:
 		return mem.FlitCount(0, linkBytes) // ACK
 	case mem.Atomic:
-		return mem.FlitCount(a.ReqBytes, linkBytes)
+		return mem.FlitCount(int(a.ReqBytes), linkBytes)
 	default:
 		return 1
 	}

@@ -47,33 +47,38 @@ func (k Kind) String() string {
 // coalescer. The same value travels down the hierarchy as a request and back
 // up as a reply (IsReply set), so end-to-end latency can be measured without
 // auxiliary maps.
+//
+// Fields are ordered by size and the ids narrowed to what a machine needs
+// (at most 2^31 cores, wavefronts and nodes, 2^15 modules): 44 bytes, one
+// 48-byte allocation size class. Tens of thousands are live at once on the
+// paper's machine.
 type Access struct {
 	ID   uint64 // unique per run, assigned by the issuing core
-	Kind Kind
 	Line uint64 // cache-line number (byte address / LineBytes)
+
+	// IssuedAt is the issuing core-clock cycle, for round-trip statistics.
+	IssuedAt int64
 
 	// ReqBytes is the number of bytes the wavefront needs from this line
 	// (<= LineBytes). Replies on NoC#1 under DC-L1 designs carry only these
 	// bytes; baseline replies and all NoC#2 fills carry the whole line.
-	ReqBytes int
+	ReqBytes int32
 
-	Core int // issuing core id
-	Wave int // issuing wavefront id within the core
+	Core int32 // issuing core id
+	Wave int32 // issuing wavefront id within the core
 
 	// Node is the L1/DC-L1 node that generated this access, for traffic that
 	// has no originating core (sequential prefetches): replies route back to
 	// the node instead of a core's home path.
-	Node int
-
-	IsReply bool
+	Node int32
 
 	// Module is the GPU module that issued this access, for traffic that
 	// crosses the inter-module link in a multi-GPU machine: the home module
 	// routes the fill back to Module. Always 0 in a single-module build.
-	Module int
+	Module int16
 
-	// IssuedAt is the issuing core-clock cycle, for round-trip statistics.
-	IssuedAt int64
+	Kind    Kind
+	IsReply bool
 }
 
 // Reply marks a as a reply, in place, and returns it. Turning a request into

@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFlitCount(t *testing.T) {
@@ -129,5 +130,13 @@ func TestBankRotatesWithRows(t *testing.T) {
 	// Rows increase once all banks cycled.
 	if m.Row(0) != 0 || m.Row(uint64(16*16)) != 1 {
 		t.Fatalf("Row mapping wrong: %d %d", m.Row(0), m.Row(uint64(16*16)))
+	}
+}
+
+// Tens of thousands of Accesses are live on the paper's machine: the record
+// stays in the 48-byte size class.
+func TestAccessIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Access{}); n != 48 {
+		t.Fatalf("unsafe.Sizeof(Access{}) = %d, want 48", n)
 	}
 }

@@ -11,7 +11,8 @@ import (
 
 // FuzzRead hardens the trace parser against malformed inputs: it must either
 // return an error or a structurally valid trace — never panic or allocate
-// absurdly. Seeds include a valid trace and truncations of it.
+// absurdly. Seeds include a valid trace of each format version and
+// truncations of one.
 func FuzzRead(f *testing.F) {
 	tr := Capture(workload.Spec{
 		Name: "seed", Waves: 2, PrivateLines: 10, SharedLines: 8, SharedFrac: 0.5,
@@ -26,19 +27,28 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid[:9])
 	f.Add([]byte("DCL1TRC1"))
 	f.Add([]byte{})
+	// A DCL1TRC2 trace: core 0 runs twice core 1's wavefronts.
+	var v2 bytes.Buffer
+	skewed := Capture(workload.Spec{Name: "skew", Waves: 1, Imbalance: 1, PrivateLines: 10}, 2, 3, workload.RoundRobin, 1)
+	if err := Write(&v2, skewed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// A successfully parsed trace must be internally consistent.
-		if got.Cores < 0 || got.Waves < 0 || len(got.streams) != got.Cores*got.Waves {
+		if got.Cores < 0 || len(got.streams) != got.Cores {
 			t.Fatalf("inconsistent trace accepted: %+v streams=%d", got, len(got.streams))
 		}
-		for _, s := range got.streams {
-			for _, op := range s {
-				if op.Kind > core.OpAtomic {
-					t.Fatalf("op kind %d accepted", op.Kind)
+		for _, waves := range got.streams {
+			for _, s := range waves {
+				for _, op := range s {
+					if op.Kind > core.OpAtomic {
+						t.Fatalf("op kind %d accepted", op.Kind)
+					}
 				}
 			}
 		}
@@ -74,7 +84,7 @@ func TestWritePropagatesIOErrors(t *testing.T) {
 }
 
 func TestWriteRejectsHugeName(t *testing.T) {
-	tr := &Trace{Name: string(make([]byte, 1<<16)), Cores: 1, Waves: 1}
+	tr := &Trace{Name: string(make([]byte, 1<<16)), Cores: 1}
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err == nil {
 		t.Fatal("oversized name accepted")

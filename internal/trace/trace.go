@@ -7,8 +7,15 @@
 // The on-disk format is a compact little-endian binary stream:
 //
 //	magic "DCL1TRC1" | name len+bytes | cores u32 | waves u32 | ops u32
-//	then, per (core, wave) in row-major order, `ops` records of:
-//	  kind u8 | blocking u8 | latency u16 | bytes u16 | nlines u16 | lines u64...
+//	then, per (core, wave) in row-major order, a stream of
+//	  nops u32 | nops records of:
+//	    kind u8 | blocking u8 | latency u16 | bytes u16 | nlines u16 | lines u64...
+//
+// Every core of a DCL1TRC1 trace runs the same number of wavefronts. A trace
+// whose cores differ (R-SC's skewed CTA distribution) is written as
+// "DCL1TRC2", which replaces the single waves field with one per core
+// (cores × waves u32); everything else is the same, so a trace with uniform
+// counts is always written, byte for byte, as DCL1TRC1.
 //
 // A replayed wavefront ends with OpEnd when its recorded stream is
 // exhausted; runs longer than the trace simply idle those wavefronts, which
@@ -26,15 +33,19 @@ import (
 	"dcl1sim/internal/workload"
 )
 
-var magic = [8]byte{'D', 'C', 'L', '1', 'T', 'R', 'C', '1'}
+// The two format versions: magic (v1) holds one wavefront count for every
+// core, magicV2 one per core.
+var (
+	magic   = [8]byte{'D', 'C', 'L', '1', 'T', 'R', 'C', '1'}
+	magicV2 = [8]byte{'D', 'C', 'L', '1', 'T', 'R', 'C', '2'}
+)
 
 // Trace is a fully loaded instruction trace implementing workload.Source.
 type Trace struct {
 	Name    string
 	Cores   int
-	Waves   int         // wavefronts per core (uniform)
-	OpsPer  int         // ops recorded per wavefront
-	streams [][]core.Op // indexed [core*Waves+wave]
+	OpsPer  int           // ops recorded per wavefront
+	streams [][][]core.Op // indexed [core][wave]
 }
 
 var _ workload.Source = (*Trace)(nil)
@@ -42,18 +53,36 @@ var _ workload.Source = (*Trace)(nil)
 // Label implements workload.Source.
 func (t *Trace) Label() string { return t.Name }
 
-// WavesFor implements workload.Source.
-func (t *Trace) WavesFor(int) int { return t.Waves }
+// WavesFor implements workload.Source: the wavefronts recorded on a core. A
+// core beyond the recorded ones runs none.
+func (t *Trace) WavesFor(coreID int) int {
+	if coreID < 0 || coreID >= len(t.streams) {
+		return 0
+	}
+	return len(t.streams[coreID])
+}
+
+// WaveRange returns the smallest and largest per-core wavefront count (equal
+// when every core runs the same number).
+func (t *Trace) WaveRange() (lo, hi int) {
+	for c := 0; c < t.Cores; c++ {
+		n := t.WavesFor(c)
+		if c == 0 || n < lo {
+			lo = n
+		}
+		hi = max(hi, n)
+	}
+	return lo, hi
+}
 
 // Program implements workload.Source: replays one wavefront's stream. The
 // sched and seed arguments are ignored — a trace is already scheduled.
 func (t *Trace) Program(cores, coreID, waveID int, _ workload.Sched, _ uint64) core.Program {
-	idx := coreID*t.Waves + waveID
-	if coreID >= t.Cores || waveID >= t.Waves || idx >= len(t.streams) {
+	if waveID < 0 || waveID >= t.WavesFor(coreID) {
 		// Machine larger than the trace: surplus wavefronts are empty.
 		return &replay{}
 	}
-	return &replay{ops: t.streams[idx]}
+	return &replay{ops: t.streams[coreID][waveID]}
 }
 
 type replay struct {
@@ -71,18 +100,20 @@ func (r *replay) Next() core.Op {
 }
 
 // Capture materializes opsPerWave operations of a synthetic workload into a
-// trace for the given machine shape.
+// trace for the given machine shape: each core records the wavefronts the
+// source gives it, through the same per-machine step the simulator builds
+// its cores with.
 func Capture(src workload.Source, cores, opsPerWave int, sched workload.Sched, seed uint64) *Trace {
-	waves := src.WavesFor(0)
 	t := &Trace{
-		Name:   src.Label(),
-		Cores:  cores,
-		Waves:  waves,
-		OpsPer: opsPerWave,
+		Name:    src.Label(),
+		Cores:   cores,
+		OpsPer:  opsPerWave,
+		streams: make([][][]core.Op, cores),
 	}
-	for c := 0; c < cores; c++ {
-		for w := 0; w < waves; w++ {
-			p := src.Program(cores, c, w, sched, seed)
+	program := workload.Streams(src, cores, sched, seed)
+	for c := range t.streams {
+		for w := 0; w < src.WavesFor(c); w++ {
+			p := program(c, w)
 			ops := make([]core.Op, 0, opsPerWave)
 			for i := 0; i < opsPerWave; i++ {
 				op := p.Next()
@@ -97,84 +128,128 @@ func Capture(src workload.Source, cores, opsPerWave int, sched workload.Sched, s
 				}
 				ops = append(ops, op)
 			}
-			t.streams = append(t.streams, ops)
+			t.streams[c] = append(t.streams[c], ops)
 		}
 	}
 	return t
 }
 
-// Write serializes the trace.
+// Write serializes the trace: as DCL1TRC1 when every core has the same
+// wavefront count, else as DCL1TRC2.
 func Write(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
+	m, header := magic, []uint32{uint32(t.Cores)}
+	if lo, hi := t.WaveRange(); lo == hi {
+		header = append(header, uint32(lo))
+	} else {
+		m = magicV2
+		for c := 0; c < t.Cores; c++ {
+			header = append(header, uint32(t.WavesFor(c)))
+		}
+	}
+	header = append(header, uint32(t.OpsPer))
+	if _, err := bw.Write(m[:]); err != nil {
 		return err
 	}
 	if err := writeString(bw, t.Name); err != nil {
 		return err
 	}
-	for _, v := range []uint32{uint32(t.Cores), uint32(t.Waves), uint32(t.OpsPer)} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
+		return err
 	}
-	for _, stream := range t.streams {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(stream))); err != nil {
-			return err
-		}
-		for _, op := range stream {
-			if err := writeOp(bw, op); err != nil {
+	for c := 0; c < t.Cores; c++ {
+		for w := 0; w < t.WavesFor(c); w++ {
+			stream := t.streams[c][w]
+			if err := binary.Write(bw, binary.LittleEndian, uint32(len(stream))); err != nil {
 				return err
+			}
+			for _, op := range stream {
+				if err := writeOp(bw, op); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return bw.Flush()
 }
 
-// Read deserializes a trace.
+// Read deserializes a trace of either format version.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if m != magic {
-		return nil, errors.New("trace: bad magic (not a DCL1TRC1 file)")
+	if m != magic && m != magicV2 {
+		return nil, errors.New("trace: bad magic (not a DCL1TRC1 or DCL1TRC2 file)")
 	}
 	name, err := readString(br)
 	if err != nil {
 		return nil, err
 	}
-	var cores, waves, ops uint32
-	for _, p := range []*uint32{&cores, &waves, &ops} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
+	cores, err := readDim(br)
+	if err != nil {
+		return nil, fmt.Errorf("trace: header: %w", err)
 	}
-	const maxDim = 1 << 20
-	if cores > maxDim || waves > maxDim || ops > maxDim {
-		return nil, errors.New("trace: implausible header dimensions")
+	// v1 holds one wavefront count for every core, v2 one per core.
+	nCounts := 1
+	if m == magicV2 {
+		nCounts = cores
 	}
-	t := &Trace{Name: name, Cores: int(cores), Waves: int(waves), OpsPer: int(ops)}
-	n := int(cores) * int(waves)
-	for i := 0; i < n; i++ {
-		var sl uint32
-		if err := binary.Read(br, binary.LittleEndian, &sl); err != nil {
-			return nil, fmt.Errorf("trace: stream %d header: %w", i, err)
+	var waves []int
+	for len(waves) < nCounts {
+		n, err := readDim(br)
+		if err != nil {
+			return nil, fmt.Errorf("trace: header: %w", err)
 		}
-		if sl > maxDim {
-			return nil, errors.New("trace: implausible stream length")
-		}
-		stream := make([]core.Op, 0, sl)
-		for j := uint32(0); j < sl; j++ {
-			op, err := readOp(br)
+		waves = append(waves, n)
+	}
+	ops, err := readDim(br)
+	if err != nil {
+		return nil, fmt.Errorf("trace: header: %w", err)
+	}
+	t := &Trace{Name: name, Cores: cores, OpsPer: ops}
+	for c := 0; c < cores; c++ {
+		var streams [][]core.Op
+		for w := 0; w < waves[min(c, len(waves)-1)]; w++ {
+			stream, err := readStream(br)
 			if err != nil {
-				return nil, fmt.Errorf("trace: stream %d op %d: %w", i, j, err)
+				return nil, fmt.Errorf("trace: core %d stream %d: %w", c, w, err)
 			}
-			stream = append(stream, op)
+			streams = append(streams, stream)
 		}
-		t.streams = append(t.streams, stream)
+		t.streams = append(t.streams, streams)
 	}
 	return t, nil
+}
+
+// readDim reads one u32 count of the format, rejecting implausible ones.
+func readDim(r io.Reader) (int, error) {
+	var v uint32
+	if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
+		return 0, err
+	}
+	if v > 1<<20 {
+		return 0, fmt.Errorf("implausible count %d", v)
+	}
+	return int(v), nil
+}
+
+// readStream reads one wavefront's recorded ops.
+func readStream(r io.Reader) ([]core.Op, error) {
+	n, err := readDim(r)
+	if err != nil {
+		return nil, err
+	}
+	stream := make([]core.Op, 0, n)
+	for j := 0; j < n; j++ {
+		op, err := readOp(r)
+		if err != nil {
+			return nil, fmt.Errorf("op %d: %w", j, err)
+		}
+		stream = append(stream, op)
+	}
+	return stream, nil
 }
 
 func writeOp(w io.Writer, op core.Op) error {

@@ -20,15 +20,20 @@ func smallSpec() workload.Spec {
 
 func TestCaptureShape(t *testing.T) {
 	tr := Capture(smallSpec(), 4, 100, workload.RoundRobin, 7)
-	if tr.Cores != 4 || tr.Waves != 3 || tr.OpsPer != 100 {
+	if lo, hi := tr.WaveRange(); tr.Cores != 4 || lo != 3 || hi != 3 || tr.OpsPer != 100 {
 		t.Fatalf("shape: %+v", tr)
 	}
-	if len(tr.streams) != 12 {
-		t.Fatalf("streams = %d", len(tr.streams))
+	if len(tr.streams) != 4 {
+		t.Fatalf("cores = %d", len(tr.streams))
 	}
-	for i, s := range tr.streams {
-		if len(s) != 100 {
-			t.Fatalf("stream %d length %d", i, len(s))
+	for c, waves := range tr.streams {
+		if len(waves) != 3 {
+			t.Fatalf("core %d: %d streams", c, len(waves))
+		}
+		for w, s := range waves {
+			if len(s) != 100 {
+				t.Fatalf("stream %d/%d length %d", c, w, len(s))
+			}
 		}
 	}
 	if tr.Label() != "tracee" {
@@ -46,23 +51,28 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != tr.Name || got.Cores != tr.Cores || got.Waves != tr.Waves {
+	if got.Name != tr.Name || got.Cores != tr.Cores || got.OpsPer != tr.OpsPer {
 		t.Fatalf("header mismatch: %+v vs %+v", got, tr)
 	}
-	for i := range tr.streams {
-		a, b := tr.streams[i], got.streams[i]
-		if len(a) != len(b) {
-			t.Fatalf("stream %d length %d vs %d", i, len(a), len(b))
+	for c := range tr.streams {
+		if len(got.streams[c]) != len(tr.streams[c]) {
+			t.Fatalf("core %d: %d streams read, %d written", c, len(got.streams[c]), len(tr.streams[c]))
 		}
-		for j := range a {
-			if a[j].Kind != b[j].Kind || a[j].Blocking != b[j].Blocking ||
-				a[j].Latency != b[j].Latency || a[j].Bytes != b[j].Bytes ||
-				len(a[j].Lines) != len(b[j].Lines) {
-				t.Fatalf("op %d/%d mismatch: %+v vs %+v", i, j, a[j], b[j])
+		for i := range tr.streams[c] {
+			a, b := tr.streams[c][i], got.streams[c][i]
+			if len(a) != len(b) {
+				t.Fatalf("stream %d/%d length %d vs %d", c, i, len(a), len(b))
 			}
-			for k := range a[j].Lines {
-				if a[j].Lines[k] != b[j].Lines[k] {
-					t.Fatalf("line mismatch at %d/%d/%d", i, j, k)
+			for j := range a {
+				if a[j].Kind != b[j].Kind || a[j].Blocking != b[j].Blocking ||
+					a[j].Latency != b[j].Latency || a[j].Bytes != b[j].Bytes ||
+					len(a[j].Lines) != len(b[j].Lines) {
+					t.Fatalf("op %d/%d/%d mismatch: %+v vs %+v", c, i, j, a[j], b[j])
+				}
+				for k := range a[j].Lines {
+					if a[j].Lines[k] != b[j].Lines[k] {
+						t.Fatalf("line mismatch at %d/%d/%d/%d", c, i, j, k)
+					}
 				}
 			}
 		}
@@ -132,7 +142,7 @@ func TestReadRejectsImplausibleHeader(t *testing.T) {
 // Property: write/read round-trips arbitrary op streams.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(kinds []uint8, linesSeed []uint16) bool {
-		tr := &Trace{Name: "p", Cores: 1, Waves: 1, OpsPer: len(kinds)}
+		tr := &Trace{Name: "p", Cores: 1, OpsPer: len(kinds)}
 		var ops []core.Op
 		for i, k := range kinds {
 			op := core.Op{Kind: core.OpKind(k % 5), Latency: int64(i % 7), Bytes: i % 128}
@@ -144,7 +154,7 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			ops = append(ops, op)
 		}
-		tr.streams = [][]core.Op{ops}
+		tr.streams = [][][]core.Op{{ops}}
 		var buf bytes.Buffer
 		if err := Write(&buf, tr); err != nil {
 			return false
@@ -153,11 +163,11 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(got.streams[0]) != len(ops) {
+		if len(got.streams[0][0]) != len(ops) {
 			return false
 		}
 		for i := range ops {
-			if got.streams[0][i].Kind != ops[i].Kind || len(got.streams[0][i].Lines) != len(ops[i].Lines) {
+			if got.streams[0][0][i].Kind != ops[i].Kind || len(got.streams[0][0][i].Lines) != len(ops[i].Lines) {
 				return false
 			}
 		}
@@ -172,8 +182,8 @@ func TestRoundTripProperty(t *testing.T) {
 // non-L1, atomic). Any other byte would replay as an instruction the issue
 // stage silently drops.
 func TestReadRejectsUnknownOpKind(t *testing.T) {
-	tr := &Trace{Name: "k", Cores: 1, Waves: 1, OpsPer: 1,
-		streams: [][]core.Op{{{Kind: core.OpCompute, Latency: 1}}}}
+	tr := &Trace{Name: "k", Cores: 1, OpsPer: 1,
+		streams: [][][]core.Op{{{{Kind: core.OpCompute, Latency: 1}}}}}
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -193,6 +203,37 @@ func TestReadRejectsUnknownOpKind(t *testing.T) {
 	for _, k := range []byte{5, 6, 200} {
 		if err := read(k); err == nil || !strings.Contains(err.Error(), "unknown op kind") {
 			t.Errorf("kind %d: err = %v, want unknown op kind", k, err)
+		}
+	}
+}
+
+// A trace is written as DCL1TRC1 while every core runs the same number of
+// wavefronts and as DCL1TRC2 once they differ; both read back with each
+// core's count.
+func TestFormatVersionFollowsWaveCounts(t *testing.T) {
+	skewed := smallSpec()
+	skewed.Imbalance = 1 // every fourth core runs twice as many
+	for _, tc := range []struct {
+		spec  workload.Spec
+		magic string
+	}{{smallSpec(), "DCL1TRC1"}, {skewed, "DCL1TRC2"}} {
+		tr := Capture(tc.spec, 5, 20, workload.RoundRobin, 1)
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(buf.Bytes()[:8]); got != tc.magic {
+			t.Errorf("imbalance %v: written as %s, want %s", tc.spec.Imbalance, got, tc.magic)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 5; c++ {
+			if got.WavesFor(c) != tc.spec.WavesFor(c) {
+				t.Errorf("imbalance %v core %d: read %d wavefronts, want %d",
+					tc.spec.Imbalance, c, got.WavesFor(c), tc.spec.WavesFor(c))
+			}
 		}
 	}
 }

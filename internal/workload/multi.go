@@ -28,9 +28,9 @@ func (p Partition) Label() string {
 	return strings.Join(names, "+")
 }
 
-// appFor returns the spec covering a core, given the machine core count.
-// Because Source.WavesFor does not receive the core count, Partition assumes
-// block boundaries at multiples of blockCores (set by NewPartition).
+// partitioned is a Partition fixed to one machine. Because Source.WavesFor
+// does not receive the core count, it keeps the block boundaries at multiples
+// of blockCores (set by NewPartition).
 type partitioned struct {
 	Partition
 	blockCores int
@@ -49,17 +49,9 @@ func NewPartition(cores int, apps ...Spec) Source {
 	return partitioned{Partition: Partition{Apps: apps}, blockCores: cores / len(apps)}
 }
 
-func (p partitioned) appFor(coreID int) Spec {
-	i := coreID / p.blockCores
-	if i >= len(p.Apps) {
-		i = len(p.Apps) - 1
-	}
-	return p.Apps[i]
-}
-
 // WavesFor implements Source.
 func (p partitioned) WavesFor(coreID int) int {
-	return p.appFor(coreID).WavesFor(coreID)
+	return p.Apps[p.index(coreID)].WavesFor(coreID)
 }
 
 // Program implements Source. Each app keeps its own shared region: the seed
@@ -67,16 +59,31 @@ func (p partitioned) WavesFor(coreID int) int {
 // shared address space, and the private regions are disjoint by construction
 // (per core/wave slots).
 func (p partitioned) Program(cores, coreID, waveID int, sched Sched, seed uint64) core.Program {
-	idx := coreID / p.blockCores
-	if idx >= len(p.Apps) {
-		idx = len(p.Apps) - 1
+	i := p.index(coreID)
+	return tenantPlan(p.Apps[i], i, cores, sched, seed).stream(coreID, waveID)
+}
+
+func (p partitioned) streams(cores int, sched Sched, seed uint64) func(coreID, waveID int) core.Program {
+	plans := make([]*plan, len(p.Apps))
+	for i := range plans {
+		plans[i] = tenantPlan(p.Apps[i], i, cores, sched, seed)
 	}
-	spec := p.Apps[idx]
-	// Shift the shared region per partition so applications do not share
-	// lines with each other.
-	shifted := spec
-	shifted.shiftShared = uint64(idx) * (1 << 24)
-	return shifted.Program(cores, coreID, waveID, sched, seed+uint64(idx)*977)
+	return func(coreID, waveID int) core.Program {
+		return plans[p.index(coreID)].stream(coreID, waveID)
+	}
+}
+
+// index returns the partition covering a core.
+func (p partitioned) index(coreID int) int {
+	return min(coreID/p.blockCores, len(p.Apps)-1)
+}
+
+// tenantPlan plans the idx-th co-running app of a multiprogram workload: its
+// shared region shifts by idx so applications do not share lines with each
+// other, and its seed is offset by idx. idx 0 runs the app as it runs alone.
+func tenantPlan(s Spec, idx, cores int, sched Sched, seed uint64) *plan {
+	s.shiftShared = uint64(idx) * (1 << 24)
+	return s.plan(cores, sched, seed+uint64(idx)*977)
 }
 
 // ModuleSource lets a Source customize per-module tenant placement in a
@@ -147,9 +154,11 @@ func (t moduleTenant) WavesFor(coreID int) int { return t.spec.WavesFor(coreID) 
 // Program implements Source. Module 0 runs its tenant exactly as a
 // single-module machine would (zero shift, zero seed offset).
 func (t moduleTenant) Program(cores, coreID, waveID int, sched Sched, seed uint64) core.Program {
-	shifted := t.spec
-	shifted.shiftShared = uint64(t.idx) * (1 << 24)
-	return shifted.Program(cores, coreID, waveID, sched, seed+uint64(t.idx)*977)
+	return tenantPlan(t.spec, t.idx, cores, sched, seed).stream(coreID, waveID)
+}
+
+func (t moduleTenant) streams(cores int, sched Sched, seed uint64) func(coreID, waveID int) core.Program {
+	return tenantPlan(t.spec, t.idx, cores, sched, seed).stream
 }
 
 // Partition implements Source directly too (blockCores derived lazily per

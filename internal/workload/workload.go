@@ -80,6 +80,27 @@ type Source interface {
 	Program(cores, coreID, waveID int, sched Sched, seed uint64) core.Program
 }
 
+// Streams is a machine's per-wavefront program constructor for src: the
+// returned function gives the instruction stream of wavefront waveID on core
+// coreID of a cores-core machine. Synthetic sources (a Spec, a NewPartition
+// source, a ModuleMix module's tenant) plan each of their apps once here, so
+// the machine's wavefronts share one read-only plan per app; any other
+// Source falls back to its Program. Each call plans afresh, so machines
+// built concurrently share nothing mutable.
+func Streams(src Source, cores int, sched Sched, seed uint64) func(coreID, waveID int) core.Program {
+	if p, ok := src.(planner); ok {
+		return p.streams(cores, sched, seed)
+	}
+	return func(coreID, waveID int) core.Program {
+		return src.Program(cores, coreID, waveID, sched, seed)
+	}
+}
+
+// planner is a Source that can plan its apps once per machine (Streams).
+type planner interface {
+	streams(cores int, sched Sched, seed uint64) func(coreID, waveID int) core.Program
+}
+
 // Spec defines one synthetic application.
 type Spec struct {
 	Name  string
@@ -176,27 +197,54 @@ const (
 
 // Program returns the deterministic instruction stream of one wavefront.
 // cores is the machine's core count (needed by the Distributed scheduler to
-// slice the shared region), and seed decorrelates independent runs.
+// slice the shared region), and seed decorrelates independent runs. It plans
+// the app for this one wavefront; Streams plans it once for a whole machine.
 func (s Spec) Program(cores, coreID, waveID int, sched Sched, seed uint64) core.Program {
+	return s.plan(cores, sched, seed).stream(coreID, waveID)
+}
+
+func (s Spec) streams(cores int, sched Sched, seed uint64) func(coreID, waveID int) core.Program {
+	return s.plan(cores, sched, seed).stream
+}
+
+// plan is the read-only part of one app's streams on one machine: every
+// wavefront of the app draws from the same defaulted spec and shared-region
+// distributions, so a machine builds it once and its wavefronts share it.
+type plan struct {
+	spec  Spec // defaulted
+	sched Sched
+	seed  uint64
+
+	// The two shared-region distributions a wavefront draws from: the full
+	// region, and the per-core slice of per lines the Distributed scheduler
+	// favours.
+	zipfAll, zipfSlice sim.Zipf
+	per                int
+}
+
+func (s Spec) plan(cores int, sched Sched, seed uint64) *plan {
 	sp := s.withDefaults()
-	h := seed
+	p := &plan{spec: sp, sched: sched, seed: seed}
+	p.zipfAll = sim.NewZipf(sp.SharedLines, sp.SharedZipf)
+	if sched == Distributed {
+		p.per = max(sp.SharedLines/cores, 1)
+		p.zipfSlice = sim.NewZipf(p.per, sp.SharedZipf)
+	}
+	return p
+}
+
+// stream returns the instruction stream of one wavefront of the plan.
+func (p *plan) stream(coreID, waveID int) core.Program {
+	sp := &p.spec
+	h := p.seed
 	h = h*1099511628211 + uint64(coreID)
 	h = h*1099511628211 + uint64(waveID)
 	for _, ch := range sp.Name {
 		h = h*1099511628211 + uint64(ch)
 	}
-	g := &gen{
-		spec:  sp,
-		cores: cores,
-		core:  coreID,
-		wave:  waveID,
-		sched: sched,
-		rng:   sim.NewRNG(h),
-	}
-	g.zipfAll = sim.NewZipf(sp.SharedLines, sp.SharedZipf)
-	if sched == Distributed {
-		g.per = max(sp.SharedLines/cores, 1)
-		g.zipfSlice = sim.NewZipf(g.per, sp.SharedZipf)
+	g := &gen{plan: p, rng: *sim.NewRNG(h)}
+	if p.sched == Distributed && sp.SharedLines > 0 {
+		g.sliceBase = (coreID * p.per) % sp.SharedLines
 	}
 	slot := uint64(coreID*maxWaveSlots + waveID)
 	// Region spacing is forced odd and the stream starts at a random offset:
@@ -209,22 +257,15 @@ func (s Spec) Program(cores, coreID, waveID int, sched Sched, seed uint64) core.
 	return g
 }
 
+// gen is one wavefront's cursor over its app's plan: everything that differs
+// between wavefronts, and nothing that does not.
 type gen struct {
-	spec  Spec
-	cores int
-	core  int
-	wave  int
-	sched Sched
-	rng   *sim.RNG
-
-	// The two shared-region distributions a wavefront draws from: the full
-	// region, and the per-core slice of per lines the Distributed scheduler
-	// favours.
-	zipfAll, zipfSlice sim.Zipf
-	per                int
+	*plan // shared with every wavefront of the app; never written
+	rng   sim.RNG
 
 	privBase    uint64
 	privCursor  uint64
+	sliceBase   int // first line of this core's Distributed slice
 	memCount    int64
 	computeLeft int
 	primed      bool
@@ -313,10 +354,9 @@ func (g *gen) dataLines() []uint64 {
 func (g *gen) sharedIndex() int {
 	s := g.spec.SharedLines
 	if g.sched == Distributed && g.rng.Float64() < 0.5 {
-		base := (g.core * g.per) % s
-		return (base + g.zipfSlice.Draw(g.rng)) % s
+		return (g.sliceBase + g.zipfSlice.Draw(&g.rng)) % s
 	}
-	return g.zipfAll.Draw(g.rng)
+	return g.zipfAll.Draw(&g.rng)
 }
 
 // registry --------------------------------------------------------------
