@@ -5,7 +5,7 @@
 //	dcl1bench -list                 # show available experiments
 //	dcl1bench -run fig14            # regenerate one artifact
 //	dcl1bench -run fig14,fig16      # several
-//	dcl1bench -run all              # the full evaluation (minutes)
+//	dcl1bench -run all              # the full evaluation (minutes), claims checked
 //	dcl1bench -quick -run fig14     # small machine, smoke-test fidelity
 //	dcl1bench -run all -resume sweep.jsonl   # journal points; re-run resumes
 //	dcl1bench -run fig14 -chaos light -chaos-seed 7   # under fault injection
@@ -21,6 +21,7 @@ import (
 
 	"dcl1sim/internal/cliflags"
 	"dcl1sim/internal/experiments"
+	"dcl1sim/internal/serve"
 )
 
 func main() {
@@ -73,6 +74,10 @@ func main() {
 	} else {
 		ids = strings.Split(*exps, ",")
 	}
+	// The claims are the paper's shapes on its 80-core machine at full
+	// windows; any other machine prints tables only.
+	skipClaims := claimsSkipped(*quick, sweep)
+	var broken []string
 	for _, id := range ids {
 		e, ok := experiments.ByID(strings.TrimSpace(id))
 		if !ok {
@@ -80,11 +85,29 @@ func main() {
 		}
 		t0 := time.Now()
 		table := ctx.RunExperiment(e)
+		var verdicts []experiments.Verdict
+		if skipClaims == "" {
+			verdicts = e.Verdicts(table)
+		}
 		if *format == "md" {
 			table.Markdown(os.Stdout)
+			for _, v := range verdicts {
+				fmt.Printf("- %s\n", v)
+			}
+			if len(verdicts) > 0 {
+				fmt.Println()
+			}
 		} else {
 			table.Render(os.Stdout)
+			for _, v := range verdicts {
+				fmt.Printf("  claim: %s\n", v)
+			}
 			fmt.Printf("  (%s in %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
+		}
+		for _, v := range verdicts {
+			if !v.OK {
+				broken = append(broken, v.Claim)
+			}
 		}
 		if *plot {
 			for _, col := range table.Columns {
@@ -93,7 +116,32 @@ func main() {
 			}
 		}
 	}
+	if skipClaims != "" {
+		fmt.Printf("claims not evaluated: %s\n", skipClaims)
+	}
+	if len(broken) > 0 {
+		err = fmt.Errorf("%d broken claim(s): %s", len(broken), strings.Join(broken, ", "))
+	}
 	// Tables already rendered above carry zero cells for any failed point:
 	// the sweep degrades into partial results plus the failure table.
-	os.Exit(run.Finish(nil, ctx.Failures()))
+	os.Exit(run.Finish(err, ctx.Failures()))
+}
+
+// claimsSkipped says why this run is not the paper's machine, or "" when it
+// is: the claims hold for the 80-core GPU at full windows, unperturbed.
+func claimsSkipped(quick bool, sweep serve.SweepSpec) string {
+	var why []string
+	if quick {
+		why = append(why, "-quick shrinks the machine and windows")
+	}
+	if sweep.Chaos != "" {
+		why = append(why, "-chaos injects faults")
+	}
+	if sweep.Modules >= 2 {
+		why = append(why, "-modules links several GPUs")
+	}
+	if sweep.PowerCap > 0 {
+		why = append(why, "-power-cap throttles the machine")
+	}
+	return strings.Join(why, "; ")
 }

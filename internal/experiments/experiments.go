@@ -50,8 +50,8 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// Markdown writes the table as a GitHub-flavored markdown table (used to
-// generate EXPERIMENTS.md entries).
+// Markdown writes the table as a GitHub-flavored markdown table
+// (dcl1bench -format md; CI's fidelity job uploads the full evaluation).
 func (t *Table) Markdown(w io.Writer) {
 	fmt.Fprintf(w, "### %s — %s\n\n", t.ID, t.Title)
 	fmt.Fprintf(w, "| |")
@@ -103,6 +103,8 @@ type Experiment struct {
 	Title string
 	Paper string // the headline result the paper reports for this artifact
 	Run   func(ctx *Context) *Table
+	// Claims are the paper's shapes checked against Run's table.
+	Claims []Claim
 }
 
 var registry []Experiment

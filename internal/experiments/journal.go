@@ -17,7 +17,7 @@ import (
 
 // JobKey returns the canonical identity of one sweep point — the same string
 // the experiment memo uses, so journal hits and memo hits agree. It encodes
-// the full design value (study knobs like PrefetchNext do not appear in the
+// the model version, the full design value (study knobs like PrefetchNext do not appear in the
 // display name), the normalized TrimReplies value, the app label, and the
 // machine configuration.
 func JobKey(j gpu.Job) string {
@@ -27,7 +27,7 @@ func JobKey(j gpu.Job) string {
 		trim = *dd.TrimReplies
 	}
 	dd.TrimReplies = nil
-	return fmt.Sprintf("%+v|trim=%v|%s|%+v", dd, trim, appLabel(j.App), j.Cfg)
+	return fmt.Sprintf("model=%s|%+v|trim=%v|%s|%+v", gpu.ModelVersion, dd, trim, appLabel(j.App), j.Cfg)
 }
 
 // appLabel names the workload for keys and progress lines. Label is caller

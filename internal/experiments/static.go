@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/mem"
@@ -22,28 +23,32 @@ func init() {
 		Run:   runTab1,
 	})
 	register(Experiment{
-		ID:    "fig6",
-		Title: "Fig 6: NoC area and static power under private DC-L1 designs",
-		Paper: "Area: Pr40 -28%, Pr20 -54%, Pr10 -67%; static power: Pr40 -4%",
-		Run:   runFig6,
+		ID:     "fig6",
+		Title:  "Fig 6: NoC area and static power under private DC-L1 designs",
+		Paper:  "Area: Pr40 -28%, Pr20 -54%, Pr10 -67%; static power: Pr40 -4%",
+		Run:    runFig6,
+		Claims: fig6Claims,
 	})
 	register(Experiment{
-		ID:    "fig12",
-		Title: "Fig 12: NoC area and static power vs cluster count",
-		Paper: "Area -45/-50/-45% and static power -15/-16/-14% for C5/C10/C20",
-		Run:   runFig12,
+		ID:     "fig12",
+		Title:  "Fig 12: NoC area and static power vs cluster count",
+		Paper:  "Area -45/-50/-45% and static power -15/-16/-14% for C5/C10/C20",
+		Run:    runFig12,
+		Claims: fig12Claims,
 	})
 	register(Experiment{
-		ID:    "fig13b",
-		Title: "Fig 13b: maximum crossbar operating frequency by size",
-		Paper: "80x32 and 80x40 cannot run 2x700MHz; 2x1 and 8x4 can",
-		Run:   runFig13b,
+		ID:     "fig13b",
+		Title:  "Fig 13b: maximum crossbar operating frequency by size",
+		Paper:  "80x32 and 80x40 cannot run 2x700MHz; 2x1 and 8x4 can",
+		Run:    runFig13b,
+		Claims: fig13bClaims,
 	})
 	register(Experiment{
-		ID:    "fig18b",
-		Title: "Fig 18b: area overhead/savings of Sh40+C10+Boost",
-		Paper: "Queues +6.25%, cache -8%, NoC -50%",
-		Run:   runFig18b,
+		ID:     "fig18b",
+		Title:  "Fig 18b: area overhead/savings of Sh40+C10+Boost",
+		Paper:  "Queues +6.25%, cache -8%, NoC -50%",
+		Run:    runFig18b,
+		Claims: fig18bClaims,
 	})
 }
 
@@ -81,19 +86,28 @@ func runFig6(ctx *Context) *Table {
 		Title:   "NoC area and static power, normalized to baseline",
 		Columns: []string{"area", "static"},
 	}
-	paperArea := map[int]float64{80: 1.00, 40: 0.72, 20: 0.46, 10: 0.33}
 	for _, y := range []int{80, 40, 20, 10} {
 		spec := gpu.DesignNoCSpec(cfg, pr(y))
 		area := spec.Area() / baseSpec.Area()
 		static := spec.StaticPower() / baseSpec.StaticPower()
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("Pr%d", y), Cells: []float64{area, static}})
-		t.Notes = append(t.Notes, fmt.Sprintf("Pr%d area: paper %.2f, model %.2f", y, paperArea[y], area))
 	}
 	shSpec := gpu.DesignNoCSpec(cfg, sh40())
 	t.Rows = append(t.Rows, Row{Label: "Sh40", Cells: []float64{
 		shSpec.Area() / baseSpec.Area(), shSpec.StaticPower() / baseSpec.StaticPower()}})
-	t.Notes = append(t.Notes, "Sh40: paper area 1.69, static 1.57 (Section V-B)")
+	t.Notes = append(t.Notes, "Sh40: paper static 1.57 (Section V-B)")
 	return t
+}
+
+// fig6Sh40Area is the paper's "the full crossbar costs far more NoC area".
+var fig6Sh40Area = band{1.3, 2.1, "1.69"}
+
+var fig6Claims = []Claim{
+	{Name: "fig6/private-area-falls", Check: func(t *Table) (bool, string) {
+		ok, reading := descending(1, t.Cell("Pr40", "area"), t.Cell("Pr20", "area"), t.Cell("Pr10", "area"))
+		return ok, "1 > Pr40 > Pr20 > Pr10: " + reading + " (paper 1 > 0.72 > 0.46 > 0.33)"
+	}},
+	cellsIn("fig6/sh40-area", false, "area", fig6Sh40Area, "Sh40"),
 }
 
 func runFig12(ctx *Context) *Table {
@@ -122,6 +136,18 @@ func runFig12(ctx *Context) *Table {
 	return t
 }
 
+// fig12C10Area is the paper's "clustering halves the NoC area".
+var fig12C10Area = band{0, 0.7, "0.50"}
+
+var fig12Claims = []Claim{
+	cellsIn("fig12/c10-area", false, "area", fig12C10Area, "C10"),
+	{Name: "fig12/c10-minimum", Check: func(t *Table) (bool, string) {
+		aRow, _ := colMin(t, "area")
+		sRow, _ := colMin(t, "static")
+		return aRow == "C10" && sRow == "C10", fmt.Sprintf("least area %s, least static power %s (paper C10, C10)", aRow, sRow)
+	}},
+}
+
 func runFig13b(ctx *Context) *Table {
 	t := &Table{
 		ID:      "fig13b",
@@ -137,9 +163,26 @@ func runFig13b(ctx *Context) *Table {
 		}
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%dx%d", s[0], s[1]), Cells: []float64{f, can}})
 	}
-	t.Notes = append(t.Notes,
-		"paper: only the small NoC#1 crossbars (2x1 of Pr40, 8x4 of Sh40+C10) sustain 1400MHz")
 	return t
+}
+
+// fig13bFeasible lists the crossbars the paper finds able to run NoC#1 at
+// 2x700 MHz; every other size in the table must not.
+var fig13bFeasible = []string{"2x1", "8x4"}
+
+var fig13bClaims = []Claim{
+	{Name: "fig13b/feasibility", Check: func(t *Table) (bool, string) {
+		ok := true
+		var can []string
+		for _, r := range rowLabels(t) {
+			v := t.Cell(r, "can 2x700")
+			ok = ok && (v == 1) == slices.Contains(fig13bFeasible, r)
+			if v == 1 {
+				can = append(can, r)
+			}
+		}
+		return ok, fmt.Sprintf("sustain 2x700 MHz: %s (paper %s)", list(can), list(fig13bFeasible))
+	}},
 }
 
 func runFig18b(ctx *Context) *Table {
@@ -160,7 +203,18 @@ func runFig18b(ctx *Context) *Table {
 		Row{Label: "cache area", Cells: []float64{aggCache / baseCache}},
 		Row{Label: "NoC area", Cells: []float64{oursNoC.Area() / baseNoC.Area()}},
 	)
-	t.Notes = append(t.Notes,
-		"paper: queues +6.25% of total L1 capacity, cache -8%, NoC -50%")
 	return t
+}
+
+// fig18b's bands sit around the paper's own readings.
+var (
+	fig18bQueues = band{0.0525, 0.0725, "0.0625"}
+	fig18bCache  = band{0.85, 0.95, "0.92"}
+	fig18bNoC    = band{0.45, 0.6, "0.50"}
+)
+
+var fig18bClaims = []Claim{
+	cellsIn("fig18b/queue-overhead", false, "ratio", fig18bQueues, "DC-L1 node queues"),
+	cellsIn("fig18b/cache-area", false, "ratio", fig18bCache, "cache area"),
+	cellsIn("fig18b/noc-area", false, "ratio", fig18bNoC, "NoC area"),
 }

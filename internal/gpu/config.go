@@ -16,6 +16,13 @@ import (
 	"dcl1sim/internal/workload"
 )
 
+// ModelVersion names the timing model that produces Results. It leads every
+// point key (experiments.JobKey), so a resume journal or a result store
+// written under one model never serves another's Results. Bump it in the
+// change that changes Results — the one that regenerates testdata — and
+// record the new testdata digest beside it in TestGoldenDigestNamesModel.
+const ModelVersion = "1"
+
 // Config is the machine configuration (Table II equivalents). Zero fields
 // take the 80-core defaults via WithDefaults.
 type Config struct {

@@ -11,7 +11,8 @@
 //   - Cache area:  40-node aggregation saves 8%; 2× capacity costs +84%
 //   - Latency:     64 KB DC-L1 = 30 cycles vs 32 KB L1 = 28 cycles
 //
-// The calibration residuals are recorded per experiment in EXPERIMENTS.md.
+// dcl1bench prints the model beside these targets (fig6, fig12, fig13b,
+// fig18b), and those figures' claims check them.
 package power
 
 import "math"

@@ -136,7 +136,7 @@ type Spec struct {
 	// distribution): 1.0 doubles those cores' wavefronts.
 	Imbalance float64
 
-	// Paper fingerprint (Fig 1), recorded for EXPERIMENTS.md comparisons.
+	// Paper fingerprint (Fig 1), printed beside the measured one by fig1.
 	// Values are approximate readings of the figure.
 	PaperReplRatio float64
 	PaperMissRate  float64
