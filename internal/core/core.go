@@ -53,12 +53,6 @@ type Program interface {
 	Next() Op
 }
 
-// ProgramFunc adapts a function to Program.
-type ProgramFunc func() Op
-
-// Next implements Program.
-func (f ProgramFunc) Next() Op { return f() }
-
 // Params configures a core.
 type Params struct {
 	ID             int

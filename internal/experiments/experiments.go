@@ -231,7 +231,7 @@ func (ctx *Context) RunExperiment(e Experiment) *Table {
 		results, errs := ctx.Sup.RunAll(jobs)
 		for i, j := range jobs {
 			if errs[i] != nil {
-				ctx.failures = append(ctx.failures, Failure{Design: j.D.Name(), App: appLabel(j.App), Err: errs[i]})
+				ctx.failures = append(ctx.failures, Failure{Design: j.D.Name(), App: gpu.SafeLabel(j.App), Err: errs[i]})
 			}
 			ctx.memo[ctx.Sup.key(j)] = results[i]
 		}

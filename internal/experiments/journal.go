@@ -7,42 +7,43 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"dcl1sim/internal/gpu"
-	"dcl1sim/internal/workload"
 )
 
 // JobKey returns the canonical identity of one sweep point — the same string
 // the experiment memo uses, so journal hits and memo hits agree. It encodes
-// the model version, the full design value (study knobs like PrefetchNext do not appear in the
-// display name), the normalized TrimReplies value, the app label, and the
-// machine configuration.
+// the model version, the full design value (study knobs like PrefetchNext do
+// not appear in the display name), the app label, and the machine
+// configuration. Design and configuration are written as their non-zero
+// fields only (fieldsKey), so deleting a field nothing sets leaves every key
+// as it was.
 func JobKey(j gpu.Job) string {
-	dd := j.D
-	trim := true
-	if dd.TrimReplies != nil {
-		trim = *dd.TrimReplies
-	}
-	dd.TrimReplies = nil
-	return fmt.Sprintf("model=%s|%+v|trim=%v|%s|%+v", gpu.ModelVersion, dd, trim, appLabel(j.App), j.Cfg)
+	return "model=" + gpu.ModelVersion + "|" + fieldsKey(j.D) + "|" + gpu.SafeLabel(j.App) + "|" + fieldsKey(j.Cfg)
 }
 
-// appLabel names the workload for keys and progress lines. Label is caller
-// code and may panic; that must degrade to a placeholder, not kill a sweep
-// worker outside the per-attempt barrier.
-func appLabel(app workload.Source) (label string) {
-	defer func() {
-		if recover() != nil {
-			label = "<unlabeled>"
+// fieldsKey encodes a struct value as its non-zero fields, "Name=value" in
+// declaration order, separated by spaces.
+func fieldsKey(v any) string {
+	var b strings.Builder
+	rv := reflect.ValueOf(v)
+	rt := rv.Type()
+	for i := range rv.NumField() {
+		f := rv.Field(i)
+		if f.IsZero() {
+			continue
 		}
-	}()
-	if app == nil {
-		return "<nil>"
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%v", rt.Field(i).Name, f.Interface())
 	}
-	return app.Label()
+	return b.String()
 }
 
 // Log is the storage engine under the resume journal and the service-layer

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/workload"
 )
 
 // countSyncs replaces the directory-sync seam for one test, recording every
@@ -32,6 +33,45 @@ func countSyncs(t *testing.T, fail error) *[]string {
 	}
 	t.Cleanup(func() { syncDir = fsyncDir })
 	return &dirs
+}
+
+// TestJobKeyCanonical pins the key encoding: a struct is written as its
+// non-zero fields only, so a field nothing sets can be added or deleted
+// without changing a key, and no two designs of a figure share one.
+func TestJobKeyCanonical(t *testing.T) {
+	if a, b := fieldsKey(struct{ A, B int }{A: 1}), fieldsKey(struct{ A int }{A: 1}); a != b || a != "A=1" {
+		t.Errorf("fieldsKey: %q and %q, want both \"A=1\"", a, b)
+	}
+	// A key field must print as its value: a pointer, slice or map would
+	// print an address or a nested form.
+	for _, v := range []any{gpu.Design{}, gpu.Config{}} {
+		rt := reflect.TypeOf(v)
+		for i := range rt.NumField() {
+			switch k := rt.Field(i).Type.Kind(); k {
+			case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Func, reflect.Chan, reflect.Interface, reflect.Struct:
+				t.Errorf("%s.%s is a %s field", rt.Name(), rt.Field(i).Name, k)
+			}
+		}
+	}
+	app := workload.Sensitive()[0]
+	for _, ctx := range []*Context{NewContext(), QuickContext()} {
+		designs := []gpu.Design{base()}
+		for _, pd := range proposedDesigns(ctx) {
+			designs = append(designs, pd.D)
+		}
+		seen := map[string]string{}
+		for _, d := range designs {
+			k := JobKey(gpu.Job{Cfg: ctx.Base, D: d, App: app})
+			if other, ok := seen[k]; ok {
+				t.Errorf("%d cores: %s and %s share key %q", ctx.Base.Cores, other, d.Name(), k)
+			}
+			seen[k] = d.Name()
+		}
+	}
+	k := JobKey(gpu.Job{Cfg: gpu.Config{Cores: 16}, D: sh40(), App: app})
+	if want := "model=" + gpu.ModelVersion + "|Kind=Sh DCL1s=40|" + app.Name + "|Cores=16"; k != want {
+		t.Errorf("JobKey = %q, want %q", k, want)
+	}
 }
 
 // TestLogSyncsDirectory: creating a log and renaming a compacted file over

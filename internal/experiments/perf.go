@@ -132,9 +132,9 @@ func runFig1(ctx *Context) *Table {
 
 // The paper's replication-sensitivity criteria (Section II-B).
 const (
-	sensitiveRepl    = 0.25
-	sensitiveMiss    = 0.5
-	sensitiveSpeedup = 1.05
+	sensitiveRepl = 0.25
+	sensitiveMiss = 0.5
+	sensitiveGain = 1.05
 )
 
 // fig1Far is the miss-rate distance from the paper's reading at which
@@ -148,7 +148,7 @@ var fig1CriteriaGap = []string{"R-SC"}
 func meetsCriteria(t *Table, app string) bool {
 	return t.Cell(app, "repl ratio") > sensitiveRepl &&
 		t.Cell(app, "miss rate") > sensitiveMiss &&
-		t.Cell(app, "16x speedup") > sensitiveSpeedup
+		t.Cell(app, "16x speedup") > sensitiveGain
 }
 
 var fig1Claims = []Claim{
@@ -160,7 +160,7 @@ var fig1Claims = []Claim{
 			}
 		}
 		return len(fail) == 0, fmt.Sprintf("sensitive apps failing repl > %.2f, miss > %.2f, 16x > %.2f: %s",
-			sensitiveRepl, sensitiveMiss, sensitiveSpeedup, list(fail))
+			sensitiveRepl, sensitiveMiss, sensitiveGain, list(fail))
 	}},
 	{Name: "fig1/insensitive-criteria", Check: func(t *Table) (bool, string) {
 		var meet []string
@@ -229,11 +229,11 @@ func runSec2C(ctx *Context) *Table {
 	return t
 }
 
-// sec2cSpeedup is a band around the paper's own 2.9x.
-var sec2cSpeedup = band{2.4, 3.4, "2.9"}
+// sec2cGain is a band around the paper's own 2.9x.
+var sec2cGain = band{2.4, 3.4, "2.9"}
 
 var sec2cClaims = []Claim{
-	cellsIn("sec2c/single-l1-speedup", false, "IPC speedup", sec2cSpeedup, "MEAN"),
+	cellsIn("sec2c/single-l1-speedup", false, "IPC speedup", sec2cGain, "MEAN"),
 }
 
 func runFig4(ctx *Context) *Table {

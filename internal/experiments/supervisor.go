@@ -156,7 +156,7 @@ func (s *Supervisor) RunAll(jobs []gpu.Job) ([]gpu.Results, []error) {
 // skip, panic barrier, retry, per-simulation deadline, journal record).
 func (s *Supervisor) RunOne(j gpu.Job) (gpu.Results, error) {
 	ctx := s.Health.Ctx
-	name, app := j.D.Name(), appLabel(j.App)
+	name, app := j.D.Name(), gpu.SafeLabel(j.App)
 	key := s.key(j)
 	if r, ok := s.Journal.Done(key); ok {
 		s.progressf("  skip %-16s %-14s (journaled)\n", name, app)
@@ -179,7 +179,7 @@ func (s *Supervisor) RunOne(j gpu.Job) (gpu.Results, error) {
 		if transient(err) && attempt < s.Retry.Retries {
 			s.progressf("  retry %-16s %-14s attempt %d/%d: %v\n",
 				name, app, attempt+2, s.Retry.Retries+1, err)
-			if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
+			if serr := SleepCtx(ctx, retryDelay(attempt)); serr != nil {
 				return gpu.Results{}, fmt.Errorf("experiments: point %s/%s canceled during retry backoff: %w",
 					name, app, serr)
 			}
@@ -191,10 +191,10 @@ func (s *Supervisor) RunOne(j gpu.Job) (gpu.Results, error) {
 	}
 }
 
-// sleepCtx sleeps for d but returns early with ctx.Err() if ctx is canceled
-// first, so a shutting-down sweep never leaves a worker parked in a retry
-// backoff. A nil ctx sleeps unconditionally.
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// SleepCtx sleeps for d but returns early with ctx.Err() if ctx is canceled
+// first, so a shutting-down sweep or lease worker never stays parked in a
+// retry backoff. A nil ctx sleeps unconditionally.
+func SleepCtx(ctx context.Context, d time.Duration) error {
 	if ctx == nil {
 		time.Sleep(d)
 		return nil
@@ -218,7 +218,7 @@ func runGuarded(j gpu.Job, h gpu.HealthOptions) (r gpu.Results, err error) {
 			r = gpu.Results{}
 			err = &health.SimError{
 				Design: j.D.Name(),
-				App:    appLabel(j.App),
+				App:    gpu.SafeLabel(j.App),
 				Cause:  p,
 				Stack:  string(debug.Stack()),
 			}

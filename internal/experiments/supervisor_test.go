@@ -196,16 +196,16 @@ func (c cancelOnRetry) Write(p []byte) (int, error) {
 // TestSleepCtx pins the helper's contract: nil ctx sleeps; live ctx sleeps;
 // canceled ctx returns immediately with the cause.
 func TestSleepCtx(t *testing.T) {
-	if err := sleepCtx(nil, time.Millisecond); err != nil {
+	if err := SleepCtx(nil, time.Millisecond); err != nil {
 		t.Fatalf("nil ctx: %v", err)
 	}
-	if err := sleepCtx(context.Background(), time.Millisecond); err != nil {
+	if err := SleepCtx(context.Background(), time.Millisecond); err != nil {
 		t.Fatalf("live ctx: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if err := sleepCtx(ctx, time.Hour); !errors.Is(err, context.Canceled) {
+	if err := SleepCtx(ctx, time.Hour); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: %v", err)
 	}
 	if time.Since(start) > 10*time.Second {

@@ -88,9 +88,6 @@ type System struct {
 // wired per the design, ticking on the machine's clocks.
 type Module struct {
 	sys *System
-	// App programs this module's cores: the machine's source, or in a
-	// multi-module machine this module's tenant of a workload.ModuleSource.
-	App workload.Source
 
 	Cores []*core.Core
 	Nodes []*dcl1.Node // private L1 nodes (Baseline/CDXBar) or DC-L1 nodes
@@ -148,9 +145,8 @@ func WithoutPool() BuildOption { return func(s *System) { s.noPool = true } }
 // NewSystem builds the machine for design d running app: max(1, d.Modules)
 // modules on one engine. A machine of one module builds no link clock, link
 // ports or link crossbars, carries no "m0." name prefix and leaves its
-// AddressMap unpartitioned. In a machine of several, sources implementing
-// workload.ModuleSource place one tenant per module; any other Source runs
-// the same program image on every module.
+// AddressMap unpartitioned. In a machine of several, every module runs the
+// same program image of app.
 func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *System {
 	cfg = cfg.WithDefaults()
 	d = d.withDefaults(cfg)
@@ -175,8 +171,10 @@ func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *
 	if n > 1 {
 		s.LinkClk = s.Eng.NewClock(NetLink.String(), LinkClkMHz)
 	}
+	// One plan of the app serves every module.
+	program := workload.Streams(app, cfg.Cores, cfg.Sched, cfg.Seed)
 	for i := 0; i < n; i++ {
-		s.Mods = append(s.Mods, s.newModule(i, n))
+		s.Mods = append(s.Mods, s.newModule(i, n, program))
 	}
 	if n > 1 {
 		s.wireLink()
@@ -192,23 +190,20 @@ func (s *System) clock(net Net) *sim.Clock {
 // newModule builds module i of n and wires the machine's stage table into it:
 // each design kind is its rows, where their taps sit, and the two routing
 // rules of each crossbar stage.
-func (s *System) newModule(i, n int) *Module {
+func (s *System) newModule(i, n int, program func(coreID, waveID int) core.Program) *Module {
 	cfg, d := s.Cfg, s.D
-	mod := &Module{sys: s, App: s.App, AMap: cfg.AddressMap()}
+	mod := &Module{sys: s, AMap: cfg.AddressMap()}
 	if n > 1 {
 		mod.prefix = fmt.Sprintf("m%d.", i)
 		mod.AMap.Modules = n
 		mod.AMap.Module = i
 		mod.AMap.Private = d.PrivateAS
-		if ms, ok := s.App.(workload.ModuleSource); ok {
-			mod.App = ms.ForModule(i, n)
-		}
 	}
 
 	mod.Map = homeMap(cfg, d)
 	l1 := mod.l1NodeParams(0).Cache
 	mod.Tracker = cache.NewPresence(mod.Map.Nodes() * l1.Sets * l1.Ways)
-	mod.buildCores()
+	mod.buildCores(program)
 	mod.buildNodes()
 	mod.buildL2AndDram()
 
@@ -272,9 +267,9 @@ func homeMap(cfg Config, d Design) dcl1.Mapping {
 	}
 }
 
-func (mod *Module) buildCores() {
-	cfg := mod.sys.Cfg
-	program := workload.Streams(mod.App, cfg.Cores, cfg.Sched, cfg.Seed)
+// buildCores builds the module's cores, each wavefront's stream from program.
+func (mod *Module) buildCores(program func(coreID, waveID int) core.Program) {
+	cfg, app := mod.sys.Cfg, mod.sys.App
 	for c := 0; c < cfg.Cores; c++ {
 		co := core.New(core.Params{
 			ID:             c,
@@ -283,7 +278,7 @@ func (mod *Module) buildCores() {
 			InCap:          16,
 			Pool:           mod.sys.Pool,
 		})
-		waves := mod.App.WavesFor(c)
+		waves := app.WavesFor(c)
 		for w := 0; w < waves; w++ {
 			co.AddWave(program(c, w))
 		}
@@ -594,7 +589,7 @@ func (mod *Module) wireStage(st Stage, e edge) {
 	b := s.buildStage(st, mod.prefix)
 	mod.Stages = append(mod.Stages, b)
 	// The feeds outlive the build: they capture what they use, not the edge.
-	forward, back, flit, toCore, trim := e.forward, e.back, st.FlitBytes, e.toCore, *s.D.TrimReplies
+	forward, back, flit, toCore := e.forward, e.back, st.FlitBytes, e.toCore
 	// seat finds tap k's crossbar and port on a side width ports wide.
 	seat := func(k, width int) (xbar, port int) {
 		if e.striped {
@@ -623,7 +618,7 @@ func (mod *Module) wireStage(st Stage, e edge) {
 			if d.l2 != nil && s.retireOrphan(a) {
 				return true
 			}
-			return s.inject(rep, a, port, back(a), replyFlits(a, flit, toCore, trim))
+			return s.inject(rep, a, port, back(a), replyFlits(a, flit, toCore))
 		}, d.rep))
 	}
 }

@@ -194,7 +194,6 @@ type Design struct {
 	PerfectL1       bool // Fig 4c
 	FlitBytes       int  // 64 for the 2x-flit boosted baseline
 	NoCBoost        bool // baseline with 2x NoC frequency (boosted baseline)
-	TrimReplies     *bool
 	// PrefetchNext enables the sequential prefetcher extension in the
 	// L1/DC-L1 nodes: N best-effort line fetches per demand miss.
 	PrefetchNext int
@@ -239,10 +238,6 @@ func (d Design) withDefaults(cfg Config) Design {
 	}
 	if d.FlitBytes <= 0 {
 		d.FlitBytes = 32
-	}
-	if d.TrimReplies == nil {
-		t := true
-		d.TrimReplies = &t
 	}
 	if d.Modules >= 2 {
 		if d.LinkGBps <= 0 {

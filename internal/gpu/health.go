@@ -88,12 +88,12 @@ func NewSystemChecked(cfg Config, d Design, app workload.Source, opts ...BuildOp
 
 // simError wraps a recovered panic as the typed error of a checked build or
 // run. Call it from the deferred function that recovered, so the stack still
-// holds the panicking frames. The label is read through safeLabel: the panic
+// holds the panicking frames. The label is read through SafeLabel: the panic
 // may have come from the workload source itself.
 func simError(d Design, app workload.Source, cycle sim.Cycle, cause any) *health.SimError {
 	return &health.SimError{
 		Design: d.Name(),
-		App:    safeLabel(app),
+		App:    SafeLabel(app),
 		Cycle:  cycle,
 		Cause:  cause,
 		Stack:  string(debug.Stack()),
@@ -304,19 +304,10 @@ func (s *System) RunChecked(opts HealthOptions) (r Results, err error) {
 	// paper's pathological apps on the thrashing baseline — is a result,
 	// not a failure. Only hard accounting/protocol violations fail the run.
 	if v := health.Fatal(mon.CheckInvariants()); len(v) > 0 {
-		dump := mon.BuildDump("audit", s.CoreClk.Name(), s.CoreClk.Now(), s.healthClocks())
+		dump := mon.BuildDump("audit", s.CoreClk.Name(), s.CoreClk.Now(), s.Eng.ClockStates())
 		return Results{}, &health.InvariantError{RefCycle: s.CoreClk.Now(), Dump: dump}
 	}
 	return s.collect(cycles), nil
-}
-
-// healthClocks snapshots the engine's clock domains for a dump.
-func (s *System) healthClocks() []health.ClockState {
-	var out []health.ClockState
-	for _, c := range s.Eng.Clocks() {
-		out = append(out, health.ClockState{Name: c.Name(), FreqMHz: c.FreqMHz(), Cycle: c.Now()})
-	}
-	return out
 }
 
 // RunChecked builds the machine and executes it under the health layer,

@@ -56,7 +56,7 @@ func (mod *Module) wireMeshNoC(st Stage) {
 		req.Feeds.Add(feed(mod.l2in[i], l2.In.Push, l2.In.SpaceRef()))
 		rep.Feeds.Add(netFeed(rep, func(a *mem.Access) bool {
 			return s.retireOrphan(a) ||
-				s.inject(rep, a, l2Node(i), mod.asker(a), replyFlits(a, st.FlitBytes, false, false))
+				s.inject(rep, a, l2Node(i), mod.asker(a), replyFlits(a, st.FlitBytes, false))
 		}, l2.Out))
 	}
 }

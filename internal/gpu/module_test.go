@@ -7,7 +7,6 @@ import (
 
 	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/metrics"
-	"dcl1sim/internal/workload"
 )
 
 // multiCases are the multi-GPU runs pinned under testdata/golden_multi: all
@@ -89,20 +88,6 @@ func TestLinkBandwidthMatters(t *testing.T) {
 	}
 	if slow.MeanRTT < fast.MeanRTT {
 		t.Fatalf("slow link RTT %f beats fast link RTT %f", slow.MeanRTT, fast.MeanRTT)
-	}
-}
-
-// TestModuleMixPlacesTenants checks per-module tenant placement: a two-app
-// mix on a 2-module machine labels itself with both tenants and both modules
-// make progress on their own program.
-func TestModuleMixPlacesTenants(t *testing.T) {
-	mix := workload.ModuleMix{Apps: []workload.Spec{sharingApp(), streamApp()}}
-	r := Run(testCfg(), Design{Kind: Shared, DCL1s: 4, Modules: 2}, mix)
-	if r.App != "test-sharing/test-stream" {
-		t.Fatalf("App label = %q, want tenant mix", r.App)
-	}
-	if len(r.ModuleIPC) != 2 || r.ModuleIPC[0] <= 0 || r.ModuleIPC[1] <= 0 {
-		t.Fatalf("tenant modules did not both progress: %v", r.ModuleIPC)
 	}
 }
 

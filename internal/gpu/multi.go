@@ -56,7 +56,7 @@ func (s *System) wireLink() {
 		// Fills: home DRAM data returns to the origin module. Full lines,
 		// never trimmed (both ends are memory-side).
 		rep.Feeds.Add(netFeed(rep, func(a *mem.Access) bool {
-			return s.inject(rep, a, i, int(a.Module), replyFlits(a, st.FlitBytes, false, false))
+			return s.inject(rep, a, i, int(a.Module), replyFlits(a, st.FlitBytes, false))
 		}, mod.linkRepOut...))
 		rep.SetEndpoint(i, sinkPort(mod.linkFillIn))
 		for ch := range mod.linkReqIn {

@@ -26,11 +26,3 @@ func (r Results) Summary() string {
 	}
 	return sb.String()
 }
-
-// Speedup returns r.IPC / base.IPC (0 when the baseline is degenerate).
-func (r Results) Speedup(base Results) float64 {
-	if base.IPC <= 0 {
-		return 0
-	}
-	return r.IPC / base.IPC
-}

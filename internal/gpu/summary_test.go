@@ -15,17 +15,6 @@ func TestResultsSummary(t *testing.T) {
 	}
 }
 
-func TestResultsSpeedup(t *testing.T) {
-	base := Results{IPC: 2}
-	ours := Results{IPC: 3}
-	if got := ours.Speedup(base); got != 1.5 {
-		t.Fatalf("speedup = %f", got)
-	}
-	if got := ours.Speedup(Results{}); got != 0 {
-		t.Fatalf("degenerate speedup = %f", got)
-	}
-}
-
 func TestRTTPercentilesOrdered(t *testing.T) {
 	r := Run(testCfg(), Design{Kind: Shared, DCL1s: 4}, sharingApp())
 	if r.P50RTT <= 0 || r.P99RTT < r.P50RTT {

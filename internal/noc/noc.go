@@ -32,12 +32,6 @@ type EndpointFunc func(p *mem.Packet) bool
 // Deliver implements Endpoint.
 func (f EndpointFunc) Deliver(p *mem.Packet) bool { return f(p) }
 
-// QueueEndpoint delivers packets into a bounded queue.
-type QueueEndpoint struct{ Q *sim.Queue[*mem.Packet] }
-
-// Deliver implements Endpoint.
-func (e QueueEndpoint) Deliver(p *mem.Packet) bool { return e.Q.Push(p) }
-
 // Params configures a crossbar.
 type Params struct {
 	Name      string

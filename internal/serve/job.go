@@ -48,7 +48,6 @@ type JobStatus struct {
 	Cached      int  `json:"cached"`
 	Quarantined int  `json:"quarantined"`
 	InFlight    int  `json:"in_flight"`           // points out under leases
-	Leased      int  `json:"leased,omitempty"`    // the same count (kept for older clients)
 	Recovered   bool `json:"recovered,omitempty"` // resumed after a restart
 	BreakerOpen bool `json:"breaker_open,omitempty"`
 
@@ -96,7 +95,6 @@ func (j *job) status(withResults bool) JobStatus {
 		Cached:      j.cached,
 		Quarantined: j.quarantined,
 		InFlight:    j.leased,
-		Leased:      j.leased,
 		Recovered:   j.recovered,
 		BreakerOpen: j.tripped,
 	}

@@ -73,7 +73,7 @@ func TestLeaseLifecycle(t *testing.T) {
 			t.Errorf("point %s names job %q, want %q", lp.Token, lp.Job, st.ID)
 		}
 	}
-	if js, _ := s.Job(st.ID, false); js.Leased != 3 || js.State != StateRunning {
+	if js, _ := s.Job(st.ID, false); js.InFlight != 3 || js.State != StateRunning {
 		t.Errorf("mid-lease status = %+v, want 3 leased, running", js)
 	}
 	if _, ok := s.RenewLease(g.ID); !ok {
@@ -92,8 +92,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	assertByteIdentical(t, waitJob(t, s, st.ID), cold)
 
 	z := s.Stats()
-	if z.ActiveLeases != 0 || z.LeasedPoints != 0 {
-		t.Errorf("after completion: %d active leases, %d leased points, want 0/0", z.ActiveLeases, z.LeasedPoints)
+	if z.ActiveLeases != 0 || z.InFlightPoints != 0 {
+		t.Errorf("after completion: %d active leases, %d points in flight, want 0/0", z.ActiveLeases, z.InFlightPoints)
 	}
 	if z.LeasesGranted != 1 {
 		t.Errorf("leases granted = %d, want 1", z.LeasesGranted)
@@ -120,8 +120,8 @@ func TestLeaseTable(t *testing.T) {
 			}
 			s.expireLeases(future())
 			s.expireLeases(future()) // racing duplicate reap: finds nothing
-			if js, _ := s.Job(jobID, false); js.Leased != 0 {
-				t.Fatalf("leased = %d after expiry, want 0", js.Leased)
+			if js, _ := s.Job(jobID, false); js.InFlight != 0 {
+				t.Fatalf("in flight = %d after expiry, want 0", js.InFlight)
 			}
 			if got := s.pointsRequeued.Load(); got != int64(len(g.Points)) {
 				t.Fatalf("points requeued = %d, want %d (exactly once)", got, len(g.Points))

@@ -699,8 +699,8 @@ type Statz struct {
 	StoreCompactions int64 `json:"store_compactions,omitempty"`
 	StoreDropped     int64 `json:"store_dropped,omitempty"`
 
-	// Farm view: points out under leases and the live lease table.
-	LeasedPoints   int          `json:"leased_points"`
+	// Farm view: the live lease table (InFlightPoints counts the points
+	// out under it).
 	ActiveLeases   int          `json:"active_leases"`
 	LeasesGranted  int64        `json:"leases_granted"`
 	LeasesExpired  int64        `json:"leases_expired"`
@@ -749,7 +749,6 @@ func (s *Server) Stats() Statz {
 		StoreCompactions: s.store.Compactions(),
 		StoreDropped:     s.store.Dropped(),
 
-		LeasedPoints:   s.leasedPoints,
 		ActiveLeases:   len(s.leases),
 		LeasesGranted:  s.leasesGranted.Load(),
 		LeasesExpired:  s.leasesExpired.Load(),

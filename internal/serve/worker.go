@@ -141,7 +141,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			d := backoff(w.opt.Name, attempt, te.RetryAfter)
 			w.progressf("%v; retrying in %v\n", err, d.Round(time.Millisecond))
 			attempt++
-			sleepCtx(ctx, d)
+			experiments.SleepCtx(ctx, d)
 			continue
 		}
 		attempt = 0
@@ -151,7 +151,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if d <= 0 {
 				d = time.Second
 			}
-			sleepCtx(ctx, d)
+			experiments.SleepCtx(ctx, d)
 			continue
 		}
 		w.count(func(s *WorkerStats) { s.Leases++ })
@@ -309,7 +309,7 @@ func (w *Worker) upload(leaseCtx context.Context, leaseID string, comp LeaseComp
 		}
 		d := backoff(w.opt.Name, attempt, te.RetryAfter)
 		w.progressf("upload %s: %v; retrying in %v\n", comp.Token, te.Err, d.Round(time.Millisecond))
-		if sleepCtx(leaseCtx, d) != nil {
+		if experiments.SleepCtx(leaseCtx, d) != nil {
 			return
 		}
 	}
@@ -349,18 +349,6 @@ func backoff(name string, attempt int, hint time.Duration) time.Duration {
 		d = hint
 	}
 	return d
-}
-
-// sleepCtx sleeps for d unless ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // localTransport is the lease protocol without the wire: the server's own

@@ -394,8 +394,8 @@ func (o RunOptions) withDefaults() RunOptions {
 	return o
 }
 
-// clockStates snapshots every clock domain for a diagnostic dump.
-func (e *Engine) clockStates() []health.ClockState {
+// ClockStates snapshots every clock domain for a diagnostic dump.
+func (e *Engine) ClockStates() []health.ClockState {
 	out := make([]health.ClockState, 0, len(e.clocks))
 	for _, c := range e.clocks {
 		out = append(out, health.ClockState{Name: c.name, FreqMHz: c.mhz, Cycle: c.cycle})
@@ -446,7 +446,7 @@ func (e *Engine) RunUntilChecked(ref *Clock, cycles Cycle, opts RunOptions) erro
 		// The engine's own books first: a component asleep with work to do
 		// is the likeliest cause of whatever the probes would report next.
 		if v := e.CheckInvariants(); len(v) > 0 {
-			dump := &health.Dump{Reason: "wake-audit", RefClock: ref.name, RefCycle: ref.cycle, Clocks: e.clockStates()}
+			dump := &health.Dump{Reason: "wake-audit", RefClock: ref.name, RefCycle: ref.cycle, Clocks: e.ClockStates()}
 			if opts.Monitor != nil {
 				dump = opts.Monitor.BuildDump(dump.Reason, ref.name, ref.cycle, dump.Clocks)
 			}
@@ -457,7 +457,7 @@ func (e *Engine) RunUntilChecked(ref *Clock, cycles Cycle, opts RunOptions) erro
 			if elapsed := time.Since(start); elapsed > opts.Deadline {
 				var dump *health.Dump
 				if opts.Monitor != nil {
-					dump = opts.Monitor.BuildDump("deadline", ref.name, ref.cycle, e.clockStates())
+					dump = opts.Monitor.BuildDump("deadline", ref.name, ref.cycle, e.ClockStates())
 				}
 				return &health.DeadlineError{
 					RefCycle: ref.cycle, Deadline: opts.Deadline, Elapsed: elapsed, Dump: dump,
@@ -473,7 +473,7 @@ func (e *Engine) RunUntilChecked(ref *Clock, cycles Cycle, opts RunOptions) erro
 			continue
 		}
 		if ref.cycle-lastProgress >= opts.StallWindow && opts.Monitor.AnyBusy() {
-			dump := opts.Monitor.BuildDump("deadlock", ref.name, ref.cycle, e.clockStates())
+			dump := opts.Monitor.BuildDump("deadlock", ref.name, ref.cycle, e.ClockStates())
 			return &health.DeadlockError{
 				RefCycle: ref.cycle, Window: ref.cycle - lastProgress, Dump: dump,
 			}

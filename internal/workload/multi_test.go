@@ -76,18 +76,3 @@ func TestPartitionPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestRawPartitionDelegates(t *testing.T) {
-	a := Spec{Name: "x", Waves: 4, PrivateLines: 8}
-	p := Partition{Apps: []Spec{a, a}}
-	if p.Label() != "x+x" {
-		t.Fatal("label")
-	}
-	if p.WavesFor(0) != 4 {
-		t.Fatal("waves")
-	}
-	prog := p.Program(8, 5, 1, RoundRobin, 2)
-	if prog.Next().Kind == core.OpEnd {
-		t.Fatal("raw partition program empty")
-	}
-}

@@ -21,7 +21,6 @@ func TestStreamsMatchProgram(t *testing.T) {
 	sources := map[string]Source{
 		"spec":      rsc,
 		"partition": NewPartition(cores, alex, cnn),
-		"tenant":    ModuleMix{Apps: []Spec{cnn, alex}}.ForModule(1, 2),
 	}
 	for name, src := range sources {
 		for _, sched := range []Sched{RoundRobin, Distributed} {

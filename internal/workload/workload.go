@@ -83,9 +83,9 @@ type Source interface {
 // Streams is a machine's per-wavefront program constructor for src: the
 // returned function gives the instruction stream of wavefront waveID on core
 // coreID of a cores-core machine. Synthetic sources (a Spec, a NewPartition
-// source, a ModuleMix module's tenant) plan each of their apps once here, so
-// the machine's wavefronts share one read-only plan per app; any other
-// Source falls back to its Program. Each call plans afresh, so machines
+// source) plan each of their apps once here, so the machine's wavefronts
+// share one read-only plan per app; any other Source falls back to its
+// Program. Each call plans afresh, so machines
 // built concurrently share nothing mutable.
 func Streams(src Source, cores int, sched Sched, seed uint64) func(coreID, waveID int) core.Program {
 	if p, ok := src.(planner); ok {

@@ -60,7 +60,7 @@ func applyOptions(opts []RunOption) *runConfig {
 	return rc
 }
 
-// Run executes one workload (an AppSpec, Trace, or Partition) on the given
+// Run executes one workload (an AppSpec, Trace, or NewPartition) on the given
 // machine and design and returns its measurements. It is the single entry
 // point of the package (RunMany is the batch form of the same door).
 //
