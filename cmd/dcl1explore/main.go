@@ -157,12 +157,11 @@ func main() {
 		p.repl = r.MeanReplicas
 		p.area = noc.Area() / baseNoC.Area()
 		score := p.speed / p.area
-		mark := ""
 		if score > bestScore {
 			bestScore, best = score, i
 		}
-		fmt.Printf("%-18s %7.2fx %8.2f %9.2f %8.2fx %8v%s\n",
-			p.d.Name(), p.speed, p.miss, p.repl, p.area, p.canRun, mark)
+		fmt.Printf("%-18s %7.2fx %8.2f %9.2f %8.2fx %8v\n",
+			p.d.Name(), p.speed, p.miss, p.repl, p.area, p.canRun)
 	}
 	if best >= 0 {
 		fmt.Printf("\nbest performance-per-NoC-area: %s (%.2fx speedup at %.2fx area)\n",

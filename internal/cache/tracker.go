@@ -160,6 +160,10 @@ func (p *Presence) MeanReplicas() float64 {
 	return float64(p.SampledReplicaSum) / float64(p.SampledReplicaCount)
 }
 
+// Copies returns the number of copies recorded over all lines: the
+// directory's set sharer bits (the post-run audit counts them).
+func (p *Presence) Copies() int { return popcount(p.sharers) }
+
 // Distinct returns the number of lines currently resident somewhere.
 func (p *Presence) Distinct() int { return p.n }
 

@@ -57,6 +57,13 @@ func checkPresence(t testing.TB, p *Presence, ref *presenceRef, line uint64) {
 	if p.Distinct() != len(ref.sets) {
 		t.Fatalf("Distinct = %d, want %d", p.Distinct(), len(ref.sets))
 	}
+	copies := 0
+	for _, s := range ref.sets {
+		copies += len(s)
+	}
+	if p.Copies() != copies {
+		t.Fatalf("Copies = %d, want %d", p.Copies(), copies)
+	}
 	if p.SampledReplicaSum != ref.sum || p.SampledReplicaCount != ref.count {
 		t.Fatalf("sampled %d/%d, want %d/%d", p.SampledReplicaSum, p.SampledReplicaCount, ref.sum, ref.count)
 	}

@@ -56,7 +56,7 @@ func (s *Spec) Register(fs *flag.FlagSet, names ...string) {
 			fs.StringVar(&s.App, "app", s.App, "application name (dcl1apps lists them)")
 		case "design":
 			fs.StringVar(&s.Design, "design", s.Design,
-				"design: Baseline, PrY, ShY, ShY+CZ[+Boost], CDXBar[+2xNoC[1]], SingleL1")
+				"design: Baseline, PrY, ShY, CDXBar, SingleL1 or MeshBase, then +CZ (ShY), +Boost (PrY, ShY), +2xNoC1 (CDXBar), +2xNoC (CDXBar, Baseline), +kxL1, +PerfectL1, +kxFlit, +PFn, +WB, +Mn (+Gn, +Latn, +Priv)")
 		case "cores":
 			fs.IntVar(&s.Cores, "cores", s.Cores, "core count (0 = 80)")
 		case "cycles":

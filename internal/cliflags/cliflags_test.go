@@ -52,6 +52,8 @@ func TestSpecFlagsMatchTheWireForm(t *testing.T) {
 			`{"app":"C-BFS","designs":["Sh40"],"chaos_seed":1,"power_cap":12.5,"power_zone":"gpu"}`},
 		{"-app C-BFS -design Sh40 -power-zone memory",
 			`{"app":"C-BFS","designs":["Sh40"],"chaos_seed":1}`},
+		{"-app C-BFS -design Pr40+2xL1",
+			`{"app":"C-BFS","designs":["Pr40+2xL1"],"chaos_seed":1}`},
 
 		// Rejections: the flag error is the POST error, byte for byte.
 		{"-app NoSuchApp -design Baseline", `{"app":"NoSuchApp","designs":["Baseline"]}`},
@@ -61,7 +63,7 @@ func TestSpecFlagsMatchTheWireForm(t *testing.T) {
 		{"-app C-BFS -design Sh40+M4 -link-gbps 128", `{"app":"C-BFS","designs":["Sh40+M4"],"link_gbps":128}`},
 		{"-app C-BFS -design Baseline -chaos catastrophic", `{"app":"C-BFS","designs":["Baseline"],"chaos":"catastrophic"}`},
 		{"-app C-BFS -design Bogus99", `{"app":"C-BFS","designs":["Bogus99"]}`},
-		{"-app C-BFS -design Pr40+2xL1", `{"app":"C-BFS","designs":["Pr40+2xL1"]}`},
+		{"-app C-BFS -design Pr40+2xNoC", `{"app":"C-BFS","designs":["Pr40+2xNoC"]}`},
 		{"-app C-BFS -design Baseline -power-cap -1", `{"app":"C-BFS","designs":["Baseline"],"power_cap":-1}`},
 		{"-app C-BFS -design Baseline -power-cap 60 -power-zone rack", `{"app":"C-BFS","designs":["Baseline"],"power_cap":60,"power_zone":"rack"}`},
 	} {

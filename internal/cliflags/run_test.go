@@ -25,7 +25,7 @@ type flagRow struct{ name, def, usage string }
 func TestFlagSurface(t *testing.T) {
 	var (
 		app      = flagRow{"app", "T-AlexNet", "application name (dcl1apps lists them)"}
-		design   = flagRow{"design", "Sh40+C10+Boost", "design: Baseline, PrY, ShY, ShY+CZ[+Boost], CDXBar[+2xNoC[1]], SingleL1"}
+		design   = flagRow{"design", "Sh40+C10+Boost", "design: Baseline, PrY, ShY, CDXBar, SingleL1 or MeshBase, then +CZ (ShY), +Boost (PrY, ShY), +2xNoC1 (CDXBar), +2xNoC (CDXBar, Baseline), +kxL1, +PerfectL1, +kxFlit, +PFn, +WB, +Mn (+Gn, +Latn, +Priv)"}
 		cores    = flagRow{"cores", "0", "core count (0 = 80)"}
 		cycles   = flagRow{"cycles", "0", "measurement window in core cycles (0 = 40000)"}
 		warmup   = flagRow{"warmup", "0", "warmup window in core cycles (0 = 10000)"}

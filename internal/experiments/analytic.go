@@ -30,7 +30,7 @@ func runExtAnalytic(ctx *Context) *Table {
 	}
 	var missErr, replErr []float64
 	for _, app := range workload.Sensitive() {
-		sim := ctx.runDefault(base(), app)
+		sim := ctx.runDefault(ctx.design("Baseline"), app)
 		pred := analytic.PredictBaseline(app, m)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{
 			sim.L1MissRate, pred.MissRate, sim.ReplicationRatio, pred.ReplicationRatio,

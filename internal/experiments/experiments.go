@@ -261,11 +261,15 @@ func (ctx *Context) scaledDesign(d gpu.Design) gpu.Design {
 	return d
 }
 
-// Design shorthands (80-core shapes; scaledDesign adapts them).
-func base() gpu.Design     { return gpu.Design{Kind: gpu.Baseline} }
-func pr(y int) gpu.Design  { return gpu.Design{Kind: gpu.Private, DCL1s: y} }
-func sh40() gpu.Design     { return gpu.Design{Kind: gpu.Shared, DCL1s: 40} }
-func shc(z int) gpu.Design { return gpu.Design{Kind: gpu.Clustered, DCL1s: 40, Clusters: z} }
-func boost() gpu.Design {
-	return gpu.Design{Kind: gpu.Clustered, DCL1s: 40, Clusters: 10, Boost1: true}
+// design returns the paper's named design (its 80-core shape) adapted to the
+// context's machine.
+func (ctx *Context) design(name string) gpu.Design { return ctx.scaledDesign(mustDesign(name)) }
+
+// mustDesign parses a design name written in this package.
+func mustDesign(name string) gpu.Design {
+	d, err := gpu.ParseDesign(name)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }

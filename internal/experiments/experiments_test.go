@@ -141,8 +141,8 @@ func TestContextRunSurvivesPanickingLabel(t *testing.T) {
 		ctx := QuickContext()
 		ctx.Sup.Workers = workers
 		e := Experiment{ID: "label-panic", Run: func(ctx *Context) *Table {
-			ctx.runDefault(base(), supPanicApp{})
-			ctx.runDefault(base(), supPanicApp{})
+			ctx.runDefault(ctx.design("Baseline"), supPanicApp{})
+			ctx.runDefault(ctx.design("Baseline"), supPanicApp{})
 			return &Table{}
 		}}
 		ctx.RunExperiment(e)
@@ -245,7 +245,7 @@ func TestRunExperimentWorkersZeroIsParallel(t *testing.T) {
 	ctx.Sup.Workers = 0
 	ctx.RunExperiment(Experiment{ID: "barrier", Run: func(ctx *Context) *Table {
 		for _, a := range apps {
-			ctx.run(cfg, base(), a)
+			ctx.run(cfg, ctx.design("Baseline"), a)
 		}
 		return &Table{}
 	}})
@@ -293,5 +293,61 @@ func TestGeomeanAndMean(t *testing.T) {
 	}
 	if stats.Mean(nil) != 0 {
 		t.Error("empty mean must be 0")
+	}
+}
+
+// TestCollectedDesignNames pins the name of every design each experiment's
+// collect pass asks for, on the paper's machine and on QuickContext's, in the
+// order it asks. A design is its name, so a renamed design is a changed
+// point: these are the parent's names, plus the prefetch (+PF2) and
+// write-back (+WB) points, which printed as plain Sh40+C10+Boost before.
+func TestCollectedDesignNames(t *testing.T) {
+	want := map[string][2]string{
+		"boostbase":     {"Baseline Baseline+2xL1 Baseline+2xNoC Baseline+2xFlit Sh40+C10+Boost", "Baseline Baseline+2xL1 Baseline+2xNoC Baseline+2xFlit Sh8+C2+Boost"},
+		"cta":           {"Baseline Sh40+C10+Boost", "Baseline Sh8+C2+Boost"},
+		"ext-analytic":  {"Baseline", "Baseline"},
+		"ext-mesh":      {"Baseline MeshBase Sh40+C10+Boost", "Baseline MeshBase Sh8+C2+Boost"},
+		"ext-multiprog": {"Baseline Sh40 Sh40+C10+Boost", "Baseline Sh8 Sh8+C2+Boost"},
+		"ext-prefetch":  {"Sh40+C10+Boost Sh40+C10+Boost+PF2", "Sh8+C2+Boost Sh8+C2+Boost+PF2"},
+		"ext-writeback": {"Sh40+C10+Boost Sh40+C10+Boost+WB", "Sh8+C2+Boost Sh8+C2+Boost+WB"},
+		"fig1":          {"Baseline Baseline+16xL1", "Baseline Baseline+16xL1"},
+		"fig11":         {"Baseline Sh40 Sh40+C5 Sh40+C10 Sh40+C20 Pr40", "Baseline Sh8 Sh8+C1 Sh8+C2 Sh8+C4 Pr8"},
+		"fig12":         {"", ""},
+		"fig13a":        {"Baseline Sh40 Sh40+C10 Sh40+C10+Boost", "Baseline Sh8 Sh8+C2 Sh8+C2+Boost"},
+		"fig13b":        {"", ""},
+		"fig14":         {"Baseline Pr40 Sh40 Sh40+C10 Sh40+C10+Boost", "Baseline Pr8 Sh8 Sh8+C2 Sh8+C2+Boost"},
+		"fig15":         {"Baseline Pr40 Sh40 Sh40+C10 Sh40+C10+Boost", "Baseline Pr8 Sh8 Sh8+C2 Sh8+C2+Boost"},
+		"fig16":         {"Baseline Pr40 Sh40 Sh40+C10+Boost", "Baseline Pr8 Sh8 Sh8+C2+Boost"},
+		"fig17":         {"Baseline Pr40 Sh40 Sh40+C10+Boost", "Baseline Pr8 Sh8 Sh8+C2+Boost"},
+		"fig18a":        {"Baseline Sh40+C10+Boost", "Baseline Sh8+C2+Boost"},
+		"fig18b":        {"", ""},
+		"fig19a":        {"Baseline CDXBar CDXBar+2xNoC1 CDXBar+2xNoC Sh40+C10+Boost", "Baseline CDXBar CDXBar+2xNoC1 CDXBar+2xNoC Sh8+C2+Boost"},
+		"fig19b":        {"Baseline Sh40+C10+Boost", "Baseline Sh8+C2+Boost"},
+		"fig2":          {"Baseline", "Baseline"},
+		"fig4":          {"Baseline Pr80 Pr80+PerfectL1 Pr40 Pr40+PerfectL1 Pr20 Pr20+PerfectL1 Pr10 Pr10+PerfectL1 Baseline+PerfectL1", "Baseline Pr16 Pr16+PerfectL1 Pr8 Pr8+PerfectL1 Pr4 Pr4+PerfectL1 Pr2 Pr2+PerfectL1 Baseline+PerfectL1"},
+		"fig6":          {"", ""},
+		"fig8":          {"Baseline Sh40", "Baseline Sh8"},
+		"fig9":          {"Baseline Sh40", "Baseline Sh8"},
+		"lat":           {"Baseline Sh40+C10+Boost Baseline+PerfectL1 Sh40+C10+Boost+PerfectL1", "Baseline Sh8+C2+Boost Baseline+PerfectL1 Sh8+C2+Boost+PerfectL1"},
+		"sec2c":         {"Baseline SingleL1", "Baseline SingleL1"},
+		"size":          {"Baseline Sh60+C10+Boost", "Baseline Sh12+C2+Boost"},
+		"tab1":          {"", ""},
+	}
+	for i, mk := range []func() *Context{NewContext, QuickContext} {
+		for _, e := range All() {
+			ctx := mk()
+			e.Run(ctx)
+			var names []string
+			seen := map[string]bool{}
+			for _, j := range ctx.pending {
+				if n := j.D.Name(); !seen[n] {
+					seen[n] = true
+					names = append(names, n)
+				}
+			}
+			if got := strings.Join(names, " "); got != want[e.ID][i] {
+				t.Errorf("%s on %d cores: designs %q, want %q", e.ID, ctx.Base.Cores, got, want[e.ID][i])
+			}
+		}
 	}
 }

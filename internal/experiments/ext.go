@@ -36,10 +36,8 @@ func runExtPrefetch(ctx *Context) *Table {
 		Columns: []string{"IPC ratio", "miss ratio"},
 	}
 	for _, app := range streamApps() {
-		plain := ctx.runDefault(ctx.scaledDesign(boost()), app)
-		pf := boost()
-		pf.PrefetchNext = 2
-		pfr := ctx.runDefault(ctx.scaledDesign(pf), app)
+		plain := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
+		pfr := ctx.runDefault(ctx.design("Sh40+C10+Boost+PF2"), app)
 		mr := 0.0
 		if plain.L1MissRate > 0 {
 			mr = pfr.L1MissRate / plain.L1MissRate

@@ -67,13 +67,13 @@ func runFig18a(ctx *Context) *Table {
 		Title:   "NoC power and energy, Sh40+C10+Boost normalized to baseline",
 		Columns: []string{"ratio"},
 	}
-	baseSpec := gpu.DesignNoCSpec(ctx.Base, base())
-	oursSpec := gpu.DesignNoCSpec(ctx.Base, ctx.scaledDesign(boost()))
+	baseSpec := gpu.DesignNoCSpec(ctx.Base, ctx.design("Baseline"))
+	oursSpec := gpu.DesignNoCSpec(ctx.Base, ctx.design("Sh40+C10+Boost"))
 	var bStat, oStat = baseSpec.StaticPower(), oursSpec.StaticPower()
 	var bDyn, oDyn, bIPC, oIPC float64
 	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(base(), app)
-		o := ctx.runDefault(ctx.scaledDesign(boost()), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		o := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
 		// Baseline spec has one crossbar group (all traffic); ours has two.
 		bDyn += baseSpec.DynamicPower([]int64{b.Noc2Flits}, b.Seconds)
 		oDyn += oursSpec.DynamicPower([]int64{o.Noc1Flits, o.Noc2Flits}, o.Seconds)
@@ -123,8 +123,8 @@ func runLat(ctx *Context) *Table {
 	}
 	var bRTT, oRTT []float64
 	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(base(), app)
-		o := ctx.runDefault(ctx.scaledDesign(boost()), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		o := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
 		bRTT = append(bRTT, b.MeanRTT)
 		oRTT = append(oRTT, o.MeanRTT)
 	}
@@ -137,9 +137,8 @@ func runLat(ctx *Context) *Table {
 		SharedLines: 0, SharedFrac: 0, PrivateLines: 8,
 		CoalescedLines: 1,
 	}
-	perfBase := ctx.runDefault(gpu.Design{Kind: gpu.Baseline, PerfectL1: true}, probe)
-	perfOurs := ctx.runDefault(ctx.scaledDesign(gpu.Design{
-		Kind: gpu.Clustered, DCL1s: 40, Clusters: 10, Boost1: true, PerfectL1: true}), probe)
+	perfBase := ctx.runDefault(ctx.design("Baseline+PerfectL1"), probe)
+	perfOurs := ctx.runDefault(ctx.design("Sh40+C10+Boost+PerfectL1"), probe)
 	hop := perfOurs.MeanRTT - perfBase.MeanRTT
 	base32 := power.CacheAccessLatency(32*1024, 28)
 	dc64 := power.CacheAccessLatency(64*1024, 28)
@@ -167,28 +166,20 @@ func runFig19a(ctx *Context) *Table {
 		Title:   "CDXBar designs vs Sh40+C10+Boost (IPC vs baseline, class means)",
 		Columns: []string{"sensitive", "insensitive"},
 	}
-	designs := []struct {
-		label string
-		d     gpu.Design
-	}{
-		{"CDXBar", ctx.scaledDesign(gpu.Design{Kind: gpu.CDXBar})},
-		{"CDXBar+2xNoC1", ctx.scaledDesign(gpu.Design{Kind: gpu.CDXBar, CDXBoostS1: true})},
-		{"CDXBar+2xNoC", ctx.scaledDesign(gpu.Design{Kind: gpu.CDXBar, CDXBoostAll: true})},
-		{"Sh40+C10+Boost", ctx.scaledDesign(boost())},
-	}
-	for _, dd := range designs {
+	for _, name := range []string{"CDXBar", "CDXBar+2xNoC1", "CDXBar+2xNoC", "Sh40+C10+Boost"} {
+		d := ctx.design(name)
 		var sens, insens []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(base(), app)
-			r := ctx.runDefault(dd.d, app)
+			b := ctx.runDefault(ctx.design("Baseline"), app)
+			r := ctx.runDefault(d, app)
 			sens = append(sens, r.IPC/b.IPC)
 		}
 		for _, app := range workload.InsensitiveApps() {
-			b := ctx.runDefault(base(), app)
-			r := ctx.runDefault(dd.d, app)
+			b := ctx.runDefault(ctx.design("Baseline"), app)
+			r := ctx.runDefault(d, app)
 			insens = append(insens, r.IPC/b.IPC)
 		}
-		t.Rows = append(t.Rows, Row{Label: dd.label, Cells: []float64{stats.Geomean(sens), stats.Geomean(insens)}})
+		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{stats.Geomean(sens), stats.Geomean(insens)}})
 	}
 	t.Notes = append(t.Notes, "paper insensitive: CDXBar 0.93, CDXBar+2xNoC 1.05")
 	return t
@@ -229,8 +220,8 @@ func runFig19b(ctx *Context) *Table {
 		}
 		var speed []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.run(cfg, base(), app)
-			o := ctx.run(cfg, ctx.scaledDesign(boost()), app)
+			b := ctx.run(cfg, ctx.design("Baseline"), app)
+			o := ctx.run(cfg, ctx.design("Sh40+C10+Boost"), app)
 			speed = append(speed, o.IPC/b.IPC)
 		}
 		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{stats.Geomean(speed)}})
@@ -250,8 +241,8 @@ func runCTA(ctx *Context) *Table {
 		cfg.Sched = sched
 		var speed []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.run(cfg, base(), app)
-			o := ctx.run(cfg, ctx.scaledDesign(boost()), app)
+			b := ctx.run(cfg, ctx.design("Baseline"), app)
+			o := ctx.run(cfg, ctx.design("Sh40+C10+Boost"), app)
 			speed = append(speed, o.IPC/b.IPC)
 		}
 		label := "round-robin"
@@ -290,12 +281,12 @@ func runSize(ctx *Context) *Table {
 	}
 	var sens, insens []float64
 	for _, app := range workload.Sensitive() {
-		b := ctx.run(cfg, base(), app)
+		b := ctx.run(cfg, ctx.design("Baseline"), app)
 		o := ctx.run(cfg, d, app)
 		sens = append(sens, o.IPC/b.IPC)
 	}
 	for _, app := range workload.InsensitiveApps() {
-		b := ctx.run(cfg, base(), app)
+		b := ctx.run(cfg, ctx.design("Baseline"), app)
 		o := ctx.run(cfg, d, app)
 		insens = append(insens, o.IPC/b.IPC)
 	}
@@ -310,23 +301,15 @@ func runBoostBase(ctx *Context) *Table {
 		Title:   "Boosted baselines on sensitive apps (IPC vs plain baseline)",
 		Columns: []string{"IPC ratio"},
 	}
-	entries := []struct {
-		label string
-		d     gpu.Design
-	}{
-		{"Baseline+2xL1", gpu.Design{Kind: gpu.Baseline, L1CapacityScale: 2}},
-		{"Baseline+2xNoC", gpu.Design{Kind: gpu.Baseline, NoCBoost: true}},
-		{"Baseline+2xFlit", gpu.Design{Kind: gpu.Baseline, FlitBytes: 64}},
-		{"Sh40+C10+Boost", ctx.scaledDesign(boost())},
-	}
-	for _, e := range entries {
+	for _, name := range []string{"Baseline+2xL1", "Baseline+2xNoC", "Baseline+2xFlit", "Sh40+C10+Boost"} {
+		d := ctx.design(name)
 		var speed []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(base(), app)
-			r := ctx.runDefault(e.d, app)
+			b := ctx.runDefault(ctx.design("Baseline"), app)
+			r := ctx.runDefault(d, app)
 			speed = append(speed, r.IPC/b.IPC)
 		}
-		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{stats.Geomean(speed)}})
+		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{stats.Geomean(speed)}})
 	}
 	t.Notes = append(t.Notes,
 		"paper: 2x-L1 costs +84% cache area; the 80x32 crossbar cannot physically run 2x frequency (fig13b)")

@@ -18,13 +18,13 @@ import (
 
 // JobKey returns the canonical identity of one sweep point — the same string
 // the experiment memo uses, so journal hits and memo hits agree. It encodes
-// the model version, the full design value (study knobs like PrefetchNext do
-// not appear in the display name), the app label, and the machine
-// configuration. Design and configuration are written as their non-zero
-// fields only (fieldsKey), so deleting a field nothing sets leaves every key
-// as it was.
+// the model version, the design, the app's label and content (Source.Key:
+// a re-fitted app misses), and the machine configuration. Design and
+// configuration are written as their non-zero fields only (fieldsKey), so
+// deleting a field nothing sets leaves every key as it was.
 func JobKey(j gpu.Job) string {
-	return "model=" + gpu.ModelVersion + "|" + fieldsKey(j.D) + "|" + gpu.SafeLabel(j.App) + "|" + fieldsKey(j.Cfg)
+	return "model=" + gpu.ModelVersion + "|" + fieldsKey(j.D) + "|" + gpu.SafeLabel(j.App) + "|" +
+		gpu.SafeKey(j.App) + "|" + fieldsKey(j.Cfg)
 }
 
 // fieldsKey encodes a struct value as its non-zero fields, "Name=value" in

@@ -55,9 +55,9 @@ func TestJobKeyCanonical(t *testing.T) {
 	}
 	app := workload.Sensitive()[0]
 	for _, ctx := range []*Context{NewContext(), QuickContext()} {
-		designs := []gpu.Design{base()}
-		for _, pd := range proposedDesigns(ctx) {
-			designs = append(designs, pd.D)
+		designs := []gpu.Design{ctx.design("Baseline")}
+		for _, name := range proposedDesigns {
+			designs = append(designs, ctx.design(name))
 		}
 		seen := map[string]string{}
 		for _, d := range designs {
@@ -68,8 +68,12 @@ func TestJobKeyCanonical(t *testing.T) {
 			seen[k] = d.Name()
 		}
 	}
-	k := JobKey(gpu.Job{Cfg: gpu.Config{Cores: 16}, D: sh40(), App: app})
-	if want := "model=" + gpu.ModelVersion + "|Kind=Sh DCL1s=40|" + app.Name + "|Cores=16"; k != want {
+	k := JobKey(gpu.Job{Cfg: gpu.Config{Cores: 16}, D: mustDesign("Sh40"), App: app})
+	if want := "model=" + gpu.ModelVersion + "|Kind=Sh DCL1s=40|C-BFS|{Name:C-BFS Suite:CUDA-SDK " +
+		"Class:replication-sensitive Waves:24 ComputePerMem:2 ComputeLat:0 BlockEvery:2 SharedLines:1500 " +
+		"SharedFrac:0.75 SharedZipf:0.45 CampStride:0 CampFrac:0 PrivateLines:4000 CoalescedLines:4 Bytes:0 " +
+		"WriteFrac:0.1 NonL1Frac:0 AtomicFrac:0 Imbalance:0 PaperReplRatio:0.8 PaperMissRate:0.75 " +
+		"shiftShared:0}|Cores=16"; k != want {
 		t.Errorf("JobKey = %q, want %q", k, want)
 	}
 }

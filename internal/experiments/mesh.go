@@ -27,28 +27,26 @@ func runExtMesh(ctx *Context) *Table {
 		Title:   "Mesh baseline (IPC vs crossbar baseline, class geomeans)",
 		Columns: []string{"sensitive", "insensitive", "NoC area"},
 	}
-	baseArea := gpu.DesignNoCSpec(ctx.Base, base()).Area()
-	entries := []struct {
-		label string
-		d     gpu.Design
-	}{
-		{"Baseline(xbar)", base()},
-		{"MeshBase", gpu.Design{Kind: gpu.MeshBase}},
-		{"Sh40+C10+Boost", ctx.scaledDesign(boost())},
+	baseArea := gpu.DesignNoCSpec(ctx.Base, ctx.design("Baseline")).Area()
+	entries := []struct{ label, name string }{
+		{"Baseline(xbar)", "Baseline"},
+		{"MeshBase", "MeshBase"},
+		{"Sh40+C10+Boost", "Sh40+C10+Boost"},
 	}
 	for _, e := range entries {
+		d := ctx.design(e.name)
 		var sens, insens []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(base(), app)
-			r := ctx.runDefault(e.d, app)
+			b := ctx.runDefault(ctx.design("Baseline"), app)
+			r := ctx.runDefault(d, app)
 			sens = append(sens, r.IPC/b.IPC)
 		}
 		for _, app := range workload.InsensitiveApps() {
-			b := ctx.runDefault(base(), app)
-			r := ctx.runDefault(e.d, app)
+			b := ctx.runDefault(ctx.design("Baseline"), app)
+			r := ctx.runDefault(d, app)
 			insens = append(insens, r.IPC/b.IPC)
 		}
-		area := gpu.DesignNoCSpec(ctx.Base, e.d).Area() / baseArea
+		area := gpu.DesignNoCSpec(ctx.Base, d).Area() / baseArea
 		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{
 			stats.Geomean(sens), stats.Geomean(insens), area,
 		}})

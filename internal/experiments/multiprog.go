@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/workload"
 )
 
@@ -27,18 +26,11 @@ func runExtMultiprog(ctx *Context) *Table {
 	cnn, _ := workload.ByName("T-AlexNet")
 	stream, _ := workload.ByName("C-BLK")
 	pair := workload.NewPartition(ctx.Base.Cores, cnn, stream)
-	entries := []struct {
-		label string
-		d     gpu.Design
-	}{
-		{"Baseline", base()},
-		{"Sh40", ctx.scaledDesign(sh40())},
-		{"Sh40+C10+Boost", ctx.scaledDesign(boost())},
-	}
-	baseRes := ctx.run(ctx.Base, entries[0].d, pair)
-	for _, e := range entries {
-		r := ctx.run(ctx.Base, e.d, pair)
-		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{
+	names := []string{"Baseline", "Sh40", "Sh40+C10+Boost"}
+	baseRes := ctx.run(ctx.Base, ctx.design(names[0]), pair)
+	for _, name := range names {
+		r := ctx.run(ctx.Base, ctx.design(name), pair)
+		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{
 			r.IPC / baseRes.IPC, r.L1MissRate,
 		}})
 	}

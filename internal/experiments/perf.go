@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"dcl1sim/internal/gpu"
 	"dcl1sim/internal/stats"
 	"dcl1sim/internal/workload"
 )
@@ -105,8 +104,8 @@ func runFig1(ctx *Context) *Table {
 		Columns: []string{"repl ratio", "miss rate", "16x speedup", "paper repl", "paper miss"},
 	}
 	for _, app := range workload.Apps() {
-		b := ctx.runDefault(base(), app)
-		big := ctx.runDefault(gpu.Design{Kind: gpu.Baseline, L1CapacityScale: 16}, app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		big := ctx.runDefault(ctx.design("Baseline+16xL1"), app)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{
 			b.ReplicationRatio, b.L1MissRate, big.IPC / b.IPC,
 			app.PaperReplRatio, app.PaperMissRate,
@@ -186,7 +185,7 @@ func runFig2(ctx *Context) *Table {
 	}
 	var rows []row
 	for _, app := range workload.Apps() {
-		b := ctx.runDefault(base(), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
 		rows = append(rows, row{app.Name, b.MaxL1PortUtil, b.MaxReplyLinkUtil})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].pu < rows[j].pu })
@@ -216,8 +215,8 @@ func runSec2C(ctx *Context) *Table {
 	}
 	var missRed, speed []float64
 	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(base(), app)
-		s := ctx.runDefault(gpu.Design{Kind: gpu.SingleL1}, app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		s := ctx.runDefault(ctx.design("SingleL1"), app)
 		mr := 1 - s.L1MissRate/b.L1MissRate
 		sp := s.IPC / b.IPC
 		missRed = append(missRed, mr)
@@ -247,9 +246,9 @@ func runFig4(ctx *Context) *Table {
 	for _, y := range ys {
 		var ipc, miss, pipc []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(base(), app)
-			r := ctx.runDefault(ctx.scaledDesign(pr(y)), app)
-			p := ctx.runDefault(ctx.scaledDesign(gpu.Design{Kind: gpu.Private, DCL1s: y, PerfectL1: true}), app)
+			b := ctx.runDefault(ctx.design("Baseline"), app)
+			r := ctx.runDefault(ctx.design(fmt.Sprintf("Pr%d", y)), app)
+			p := ctx.runDefault(ctx.design(fmt.Sprintf("Pr%d+PerfectL1", y)), app)
 			ipc = append(ipc, r.IPC/b.IPC)
 			if b.L1MissRate > 0 {
 				miss = append(miss, r.L1MissRate/b.L1MissRate)
@@ -263,8 +262,8 @@ func runFig4(ctx *Context) *Table {
 	}
 	// Perfect private L1 baseline (the "Base" bar of Fig 4c).
 	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(base(), app)
-		p := ctx.runDefault(gpu.Design{Kind: gpu.Baseline, PerfectL1: true}, app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		p := ctx.runDefault(ctx.design("Baseline+PerfectL1"), app)
 		basePerfect = append(basePerfect, p.IPC/b.IPC)
 	}
 	t.Rows = append(t.Rows, Row{Label: "Base+Perfect", Cells: []float64{1, 1, stats.Geomean(basePerfect)}})
@@ -306,8 +305,8 @@ func runFig8(ctx *Context) *Table {
 	}
 	var misses, ipcs []float64
 	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(base(), app)
-		s := ctx.runDefault(ctx.scaledDesign(sh40()), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		s := ctx.runDefault(ctx.design("Sh40"), app)
 		mr := 0.0
 		if b.L1MissRate > 0 {
 			mr = s.L1MissRate / b.L1MissRate
@@ -341,8 +340,8 @@ func runFig9(ctx *Context) *Table {
 	}
 	var all []float64
 	for _, app := range workload.InsensitiveApps() {
-		b := ctx.runDefault(base(), app)
-		s := ctx.runDefault(ctx.scaledDesign(sh40()), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		s := ctx.runDefault(ctx.design("Sh40"), app)
 		v := s.IPC / b.IPC
 		all = append(all, v)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{v}})
@@ -380,22 +379,18 @@ func runFig11(ctx *Context) *Table {
 		Title:   "Cluster-count sweep on replication-sensitive apps (vs baseline)",
 		Columns: []string{"IPC ratio", "miss ratio", "replicas"},
 	}
-	type cfgRow struct {
-		label string
-		d     gpu.Design
-	}
-	rows := []cfgRow{
-		{"C1(Sh40)", sh40()},
-		{"C5", shc(5)},
-		{"C10", shc(10)},
-		{"C20", shc(20)},
-		{"C40(Pr40)", pr(40)},
+	rows := []struct{ label, name string }{
+		{"C1(Sh40)", "Sh40"},
+		{"C5", "Sh40+C5"},
+		{"C10", "Sh40+C10"},
+		{"C20", "Sh40+C20"},
+		{"C40(Pr40)", "Pr40"},
 	}
 	for _, cr := range rows {
 		var ipc, miss, reps []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(base(), app)
-			r := ctx.runDefault(ctx.scaledDesign(cr.d), app)
+			b := ctx.runDefault(ctx.design("Baseline"), app)
+			r := ctx.runDefault(ctx.design(cr.name), app)
 			ipc = append(ipc, r.IPC/b.IPC)
 			if b.L1MissRate > 0 {
 				miss = append(miss, r.L1MissRate/b.L1MissRate)
@@ -447,10 +442,10 @@ func runFig13a(ctx *Context) *Table {
 		Columns: []string{"Sh40", "Sh40+C10", "Sh40+C10+Boost"},
 	}
 	for _, app := range workload.Poor() {
-		b := ctx.runDefault(base(), app)
-		s := ctx.runDefault(ctx.scaledDesign(sh40()), app)
-		c := ctx.runDefault(ctx.scaledDesign(shc(10)), app)
-		bo := ctx.runDefault(ctx.scaledDesign(boost()), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		s := ctx.runDefault(ctx.design("Sh40"), app)
+		c := ctx.runDefault(ctx.design("Sh40+C10"), app)
+		bo := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{
 			s.IPC / b.IPC, c.IPC / b.IPC, bo.IPC / b.IPC,
 		}})
@@ -473,20 +468,7 @@ var fig13aClaims = []Claim{
 	}},
 }
 
-func proposedDesigns(ctx *Context) []struct {
-	Label string
-	D     gpu.Design
-} {
-	return []struct {
-		Label string
-		D     gpu.Design
-	}{
-		{"Pr40", ctx.scaledDesign(pr(40))},
-		{"Sh40", ctx.scaledDesign(sh40())},
-		{"Sh40+C10", ctx.scaledDesign(shc(10))},
-		{"Sh40+C10+Boost", ctx.scaledDesign(boost())},
-	}
-}
+var proposedDesigns = []string{"Pr40", "Sh40", "Sh40+C10", "Sh40+C10+Boost"}
 
 func runFig14(ctx *Context) *Table {
 	t := &Table{
@@ -496,10 +478,10 @@ func runFig14(ctx *Context) *Table {
 	}
 	sums := make([][]float64, 4)
 	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(base(), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
 		cells := make([]float64, 4)
-		for i, pd := range proposedDesigns(ctx) {
-			r := ctx.runDefault(pd.D, app)
+		for i, name := range proposedDesigns {
+			r := ctx.runDefault(ctx.design(name), app)
 			cells[i] = r.IPC / b.IPC
 			sums[i] = append(sums[i], cells[i])
 		}
@@ -536,10 +518,10 @@ func runFig15(ctx *Context) *Table {
 	var labels []string
 	var boostAll []float64
 	for _, app := range workload.Apps() {
-		b := ctx.runDefault(base(), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
 		cells := make([]float64, 4)
-		for i, pd := range proposedDesigns(ctx) {
-			r := ctx.runDefault(pd.D, app)
+		for i, name := range proposedDesigns {
+			r := ctx.runDefault(ctx.design(name), app)
 			cells[i] = r.IPC / b.IPC
 		}
 		all = append(all, cells)
@@ -589,27 +571,17 @@ func runFig16(ctx *Context) *Table {
 		Title:   "L1 miss-rate ratio and replicas/line (replication-sensitive apps)",
 		Columns: []string{"miss ratio", "replicas"},
 	}
-	type entry struct {
-		label string
-		d     gpu.Design
-	}
-	entries := []entry{
-		{"Baseline", base()},
-		{"Pr40", ctx.scaledDesign(pr(40))},
-		{"Sh40", ctx.scaledDesign(sh40())},
-		{"Sh40+C10+Boost", ctx.scaledDesign(boost())},
-	}
-	for _, e := range entries {
+	for _, name := range []string{"Baseline", "Pr40", "Sh40", "Sh40+C10+Boost"} {
 		var miss, reps []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(base(), app)
-			r := ctx.runDefault(e.d, app)
+			b := ctx.runDefault(ctx.design("Baseline"), app)
+			r := ctx.runDefault(ctx.design(name), app)
 			if b.L1MissRate > 0 {
 				miss = append(miss, r.L1MissRate/b.L1MissRate)
 			}
 			reps = append(reps, r.MeanReplicas)
 		}
-		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{stats.Mean(miss), stats.Mean(reps)}})
+		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{stats.Mean(miss), stats.Mean(reps)}})
 	}
 	return t
 }
@@ -635,10 +607,10 @@ func runFig17(ctx *Context) *Table {
 	}
 	var rows []row
 	for _, app := range workload.Apps() {
-		b := ctx.runDefault(base(), app)
-		pr40 := ctx.runDefault(ctx.scaledDesign(pr(40)), app)
-		sh := ctx.runDefault(ctx.scaledDesign(sh40()), app)
-		bo := ctx.runDefault(ctx.scaledDesign(boost()), app)
+		b := ctx.runDefault(ctx.design("Baseline"), app)
+		pr40 := ctx.runDefault(ctx.design("Pr40"), app)
+		sh := ctx.runDefault(ctx.design("Sh40"), app)
+		bo := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
 		rows = append(rows, row{app.Name, []float64{
 			b.MaxL1PortUtil, pr40.MaxL1PortUtil, sh.MaxL1PortUtil, bo.MaxL1PortUtil,
 		}})

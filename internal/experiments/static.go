@@ -80,19 +80,19 @@ func runTab1(ctx *Context) *Table {
 
 func runFig6(ctx *Context) *Table {
 	cfg := paperCfg()
-	baseSpec := gpu.DesignNoCSpec(cfg, base())
+	baseSpec := gpu.DesignNoCSpec(cfg, mustDesign("Baseline"))
 	t := &Table{
 		ID:      "fig6",
 		Title:   "NoC area and static power, normalized to baseline",
 		Columns: []string{"area", "static"},
 	}
 	for _, y := range []int{80, 40, 20, 10} {
-		spec := gpu.DesignNoCSpec(cfg, pr(y))
+		spec := gpu.DesignNoCSpec(cfg, mustDesign(fmt.Sprintf("Pr%d", y)))
 		area := spec.Area() / baseSpec.Area()
 		static := spec.StaticPower() / baseSpec.StaticPower()
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("Pr%d", y), Cells: []float64{area, static}})
 	}
-	shSpec := gpu.DesignNoCSpec(cfg, sh40())
+	shSpec := gpu.DesignNoCSpec(cfg, mustDesign("Sh40"))
 	t.Rows = append(t.Rows, Row{Label: "Sh40", Cells: []float64{
 		shSpec.Area() / baseSpec.Area(), shSpec.StaticPower() / baseSpec.StaticPower()}})
 	t.Notes = append(t.Notes, "Sh40: paper static 1.57 (Section V-B)")
@@ -112,7 +112,7 @@ var fig6Claims = []Claim{
 
 func runFig12(ctx *Context) *Table {
 	cfg := paperCfg()
-	baseSpec := gpu.DesignNoCSpec(cfg, base())
+	baseSpec := gpu.DesignNoCSpec(cfg, mustDesign("Baseline"))
 	t := &Table{
 		ID:      "fig12",
 		Title:   "NoC area and static power vs cluster count, normalized",
@@ -120,13 +120,14 @@ func runFig12(ctx *Context) *Table {
 	}
 	paper := map[int][2]float64{1: {1.69, 1.57}, 5: {0.55, 0.85}, 10: {0.50, 0.84}, 20: {0.55, 0.86}, 40: {0.72, 0.96}}
 	for _, z := range []int{1, 5, 10, 20, 40} {
-		var spec = gpu.DesignNoCSpec(cfg, shc(z))
-		if z == 1 {
-			spec = gpu.DesignNoCSpec(cfg, sh40())
+		name := fmt.Sprintf("Sh40+C%d", z)
+		switch z {
+		case 1:
+			name = "Sh40"
+		case 40:
+			name = "Pr40"
 		}
-		if z == 40 {
-			spec = gpu.DesignNoCSpec(cfg, pr(40))
-		}
+		spec := gpu.DesignNoCSpec(cfg, mustDesign(name))
 		area := spec.Area() / baseSpec.Area()
 		static := spec.StaticPower() / baseSpec.StaticPower()
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("C%d", z), Cells: []float64{area, static}})
@@ -191,8 +192,8 @@ func runFig18b(ctx *Context) *Table {
 	baseCache := power.CacheArea(totalL1, cfg.Cores)
 	aggCache := power.CacheArea(totalL1, 40)
 	queues := power.QueueArea(40)
-	baseNoC := gpu.DesignNoCSpec(cfg, base())
-	oursNoC := gpu.DesignNoCSpec(cfg, boost())
+	baseNoC := gpu.DesignNoCSpec(cfg, mustDesign("Baseline"))
+	oursNoC := gpu.DesignNoCSpec(cfg, mustDesign("Sh40+C10+Boost"))
 	t := &Table{
 		ID:      "fig18b",
 		Title:   "Sh40+C10+Boost area vs baseline (ratios)",

@@ -260,6 +260,7 @@ func TestRetryPolicyDelay(t *testing.T) {
 type supPanicApp struct{}
 
 func (supPanicApp) Label() string           { panic("injected label panic") }
+func (supPanicApp) Key() string             { panic("injected key panic") }
 func (supPanicApp) WavesFor(coreID int) int { panic("injected workload panic") }
 func (supPanicApp) Program(cores, coreID, waveID int, sched workload.Sched, seed uint64) core.Program {
 	panic("injected workload panic")
@@ -330,5 +331,34 @@ func TestWriteFailureTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("failure table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRefitAppMissesJournal: a point key names the app's content, so C-BFS
+// re-fitted with a smaller shared footprint (1500 -> 300 lines) misses the
+// entry the app it replaces journaled, and runs afresh.
+func TestRefitAppMissesJournal(t *testing.T) {
+	app, _ := workload.ByName("C-BFS")
+	refit := app
+	refit.SharedLines = 300
+	cfg := gpu.Config{Cores: 8, L2Slices: 4, Channels: 2, WarmupCycles: 400, MeasureCycles: 1200}
+	old := gpu.Job{Cfg: cfg, D: mustDesign("Baseline"), App: app}
+	fitted := gpu.Job{Cfg: cfg, D: old.D, App: refit}
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "sweep.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	sup := &Supervisor{Journal: j}
+	was, err := sup.RunOne(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sup.RunOne(fitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh := gpu.Run(cfg, fitted.D, refit); got.IPC != fresh.IPC {
+		t.Fatalf("re-fitted C-BFS read IPC %v (the replaced app's: %v), a fresh run %v", got.IPC, was.IPC, fresh.IPC)
 	}
 }

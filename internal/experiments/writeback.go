@@ -32,10 +32,8 @@ func runExtWriteback(ctx *Context) *Table {
 		}
 	}
 	for _, app := range apps {
-		we := ctx.runDefault(ctx.scaledDesign(boost()), app)
-		wbD := boost()
-		wbD.L1WriteBack = true
-		wb := ctx.runDefault(ctx.scaledDesign(wbD), app)
+		we := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
+		wb := ctx.runDefault(ctx.design("Sh40+C10+Boost+WB"), app)
 		mr := 0.0
 		if we.L1MissRate > 0 {
 			mr = wb.L1MissRate / we.L1MissRate

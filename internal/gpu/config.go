@@ -7,10 +7,6 @@
 package gpu
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/sim"
 	"dcl1sim/internal/workload"
@@ -181,19 +177,21 @@ type Design struct {
 	DCL1s    int // Y (Private/Shared/Clustered)
 	Clusters int // Z (Clustered)
 
-	Boost1 bool // NoC#1 at 2x the interconnect clock (Sh40+C10+Boost)
+	// Boost1 and Boost2 run NoC#1 and NoC#2 at 2x the interconnect clock:
+	// Sh40+C10+Boost and CDXBar+2xNoC1 set Boost1, CDXBar+2xNoC both, and
+	// Baseline+2xNoC Boost2 (Baseline's one crossbar is on NoC#2).
+	Boost1 bool
+	Boost2 bool
 
-	// CDXBar shape and boosts (Fig 19a).
-	CDXGroups   int
-	CDXMid      int
-	CDXBoostS1  bool // CDXBar+2xNoC1
-	CDXBoostAll bool // CDXBar+2xNoC
+	// CDXBar shape (Fig 19a): like Cores, it describes the machine, so the
+	// name leaves it out.
+	CDXGroups int
+	CDXMid    int
 
 	// Study knobs.
 	L1CapacityScale int  // 16 for Fig 1, 2 for the boosted baseline
 	PerfectL1       bool // Fig 4c
 	FlitBytes       int  // 64 for the 2x-flit boosted baseline
-	NoCBoost        bool // baseline with 2x NoC frequency (boosted baseline)
 	// PrefetchNext enables the sequential prefetcher extension in the
 	// L1/DC-L1 nodes: N best-effort line fetches per demand miss.
 	PrefetchNext int
@@ -239,6 +237,9 @@ func (d Design) withDefaults(cfg Config) Design {
 	if d.FlitBytes <= 0 {
 		d.FlitBytes = 32
 	}
+	if d.Modules == 1 {
+		d.Modules = 0 // one module is the single-module machine
+	}
 	if d.Modules >= 2 {
 		if d.LinkGBps <= 0 {
 			d.LinkGBps = DefaultLinkGBps
@@ -257,192 +258,3 @@ const (
 	DefaultLinkGBps = 64
 	DefaultLinkLat  = sim.Cycle(8)
 )
-
-// Name returns the paper's name for the design (e.g. "Sh40+C10+Boost"),
-// plus the module-assembly suffixes (e.g. "Sh40+C10+M4+G128") when the
-// design builds a multi-GPU machine.
-func (d Design) Name() string { return d.baseName() + d.moduleSuffix() }
-
-// ParseDesign is the inverse of Name: it parses the paper's design names
-// used throughout the CLI tools: Baseline, Pr40, Sh40, Sh40+C10,
-// Sh40+C10+Boost, CDXBar, CDXBar+2xNoC1, CDXBar+2xNoC, SingleL1, plus the
-// study modifiers +PerfectL1, +NxL1 (capacity scale), and Baseline+2xNoC.
-// The multi-GPU modifiers build N linked modules of the named design: +MN
-// (module count, 2..8), and with it +GN (link GB/s), +LatN (link switch
-// latency in link cycles), and +Priv (private per-module address space) —
-// e.g. "Sh40+C10+M4+G128".
-func ParseDesign(s string) (Design, error) {
-	var d Design
-	parts := strings.Split(s, "+")
-	head := parts[0]
-	switch {
-	case head == "Baseline":
-		d.Kind = Baseline
-	case head == "SingleL1":
-		d.Kind = SingleL1
-	case head == "CDXBar":
-		d.Kind = CDXBar
-	case head == "MeshBase":
-		d.Kind = MeshBase
-	case strings.HasPrefix(head, "Pr"):
-		d.Kind = Private
-		n, err := strconv.Atoi(head[2:])
-		if err != nil || n <= 0 {
-			return d, fmt.Errorf("bad design %q: node count must be a positive integer", s)
-		}
-		d.DCL1s = n
-	case strings.HasPrefix(head, "Sh"):
-		d.Kind = Shared
-		n, err := strconv.Atoi(head[2:])
-		if err != nil || n <= 0 {
-			return d, fmt.Errorf("bad design %q: node count must be a positive integer", s)
-		}
-		d.DCL1s = n
-	default:
-		return d, fmt.Errorf("unknown design %q", s)
-	}
-	for _, p := range parts[1:] {
-		switch {
-		case p == "Boost":
-			d.Boost1 = true
-		case p == "2xNoC1":
-			d.CDXBoostS1 = true
-		case p == "2xNoC":
-			if d.Kind == Baseline {
-				d.NoCBoost = true
-			} else {
-				d.CDXBoostAll = true
-			}
-		case p == "PerfectL1":
-			d.PerfectL1 = true
-		case strings.HasPrefix(p, "C"):
-			n, err := strconv.Atoi(p[1:])
-			if err != nil || n <= 0 {
-				return d, fmt.Errorf("bad cluster count %q: must be a positive integer", p)
-			}
-			if d.Kind != Shared && d.Kind != Clustered {
-				return d, fmt.Errorf("cluster modifier %q requires a ShY design", p)
-			}
-			d.Kind = Clustered
-			d.Clusters = n
-		case strings.HasSuffix(p, "xL1"):
-			n, err := strconv.Atoi(strings.TrimSuffix(p, "xL1"))
-			if err != nil || n <= 0 {
-				return d, fmt.Errorf("bad capacity scale %q: must be a positive integer", p)
-			}
-			d.L1CapacityScale = n
-		case p == "Priv":
-			d.PrivateAS = true
-		case strings.HasPrefix(p, "Lat"):
-			n, err := strconv.Atoi(p[3:])
-			if err != nil || n <= 0 {
-				return d, fmt.Errorf("bad link latency %q: must be a positive integer", p)
-			}
-			d.LinkLat = sim.Cycle(n)
-		case strings.HasPrefix(p, "M"):
-			n, err := strconv.Atoi(p[1:])
-			if err != nil {
-				return d, fmt.Errorf("bad module count %q: must be an integer in 2..%d", p, MaxModules)
-			}
-			if n < 2 || n > MaxModules {
-				return d, fmt.Errorf("bad module count %q: must be in 2..%d", p, MaxModules)
-			}
-			d.Modules = n
-		case strings.HasPrefix(p, "G"):
-			n, err := strconv.Atoi(p[1:])
-			if err != nil || n <= 0 {
-				return d, fmt.Errorf("bad link bandwidth %q: must be a positive integer", p)
-			}
-			d.LinkGBps = n
-		default:
-			return d, fmt.Errorf("unknown design modifier %q", p)
-		}
-	}
-	if d.Modules < 2 && (d.LinkGBps > 0 || d.LinkLat > 0 || d.PrivateAS) {
-		return d, fmt.Errorf("bad design %q: link modifiers (+G/+Lat/+Priv) require +M2..+M%d", s, MaxModules)
-	}
-	return d, nil
-}
-
-// moduleSuffix renders the multi-GPU modifiers in canonical order. A
-// single-module design renders nothing, keeping every pre-module name
-// byte-identical.
-func (d Design) moduleSuffix() string {
-	if d.Modules < 2 {
-		return ""
-	}
-	s := fmtInt("+M", d.Modules, "")
-	if d.LinkGBps > 0 && d.LinkGBps != DefaultLinkGBps {
-		s += fmtInt("+G", d.LinkGBps, "")
-	}
-	if d.LinkLat > 0 && d.LinkLat != DefaultLinkLat {
-		s += fmtInt("+Lat", int(d.LinkLat), "")
-	}
-	if d.PrivateAS {
-		s += "+Priv"
-	}
-	return s
-}
-
-func (d Design) baseName() string {
-	switch d.Kind {
-	case Baseline:
-		n := "Baseline"
-		if d.L1CapacityScale > 1 {
-			n += fmtInt("+", d.L1CapacityScale, "xL1")
-		}
-		if d.PerfectL1 {
-			n += "+PerfectL1"
-		}
-		if d.NoCBoost {
-			n += "+2xNoC"
-		}
-		if d.FlitBytes > 32 {
-			n += "+2xFlit"
-		}
-		return n
-	case Private:
-		return fmtInt("Pr", d.DCL1s, suffix(d))
-	case Shared:
-		return fmtInt("Sh", d.DCL1s, suffix(d))
-	case Clustered:
-		return fmtInt("Sh", d.DCL1s, fmtInt("+C", d.Clusters, suffix(d)))
-	case CDXBar:
-		switch {
-		case d.CDXBoostAll:
-			return "CDXBar+2xNoC"
-		case d.CDXBoostS1:
-			return "CDXBar+2xNoC1"
-		default:
-			return "CDXBar"
-		}
-	case SingleL1:
-		return "SingleL1"
-	case MeshBase:
-		return "MeshBase"
-	}
-	return "?"
-}
-
-func suffix(d Design) string {
-	s := ""
-	if d.Boost1 {
-		s += "+Boost"
-	}
-	if d.PerfectL1 {
-		s += "+PerfectL1"
-	}
-	return s
-}
-
-func fmtInt(pre string, v int, post string) string {
-	digits := ""
-	if v == 0 {
-		digits = "0"
-	}
-	for v > 0 {
-		digits = string(rune('0'+v%10)) + digits
-		v /= 10
-	}
-	return pre + digits + post
-}

@@ -196,11 +196,11 @@ func TestDesignNames(t *testing.T) {
 		"Sh40+C10":        {Kind: Clustered, DCL1s: 40, Clusters: 10},
 		"Sh40+C10+Boost":  {Kind: Clustered, DCL1s: 40, Clusters: 10, Boost1: true},
 		"CDXBar":          {Kind: CDXBar},
-		"CDXBar+2xNoC":    {Kind: CDXBar, CDXBoostAll: true},
-		"CDXBar+2xNoC1":   {Kind: CDXBar, CDXBoostS1: true},
+		"CDXBar+2xNoC":    {Kind: CDXBar, Boost1: true, Boost2: true},
+		"CDXBar+2xNoC1":   {Kind: CDXBar, Boost1: true},
 		"SingleL1":        {Kind: SingleL1},
 		"Pr20+PerfectL1":  {Kind: Private, DCL1s: 20, PerfectL1: true},
-		"Baseline+2xNoC":  {Kind: Baseline, NoCBoost: true},
+		"Baseline+2xNoC":  {Kind: Baseline, Boost2: true},
 		"Baseline+2xFlit": {Kind: Baseline, FlitBytes: 64},
 	}
 	for want, d := range cases {

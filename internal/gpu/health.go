@@ -3,6 +3,7 @@ package gpu
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime/debug"
 	"time"
 
@@ -244,6 +245,32 @@ func (mod *Module) contributeMonitor(m *health.Monitor) {
 	for _, st := range mod.Stages {
 		st.watch(m)
 	}
+	m.AddChecker(directoryAudit{mod})
+}
+
+// directoryAudit checks the module's replication directory against its L1
+// arrays: every line an array holds is recorded for that node, and the
+// directory records no other copy.
+type directoryAudit struct{ mod *Module }
+
+func (a directoryAudit) CheckInvariants() []health.Violation {
+	tr := a.mod.Tracker
+	held, detail := 0, ""
+	for id, nd := range a.mod.Nodes {
+		nd.Ctrl.Arr.ForEach(func(line uint64) {
+			held++
+			if detail == "" && !tr.Holds(id, line) {
+				detail = fmt.Sprintf("node %d holds line %d, which the directory does not record", id, line)
+			}
+		})
+	}
+	if c := tr.Copies(); detail == "" && c != held {
+		detail = fmt.Sprintf("the directory records %d copies, the arrays hold %d", c, held)
+	}
+	if detail == "" {
+		return nil
+	}
+	return []health.Violation{{Component: a.mod.cname("directory"), Rule: "directory-matches-arrays", Detail: detail}}
 }
 
 // RunChecked executes this machine's warmup and measurement windows under the

@@ -162,8 +162,20 @@ func TestNewSystemCheckedValidation(t *testing.T) {
 
 func TestDesignValidate(t *testing.T) {
 	cfg := testCfg()
-	if err := (Design{Kind: Shared, DCL1s: 4, Clusters: 2}).Validate(cfg); err != nil {
+	if err := (Design{Kind: Clustered, DCL1s: 4, Clusters: 2}).Validate(cfg); err != nil {
 		t.Errorf("sh4c2 rejected: %v", err)
+	}
+	// A field no part of the kind's name prints would run unnamed.
+	for _, d := range []Design{
+		{Kind: Shared, DCL1s: 4, Clusters: 2},
+		{Kind: Baseline, Boost1: true},
+		{Kind: Private, DCL1s: 4, Boost2: true},
+		{Kind: CDXBar, Boost2: true},
+		{Kind: Baseline, FlitBytes: 48},
+	} {
+		if err := d.Validate(cfg); err == nil {
+			t.Errorf("%+v accepted under the name %q", d, d.Name())
+		}
 	}
 	if err := (Design{Kind: Private, DCL1s: 3}).Validate(cfg); err == nil {
 		t.Error("Pr3 on 8 cores accepted")

@@ -14,14 +14,19 @@ type Job struct {
 // run's panic barrier may be describing a panic raised by the workload source
 // itself), and that must degrade to a placeholder, not kill a sweep worker
 // outside the per-attempt barrier.
-func SafeLabel(app workload.Source) (label string) {
+func SafeLabel(app workload.Source) string { return guarded(app, workload.Source.Label) }
+
+// SafeKey reads app's content key through the same guard.
+func SafeKey(app workload.Source) string { return guarded(app, workload.Source.Key) }
+
+func guarded(app workload.Source, read func(workload.Source) string) (s string) {
 	defer func() {
 		if recover() != nil {
-			label = "<unlabeled>"
+			s = "<unlabeled>"
 		}
 	}()
 	if app == nil {
 		return "<nil>"
 	}
-	return app.Label()
+	return read(app)
 }

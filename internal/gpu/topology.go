@@ -68,12 +68,14 @@ type Topology struct {
 func DesignTopology(cfg Config, d Design) (Topology, error) {
 	cfg = cfg.WithDefaults()
 	d = d.withDefaults(cfg)
+	if err := d.named(cfg); err != nil {
+		return Topology{}, err
+	}
 	t := Topology{Noc1MHz: cfg.NoCMHz, Noc2MHz: cfg.NoCMHz}
-	boostAll := d.CDXBoostAll || (d.Kind == Baseline && d.NoCBoost)
-	if boostAll || d.Boost1 || d.CDXBoostS1 {
+	if d.Boost1 {
 		t.Noc1MHz *= 2
 	}
-	if boostAll {
+	if d.Boost2 {
 		t.Noc2MHz *= 2
 	}
 	row := func(name string, net Net, count, ins, outs int, mm float64) *Stage {

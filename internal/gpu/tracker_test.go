@@ -1,9 +1,11 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"dcl1sim/internal/health"
 	"dcl1sim/internal/workload"
 )
 
@@ -114,5 +116,31 @@ func TestTrackerMatchesArrays(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A checked run audits each module's directory against its L1 arrays: one
+// forged sharer bit, on a line no array holds, fails the run by rule name,
+// in a machine of one module and of two.
+func TestDirectoryAuditCatchesStraySharer(t *testing.T) {
+	for _, d := range bothShapes(Design{Kind: Clustered, DCL1s: 4, Clusters: 2}) {
+		s, err := NewSystemChecked(testCfg(), d, sharingApp())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod := s.Mods[len(s.Mods)-1]
+		mod.Tracker.OnInstall(1, 1<<40) // published at the first core barrier
+		_, err = s.RunChecked(HealthOptions{})
+		var ie *health.InvariantError
+		if !errors.As(err, &ie) {
+			t.Fatalf("%s: want *health.InvariantError, got %v", d.Name(), err)
+		}
+		found := false
+		for _, v := range ie.Dump.Violations {
+			found = found || v.Rule == "directory-matches-arrays" && v.Component == mod.cname("directory")
+		}
+		if !found {
+			t.Fatalf("%s: violations %v do not name the directory rule", d.Name(), ie.Dump.Violations)
+		}
 	}
 }

@@ -136,9 +136,6 @@ func (s *SweepSpec) normalize() error {
 		if err != nil {
 			return fmt.Errorf("serve: design %d: %w", i, err)
 		}
-		if dropsModifier(d) {
-			return fmt.Errorf("serve: design %d: %q has a modifier its canonical name %q drops", i, name, d.Name())
-		}
 		s.Designs[i] = d.Name()
 	}
 	if s.Cycles < 0 || s.Cycles > MaxSpecCycles {
@@ -200,27 +197,6 @@ func (s SweepSpec) capSpec() (*power.CapSpec, error) {
 		return nil, err
 	}
 	return &pc, nil
-}
-
-// dropsModifier reports whether d's canonical name loses one of its
-// modifiers (Pr40+2xL1, CDXBar+Boost). A spec carries designs by name, so
-// such a design would run without the modifier; it is rejected instead.
-// Default link values are no loss: the name omits them and the build
-// restores them.
-func dropsModifier(d gpu.Design) bool {
-	c, err := gpu.ParseDesign(d.Name())
-	if err != nil {
-		return true
-	}
-	for _, x := range []*gpu.Design{&d, &c} {
-		if x.LinkGBps == gpu.DefaultLinkGBps {
-			x.LinkGBps = 0
-		}
-		if x.LinkLat == gpu.DefaultLinkLat {
-			x.LinkLat = 0
-		}
-	}
-	return c != d
 }
 
 // Encode renders the spec as canonical compact JSON. Parsing the result

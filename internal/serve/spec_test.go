@@ -62,7 +62,7 @@ func TestParseSweepSpecRejects(t *testing.T) {
 		{"negative cores", `{"app":"T-AlexNet","designs":["Baseline"],"cores":-8}`, "cores"},
 		{"huge cores", `{"app":"T-AlexNet","designs":["Baseline"],"cores":999999}`, "cores"},
 		{"bad chaos", `{"app":"T-AlexNet","designs":["Baseline"],"chaos":"catastrophic"}`, "chaos"},
-		{"dropped modifier", `{"app":"T-AlexNet","designs":["Pr40+2xL1"]}`, "drops"},
+		{"dropped modifier", `{"app":"T-AlexNet","designs":["Pr40+2xNoC"]}`, "does not apply"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,10 +133,17 @@ func TestExploreSpec(t *testing.T) {
 	if len(jobs) != len(spec.Designs) {
 		t.Fatalf("%d jobs for %d designs", len(jobs), len(spec.Designs))
 	}
+	var names []string
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("grid design %s invalid on the default machine: %v", spec.Designs[i], err)
 		}
+		names = append(names, jobs[i].D.Name())
+	}
+	// Each job is the design its grid name says, under the same name.
+	if got, want := strings.Join(names, " "), "Baseline Pr80 Pr40 Pr20 Pr10 Sh40 Sh40+Boost "+
+		"Sh40+C5 Sh40+C5+Boost Sh40+C10 Sh40+C10+Boost Sh40+C20 Sh40+C20+Boost"; got != want {
+		t.Errorf("grid runs %q, want %q", got, want)
 	}
 	unboosted := ExploreSpec(base, false)
 	if len(unboosted.Designs) >= len(spec.Designs) {

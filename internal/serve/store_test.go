@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/workload"
 )
 
 // TestStoreCompaction pins the retention policy end to end: a compacted
@@ -169,5 +172,28 @@ func TestStoreCompactionLegacyEntries(t *testing.T) {
 	}
 	if expire.Entries() != 0 {
 		t.Fatalf("legacy entry survived an age bound")
+	}
+}
+
+// TestStoreMissesRefitApp: the store's key names the app's content, so C-BFS
+// re-fitted with a smaller shared footprint (1500 -> 300 lines) is not served
+// the Results stored for the app it replaces.
+func TestStoreMissesRefitApp(t *testing.T) {
+	store, err := OpenStore(filepath.Join(t.TempDir(), "results.jsonl"), StorePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	app, _ := workload.ByName("C-BFS")
+	j := gpu.Job{Cfg: gpu.Config{Cores: 8, L2Slices: 4, Channels: 2}, D: gpu.Design{Kind: gpu.Baseline}, App: app}
+	store.Journal().Record(store.Key(j, nil), gpu.Results{Design: "Baseline", App: "C-BFS", IPC: 1}, nil)
+	if _, ok := store.Lookup(store.Key(j, nil)); !ok {
+		t.Fatal("the stored point misses")
+	}
+	refit := app
+	refit.SharedLines = 300
+	j.App = refit
+	if r, ok := store.Lookup(store.Key(j, nil)); ok {
+		t.Fatalf("re-fitted C-BFS served the replaced app's Results (IPC %v)", r.IPC)
 	}
 }

@@ -24,10 +24,12 @@ package trace
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"dcl1sim/internal/core"
 	"dcl1sim/internal/workload"
@@ -46,12 +48,26 @@ type Trace struct {
 	Cores   int
 	OpsPer  int           // ops recorded per wavefront
 	streams [][][]core.Op // indexed [core][wave]
+
+	keyOnce sync.Once
+	key     string
 }
 
 var _ workload.Source = (*Trace)(nil)
 
 // Label implements workload.Source.
 func (t *Trace) Label() string { return t.Name }
+
+// Key implements workload.Source: a hash of the trace's bytes, computed on
+// first use.
+func (t *Trace) Key() string {
+	t.keyOnce.Do(func() {
+		h := sha256.New()
+		_ = Write(h, t) // a hash never fails a write
+		t.key = fmt.Sprintf("trace:%x", h.Sum(nil))
+	})
+	return t.key
+}
 
 // WavesFor implements workload.Source: the wavefronts recorded on a core. A
 // core beyond the recorded ones runs none.

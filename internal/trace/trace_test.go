@@ -237,3 +237,25 @@ func TestFormatVersionFollowsWaveCounts(t *testing.T) {
 		}
 	}
 }
+
+// A trace's key is a hash of its bytes: a written and re-read trace keeps it,
+// and one changed op changes it.
+func TestTraceKey(t *testing.T) {
+	tr := Capture(smallSpec(), 4, 100, workload.RoundRobin, 7)
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Key() != tr.Key() {
+		t.Fatalf("re-read trace keys %q, captured %q", back.Key(), tr.Key())
+	}
+	changed := Capture(smallSpec(), 4, 100, workload.RoundRobin, 7)
+	changed.streams[3][2][99].Latency++
+	if changed.Key() == tr.Key() {
+		t.Fatal("a changed op keeps the trace's key")
+	}
+}

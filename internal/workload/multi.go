@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 
 	"dcl1sim/internal/core"
@@ -39,6 +40,15 @@ func (p partition) Label() string {
 		names[i] = a.Name
 	}
 	return strings.Join(names, "+")
+}
+
+// Key implements Source: the block size and each part's content, in order.
+func (p partition) Key() string {
+	keys := make([]string, len(p.apps))
+	for i, a := range p.apps {
+		keys[i] = a.Key()
+	}
+	return fmt.Sprintf("blocks of %d cores: %s", p.blockCores, strings.Join(keys, " "))
 }
 
 // WavesFor implements Source.

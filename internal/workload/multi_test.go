@@ -76,3 +76,23 @@ func TestPartitionPanics(t *testing.T) {
 		}()
 	}
 }
+
+// A partition's key names its block size and its parts in order, so two
+// machines' partitions, or the same apps swapped, never share a point key.
+func TestPartitionKey(t *testing.T) {
+	a, _ := ByName("T-AlexNet")
+	b, _ := ByName("C-BLK")
+	keys := map[string]string{}
+	for name, src := range map[string]Source{
+		"a+b/16": NewPartition(16, a, b), "b+a/16": NewPartition(16, b, a),
+		"a+b/8": NewPartition(8, a, b), "a/16": a,
+	} {
+		if other, ok := keys[src.Key()]; ok {
+			t.Errorf("%s and %s share key %q", name, other, src.Key())
+		}
+		keys[src.Key()] = name
+	}
+	if NewPartition(16, a, b).Key() != NewPartition(17, a, b).Key() {
+		t.Error("partitions with the same blocks key apart")
+	}
+}

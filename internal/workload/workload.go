@@ -22,6 +22,7 @@
 package workload
 
 import (
+	"fmt"
 	"sort"
 
 	"dcl1sim/internal/core"
@@ -74,6 +75,9 @@ func (c Class) String() string {
 type Source interface {
 	// Label names the workload in results.
 	Label() string
+	// Key names the workload's content for point keys: two sources with
+	// equal keys run the same streams on every machine.
+	Key() string
 	// WavesFor returns the wavefront count of one core.
 	WavesFor(coreID int) int
 	// Program returns the instruction stream of one wavefront.
@@ -148,6 +152,10 @@ type Spec struct {
 
 // Label implements Source.
 func (s Spec) Label() string { return s.Name }
+
+// Key implements Source: every field, so a re-fitted app keys apart from the
+// app it replaces.
+func (s Spec) Key() string { return fmt.Sprintf("%+v", s) }
 
 // WavesFor returns the wavefront count for a core under this spec.
 func (s Spec) WavesFor(coreID int) int {

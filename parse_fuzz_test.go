@@ -3,10 +3,8 @@ package dcl1
 import "testing"
 
 // FuzzParseDesign checks that ParseDesign never panics on arbitrary input,
-// and that accepted designs are name-stable: the canonical Name() of a parsed
-// design must itself parse, to the same canonical name. (Full struct equality
-// is deliberately not required — modifiers that are meaningless for a kind,
-// e.g. +Boost on Baseline, are accepted but dropped from the name.)
+// and that a design is its name: every accepted design's Name() parses back
+// to the same design, field for field.
 func FuzzParseDesign(f *testing.F) {
 	for _, s := range []string{
 		"Baseline", "SingleL1", "MeshBase", "CDXBar",
@@ -20,6 +18,10 @@ func FuzzParseDesign(f *testing.F) {
 		"bogus", "Sh40+junk", "Pr40 ", "+Boost",
 		"Sh40+M1", "Sh40+M9", "Sh40+M0", "Sh40+M-2", "Sh40+G64",
 		"Baseline+Priv", "Sh40+Lat8", "Sh40+M2+G0", "Sh40+M2+Lat0",
+		"Baseline+2xFlit", "Pr40+2xL1", "SingleL1+PerfectL1", "Sh40+C10+Boost+PF2",
+		"Sh40+C10+Boost+WB", "CDXBar+2xNoC1+2xNoC", "MeshBase+4xFlit+M2",
+		"Sh40+M4+G64+Lat8", "Baseline+1xL1", "Pr40+2xNoC", "CDXBar+Boost",
+		"Baseline+Boost", "MeshBase+2xNoC1", "Sh40+PF0", "Sh40+PF17", "Sh40+C010",
 	} {
 		f.Add(s)
 	}
@@ -33,8 +35,8 @@ func FuzzParseDesign(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Name %q of parsed %q does not re-parse: %v", name, s, err)
 		}
-		if n2 := d2.Name(); n2 != name {
-			t.Fatalf("unstable canonical name for %q: %q -> %q", s, name, n2)
+		if d2 != d {
+			t.Fatalf("%q parses to %+v, its name %q to %+v", s, d, name, d2)
 		}
 	})
 }

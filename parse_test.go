@@ -13,6 +13,8 @@ func TestParseDesignRoundTrips(t *testing.T) {
 		"Sh40", "Sh40+C5", "Sh40+C10", "Sh40+C20", "Sh40+C10+Boost",
 		"CDXBar", "CDXBar+2xNoC1", "CDXBar+2xNoC", "SingleL1",
 		"Baseline+2xNoC", "Baseline+16xL1", "Pr40+PerfectL1",
+		"Baseline+2xFlit", "Pr40+2xL1", "SingleL1+PerfectL1",
+		"Sh40+C10+Boost+PF2", "Sh40+C10+Boost+WB",
 	}
 	for _, n := range names {
 		d, err := dcl1.ParseDesign(n)
@@ -29,6 +31,7 @@ func TestParseDesignRoundTrips(t *testing.T) {
 func TestParseDesignRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"", "Nope", "Prx", "Sh", "Sh40+Cx", "Sh40+wat", "Pr40+NxL1", "Shfoo",
+		"Pr40+2xNoC", "CDXBar+Boost", "Baseline+Boost", "MeshBase+2xNoC1",
 	} {
 		if _, err := dcl1.ParseDesign(bad); err == nil {
 			t.Errorf("ParseDesign(%q) accepted", bad)
@@ -45,12 +48,12 @@ func TestParseDesignFields(t *testing.T) {
 		t.Fatalf("parsed fields wrong: %+v", d)
 	}
 	d2, _ := dcl1.ParseDesign("Baseline+2xNoC")
-	if !d2.NoCBoost {
-		t.Fatal("NoCBoost not set")
+	if d2.Boost1 || !d2.Boost2 {
+		t.Fatal("Baseline+2xNoC must boost NoC#2 only")
 	}
 	d3, _ := dcl1.ParseDesign("CDXBar+2xNoC")
-	if !d3.CDXBoostAll || d3.NoCBoost {
-		t.Fatal("CDXBar boost mis-parsed")
+	if !d3.Boost1 || !d3.Boost2 {
+		t.Fatal("CDXBar+2xNoC must boost both networks")
 	}
 }
 
