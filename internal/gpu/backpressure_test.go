@@ -9,6 +9,7 @@ import (
 	"dcl1sim/internal/core"
 	"dcl1sim/internal/dcl1"
 	"dcl1sim/internal/dram"
+	"dcl1sim/internal/health"
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/noc"
 	"dcl1sim/internal/sim"
@@ -16,8 +17,8 @@ import (
 )
 
 // A feed refused by its host crossbar for want of a credit skips the
-// crossbar's ticks until a credit comes back, in applyCredits at the barrier
-// of the edge the crossbar granted a VOQ's head on, and injects on the next
+// crossbar's ticks until a credit comes back, at the barrier of the edge the
+// crossbar granted a VOQ's head on, and injects on the next
 // edge — the edge an always-ticking engine would. Output 0's sink takes one
 // access every 3 cycles from a one-entry port and its source offers one a
 // cycle, so its two-deep VOQ is full nearly always and empties at once if the
@@ -28,9 +29,31 @@ import (
 // moves one access a cycle: stopped by its rate with more to move, it must
 // keep trying. In the third the sources are not attached, so no commit can
 // tell the crossbar's feeds one has filled: the feed must stay live and look
-// at its sources on every tick.
+// at its sources on every tick. Every scene runs on a 1x2 crossbar and on a
+// 3x1 mesh injecting at its middle node, whose one local-input credit the
+// two outputs share: both networks admit through the same ingress. Output 0's
+// accesses wait behind output 1's in that shared buffer, so the window is
+// long enough for the mesh to deliver all 660 as well.
 func TestFeedBlockedOnCreditsRetriesAfterApplyCredits(t *testing.T) {
-	const cycles = 4000
+	const cycles = 6000
+	type network interface {
+		packetNet
+		sim.Ticker
+		Attach(*sim.Clock)
+		SetEndpoint(int, noc.Endpoint)
+		Pending() int
+		CheckInvariants() []health.Violation
+	}
+	// A network, the feeds it hosts, its injecting node and output o's node.
+	type build func(depth int) (network, *sim.Feeds[*mem.Access], int, [2]int)
+	crossbar := func(depth int) (network, *sim.Feeds[*mem.Access], int, [2]int) {
+		x := noc.New(noc.Params{Name: "x", Ins: 1, Outs: 2, VOQDepth: depth})
+		return x, &x.Feeds, 0, [2]int{0, 1}
+	}
+	mesh := func(depth int) (network, *sim.Feeds[*mem.Access], int, [2]int) {
+		m := noc.NewMesh(noc.MeshParams{Name: "m", W: 3, H: 1, QueueDepth: depth})
+		return m, &m.Feeds, 1, [2]int{0, 2}
+	}
 	type scene struct {
 		name      string
 		rate, voq int
@@ -40,7 +63,7 @@ func TestFeedBlockedOnCreditsRetriesAfterApplyCredits(t *testing.T) {
 	backPressure := scene{"back-pressure", feedRate, 2, [2]sim.Cycle{3, 40}, false}
 	rateBound := scene{"rate-bound", 1, 8, [2]sim.Cycle{1, 1}, false}
 	unbound := scene{"unbound", feedRate, 2, [2]sim.Cycle{3, 40}, true}
-	run := func(sc scene, fast bool) ([]string, int) {
+	run := func(net string, mk build, sc scene, fast bool) ([]string, int) {
 		s := &System{} // no pool: inject and sink allocate
 		e := sim.NewEngine()
 		e.SetFastPath(fast)
@@ -68,21 +91,21 @@ func TestFeedBlockedOnCreditsRetriesAfterApplyCredits(t *testing.T) {
 				}
 			}
 		}))
-		x := noc.New(noc.Params{Name: "x", Ins: 1, Outs: 2, VOQDepth: sc.voq})
+		x, feeds, src, dst := mk(sc.voq)
 		clk.Register(x)
 		x.Attach(clk)
 		for o := range dsts {
-			x.SetEndpoint(o, s.sink(dsts[o]))
+			x.SetEndpoint(dst[o], s.sink(dsts[o]))
 		}
 		// tried counts the edges the feed tried on: what a pump's ticks were.
 		tried, last := 0, sim.Cycle(-1)
-		x.Feeds.Add(&sim.Feed[*mem.Access]{
+		feeds.Add(&sim.Feed[*mem.Access]{
 			Srcs: srcs[:], Rate: sc.rate, Credits: x.CreditsReturned,
 			Try: func(a *mem.Access) bool {
 				if now := clk.Now(); now != last {
 					tried, last = tried+1, now
 				}
-				return s.inject(x, a, 0, int(a.Line), 2)
+				return s.inject(x, a, src, dst[a.Line], 2)
 			},
 		})
 		var log []string
@@ -97,27 +120,33 @@ func TestFeedBlockedOnCreditsRetriesAfterApplyCredits(t *testing.T) {
 		}))
 		e.RunUntil(clk, cycles)
 		if left != [2]int{} || x.Pending() != 0 {
-			t.Fatalf("%s fast=%v: %v accesses unfed, %d packets left in the switch", sc.name, fast, left, x.Pending())
+			t.Fatalf("%s %s fast=%v: %v accesses unfed, %d packets left in the network", net, sc.name, fast, left, x.Pending())
 		}
 		if v := x.CheckInvariants(); len(v) > 0 {
-			t.Fatalf("%s fast=%v: %v", sc.name, fast, v)
+			t.Fatalf("%s %s fast=%v: %v", net, sc.name, fast, v)
 		}
 		return log, tried
 	}
-	for _, sc := range []scene{backPressure, rateBound, unbound} {
-		want, _ := run(sc, false)
-		if len(want) != 660 {
-			t.Fatalf("%s: reference run delivered %d accesses", sc.name, len(want))
-		}
-		got, tried := run(sc, true)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: deliveries differ from the always-ticking run:\n got %v\nwant %v", sc.name, got, want)
-		}
-		t.Logf("%s: 660 accesses, the feed tried on %d edges", sc.name, tried)
-		// One edge per injection and per refusal after a credit came back.
-		if tried > 3*660 && !sc.unbound {
-			t.Errorf("%s: feed tried on %d edges for 660 accesses over %d cycles: it retries through the back-pressure",
-				sc.name, tried, cycles)
+	for _, nw := range []struct {
+		name string
+		mk   build
+	}{{"crossbar", crossbar}, {"mesh", mesh}} {
+		for _, sc := range []scene{backPressure, rateBound, unbound} {
+			name := nw.name + " " + sc.name
+			want, _ := run(nw.name, nw.mk, sc, false)
+			if len(want) != 660 {
+				t.Fatalf("%s: reference run delivered %d accesses", name, len(want))
+			}
+			got, tried := run(nw.name, nw.mk, sc, true)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: deliveries differ from the always-ticking run:\n got %v\nwant %v", name, got, want)
+			}
+			t.Logf("%s: 660 accesses, the feed tried on %d edges", name, tried)
+			// One edge per injection and per refusal after a credit came back.
+			if tried > 3*660 && !sc.unbound {
+				t.Errorf("%s: feed tried on %d edges for 660 accesses over %d cycles: it retries through the back-pressure",
+					name, tried, cycles)
+			}
 		}
 	}
 }

@@ -676,26 +676,20 @@ func (mod *Module) wireSingleL1() {
 }
 
 // wireMemSide connects L2 miss queues to the DRAM channels and routes DRAM
-// replies back to the owning slice. In a linked machine it also builds the
-// per-channel link ports and splits both directions by home module: misses
-// for remote-homed lines divert to linkMissOut instead of local DRAM, remote
-// modules' requests arrive through linkReqIn, local DRAM fills bound for a
-// remote origin divert to linkRepOut, and remote fills come home through
-// linkFillIn. The single-module paths are untouched.
+// replies back to the owning slice. Each channel has one request feed and one
+// fill feed, which split both directions by home module: misses for
+// remote-homed lines divert to linkMissOut instead of local DRAM, and local
+// DRAM fills bound for a remote origin divert to linkRepOut (on one module
+// every line is local and every fill is the module's own). A linked machine
+// adds the link ports as sources — remote modules' requests through
+// linkReqIn, remote fills through linkFillIn — and stamps each locally
+// originated miss with the module, so its fill can find the way home.
 //
 // A channel's request feed pushes on the NoC#2 clock, so an L2 slice hosts
 // it: the channel's first slice (the last slice, for a channel with none);
 // its fill feed, on the memory clock, is hosted by the channel.
 func (mod *Module) wireMemSide() {
 	multi := mod.sys.LinkClk != nil
-	if multi {
-		for range mod.Drams {
-			mod.linkMissOut = append(mod.linkMissOut, sim.NewPort[*mem.Access](8))
-			mod.linkReqIn = append(mod.linkReqIn, sim.NewPort[*mem.Access](8))
-			mod.linkRepOut = append(mod.linkRepOut, sim.NewPort[*mem.Access](8))
-			mod.linkFillIn = append(mod.linkFillIn, sim.NewPort[*mem.Access](8))
-		}
-	}
 	// Group each channel's slices so the channel's In port has one feed
 	// draining the mapped MissOuts in slice order.
 	missByCh := make([][]*sim.Port[*mem.Access], len(mod.Drams))
@@ -714,50 +708,20 @@ func (mod *Module) wireMemSide() {
 		if host == nil {
 			host = mod.L2[len(mod.L2)-1]
 		}
-		if !multi {
-			host.Feeds.Add(&sim.Feed[*mem.Access]{
-				Srcs: missByCh[ch], Rate: feedRate, Try: dc.In.Push, Space: []sim.PortRef{dc.In.SpaceRef()},
-			})
-			dc.In.Attach(mod.sys.Noc2Clk)
-			continue
-		}
-		// Local slices first (in slice order, as in the single-module build),
-		// then the link ingress; every locally originated miss is stamped with
-		// the module so its fill can find the way home.
-		nLocal := len(missByCh[ch])
-		srcs := append(append([]*sim.Port[*mem.Access]{}, missByCh[ch]...), mod.linkReqIn[ch])
-		host.Feeds.Add(&sim.Feed[*mem.Access]{
-			Srcs: srcs,
-			Rate: feedRate,
-			Prep: func(si int, a *mem.Access) {
-				if si < nLocal {
-					a.Module = int16(mod.AMap.Module)
-				}
-			},
+		// Local slices first, in slice order, then the link ingress; DRAM
+		// output first, then fills arriving over the link. Orphan writeback
+		// ACKs retire at the home module (nothing waits for them).
+		req := &sim.Feed[*mem.Access]{
+			Srcs: missByCh[ch], Rate: feedRate, Space: []sim.PortRef{dc.In.SpaceRef()},
 			Try: func(a *mem.Access) bool {
 				if mod.AMap.Local(a.Line) {
 					return dc.In.Push(a)
 				}
 				return mod.linkMissOut[ch].Push(a)
 			},
-			Space: []sim.PortRef{dc.In.SpaceRef(), mod.linkMissOut[ch].SpaceRef()},
-		})
-		dc.In.Attach(mod.sys.Noc2Clk)
-		mod.linkMissOut[ch].Attach(mod.sys.Noc2Clk)
-	}
-	for ch, dc := range mod.Drams {
-		if !multi {
-			dc.Feeds.Add(feed(dc.Out, func(a *mem.Access) bool {
-				return mod.sys.retireOrphan(a) || mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
-			}, spaceRefs(fillByCh[ch])...))
-			continue
 		}
-		// DRAM output first, then fills arriving over the link; orphan
-		// writeback ACKs retire at the home module (nothing waits for them),
-		// remote-origin fills divert to the link egress.
-		dc.Feeds.Add(&sim.Feed[*mem.Access]{
-			Srcs: []*sim.Port[*mem.Access]{dc.Out, mod.linkFillIn[ch]},
-			Rate: feedRate,
+		fill := &sim.Feed[*mem.Access]{
+			Srcs: []*sim.Port[*mem.Access]{dc.Out}, Rate: feedRate, Space: spaceRefs(fillByCh[ch]),
 			Try: func(a *mem.Access) bool {
 				if mod.sys.retireOrphan(a) {
 					return true
@@ -767,8 +731,29 @@ func (mod *Module) wireMemSide() {
 				}
 				return mod.L2[mod.AMap.L2Slice(a.Line)].FillIn.Push(a)
 			},
-			Space: append(spaceRefs(fillByCh[ch]), mod.linkRepOut[ch].SpaceRef()),
-		})
-		mod.linkRepOut[ch].Attach(mod.sys.MemClk)
+		}
+		dc.In.Attach(mod.sys.Noc2Clk)
+		if multi {
+			missOut, reqIn := sim.NewPort[*mem.Access](8), sim.NewPort[*mem.Access](8)
+			repOut, fillIn := sim.NewPort[*mem.Access](8), sim.NewPort[*mem.Access](8)
+			mod.linkMissOut = append(mod.linkMissOut, missOut)
+			mod.linkReqIn = append(mod.linkReqIn, reqIn)
+			mod.linkRepOut = append(mod.linkRepOut, repOut)
+			mod.linkFillIn = append(mod.linkFillIn, fillIn)
+			nLocal := len(req.Srcs)
+			req.Srcs = append(req.Srcs, reqIn)
+			req.Prep = func(si int, a *mem.Access) {
+				if si < nLocal {
+					a.Module = int16(mod.AMap.Module)
+				}
+			}
+			req.Space = append(req.Space, missOut.SpaceRef())
+			fill.Srcs = append(fill.Srcs, fillIn)
+			fill.Space = append(fill.Space, repOut.SpaceRef())
+			missOut.Attach(mod.sys.Noc2Clk)
+			repOut.Attach(mod.sys.MemClk)
+		}
+		host.Feeds.Add(req)
+		dc.Feeds.Add(fill)
 	}
 }

@@ -183,6 +183,17 @@ func TestDesignValidate(t *testing.T) {
 	if err := (Design{Kind: Clustered, DCL1s: 4, Clusters: 3}).Validate(cfg); err == nil {
 		t.Error("Sh4+C3 accepted")
 	}
+	// More DC-L1 nodes than cores would build a crossbar wider than the
+	// machine; as many as cores is the widest shared design.
+	for name, ok := range map[string]bool{"Sh9": false, "Sh16+C4": false, "Sh1000000": false, "Sh8+C4": true} {
+		d, err := ParseDesign(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(cfg); (err == nil) != ok {
+			t.Errorf("%s on %d cores: err %v, want accepted %v", name, cfg.Cores, err, ok)
+		}
+	}
 	one := Config{Cores: 1, L2Slices: 1, Channels: 1}
 	for _, k := range []DesignKind{Private, Shared, Clustered} {
 		if err := (Design{Kind: k}).Validate(one); err != nil {

@@ -36,8 +36,8 @@ func (mod *Module) wireMeshNoC(st Stage) {
 	}
 	req, rep := mk("req"), mk("rep")
 	mod.Stages = append(mod.Stages, &BuiltStage{Stage: st, MeshReq: req, MeshRep: rep})
-	req.AttachPorts(clk)
-	rep.AttachPorts(clk)
+	req.Attach(clk)
+	rep.Attach(clk)
 
 	l2Node := func(slice int) int { return cfg.Cores + slice }
 

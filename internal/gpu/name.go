@@ -73,7 +73,7 @@ var modifiers = []modifier{
 	{pre: "Boost", kinds: kinds(Private, Shared, Clustered),
 		get: func(d Design) int { return b2i(d.Boost1) },
 		set: func(d *Design, _ int) { d.Boost1 = true }},
-	{post: "xL1", num: true, def: 1, kinds: allKinds,
+	{post: "xL1", num: true, def: 1, hi: 64, kinds: allKinds,
 		get: func(d Design) int { return d.L1CapacityScale },
 		set: func(d *Design, n int) { d.L1CapacityScale = n }},
 	{pre: "PerfectL1", kinds: allKinds,

@@ -90,6 +90,9 @@ func DesignTopology(cfg Config, d Design) (Topology, error) {
 		return &t.Stages[len(t.Stages)-1]
 	}
 	cores, l2s := cfg.Cores, cfg.L2Slices
+	if (d.Kind == Shared || d.Kind == Clustered) && d.DCL1s > cores {
+		return Topology{}, fmt.Errorf("gpu: %d DC-L1 nodes exceed %d cores", d.DCL1s, cores)
+	}
 	switch d.Kind {
 	case Baseline:
 		row("noc", NetNoC2, 1, cores, l2s, power.LongLinkMM)

@@ -24,30 +24,22 @@ type Mesh struct {
 	// its Tick on the clock it ticks on.
 	Feeds sim.Feeds[*mem.Access]
 
-	inj       []*sim.Port[*mem.Packet] // per-node injection port (the two-phase boundary)
 	routers   []meshRouter
 	endpoints []Endpoint
 	lastTick  sim.Cycle // most recent Tick cycle, for stuck-flit auditing
 
-	// credit[n] is the projected occupancy of router n's local input buffer:
-	// committed contents plus packets still in (or staged for) inj[n].
-	// Inject admits while credit < QueueDepth — the old direct-buffer rule.
-	// Increments belong to node n's single producer; decrements (local-input
-	// grants) are recorded in granted during Tick and applied at the edge
-	// barrier (or at the end of Tick in immediate mode).
-	// returned counts the credits returned so far.
-	credit   []int32
-	granted  []int32
-	returned int64
-	attached bool
+	// The admission book, keyed by source node: Inject takes the node's
+	// credit and the publication enters the packet into the router's local
+	// input buffer, so the credit counts that buffer's occupancy.
+	ingress
 
-	// pending counts packets anywhere in the mesh (input buffers or router
-	// transit) for the quiescence fast path; with zero pending, a tick only
+	// held counts packets anywhere in the mesh (input buffers or router
+	// transit) for the quiescence fast path; with none held, a tick only
 	// advances Stat.Cycles and lastTick.
-	pending int
+	held int
 
 	// Free lists recycle the per-packet wrappers so a saturated mesh runs
-	// allocation-free: meshPackets live from Inject to local delivery,
+	// allocation-free: meshPackets live from publication to local delivery,
 	// meshTransits from grant to completion. retryScratch is the per-router
 	// blocked-transit buffer, reused across routers and ticks.
 	freePkt      []*meshPacket
@@ -84,14 +76,6 @@ type MeshStats struct {
 	FlitHops  int64 // flits × links traversed
 	HopsSum   int64 // hops of delivered packets
 	StallFull int64 // grants blocked by a full downstream buffer
-}
-
-// MeanHops returns average hops per delivered packet.
-func (s *MeshStats) MeanHops() float64 {
-	if s.Packets == 0 {
-		return 0
-	}
-	return float64(s.HopsSum) / float64(s.Packets)
 }
 
 const (
@@ -135,14 +119,11 @@ func NewMesh(p MeshParams) *Mesh {
 	}
 	m := &Mesh{
 		P:         p,
-		inj:       make([]*sim.Port[*mem.Packet], p.W*p.H),
 		routers:   make([]meshRouter, p.W*p.H),
 		endpoints: make([]Endpoint, p.W*p.H),
-		credit:    make([]int32, p.W*p.H),
 	}
+	m.ingress = newIngress(p.W*p.H, p.QueueDepth, m.enter)
 	for i := range m.routers {
-		// Unbounded port: admission is bounded by the credit check.
-		m.inj[i] = sim.NewPort[*mem.Packet](0)
 		r := &m.routers[i]
 		for d := 0; d < numPorts; d++ {
 			r.in[d] = sim.NewQueue[*meshPacket](p.QueueDepth)
@@ -159,11 +140,9 @@ func (m *Mesh) Nodes() int { return m.P.W * m.P.H }
 func (m *Mesh) SetEndpoint(n int, e Endpoint) { m.endpoints[n] = e }
 
 // Inject offers a packet at node p.Src's local input; p.Dst is the
-// destination node. The packet lands in the node's injection port — the
-// mesh's two-phase boundary: wrapping in a meshPacket (free-list state) and
-// the pending count happen when Tick drains the port, so concurrent
-// producers never touch shared mesh state. Returns false when the injection
-// port is full.
+// destination node. An admitted packet takes its node's credit and waits on
+// the pending list until the next publication, as on a crossbar. Returns
+// false when the node's local input buffer is (projected) full.
 func (m *Mesh) Inject(p *mem.Packet) bool {
 	if p.Src < 0 || p.Src >= m.Nodes() || p.Dst < 0 || p.Dst >= m.Nodes() {
 		panic(fmt.Sprintf("noc: mesh %s inject with bad nodes src=%d dst=%d", m.P.Name, p.Src, p.Dst))
@@ -171,61 +150,17 @@ func (m *Mesh) Inject(p *mem.Packet) bool {
 	if p.Flits <= 0 {
 		panic("noc: mesh packet with no flits")
 	}
-	if m.credit[p.Src] >= int32(m.P.QueueDepth) {
-		return false
-	}
-	if !m.inj[p.Src].Push(p) {
-		return false
-	}
-	m.credit[p.Src]++
-	return true
+	return m.admit(p.Src, p)
 }
 
-// AttachPorts switches the injection ports to two-phase mode on clk (the
-// clock every producer of this mesh ticks on) and moves the credit-grant
-// application to clk's edge barrier.
-func (m *Mesh) AttachPorts(clk *sim.Clock) {
-	for _, p := range m.inj {
-		p.Attach(clk)
+// enter moves a published packet into its router's local input buffer. The
+// credit rule bounds that buffer plus pending injections by QueueDepth, so a
+// full buffer here is a broken credit and panics.
+func (m *Mesh) enter(p *mem.Packet) {
+	if !m.routers[p.Src].in[dirL].Push(m.getMeshPacket(p)) {
+		panic(fmt.Sprintf("noc: mesh %s local input overflow at publish (node %d)", m.P.Name, p.Src))
 	}
-	m.attached = true
-	clk.OnBarrier(m.applyCredits)
-}
-
-// applyCredits returns the credits of this edge's local-input grants to the
-// producers. Runs at the edge barrier (attached) or at the end of Tick
-// (immediate mode) — never concurrently with Inject.
-func (m *Mesh) applyCredits() {
-	for _, n := range m.granted {
-		m.credit[n]--
-	}
-	m.returned += int64(len(m.granted))
-	m.granted = m.granted[:0]
-}
-
-// CreditsReturned counts the injection credits returned so far: what a feed
-// refused a credit waits to see move (sim.Feed.Credits).
-func (m *Mesh) CreditsReturned() int64 { return m.returned }
-
-// drainInject moves committed injections into the routers' local input
-// buffers. Runs at the start of Tick so an immediate-mode injection still
-// arbitrates the same cycle. The credit admission rule guarantees room: the
-// local buffer plus in-port packets per node never exceed QueueDepth.
-func (m *Mesh) drainInject() {
-	for n, port := range m.inj {
-		for {
-			p, ok := port.Peek()
-			if !ok {
-				break
-			}
-			if m.routers[n].in[dirL].Full() {
-				break
-			}
-			port.Pop()
-			m.routers[n].in[dirL].Push(m.getMeshPacket(p))
-			m.pending++
-		}
-	}
+	m.held++
 }
 
 func (m *Mesh) getMeshPacket(p *mem.Packet) *meshPacket {
@@ -261,29 +196,20 @@ func (m *Mesh) putTransit(tr *meshTransit) {
 // NextWorkCycle implements sim.Sleeper: the mesh is busy while any packet is
 // buffered or in transit anywhere on the grid or a feed can move, and fully
 // quiescent otherwise (transits always mature into retries or deliveries
-// before pending drops to zero, so no future-cycle wake needs tracking).
+// before held drops to zero, so no future-cycle wake needs tracking). In
+// immediate mode anyone may inject between ticks, so the mesh never sleeps.
 func (m *Mesh) NextWorkCycle(now sim.Cycle) sim.Cycle {
-	if m.pending > 0 || m.Feeds.Busy() {
+	if m.held > 0 || !m.attached || m.Feeds.Busy() {
 		return now
-	}
-	for _, p := range m.inj {
-		if !p.Empty() {
-			return now
-		}
 	}
 	return sim.WakeNever
 }
 
-// WakeSources implements sim.WakeSourcer: the injection ports and the
-// feeds' ports. (A feed refused a credit needs no wake: the packets holding
-// the credits keep the mesh awake until they leave their input buffers.)
-func (m *Mesh) WakeSources() []sim.PortRef {
-	refs := make([]sim.PortRef, len(m.inj))
-	for i, p := range m.inj {
-		refs[i] = p.Ref()
-	}
-	return append(refs, m.Feeds.WakeSources()...)
-}
+// WakeSources implements sim.WakeSourcer: a packet enters an empty mesh only
+// through a feed, so the feeds' ports are its only wake sources. (A feed
+// refused a credit needs no wake: the packets holding the credits keep the
+// mesh awake until they leave their input buffers.)
+func (m *Mesh) WakeSources() []sim.PortRef { return m.Feeds.WakeSources() }
 
 // SkipIdle implements sim.IdleSkipper.
 func (m *Mesh) SkipIdle(now sim.Cycle, n sim.Cycle) {
@@ -354,7 +280,7 @@ func opposite(d int) int {
 func (m *Mesh) Tick(now sim.Cycle) {
 	m.lastTick = now
 	m.Stat.Cycles++
-	m.drainInject()
+	m.tickStart()
 	// Phase 1: complete transits (hand packets to the next router's input
 	// buffer, or to the endpoint for local outputs).
 	for n := range m.routers {
@@ -373,7 +299,7 @@ func (m *Mesh) Tick(now sim.Cycle) {
 					continue
 				}
 				r.pendingOut[tr.out]--
-				m.pending--
+				m.held--
 				m.Stat.Packets++
 				m.Stat.HopsSum += int64(tr.mp.hops)
 				m.putMeshPacket(tr.mp)
@@ -419,7 +345,7 @@ func (m *Mesh) Tick(now sim.Cycle) {
 				}
 				r.in[in].Pop()
 				if in == dirL {
-					m.granted = append(m.granted, int32(n))
+					m.grant(n)
 				}
 				mp.hops++
 				dur := sim.Cycle(mp.p.Flits)
@@ -434,16 +360,13 @@ func (m *Mesh) Tick(now sim.Cycle) {
 		}
 	}
 	m.Feeds.Run()
-	if !m.attached {
-		m.applyCredits()
-	}
+	m.tickEnd()
 }
 
 // Pending returns packets buffered anywhere in the mesh (drain checks).
 func (m *Mesh) Pending() int {
-	total := 0
+	total := len(m.pending)
 	for n := range m.routers {
-		total += m.inj[n].Len()
 		r := &m.routers[n]
 		for d := 0; d < numPorts; d++ {
 			total += r.in[d].Len()

@@ -23,7 +23,7 @@ func (x *Crossbar) RegisterMetrics(r *metrics.Registry, domain, prefix string, r
 }
 
 // RegisterMetrics registers the mesh's series under comp. The mesh stands in
-// for NoC#2 in the CDXBar design, so its flit hops count under the noc2
+// for NoC#2 in the MeshBase design, so its flit hops count under the noc2
 // flit family.
 func (m *Mesh) RegisterMetrics(r *metrics.Registry, comp, domain, prefix string) {
 	s := &m.Stat

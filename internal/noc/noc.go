@@ -113,21 +113,10 @@ type Crossbar struct {
 	voqHead []int32
 	voqLen  []int32
 
-	// credit[k] is the projected occupancy of pair k's VOQ: its packets, plus
-	// the injections toward it not yet published (pending), plus the packets
-	// granted from it whose credit has not come back (granted). Inject admits
-	// a packet only while credit < VOQDepth, so admission counts VOQ
-	// occupancy as of the last barrier plus this edge's injections — a blocked
-	// output never HOL-blocks other outputs at the injection boundary. The
-	// edge barrier publishes pending into the VOQs and returns granted's
-	// credits (at the start and the end of Tick in immediate mode), so a feed
-	// sees a credit come back on the edge after the grant, never on the
-	// grant's own. returned counts the credits returned so far.
-	credit   []int32
-	pending  []*mem.Packet
-	granted  []int32 // pair indices
-	returned int64
-	attached bool
+	// The admission book, keyed by pair index: Inject takes a pair's credit
+	// and the publication enters the packet into the pair's VOQ, so a blocked
+	// output never HOL-blocks other outputs at the injection boundary.
+	ingress
 
 	voqBits   [][]uint64  // [out] bitmap of inputs with waiting packets
 	inBusy    []sim.Cycle // input link busy until cycle
@@ -168,7 +157,6 @@ func New(p Params) *Crossbar {
 		voqBuf:    make([]*mem.Packet, pairs*p.VOQDepth),
 		voqHead:   make([]int32, pairs),
 		voqLen:    make([]int32, pairs),
-		credit:    make([]int32, pairs),
 		inBusy:    make([]sim.Cycle, p.Ins),
 		outBusy:   make([]sim.Cycle, p.Outs),
 		rr:        make([]int, p.Outs),
@@ -176,6 +164,7 @@ func New(p Params) *Crossbar {
 		staged:    make([]*sim.Queue[*mem.Packet], p.Outs),
 		endpoints: make([]Endpoint, p.Outs),
 	}
+	x.ingress = newIngress(pairs, p.VOQDepth, x.enter)
 	words := (p.Ins + 63) / 64
 	x.voqBits = make([][]uint64, p.Outs)
 	for o := range x.voqBits {
@@ -213,74 +202,30 @@ func (x *Crossbar) Inject(p *mem.Packet) bool {
 	if p.Flits <= 0 {
 		panic("noc: packet with no flits")
 	}
-	c := &x.credit[x.pair(p.Src, p.Dst)]
-	if *c >= int32(x.P.VOQDepth) {
-		return false
+	return x.admit(x.pair(p.Src, p.Dst), p)
+}
+
+// enter appends a published packet to its pair's VOQ. The credit rule bounds
+// every pair's VOQ plus pending injections by VOQDepth, so a full VOQ here is
+// a broken credit and panics.
+func (x *Crossbar) enter(p *mem.Packet) {
+	depth := x.depth
+	in, out := p.Src, p.Dst
+	k := x.pair(in, out)
+	n := x.voqLen[k]
+	if n >= depth {
+		panic(fmt.Sprintf("noc: %s VOQ overflow at publish (in %d, out %d)", x.P.Name, in, out))
 	}
-	*c++
-	x.pending = append(x.pending, p)
-	return true
-}
-
-// CanInject reports whether input port in has VOQ room toward output out.
-func (x *Crossbar) CanInject(in, out int) bool {
-	return x.credit[x.pair(in, out)] < int32(x.P.VOQDepth)
-}
-
-// CreditsReturned counts the injection credits returned so far: what a feed
-// refused a credit waits to see move (sim.Feed.Credits).
-func (x *Crossbar) CreditsReturned() int64 { return x.returned }
-
-// Attach moves publication and credit return to clk's edge barrier. clk is
-// the clock the switch ticks on, and so are its producers — its feeds, run
-// in its Tick — so no admission of this edge can depend on the barrier's
-// work.
-func (x *Crossbar) Attach(clk *sim.Clock) {
-	x.attached = true
-	clk.OnBarrier(x.applyCredits)
-}
-
-// applyCredits is the edge barrier: this edge's injections enter their VOQs
-// and this edge's grants return their credits.
-func (x *Crossbar) applyCredits() {
-	x.publish()
-	x.returnCredits()
-}
-
-// returnCredits returns the credits of the grants since the last return.
-func (x *Crossbar) returnCredits() {
-	for _, k := range x.granted {
-		x.credit[k]--
+	slot := x.voqHead[k] + n
+	if slot >= depth {
+		slot -= depth
 	}
-	x.returned += int64(len(x.granted))
-	x.granted = x.granted[:0]
-}
-
-// publish appends the pending injections to their VOQs. The credit rule
-// bounds every pair's VOQ plus pending injections by VOQDepth, so a full VOQ
-// here is a broken credit and panics.
-func (x *Crossbar) publish() {
-	depth := int32(x.P.VOQDepth)
-	for i, p := range x.pending {
-		in, out := p.Src, p.Dst
-		k := x.pair(in, out)
-		n := x.voqLen[k]
-		if n >= depth {
-			panic(fmt.Sprintf("noc: %s VOQ overflow at publish (in %d, out %d)", x.P.Name, in, out))
-		}
-		slot := x.voqHead[k] + n
-		if slot >= depth {
-			slot -= depth
-		}
-		x.voqBuf[k*x.P.VOQDepth+int(slot)] = p
-		x.voqLen[k] = n + 1
-		x.voqBits[out][in>>6] |= 1 << uint(in&63)
-		x.outPending[out>>6] |= 1 << uint(out&63)
-		x.voqPerOut[out]++
-		x.voqCount++
-		x.pending[i] = nil
-	}
-	x.pending = x.pending[:0]
+	x.voqBuf[k*x.P.VOQDepth+int(slot)] = p
+	x.voqLen[k] = n + 1
+	x.voqBits[out][in>>6] |= 1 << uint(in&63)
+	x.outPending[out>>6] |= 1 << uint(out&63)
+	x.voqPerOut[out]++
+	x.voqCount++
 }
 
 // popVOQ removes and returns the oldest packet of pair k's VOQ.
@@ -301,16 +246,12 @@ func (x *Crossbar) popVOQ(k int) *mem.Packet {
 func (x *Crossbar) Tick(now sim.Cycle) {
 	x.lastTick = now
 	x.Stat.Cycles++
-	if !x.attached {
-		x.publish()
-	}
+	x.tickStart()
 	x.deliverStaged(now)
 	x.completeTraversals(now)
 	x.arbitrate(now)
 	x.Feeds.Run()
-	if !x.attached {
-		x.returnCredits()
-	}
+	x.tickEnd()
 }
 
 // NextWorkCycle implements sim.Sleeper. The switch has work while any packet
@@ -418,7 +359,7 @@ func (x *Crossbar) arbitrate(now sim.Cycle) {
 			}
 			k := x.pair(in, o)
 			p := x.popVOQ(k)
-			x.granted = append(x.granted, int32(k))
+			x.grant(k)
 			x.voqCount--
 			x.voqPerOut[o]--
 			if x.voqPerOut[o] == 0 {

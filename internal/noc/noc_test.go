@@ -128,8 +128,7 @@ func TestCrossbarRoundRobinFairness(t *testing.T) {
 	perIn := make([]int, 4)
 	for c := sim.Cycle(0); len(s[0].got) < total && c < 2000; c++ {
 		for in := 0; in < 4; in++ {
-			if injected < total+8 && x.CanInject(in, 0) {
-				x.Inject(pkt(in, 0, 1))
+			if injected < total+8 && x.Inject(pkt(in, 0, 1)) {
 				injected++
 			}
 		}
@@ -192,7 +191,7 @@ func TestCrossbarUtilizationStats(t *testing.T) {
 	// 10 packets x 4 flits from input 0 to output 1, one at a time.
 	done := 0
 	for c := sim.Cycle(0); done < 10 && c < 500; c++ {
-		if x.CanInject(0, 1) && done+x.Pending() < 10 {
+		if done+x.Pending() < 10 {
 			x.Inject(pkt(0, 1, 4))
 		}
 		x.Tick(c)
@@ -285,8 +284,7 @@ func TestCrossbarPerFlowOrderProperty(t *testing.T) {
 		next := uint64(0)
 		sent := 0
 		for c := sim.Cycle(0); len(sinks[1].got) < count && c < 5000; c++ {
-			if sent < count && x.CanInject(0, 1) {
-				x.Inject(&mem.Packet{Acc: &mem.Access{ID: next}, Src: 0, Dst: 1, Flits: 2})
+			if sent < count && x.Inject(&mem.Packet{Acc: &mem.Access{ID: next}, Src: 0, Dst: 1, Flits: 2}) {
 				next++
 				sent++
 			}

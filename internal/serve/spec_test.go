@@ -77,6 +77,21 @@ func TestParseSweepSpecRejects(t *testing.T) {
 	}
 }
 
+// TestSpecRefusesOversizedMachine pins that a design sizing its machine past
+// the grammar's bounds or the core count never reaches a point: each is
+// refused at parse or by Jobs on the default 80-core machine.
+func TestSpecRefusesOversizedMachine(t *testing.T) {
+	for _, design := range []string{"Baseline+100000xL1", "Sh1000000"} {
+		spec, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["` + design + `"]}`))
+		if err != nil {
+			continue
+		}
+		if _, errs := spec.Jobs(); errs[0] == nil {
+			t.Errorf("%s accepted on the default machine", design)
+		}
+	}
+}
+
 func TestParseSweepSpecTooManyDesigns(t *testing.T) {
 	var b bytes.Buffer
 	b.WriteString(`{"app":"T-AlexNet","designs":[`)
@@ -157,7 +172,7 @@ func TestExploreSpec(t *testing.T) {
 // its job, that chaos and that cap, and an invalid design keeps its error in
 // its own slot.
 func TestSpecPoints(t *testing.T) {
-	s, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline","Pr3","Sh40+M2+G64"],"cores":8,"l2_slices":4,"channels":2,"chaos":"light","chaos_seed":3,"power_cap":50,"power_zone":"gpu"}`))
+	s, err := ParseSweepSpec([]byte(`{"app":"T-AlexNet","designs":["Baseline","Pr3","Sh8+M2+G64"],"cores":8,"l2_slices":4,"channels":2,"chaos":"light","chaos_seed":3,"power_cap":50,"power_zone":"gpu"}`))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

@@ -12,6 +12,10 @@ package sim
 // first item that is not later than the new one keeps equal release cycles
 // in insertion order — the (readyAt, insertion) order a heap with a sequence
 // number gives, without the sequence number or the sifts.
+//
+// Unlike Queue it has no capacity and its ring grows on demand: it holds
+// what is in flight in a pipe, and every pipe sits behind a bounded port or
+// a network credit, so what can be in flight is bounded upstream.
 type DelayQueue[T any] struct {
 	buf  []delayItem[T]
 	head int

@@ -42,27 +42,14 @@ func CheckQueue(component, queue string, q QueueState) []health.Violation {
 			Detail: fmt.Sprintf("%s: pushes %d - pops %d != occupancy %d", queue, pushes, pops, q.Len()),
 		})
 	}
-	if c := q.Cap(); c > 0 && q.Len() > c {
+	if c := q.Cap(); q.Len() > c {
 		out = append(out, health.Violation{
 			Component: component, Rule: "queue-overflow",
 			Detail: fmt.Sprintf("%s: occupancy %d exceeds capacity %d", queue, q.Len(), c),
 		})
 	}
-	if q.Cap() <= 0 && q.Len() > UnboundedSoftCap {
-		out = append(out, health.Violation{
-			Component: component, Rule: "queue-unbounded-growth", Warn: true,
-			Detail: fmt.Sprintf("%s: unbounded queue holds %d items (> soft cap %d); a sink stopped draining",
-				queue, q.Len(), UnboundedSoftCap),
-		})
-	}
 	return out
 }
-
-// UnboundedSoftCap is the occupancy above which an unbounded (capacity-0)
-// queue is flagged by CheckQueue. Unbounded queues exist for statistics
-// sinks that drain every cycle; sustained occupancy anywhere near this bound
-// means the sink stopped draining and the queue is silently eating memory.
-const UnboundedSoftCap = 1 << 16
 
 // DefaultHeadAgeBound is the QueueWatcher stall bound: a non-empty queue
 // whose head has not moved for this many reference cycles is reported stuck.

@@ -153,44 +153,3 @@ func TestQueueNonPowerOfTwoCapacity(t *testing.T) {
 		}
 	}
 }
-
-// A commit into an unbounded port grows the ring as far as the staged batch
-// needs — more than one doubling in one commit — and keeps FIFO order across the
-// wrap point.
-func TestPortCommitGrowsUnboundedRing(t *testing.T) {
-	e := NewEngine()
-	clk := e.NewClock("c", 1000)
-	p := NewPort[int](0)
-	p.Attach(clk)
-	next, want := 0, 0
-	burst := map[Cycle]int{0: 5, 1: 70, 2: 1, 3: 300, 5: 16}
-	clk.Register(TickFunc(func(now Cycle) {
-		for k := burst[now]; k > 0; k-- {
-			if !p.Push(next) {
-				t.Fatalf("unbounded port refused a push at cycle %d", now)
-			}
-			next++
-		}
-	}))
-	clk.Register(TickFunc(func(now Cycle) {
-		for k := 0; k < 3 && !p.Empty(); k++ { // drain slowly: the head moves off slot 0
-			if v, _ := p.Pop(); v != want {
-				t.Fatalf("cycle %d: popped %d, want %d", now, v, want)
-			}
-			want++
-		}
-	}))
-	e.RunUntil(clk, 8)
-	if p.Len() != next-want {
-		t.Fatalf("port holds %d items, want %d", p.Len(), next-want)
-	}
-	for !p.Empty() {
-		if v, _ := p.Pop(); v != want {
-			t.Fatalf("drain: popped %d, want %d", v, want)
-		}
-		want++
-	}
-	if want != 392 || p.PushCount != 392 || p.PopCount != 392 {
-		t.Fatalf("moved %d items (pushes %d, pops %d), want 392", want, p.PushCount, p.PopCount)
-	}
-}

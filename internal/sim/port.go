@@ -47,7 +47,7 @@ type portHeader struct {
 	nStaged int  // len(staged)
 	snap    int  // committed occupancy snapshot from the last barrier
 	size    *int // the committed queue's occupancy (Queue.size)
-	cap     int  // the queue's capacity (0 = unbounded)
+	cap     int  // the queue's capacity
 	owner   stagedFlusher
 
 	clk    *Clock // producer clock, whose barrier commits the port; nil = unattached
@@ -101,9 +101,9 @@ func (h *portHeader) commit() (flushed bool) {
 // was refused by has turned to accepting — the one transition that can turn
 // "my output is full" into work, whether it comes from pops on another clock's
 // edges or from this edge's own — and whether a producer sleeps on it (the
-// caller then wakes it). Once per refusal: the mark is cleared either way. (An
-// unbounded port is never full.) Kept apart from commit so that both inline
-// into the barrier's loop over ports.
+// caller then wakes it). Once per refusal: the mark is cleared either way.
+// Kept apart from commit so that both inline into the barrier's loop over
+// ports.
 func (h *portHeader) relented() bool {
 	if !h.starved || h.snap >= h.cap {
 		return false
@@ -127,8 +127,8 @@ func (h *portHeader) wakeProducer() {
 	h.clk.wake(h.pidx)
 }
 
-// NewPort returns a port holding at most capacity items (0 = unbounded), in
-// immediate mode until Attach is called.
+// NewPort returns a port holding at most capacity items, in immediate mode
+// until Attach is called. A capacity below one is a wiring bug and panics.
 func NewPort[T any](capacity int) *Port[T] {
 	p := &Port[T]{}
 	p.Queue = *NewQueue[T](capacity)
@@ -206,7 +206,7 @@ func (p *Port[T]) Full() bool {
 	if !p.twoPhase {
 		return p.Queue.Full()
 	}
-	if p.cap > 0 && p.hdr.snap+p.hdr.nStaged >= p.cap {
+	if p.hdr.snap+p.hdr.nStaged >= p.cap {
 		p.hdr.starved = true
 		return true
 	}
@@ -217,9 +217,6 @@ func (p *Port[T]) Full() bool {
 func (p *Port[T]) Space() int {
 	if !p.twoPhase {
 		return p.Queue.Space()
-	}
-	if p.cap <= 0 {
-		return int(^uint(0) >> 1)
 	}
 	s := p.cap - p.hdr.snap - p.hdr.nStaged
 	if s < 0 {

@@ -1,22 +1,18 @@
 package sim
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Queue is a bounded FIFO with backpressure, the basic plumbing between
-// pipeline stages. A capacity of 0 means unbounded (used only by statistics
-// sinks). The zero value is not usable; construct with NewQueue.
-//
-// Unbounded queues are a footgun under saturation: a sink that stops
-// draining grows its buffer forever. Two mitigations apply: the retained
-// buffer shrinks again once occupancy drops (maybeShrink), so a transient
-// burst does not pin memory for the rest of a sweep, and the health layer
-// flags sustained occupancy above UnboundedSoftCap (see CheckQueue) so a
-// non-draining sink surfaces as a warning instead of silent memory growth.
-// Bounded queues never grow: their buffer is preallocated at capacity.
+// pipeline stages. Every queue has a fixed capacity of at least one, as every
+// buffer of the modelled hardware does; its buffer is preallocated and never
+// grows. The zero value is not usable; construct with NewQueue.
 //
 // The buffer is a power-of-two ring, so every push, pop and indexed read
-// wraps with a mask instead of a division; a bounded queue's ring is its
-// capacity rounded up, and Full still answers against the capacity itself.
+// wraps with a mask instead of a division; the ring is the capacity rounded
+// up, and Full still answers against the capacity itself.
 type Queue[T any] struct {
 	buf  []T
 	head int
@@ -34,16 +30,16 @@ type Queue[T any] struct {
 	PopCount  int64
 }
 
-// NewQueue returns a queue holding at most capacity items (0 = unbounded).
+// NewQueue returns a queue holding at most capacity items. A capacity below
+// one is a wiring bug and panics.
 func NewQueue[T any](capacity int) *Queue[T] {
-	n := 16
-	if capacity > 0 {
-		n = 1 << bits.Len(uint(capacity-1))
+	if capacity < 1 {
+		panic(fmt.Sprintf("sim: queue capacity %d, want at least 1", capacity))
 	}
-	return &Queue[T]{buf: make([]T, n), cap: capacity}
+	return &Queue[T]{buf: make([]T, 1<<bits.Len(uint(capacity-1))), cap: capacity}
 }
 
-// Cap returns the configured capacity (0 = unbounded).
+// Cap returns the configured capacity.
 func (q *Queue[T]) Cap() int { return q.cap }
 
 // Len returns the number of queued items.
@@ -53,25 +49,16 @@ func (q *Queue[T]) Len() int { return q.size }
 func (q *Queue[T]) Empty() bool { return q.size == 0 }
 
 // Full reports whether a Push would fail.
-func (q *Queue[T]) Full() bool { return q.cap > 0 && q.size >= q.cap }
+func (q *Queue[T]) Full() bool { return q.size >= q.cap }
 
-// Space returns how many more items can be pushed; a large number for
-// unbounded queues.
-func (q *Queue[T]) Space() int {
-	if q.cap <= 0 {
-		return int(^uint(0) >> 1)
-	}
-	return q.cap - q.size
-}
+// Space returns how many more items can be pushed.
+func (q *Queue[T]) Space() int { return q.cap - q.size }
 
 // Push appends v and reports whether it was accepted. A full queue rejects
 // the push; callers retry on a later cycle (backpressure).
 func (q *Queue[T]) Push(v T) bool {
 	if q.Full() {
 		return false
-	}
-	if q.size == len(q.buf) {
-		q.grow()
 	}
 	q.buf[(q.head+q.size)&(len(q.buf)-1)] = v
 	q.size++
@@ -107,7 +94,6 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
 	q.PopCount++
-	q.maybeShrink()
 	if h := q.watch; h != nil && !h.listed {
 		h.touch()
 	}
@@ -131,34 +117,8 @@ func (q *Queue[T]) RemoveAt(i int) T {
 	q.buf[(q.head+q.size-1)&mask] = zero
 	q.size--
 	q.PopCount++
-	q.maybeShrink()
 	if h := q.watch; h != nil && !h.listed {
 		h.touch()
 	}
 	return v
-}
-
-// maybeShrink halves an unbounded queue's retained buffer once occupancy
-// falls to a quarter of it, so a burst does not pin memory forever. The 64
-// floor avoids churn at small sizes; the 1/4 trigger keeps the cost
-// amortized O(1) against the growth that preceded it. Bounded queues never
-// shrink (their ring is sized by the capacity).
-func (q *Queue[T]) maybeShrink() {
-	if q.cap > 0 || len(q.buf) <= 64 || q.size > len(q.buf)/4 {
-		return
-	}
-	q.resize(len(q.buf) / 2)
-}
-
-func (q *Queue[T]) grow() { q.resize(2 * len(q.buf)) }
-
-// resize re-linearizes the items into a fresh ring of n slots (a power of
-// two no smaller than the occupancy).
-func (q *Queue[T]) resize(n int) {
-	nb := make([]T, n)
-	for i := 0; i < q.size; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = nb
-	q.head = 0
 }

@@ -43,21 +43,34 @@ func TestQueueWrapAround(t *testing.T) {
 	}
 }
 
-func TestQueueUnbounded(t *testing.T) {
-	q := NewQueue[int](0)
-	for i := 0; i < 1000; i++ {
-		if !q.Push(i) {
-			t.Fatalf("unbounded queue rejected push %d", i)
+func TestNewQueueRejectsZeroCapacity(t *testing.T) {
+	for _, c := range []int{0, -1} {
+		for name, mk := range map[string]func(){
+			"NewQueue": func() { NewQueue[int](c) },
+			"NewPort":  func() { NewPort[int](c) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) did not panic", name, c)
+					}
+				}()
+				mk()
+			}()
 		}
 	}
-	if q.Len() != 1000 {
-		t.Fatalf("len = %d", q.Len())
+}
+
+func TestBoundedQueueNeverShrinks(t *testing.T) {
+	q := NewQueue[int](128)
+	for i := 0; i < 128; i++ {
+		q.Push(i)
 	}
-	for i := 0; i < 1000; i++ {
-		v, _ := q.Pop()
-		if v != i {
-			t.Fatalf("order broken at %d: %d", i, v)
-		}
+	for i := 0; i < 128; i++ {
+		q.Pop()
+	}
+	if len(q.buf) != 128 {
+		t.Fatalf("bounded buffer resized to %d", len(q.buf))
 	}
 }
 

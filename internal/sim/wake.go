@@ -451,7 +451,7 @@ func (c *Clock) auditWakes(out []health.Violation) []health.Violation {
 // the space of that accept a push: the wakes the barrier should have raised.
 func (c *Clock) freedPorts(i int32) (s string) {
 	for k, h := range c.ports {
-		if h.pidx == i && (h.cap <= 0 || h.snap < h.cap) {
+		if h.pidx == i && h.snap < h.cap {
 			s += fmt.Sprintf("; port %d it produces into accepts (%d/%d)", k, h.snap, h.cap)
 		}
 	}

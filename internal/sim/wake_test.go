@@ -340,7 +340,7 @@ func TestLegacyTickInterleavedWithFastEdges(t *testing.T) {
 func TestSpuriousWakeKeepsIdleDebt(t *testing.T) {
 	e := NewEngine()
 	clk := e.NewClock("c", 1000)
-	port := NewPort[int](0)
+	port := NewPort[int](8)
 	port.Attach(clk)
 	unbound := &napper{name: "u", timers: []Cycle{100}}
 	deaf := &boundNapper{napper{name: "d", in: port, deaf: true, timers: []Cycle{100}}}
@@ -464,7 +464,7 @@ func TestWakeTimersOneEntryPerComponent(t *testing.T) {
 	}
 	fl := make([]*flighty, comps)
 	for i := range fl {
-		p := NewPort[int](0)
+		p := NewPort[int](8)
 		p.Attach(clk)
 		f := &flighty{}
 		f.name, f.in = "f", p

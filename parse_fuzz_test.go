@@ -22,6 +22,7 @@ func FuzzParseDesign(f *testing.F) {
 		"Sh40+C10+Boost+WB", "CDXBar+2xNoC1+2xNoC", "MeshBase+4xFlit+M2",
 		"Sh40+M4+G64+Lat8", "Baseline+1xL1", "Pr40+2xNoC", "CDXBar+Boost",
 		"Baseline+Boost", "MeshBase+2xNoC1", "Sh40+PF0", "Sh40+PF17", "Sh40+C010",
+		"Baseline+100000xL1", "Sh1000000", "Baseline+64xL1", "Sh1000000+C10",
 	} {
 		f.Add(s)
 	}

@@ -32,6 +32,7 @@ func TestParseDesignRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"", "Nope", "Prx", "Sh", "Sh40+Cx", "Sh40+wat", "Pr40+NxL1", "Shfoo",
 		"Pr40+2xNoC", "CDXBar+Boost", "Baseline+Boost", "MeshBase+2xNoC1",
+		"Baseline+100000xL1", "Sh40+65xL1",
 	} {
 		if _, err := dcl1.ParseDesign(bad); err == nil {
 			t.Errorf("ParseDesign(%q) accepted", bad)
