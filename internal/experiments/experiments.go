@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"dcl1sim/internal/gpu"
+	"dcl1sim/internal/stats"
 	"dcl1sim/internal/workload"
 )
 
@@ -209,6 +210,84 @@ func (ctx *Context) run(cfg gpu.Config, d gpu.Design, app workload.Source) gpu.R
 // runDefault runs on the context's base machine.
 func (ctx *Context) runDefault(d gpu.Design, app workload.Source) gpu.Results {
 	return ctx.run(ctx.Base, d, app)
+}
+
+// vs is one cell of a simulated figure: d's IPC and L1 miss rate over ref's,
+// for one app on cfg's machine. It runs ref first and then d. A reference
+// that never misses gives a miss ratio of 0 (no reference run of the suite
+// has a zero miss rate at either window, so no table shows that rule). Every
+// ratio a figure reports between two runs is computed here.
+func (ctx *Context) vs(cfg gpu.Config, ref, d gpu.Design, app workload.Source) (ipc, miss float64) {
+	r := ctx.run(cfg, ref, app)
+	x := ctx.run(cfg, d, app)
+	if r.L1MissRate > 0 {
+		miss = x.L1MissRate / r.L1MissRate
+	}
+	return x.IPC / r.IPC, miss
+}
+
+// gain is d's vs against Baseline across apps on cfg's machine, in app
+// order: the geomean of the IPC ratios and the mean of the miss ratios.
+func (ctx *Context) gain(cfg gpu.Config, d gpu.Design, apps []workload.Spec) (ipc, miss float64) {
+	base := ctx.design("Baseline")
+	ipcs := make([]float64, len(apps))
+	misses := make([]float64, len(apps))
+	for i, app := range apps {
+		ipcs[i], misses[i] = ctx.vs(cfg, base, d, app)
+	}
+	return stats.Geomean(ipcs), stats.Mean(misses)
+}
+
+// gainRows is one row per app of each named design's IPC over Baseline on
+// the context's machine.
+func (ctx *Context) gainRows(apps []workload.Spec, names ...string) []Row {
+	base := ctx.design("Baseline")
+	rows := make([]Row, len(apps))
+	for i, app := range apps {
+		cells := make([]float64, len(names))
+		for j, name := range names {
+			cells[j], _ = ctx.vs(ctx.Base, base, ctx.design(name), app)
+		}
+		rows[i] = Row{Label: app.Name, Cells: cells}
+	}
+	return rows
+}
+
+// geomeanRow is the row of rows' column geomeans, each taken in row order.
+func geomeanRow(label string, rows []Row) Row {
+	out := Row{Label: label}
+	for c := 0; len(rows) > 0 && c < len(rows[0].Cells); c++ {
+		col := make([]float64, len(rows))
+		for i, r := range rows {
+			col[i] = r.Cells[c]
+		}
+		out.Cells = append(out.Cells, stats.Geomean(col))
+	}
+	return out
+}
+
+// replicas is d's mean replicas per line across apps on the context's
+// machine.
+func (ctx *Context) replicas(d gpu.Design, apps []workload.Spec) float64 {
+	reps := make([]float64, len(apps))
+	for i, app := range apps {
+		reps[i] = ctx.runDefault(d, app).MeanReplicas
+	}
+	return stats.Mean(reps)
+}
+
+// appsNamed is the named apps, in the given order; the names are written
+// in this package.
+func appsNamed(names ...string) []workload.Spec {
+	apps := make([]workload.Spec, len(names))
+	for i, name := range names {
+		app, ok := workload.ByName(name)
+		if !ok {
+			panic("experiments: unknown app " + name)
+		}
+		apps[i] = app
+	}
+	return apps
 }
 
 // RunExperiment executes e as collect → batch → render: a pass of e.Run

@@ -351,3 +351,55 @@ func TestCollectedDesignNames(t *testing.T) {
 		}
 	}
 }
+
+// TestVsOverPrefilledMemo pins the one primitive every simulated figure's
+// cell comes from, over a memo filled by hand: vs is d over ref (IPC and L1
+// miss rate), a reference that never misses gives a miss ratio of 0, and
+// gain, gainRows and geomeanRow take the per-app ratios in app order.
+func TestVsOverPrefilledMemo(t *testing.T) {
+	ctx := QuickContext()
+	base, d := ctx.design("Baseline"), ctx.design("Sh40")
+	apps := workload.Sensitive()[:3]
+	// Per app: Baseline's and d's (IPC, miss rate); the middle reference
+	// never misses.
+	runs := [][4]float64{{2, 0.5, 4, 0.25}, {1, 0, 8, 0.4}, {4, 0.8, 2, 0.8}}
+	wantIPC := []float64{2, 8, 0.5}
+	wantMiss := []float64{0.5, 0, 1}
+	for i, app := range apps {
+		r := runs[i]
+		ctx.memo[ctx.Sup.key(gpu.Job{Cfg: ctx.Base, D: base, App: app})] = gpu.Results{IPC: r[0], L1MissRate: r[1]}
+		ctx.memo[ctx.Sup.key(gpu.Job{Cfg: ctx.Base, D: d, App: app})] = gpu.Results{IPC: r[2], L1MissRate: r[3]}
+	}
+	for i, app := range apps {
+		ipc, miss := ctx.vs(ctx.Base, base, d, app)
+		if ipc != wantIPC[i] || miss != wantMiss[i] {
+			t.Errorf("%s: vs = (%v, %v), want (%v, %v)", app.Name, ipc, miss, wantIPC[i], wantMiss[i])
+		}
+	}
+	ipc, miss := ctx.gain(ctx.Base, d, apps)
+	if want := stats.Geomean(wantIPC); ipc != want {
+		t.Errorf("gain IPC = %v, want the app-order geomean %v", ipc, want)
+	}
+	if want := stats.Mean(wantMiss); miss != want {
+		t.Errorf("gain miss = %v, want the app-order mean %v", miss, want)
+	}
+	rows := ctx.gainRows(apps, "Sh40")
+	for i, r := range rows {
+		if r.Label != apps[i].Name || len(r.Cells) != 1 || r.Cells[0] != wantIPC[i] {
+			t.Errorf("gainRows[%d] = %+v, want %s [%v]", i, r, apps[i].Name, wantIPC[i])
+		}
+	}
+	if g := geomeanRow("G", rows); g.Label != "G" || len(g.Cells) != 1 || g.Cells[0] != ipc {
+		t.Errorf("geomeanRow = %+v, want G [%v]", g, ipc)
+	}
+	if len(ctx.pending) != 0 {
+		t.Errorf("a filled memo recorded %d pending points", len(ctx.pending))
+	}
+
+	// On an empty memo, vs meets the reference first.
+	ctx = QuickContext()
+	ctx.vs(ctx.Base, d, base, apps[0])
+	if len(ctx.pending) != 2 || ctx.pending[0].D != d || ctx.pending[1].D != base {
+		t.Errorf("vs collected %v, want the reference %s and then %s", ctx.pending, d.Name(), base.Name())
+	}
+}

@@ -1,9 +1,5 @@
 package experiments
 
-import (
-	"dcl1sim/internal/workload"
-)
-
 // Extension experiments: not artifacts of the paper, but studies of the
 // extension hooks the paper's related-work section motivates (per-DC-L1
 // capacity-management techniques compose with the decoupled organization).
@@ -17,32 +13,18 @@ func init() {
 	})
 }
 
-// streamApps picks the streaming-heavy applications where a next-line
-// prefetcher has something to do.
-func streamApps() []workload.Spec {
-	var out []workload.Spec
-	for _, name := range []string{"C-BLK", "S-Scan", "R-SRAD", "C-BFS"} {
-		if s, ok := workload.ByName(name); ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 func runExtPrefetch(ctx *Context) *Table {
 	t := &Table{
 		ID:      "ext-prefetch",
 		Title:   "Next-line prefetch in Sh40+C10+Boost DC-L1s (streaming apps)",
 		Columns: []string{"IPC ratio", "miss ratio"},
 	}
-	for _, app := range streamApps() {
-		plain := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
-		pfr := ctx.runDefault(ctx.design("Sh40+C10+Boost+PF2"), app)
-		mr := 0.0
-		if plain.L1MissRate > 0 {
-			mr = pfr.L1MissRate / plain.L1MissRate
-		}
-		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{pfr.IPC / plain.IPC, mr}})
+	plain, pf := ctx.design("Sh40+C10+Boost"), ctx.design("Sh40+C10+Boost+PF2")
+	// The streaming-heavy apps, where a next-line prefetcher has something
+	// to do.
+	for _, app := range appsNamed("C-BLK", "S-Scan", "R-SRAD", "C-BFS") {
+		ipc, miss := ctx.vs(ctx.Base, plain, pf, app)
+		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{ipc, miss}})
 	}
 	t.Notes = append(t.Notes,
 		"prefetches stride by the home modulus so fetched lines stay home-aligned (Section V-A mapping)",

@@ -168,18 +168,9 @@ func runFig19a(ctx *Context) *Table {
 	}
 	for _, name := range []string{"CDXBar", "CDXBar+2xNoC1", "CDXBar+2xNoC", "Sh40+C10+Boost"} {
 		d := ctx.design(name)
-		var sens, insens []float64
-		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(ctx.design("Baseline"), app)
-			r := ctx.runDefault(d, app)
-			sens = append(sens, r.IPC/b.IPC)
-		}
-		for _, app := range workload.InsensitiveApps() {
-			b := ctx.runDefault(ctx.design("Baseline"), app)
-			r := ctx.runDefault(d, app)
-			insens = append(insens, r.IPC/b.IPC)
-		}
-		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{stats.Geomean(sens), stats.Geomean(insens)}})
+		sens, _ := ctx.gain(ctx.Base, d, workload.Sensitive())
+		insens, _ := ctx.gain(ctx.Base, d, workload.InsensitiveApps())
+		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{sens, insens}})
 	}
 	t.Notes = append(t.Notes, "paper insensitive: CDXBar 0.93, CDXBar+2xNoC 1.05")
 	return t
@@ -218,13 +209,8 @@ func runFig19b(ctx *Context) *Table {
 		if lat == -1 {
 			label = "lat=0"
 		}
-		var speed []float64
-		for _, app := range workload.Sensitive() {
-			b := ctx.run(cfg, ctx.design("Baseline"), app)
-			o := ctx.run(cfg, ctx.design("Sh40+C10+Boost"), app)
-			speed = append(speed, o.IPC/b.IPC)
-		}
-		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{stats.Geomean(speed)}})
+		speed, _ := ctx.gain(cfg, ctx.design("Sh40+C10+Boost"), workload.Sensitive())
+		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{speed}})
 	}
 	t.Notes = append(t.Notes, "paper: +66% at zero latency, rising with latency; insensitive apps <1% drop throughout")
 	return t
@@ -239,17 +225,12 @@ func runCTA(ctx *Context) *Table {
 	for _, sched := range []workload.Sched{workload.RoundRobin, workload.Distributed} {
 		cfg := ctx.Base
 		cfg.Sched = sched
-		var speed []float64
-		for _, app := range workload.Sensitive() {
-			b := ctx.run(cfg, ctx.design("Baseline"), app)
-			o := ctx.run(cfg, ctx.design("Sh40+C10+Boost"), app)
-			speed = append(speed, o.IPC/b.IPC)
-		}
+		speed, _ := ctx.gain(cfg, ctx.design("Sh40+C10+Boost"), workload.Sensitive())
 		label := "round-robin"
 		if sched == workload.Distributed {
 			label = "distributed"
 		}
-		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{stats.Geomean(speed)}})
+		t.Rows = append(t.Rows, Row{Label: label, Cells: []float64{speed}})
 	}
 	return t
 }
@@ -279,18 +260,9 @@ func runSize(ctx *Context) *Table {
 		Clusters: max(1, cfg.Cores/2/6),
 		Boost1:   true,
 	}
-	var sens, insens []float64
-	for _, app := range workload.Sensitive() {
-		b := ctx.run(cfg, ctx.design("Baseline"), app)
-		o := ctx.run(cfg, d, app)
-		sens = append(sens, o.IPC/b.IPC)
-	}
-	for _, app := range workload.InsensitiveApps() {
-		b := ctx.run(cfg, ctx.design("Baseline"), app)
-		o := ctx.run(cfg, d, app)
-		insens = append(insens, o.IPC/b.IPC)
-	}
-	t.Rows = append(t.Rows, Row{Label: d.Name(), Cells: []float64{stats.Geomean(sens), stats.Geomean(insens)}})
+	sens, _ := ctx.gain(cfg, d, workload.Sensitive())
+	insens, _ := ctx.gain(cfg, d, workload.InsensitiveApps())
+	t.Rows = append(t.Rows, Row{Label: d.Name(), Cells: []float64{sens, insens}})
 	t.Notes = append(t.Notes, "paper: +67% sensitive, insensitive maintained")
 	return t
 }
@@ -302,14 +274,8 @@ func runBoostBase(ctx *Context) *Table {
 		Columns: []string{"IPC ratio"},
 	}
 	for _, name := range []string{"Baseline+2xL1", "Baseline+2xNoC", "Baseline+2xFlit", "Sh40+C10+Boost"} {
-		d := ctx.design(name)
-		var speed []float64
-		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(ctx.design("Baseline"), app)
-			r := ctx.runDefault(d, app)
-			speed = append(speed, r.IPC/b.IPC)
-		}
-		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{stats.Geomean(speed)}})
+		speed, _ := ctx.gain(ctx.Base, ctx.design(name), workload.Sensitive())
+		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{speed}})
 	}
 	t.Notes = append(t.Notes,
 		"paper: 2x-L1 costs +84% cache area; the 80x32 crossbar cannot physically run 2x frequency (fig13b)")

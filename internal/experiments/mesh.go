@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dcl1sim/internal/gpu"
-	"dcl1sim/internal/stats"
 	"dcl1sim/internal/workload"
 )
 
@@ -35,21 +34,10 @@ func runExtMesh(ctx *Context) *Table {
 	}
 	for _, e := range entries {
 		d := ctx.design(e.name)
-		var sens, insens []float64
-		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(ctx.design("Baseline"), app)
-			r := ctx.runDefault(d, app)
-			sens = append(sens, r.IPC/b.IPC)
-		}
-		for _, app := range workload.InsensitiveApps() {
-			b := ctx.runDefault(ctx.design("Baseline"), app)
-			r := ctx.runDefault(d, app)
-			insens = append(insens, r.IPC/b.IPC)
-		}
+		sens, _ := ctx.gain(ctx.Base, d, workload.Sensitive())
+		insens, _ := ctx.gain(ctx.Base, d, workload.InsensitiveApps())
 		area := gpu.DesignNoCSpec(ctx.Base, d).Area() / baseArea
-		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{
-			stats.Geomean(sens), stats.Geomean(insens), area,
-		}})
+		t.Rows = append(t.Rows, Row{Label: e.label, Cells: []float64{sens, insens, area}})
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"mesh routers: %d endpoints on a near-square grid; XY routing; per-hop 32B links",

@@ -26,13 +26,11 @@ func runExtMultiprog(ctx *Context) *Table {
 	cnn, _ := workload.ByName("T-AlexNet")
 	stream, _ := workload.ByName("C-BLK")
 	pair := workload.NewPartition(ctx.Base.Cores, cnn, stream)
-	names := []string{"Baseline", "Sh40", "Sh40+C10+Boost"}
-	baseRes := ctx.run(ctx.Base, ctx.design(names[0]), pair)
-	for _, name := range names {
-		r := ctx.run(ctx.Base, ctx.design(name), pair)
-		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{
-			r.IPC / baseRes.IPC, r.L1MissRate,
-		}})
+	base := ctx.design("Baseline")
+	for _, name := range []string{"Baseline", "Sh40", "Sh40+C10+Boost"} {
+		d := ctx.design(name)
+		ipc, _ := ctx.vs(ctx.Base, base, d, pair)
+		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{ipc, ctx.runDefault(d, pair).L1MissRate}})
 	}
 	t.Notes = append(t.Notes,
 		"partition blocks align with cluster boundaries, so the clustered design confines the streamer's pollution")

@@ -103,11 +103,12 @@ func runFig1(ctx *Context) *Table {
 		Title:   "Baseline fingerprint per application",
 		Columns: []string{"repl ratio", "miss rate", "16x speedup", "paper repl", "paper miss"},
 	}
+	base, big := ctx.design("Baseline"), ctx.design("Baseline+16xL1")
 	for _, app := range workload.Apps() {
-		b := ctx.runDefault(ctx.design("Baseline"), app)
-		big := ctx.runDefault(ctx.design("Baseline+16xL1"), app)
+		b := ctx.runDefault(base, app)
+		speedup, _ := ctx.vs(ctx.Base, base, big, app)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{
-			b.ReplicationRatio, b.L1MissRate, big.IPC / b.IPC,
+			b.ReplicationRatio, b.L1MissRate, speedup,
 			app.PaperReplRatio, app.PaperMissRate,
 		}})
 	}
@@ -214,11 +215,10 @@ func runSec2C(ctx *Context) *Table {
 		Columns: []string{"miss reduction", "IPC speedup"},
 	}
 	var missRed, speed []float64
+	base, single := ctx.design("Baseline"), ctx.design("SingleL1")
 	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(ctx.design("Baseline"), app)
-		s := ctx.runDefault(ctx.design("SingleL1"), app)
-		mr := 1 - s.L1MissRate/b.L1MissRate
-		sp := s.IPC / b.IPC
+		sp, miss := ctx.vs(ctx.Base, base, single, app)
+		mr := 1 - miss
 		missRed = append(missRed, mr)
 		speed = append(speed, sp)
 		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{mr, sp}})
@@ -242,18 +242,14 @@ func runFig4(ctx *Context) *Table {
 		Title:   "Private DC-L1 designs on replication-sensitive apps (vs baseline)",
 		Columns: []string{"IPC ratio", "miss ratio", "perfect IPC ratio"},
 	}
-	basePerfect := []float64{}
+	base := ctx.design("Baseline")
 	for _, y := range ys {
+		pr, perfect := ctx.design(fmt.Sprintf("Pr%d", y)), ctx.design(fmt.Sprintf("Pr%d+PerfectL1", y))
 		var ipc, miss, pipc []float64
 		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(ctx.design("Baseline"), app)
-			r := ctx.runDefault(ctx.design(fmt.Sprintf("Pr%d", y)), app)
-			p := ctx.runDefault(ctx.design(fmt.Sprintf("Pr%d+PerfectL1", y)), app)
-			ipc = append(ipc, r.IPC/b.IPC)
-			if b.L1MissRate > 0 {
-				miss = append(miss, r.L1MissRate/b.L1MissRate)
-			}
-			pipc = append(pipc, p.IPC/b.IPC)
+			i, m := ctx.vs(ctx.Base, base, pr, app)
+			p, _ := ctx.vs(ctx.Base, base, perfect, app)
+			ipc, miss, pipc = append(ipc, i), append(miss, m), append(pipc, p)
 		}
 		t.Rows = append(t.Rows, Row{
 			Label: fmt.Sprintf("Pr%d", y),
@@ -261,12 +257,8 @@ func runFig4(ctx *Context) *Table {
 		})
 	}
 	// Perfect private L1 baseline (the "Base" bar of Fig 4c).
-	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(ctx.design("Baseline"), app)
-		p := ctx.runDefault(ctx.design("Baseline+PerfectL1"), app)
-		basePerfect = append(basePerfect, p.IPC/b.IPC)
-	}
-	t.Rows = append(t.Rows, Row{Label: "Base+Perfect", Cells: []float64{1, 1, stats.Geomean(basePerfect)}})
+	basePerfect, _ := ctx.gain(ctx.Base, ctx.design("Baseline+PerfectL1"), workload.Sensitive())
+	t.Rows = append(t.Rows, Row{Label: "Base+Perfect", Cells: []float64{1, 1, basePerfect}})
 	t.Notes = append(t.Notes,
 		"paper 4b: miss ratio Pr40 0.81, Pr20 0.51, Pr10 0.26",
 		"paper 4c: perfect-$ Base 5.2x, Pr80 ~3.2x, Pr40 2.2x")
@@ -304,16 +296,12 @@ func runFig8(ctx *Context) *Table {
 		Columns: []string{"miss ratio", "IPC ratio"},
 	}
 	var misses, ipcs []float64
+	base, sh := ctx.design("Baseline"), ctx.design("Sh40")
 	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(ctx.design("Baseline"), app)
-		s := ctx.runDefault(ctx.design("Sh40"), app)
-		mr := 0.0
-		if b.L1MissRate > 0 {
-			mr = s.L1MissRate / b.L1MissRate
-		}
+		ipc, mr := ctx.vs(ctx.Base, base, sh, app)
 		misses = append(misses, mr)
-		ipcs = append(ipcs, s.IPC/b.IPC)
-		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{mr, s.IPC / b.IPC}})
+		ipcs = append(ipcs, ipc)
+		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{mr, ipc}})
 	}
 	t.Rows = append(t.Rows, Row{Label: "MEAN", Cells: []float64{stats.Mean(misses), stats.Geomean(ipcs)}})
 	t.Notes = append(t.Notes, "paper: P-2MM only +6% (camping), P-3DCONV -3% (bandwidth)")
@@ -338,15 +326,8 @@ func runFig9(ctx *Context) *Table {
 		Title:   "Sh40 on replication-insensitive apps (IPC vs baseline)",
 		Columns: []string{"IPC ratio"},
 	}
-	var all []float64
-	for _, app := range workload.InsensitiveApps() {
-		b := ctx.runDefault(ctx.design("Baseline"), app)
-		s := ctx.runDefault(ctx.design("Sh40"), app)
-		v := s.IPC / b.IPC
-		all = append(all, v)
-		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{v}})
-	}
-	t.Rows = append(t.Rows, Row{Label: "MEAN", Cells: []float64{stats.Geomean(all)}})
+	t.Rows = ctx.gainRows(workload.InsensitiveApps(), "Sh40")
+	t.Rows = append(t.Rows, geomeanRow("MEAN", t.Rows))
 	return t
 }
 
@@ -387,17 +368,9 @@ func runFig11(ctx *Context) *Table {
 		{"C40(Pr40)", "Pr40"},
 	}
 	for _, cr := range rows {
-		var ipc, miss, reps []float64
-		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(ctx.design("Baseline"), app)
-			r := ctx.runDefault(ctx.design(cr.name), app)
-			ipc = append(ipc, r.IPC/b.IPC)
-			if b.L1MissRate > 0 {
-				miss = append(miss, r.L1MissRate/b.L1MissRate)
-			}
-			reps = append(reps, r.MeanReplicas)
-		}
-		t.Rows = append(t.Rows, Row{Label: cr.label, Cells: []float64{stats.Geomean(ipc), stats.Mean(miss), stats.Mean(reps)}})
+		d := ctx.design(cr.name)
+		ipc, miss := ctx.gain(ctx.Base, d, workload.Sensitive())
+		t.Rows = append(t.Rows, Row{Label: cr.label, Cells: []float64{ipc, miss, ctx.replicas(d, workload.Sensitive())}})
 	}
 	t.Notes = append(t.Notes, "paper: C10 chosen")
 	return t
@@ -441,15 +414,7 @@ func runFig13a(ctx *Context) *Table {
 		Title:   "Poor-performing apps (IPC vs baseline)",
 		Columns: []string{"Sh40", "Sh40+C10", "Sh40+C10+Boost"},
 	}
-	for _, app := range workload.Poor() {
-		b := ctx.runDefault(ctx.design("Baseline"), app)
-		s := ctx.runDefault(ctx.design("Sh40"), app)
-		c := ctx.runDefault(ctx.design("Sh40+C10"), app)
-		bo := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
-		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{
-			s.IPC / b.IPC, c.IPC / b.IPC, bo.IPC / b.IPC,
-		}})
-	}
+	t.Rows = ctx.gainRows(workload.Poor(), t.Columns...)
 	t.Notes = append(t.Notes,
 		"paper: max remaining drop 49% without Boost")
 	return t
@@ -476,22 +441,8 @@ func runFig14(ctx *Context) *Table {
 		Title:   "IPC of the proposed designs on replication-sensitive apps (vs baseline)",
 		Columns: []string{"Pr40", "Sh40", "Sh40+C10", "Sh40+C10+Boost"},
 	}
-	sums := make([][]float64, 4)
-	for _, app := range workload.Sensitive() {
-		b := ctx.runDefault(ctx.design("Baseline"), app)
-		cells := make([]float64, 4)
-		for i, name := range proposedDesigns {
-			r := ctx.runDefault(ctx.design(name), app)
-			cells[i] = r.IPC / b.IPC
-			sums[i] = append(sums[i], cells[i])
-		}
-		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: cells})
-	}
-	meanCells := make([]float64, 4)
-	for i := range sums {
-		meanCells[i] = stats.Geomean(sums[i])
-	}
-	t.Rows = append(t.Rows, Row{Label: "GEOMEAN", Cells: meanCells})
+	t.Rows = ctx.gainRows(workload.Sensitive(), proposedDesigns...)
+	t.Rows = append(t.Rows, geomeanRow("GEOMEAN", t.Rows))
 	return t
 }
 
@@ -514,31 +465,10 @@ func runFig15(ctx *Context) *Table {
 		Title:   "Speedups over all applications (rows sorted by Boost speedup)",
 		Columns: []string{"Pr40", "Sh40", "Sh40+C10", "Sh40+C10+Boost"},
 	}
-	var all [][]float64
-	var labels []string
-	var boostAll []float64
-	for _, app := range workload.Apps() {
-		b := ctx.runDefault(ctx.design("Baseline"), app)
-		cells := make([]float64, 4)
-		for i, name := range proposedDesigns {
-			r := ctx.runDefault(ctx.design(name), app)
-			cells[i] = r.IPC / b.IPC
-		}
-		all = append(all, cells)
-		labels = append(labels, app.Name)
-		boostAll = append(boostAll, cells[3])
-	}
-	idx := make([]int, len(all))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return all[idx[a]][3] < all[idx[b]][3] })
-	for _, i := range idx {
-		t.Rows = append(t.Rows, Row{Label: labels[i], Cells: all[i]})
-	}
-	t.Rows = append(t.Rows, Row{Label: "GEOMEAN(all)", Cells: []float64{
-		geomeanCol(all, 0), geomeanCol(all, 1), geomeanCol(all, 2), geomeanCol(all, 3),
-	}})
+	t.Rows = ctx.gainRows(workload.Apps(), proposedDesigns...)
+	mean := geomeanRow("GEOMEAN(all)", t.Rows)
+	sort.Slice(t.Rows, func(a, b int) bool { return t.Rows[a].Cells[3] < t.Rows[b].Cells[3] })
+	t.Rows = append(t.Rows, mean)
 	t.Notes = append(t.Notes, "paper: insensitive apps lose <1%")
 	return t
 }
@@ -557,14 +487,6 @@ var fig15Claims = []Claim{
 	}},
 }
 
-func geomeanCol(rows [][]float64, col int) float64 {
-	var vs []float64
-	for _, r := range rows {
-		vs = append(vs, r[col])
-	}
-	return stats.Geomean(vs)
-}
-
 func runFig16(ctx *Context) *Table {
 	t := &Table{
 		ID:      "fig16",
@@ -572,16 +494,9 @@ func runFig16(ctx *Context) *Table {
 		Columns: []string{"miss ratio", "replicas"},
 	}
 	for _, name := range []string{"Baseline", "Pr40", "Sh40", "Sh40+C10+Boost"} {
-		var miss, reps []float64
-		for _, app := range workload.Sensitive() {
-			b := ctx.runDefault(ctx.design("Baseline"), app)
-			r := ctx.runDefault(ctx.design(name), app)
-			if b.L1MissRate > 0 {
-				miss = append(miss, r.L1MissRate/b.L1MissRate)
-			}
-			reps = append(reps, r.MeanReplicas)
-		}
-		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{stats.Mean(miss), stats.Mean(reps)}})
+		d := ctx.design(name)
+		_, miss := ctx.gain(ctx.Base, d, workload.Sensitive())
+		t.Rows = append(t.Rows, Row{Label: name, Cells: []float64{miss, ctx.replicas(d, workload.Sensitive())}})
 	}
 	return t
 }

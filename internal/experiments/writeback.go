@@ -1,9 +1,5 @@
 package experiments
 
-import (
-	"dcl1sim/internal/workload"
-)
-
 func init() {
 	register(Experiment{
 		ID:    "ext-writeback",
@@ -25,20 +21,10 @@ func runExtWriteback(ctx *Context) *Table {
 		Title:   "Write-back DC-L1 vs write-evict (IPC and miss ratios)",
 		Columns: []string{"IPC ratio", "miss ratio"},
 	}
-	var apps []workload.Spec
-	for _, name := range []string{"S-Scan", "C-BLK", "R-SRAD", "T-AlexNet", "C-BFS"} {
-		if s, ok := workload.ByName(name); ok {
-			apps = append(apps, s)
-		}
-	}
-	for _, app := range apps {
-		we := ctx.runDefault(ctx.design("Sh40+C10+Boost"), app)
-		wb := ctx.runDefault(ctx.design("Sh40+C10+Boost+WB"), app)
-		mr := 0.0
-		if we.L1MissRate > 0 {
-			mr = wb.L1MissRate / we.L1MissRate
-		}
-		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{wb.IPC / we.IPC, mr}})
+	we, wb := ctx.design("Sh40+C10+Boost"), ctx.design("Sh40+C10+Boost+WB")
+	for _, app := range appsNamed("S-Scan", "C-BLK", "R-SRAD", "T-AlexNet", "C-BFS") {
+		ipc, miss := ctx.vs(ctx.Base, we, wb, app)
+		t.Rows = append(t.Rows, Row{Label: app.Name, Cells: []float64{ipc, miss}})
 	}
 	t.Notes = append(t.Notes,
 		"ratios are write-back relative to the paper's write-evict under Sh40+C10+Boost",

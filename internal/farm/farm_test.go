@@ -227,7 +227,7 @@ func TestFarmDrainReleasesUnstarted(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	drainer.runLease(canceled, g)
+	drainer.w.RunLease(canceled, g)
 	if ws := drainer.Stats(); ws.Released != 3 || ws.Points != 0 {
 		t.Fatalf("drain stats = %+v, want 3 released, 0 run", ws)
 	}

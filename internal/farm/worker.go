@@ -75,8 +75,3 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	return w.w.Run(ctx)
 }
-
-// runLease executes one grant (serve.Worker.RunLease).
-func (w *Worker) runLease(drainCtx context.Context, g serve.LeaseGrant) {
-	w.w.RunLease(drainCtx, g)
-}

@@ -18,7 +18,7 @@ func runChaos(t *testing.T, cfg Config, d Design, app workload.Source, spec *cha
 	if err := s.InstallChaos(spec); err != nil {
 		t.Fatalf("InstallChaos: %v", err)
 	}
-	s.SetFastPath(fast)
+	s.Eng.SetFastPath(fast)
 	r := s.Run()
 	return r, chaos.FormatEvents(s.ChaosEvents())
 }

@@ -30,7 +30,7 @@ func runTelemetry(t *testing.T, cfg Config, d Design, app workload.Source,
 	if err := s.InstallTelemetry(metrics.Options{Every: every, Sink: sink}, cap); err != nil {
 		t.Fatalf("InstallTelemetry: %v", err)
 	}
-	s.SetFastPath(fast)
+	s.Eng.SetFastPath(fast)
 	r := s.Run()
 	return s, sink.lines, r
 }

@@ -33,7 +33,7 @@ func quiesceDesigns() []Design {
 func runWithFastPath(t *testing.T, cfg Config, d Design, app workload.Source, fast bool) Results {
 	t.Helper()
 	s := NewSystem(cfg, d, app)
-	s.SetFastPath(fast)
+	s.Eng.SetFastPath(fast)
 	return s.Run()
 }
 

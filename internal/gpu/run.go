@@ -54,12 +54,6 @@ func Run(cfg Config, d Design, app workload.Source) Results {
 	return NewSystem(cfg, d, app).Run()
 }
 
-// SetFastPath toggles the engine's quiescence fast path for this system.
-// It is on by default; turning it off selects the legacy always-tick engine
-// (used by equivalence tests and before/after benchmarks). Results are
-// bit-identical either way.
-func (s *System) SetFastPath(on bool) { s.Eng.SetFastPath(on) }
-
 // Run executes this machine's warmup and measurement windows.
 func (s *System) Run() Results {
 	cycles, _ := s.measure(func(until sim.Cycle) error {

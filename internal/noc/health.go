@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dcl1sim/internal/health"
+	"dcl1sim/internal/mem"
 	"dcl1sim/internal/sim"
 )
 
@@ -39,46 +40,39 @@ func (x *Crossbar) CheckInvariants() []health.Violation {
 
 // checkVOQs audits the VOQ conservation rules, all fatal:
 //
-//   - voq-credit: every pair's credit equals its VOQ length plus its
-//     unpublished injections plus its grants whose credit has not returned;
+//   - ingress-credit: every pair's credit equals its VOQ length plus its
+//     unpublished injections plus its grants whose credit has not returned
+//     (ingress.checkCredits, the rule every network keeps);
 //   - voq-books: voqPerOut, voqCount and the voqBits/outPending bitmaps agree
 //     with the lengths.
 func (x *Crossbar) checkVOQs() []health.Violation {
-	var out []health.Violation
-	bad := func(rule, format string, args ...any) {
-		out = append(out, health.Violation{Component: x.P.Name, Rule: rule, Detail: fmt.Sprintf(format, args...)})
-	}
-	held := make(map[int]int32, len(x.pending)+len(x.granted))
-	for _, p := range x.pending {
-		held[x.pair(p.Src, p.Dst)]++
-	}
-	for _, k := range x.granted {
-		held[int(k)]++
+	out := x.checkCredits(x.P.Name,
+		func(p *mem.Packet) int { return x.pair(p.Src, p.Dst) },
+		func(k int) int32 { return x.voqLen[k] },
+		func(k int) string { return fmt.Sprintf("pair (in %d, out %d)", k%x.P.Ins, k/x.P.Ins) })
+	bad := func(format string, args ...any) {
+		out = append(out, health.Violation{Component: x.P.Name, Rule: "voq-books", Detail: fmt.Sprintf(format, args...)})
 	}
 	total := 0
 	for o := 0; o < x.P.Outs; o++ {
 		perOut := 0
 		for in := 0; in < x.P.Ins; in++ {
-			k := x.pair(in, o)
-			n := x.voqLen[k]
-			if want := n + held[k]; x.credit[k] != want {
-				bad("voq-credit", "pair (in %d, out %d): credit %d, VOQ %d + held %d", in, o, x.credit[k], n, held[k])
-			}
+			n := x.voqLen[x.pair(in, o)]
 			if set := x.voqBits[o][in>>6]&(1<<uint(in&63)) != 0; set != (n > 0) {
-				bad("voq-books", "pair (in %d, out %d): VOQ %d, bitmap bit %v", in, o, n, set)
+				bad("pair (in %d, out %d): VOQ %d, bitmap bit %v", in, o, n, set)
 			}
 			perOut += int(n)
 		}
 		if int(x.voqPerOut[o]) != perOut {
-			bad("voq-books", "output %d: voqPerOut %d, VOQs hold %d", o, x.voqPerOut[o], perOut)
+			bad("output %d: voqPerOut %d, VOQs hold %d", o, x.voqPerOut[o], perOut)
 		}
 		if set := x.outPending[o>>6]&(1<<uint(o&63)) != 0; set != (perOut > 0) {
-			bad("voq-books", "output %d: %d waiting, outPending bit %v", o, perOut, set)
+			bad("output %d: %d waiting, outPending bit %v", o, perOut, set)
 		}
 		total += perOut
 	}
 	if x.voqCount != total {
-		bad("voq-books", "voqCount %d, VOQs hold %d", x.voqCount, total)
+		bad("voqCount %d, VOQs hold %d", x.voqCount, total)
 	}
 	return out
 }
@@ -109,13 +103,23 @@ func (x *Crossbar) DumpHealth() (health.ComponentDump, bool) {
 
 // CheckInvariants implements health.Checker for the mesh: a transit that
 // first matured long ago but is still retrying (full downstream buffer or
-// rejecting endpoint) is a stuck flit.
+// rejecting endpoint) is a stuck flit. Two rules are fatal: ingress-credit
+// (each node's credit equals its local input buffer plus its unpublished
+// injections plus its grants whose credit has not returned) and mesh-held
+// (held equals the packets in the input buffers plus the transits).
 func (m *Mesh) CheckInvariants() []health.Violation {
-	var out []health.Violation
-	stuck := 0
+	out := m.checkCredits(m.P.Name,
+		func(p *mem.Packet) int { return p.Src },
+		func(n int) int32 { return int32(m.routers[n].in[dirL].Len()) },
+		func(n int) string { return fmt.Sprintf("node %d", n) })
+	stuck, inside := 0, 0
 	var oldest sim.Cycle
 	for n := range m.routers {
 		r := &m.routers[n]
+		for d := 0; d < numPorts; d++ {
+			inside += r.in[d].Len()
+		}
+		inside += r.inflight.Len()
 		if tr, ok := r.inflight.PeekReady(m.lastTick); ok {
 			if age := m.lastTick - tr.firstReady; age > DefaultStuckFlitAge {
 				stuck++
@@ -131,6 +135,10 @@ func (m *Mesh) CheckInvariants() []health.Violation {
 			Detail: fmt.Sprintf("%d routers with transits matured > %d cycles (oldest %d)",
 				stuck, DefaultStuckFlitAge, oldest),
 		})
+	}
+	if m.held != inside {
+		out = append(out, health.Violation{Component: m.P.Name, Rule: "mesh-held",
+			Detail: fmt.Sprintf("held %d, input buffers and transits hold %d", m.held, inside)})
 	}
 	return out
 }

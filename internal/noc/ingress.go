@@ -1,6 +1,9 @@
 package noc
 
 import (
+	"fmt"
+
+	"dcl1sim/internal/health"
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/sim"
 )
@@ -30,6 +33,11 @@ type ingress struct {
 	// enter moves one published packet into its key's buffer, which the
 	// credit rule guarantees has room.
 	enter func(p *mem.Packet)
+
+	// audit is checkCredits' per-key count, made by the first audit (most
+	// runs audit once, at their end) and kept so later audits allocate
+	// nothing.
+	audit []int32
 }
 
 func newIngress(keys, depth int, enter func(p *mem.Packet)) ingress {
@@ -103,4 +111,32 @@ func (g *ingress) returnCredits() {
 	}
 	g.returned += int64(len(g.granted))
 	g.granted = g.granted[:0]
+}
+
+// checkCredits audits the credit rule, fatal as ingress-credit: each key's
+// credit equals the packets in its buffer (buffered) plus its unpublished
+// injections plus its grants whose credit has not returned. key maps a
+// pending packet to its key; name describes a key in a violation. After the
+// first, a passing audit allocates nothing.
+func (g *ingress) checkCredits(component string, key func(p *mem.Packet) int,
+	buffered func(k int) int32, name func(k int) string) []health.Violation {
+	if g.audit == nil {
+		g.audit = make([]int32, len(g.credit))
+	}
+	held := g.audit
+	clear(held)
+	for _, p := range g.pending {
+		held[key(p)]++
+	}
+	for _, k := range g.granted {
+		held[k]++
+	}
+	var out []health.Violation
+	for k, c := range g.credit {
+		if b := buffered(k); c != b+held[k] {
+			out = append(out, health.Violation{Component: component, Rule: "ingress-credit",
+				Detail: fmt.Sprintf("%s: credit %d, buffered %d + held %d", name(k), c, b, held[k])})
+		}
+	}
+	return out
 }

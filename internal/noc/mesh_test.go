@@ -199,3 +199,42 @@ func TestMeshManyToOneFairness(t *testing.T) {
 		}
 	}
 }
+
+// The mesh's books balance through injection, publication, hops, grants and
+// credit returns, and after the first, a passing audit of the mesh or of the
+// crossbar's VOQs allocates nothing. A forged node credit fails the audit by the rule both
+// networks share, and a forged held count by the mesh's own.
+func TestMeshConservationAudit(t *testing.T) {
+	m, _ := newMesh(3, 3)
+	for c := sim.Cycle(0); c < 60; c++ {
+		for n := 0; n < 9; n += 2 {
+			m.Inject(pkt(n, (n+int(c))%9, 1+n%3))
+		}
+		if v := m.CheckInvariants(); len(v) > 0 {
+			t.Fatalf("cycle %d, before the tick: %v", c, v)
+		}
+		m.Tick(c)
+		if v := m.CheckInvariants(); len(v) > 0 {
+			t.Fatalf("cycle %d: %v", c, v)
+		}
+	}
+	if m.held == 0 {
+		t.Fatal("the mesh never held a packet: the audit saw nothing")
+	}
+	x, _ := newXbar(3, 2)
+	x.Inject(pkt(1, 0, 1))
+	if a := testing.AllocsPerRun(20, func() { m.CheckInvariants(); x.checkVOQs() }); a != 0 {
+		t.Errorf("a passing audit allocates %v times", a)
+	}
+	m.credit[4]++
+	v := m.CheckInvariants()
+	if len(v) != 1 || v[0].Rule != "ingress-credit" || v[0].Warn {
+		t.Fatalf("forged credit: audit reported %+v, want one fatal ingress-credit", v)
+	}
+	m.credit[4]--
+	m.held++
+	v = m.CheckInvariants()
+	if len(v) != 1 || v[0].Rule != "mesh-held" || v[0].Warn {
+		t.Fatalf("forged held count: audit reported %+v, want one fatal mesh-held", v)
+	}
+}

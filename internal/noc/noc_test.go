@@ -329,8 +329,8 @@ func TestCrossbarConservationAudit(t *testing.T) {
 	k := x.pair(1, 0)
 	x.credit[k]++
 	v := x.CheckInvariants()
-	if len(v) != 1 || v[0].Rule != "voq-credit" || v[0].Warn {
-		t.Fatalf("corrupted credit: audit reported %+v, want one fatal voq-credit", v)
+	if len(v) != 1 || v[0].Rule != "ingress-credit" || v[0].Warn {
+		t.Fatalf("corrupted credit: audit reported %+v, want one fatal ingress-credit", v)
 	}
 	x.credit[k] = -1 // a credit returned that was never taken: VOQDepth+1 admitted
 	for x.Inject(pkt(1, 0, 1)) {

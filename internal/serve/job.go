@@ -128,12 +128,12 @@ type point struct {
 // done record is an incomplete job — restart recovery resubmits it under the
 // same ID, and the content-addressed store turns its already-finished points
 // into instant cache hits, so the completed job's output is byte-identical
-// to an uninterrupted run's. Lease records ("lease"/"lease_end") restore
-// each point's epoch high-water mark on replay, fencing workers that
-// outlived a server restart; for lease_end records the Worker field records
-// how the lease ended rather than who held it.
+// to an uninterrupted run's. A lease record (one per grant) restores each
+// granted point's epoch high-water mark on replay, fencing workers that
+// outlived a server restart. A lease's end is not logged: replay needs only
+// the epochs, and every lease dies with the server.
 type jobRecord struct {
-	Op     string             `json:"op"` // "submit", "done", "lease", "lease_end"
+	Op     string             `json:"op"` // "submit", "done", "lease"
 	ID     string             `json:"id"`
 	Tenant string             `json:"tenant,omitempty"`
 	Spec   json.RawMessage    `json:"spec,omitempty"`

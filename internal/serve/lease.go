@@ -342,7 +342,7 @@ func (s *Server) CompleteLeasePoints(id string, ups []LeaseCompletion) ([]Comple
 		out = append(out, st)
 	}
 	if len(l.points) == 0 {
-		s.finalizeLeaseLocked(l, "complete")
+		delete(s.leases, l.id) // an emptied lease retires
 	}
 	return out, nil
 }
@@ -428,7 +428,7 @@ func (s *Server) ReleaseLease(id string, tokens []string) (int, bool) {
 	}
 	s.pointsRequeued.Add(int64(requeued))
 	if len(l.points) == 0 {
-		s.finalizeLeaseLocked(l, "release")
+		delete(s.leases, l.id)
 		s.leasesReleased.Add(1)
 	}
 	return requeued, true
@@ -482,13 +482,6 @@ func (s *Server) requeueLeasedPointLocked(p *point) {
 	s.pushFrontLocked(p)
 }
 
-// finalizeLeaseLocked retires an emptied lease and journals its end so
-// replay can distinguish settled grants. Caller holds the mutex.
-func (s *Server) finalizeLeaseLocked(l *lease, how string) {
-	delete(s.leases, l.id)
-	s.jlog.Append(jobRecord{Op: "lease_end", ID: l.id, Worker: how})
-}
-
 // expireLeasesLocked reaps every lease whose TTL passed: unresolved points
 // either requeue at the head of their queues (exactly once — the lease is
 // deleted in the same step, so a racing release or duplicate reap finds
@@ -519,7 +512,6 @@ func (s *Server) expireLeasesLocked(now time.Time) {
 			s.requeueLeasedPointLocked(p)
 			s.pointsRequeued.Add(1)
 		}
-		s.jlog.Append(jobRecord{Op: "lease_end", ID: id, Worker: "expired"})
 	}
 }
 

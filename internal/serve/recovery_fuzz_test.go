@@ -12,8 +12,8 @@ import (
 )
 
 // recoveryRun is the state a real short run leaves behind — both logs of a
-// server that ran two overlapping sweeps on local workers (submit, lease,
-// lease_end and done records; fresh and deduped results) — plus the cold
+// server that ran two overlapping sweeps on local workers (submit, lease and
+// done records; fresh and deduped results) — plus the cold
 // result of every point, by content key.
 var recoveryRun struct {
 	once          sync.Once
@@ -163,4 +163,21 @@ func FuzzServeRecovery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestJobLogRecordsWhatReplayReads: a local sweep's job log holds one lease
+// record per grant and only the records replay reads — no lease's end.
+func TestJobLogRecordsWhatReplayReads(t *testing.T) {
+	loadRecoveryRun(t)
+	ops := map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(recoveryRun.jobs), []byte("\n")) {
+		var rec jobRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("job log line %q: %v", line, err)
+		}
+		ops[rec.Op]++
+	}
+	if ops["submit"] != 2 || ops["done"] != 2 || ops["lease"] == 0 || len(ops) != 3 {
+		t.Errorf("job log records %v, want 2 submit, 2 done, some lease and nothing else", ops)
+	}
 }

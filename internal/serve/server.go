@@ -217,9 +217,8 @@ func New(opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := OpenStore(filepath.Join(opt.DataDir, "results.jsonl"), StorePolicy{
-		MaxAge: opt.StoreMaxAge, MaxBytes: opt.StoreMaxBytes,
-	})
+	policy := StorePolicy{MaxAge: opt.StoreMaxAge, MaxBytes: opt.StoreMaxBytes}
+	store, err := OpenStore(filepath.Join(opt.DataDir, "results.jsonl"), policy)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +317,7 @@ func New(opt Options) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.leaseReaper()
-	if opt.StoreMaxAge > 0 || opt.StoreMaxBytes > 0 {
+	if policy.Enabled() {
 		if _, err := s.store.Compact(time.Now()); err != nil {
 			fmt.Fprintf(os.Stderr, "serve: startup store compaction: %v\n", err)
 		}
