@@ -39,6 +39,10 @@ func main() {
 	run.Register(flag.CommandLine, "health", "workers", "retries", "resume", "metrics")
 	flag.BoolVar(&run.Verbose, "v", false, "print each simulation as it runs")
 	flag.Parse()
+	if *format != "text" && *format != "md" {
+		fmt.Fprintf(os.Stderr, "dcl1bench: -format %q: want text or md\n", *format)
+		os.Exit(2)
+	}
 
 	if *list || *exps == "" {
 		fmt.Printf("%-10s %s\n", "ID", "TITLE")

@@ -44,6 +44,10 @@ func main() {
 	spec.Register(flag.CommandLine, "app", "design", "cores", "cycles", "warmup", "seed", "chaos", "modules", "power")
 	run.Register(flag.CommandLine, "health", "metrics", "health-dump")
 	flag.Parse()
+	if *sched != "rr" && *sched != "distributed" {
+		fmt.Fprintf(os.Stderr, "dcl1sim: -sched %q: want rr or distributed\n", *sched)
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Printf("%-14s %-10s %-22s %6s %6s\n", "NAME", "SUITE", "CLASS", "REPL", "MISS")

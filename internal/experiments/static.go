@@ -159,7 +159,7 @@ func runFig13b(ctx *Context) *Table {
 	for _, s := range sizes {
 		f := power.MaxFreqMHz(s[0], s[1])
 		can := 0.0
-		if f >= 1400 {
+		if f >= 2*gpu.NoCMHz {
 			can = 1
 		}
 		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%dx%d", s[0], s[1]), Cells: []float64{f, can}})

@@ -163,10 +163,10 @@ func NewSystem(cfg Config, d Design, app workload.Source, opts ...BuildOption) *
 		s.Pool = mem.NewPool()
 	}
 
-	s.CoreClk = s.Eng.NewClock("core", cfg.CoreMHz)
+	s.CoreClk = s.Eng.NewClock("core", coreMHz)
 	s.Noc1Clk = s.Eng.NewClock(NetNoC1.String(), topo.Noc1MHz)
 	s.Noc2Clk = s.Eng.NewClock(NetNoC2.String(), topo.Noc2MHz)
-	s.MemClk = s.Eng.NewClock("mem", cfg.MemMHz)
+	s.MemClk = s.Eng.NewClock("mem", memMHz)
 	n := max(1, d.Modules)
 	if n > 1 {
 		s.LinkClk = s.Eng.NewClock(NetLink.String(), LinkClkMHz)
@@ -298,7 +298,7 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 	// core's worth each where every core keeps its own).
 	totalLines := cfg.Cores * cfg.L1KB * 1024 / mem.LineBytes * d.L1CapacityScale
 	perNodeLines := totalLines / mod.Map.Nodes()
-	sets := perNodeLines / cfg.L1Ways
+	sets := perNodeLines / l1Ways
 	if sets < 1 {
 		sets = 1
 	}
@@ -307,7 +307,7 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 	ports := 1
 	qcap := 4
 	pump := feedRate
-	mshrs := cfg.L1MSHRs
+	mshrs := l1MSHRs
 	ctrlCap := 8
 	if d.Kind == SingleL1 {
 		// Hypothetical study: total capacity, bandwidth, and MSHR budget of
@@ -316,7 +316,7 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 		qcap = 4 * cfg.Cores
 		pump = 2 * cfg.Cores
 		lat = cfg.L1Lat
-		mshrs = cfg.L1MSHRs * cfg.Cores
+		mshrs = l1MSHRs * cfg.Cores
 		ctrlCap = 4 * cfg.Cores
 	}
 	// A home-sliced DC-L1 only caches every homeMod-th line — one per node
@@ -335,10 +335,10 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 		Cache: cache.Params{
 			Name:           mod.cname(fmt.Sprintf("l1-%d", id)),
 			Sets:           sets,
-			Ways:           cfg.L1Ways,
+			Ways:           l1Ways,
 			HitLatency:     lat,
 			MSHRs:          mshrs,
-			MaxMerge:       cfg.L1MaxMerge,
+			MaxMerge:       l1MaxMerge,
 			Ports:          ports,
 			Policy:         policy,
 			Perfect:        d.PerfectL1,
@@ -378,14 +378,14 @@ func (mod *Module) buildNodes() {
 func (mod *Module) buildL2AndDram() {
 	cfg := mod.sys.Cfg
 	lines := cfg.L2KB * 1024 / mem.LineBytes
-	sets := lines / cfg.L2Ways
+	sets := lines / l2Ways
 	for i := 0; i < cfg.L2Slices; i++ {
 		l2 := cache.New(cache.Params{
 			Name:       mod.cname(fmt.Sprintf("l2-%d", i)),
 			Sets:       sets,
-			Ways:       cfg.L2Ways,
-			HitLatency: cfg.L2Lat,
-			MSHRs:      cfg.L2MSHRs,
+			Ways:       l2Ways,
+			HitLatency: l2Lat,
+			MSHRs:      l2MSHRs,
 			MaxMerge:   16,
 			Ports:      1,
 			Policy:     cache.WriteBack,
@@ -411,7 +411,7 @@ func (mod *Module) buildL2AndDram() {
 	for ch := 0; ch < cfg.Channels; ch++ {
 		dc := dram.New(dram.Params{
 			Name:  mod.cname(fmt.Sprintf("mc-%d", ch)),
-			Banks: cfg.DramBanks,
+			Banks: dramBanks,
 			Map:   mod.AMap,
 		})
 		mod.Drams = append(mod.Drams, dc)

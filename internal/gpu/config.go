@@ -19,34 +19,22 @@ import (
 // record the new testdata digest beside it in TestGoldenDigestNamesModel.
 const ModelVersion = "1"
 
-// Config is the machine configuration (Table II equivalents). Zero fields
-// take the 80-core defaults via WithDefaults.
+// Config is the machine configuration: the Table II values a study or a test
+// machine varies. Zero fields take the 80-core defaults via WithDefaults; the
+// rest of Table II is the constants below.
 type Config struct {
 	Cores    int
 	L2Slices int
 	Channels int
 
-	CoreMHz int64
-	NoCMHz  int64
-	MemMHz  int64
-
 	// L1 (per core under Baseline; DC-L1 nodes keep the summed capacity).
-	L1KB   int
-	L1Ways int
-	L1Lat  sim.Cycle // access latency of a 32 KB bank; larger banks derive
+	L1KB  int
+	L1Lat sim.Cycle // access latency of a 32 KB bank; larger banks derive
 	// their latency from the CACTI model. Negative values are
 	// clamped to zero (Fig 19b sweeps from zero).
-	L1MSHRs    int
-	L1MaxMerge int
 
 	// L2 per slice.
-	L2KB    int
-	L2Ways  int
-	L2Lat   sim.Cycle
-	L2MSHRs int
-
-	// DRAM banks per channel.
-	DramBanks int
+	L2KB int
 
 	// Run windows, in core cycles.
 	WarmupCycles  sim.Cycle
@@ -56,9 +44,27 @@ type Config struct {
 	Sched workload.Sched
 	Seed  uint64
 
-	// Max wavefronts the core model tracks concurrently.
+	// Memory transactions one wavefront may have outstanding.
 	MaxOutstanding int
 }
+
+// The Table II values no study varies. NoCMHz is the clock of both
+// interconnects (a boosted network runs at twice it), the one value another
+// package reads.
+const (
+	coreMHz = 1400
+	NoCMHz  = 700
+	memMHz  = 924
+
+	l1Ways     = 4
+	l1MSHRs    = 64 // per L1 node
+	l1MaxMerge = 8  // requests per MSHR entry, the first included
+
+	l2Ways    = 8
+	l2Lat     = sim.Cycle(20) // hit latency, NoC#2 cycles
+	l2MSHRs   = 128
+	dramBanks = 16 // per channel
+)
 
 // WithDefaults fills zero fields with the paper's 80-core machine.
 func (c Config) WithDefaults() Config {
@@ -71,20 +77,8 @@ func (c Config) WithDefaults() Config {
 	if c.Channels <= 0 {
 		c.Channels = 16
 	}
-	if c.CoreMHz <= 0 {
-		c.CoreMHz = 1400
-	}
-	if c.NoCMHz <= 0 {
-		c.NoCMHz = 700
-	}
-	if c.MemMHz <= 0 {
-		c.MemMHz = 924
-	}
 	if c.L1KB <= 0 {
 		c.L1KB = 32
-	}
-	if c.L1Ways <= 0 {
-		c.L1Ways = 4
 	}
 	if c.L1Lat == 0 {
 		c.L1Lat = 28
@@ -92,26 +86,8 @@ func (c Config) WithDefaults() Config {
 	if c.L1Lat < 0 {
 		c.L1Lat = 0
 	}
-	if c.L1MSHRs <= 0 {
-		c.L1MSHRs = 64
-	}
-	if c.L1MaxMerge <= 0 {
-		c.L1MaxMerge = 8
-	}
 	if c.L2KB <= 0 {
 		c.L2KB = 128
-	}
-	if c.L2Ways <= 0 {
-		c.L2Ways = 8
-	}
-	if c.L2Lat <= 0 {
-		c.L2Lat = 20
-	}
-	if c.L2MSHRs <= 0 {
-		c.L2MSHRs = 128
-	}
-	if c.DramBanks <= 0 {
-		c.DramBanks = 16
 	}
 	if c.WarmupCycles <= 0 {
 		c.WarmupCycles = 10000
@@ -130,7 +106,7 @@ func (c Config) AddressMap() mem.AddressMap {
 	return mem.AddressMap{
 		L2Slices: c.L2Slices,
 		Channels: c.Channels,
-		Banks:    c.DramBanks,
+		Banks:    dramBanks,
 		RowLines: 16,
 	}
 }

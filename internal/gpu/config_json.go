@@ -44,18 +44,8 @@ func (c Config) Validate() error {
 		{"Cores", int64(c.Cores)},
 		{"L2Slices", int64(c.L2Slices)},
 		{"Channels", int64(c.Channels)},
-		{"CoreMHz", c.CoreMHz},
-		{"NoCMHz", c.NoCMHz},
-		{"MemMHz", c.MemMHz},
 		{"L1KB", int64(c.L1KB)},
-		{"L1Ways", int64(c.L1Ways)},
-		{"L1MSHRs", int64(c.L1MSHRs)},
-		{"L1MaxMerge", int64(c.L1MaxMerge)},
 		{"L2KB", int64(c.L2KB)},
-		{"L2Ways", int64(c.L2Ways)},
-		{"L2Lat", c.L2Lat},
-		{"L2MSHRs", int64(c.L2MSHRs)},
-		{"DramBanks", int64(c.DramBanks)},
 		{"WarmupCycles", c.WarmupCycles},
 		{"MeasureCycles", c.MeasureCycles},
 		{"MaxOutstanding", int64(c.MaxOutstanding)},
@@ -69,12 +59,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: more channels (%d) than L2 slices (%d)", d.Channels, d.L2Slices)
 	}
 	return nil
-}
-
-// WriteJSON serializes the configuration (defaults applied), for
-// reproducibility records alongside results.
-func (c Config) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.WithDefaults())
 }

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -16,22 +15,30 @@ func TestLoadConfigRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %+v", c)
 	}
 	// Defaults still apply for omitted fields.
-	d := c.WithDefaults()
-	if d.CoreMHz != 1400 || d.L1KB != 32 {
+	if d := c.WithDefaults(); d.L1KB != 32 || d.L2KB != 128 {
 		t.Fatalf("defaults not applied: %+v", d)
-	}
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"Cores\": 16") {
-		t.Fatalf("serialized config missing fields:\n%s", buf.String())
 	}
 }
 
+// A typo and every Table II value that is a constant, not a Config field,
+// are refused by name.
 func TestLoadConfigRejectsUnknownFields(t *testing.T) {
-	if _, err := LoadConfig(strings.NewReader(`{"Coress": 16}`)); err == nil {
-		t.Fatal("typo field accepted")
+	for _, in := range []string{
+		`{"Coress": 16}`,
+		`{"L1MSHRs": -8}`,
+		`{"L1Ways": -2}`,
+		`{"L1MaxMerge": -1}`,
+		`{"L2MSHRs": -32}`,
+		`{"L2Ways": -4}`,
+		`{"L2Lat": -3}`,
+		`{"DramBanks": -16}`,
+		`{"CoreMHz": 1400}`,
+		`{"NoCMHz": 700}`,
+		`{"MemMHz": 924}`,
+	} {
+		if _, err := LoadConfig(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: got %v, want an unknown-field error", in, err)
+		}
 	}
 	if _, err := LoadConfig(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
@@ -43,13 +50,8 @@ func TestLoadConfigValidates(t *testing.T) {
 		`{"Cores": -1}`,
 		`{"MeasureCycles": -5}`,
 		`{"L2Slices": 4, "Channels": 8}`,
-		`{"L1MSHRs": -8}`,
-		`{"L1Ways": -2}`,
-		`{"L1MaxMerge": -1}`,
-		`{"L2MSHRs": -32}`,
-		`{"L2Ways": -4}`,
-		`{"L2Lat": -3}`,
-		`{"DramBanks": -16}`,
+		`{"L1KB": -4}`,
+		`{"L2KB": -32}`,
 		`{"MaxOutstanding": -12}`,
 	}
 	for _, in := range cases {

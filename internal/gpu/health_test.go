@@ -139,9 +139,9 @@ func TestNewSystemCheckedValidation(t *testing.T) {
 		}
 	}
 	badCfg := testCfg()
-	badCfg.L1MSHRs = -4
+	badCfg.L1KB = -4
 	if _, err := NewSystemChecked(badCfg, Design{Kind: Baseline}, sharingApp()); err == nil {
-		t.Error("negative L1MSHRs accepted")
+		t.Error("negative L1KB accepted")
 	}
 	if _, err := NewSystemChecked(testCfg(), Design{Kind: Baseline}, sharingApp()); err != nil {
 		t.Errorf("valid system rejected: %v", err)

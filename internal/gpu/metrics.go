@@ -55,7 +55,7 @@ func (mod *Module) registerMetrics() {
 		func() float64 { return float64(mod.ThrottleLevel()) })
 	r.Gauge(mod.cname("governor"), "core", "power_effective_core_mhz",
 		"core frequency equivalent of the current duty cycle",
-		func() float64 { return float64(mod.sys.Cfg.CoreMHz) * float64(8-mod.ThrottleLevel()) / 8 })
+		func() float64 { return float64(coreMHz) * float64(8-mod.ThrottleLevel()) / 8 })
 	r.Gauge(mod.cname("governor"), "core", "power_cap_budget_watts",
 		"armed power budget (0 when uncapped)",
 		func() float64 {

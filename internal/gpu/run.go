@@ -130,7 +130,7 @@ func (s *System) collect(cycles sim.Cycle) Results {
 		Design:         s.D.Name(),
 		App:            s.App.Label(),
 		MeasuredCycles: cycles,
-		Seconds:        float64(cycles) / (float64(s.Cfg.CoreMHz) * 1e6),
+		Seconds:        float64(cycles) / (float64(coreMHz) * 1e6),
 	}
 	reg := s.Reg
 	r.IPC = float64(reg.Total("core_instructions_total")) / float64(cycles)

@@ -71,7 +71,7 @@ func DesignTopology(cfg Config, d Design) (Topology, error) {
 	if err := d.named(cfg); err != nil {
 		return Topology{}, err
 	}
-	t := Topology{Noc1MHz: cfg.NoCMHz, Noc2MHz: cfg.NoCMHz}
+	t := Topology{Noc1MHz: NoCMHz, Noc2MHz: NoCMHz}
 	if d.Boost1 {
 		t.Noc1MHz *= 2
 	}

@@ -202,7 +202,7 @@ func TestMeshManyToOneFairness(t *testing.T) {
 
 // The mesh's books balance through injection, publication, hops, grants and
 // credit returns, and after the first, a passing audit of the mesh or of the
-// crossbar's VOQs allocates nothing. A forged node credit fails the audit by the rule both
+// crossbar allocates nothing. A forged node credit fails the audit by the rule both
 // networks share, and a forged held count by the mesh's own.
 func TestMeshConservationAudit(t *testing.T) {
 	m, _ := newMesh(3, 3)
@@ -223,7 +223,7 @@ func TestMeshConservationAudit(t *testing.T) {
 	}
 	x, _ := newXbar(3, 2)
 	x.Inject(pkt(1, 0, 1))
-	if a := testing.AllocsPerRun(20, func() { m.CheckInvariants(); x.checkVOQs() }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { m.CheckInvariants(); x.CheckInvariants() }); a != 0 {
 		t.Errorf("a passing audit allocates %v times", a)
 	}
 	m.credit[4]++
