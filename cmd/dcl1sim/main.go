@@ -65,7 +65,8 @@ func main() {
 	}
 	// -config replaces the spec's machine: a Config has knobs the spec does
 	// not carry. The point is still validated on the loaded machine's shape.
-	// A window given on the command line overrides the file's.
+	// A window given on the command line overrides the file's, and so does a
+	// -seed given on it; a file without a Seed runs the flag's default.
 	var cfg dcl1.Config
 	if *cfgPath != "" {
 		f, err := os.Open(*cfgPath)
@@ -79,14 +80,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		cfg.Seed = sweep.Seed
+		seedSet := false
+		flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+		if seedSet || cfg.Seed == 0 {
+			cfg.Seed = sweep.Seed
+		}
 		if sweep.Cycles != 0 {
 			cfg.MeasureCycles = sweep.Cycles
 		}
 		if sweep.Warmup != 0 {
 			cfg.WarmupCycles = sweep.Warmup
 		}
-		sweep.Cores, sweep.L2Slices, sweep.Channels = cfg.Cores, cfg.L2Slices, cfg.Channels
+		sweep.Cores, sweep.L2Slices, sweep.Channels, sweep.Seed = cfg.Cores, cfg.L2Slices, cfg.Channels, cfg.Seed
 	}
 
 	sup, err := run.Supervisor(sweep)

@@ -75,6 +75,7 @@ func TestSteadyStateAllocsPerCycle(t *testing.T) {
 	for _, d := range []Design{
 		{Kind: Private, DCL1s: 8},
 		{Kind: Shared, DCL1s: 8},
+		{Kind: MeshBase},
 	} {
 		d := d
 		t.Run(d.Name(), func(t *testing.T) {

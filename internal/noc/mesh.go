@@ -38,13 +38,9 @@ type Mesh struct {
 	// advances Stat.Cycles and lastTick.
 	held int
 
-	// Free lists recycle the per-packet wrappers so a saturated mesh runs
-	// allocation-free: meshPackets live from publication to local delivery,
-	// meshTransits from grant to completion. retryScratch is the per-router
-	// blocked-transit buffer, reused across routers and ticks.
-	freePkt      []*meshPacket
-	freeTr       []*meshTransit
-	retryScratch []*meshTransit
+	// retryScratch is the per-router blocked-transit buffer, reused across
+	// routers and ticks.
+	retryScratch []meshTransit
 }
 
 // MeshParams configures a mesh.
@@ -93,18 +89,18 @@ type meshPacket struct {
 }
 
 type meshRouter struct {
-	in      [numPorts]*sim.Queue[*meshPacket]
+	in      [numPorts]*sim.Queue[meshPacket]
 	outBusy [numPorts]sim.Cycle
 	rr      [numPorts]int
 	// inflight holds packets traversing this router toward an output;
 	// pendingOut bounds it per output so a blocked downstream buffer
 	// backpressures into the input queues instead of growing unboundedly.
-	inflight   *sim.DelayQueue[*meshTransit]
+	inflight   *sim.DelayQueue[meshTransit]
 	pendingOut [numPorts]int
 }
 
 type meshTransit struct {
-	mp  *meshPacket
+	mp  meshPacket
 	out int
 	// firstReady is the cycle the traversal first matured; retries of a
 	// blocked transit keep it, so stuck-flit age survives re-queueing.
@@ -126,9 +122,9 @@ func NewMesh(p MeshParams) *Mesh {
 	for i := range m.routers {
 		r := &m.routers[i]
 		for d := 0; d < numPorts; d++ {
-			r.in[d] = sim.NewQueue[*meshPacket](p.QueueDepth)
+			r.in[d] = sim.NewQueue[meshPacket](p.QueueDepth)
 		}
-		r.inflight = sim.NewDelayQueue[*meshTransit]()
+		r.inflight = sim.NewDelayQueue[meshTransit]()
 	}
 	return m
 }
@@ -157,40 +153,10 @@ func (m *Mesh) Inject(p *mem.Packet) bool {
 // credit rule bounds that buffer plus pending injections by QueueDepth, so a
 // full buffer here is a broken credit and panics.
 func (m *Mesh) enter(p *mem.Packet) {
-	if !m.routers[p.Src].in[dirL].Push(m.getMeshPacket(p)) {
+	if !m.routers[p.Src].in[dirL].Push(meshPacket{p: p}) {
 		panic(fmt.Sprintf("noc: mesh %s local input overflow at publish (node %d)", m.P.Name, p.Src))
 	}
 	m.held++
-}
-
-func (m *Mesh) getMeshPacket(p *mem.Packet) *meshPacket {
-	if n := len(m.freePkt); n > 0 {
-		mp := m.freePkt[n-1]
-		m.freePkt = m.freePkt[:n-1]
-		mp.p, mp.hops = p, 0
-		return mp
-	}
-	return &meshPacket{p: p}
-}
-
-func (m *Mesh) putMeshPacket(mp *meshPacket) {
-	mp.p = nil
-	m.freePkt = append(m.freePkt, mp)
-}
-
-func (m *Mesh) getTransit(mp *meshPacket, out int, firstReady sim.Cycle) *meshTransit {
-	if n := len(m.freeTr); n > 0 {
-		tr := m.freeTr[n-1]
-		m.freeTr = m.freeTr[:n-1]
-		tr.mp, tr.out, tr.firstReady = mp, out, firstReady
-		return tr
-	}
-	return &meshTransit{mp: mp, out: out, firstReady: firstReady}
-}
-
-func (m *Mesh) putTransit(tr *meshTransit) {
-	tr.mp = nil
-	m.freeTr = append(m.freeTr, tr)
 }
 
 // NextWorkCycle implements sim.Sleeper: the mesh is busy while any packet is
@@ -302,8 +268,6 @@ func (m *Mesh) Tick(now sim.Cycle) {
 				m.held--
 				m.Stat.Packets++
 				m.Stat.HopsSum += int64(tr.mp.hops)
-				m.putMeshPacket(tr.mp)
-				m.putTransit(tr)
 				continue
 			}
 			nb := m.neighbor(n, tr.out)
@@ -316,7 +280,6 @@ func (m *Mesh) Tick(now sim.Cycle) {
 				continue
 			}
 			r.pendingOut[tr.out]--
-			m.putTransit(tr)
 		}
 		// Blocked transits retry next cycle; a stall on one output must not
 		// stall transits headed elsewhere.
@@ -352,7 +315,7 @@ func (m *Mesh) Tick(now sim.Cycle) {
 				r.outBusy[out] = now + dur
 				r.pendingOut[out]++
 				ready := now + dur + m.P.RouterLat
-				r.inflight.Push(m.getTransit(mp, out, ready), ready)
+				r.inflight.Push(meshTransit{mp: mp, out: out, firstReady: ready}, ready)
 				r.rr[out] = (in + 1) % numPorts
 				m.Stat.FlitHops += int64(mp.p.Flits)
 				break

@@ -17,24 +17,11 @@ type QueueState interface {
 // Traffic returns the cumulative push and pop counts (QueueState).
 func (q *Queue[T]) Traffic() (pushes, pops int64) { return q.PushCount, q.PopCount }
 
-// stagedCounts returns the commit header's staged count beside the length of
-// the staged slice it summarises (CheckQueue audits the two agree).
-func (p *Port[T]) stagedCounts() (header, staged int) { return p.hdr.nStaged, len(p.staged) }
-
 // CheckQueue verifies a queue's conservation invariant
 // (pushes - pops == occupancy) and its capacity bound, reporting violations
-// under the given component name. For a Port it also checks that the commit
-// header the edge barrier reads agrees with the staged values.
+// under the given component name.
 func CheckQueue(component, queue string, q QueueState) []health.Violation {
 	var out []health.Violation
-	if p, ok := q.(interface{ stagedCounts() (header, staged int) }); ok {
-		if h, n := p.stagedCounts(); h != n {
-			out = append(out, health.Violation{
-				Component: component, Rule: "port-header",
-				Detail: fmt.Sprintf("%s: commit header counts %d staged values, %d are staged", queue, h, n),
-			})
-		}
-	}
 	pushes, pops := q.Traffic()
 	if pushes-pops != int64(q.Len()) {
 		out = append(out, health.Violation{

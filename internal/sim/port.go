@@ -6,9 +6,10 @@ package sim
 //
 // An unattached Port behaves exactly like the Queue it embeds — pushes are
 // immediately visible — which keeps standalone component unit tests simple.
-// Attach(clock) switches the port to two-phase mode: Push stages values
-// privately in the producer, and the staged values become visible to the
-// consumer only when the producer clock's edge barrier commits them. Within
+// Attach(clock) switches the port to two-phase mode: Push writes the value
+// into the queue's ring behind the committed values, where the consumer
+// cannot see it, and the producer clock's edge barrier commits the staged
+// values by counting them into the queue's occupancy. Within
 // an edge, capacity checks (Full/Space) run against a snapshot of the
 // committed occupancy taken at the previous barrier, so neither the values a
 // producer can push nor the values a consumer can pop depend on the order
@@ -29,7 +30,6 @@ type Port[T any] struct {
 	Queue[T]
 
 	hdr      portHeader
-	staged   []T
 	twoPhase bool
 }
 
@@ -38,22 +38,22 @@ type Port[T any] struct {
 // nearly every barrier, so the barrier commits by list: the first staged
 // push or pop since the port's last barrier enrols it on the producer clock's
 // dirty list (listed is the one flag that keeps it there once), and the
-// barrier flushes, wakes and refreshes only the ports on that list (a pop
+// barrier publishes, wakes and refreshes only the ports on that list (a pop
 // frees space the producer must see at its next barrier, so the committed
 // queue reports its removals through Queue.watch). A port that is not listed
 // has nothing staged and a snapshot equal to its occupancy, which is all a
 // commit would establish.
 type portHeader struct {
-	nStaged int  // len(staged)
-	snap    int  // committed occupancy snapshot from the last barrier
-	size    *int // the committed queue's occupancy (Queue.size)
-	cap     int  // the queue's capacity
-	owner   stagedFlusher
+	nStaged int    // values staged in the ring behind the committed ones
+	snap    int    // committed occupancy snapshot from the last barrier
+	size    *int   // the committed queue's occupancy (Queue.size)
+	pushes  *int64 // the committed queue's Queue.PushCount
+	cap     int    // the queue's capacity
 
 	clk    *Clock // producer clock, whose barrier commits the port; nil = unattached
 	listed bool   // on clk.dirty
 
-	// The sleepers a commit must wake, bound from their WakeSources. A flush
+	// The sleepers a commit must wake, bound from their WakeSources. A publish
 	// wakes the consumer, component widx of wclk (nil: none sleeps on the
 	// port's data); a commit after which the port accepts again wakes the
 	// producer, component pidx of clk (-1: none sleeps on the port's space) —
@@ -65,17 +65,12 @@ type portHeader struct {
 	pidx    int32
 	starved bool
 	// A port feeding, or fed by, a Feed tells the Feeds hosting it of either
-	// end's change: a flush marks feed didx of dnote live, a relent feed sidx
+	// end's change: a publish marks feed didx of dnote live, a relent feed sidx
 	// of snote.
 	dnote *feedSet
 	didx  int32
 	snote *feedSet
 	sidx  int32
-}
-
-// stagedFlusher is the generic half of a commit, reached through the header.
-type stagedFlusher interface {
-	flushStaged()
 }
 
 // touch enrols a port that is not yet listed on its clock's dirty list.
@@ -84,17 +79,20 @@ func (h *portHeader) touch() {
 	h.clk.dirty = append(h.clk.dirty, h)
 }
 
-// commit publishes staged values into the committed queue and refreshes the
-// occupancy snapshot, reporting whether anything was published (the caller
-// then wakes the consumer). Runs at the owning clock's edge barrier, after
-// every component of the edge has ticked.
-func (h *portHeader) commit() (flushed bool) {
+// commit publishes the staged values — already in the ring, right behind the
+// committed ones — by counting them into the queue's occupancy, and refreshes
+// the occupancy snapshot, reporting whether anything was published (the
+// caller then wakes the consumer). Runs at the owning clock's edge barrier,
+// after every component of the edge has ticked.
+func (h *portHeader) commit() (published bool) {
 	if h.nStaged != 0 {
-		h.owner.flushStaged()
-		flushed = true
+		*h.size += h.nStaged
+		*h.pushes += int64(h.nStaged)
+		h.nStaged = 0
+		published = true
 	}
 	h.snap = *h.size
-	return flushed
+	return published
 }
 
 // relented reports, right after commit, that the Full verdict the producer
@@ -145,7 +143,7 @@ func (p *Port[T]) Attach(c *Clock) {
 		panic("sim: Port attached twice")
 	}
 	p.twoPhase = true
-	p.hdr.snap, p.hdr.size, p.hdr.cap, p.hdr.owner, p.hdr.clk = p.size, &p.size, p.cap, p, c
+	p.hdr.snap, p.hdr.size, p.hdr.pushes, p.hdr.cap, p.hdr.clk = p.size, &p.size, &p.PushCount, p.cap, c
 	p.watch = &p.hdr
 	c.ports = append(c.ports, &p.hdr)
 	c.topologyChanged()
@@ -179,10 +177,12 @@ func (r PortRef) Bound() bool {
 }
 
 // Push appends v and reports whether it was accepted. In immediate mode this
-// is Queue.Push. In two-phase mode the value is staged against the committed
-// occupancy snapshot: the consumer sees it only after the next barrier, and a
-// push accepted here can never be rejected at commit (the committed queue can
-// only drain between barriers).
+// is Queue.Push. In two-phase mode the value is admitted against the
+// committed occupancy snapshot and written into the ring behind the committed
+// values and the values staged before it: the consumer sees it only after the
+// next barrier. The slot is free: the committed queue only drains between
+// barriers, so it holds at most the snapshot, and admission keeps the
+// snapshot plus the staged values within the capacity.
 func (p *Port[T]) Push(v T) bool {
 	if !p.twoPhase {
 		return p.Queue.Push(v)
@@ -190,7 +190,7 @@ func (p *Port[T]) Push(v T) bool {
 	if p.Full() {
 		return false
 	}
-	p.staged = append(p.staged, v)
+	p.buf[(p.head+p.size+p.hdr.nStaged)&(len(p.buf)-1)] = v
 	if p.hdr.nStaged == 0 && !p.hdr.listed {
 		p.hdr.touch()
 	}
@@ -223,20 +223,4 @@ func (p *Port[T]) Space() int {
 		s = 0
 	}
 	return s
-}
-
-// flushStaged moves the staged values into the committed queue (the generic
-// half of portHeader.commit).
-func (p *Port[T]) flushStaged() {
-	var zero T
-	for i, v := range p.staged {
-		if !p.Queue.Push(v) {
-			// Push checked snap+staged against cap and the committed queue
-			// only drains between barriers, so this cannot happen.
-			panic("sim: port commit overflow")
-		}
-		p.staged[i] = zero
-	}
-	p.staged = p.staged[:0]
-	p.hdr.nStaged = 0
 }

@@ -53,8 +53,8 @@ func TestPortTwoPhaseVisibility(t *testing.T) {
 
 // TestPortTwoPhaseCapacity: capacity gates admission against the committed
 // snapshot plus already-staged values, so a producer can never stage more
-// than the queue can absorb at the barrier — the commit-overflow panic is
-// unreachable through the public API.
+// than the queue can absorb at the barrier: every staged value has a free
+// slot in the ring behind the committed ones.
 func TestPortTwoPhaseCapacity(t *testing.T) {
 	e := NewEngine()
 	c := e.NewClock("c", 1000)
@@ -240,8 +240,8 @@ func TestPortCleanCommitRefreshesSnapshot(t *testing.T) {
 		}
 	}))
 	e.RunUntil(prod, 10)
-	if h, n := p.stagedCounts(); h != 0 || n != 0 {
-		t.Fatalf("%d/%d values left staged", h, n)
+	if p.hdr.nStaged != 0 {
+		t.Fatalf("%d values left staged", p.hdr.nStaged)
 	}
 	// Pops at 7 ns and 12 ns. The barrier ending prod edge 3 (6 ns) precedes
 	// the first pop and the one ending edge 4 (8 ns) follows it, so edge 5 is
@@ -253,19 +253,70 @@ func TestPortCleanCommitRefreshesSnapshot(t *testing.T) {
 	}
 }
 
-// CheckQueue audits the commit header the barrier reads against the staged
-// values it stands for.
-func TestPortHeaderAudit(t *testing.T) {
+// A consumer that removes out of order (RemoveAt) from an attached port while
+// its producer has values staged behind the committed ones, on the same edge:
+// the staged values sit in the ring right after the committed tail, so the
+// removal has to shift them down with it. Before the barrier the consumer
+// sees only the committed values, in order; after it the staged ones follow
+// in push order. The ring of capacity 4 wraps on the last edge.
+func TestPortRemoveAtShiftsStagedTail(t *testing.T) {
 	e := NewEngine()
+	c := e.NewClock("c", 1000)
 	p := NewPort[int](4)
-	p.Attach(e.NewClock("c", 1000))
-	p.Push(1)
-	if v := CheckQueue("comp", "Out", p); len(v) != 0 {
-		t.Fatalf("healthy port: %v", v)
+	p.Attach(c)
+	type edge struct {
+		push    []int
+		pop     bool // the consumer pops once before removing
+		remove  int  // index to RemoveAt; -1: none
+		removed int  // the value it must return
+		before  []int
+		after   []int
 	}
-	p.hdr.nStaged = 0 // the barrier would now never publish the staged value
-	v := CheckQueue("comp", "Out", p)
-	if len(v) != 1 || v[0].Rule != "port-header" {
-		t.Fatalf("violations = %v, want one port-header", v)
+	script := []edge{
+		{push: []int{1, 2, 3}, remove: -1, before: []int{}, after: []int{}},
+		{push: []int{4}, remove: 1, removed: 2, before: []int{1, 2, 3}, after: []int{1, 3}},
+		{push: []int{5}, pop: true, remove: 1, removed: 4, before: []int{1, 3, 4}, after: []int{3}},
+		{push: []int{6, 7}, remove: 0, removed: 3, before: []int{3, 5}, after: []int{5}},
+	}
+	view := func() []int {
+		v := []int{}
+		for i := 0; i < p.Len(); i++ {
+			v = append(v, p.At(i))
+		}
+		if h, ok := p.Peek(); ok != (len(v) > 0) || ok && h != v[0] {
+			t.Errorf("Peek = %d,%v with committed %v", h, ok, v)
+		}
+		return v
+	}
+	c.Register(TickFunc(func(cy Cycle) { // producer, ticks first
+		for _, v := range script[cy].push {
+			if !p.Push(v) {
+				t.Fatalf("edge %d: push %d refused", cy, v)
+			}
+		}
+	}))
+	c.Register(TickFunc(func(cy Cycle) { // consumer, after the pushes
+		s := script[cy]
+		if got := view(); !reflect.DeepEqual(got, s.before) {
+			t.Errorf("edge %d: consumer sees %v before removing, want %v", cy, got, s.before)
+		}
+		if s.pop {
+			p.Pop()
+		}
+		if s.remove >= 0 {
+			if got := p.RemoveAt(s.remove); got != s.removed {
+				t.Errorf("edge %d: RemoveAt(%d) = %d, want %d", cy, s.remove, got, s.removed)
+			}
+		}
+		if got := view(); !reflect.DeepEqual(got, s.after) {
+			t.Errorf("edge %d: consumer sees %v after removing, want %v", cy, got, s.after)
+		}
+	}))
+	e.RunUntil(c, Cycle(len(script)))
+	if got, want := view(), []int{5, 6, 7}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after the last barrier the port holds %v, want %v", got, want)
+	}
+	if v := CheckQueue("comp", "Out", p); len(v) != 0 {
+		t.Errorf("CheckQueue: %v", v)
 	}
 }

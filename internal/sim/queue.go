@@ -21,7 +21,8 @@ type Queue[T any] struct {
 
 	// watch, set on the committed queue of an attached Port, is told of every
 	// removal: the producer's clock has to refresh its occupancy snapshot of
-	// this queue at its next barrier.
+	// this queue at its next barrier. Its nStaged values sit in the ring right
+	// behind the size committed ones.
 	watch *portHeader
 
 	// PushCount / PopCount give cumulative traffic through the queue and are
@@ -107,14 +108,19 @@ func (q *Queue[T]) RemoveAt(i int) T {
 	if i < 0 || i >= q.size {
 		panic("sim: Queue.RemoveAt index out of range")
 	}
+	// Shift the younger items down one slot: on an attached Port, the values
+	// staged behind the committed ones move too, so they stay contiguous.
+	n := q.size
+	if q.watch != nil {
+		n += q.watch.nStaged
+	}
 	mask := len(q.buf) - 1
 	v := q.buf[(q.head+i)&mask]
-	// Shift the younger items down one slot.
-	for j := i; j < q.size-1; j++ {
+	for j := i; j < n-1; j++ {
 		q.buf[(q.head+j)&mask] = q.buf[(q.head+j+1)&mask]
 	}
 	var zero T
-	q.buf[(q.head+q.size-1)&mask] = zero
+	q.buf[(q.head+n-1)&mask] = zero
 	q.size--
 	q.PopCount++
 	if h := q.watch; h != nil && !h.listed {

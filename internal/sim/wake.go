@@ -23,7 +23,7 @@ import (
 // WakeSourcer is the optional Sleeper extension that lets a component leave
 // the active set: WakeSources names every port end that can turn the
 // component's NextWorkCycle from a future cycle into "now" — Ref for a port
-// it consumes (a flush into it is work), SpaceRef for a port it produces into
+// it consumes (a publish into it is work), SpaceRef for a port it produces into
 // and whose fullness it sleeps on (Full turning false is work). The engine
 // binds them when a run starts; the barrier commit that changes either
 // re-awakes the component for its next edge. A Sleeper without it (or with a
