@@ -9,8 +9,8 @@ import (
 )
 
 // HealthOptions configures the health layer of checked runs: the progress
-// watchdog's stall window and sampling period (in core cycles) and an
-// optional wall-clock deadline for the whole run.
+// watchdog's stall window (in core cycles; the watchdog samples every eighth
+// of it) and an optional wall-clock deadline for the whole run.
 type HealthOptions = gpu.HealthOptions
 
 // Typed errors returned by the checked run APIs. All but SimError carry a

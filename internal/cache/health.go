@@ -80,6 +80,13 @@ func (c *Ctrl) Pending() int {
 		c.pipe.Len() + c.mshr.len()
 }
 
+// Progress is the controller's term of its clock's watchdog probe: its array
+// accesses (an L1/DC-L1 node adds the accesses it moved past the cache).
+func (c *Ctrl) Progress() int64 { return c.Stat.Accesses }
+
+// ResetStats zeroes the controller's statistics at the warm-up boundary.
+func (c *Ctrl) ResetStats() { c.Stat = Stats{} }
+
 // DumpHealth snapshots the controller for a diagnostic dump. The bool result
 // marks the snapshot interesting (any pending work to explain).
 func (c *Ctrl) DumpHealth() (health.ComponentDump, bool) {

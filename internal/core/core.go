@@ -229,14 +229,7 @@ func (c *Core) SetThrottle(level int) {
 func (c *Core) Waves() int { return len(c.waves) }
 
 // Done reports whether every wavefront has finished its program.
-func (c *Core) Done() bool {
-	for i := range c.waves {
-		if !c.waves[i].done {
-			return false
-		}
-	}
-	return true
-}
+func (c *Core) Done() bool { return c.Pending() == 0 }
 
 // OutstandingTotal returns in-flight transactions across wavefronts (tests).
 func (c *Core) OutstandingTotal() int {

@@ -66,6 +66,25 @@ func (c *Core) CheckInvariants() []health.Violation {
 	return out
 }
 
+// Progress is the core's term of its clock's watchdog probe: wavefront
+// instructions issued plus memory transactions created.
+func (c *Core) Progress() int64 { return c.Stat.Issued + c.Stat.Transactions }
+
+// Pending counts the wavefronts that have not finished their programs: the
+// core has work while any is left.
+func (c *Core) Pending() int {
+	n := 0
+	for i := range c.waves {
+		if !c.waves[i].done {
+			n++
+		}
+	}
+	return n
+}
+
+// ResetStats zeroes the core's statistics at the warm-up boundary.
+func (c *Core) ResetStats() { c.Stat = Stats{} }
+
 // DumpHealth snapshots the core for a diagnostic dump; interesting while any
 // wavefront is unfinished or transactions are in flight.
 func (c *Core) DumpHealth() (health.ComponentDump, bool) {

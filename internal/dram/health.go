@@ -11,6 +11,13 @@ import (
 // DRAM access may wait for space in the reply queue.
 const DefaultStuckAccessAge sim.Cycle = 10_000
 
+// Progress is the channel's term of its clock's watchdog probe: the reads and
+// writes it served.
+func (c *Channel) Progress() int64 { return c.Stat.Reads + c.Stat.Writes }
+
+// ResetStats zeroes the channel's statistics at the warm-up boundary.
+func (c *Channel) ResetStats() { c.Stat = Stats{} }
+
 // CheckInvariants implements health.Checker: a finished access that cannot
 // leave (Out full for a long time) is stuck, and the request/reply queues
 // must conserve accesses. The shift/mask bank map must agree with the

@@ -11,6 +11,7 @@ import (
 	"dcl1sim/internal/dram"
 	"dcl1sim/internal/health"
 	"dcl1sim/internal/mem"
+	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/noc"
 	"dcl1sim/internal/sim"
 	"dcl1sim/internal/workload"
@@ -182,6 +183,11 @@ func TestStalledComponentsLeaveTheActiveSet(t *testing.T) {
 // Every component a machine registers is a model component — a core, an
 // L1/DC-L1 node, a crossbar, a mesh, an L2 slice or a DRAM channel: the glue
 // between two of them is a feed its host runs, never a component of its own.
+// And every one answers for itself — its work, what it holds, its statistics,
+// its invariants, its dump — which is all the watchdog, the audits and the
+// warm-up reset ask of it: besides the model components only the metrics
+// collector ticks, and the monitor holds one probe per clock with a model
+// component on it.
 func TestNoGlueComponents(t *testing.T) {
 	ds := map[string]Design{"+M2": {Kind: Clustered, DCL1s: 4, Clusters: 2, Modules: 2}}
 	for _, d := range quiesceDesigns() {
@@ -196,6 +202,39 @@ func TestNoGlueComponents(t *testing.T) {
 				default:
 					t.Errorf("%s: %s[%d] is a %T, not a model component", name, c.Name(), i, comp)
 				}
+			}
+		}
+	}
+	for _, g := range goldenDesigns() {
+		for _, mods := range []int{1, 2} {
+			d := g.d
+			d.Modules = mods
+			s := NewSystem(testCfg(), d, sharingApp())
+			if err := s.InstallTelemetry(metrics.Options{Every: 64}, nil); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, clk := range s.Eng.Clocks() {
+				n := 0
+				for i := 0; i < clk.Components(); i++ {
+					switch comp := clk.Component(i).(type) {
+					case *metrics.Collector:
+					case component:
+						n++
+					default:
+						t.Errorf("%s x%d: %s[%d] is a %T, which does not answer for itself", g.name, mods, clk.Name(), i, comp)
+					}
+				}
+				if n > 0 {
+					want = append(want, clk.Name())
+				}
+			}
+			var got []string
+			for _, p := range s.NewMonitor().BuildDump("inventory", "core", 0, nil).Probes {
+				got = append(got, p.Name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s x%d: monitor probes %v, want one per clock with a component: %v", g.name, mods, got, want)
 			}
 		}
 	}

@@ -19,10 +19,9 @@ import (
 type HealthOptions struct {
 	// StallWindow is the deadlock window in core cycles: no probe progress
 	// for this long while components are busy aborts the run. 0 selects
-	// sim.DefaultStallWindow; negative disables deadlock detection.
+	// sim.DefaultStallWindow; negative disables deadlock detection. The
+	// watchdog samples the probes every StallWindow/8 cycles.
 	StallWindow sim.Cycle
-	// CheckEvery is the probe sampling period; 0 derives it from StallWindow.
-	CheckEvery sim.Cycle
 	// Deadline bounds the wall-clock time of the whole run (warmup plus
 	// measurement); 0 means unbounded.
 	Deadline time.Duration
@@ -101,19 +100,85 @@ func simError(d Design, app workload.Source, cycle sim.Cycle, cause any) *health
 	}
 }
 
-// NewMonitor builds the health monitor for this machine: per module, one
-// aggregate progress probe per subsystem (cores, L1/DC-L1 nodes, L2, NoC,
-// DRAM; named "m<i>.cores" and so on in a multi-module machine), every
-// component's invariant checker and dump contributor, and head-age watchers
-// on the DC-L1 bridge queues and L2 ingress queues; plus the link's own
-// probe, checkers and watchers when there is one.
+// component is what the watchdog, the audits and the warm-up reset ask of
+// every model component the engine ticks: its work so far (Progress), what
+// it still holds (Pending), to zero its statistics (ResetStats, which zeroes
+// Progress too), its invariants and its dump.
+type component interface {
+	Progress() int64
+	Pending() int
+	ResetStats()
+	health.Checker
+	DumpHealth() (health.ComponentDump, bool)
+}
+
+// components returns the model components registered on clk, in tick order;
+// the metrics collector, which is none, is passed over.
+func components(clk *sim.Clock) []component {
+	var out []component
+	for i := 0; i < clk.Components(); i++ {
+		if c, ok := clk.Component(i).(component); ok {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// NewMonitor builds the health monitor for this machine: one progress probe
+// per clock domain with components, named after the clock, summing their
+// Progress and busy while one of them has Pending work or a port attached to
+// the clock holds a value; every component's invariant checker and dump;
+// head-age watchers on the DC-L1 bridge queues, the L2 ingress queues and the
+// link ports; and each module's directory audit.
 func (s *System) NewMonitor() *health.Monitor {
 	m := health.NewMonitor()
-	for _, mod := range s.Mods {
-		mod.contributeMonitor(m)
+	for _, clk := range s.Eng.Clocks() {
+		comps := components(clk)
+		if len(comps) == 0 {
+			continue
+		}
+		for _, c := range comps {
+			m.AddChecker(c)
+			m.AddDumper(c.DumpHealth)
+		}
+		m.AddProbe(health.Probe{
+			Name: clk.Name(),
+			Sample: func() int64 {
+				var v int64
+				for _, c := range comps {
+					v += c.Progress()
+				}
+				return v
+			},
+			Busy: func() bool {
+				for _, c := range comps {
+					if c.Pending() > 0 {
+						return true
+					}
+				}
+				return clk.Holding()
+			},
+		})
 	}
-	if s.LinkClk != nil {
-		s.monitorLink(m)
+	for _, mod := range s.Mods {
+		for _, n := range mod.Nodes {
+			name := n.Ctrl.P.Name
+			watchQueue(m, name, "Q1", n.Q1)
+			watchQueue(m, name, "Q2", n.Q2)
+			watchQueue(m, name, "Q3", n.Q3)
+			watchQueue(m, name, "Q4", n.Q4)
+		}
+		for i, l2 := range mod.L2 {
+			watchQueue(m, l2.P.Name, "in", mod.l2in[i])
+		}
+		link := mod.cname("link")
+		for ch := range mod.linkMissOut {
+			watchQueue(m, link, fmt.Sprintf("miss-%d", ch), mod.linkMissOut[ch])
+			watchQueue(m, link, fmt.Sprintf("reqin-%d", ch), mod.linkReqIn[ch])
+			watchQueue(m, link, fmt.Sprintf("repout-%d", ch), mod.linkRepOut[ch])
+			watchQueue(m, link, fmt.Sprintf("fill-%d", ch), mod.linkFillIn[ch])
+		}
+		m.AddChecker(directoryAudit{mod})
 	}
 	return m
 }
@@ -123,129 +188,6 @@ func watchQueue(m *health.Monitor, component, label string, q sim.QueueState) {
 	w := sim.NewQueueWatcher(component, label, q)
 	m.AddObserver(w.Observe)
 	m.AddChecker(w)
-}
-
-// contributeMonitor adds this module's probes, checkers, watchers, and dump
-// contributors to the machine's monitor (probe names carry the module prefix,
-// so the subsystems stay distinguishable).
-func (mod *Module) contributeMonitor(m *health.Monitor) {
-	m.AddProbe(health.Probe{
-		Name: mod.cname("cores"),
-		Sample: func() int64 {
-			var v int64
-			for _, c := range mod.Cores {
-				v += c.Stat.Issued + c.Stat.Transactions
-			}
-			return v
-		},
-		Busy: func() bool {
-			for _, c := range mod.Cores {
-				if !c.Done() {
-					return true
-				}
-			}
-			return false
-		},
-	})
-	m.AddProbe(health.Probe{
-		Name: mod.cname("l1-nodes"),
-		Sample: func() int64 {
-			var v int64
-			for _, n := range mod.Nodes {
-				v += n.Ctrl.Stat.Accesses + n.Stat.BypassRequests + n.Stat.BypassReplies
-			}
-			return v
-		},
-		Busy: func() bool {
-			for _, n := range mod.Nodes {
-				if n.Pending() > 0 {
-					return true
-				}
-			}
-			return false
-		},
-	})
-	m.AddProbe(health.Probe{
-		Name: mod.cname("l2"),
-		Sample: func() int64 {
-			var v int64
-			for _, l2 := range mod.L2 {
-				v += l2.Stat.Accesses
-			}
-			return v
-		},
-		Busy: func() bool {
-			for i, l2 := range mod.L2 {
-				if l2.Pending() > 0 || mod.l2in[i].Len() > 0 {
-					return true
-				}
-			}
-			return false
-		},
-	})
-	var flits []func() int64
-	for _, st := range mod.Stages {
-		flits = append(flits, st.traffic()...)
-	}
-	m.AddProbe(health.Probe{
-		Name:   mod.cname("noc"),
-		Sample: sum(flits),
-		Busy: func() bool {
-			for _, st := range mod.Stages {
-				if st.pending() {
-					return true
-				}
-			}
-			return false
-		},
-	})
-	m.AddProbe(health.Probe{
-		Name: mod.cname("dram"),
-		Sample: func() int64 {
-			var v int64
-			for _, dc := range mod.Drams {
-				v += dc.Stat.Reads + dc.Stat.Writes
-			}
-			return v
-		},
-		Busy: func() bool {
-			for _, dc := range mod.Drams {
-				if dc.Pending() > 0 || dc.Out.Len() > 0 {
-					return true
-				}
-			}
-			return false
-		},
-	})
-
-	for _, c := range mod.Cores {
-		m.AddChecker(c)
-		m.AddDumper(c.DumpHealth)
-	}
-	for _, n := range mod.Nodes {
-		// The bridge queues' watchers audit their accounting; the node
-		// itself adds only its controller's invariants.
-		m.AddChecker(n.Ctrl)
-		m.AddDumper(n.DumpHealth)
-		name := n.Ctrl.P.Name
-		watchQueue(m, name, "Q1", n.Q1)
-		watchQueue(m, name, "Q2", n.Q2)
-		watchQueue(m, name, "Q3", n.Q3)
-		watchQueue(m, name, "Q4", n.Q4)
-	}
-	for i, l2 := range mod.L2 {
-		m.AddChecker(l2)
-		m.AddDumper(l2.DumpHealth)
-		watchQueue(m, l2.P.Name, "in", mod.l2in[i])
-	}
-	for _, dc := range mod.Drams {
-		m.AddChecker(dc)
-		m.AddDumper(dc.DumpHealth)
-	}
-	for _, st := range mod.Stages {
-		st.watch(m)
-	}
-	m.AddChecker(directoryAudit{mod})
 }
 
 // directoryAudit checks the module's replication directory against its L1
@@ -306,7 +248,6 @@ func (s *System) RunChecked(opts HealthOptions) (r Results, err error) {
 	ro := sim.RunOptions{
 		Monitor:     mon,
 		StallWindow: opts.StallWindow,
-		CheckEvery:  opts.CheckEvery,
 		Ctx:         opts.Ctx,
 	}
 	start := time.Now()

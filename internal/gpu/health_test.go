@@ -91,16 +91,16 @@ func TestRunCheckedDetectsWedgedSystem(t *testing.T) {
 				t.Fatalf("deadlock dump is empty: %+v", dl.Dump)
 			}
 			stalled := dl.Dump.Stalled()
-			foundCores := false
+			foundCore := false
 			for _, p := range stalled {
-				if p == "cores" {
-					foundCores = true
+				if p == "core" {
+					foundCore = true
 				}
 			}
-			if !foundCores {
-				t.Fatalf("stalled probes %v do not include cores", stalled)
+			if !foundCore {
+				t.Fatalf("stalled probes %v do not include the core clock's", stalled)
 			}
-			if !strings.Contains(err.Error(), "cores") {
+			if !strings.Contains(err.Error(), "core") {
 				t.Fatalf("error does not name the stalled component: %v", err)
 			}
 			if !strings.Contains(dl.Dump.Text(), "deadlock") {

@@ -39,7 +39,7 @@ func TestMeshBaseDrains(t *testing.T) {
 			}
 		}
 		if done {
-			if s.Mods[0].Stages[0].pending() {
+			if st := s.Mods[0].Stages[0]; st.MeshReq.Pending()+st.MeshRep.Pending() > 0 {
 				t.Fatal("mesh retained packets after drain")
 			}
 			return

@@ -1,9 +1,6 @@
 package gpu
 
 import (
-	"fmt"
-
-	"dcl1sim/internal/health"
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/noc"
 	"dcl1sim/internal/sim"
@@ -69,37 +66,4 @@ func (s *System) wireLink() {
 	s.Reg.Counter("chaos-link", "link", "chaos_faults_total",
 		"fault occurrences on the inter-module link injectors",
 		func() int64 { return fired(s.linkInjectors) })
-}
-
-// monitorLink adds the link's progress probe, invariant checkers, dump
-// contributors and queue watchers to the machine's monitor.
-func (s *System) monitorLink(mon *health.Monitor) {
-	mon.AddProbe(health.Probe{
-		Name:   "link",
-		Sample: sum(s.Link.traffic()),
-		Busy: func() bool {
-			if s.Link.pending() {
-				return true
-			}
-			for _, mod := range s.Mods {
-				for ch := range mod.linkMissOut {
-					if mod.linkMissOut[ch].Len() > 0 || mod.linkReqIn[ch].Len() > 0 ||
-						mod.linkRepOut[ch].Len() > 0 || mod.linkFillIn[ch].Len() > 0 {
-						return true
-					}
-				}
-			}
-			return false
-		},
-	})
-	s.Link.watch(mon)
-	for _, mod := range s.Mods {
-		comp := mod.cname("link")
-		for ch := range mod.linkMissOut {
-			watchQueue(mon, comp, fmt.Sprintf("miss-%d", ch), mod.linkMissOut[ch])
-			watchQueue(mon, comp, fmt.Sprintf("reqin-%d", ch), mod.linkReqIn[ch])
-			watchQueue(mon, comp, fmt.Sprintf("repout-%d", ch), mod.linkRepOut[ch])
-			watchQueue(mon, comp, fmt.Sprintf("fill-%d", ch), mod.linkFillIn[ch])
-		}
-	}
 }

@@ -1,9 +1,6 @@
 package gpu
 
 import (
-	"dcl1sim/internal/cache"
-	"dcl1sim/internal/core"
-	"dcl1sim/internal/dram"
 	"dcl1sim/internal/sim"
 	"dcl1sim/internal/workload"
 )
@@ -82,41 +79,21 @@ func (s *System) measure(advance func(until sim.Cycle) error) (sim.Cycle, error)
 	return s.CoreClk.Now() - start, nil
 }
 
-// resetStats zeroes every module's statistics and the link crossbars' at the
-// warmup boundary.
+// resetStats zeroes the statistics of every component at the warmup boundary,
+// then each module's replica samples, and re-baselines its power meter: the
+// counters its zone terms read were just zeroed, and a window spanning the
+// reset would see negative deltas.
 func (s *System) resetStats() {
+	for _, clk := range s.Eng.Clocks() {
+		for _, c := range components(clk) {
+			c.ResetStats()
+		}
+	}
 	for _, mod := range s.Mods {
-		mod.resetStats()
+		mod.Tracker.SampledReplicaSum = 0
+		mod.Tracker.SampledReplicaCount = 0
+		mod.meter.Rebase()
 	}
-	if s.Link != nil {
-		s.Link.resetStats()
-	}
-}
-
-// resetStats zeroes the statistics of every component of the module.
-func (mod *Module) resetStats() {
-	for _, c := range mod.Cores {
-		c.Stat = core.Stats{}
-	}
-	for _, n := range mod.Nodes {
-		n.Ctrl.Stat = cache.Stats{}
-		n.Stat.BypassReplies = 0
-		n.Stat.BypassRequests = 0
-	}
-	for _, l2 := range mod.L2 {
-		l2.Stat = cache.Stats{}
-	}
-	for _, dc := range mod.Drams {
-		dc.Stat = dram.Stats{}
-	}
-	for _, st := range mod.Stages {
-		st.resetStats()
-	}
-	mod.Tracker.SampledReplicaSum = 0
-	mod.Tracker.SampledReplicaCount = 0
-	// Re-baseline the power meter: the counters its zone terms read were just
-	// zeroed, and a window spanning the reset would see negative deltas.
-	mod.meter.Rebase()
 }
 
 // collect builds Results as a view over the metric registry, which every

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 
-	"dcl1sim/internal/health"
 	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/noc"
 	"dcl1sim/internal/power"
@@ -13,8 +12,7 @@ import (
 // A design's interconnect is data: an ordered table of stages, one row of the
 // paper's Table I each, computed by DesignTopology and read by everything
 // that needs the shape — the build, the power model, the clocks, metrics,
-// power zones, health probes, chaos injectors and the warmup reset
-// (DESIGN.md §16).
+// power zones and chaos injectors (DESIGN.md §16).
 
 // Net is the clock domain a stage ticks on; its name is also the stage's
 // metric domain and series-family prefix.
@@ -264,54 +262,4 @@ func (b *BuiltStage) traffic() []func() int64 {
 		out = append(out, func() int64 { return req.FlitHops + rep.FlitHops })
 	}
 	return out
-}
-
-// pending reports whether any packet is inside the stage.
-func (b *BuiltStage) pending() bool {
-	for _, x := range b.crossbars() {
-		if x.Pending() > 0 {
-			return true
-		}
-	}
-	return b.MeshReq != nil && (b.MeshReq.Pending() > 0 || b.MeshRep.Pending() > 0)
-}
-
-// watch adds the stage's invariant checkers and dump contributors to m.
-func (b *BuiltStage) watch(m *health.Monitor) {
-	for _, x := range b.crossbars() {
-		m.AddChecker(x)
-		m.AddDumper(x.DumpHealth)
-	}
-	if b.MeshReq != nil {
-		m.AddChecker(b.MeshReq)
-		m.AddDumper(b.MeshReq.DumpHealth)
-		m.AddChecker(b.MeshRep)
-		m.AddDumper(b.MeshRep.DumpHealth)
-	}
-}
-
-// resetStats zeroes the stage's counters at the warmup boundary, keeping the
-// crossbars' per-port slices at their sizes.
-func (b *BuiltStage) resetStats() {
-	for _, x := range b.crossbars() {
-		x.Stat = noc.Stats{
-			InFlits:  make([]int64, x.P.Ins),
-			OutFlits: make([]int64, x.P.Outs),
-		}
-	}
-	if b.MeshReq != nil {
-		b.MeshReq.Stat = noc.MeshStats{}
-		b.MeshRep.Stat = noc.MeshStats{}
-	}
-}
-
-// sum returns a probe sample adding up the counters.
-func sum(counters []func() int64) func() int64 {
-	return func() int64 {
-		var v int64
-		for _, c := range counters {
-			v += c()
-		}
-		return v
-	}
 }

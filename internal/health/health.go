@@ -3,6 +3,11 @@
 // components, structured diagnostic dumps, and the typed errors the
 // error-returning run APIs surface instead of hangs or panics.
 //
+// The simulator's monitor holds one probe per clock domain, named after the
+// clock: it sums the work counters of the components ticking on that clock,
+// each of which reports its own, and is busy while one of them holds work or
+// a port the clock commits holds a value.
+//
 // The package deliberately depends on nothing but the standard library:
 // cycle counts travel as int64 (sim.Cycle is an alias of int64), so every
 // layer of the simulator — including internal/sim itself — can import it
@@ -62,7 +67,8 @@ type Checker interface {
 	CheckInvariants() []Violation
 }
 
-// Probe samples one monotonic-ish activity counter (instructions issued,
+// Probe samples one monotonic-ish activity counter (in the simulator, the sum
+// of one clock domain's components' work counters: instructions issued,
 // flits moved, DRAM accesses...). Progress is "the sampled value changed";
 // the watchdog never assumes monotonicity, so statistics resets are harmless.
 type Probe struct {

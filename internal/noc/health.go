@@ -13,6 +13,16 @@ import (
 // reported as a stuck flit.
 const DefaultStuckFlitAge sim.Cycle = 10_000
 
+// Progress is the crossbar's term of its clock's watchdog probe: the flits it
+// moved.
+func (x *Crossbar) Progress() int64 { return x.Stat.FlitsMoved }
+
+// ResetStats zeroes the crossbar's statistics at the warm-up boundary, keeping
+// the per-port slices at their sizes.
+func (x *Crossbar) ResetStats() {
+	x.Stat = Stats{InFlits: make([]int64, x.P.Ins), OutFlits: make([]int64, x.P.Outs)}
+}
+
 // CheckInvariants implements health.Checker for the crossbar: a traversal
 // that matured long ago but cannot leave (full staging queue or a rejecting
 // endpoint) is a stuck flit; the staging queues must conserve packets, and
@@ -103,6 +113,13 @@ func (x *Crossbar) DumpHealth() (health.ComponentDump, bool) {
 	}
 	return d, x.Pending() > 0
 }
+
+// Progress is the mesh's term of its clock's watchdog probe: the flit-hops
+// it moved.
+func (m *Mesh) Progress() int64 { return m.Stat.FlitHops }
+
+// ResetStats zeroes the mesh's statistics at the warm-up boundary.
+func (m *Mesh) ResetStats() { m.Stat = MeshStats{} }
 
 // CheckInvariants implements health.Checker for the mesh: a transit that
 // first matured long ago but is still retrying (full downstream buffer or

@@ -180,6 +180,18 @@ func (c *Clock) Components() int { return len(c.comps) }
 // Component returns the i-th component registered on this clock.
 func (c *Clock) Component(i int) Ticker { return c.comps[i] }
 
+// Holding reports whether a port attached to this clock holds a value,
+// committed or staged: work in flight between two components, which the
+// watchdog counts as busy.
+func (c *Clock) Holding() bool {
+	for _, h := range c.ports {
+		if *h.size+h.nStaged > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // OnBarrier registers f to run at the end of every edge this clock
 // processes, after the clock's ports have committed, in registration order —
 // the hook for state several components share, whose updates must not be
@@ -266,7 +278,7 @@ type Engine struct {
 }
 
 // ctxPollEdges is how many edges RunUntil processes between context polls: a
-// CheckEvery slice can span millions of edges on a saturated run, so waiting
+// watchdog slice can span millions of edges on a saturated run, so waiting
 // for the slice boundary would make WithContext cancellation arbitrarily
 // slow. Polling a few thousand edges apart keeps the overhead unmeasurable
 // while bounding the response to well under a millisecond of work.
@@ -369,9 +381,6 @@ type RunOptions struct {
 	// with a *health.DeadlockError. 0 selects DefaultStallWindow; negative
 	// disables deadlock detection.
 	StallWindow Cycle
-	// CheckEvery is the probe sampling period in reference cycles.
-	// 0 selects StallWindow/8 (at least 1).
-	CheckEvery Cycle
 	// Deadline bounds the wall-clock time of the run; exceeding it aborts
 	// with a *health.DeadlineError. 0 means no deadline.
 	Deadline time.Duration
@@ -385,13 +394,19 @@ func (o RunOptions) withDefaults() RunOptions {
 	if o.StallWindow == 0 {
 		o.StallWindow = DefaultStallWindow
 	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = o.StallWindow / 8
-		if o.CheckEvery < 1 {
-			o.CheckEvery = 1
-		}
-	}
 	return o
+}
+
+// slice returns RunUntilChecked's slice length in reference cycles: an eighth
+// of the stall window (at least one cycle), or of DefaultStallWindow when a
+// negative window turns deadlock detection off, so the audit, the Settle and
+// the deadline and context checks between slices cost the same either way.
+func (o RunOptions) slice() Cycle {
+	w := o.StallWindow
+	if w < 0 {
+		w = DefaultStallWindow
+	}
+	return max(w/8, 1)
 }
 
 // ClockStates snapshots every clock domain for a diagnostic dump.
@@ -404,7 +419,7 @@ func (e *Engine) ClockStates() []health.ClockState {
 }
 
 // RunUntilChecked is RunUntil under a progress watchdog: it advances the
-// engine in CheckEvery-sized slices of the reference clock, sampling the
+// engine in slices of an eighth of the stall window, sampling the
 // monitor's probes between slices. If no probe advances for a full stall
 // window while some probed component still has pending work, it aborts with
 // a *health.DeadlockError carrying a diagnostic dump; a wall-clock deadline
@@ -419,6 +434,7 @@ func (e *Engine) ClockStates() []health.ClockState {
 // to RunUntil.
 func (e *Engine) RunUntilChecked(ref *Clock, cycles Cycle, opts RunOptions) error {
 	opts = opts.withDefaults()
+	slice := opts.slice()
 	if opts.Ctx != nil {
 		// Arm mid-slice polling: RunUntil returns early once the context is
 		// canceled, and the slice-top check below reports the error.
@@ -438,7 +454,7 @@ func (e *Engine) RunUntilChecked(ref *Clock, cycles Cycle, opts RunOptions) erro
 				return fmt.Errorf("sim: run canceled at %s cycle %d: %w", ref.name, ref.cycle, err)
 			}
 		}
-		target := ref.cycle + opts.CheckEvery
+		target := ref.cycle + slice
 		if target > cycles {
 			target = cycles
 		}

@@ -36,7 +36,7 @@ func TestRunUntilCheckedContextMidRun(t *testing.T) {
 			cancel()
 		}
 	}))
-	err := e.RunUntilChecked(clk, 1_000_000, RunOptions{Ctx: ctx, CheckEvery: 500})
+	err := e.RunUntilChecked(clk, 1_000_000, RunOptions{Ctx: ctx, StallWindow: 4000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
@@ -46,7 +46,7 @@ func TestRunUntilCheckedContextMidRun(t *testing.T) {
 }
 
 func TestRunUntilCheckedContextMidSlice(t *testing.T) {
-	// With CheckEvery far beyond the target there is only one watchdog slice,
+	// With a stall window far beyond the target there is only one watchdog slice,
 	// so slice-top checks alone would notice the cancellation only at the end.
 	// The engine polls the context every few thousand edges inside RunUntil,
 	// so the abort must land promptly after the cancel, not at the target.
@@ -60,7 +60,7 @@ func TestRunUntilCheckedContextMidSlice(t *testing.T) {
 			cancel()
 		}
 	}))
-	err := e.RunUntilChecked(clk, 1_000_000, RunOptions{Ctx: ctx, CheckEvery: 5_000_000})
+	err := e.RunUntilChecked(clk, 1_000_000, RunOptions{Ctx: ctx, StallWindow: 40_000_000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
@@ -85,5 +85,38 @@ func TestRunUntilCheckedContextHealthy(t *testing.T) {
 	}
 	if clk.Now() != 20_000 || count != 20_000 {
 		t.Fatalf("cycle %d count %d, want 20000", clk.Now(), count)
+	}
+}
+
+// countingCtx counts the calls to Err: how often a run checks for
+// cancellation.
+type countingCtx struct {
+	context.Context
+	errs int
+}
+
+func (c *countingCtx) Err() error {
+	c.errs++
+	return c.Context.Err()
+}
+
+// Turning deadlock detection off (a negative stall window) must not shrink
+// the slices: the run still checks its context, deadline and wake audit every
+// DefaultStallWindow/8 cycles, not on every reference cycle.
+func TestRunUntilCheckedWatchdogOffSlices(t *testing.T) {
+	const cycles = 100_000
+	for _, window := range []Cycle{0, -1} {
+		e := NewEngine()
+		clk := e.NewClock("core", 1000)
+		clk.Register(TickFunc(func(Cycle) {}))
+		ctx := &countingCtx{Context: context.Background()}
+		if err := e.RunUntilChecked(clk, cycles, RunOptions{Ctx: ctx, StallWindow: window}); err != nil {
+			t.Fatalf("window %d: %v", window, err)
+		}
+		// One check per slice, plus the edge loop's polls.
+		if most := cycles/(DefaultStallWindow/8) + cycles/ctxPollEdges + 1; ctx.errs > int(most) {
+			t.Errorf("window %d: the context was checked %d times in %d cycles, want at most %d",
+				window, ctx.errs, cycles, most)
+		}
 	}
 }

@@ -104,7 +104,7 @@ func TestRunUntilCheckedMatchesRunUntil(t *testing.T) {
 	var n int64
 	m := health.NewMonitor()
 	m.AddProbe(health.Probe{Name: "n", Sample: func() int64 { n++; return n }})
-	if err := e2.RunUntilChecked(a2, 5000, RunOptions{Monitor: m, CheckEvery: 7, StallWindow: 100}); err != nil {
+	if err := e2.RunUntilChecked(a2, 5000, RunOptions{Monitor: m, StallWindow: 56}); err != nil {
 		t.Fatalf("checked run errored: %v", err)
 	}
 	if len(*log1) != len(*log2) {

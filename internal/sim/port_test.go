@@ -26,28 +26,35 @@ func TestPortImmediateMode(t *testing.T) {
 }
 
 // TestPortTwoPhaseVisibility: once attached, a push stages until the clock's
-// edge barrier; the consumer sees it only after commit.
+// edge barrier; the consumer sees it only after commit. The clock holds the
+// value, staged or committed, until it is popped.
 func TestPortTwoPhaseVisibility(t *testing.T) {
 	e := NewEngine()
 	c := e.NewClock("c", 1000)
 	p := NewPort[int](4)
 	p.Attach(c)
+	if c.Holding() {
+		t.Error("clock of an empty port holding")
+	}
 	if !p.Push(7) {
 		t.Fatal("staged push refused")
 	}
 	if p.Len() != 0 {
 		t.Errorf("Len before commit = %d, want 0 (value staged)", p.Len())
 	}
-	if p.hdr.nStaged != 1 {
-		t.Errorf("staged = %d, want 1", p.hdr.nStaged)
+	if p.hdr.nStaged != 1 || !c.Holding() {
+		t.Errorf("staged = %d, clock holding %t; want 1, true", p.hdr.nStaged, c.Holding())
 	}
 	c.Register(TickFunc(func(Cycle) {}))
 	e.RunUntil(c, 1) // one edge: commit runs at its barrier
-	if p.Len() != 1 {
-		t.Errorf("Len after edge = %d, want 1", p.Len())
+	if p.Len() != 1 || !c.Holding() {
+		t.Errorf("Len after edge = %d, clock holding %t; want 1, true", p.Len(), c.Holding())
 	}
 	if v, ok := p.Pop(); !ok || v != 7 {
 		t.Errorf("Pop = %d,%v, want 7,true", v, ok)
+	}
+	if c.Holding() {
+		t.Error("clock holding after the port was drained")
 	}
 }
 

@@ -649,7 +649,7 @@ func TestWakeAuditCatchesForgedState(t *testing.T) {
 			}
 		}()
 	}
-	err := e.RunUntilChecked(clk, 2000, RunOptions{CheckEvery: 100, StallWindow: -1})
+	err := e.RunUntilChecked(clk, 2000, RunOptions{StallWindow: 800})
 	var ie *health.InvariantError
 	if !errors.As(err, &ie) {
 		t.Fatalf("RunUntilChecked over a missed wake returned %v, want InvariantError", err)

@@ -19,13 +19,13 @@ type runConfig struct {
 	workers int
 }
 
-// WithHealth sets the health layer's knobs: stall window, check period, and
-// wall-clock deadline. It overlays only those three fields, so options are
+// WithHealth sets the health layer's knobs: stall window and wall-clock
+// deadline. It overlays only those two fields, so options are
 // order-independent: a context from WithContext, the WithLegacyTick flag,
 // chaos, metrics and a power cap survive it whichever comes first.
 func WithHealth(h HealthOptions) RunOption {
 	return func(rc *runConfig) {
-		rc.h.StallWindow, rc.h.CheckEvery, rc.h.Deadline = h.StallWindow, h.CheckEvery, h.Deadline
+		rc.h.StallWindow, rc.h.Deadline = h.StallWindow, h.Deadline
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 )
 
 // TestRunOptionsOrderIndependent pins WithHealth's promise: it overlays only
-// the stall window, check period and deadline, so a context, chaos spec,
+// the stall window and deadline, so a context, chaos spec,
 // legacy-tick flag, metrics sink or power cap survives it whether it comes
 // before or after.
 func TestRunOptionsOrderIndependent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	h := HealthOptions{StallWindow: 123, CheckEvery: 7, Deadline: time.Minute}
+	h := HealthOptions{StallWindow: 123, Deadline: time.Minute}
 	others := []RunOption{
 		WithContext(ctx), WithChaos(ChaosLight(3)), WithLegacyTick(),
 		WithMetrics(MetricsOptions{Every: 64}), WithPowerCap(PowerCap{BudgetWatts: 50}),
@@ -27,7 +27,7 @@ func TestRunOptionsOrderIndependent(t *testing.T) {
 	if after.Ctx != ctx || after.Chaos == nil || !after.LegacyTick || after.Metrics == nil || after.PowerCap == nil {
 		t.Fatalf("options lost around WithHealth: %+v", after)
 	}
-	if after.StallWindow != h.StallWindow || after.CheckEvery != h.CheckEvery || after.Deadline != h.Deadline {
+	if after.StallWindow != h.StallWindow || after.Deadline != h.Deadline {
 		t.Fatalf("WithHealth's own knobs lost: %+v", after)
 	}
 }
