@@ -38,6 +38,10 @@ type Params struct {
 	// cache every Y-th line, so their natural stride is the home modulus.
 	PrefetchStride int
 
+	// Domain is the clock domain the controller ticks in, Family the level
+	// its series' family names start with ("l1", "l2").
+	Domain, Family string
+
 	// Queue capacities.
 	InCap, OutCap, MissCap, FillCap int
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/health"
 	"dcl1sim/internal/sim"
 )
@@ -86,6 +87,13 @@ func (c *Ctrl) Progress() int64 { return c.Stat.Accesses }
 
 // ResetStats zeroes the controller's statistics at the warm-up boundary.
 func (c *Ctrl) ResetStats() { c.Stat = Stats{} }
+
+// ArmChaos takes the controller's injector (fill stalls, MSHR pinches,
+// corruption) from the machine's factory. A controller armed on its own is an
+// L2 slice: an L1's controller is armed by its node (dcl1.Node).
+func (c *Ctrl) ArmChaos(arm func(chaos.Kind, string) *chaos.Injector) {
+	c.Chaos = arm(chaos.KindL2, c.P.Name)
+}
 
 // DumpHealth snapshots the controller for a diagnostic dump. The bool result
 // marks the snapshot interesting (any pending work to explain).

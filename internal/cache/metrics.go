@@ -2,11 +2,10 @@ package cache
 
 import "dcl1sim/internal/metrics"
 
-// RegisterMetrics registers the controller's series under its configured
-// name. domain is the clock domain the cache ticks in; prefix distinguishes
-// cache levels ("l1", "l2") so family names stay level-specific.
-func (c *Ctrl) RegisterMetrics(r *metrics.Registry, domain, prefix string) {
-	comp := c.P.Name
+// RegisterMetrics registers the controller's series under its name, in its
+// domain, with family names that start with its level (Params.Family).
+func (c *Ctrl) RegisterMetrics(r *metrics.Registry) {
+	comp, domain, prefix := c.P.Name, c.P.Domain, c.P.Family
 	s := &c.Stat
 	r.Counter(comp, domain, prefix+"_loads_total",
 		"load lookups", func() int64 { return s.Loads })

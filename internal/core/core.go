@@ -11,6 +11,8 @@
 package core
 
 import (
+	"fmt"
+
 	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/sim"
@@ -55,7 +57,10 @@ type Program interface {
 
 // Params configures a core.
 type Params struct {
-	ID             int
+	ID int
+	// Name names the core in its series, injector, audits and dump
+	// ("core-<ID>" when empty).
+	Name           string
 	MaxOutstanding int // per-wavefront outstanding transactions
 	LSQCap         int // coalesced transactions buffered before injection
 	OutCap, InCap  int
@@ -65,6 +70,9 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
+	if p.Name == "" {
+		p.Name = fmt.Sprintf("core-%d", p.ID)
+	}
 	if p.MaxOutstanding <= 0 {
 		p.MaxOutstanding = 8
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/health"
 	"dcl1sim/internal/sim"
 )
@@ -17,7 +18,7 @@ import (
 // wavefronts expand or issue.
 func (c *Core) CheckInvariants() []health.Violation {
 	var out []health.Violation
-	name := fmt.Sprintf("core-%d", c.P.ID)
+	name := c.P.Name
 	pend, zero := 0, 0
 	for i := range c.waves {
 		w := &c.waves[i]
@@ -85,6 +86,12 @@ func (c *Core) Pending() int {
 // ResetStats zeroes the core's statistics at the warm-up boundary.
 func (c *Core) ResetStats() { c.Stat = Stats{} }
 
+// ArmChaos takes the core's injector (issue stalls) from the machine's
+// factory.
+func (c *Core) ArmChaos(arm func(chaos.Kind, string) *chaos.Injector) {
+	c.Chaos = arm(chaos.KindCore, c.P.Name)
+}
+
 // DumpHealth snapshots the core for a diagnostic dump; interesting while any
 // wavefront is unfinished or transactions are in flight.
 func (c *Core) DumpHealth() (health.ComponentDump, bool) {
@@ -107,7 +114,7 @@ func (c *Core) DumpHealth() (health.ComponentDump, bool) {
 		outstanding += w.outstanding
 	}
 	d := health.ComponentDump{
-		Name: fmt.Sprintf("core-%d", c.P.ID),
+		Name: c.P.Name,
 		Fields: []health.Field{
 			health.F("waves", "%d total: %d done, %d blocked (%d fenced), %d expanding",
 				len(c.waves), done, blocked, fenced, pending),

@@ -2,12 +2,12 @@ package core
 
 import "dcl1sim/internal/metrics"
 
-// RegisterMetrics registers the core's series under comp in the core clock
-// domain. The closures capture the Stats struct's address, which is stable
-// across the warmup stat reset (the reset assigns a zero value in place), so
-// registration at build time stays valid for the whole run.
-func (c *Core) RegisterMetrics(r *metrics.Registry, comp string) {
-	s := &c.Stat
+// RegisterMetrics registers the core's series under its name in the core
+// clock domain. The closures capture the Stats struct's address, which is
+// stable across the warmup stat reset (the reset assigns a zero value in
+// place), so registration at build time stays valid for the whole run.
+func (c *Core) RegisterMetrics(r *metrics.Registry) {
+	comp, s := c.P.Name, &c.Stat
 	r.Counter(comp, "core", "core_cycles_total",
 		"core clock cycles executed", func() int64 { return s.Cycles })
 	r.Counter(comp, "core", "core_instructions_total",

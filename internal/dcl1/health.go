@@ -1,6 +1,9 @@
 package dcl1
 
-import "dcl1sim/internal/health"
+import (
+	"dcl1sim/internal/chaos"
+	"dcl1sim/internal/health"
+)
 
 // Pending returns buffered work in the node's bridge queues plus the cache
 // controller (drain and health checks).
@@ -19,6 +22,12 @@ func (n *Node) Progress() int64 {
 func (n *Node) ResetStats() {
 	n.Ctrl.ResetStats()
 	n.Stat = Stats{}
+}
+
+// ArmChaos takes the injector of the node's cache controller from the
+// machine's factory.
+func (n *Node) ArmChaos(arm func(chaos.Kind, string) *chaos.Injector) {
+	n.Ctrl.Chaos = arm(chaos.KindL1, n.Ctrl.P.Name)
 }
 
 // CheckInvariants audits the node's cache controller. The bridge queues Q1-Q4

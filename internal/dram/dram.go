@@ -22,12 +22,6 @@ type Timing struct {
 	TWL    sim.Cycle // write latency
 	TBurst sim.Cycle // data burst occupancy of the channel bus
 	TRAS   sim.Cycle // minimum row-open time
-	// Refresh: every TREFI cycles the whole channel stalls for TRFC and all
-	// rows close. Zero disables refresh (the default — the paper's relative
-	// results do not depend on it, but the knob is available for fidelity
-	// studies).
-	TREFI sim.Cycle
-	TRFC  sim.Cycle
 }
 
 // DefaultTiming returns GDDR5-like timings.
@@ -68,7 +62,6 @@ type Stats struct {
 	RowHits   int64
 	RowMisses int64
 	BusyBurst int64 // cycles the data bus was occupied
-	Refreshes int64
 	Cycles    int64
 }
 
@@ -115,11 +108,10 @@ type Channel struct {
 	// on the memory clock that the channel hosts (sim.Feed).
 	Feeds sim.Feeds[*mem.Access]
 
-	banks       []bank
-	busBusy     sim.Cycle
-	inflight    *sim.DelayQueue[*mem.Access]
-	nextRefresh sim.Cycle
-	lastTick    sim.Cycle // most recent Tick cycle, for stuck-access auditing
+	banks    []bank
+	busBusy  sim.Cycle
+	inflight *sim.DelayQueue[*mem.Access]
+	lastTick sim.Cycle // most recent Tick cycle, for stuck-access auditing
 
 	// minReady caches the minimum readyAt across all banks. While now is
 	// below it, no queued request's bank can accept a command, so pickRequest
@@ -181,7 +173,6 @@ func (c *Channel) Tick(now sim.Cycle) {
 func (c *Channel) tick(now sim.Cycle) {
 	c.lastTick = now
 	c.Stat.Cycles++
-	c.maybeRefresh(now)
 	// Complete finished accesses.
 	for !c.Out.Full() {
 		a, ok := c.inflight.PopReady(now)
@@ -253,9 +244,9 @@ func (c *Channel) tick(now sim.Cycle) {
 }
 
 // NextWorkCycle implements sim.Sleeper. The channel's future events are a
-// queued request's bank coming free, an in-flight access maturing with room
-// in Out for its reply, and (when refresh is enabled) the next refresh
-// boundary; a request arriving or space in a full Out are its wake sources.
+// queued request's bank coming free and an in-flight access maturing with
+// room in Out for its reply; a request arriving or space in a full Out are its
+// wake sources.
 // A tick with none of these due advances only Stat.Cycles and lastTick, which
 // SkipIdle compensates. An armed injector's refresh storms depend on the
 // cycle, so with one every tick with requests queued may act.
@@ -273,17 +264,6 @@ func (c *Channel) NextWorkCycle(now sim.Cycle) sim.Cycle {
 	if t, ok := c.inflight.NextReadyAt(); ok && !c.Out.Full() && t < wake {
 		wake = t
 	}
-	if c.P.Timing.TREFI > 0 {
-		nr := c.nextRefresh
-		if nr == 0 {
-			// Lazily initialized on the first refresh-aware tick; the skipped
-			// initialization is a constant, so sleeping across it is safe.
-			nr = c.P.Timing.TREFI
-		}
-		if nr < wake {
-			wake = nr
-		}
-	}
 	return max(wake, now)
 }
 
@@ -299,8 +279,8 @@ func (c *Channel) nextIssue(now sim.Cycle) sim.Cycle {
 	return at
 }
 
-// WakeSources implements sim.WakeSourcer: bank timing, in-flight accesses and
-// refresh are timers; a request committed into In arrives from outside, and
+// WakeSources implements sim.WakeSourcer: bank timing and in-flight accesses
+// are timers; a request committed into In arrives from outside, and
 // so does the space a full Out is waiting for. The feeds add theirs.
 func (c *Channel) WakeSources() []sim.PortRef {
 	return append([]sim.PortRef{c.In.Ref(), c.Out.SpaceRef()}, c.Feeds.WakeSources()...)
@@ -334,34 +314,6 @@ func (c *Channel) pickRequest(now sim.Cycle) int {
 		}
 	}
 	return oldest
-}
-
-// maybeRefresh blocks the whole channel for TRFC every TREFI cycles and
-// closes all rows (auto-refresh precharges).
-func (c *Channel) maybeRefresh(now sim.Cycle) {
-	if c.P.Timing.TREFI <= 0 {
-		return
-	}
-	if c.nextRefresh == 0 {
-		c.nextRefresh = c.P.Timing.TREFI
-	}
-	if now < c.nextRefresh {
-		return
-	}
-	c.nextRefresh += c.P.Timing.TREFI
-	c.Stat.Refreshes++
-	c.minReadyDirty = true
-	end := now + c.P.Timing.TRFC
-	for i := range c.banks {
-		b := &c.banks[i]
-		b.rowOpen = false
-		if b.readyAt < end {
-			b.readyAt = end
-		}
-	}
-	if c.busBusy < end {
-		c.busBusy = end
-	}
 }
 
 // Pending returns queued plus in-flight requests (drain checks).

@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 
+	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/health"
 	"dcl1sim/internal/sim"
 )
@@ -17,6 +18,12 @@ func (c *Channel) Progress() int64 { return c.Stat.Reads + c.Stat.Writes }
 
 // ResetStats zeroes the channel's statistics at the warm-up boundary.
 func (c *Channel) ResetStats() { c.Stat = Stats{} }
+
+// ArmChaos takes the channel's injector (timing jitter, refresh storms) from
+// the machine's factory.
+func (c *Channel) ArmChaos(arm func(chaos.Kind, string) *chaos.Injector) {
+	c.Chaos = arm(chaos.KindDram, c.P.Name)
+}
 
 // CheckInvariants implements health.Checker: a finished access that cannot
 // leave (Out full for a long time) is stuck, and the request/reply queues

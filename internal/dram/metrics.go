@@ -2,10 +2,10 @@ package dram
 
 import "dcl1sim/internal/metrics"
 
-// RegisterMetrics registers the channel's series under comp in the memory
-// clock domain.
-func (c *Channel) RegisterMetrics(r *metrics.Registry, comp, domain string) {
-	s := &c.Stat
+// RegisterMetrics registers the channel's series under its name in the
+// memory clock domain.
+func (c *Channel) RegisterMetrics(r *metrics.Registry) {
+	comp, domain, s := c.P.Name, "mem", &c.Stat
 	r.Counter(comp, domain, "dram_reads_total",
 		"read bursts serviced", func() int64 { return s.Reads })
 	r.Counter(comp, domain, "dram_writes_total",
@@ -16,8 +16,6 @@ func (c *Channel) RegisterMetrics(r *metrics.Registry, comp, domain string) {
 		"row-buffer misses", func() int64 { return s.RowMisses })
 	r.Counter(comp, domain, "dram_busy_burst_cycles_total",
 		"cycles the data bus was occupied", func() int64 { return s.BusyBurst })
-	r.Counter(comp, domain, "dram_refreshes_total",
-		"refresh commands issued", func() int64 { return s.Refreshes })
 	r.Gauge(comp, domain, "dram_row_hit_rate",
 		"row-buffer hit fraction", func() float64 { return s.RowHitRate() })
 	r.Gauge(comp, domain, "dram_bus_utilization",

@@ -15,9 +15,8 @@ import (
 // of ten that pile onto two banks — five walk one row of bank 2, row hits
 // whose data time follows from the very cycle they issue on; then five open a
 // new row of bank 0 each, the first of them arriving behind bank-2 requests
-// that cannot issue yet — every 750 cycles a refresh closes all banks until a
-// cycle no access completes on, and the reader takes one reply every
-// readPeriod cycles from a four-entry Out. Every reply must leave
+// that cannot issue yet — and the reader takes one reply every readPeriod
+// cycles from a four-entry Out. Every reply must leave
 // on the cycle it leaves an always-ticking channel, with the same counters —
 // attached, where the channel leaves the active set and the barriers wake
 // it, and unattached, where it is polled every edge and skips ticks on the
@@ -33,9 +32,7 @@ func TestBusyBanksSleepToTheExactCycle(t *testing.T) {
 		e := sim.NewEngine()
 		e.SetFastPath(fast)
 		clk := e.NewClock("mem", 924)
-		timing := DefaultTiming()
-		timing.TREFI, timing.TRFC = 750, 50
-		c := New(Params{Name: "ch0", QueueCap: 4, Timing: timing})
+		c := New(Params{Name: "ch0", QueueCap: 4})
 		if attach {
 			c.In.Attach(clk)
 			c.Out.Attach(clk)
@@ -77,11 +74,11 @@ func TestBusyBanksSleepToTheExactCycle(t *testing.T) {
 				t.Errorf("reader period %d, attached=%v: sleeping channel differs from the always-ticking one:\n got %+v %v\nwant %+v %v",
 					readPeriod, attach, got.stat, got.out, want.stat, want.out)
 			}
-			if want.stat.Reads != 60 || want.stat.RowHits < 20 || want.stat.Refreshes != 7 || want.ticks != cycles {
+			if want.stat.Reads != 60 || want.stat.RowHits < 20 || want.ticks != cycles {
 				t.Fatalf("reader period %d: not the busy-bank scenario: %+v, %d ticks", readPeriod, want.stat, want.ticks)
 			}
-			// A tick to issue and a tick to complete per access, one per
-			// refresh, and the odd wake that finds nothing to do yet.
+			// A tick to issue and a tick to complete per access, and the odd
+			// wake that finds nothing to do yet.
 			if got.ticks > 4*60 {
 				t.Errorf("reader period %d, attached=%v: channel ticked %d times for 60 accesses over %d cycles", readPeriod, attach, got.ticks, cycles)
 			}

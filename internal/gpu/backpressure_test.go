@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dcl1sim/internal/cache"
@@ -13,6 +14,7 @@ import (
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/noc"
+	"dcl1sim/internal/power"
 	"dcl1sim/internal/sim"
 	"dcl1sim/internal/workload"
 )
@@ -187,7 +189,9 @@ func TestStalledComponentsLeaveTheActiveSet(t *testing.T) {
 // its invariants, its dump — which is all the watchdog, the audits and the
 // warm-up reset ask of it: besides the model components only the metrics
 // collector ticks, and the monitor holds one probe per clock with a model
-// component on it.
+// component on it. Each registers its own series under the one name its dump
+// and its audit give it, no two share a name, and each module's power zones
+// meter exactly that module's series of the metered families.
 func TestNoGlueComponents(t *testing.T) {
 	ds := map[string]Design{"+M2": {Kind: Clustered, DCL1s: 4, Clusters: 2, Modules: 2}}
 	for _, d := range quiesceDesigns() {
@@ -235,6 +239,100 @@ func TestNoGlueComponents(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s x%d: monitor probes %v, want one per clock with a component: %v", g.name, mods, got, want)
+			}
+			checkComponentNames(t, fmt.Sprintf("%s x%d", g.name, mods), s)
+			s.Eng.RunUntil(s.CoreClk, 1500) // counters worth telling apart
+			checkZoneTerms(t, fmt.Sprintf("%s x%d", g.name, mods), s)
+		}
+	}
+}
+
+// checkComponentNames: every component registers at least one series, all
+// under the name of its dump; a broken queue's audit names it the same; and
+// no two components share a name.
+func checkComponentNames(t *testing.T, label string, s *System) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, clk := range s.Eng.Clocks() {
+		for _, c := range components(clk) {
+			dump, _ := c.DumpHealth()
+			name := dump.Name
+			if seen[name] {
+				t.Errorf("%s: two components are named %q", label, name)
+			}
+			seen[name] = true
+			r := metrics.NewRegistry()
+			c.RegisterMetrics(r)
+			if r.Len() == 0 {
+				t.Errorf("%s: %s registers no series", label, name)
+			}
+			for _, ser := range r.Series() {
+				if ser.Comp != name {
+					t.Errorf("%s: %s registers %s under %q", label, name, ser.Name, ser.Comp)
+				}
+			}
+			var pushes *int64 // a queue whose books the audit checks
+			switch c := c.(type) {
+			case *core.Core:
+				pushes = &c.Out.PushCount
+			case *dcl1.Node:
+				pushes = &c.Ctrl.In.PushCount
+			case *cache.Ctrl:
+				pushes = &c.In.PushCount
+			case *dram.Channel:
+				pushes = &c.In.PushCount
+			}
+			if pushes == nil {
+				continue
+			}
+			*pushes++
+			vs := c.CheckInvariants()
+			*pushes--
+			if len(vs) == 0 || vs[0].Component != name {
+				t.Errorf("%s: the audit of %s reports %+v", label, name, vs)
+			}
+		}
+	}
+}
+
+// checkZoneTerms: each module's gpu and memory zones hold one term per series
+// of their families that the module's own components registered, in
+// registration order, and its module zone both; no link series and no other
+// module's.
+func checkZoneTerms(t *testing.T, label string, s *System) {
+	t.Helper()
+	metered := map[string]struct {
+		zone   string
+		energy float64
+	}{
+		"core_instructions_total": {power.ZoneGPU, power.EnergyPerInstruction},
+		"l1_accesses_total":       {power.ZoneGPU, power.EnergyPerL1Access},
+		"noc1_flits_total":        {power.ZoneGPU, power.EnergyPerNoc1Flit},
+		"l2_accesses_total":       {power.ZoneMemory, power.EnergyPerL2Access},
+		"dram_reads_total":        {power.ZoneMemory, power.EnergyPerDramAccess},
+		"dram_writes_total":       {power.ZoneMemory, power.EnergyPerDramAccess},
+		"noc2_flits_total":        {power.ZoneMemory, power.EnergyPerNoc2Flit},
+	}
+	type term struct {
+		energy float64
+		count  int64
+	}
+	for _, mod := range s.Mods {
+		want := map[string][]term{}
+		for _, ser := range s.Reg.Series() {
+			m, ok := metered[ser.Name]
+			if ok && strings.HasPrefix(ser.Comp, mod.prefix) {
+				want[m.zone] = append(want[m.zone], term{m.energy, ser.Int()})
+			}
+		}
+		want[power.ZoneModule] = append(append([]term{}, want[power.ZoneGPU]...), want[power.ZoneMemory]...)
+		for _, z := range mod.buildZones() {
+			var got []term
+			for _, zt := range z.Terms {
+				got = append(got, term{zt.Energy, zt.Count()})
+			}
+			if !reflect.DeepEqual(got, want[z.Name]) {
+				t.Errorf("%s: module %q zone %s meters %v, want %v", label, mod.prefix, z.Name, got, want[z.Name])
 			}
 		}
 	}

@@ -76,10 +76,11 @@ type System struct {
 	// unobserved registry costs nothing per cycle.
 	Reg *metrics.Registry
 
-	// chaosSpec is the normalized fault-injection spec (InstallChaos);
-	// linkInjectors perturb the link crossbars, each module holds its own.
-	chaosSpec     *chaos.Spec
-	linkInjectors []*chaos.Injector
+	// linkParts are the link's crossbars, which belong to the machine, not
+	// to a module; empty with one module.
+	linkParts parts
+	// chaosSpec is the normalized fault-injection spec (InstallChaos).
+	chaosSpec *chaos.Spec
 	// collector exists only after InstallTelemetry.
 	collector *metrics.Collector
 }
@@ -88,6 +89,9 @@ type System struct {
 // wired per the design, ticking on the machine's clocks.
 type Module struct {
 	sys *System
+	// parts are the module's components in build order, their series and
+	// their injectors.
+	parts
 
 	Cores []*core.Core
 	Nodes []*dcl1.Node // private L1 nodes (Baseline/CDXBar) or DC-L1 nodes
@@ -105,9 +109,6 @@ type Module struct {
 	Tracker *cache.Presence
 	Map     dcl1.Mapping
 	AMap    mem.AddressMap
-
-	// injectors are this module's fault injectors, in installation order.
-	injectors []*chaos.Injector
 
 	// meter integrates this module's power zones; gov exists only after
 	// InstallTelemetry with a cap (one governor per module, each regulating
@@ -128,6 +129,23 @@ type Module struct {
 	linkReqIn   []*sim.Port[*mem.Access]
 	linkRepOut  []*sim.Port[*mem.Access]
 	linkFillIn  []*sim.Port[*mem.Access]
+}
+
+// parts are the components one owner holds — a module its hardware, the
+// machine its link crossbars — in build order, the series they registered and
+// the injectors chaos armed on them. The registry, the power zones and chaos
+// walk an owner's parts; the monitor and the warm-up reset walk the engine's
+// clocks.
+type parts struct {
+	comps     []component
+	series    []*metrics.Series
+	injectors []*chaos.Injector
+}
+
+// add registers c on clk and records it as one of the owner's components.
+func (p *parts) add(clk *sim.Clock, c component) {
+	clk.Register(c)
+	p.comps = append(p.comps, c)
 }
 
 // cname prefixes a component name with the module namespace ("m0.", "m1.",
@@ -273,6 +291,7 @@ func (mod *Module) buildCores(program func(coreID, waveID int) core.Program) {
 	for c := 0; c < cfg.Cores; c++ {
 		co := core.New(core.Params{
 			ID:             c,
+			Name:           mod.cname(fmt.Sprintf("core-%d", c)),
 			MaxOutstanding: cfg.MaxOutstanding,
 			OutCap:         8,
 			InCap:          16,
@@ -283,7 +302,7 @@ func (mod *Module) buildCores(program func(coreID, waveID int) core.Program) {
 			co.AddWave(program(c, w))
 		}
 		mod.Cores = append(mod.Cores, co)
-		mod.sys.CoreClk.Register(co)
+		mod.add(mod.sys.CoreClk, co)
 		// The core is the single producer of its Out port and ticks on the
 		// core clock. (In is attached by the design-specific wiring — its
 		// producer differs per topology.)
@@ -334,6 +353,8 @@ func (mod *Module) l1NodeParams(id int) dcl1.Params {
 		ID: id,
 		Cache: cache.Params{
 			Name:           mod.cname(fmt.Sprintf("l1-%d", id)),
+			Domain:         "core",
+			Family:         "l1",
 			Sets:           sets,
 			Ways:           l1Ways,
 			HitLatency:     lat,
@@ -359,7 +380,7 @@ func (mod *Module) buildNodes() {
 	for i := 0; i < mod.Map.Nodes(); i++ {
 		nd := dcl1.New(mod.l1NodeParams(i), mod.Tracker)
 		mod.Nodes = append(mod.Nodes, nd)
-		mod.sys.CoreClk.Register(nd)
+		mod.add(mod.sys.CoreClk, nd)
 		// The node produces Q2 (replies toward cores) and Q3 (misses toward
 		// NoC#2) on the core clock. Q1/Q4 are attached by the wiring that
 		// creates their producers. The node's internal Ctrl queues stay in
@@ -382,6 +403,8 @@ func (mod *Module) buildL2AndDram() {
 	for i := 0; i < cfg.L2Slices; i++ {
 		l2 := cache.New(cache.Params{
 			Name:       mod.cname(fmt.Sprintf("l2-%d", i)),
+			Domain:     NetNoC2.String(),
+			Family:     "l2",
 			Sets:       sets,
 			Ways:       l2Ways,
 			HitLatency: l2Lat,
@@ -398,7 +421,7 @@ func (mod *Module) buildL2AndDram() {
 		mod.L2 = append(mod.L2, l2)
 		in := sim.NewPort[*mem.Access](8)
 		mod.l2in = append(mod.l2in, in)
-		mod.sys.Noc2Clk.Register(l2)
+		mod.add(mod.sys.Noc2Clk, l2)
 		// Port producers, identical across designs: the L2 controller emits
 		// Out/MissOut on the NoC#2 clock; L2.In is fed by the l2in feed (NoC#2
 		// clock); FillIn by the DRAM reply feed (memory clock). l2in is
@@ -415,7 +438,7 @@ func (mod *Module) buildL2AndDram() {
 			Map:   mod.AMap,
 		})
 		mod.Drams = append(mod.Drams, dc)
-		mod.sys.MemClk.Register(dc)
+		mod.add(mod.sys.MemClk, dc)
 		dc.Out.Attach(mod.sys.MemClk)
 	}
 }
@@ -586,7 +609,7 @@ func (mod *Module) memEdge(st Stage, ups []tap, nodesPerPort int) edge {
 func (mod *Module) wireStage(st Stage, e edge) {
 	s := mod.sys
 	clk := s.clock(st.Net)
-	b := s.buildStage(st, mod.prefix)
+	b := s.buildStage(st, mod.prefix, &mod.parts)
 	mod.Stages = append(mod.Stages, b)
 	// The feeds outlive the build: they capture what they use, not the edge.
 	forward, back, flit, toCore := e.forward, e.back, st.FlitBytes, e.toCore

@@ -6,16 +6,15 @@ import (
 	"dcl1sim/internal/chaos"
 )
 
-// InstallChaos arms deterministic fault injection on every component of
-// every module, plus the link crossbars of a linked machine. Each component
-// receives its own injector stream keyed by (spec.Seed, subsystem kind,
-// component index), so the fault schedule is a pure function of the spec and
-// the machine shape, independent of tick mode and wall-clock —
-// see the chaos package doc. Component indices are machine-global: one
-// counter per subsystem kind, walked in module order, link last (module 1's
-// first core is KindCore index Cores, not 0). Must be called before the first
-// cycle runs; calling it twice or with an invalid spec returns an error. A
-// nil spec is a no-op.
+// InstallChaos arms deterministic fault injection on every component chaos
+// perturbs: each module's, then the link crossbars of a linked machine. Each
+// such component takes its injector from one factory, which numbers the
+// streams in that walk, so every injector's stream is keyed by (spec.Seed,
+// subsystem kind, the component's place in the walk) and the fault schedule
+// is a pure function of the spec and the machine shape, independent of tick
+// mode and wall-clock — see the chaos package doc. Must be called before the
+// first cycle runs; calling it twice or with an invalid spec returns an
+// error. A nil spec is a no-op.
 //
 // The MeshBase mesh is not perturbed (its routers don't share the crossbar's
 // grant/jam surface); mesh designs still get core, cache, and DRAM faults.
@@ -34,55 +33,47 @@ func (s *System) InstallChaos(spec *chaos.Spec) error {
 		return err
 	}
 	s.chaosSpec = norm
-	next := make(map[chaos.Kind]int)
-	for _, mod := range s.Mods {
-		mod.armChaos(norm, next)
-	}
-	for _, x := range s.Link.crossbars() {
-		in := chaos.New(norm, chaos.KindNoC, next[chaos.KindNoC], x.P.Name)
-		next[chaos.KindNoC]++
-		s.linkInjectors = append(s.linkInjectors, in)
-		x.Chaos = in
+	id := 0
+	for _, p := range s.owners() {
+		arm := func(kind chaos.Kind, name string) *chaos.Injector {
+			in := chaos.New(norm, kind, id, name)
+			id++
+			p.injectors = append(p.injectors, in)
+			return in
+		}
+		for _, c := range p.comps {
+			if a, ok := c.(armer); ok {
+				a.ArmChaos(arm)
+			}
+		}
 	}
 	return nil
 }
 
-// armChaos installs this module's per-component injectors, drawing each
-// kind's component index from next and advancing it.
-func (mod *Module) armChaos(norm *chaos.Spec, next map[chaos.Kind]int) {
-	add := func(kind chaos.Kind, name string) *chaos.Injector {
-		in := chaos.New(norm, kind, next[kind], name)
-		next[kind]++
-		mod.injectors = append(mod.injectors, in)
-		return in
+// armer is a component chaos perturbs: it takes its injector from the
+// machine's factory.
+type armer interface {
+	ArmChaos(arm func(chaos.Kind, string) *chaos.Injector)
+}
+
+// owners returns the parts of every owner of components: the modules in
+// order, then the machine's link.
+func (s *System) owners() []*parts {
+	out := make([]*parts, 0, len(s.Mods)+1)
+	for _, mod := range s.Mods {
+		out = append(out, &mod.parts)
 	}
-	for i, c := range mod.Cores {
-		c.Chaos = add(chaos.KindCore, mod.cname(fmt.Sprintf("core-%d", i)))
-	}
-	for _, n := range mod.Nodes {
-		n.Ctrl.Chaos = add(chaos.KindL1, n.Ctrl.P.Name)
-	}
-	for _, l2 := range mod.L2 {
-		l2.Chaos = add(chaos.KindL2, l2.P.Name)
-	}
-	for _, st := range mod.Stages {
-		for _, x := range st.crossbars() {
-			x.Chaos = add(chaos.KindNoC, x.P.Name)
-		}
-	}
-	for _, dc := range mod.Drams {
-		dc.Chaos = add(chaos.KindDram, dc.P.Name)
-	}
+	return append(out, &s.linkParts)
 }
 
 // allInjectors returns every injector of the machine, modules in order, then
 // the link's.
 func (s *System) allInjectors() []*chaos.Injector {
 	var out []*chaos.Injector
-	for _, mod := range s.Mods {
-		out = append(out, mod.injectors...)
+	for _, p := range s.owners() {
+		out = append(out, p.injectors...)
 	}
-	return append(out, s.linkInjectors...)
+	return out
 }
 
 // ChaosEvents returns the merged recorded fault schedule across all injectors

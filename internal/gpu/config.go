@@ -17,7 +17,7 @@ import (
 // written under one model never serves another's Results. Bump it in the
 // change that changes Results — the one that regenerates testdata — and
 // record the new testdata digest beside it in TestGoldenDigestNamesModel.
-const ModelVersion = "1"
+const ModelVersion = "2"
 
 // Config is the machine configuration: the Table II values a study or a test
 // machine varies. Zero fields take the 80-core defaults via WithDefaults; the

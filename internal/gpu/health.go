@@ -100,16 +100,18 @@ func simError(d Design, app workload.Source, cycle sim.Cycle, cause any) *health
 	}
 }
 
-// component is what the watchdog, the audits and the warm-up reset ask of
-// every model component the engine ticks: its work so far (Progress), what
-// it still holds (Pending), to zero its statistics (ResetStats, which zeroes
-// Progress too), its invariants and its dump.
+// component is what the machine asks of every model component the engine
+// ticks: its work so far (Progress), what it still holds (Pending), to zero
+// its statistics (ResetStats, which zeroes Progress too), its invariants, its
+// dump, and to register its series under its own name (RegisterMetrics).
 type component interface {
+	sim.Ticker
 	Progress() int64
 	Pending() int
 	ResetStats()
 	health.Checker
 	DumpHealth() (health.ComponentDump, bool)
+	RegisterMetrics(*metrics.Registry)
 }
 
 // components returns the model components registered on clk, in tick order;

@@ -29,9 +29,9 @@ func (mod *Module) wireMeshNoC(st Stage) {
 	w, h := meshShape(st.Count)
 	mk := func(dir string) *noc.Mesh {
 		m := noc.NewMesh(noc.MeshParams{
-			Name: mod.cname(st.xbarName(dir, 0)), W: w, H: h, LinkBytes: st.FlitBytes,
+			Name: mod.cname(st.xbarName(dir, 0)), Net: st.Net.String(), W: w, H: h, LinkBytes: st.FlitBytes,
 		})
-		clk.Register(m)
+		mod.add(clk, m)
 		return m
 	}
 	req, rep := mk("req"), mk("rep")

@@ -2,39 +2,24 @@ package gpu
 
 import (
 	"errors"
-	"fmt"
 
 	"dcl1sim/internal/core"
 	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/power"
 )
 
-// registerMetrics wires every component's series into the machine's registry
-// and builds the module's power-zone meter over them. It runs unconditionally
-// at the end of newModule: registration is closures over counters the
-// components already maintain, so an unobserved registry costs nothing per
-// cycle, and building it always keeps the series set — and therefore Results,
-// which is a view over the registry — identical whether or not telemetry is
-// attached. Modules share the one registry; component names carry the
-// "m<i>." prefix in a multi-module machine, so the series sets stay disjoint.
+// registerMetrics registers the module's series in the machine's registry:
+// each of its components' own, then the module's, and builds its power-zone
+// meter over them. It runs unconditionally at the end of newModule:
+// registration is closures over counters the components already maintain, so
+// an unobserved registry costs nothing per cycle, and building it always keeps
+// the series set — and therefore Results, which is a view over the registry —
+// identical whether or not telemetry is attached. Modules share the one
+// registry; component names carry the "m<i>." prefix in a multi-module
+// machine, so the series sets stay disjoint.
 func (mod *Module) registerMetrics() {
 	r := mod.sys.Reg
-
-	for i, co := range mod.Cores {
-		co.RegisterMetrics(r, mod.cname(fmt.Sprintf("core-%d", i)))
-	}
-	for _, nd := range mod.Nodes {
-		nd.RegisterMetrics(r, "core")
-	}
-	for _, l2 := range mod.L2 {
-		l2.RegisterMetrics(r, "noc2", "l2")
-	}
-	for _, dc := range mod.Drams {
-		dc.RegisterMetrics(r, dc.P.Name, "mem")
-	}
-	for _, st := range mod.Stages {
-		st.registerMetrics(r)
-	}
+	mod.parts.registerMetrics(r)
 
 	r.Gauge(mod.cname("tracker"), "core", "l1_replicas_mean",
 		"mean copies per cached line, sampled at line install",
@@ -66,43 +51,46 @@ func (mod *Module) registerMetrics() {
 		})
 }
 
-// buildZones assembles the NVML-style power zones from component counters:
-// the compute side (cores + L1/DC-L1 + the stages on the NoC#1 clock), the
-// memory side (L2 + DRAM + the stages on the NoC#2 clock, the mesh among
-// them), and the whole module. Term closures capture stats-field addresses,
-// which survive the warmup reset (it zeroes structs in place).
+// registerMetrics registers the series of each of the owner's components and
+// records them as the owner's.
+func (p *parts) registerMetrics(r *metrics.Registry) {
+	first := r.Len()
+	for _, c := range p.comps {
+		c.RegisterMetrics(r)
+	}
+	p.series = r.Series()[first:r.Len():r.Len()]
+}
+
+// zoneEnergy is the one table of what the power zones meter: the families a
+// zone counts, each with its zone and the energy of one event. The link's
+// families are not in it, so link traffic stays out of every module's zones.
+var zoneEnergy = map[string]struct {
+	zone   string
+	energy float64
+}{
+	"core_instructions_total": {power.ZoneGPU, power.EnergyPerInstruction},
+	"l1_accesses_total":       {power.ZoneGPU, power.EnergyPerL1Access},
+	"noc1_flits_total":        {power.ZoneGPU, power.EnergyPerNoc1Flit},
+	"l2_accesses_total":       {power.ZoneMemory, power.EnergyPerL2Access},
+	"dram_reads_total":        {power.ZoneMemory, power.EnergyPerDramAccess},
+	"dram_writes_total":       {power.ZoneMemory, power.EnergyPerDramAccess},
+	"noc2_flits_total":        {power.ZoneMemory, power.EnergyPerNoc2Flit},
+}
+
+// buildZones assembles the NVML-style power zones over the module's own
+// series, one term per series of a family in zoneEnergy: the compute side
+// (cores, L1/DC-L1 nodes, NoC#1), the memory side (L2, DRAM, NoC#2, the mesh
+// among them) and the whole module. A term reads its series' counter, whose
+// closure captures a stats-field address that survives the warmup reset (it
+// zeroes structs in place).
 func (mod *Module) buildZones() []power.Zone {
-	var gpuTerms, memTerms []power.ZoneTerm
-	for _, c := range mod.Cores {
-		st := &c.Stat
-		gpuTerms = append(gpuTerms, power.ZoneTerm{
-			Energy: power.EnergyPerInstruction, Count: func() int64 { return st.Issued }})
-	}
-	for _, n := range mod.Nodes {
-		st := &n.Ctrl.Stat
-		gpuTerms = append(gpuTerms, power.ZoneTerm{
-			Energy: power.EnergyPerL1Access, Count: func() int64 { return st.Accesses }})
-	}
-	for _, l2 := range mod.L2 {
-		st := &l2.Stat
-		memTerms = append(memTerms, power.ZoneTerm{
-			Energy: power.EnergyPerL2Access, Count: func() int64 { return st.Accesses }})
-	}
-	for _, dc := range mod.Drams {
-		st := &dc.Stat
-		memTerms = append(memTerms,
-			power.ZoneTerm{Energy: power.EnergyPerDramAccess, Count: func() int64 { return st.Reads + st.Writes }},
-			power.ZoneTerm{Energy: power.EnergyPerDramRefresh, Count: func() int64 { return st.Refreshes }})
-	}
-	for _, st := range mod.Stages {
-		for _, flits := range st.traffic() {
-			if st.Net == NetNoC1 {
-				gpuTerms = append(gpuTerms, power.ZoneTerm{Energy: power.EnergyPerNoc1Flit, Count: flits})
-			} else {
-				memTerms = append(memTerms, power.ZoneTerm{Energy: power.EnergyPerNoc2Flit, Count: flits})
-			}
+	terms := map[string][]power.ZoneTerm{}
+	for _, s := range mod.series {
+		if e, ok := zoneEnergy[s.Name]; ok {
+			terms[e.zone] = append(terms[e.zone], power.ZoneTerm{Energy: e.energy, Count: s.Int})
 		}
 	}
+	gpuTerms, memTerms := terms[power.ZoneGPU], terms[power.ZoneMemory]
 
 	gpuStatic := float64(len(mod.Cores))*power.StaticCoreWatts +
 		float64(len(mod.Nodes))*power.StaticL1Watts

@@ -15,6 +15,7 @@ import (
 // never changes.
 var goldenDigests = map[string]string{
 	"1": "44c02f0ee814e218df3425b0471f6e9359dc9dfcb434f2b440e412c3d6b35faf",
+	"2": "5cffa4dffac36dbbcc3104e813044a4a8ad9305f2c0c9d23f959bfb0e3190e69",
 }
 
 // testdataDigest hashes every file under dir: each file's slash path, a NUL,

@@ -14,12 +14,12 @@ import (
 	"dcl1sim/internal/metrics"
 )
 
-// The single-module golden files pin the refactor's central promise: a
-// Modules<=1 run is byte-identical to the pre-refactor simulator. The files
-// under testdata/golden_single were generated from the tree BEFORE the
-// multi-module refactor landed (DCL1_UPDATE_GOLDEN=1 go test -run
-// SingleModuleGolden), so any drift in Results JSON or the metrics stream —
-// for any design kind or tick mode — fails here.
+// The golden files pin the Results JSON and the metrics stream of every
+// design kind in both tick modes, one module under testdata/golden_single and
+// several under testdata/golden_multi, so any drift fails here. They belong to
+// one gpu.ModelVersion (TestGoldenDigestNamesModel): a change that moves them
+// on purpose regenerates them (DCL1_UPDATE_GOLDEN=1 go test -run
+// 'Golden|DeterminismMatrix') and bumps the version.
 
 const updateGoldenEnv = "DCL1_UPDATE_GOLDEN"
 
@@ -129,10 +129,8 @@ func checkGolden(t *testing.T, dir string, cases []goldenCase) {
 	}
 }
 
-// TestSingleModuleGolden proves every single-module run — in both tick
-// modes — produces Results and a metrics stream
-// byte-identical to the pre-refactor simulator, across all seven design
-// kinds. This is the Modules=1 equivalence gate of the multi-GPU refactor.
+// TestSingleModuleGolden pins every single-module run — in both tick modes —
+// to its golden Results and metrics stream, across all seven design kinds.
 func TestSingleModuleGolden(t *testing.T) {
 	checkGolden(t, "golden_single", goldenDesigns())
 }

@@ -29,9 +29,7 @@ func multiCases() []goldenCase {
 
 // TestModuleDeterminismMatrix pins multi-GPU machines to their golden files:
 // Results and the live metrics stream are byte-equal to the recorded run in
-// both tick modes. The files under testdata/golden_multi were generated from
-// the tree BEFORE gpu.Machine was folded into gpu.System and are never
-// regenerated.
+// both tick modes.
 func TestModuleDeterminismMatrix(t *testing.T) {
 	checkGolden(t, "golden_multi", multiCases())
 }

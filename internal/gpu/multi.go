@@ -23,7 +23,7 @@ import (
 // over a module's DRAM channels, not one port pair.
 func (s *System) wireLink() {
 	st := s.Topo.Stages[len(s.Topo.Stages)-1]
-	s.Link = s.buildStage(st, "")
+	s.Link = s.buildStage(st, "", &s.linkParts)
 	req, rep := s.Link.Req[0], s.Link.Rep[0]
 
 	// sinkPort delivers a link packet's access into the channel-indexed port
@@ -62,8 +62,8 @@ func (s *System) wireLink() {
 		}
 	}
 
-	s.Link.registerMetrics(s.Reg)
+	s.linkParts.registerMetrics(s.Reg)
 	s.Reg.Counter("chaos-link", "link", "chaos_faults_total",
 		"fault occurrences on the inter-module link injectors",
-		func() int64 { return fired(s.linkInjectors) })
+		func() int64 { return fired(s.linkParts.injectors) })
 }

@@ -98,10 +98,10 @@ func (s *System) resetStats() {
 
 // collect builds Results as a view over the metric registry, which every
 // module shares: every figure is derived from registered series, so the
-// end-of-run summary and the live stream can never disagree. Registration
-// order matches the old direct component walks (cores, then nodes, then
-// L2/DRAM/NoC), keeping every value bit-identical to the pre-registry
-// collector.
+// end-of-run summary and the live stream can never disagree. Every figure
+// but one is a sum, a maximum or a merged histogram, which registration order
+// cannot move; L1PortUtil lists the nodes in registration order, which is
+// node order, module by module.
 func (s *System) collect(cycles sim.Cycle) Results {
 	r := Results{
 		Design:         s.D.Name(),

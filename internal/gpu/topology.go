@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 
-	"dcl1sim/internal/metrics"
 	"dcl1sim/internal/noc"
 	"dcl1sim/internal/power"
 	"dcl1sim/internal/sim"
@@ -11,8 +10,8 @@ import (
 
 // A design's interconnect is data: an ordered table of stages, one row of the
 // paper's Table I each, computed by DesignTopology and read by everything
-// that needs the shape — the build, the power model, the clocks, metrics,
-// power zones and chaos injectors (DESIGN.md §16).
+// that needs the shape — the build, the power model and the clocks (DESIGN.md
+// §16).
 
 // Net is the clock domain a stage ticks on; its name is also the stage's
 // metric domain and series-family prefix.
@@ -194,33 +193,24 @@ func (st Stage) xbarName(dir string, i int) string {
 }
 
 // BuiltStage is a Stage as wired: a module holds its on-chip stages in table
-// order, the machine its link. SingleL1's stages hold no network at all, so
-// every loop below passes over them.
+// order, the machine its link. SingleL1's stages hold no network at all.
 type BuiltStage struct {
 	Stage
 	Req, Rep         []*noc.Crossbar // Count each
 	MeshReq, MeshRep *noc.Mesh       // MeshBase's stage only
 }
 
-// crossbars returns the stage's crossbars, requests then replies; none for a
-// nil stage (the link of a one-module machine).
-func (b *BuiltStage) crossbars() []*noc.Crossbar {
-	if b == nil {
-		return nil
-	}
-	return append(append([]*noc.Crossbar{}, b.Req...), b.Rep...)
-}
-
 // buildStage makes the stage's crossbars — the only place crossbars are made
 // — under the name prefix: Count request/reply pairs, registered on the
-// stage's clock, whose barrier publishes their injections.
-func (s *System) buildStage(st Stage, prefix string) *BuiltStage {
+// stage's clock, whose barrier publishes their injections, and added to the
+// owner's parts.
+func (s *System) buildStage(st Stage, prefix string, owner *parts) *BuiltStage {
 	clk := s.clock(st.Net)
 	b := &BuiltStage{Stage: st}
 	mk := func(dir string, i, ins, outs int) *noc.Crossbar {
-		x := noc.New(noc.Params{Name: prefix + st.xbarName(dir, i), Ins: ins, Outs: outs,
-			LinkBytes: st.FlitBytes, RouterLat: st.RouterLat})
-		clk.Register(x)
+		x := noc.New(noc.Params{Name: prefix + st.xbarName(dir, i), Net: st.Net.String(), Reply: dir == "rep",
+			Ins: ins, Outs: outs, LinkBytes: st.FlitBytes, RouterLat: st.RouterLat})
+		owner.add(clk, x)
 		return x
 	}
 	for i := 0; i < st.Count; i++ {
@@ -230,36 +220,4 @@ func (s *System) buildStage(st Stage, prefix string) *BuiltStage {
 		rep.Attach(clk)
 	}
 	return b
-}
-
-// registerMetrics registers the stage's series under its domain's family. The
-// mesh counts under NoC#2, whose place it takes.
-func (b *BuiltStage) registerMetrics(r *metrics.Registry) {
-	net := b.Net.String()
-	for _, x := range b.Req {
-		x.RegisterMetrics(r, net, net, false)
-	}
-	for _, x := range b.Rep {
-		x.RegisterMetrics(r, net, net, true)
-	}
-	if b.MeshReq != nil {
-		b.MeshReq.RegisterMetrics(r, b.MeshReq.P.Name, net, net)
-		b.MeshRep.RegisterMetrics(r, b.MeshRep.P.Name, net, net)
-	}
-}
-
-// traffic returns the stage's flit counters, one per power-zone term: each
-// crossbar's flits moved, or the two meshes' flit-hops as one. The closures
-// capture stats-field addresses, which survive the warmup reset.
-func (b *BuiltStage) traffic() []func() int64 {
-	var out []func() int64
-	for _, x := range b.crossbars() {
-		st := &x.Stat
-		out = append(out, func() int64 { return st.FlitsMoved })
-	}
-	if b.MeshReq != nil {
-		req, rep := &b.MeshReq.Stat, &b.MeshRep.Stat
-		out = append(out, func() int64 { return req.FlitHops + rep.FlitHops })
-	}
-	return out
 }

@@ -78,11 +78,11 @@ func checkStage(t *testing.T, kind DesignKind, s *System, b *BuiltStage, row Sta
 	case kind == SingleL1 && row.Net != NetLink:
 		// The declared exception: SingleL1's rows cost out a network the
 		// contention-free study does not build.
-		if len(b.crossbars()) != 0 || b.MeshReq != nil {
+		if len(b.Req)+len(b.Rep) != 0 || b.MeshReq != nil {
 			t.Errorf("ideal stage %s built a network", row.Name)
 		}
 	case kind == MeshBase && row.Net != NetLink:
-		if len(b.crossbars()) != 0 || b.MeshReq == nil || b.MeshRep == nil {
+		if len(b.Req)+len(b.Rep) != 0 || b.MeshReq == nil || b.MeshRep == nil {
 			t.Fatalf("router stage %s is not one mesh pair", row.Name)
 		}
 		for _, m := range []int{b.MeshReq.Nodes(), b.MeshRep.Nodes()} {

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 
+	"dcl1sim/internal/chaos"
 	"dcl1sim/internal/health"
 	"dcl1sim/internal/mem"
 	"dcl1sim/internal/sim"
@@ -21,6 +22,12 @@ func (x *Crossbar) Progress() int64 { return x.Stat.FlitsMoved }
 // the per-port slices at their sizes.
 func (x *Crossbar) ResetStats() {
 	x.Stat = Stats{InFlits: make([]int64, x.P.Ins), OutFlits: make([]int64, x.P.Outs)}
+}
+
+// ArmChaos takes the crossbar's injector (grant delays, output jams) from the
+// machine's factory. The mesh has none: it is not perturbed.
+func (x *Crossbar) ArmChaos(arm func(chaos.Kind, string) *chaos.Injector) {
+	x.Chaos = arm(chaos.KindNoC, x.P.Name)
 }
 
 // CheckInvariants implements health.Checker for the crossbar: a traversal

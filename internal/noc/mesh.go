@@ -45,7 +45,10 @@ type Mesh struct {
 
 // MeshParams configures a mesh.
 type MeshParams struct {
-	Name       string
+	Name string
+	// Net is the network the mesh stands in for: its series' domain and
+	// family prefix.
+	Net        string
 	W, H       int
 	LinkBytes  int
 	QueueDepth int       // per-input-port buffer, in packets

@@ -34,7 +34,13 @@ func (f EndpointFunc) Deliver(p *mem.Packet) bool { return f(p) }
 
 // Params configures a crossbar.
 type Params struct {
-	Name      string
+	Name string
+	// Net names the network the crossbar belongs to ("noc1", "noc2",
+	// "link"): its series' domain and family prefix.
+	Net string
+	// Reply marks a reply-direction crossbar, which also reports the paper's
+	// max output-link utilization.
+	Reply     bool
 	Ins, Outs int
 	LinkBytes int       // flit width (32 B baseline, 64 B in the 2x-flit study)
 	RouterLat sim.Cycle // pipeline latency added to every traversal

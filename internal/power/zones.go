@@ -41,7 +41,6 @@ const (
 	EnergyPerL1Access    = 2.1  // nJ per L1 lookup
 	EnergyPerL2Access    = 4.6  // nJ per L2 slice lookup
 	EnergyPerDramAccess  = 28.0 // nJ per DRAM burst (activate amortized)
-	EnergyPerDramRefresh = 95.0 // nJ per refresh command
 	EnergyPerNoc1Flit    = 1.3  // nJ per NoC#1 flit traversal
 	EnergyPerNoc2Flit    = 2.4  // nJ per NoC#2 flit traversal (longer links)
 	nJ                   = 1e-9

@@ -41,7 +41,7 @@ const wheelSlots = 64
 // A cycle fewer than wheelSlots edges ahead is a bit in the wheel slot of
 // that cycle (slot w&63 is a bitset over components — words words of slots —
 // so arming, re-keying and disarming are a word operation each, and firing a
-// slot is an OR into the active set); a farther one — a DRAM refresh, the next metrics sample —
+// slot is an OR into the active set); a farther one — the next metrics sample, say —
 // waits in the far set and is pulled into the wheel when it comes within
 // reach. Re-arming moves the component's one bit, so a sleeping component's
 // timer is always the wake it last reported. The one timer that can outlive
